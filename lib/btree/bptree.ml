@@ -20,44 +20,60 @@ let encode_meta ~is_leaf ~next_leaf =
   Bytes.set_int32_le b 2 (Int32.of_int next_leaf);
   b
 
+let entry_size = 16
+
 let encode_entry key value =
-  let b = Bytes.create 16 in
+  let b = Bytes.create entry_size in
   Bytes.set_int64_le b 0 (Int64.of_int key);
   Bytes.set_int64_le b 8 (Int64.of_int value);
   b
 
-let decode_entry b = (Int64.to_int (Bytes.get_int64_le b 0), Int64.to_int (Bytes.get_int64_le b 8))
-
 type node = {
   is_leaf : bool;
   next_leaf : int;  (* no_leaf if none *)
-  entries : (int * int * int) array;  (* key, value, slot — sorted by key *)
+  entries : (int * int * int) array;  (* key, value, slot — sorted *)
 }
 
 let fail_on_error = function
   | Ok x -> x
   | Error e -> failwith ("Bptree: unexpected engine error: " ^ Engine.error_to_string e)
 
-let read_node t pid =
-  fail_on_error
-  @@ Engine.with_page t.engine pid (fun p ->
-      match Page.read p 0 with
-      | None -> failwith "Bptree: missing node meta"
-      | Some meta ->
-          if Bytes.get_uint8 meta 0 <> meta_magic then failwith "Bptree: bad node magic";
-          let is_leaf = Bytes.get_uint8 meta 1 = 1 in
-          let next_leaf = Int32.to_int (Bytes.get_int32_le meta 2) land 0xFFFFFFFF in
-          let entries = ref [] in
-          Page.iter
-            (fun slot data ->
-              if slot <> 0 then begin
-                let k, v = decode_entry data in
-                entries := (k, v, slot) :: !entries
-              end)
-            p;
-          let entries = Array.of_list !entries in
-          Array.sort compare entries;
-          { is_leaf; next_leaf; entries })
+(* [(is_leaf, next_leaf)] from a pinned node's meta record. *)
+let meta p =
+  match Page.read p 0 with
+  | None -> failwith "Bptree: missing node meta"
+  | Some m ->
+      if Bytes.get_uint8 m 0 <> meta_magic then failwith "Bptree: bad node magic";
+      (Bytes.get_uint8 m 1 = 1, Int32.to_int (Bytes.get_int32_le m 2) land 0xFFFFFFFF)
+
+let entry_key b off = Int64.to_int (Bytes.get_int64_le b off)
+let entry_value b off = Int64.to_int (Bytes.get_int64_le b (off + 8))
+
+(* [iter_entries f p] applies [f key value slot] to every entry of a pinned
+   node, in slot order, reading the page image in place. *)
+let iter_entries f p =
+  let b = Page.to_bytes p in
+  Page.iter_in_place
+    (fun slot off _ -> if slot <> 0 then f (entry_key b off) (entry_value b off) slot)
+    p
+
+let compare_entry (k1, v1, s1) (k2, v2, s2) =
+  let c = Int.compare k1 k2 in
+  if c <> 0 then c
+  else
+    let c = Int.compare v1 v2 in
+    if c <> 0 then c else Int.compare s1 s2
+
+(* A sorted copy of a whole node, for the callers that need one. *)
+let node_of_page p =
+  let is_leaf, next_leaf = meta p in
+  let entries = ref [] in
+  iter_entries (fun k v slot -> entries := (k, v, slot) :: !entries) p;
+  let entries = Array.of_list !entries in
+  Array.sort compare_entry entries;
+  { is_leaf; next_leaf; entries }
+
+let read_node t pid = fail_on_error (Engine.with_page t.engine pid node_of_page)
 
 let new_node t ~tx ~is_leaf ~next_leaf =
   let pid = fail_on_error (Engine.allocate_page t.engine) in
@@ -98,52 +114,111 @@ let create engine =
 let attach engine ~header = { engine; header }
 let header_page t = t.header
 
-(* Child of an internal node covering [key]: greatest separator <= key. *)
-let child_for node key =
-  let n = Array.length node.entries in
-  let rec go i best =
-    if i >= n then best
-    else
-      let k, v, _ = node.entries.(i) in
-      if k <= key then go (i + 1) v else best
+(* Child of a pinned internal node covering [key]: the child of the
+   greatest (separator, child, slot) with separator <= key. The leftmost
+   separator is min_int, so one exists; failing that, the least entry's.
+   Entries arrive in slot order, so of two equal (separator, child) pairs
+   the later is the greater. *)
+let child_for p key =
+  let found = ref false and best_k = ref 0 and best_v = ref 0 in
+  let any = ref false and least_k = ref 0 and least_v = ref 0 in
+  iter_entries
+    (fun k v _ ->
+      if k <= key && ((not !found) || k > !best_k || (k = !best_k && v >= !best_v)) then begin
+        found := true;
+        best_k := k;
+        best_v := v
+      end;
+      if (not !any) || k < !least_k || (k = !least_k && v < !least_v) then begin
+        any := true;
+        least_k := k;
+        least_v := v
+      end)
+    p;
+  if !found then !best_v
+  else if !any then !least_v
+  else failwith "Bptree: empty internal node"
+
+(* [(slot, value)] of the least entry of a pinned leaf with this key. *)
+let leaf_find p key =
+  let slot = ref (-1) and value = ref 0 in
+  iter_entries
+    (fun k v s ->
+      if k = key && (!slot < 0 || v < !value) then begin
+        slot := s;
+        value := v
+      end)
+    p;
+  if !slot < 0 then None else Some (!slot, !value)
+
+(* Least [(key, value)] of a pinned leaf with key >= [key]. *)
+let leaf_next_ge p key =
+  let found = ref false and best_k = ref 0 and best_v = ref 0 in
+  iter_entries
+    (fun k v _ ->
+      if k >= key && ((not !found) || k < !best_k || (k = !best_k && v < !best_v)) then begin
+        found := true;
+        best_k := k;
+        best_v := v
+      end)
+    p;
+  if !found then Some (!best_k, !best_v) else None
+
+(* Whether a pinned leaf lacks room for one more entry: [Page.insert]
+   reuses a deleted slot if there is one, else it needs a new one. Only
+   the pin count depends on this: without a copy, [split] reads the
+   node itself. *)
+let leaf_full p =
+  let reuse = if Page.live_records p < Page.slot_count p then Page.slot_entry_size else 0 in
+  Page.free_space p + reuse < entry_size
+
+(* Walk from the root to the leaf covering [key], searching each node in
+   place on its pinned page, and apply [leaf] to the leaf's page. Returns
+   the leaf's page id, its ancestors (nearest parent first) and [leaf]'s
+   result. Scans pass [~leaf:ignore] and walk the chain from that id. *)
+let descend t key ~leaf =
+  let rec go pid path =
+    let step =
+      fail_on_error
+      @@ Engine.with_page t.engine pid (fun p ->
+          if fst (meta p) then Either.Left (leaf p) else Either.Right (child_for p key))
+    in
+    match step with
+    | Either.Left r -> (pid, path, r)
+    | Either.Right child -> go child (pid :: path)
   in
-  let k0, v0, _ = node.entries.(0) in
-  if k0 > key then v0 (* only possible transiently; leftmost separator is min_int *)
-  else go 1 v0
+  go (root t) []
 
-let rec descend t pid key path =
-  let node = read_node t pid in
-  if node.is_leaf then (pid, node, path)
-  else descend t (child_for node key) key (pid :: path)
-
-let find_leaf t key = descend t (root t) key []
+(* Apply [f] to the pinned pages of the leaf chain from [pid] on, while it
+   returns true. *)
+let rec walk_leaves t pid f =
+  let next =
+    fail_on_error
+    @@ Engine.with_page t.engine pid (fun p ->
+        let _, next_leaf = meta p in
+        if f p then next_leaf else no_leaf)
+  in
+  if next <> no_leaf then walk_leaves t next f
 
 let find t key =
-  let _, node, _ = find_leaf t key in
-  let rec go i =
-    if i >= Array.length node.entries then None
-    else
-      let k, v, _ = node.entries.(i) in
-      if k = key then Some v else if k > key then None else go (i + 1)
-  in
-  go 0
+  let _, _, hit = descend t key ~leaf:(fun p -> leaf_find p key) in
+  Option.map snd hit
 
 let mem t key = find t key <> None
 
 let next_ge t key =
-  let rec scan_leaf pid =
-    let node = read_node t pid in
-    let hit = Array.find_opt (fun (k, _, _) -> k >= key) node.entries in
-    match hit with
-    | Some (k, v, _) -> Some (k, v)
-    | None -> if node.next_leaf = no_leaf then None else scan_leaf node.next_leaf
-  in
-  let pid, _, _ = find_leaf t key in
-  scan_leaf pid
+  let pid, _, () = descend t key ~leaf:ignore in
+  let hit = ref None in
+  walk_leaves t pid (fun p ->
+      hit := leaf_next_ge p key;
+      !hit = None);
+  !hit
 
 (* Move the upper half of a node's entries into a fresh sibling and return
-   (separator, new page id). *)
-let split t ~tx pid node =
+   (separator, new page id). [node] is the node's sorted copy, if the
+   caller already took one. *)
+let split t ~tx ?node pid =
+  let node = match node with Some node -> node | None -> read_node t pid in
   let n = Array.length node.entries in
   assert (n >= 2);
   let mid = n / 2 in
@@ -195,8 +270,7 @@ let rec insert_sep t ~tx ~path ~child_pid sep new_pid =
       | Ok _ -> ()
       | Error _ ->
           (* Parent full: split it, then retry into the correct half. *)
-          let pnode = read_node t parent in
-          let psep, pnew = split t ~tx parent pnode in
+          let psep, pnew = split t ~tx parent in
           insert_sep t ~tx ~path:rest ~child_pid:parent psep pnew;
           let target = if sep >= psep then pnew else parent in
           fail_on_error
@@ -204,21 +278,27 @@ let rec insert_sep t ~tx ~path ~child_pid sep new_pid =
                (Engine.insert t.engine ~tx ~page:target (encode_entry sep new_pid))))
 
 let rec insert_leafward t ~tx key value ~overwrite =
-  let pid, node, path = find_leaf t key in
-  let existing = Array.find_opt (fun (k, _, _) -> k = key) node.entries in
-  match existing with
-  | Some (_, _, slot) ->
+  let probe p =
+    match leaf_find p key with
+    | Some (slot, _) -> `Present slot
+    | None ->
+        (* A leaf without room for the entry is about to be split: take
+           the copy the split needs now, rather than pin the leaf again. *)
+        `Absent (if leaf_full p then Some (node_of_page p) else None)
+  in
+  match descend t key ~leaf:probe with
+  | pid, _, `Present slot ->
       if overwrite then
         Result.map_error Engine.error_to_string
           (Engine.update t.engine ~tx ~page:pid ~slot (encode_entry key value))
       else Error "duplicate key"
-  | None -> (
+  | pid, path, `Absent node -> (
       match Engine.insert t.engine ~tx ~page:pid (encode_entry key value) with
       | Ok _ -> Ok ()
       | Error _ ->
           (* Leaf full: split and retry from the top (ancestor set may have
              changed shape). *)
-          let sep, new_pid = split t ~tx pid node in
+          let sep, new_pid = split t ~tx ?node pid in
           insert_sep t ~tx ~path ~child_pid:pid sep new_pid;
           insert_leafward t ~tx key value ~overwrite)
 
@@ -226,18 +306,15 @@ let insert t ~tx ~key ~value = insert_leafward t ~tx key value ~overwrite:false
 let set t ~tx ~key ~value = insert_leafward t ~tx key value ~overwrite:true
 
 let delete t ~tx ~key =
-  let pid, node, _ = find_leaf t key in
-  match Array.find_opt (fun (k, _, _) -> k = key) node.entries with
-  | None -> Error "not found"
-  | Some (_, _, slot) ->
+  match descend t key ~leaf:(fun p -> leaf_find p key) with
+  | _, _, None -> Error "not found"
+  | pid, _, Some (slot, _) ->
       Result.map_error Engine.error_to_string (Engine.delete t.engine ~tx ~page:pid ~slot)
 
-let rec leftmost_leaf t pid =
-  let node = read_node t pid in
-  if node.is_leaf then (pid, node)
-  else
-    let _, child, _ = node.entries.(0) in
-    leftmost_leaf t child
+(* The leftmost leaf is the one covering min_int. *)
+let leftmost_leaf t =
+  let pid, _, () = descend t min_int ~leaf:ignore in
+  pid
 
 let iter t f =
   let rec walk pid =
@@ -245,44 +322,45 @@ let iter t f =
     Array.iter (fun (k, v, _) -> f ~key:k ~value:v) node.entries;
     if node.next_leaf <> no_leaf then walk node.next_leaf
   in
-  let pid, _ = leftmost_leaf t (root t) in
-  walk pid
+  walk (leftmost_leaf t)
+
+let compare_pair (k1, v1) (k2, v2) =
+  let c = Int.compare k1 k2 in
+  if c <> 0 then c else Int.compare v1 v2
 
 let range t ~lo ~hi =
+  let pid, _, () = descend t lo ~leaf:ignore in
   let acc = ref [] in
-  let rec walk pid =
-    let node = read_node t pid in
-    let stop = ref false in
-    Array.iter
-      (fun (k, v, _) ->
-        if k > hi then stop := true else if k >= lo then acc := (k, v) :: !acc)
-      node.entries;
-    if (not !stop) && node.next_leaf <> no_leaf then walk node.next_leaf
-  in
-  let pid, _, _ = find_leaf t lo in
-  walk pid;
+  walk_leaves t pid (fun p ->
+      let hits = ref [] and beyond = ref false in
+      iter_entries
+        (fun k v _ -> if k > hi then beyond := true else if k >= lo then hits := (k, v) :: !hits)
+        p;
+      acc := List.rev_append (List.sort compare_pair !hits) !acc;
+      not !beyond);
   List.rev !acc
 
 let min_key t =
-  let _, node = leftmost_leaf t (root t) in
-  if Array.length node.entries = 0 then
-    (* The leftmost leaf may have been emptied by deletes; fall back to a
-       full walk. *)
-    let best = ref None in
-    let () = iter t (fun ~key ~value:_ -> if !best = None then best := Some key) in
-    !best
-  else
-    let k, _, _ = node.entries.(0) in
-    Some k
+  match descend t min_int ~leaf:(fun p -> leaf_next_ge p min_int) with
+  | _, _, Some (k, _) -> Some k
+  | _, _, None ->
+      (* The leftmost leaf may have been emptied by deletes; fall back to a
+         full walk. *)
+      let best = ref None in
+      let () = iter t (fun ~key ~value:_ -> if !best = None then best := Some key) in
+      !best
 
 let max_key t =
   let best = ref None in
   iter t (fun ~key ~value:_ -> best := Some key);
   !best
 
+(* Every live slot but the meta record is an entry. *)
 let cardinal t =
   let n = ref 0 in
-  iter t (fun ~key:_ ~value:_ -> incr n);
+  walk_leaves t (leftmost_leaf t) (fun p ->
+      n := !n + Page.live_records p - 1;
+      true);
   !n
 
 let height t =

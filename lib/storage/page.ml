@@ -79,11 +79,9 @@ let compact p =
   set_free_start p !cursor
 
 let used_payload p =
-  let n = slot_count p in
   let total = ref 0 in
-  for i = 0 to n - 1 do
-    let _, len = slot p i in
-    total := !total + len
+  for i = 0 to slot_count p - 1 do
+    total := !total + Bytes.get_uint16_le p (slot_pos p i + 2)
   done;
   !total
 
@@ -200,6 +198,13 @@ let delete p i =
 let iter f p =
   for i = 0 to slot_count p - 1 do
     match read p i with Some data -> f i data | None -> ()
+  done
+
+let iter_in_place f p =
+  for i = 0 to slot_count p - 1 do
+    let pos = slot_pos p i in
+    let len = Bytes.get_uint16_le p (pos + 2) in
+    if len > 0 then f i (Bytes.get_uint16_le p pos) len
   done
 
 let equal_content a b =

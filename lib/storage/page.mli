@@ -71,5 +71,12 @@ val compact : t -> unit
 val iter : (int -> bytes -> unit) -> t -> unit
 (** Apply to every live (slot, payload). *)
 
+val iter_in_place : (int -> int -> int -> unit) -> t -> unit
+(** [iter_in_place f p] applies [f slot off len] to every live slot in
+    ascending slot order, where the record's payload is the [len] bytes
+    at [off] in [to_bytes p]. Nothing is copied and the scan itself
+    allocates nothing. The offsets are valid only until the page is next
+    modified, so [f] must not keep them, or the image, past the scan. *)
+
 val equal_content : t -> t -> bool
 (** Same live slots with the same payloads (layout may differ). *)

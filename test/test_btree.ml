@@ -189,6 +189,137 @@ let prop_tree_vs_model =
       && Hashtbl.fold (fun k v acc -> acc && B.find t k = Some v) model true
       && B.cardinal t = Hashtbl.length model)
 
+(* The decode-and-sort search the tree used before it searched nodes in
+   place: copy every entry of a node out of its page, sort the copies,
+   then read the answer off the sorted array. Kept as the reference that
+   the in-place search must agree with exactly. *)
+module Reference = struct
+  module Page = Storage.Page
+
+  let pinned e pid f =
+    match Engine.with_page e pid f with
+    | Ok x -> x
+    | Error err -> Alcotest.failf "with_page %d: %s" pid (Engine.error_to_string err)
+
+  let read_node e pid =
+    pinned e pid (fun p ->
+        let meta = Option.get (Page.read p 0) in
+        let is_leaf = Bytes.get_uint8 meta 1 = 1 in
+        let next_leaf = Int32.to_int (Bytes.get_int32_le meta 2) land 0xFFFFFFFF in
+        let entries = ref [] in
+        Page.iter
+          (fun slot data ->
+            if slot <> 0 then
+              entries :=
+                ( Int64.to_int (Bytes.get_int64_le data 0),
+                  Int64.to_int (Bytes.get_int64_le data 8),
+                  slot )
+                :: !entries)
+          p;
+        let entries = Array.of_list !entries in
+        Array.sort compare entries;
+        (is_leaf, next_leaf, entries))
+
+  let root e t =
+    pinned e (B.header_page t) (fun p -> Int64.to_int (Bytes.get_int64_le (Option.get (Page.read p 0)) 0))
+
+  let child_for entries key =
+    let n = Array.length entries in
+    let rec go i best =
+      if i >= n then best
+      else
+        let k, v, _ = entries.(i) in
+        if k <= key then go (i + 1) v else best
+    in
+    let k0, v0, _ = entries.(0) in
+    if k0 > key then v0 else go 1 v0
+
+  let rec descend e pid key =
+    let is_leaf, _, entries = read_node e pid in
+    if is_leaf then (pid, entries) else descend e (child_for entries key) key
+
+  let find e t key =
+    let _, entries = descend e (root e t) key in
+    Array.find_map (fun (k, v, _) -> if k = key then Some v else None) entries
+
+  let next_ge e t key =
+    let rec scan pid =
+      let _, next_leaf, entries = read_node e pid in
+      match Array.find_opt (fun (k, _, _) -> k >= key) entries with
+      | Some (k, v, _) -> Some (k, v)
+      | None -> if next_leaf = 0xFFFFFFFF then None else scan next_leaf
+    in
+    scan (fst (descend e (root e t) key))
+
+  let range e t ~lo ~hi =
+    let acc = ref [] in
+    let rec walk pid =
+      let _, next_leaf, entries = read_node e pid in
+      let stop = ref false in
+      Array.iter
+        (fun (k, v, _) -> if k > hi then stop := true else if k >= lo then acc := (k, v) :: !acc)
+        entries;
+      if (not !stop) && next_leaf <> 0xFFFFFFFF then walk next_leaf
+    in
+    walk (fst (descend e (root e t) lo));
+    List.rev !acc
+end
+
+(* Small pages make a few thousand keys span three levels. *)
+let small_page_config = { Config.default with Config.page_size = 2048; buffer_pages = 48 }
+
+let check_against_reference rng e t ~keys =
+  let probes = -1 :: keys :: List.init 2_000 (fun _ -> Ipl_util.Rng.int rng keys) in
+  Alcotest.(check (list (option int)))
+    "find" (List.map (Reference.find e t) probes) (List.map (B.find t) probes);
+  let starts = List.init 500 (fun _ -> Ipl_util.Rng.int rng (keys + 50) - 25) in
+  Alcotest.(check (list (option (pair int int))))
+    "next_ge" (List.map (Reference.next_ge e t) starts) (List.map (B.next_ge t) starts);
+  let bounds =
+    (min_int, max_int)
+    :: List.map (fun lo -> (lo, lo + Ipl_util.Rng.int rng 600 - 50)) starts
+  in
+  Alcotest.(check (list (list (pair int int))))
+    "range"
+    (List.map (fun (lo, hi) -> Reference.range e t ~lo ~hi) bounds)
+    (List.map (fun (lo, hi) -> B.range t ~lo ~hi) bounds);
+  let all = Reference.range e t ~lo:min_int ~hi:max_int in
+  Alcotest.(check int) "cardinal" (List.length all) (B.cardinal t);
+  Alcotest.(check (option int)) "min_key" (Option.map fst (List.nth_opt all 0)) (B.min_key t)
+
+let random_ops rng t ~keys ~ops =
+  for _ = 1 to ops do
+    let key = Ipl_util.Rng.int rng keys and value = Ipl_util.Rng.int rng 1_000_000 in
+    match Ipl_util.Rng.int rng 10 with
+    | 0 | 1 -> ok (B.set t ~tx:Engine.no_txn ~key ~value)
+    | 2 | 3 -> ignore (B.delete t ~tx:Engine.no_txn ~key)
+    | _ -> ignore (B.insert t ~tx:Engine.no_txn ~key ~value)
+  done
+
+let test_in_place_search_matches_reference () =
+  List.iter
+    (fun seed ->
+      let rng = Ipl_util.Rng.of_int seed in
+      let keys = 10_000 in
+      let chip = Chip.create (FConfig.default ~num_blocks:512 ()) in
+      let e = Engine.create ~config:small_page_config chip in
+      let t = B.create e in
+      let order = Array.init keys Fun.id in
+      Ipl_util.Rng.shuffle rng order;
+      Array.iter (fun key -> ok (B.insert t ~tx:Engine.no_txn ~key ~value:(-key))) order;
+      random_ops rng t ~keys ~ops:6_000;
+      Alcotest.(check bool) "three levels" true (B.height t >= 3);
+      Alcotest.(check (result unit string)) "invariants" (Ok ()) (B.check_invariants t);
+      check_against_reference rng e t ~keys;
+      Engine.Unsafe.checkpoint e;
+      let e', _ = Engine.restart ~config:small_page_config chip in
+      let t' = B.attach e' ~header:(B.header_page t) in
+      check_against_reference rng e' t' ~keys;
+      random_ops rng t' ~keys ~ops:3_000;
+      Alcotest.(check (result unit string)) "invariants after restart" (Ok ()) (B.check_invariants t');
+      check_against_reference rng e' t' ~keys)
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run "btree"
     [
@@ -206,5 +337,7 @@ let () =
           Alcotest.test_case "survives restart" `Slow test_survives_restart;
           Alcotest.test_case "abort rolls back" `Quick test_transactional_abort_rolls_back_index;
           QCheck_alcotest.to_alcotest prop_tree_vs_model;
+          Alcotest.test_case "in-place search = decode and sort" `Slow
+            test_in_place_search_matches_reference;
         ] );
     ]

@@ -125,6 +125,58 @@ let test_iter () =
   Page.iter (fun slot data -> seen := (slot, Bytes.to_string data) :: !seen) p;
   Alcotest.(check (list (pair int string))) "live only" [ (1, "b") ] !seen
 
+(* [(slot, payload)] as the in-place scan sees it, and as [Page.read] does. *)
+let in_place_records p =
+  let image = Page.to_bytes p in
+  let acc = ref [] in
+  Page.iter_in_place (fun slot off len -> acc := (slot, Bytes.sub_string image off len) :: !acc) p;
+  List.rev !acc
+
+let read_records p =
+  List.filter_map
+    (fun i -> Option.map (fun data -> (i, Bytes.to_string data)) (Page.read p i))
+    (List.init (Page.slot_count p) Fun.id)
+
+let test_iter_in_place () =
+  let p = mk () in
+  let check what live =
+    Alcotest.(check (list int)) (what ^ ": live slots") live (List.map fst (in_place_records p));
+    Alcotest.(check (list (pair int string))) (what ^ ": payloads") (read_records p) (in_place_records p)
+  in
+  for i = 0 to 9 do
+    ignore (Page.insert p (Bytes.make (10 + i) (Char.chr (65 + i))))
+  done;
+  check "fresh" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ];
+  List.iter (fun i -> ignore (Page.delete p i)) [ 0; 4; 9 ];
+  check "deletes" [ 1; 2; 3; 5; 6; 7; 8 ];
+  Alcotest.(check (option int)) "reused slot" (Some 0) (Page.insert p (bytes_of_string "reused"));
+  check "slot reuse" [ 0; 1; 2; 3; 5; 6; 7; 8 ];
+  Page.compact p;
+  check "compact" [ 0; 1; 2; 3; 5; 6; 7; 8 ];
+  Alcotest.(check (result unit string)) "relocating update" (Ok ()) (Page.update p 2 (Bytes.make 200 'z'));
+  check "relocating update" [ 0; 1; 2; 3; 5; 6; 7; 8 ]
+
+let test_iter_in_place_allocates_nothing () =
+  let p = mk () in
+  while Page.insert p (Bytes.make 16 'k') <> None do
+    ()
+  done;
+  let image = Page.to_bytes p in
+  let visited = ref 0 and sum = ref 0 in
+  let f _ off len =
+    incr visited;
+    sum := !sum + len + Bytes.get_uint8 image off
+  in
+  let minor_words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let empty = minor_words (fun () -> ()) in
+  let scan = minor_words (fun () -> Page.iter_in_place f p) in
+  Alcotest.(check int) "every record visited" (Page.live_records p) !visited;
+  Alcotest.(check (float 0.)) "no minor words" empty scan
+
 (* Property: a random sequence of inserts/updates/deletes tracked against a
    model Hashtbl always matches the page contents. *)
 let prop_page_vs_model =
@@ -225,6 +277,9 @@ let () =
           Alcotest.test_case "serialization roundtrip" `Quick test_serialization_roundtrip;
           Alcotest.test_case "bad magic rejected" `Quick test_bad_magic;
           Alcotest.test_case "iter over live" `Quick test_iter;
+          Alcotest.test_case "in-place scan = read" `Quick test_iter_in_place;
+          Alcotest.test_case "in-place scan allocates nothing" `Quick
+            test_iter_in_place_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_page_vs_model;
         ] );
       ( "record",
