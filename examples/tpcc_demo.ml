@@ -7,7 +7,6 @@
    with transactional recovery enabled, prints what the storage layer did,
    and finally crash-restarts and checks the data is still there. *)
 
-module Chip = Flash_sim.Flash_chip
 module FConfig = Flash_sim.Flash_config
 module Engine = Ipl_core.Ipl_engine
 module Store = Ipl_core.Ipl_storage
@@ -53,10 +52,9 @@ let () =
   | None -> failwith "customer missing");
 
   (* Crash and restart: the whole database comes back from flash. *)
-  Printf.printf "\nCrash-restarting from the chip...\n%!";
-  let chip = Engine.chip engine in
+  Printf.printf "\nCrash-restarting from the device...\n%!";
   let config = Engine.config engine in
-  let engine', aborted = Engine.restart ~config chip in
+  let engine', aborted = Engine.restart_device ~config (Engine.device engine) in
   Printf.printf "  %d in-flight transactions rolled back implicitly\n" (List.length aborted);
   (* Reattach the customer index by replaying the catalog: in this demo we
      simply re-open the raw row through the storage manager instead. *)

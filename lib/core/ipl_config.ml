@@ -6,7 +6,6 @@ type t = {
   selective_merge_threshold : float;
   wear_aware_allocation : bool;
   buffer_pages : int;
-  group_commit : int;
   spare_blocks : int;
   read_retries : int;
   scrub_on_correctable : bool;
@@ -31,7 +30,6 @@ let default =
     selective_merge_threshold = 0.5;
     wear_aware_allocation = true;
     buffer_pages = 2560;
-    group_commit = 0;
     spare_blocks = 0;
     read_retries = 3;
     scrub_on_correctable = true;
@@ -61,7 +59,6 @@ let validate t ~sector_size ~block_size =
   check (t.selective_merge_threshold >= 0.0 && t.selective_merge_threshold <= 1.0)
     "selective merge threshold must be in [0,1]";
   check (t.buffer_pages > 0) "buffer pool must hold at least one page";
-  check (t.group_commit >= 0) "group_commit must be non-negative";
   check (t.spare_blocks >= 0) "spare_blocks must be non-negative";
   check (t.read_retries >= 0) "read_retries must be non-negative";
   check (t.log_cache_bytes >= 0) "log_cache_bytes must be non-negative";

@@ -25,12 +25,6 @@ type t = {
   wear_aware_allocation : bool;
       (** allocate free erase units lowest-erase-count-first *)
   buffer_pages : int;  (** capacity of the buffer pool, in pages *)
-  group_commit : int;
-      (** 0 (default): every commit forces its log sectors and commit
-          record immediately. n > 0: commits are batched — durability
-          arrives when n commits have accumulated (or on
-          {!Ipl_engine.flush_commits}/checkpoint), letting records of
-          several transactions share flash log sectors *)
   spare_blocks : int;
       (** 0 (default): resilience off, the engine talks to the raw chip.
           n > 0: the last n blocks of the chip become the bad-block
@@ -75,8 +69,9 @@ type t = {
 
 val default : t
 (** 8 KB pages, 8 KB log region, 512 B log sectors, recovery off,
-    tau = 0.5, wear-aware allocation, 2560 buffer pages (20 MB), no group
-    commit, 256 KB log-record cache. *)
+    tau = 0.5, wear-aware allocation, 2560 buffer pages (20 MB),
+    256 KB log-record cache. Commit batching is not a configuration
+    field: see {!Ipl_engine.set_group_commit}. *)
 
 val validate : t -> sector_size:int -> block_size:int -> unit
 (** Check the configuration against a chip geometry: the log region and

@@ -71,7 +71,7 @@ type t = {
   txns : (int, txn_info) Hashtbl.t;
   mutable next_txid : int;
   mutable pending_commits : int;
-  mutable group_commit : int;
+  mutable group_commit : int;  (* commit window; 0 = force at every commit *)
   mutable commits_since_ckpt : int;  (* fuzzy-checkpoint cadence counter *)
   mutable tracer : Obs.Tracer.t option;
 }
@@ -79,10 +79,6 @@ type t = {
 let config t = t.config
 let device t = t.dev
 
-(* Compatibility accessor: the first (or only) chip. Single-channel
-   engines — every pre-device caller — get exactly the chip they were
-   built from. *)
-let chip t = Dev.chip t.dev 0
 let storage t = t.store
 
 (* ------------------------------------------------------------------ *)
@@ -123,7 +119,7 @@ let build config dev store bbm trx =
     txns = Hashtbl.create 64;
     next_txid = 1;
     pending_commits = 0;
-    group_commit = config.Ipl_config.group_commit;
+    group_commit = 0;
     commits_since_ckpt = 0;
     tracer = None;
   }
@@ -351,8 +347,8 @@ let commit t txid =
     (match t.trx with Some log -> Trx_log.defer_commit log txid | None -> ());
     Hashtbl.remove t.txns txid;
     t.pending_commits <- t.pending_commits + 1;
-    if t.pending_commits >= group then flush_commits t;
-    emit_txn_event t (Obs.Event.Commit { tx = txid })
+    emit_txn_event t (Obs.Event.Commit { tx = txid });
+    if t.pending_commits >= group then flush_commits t
   end
   else begin
     (* Force every in-memory log sector holding one of our records. *)
@@ -474,7 +470,7 @@ let trap f =
   try f () with
   | Resilience.Bbm.Degraded -> Error Device_degraded
   | Resilience.Bbm.Uncorrectable _ | Chip.Read_error _ -> Error Read_failed
-  | Chip.Program_error _ | Chip.Erase_error _ | Chip.Worn_out _ -> Error Device_fault
+  | Chip.Program_error _ | Chip.Erase_error _ -> Error Device_fault
 
 (* Resilience guard around the result-returning mutation entry points:
    once the device is read-only every mutation is refused up front; any
@@ -490,7 +486,7 @@ let guard t f =
     try f () with
     | Resilience.Bbm.Degraded -> Error Device_degraded
     | Resilience.Bbm.Uncorrectable _ | Chip.Read_error _ -> Error Read_failed
-    | Chip.Program_error _ | Chip.Erase_error _ | Chip.Worn_out _ -> Error Device_fault
+    | Chip.Program_error _ | Chip.Erase_error _ -> Error Device_fault
 
 let mutate t ~tx ~page f =
   guard t (fun () ->
@@ -765,7 +761,6 @@ let abort t tx =
 
 let flush_commits t = guard t (fun () -> Ok (Unsafe.flush_commits t))
 let set_group_commit t n = t.group_commit <- n
-let group_commit t = t.group_commit
 let pending_commits t = t.pending_commits
 let elapsed t = Dev.elapsed t.dev
 let allocate_page t = guard t (fun () -> Ok (Unsafe.allocate_page t))

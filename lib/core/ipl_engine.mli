@@ -117,10 +117,6 @@ val config : t -> Ipl_config.t
 
 val device : t -> Device.Flash_device.t
 
-val chip : t -> Flash_sim.Flash_chip.t
-(** The device's first (or only) chip — the pre-device compatibility
-    accessor used by single-channel tests and fault campaigns. *)
-
 val storage : t -> Ipl_storage.t
 
 val elapsed : t -> float
@@ -146,12 +142,15 @@ val txn_id : txn -> int
 val begin_txn : t -> (txn, error) result
 
 val commit : t -> txn -> (unit, error) result
-(** With [group_commit = 0]: forces the in-memory log sectors of every
-    page the transaction touched, then the commit record — the
-    no-force-of-data / force-log-at-commit policy of Section 5.2.
-    With [group_commit = n]: the commit is recorded but becomes durable
-    only when [n] commits have accumulated (or at {!flush_commits} /
-    {!checkpoint}). *)
+(** With a commit window of 0 (the default): forces the in-memory log
+    sectors of every page the transaction touched, then the commit
+    record — the no-force-of-data / force-log-at-commit policy of
+    Section 5.2. With a window of [n > 0] ({!set_group_commit}): the
+    commit is recorded and its [Commit] event emitted, and the commit
+    that fills the window runs {!flush_commits} before returning, so a
+    device fault in that flush surfaces here. Otherwise the batch waits
+    for {!flush_commits} or {!checkpoint}; {!pending_commits} falling
+    back to 0 is the sign that a batch has settled. *)
 
 val abort : t -> txn -> (unit, error) result
 (** Rolls back in-memory changes and leaves flash records to be dropped
@@ -165,11 +164,10 @@ val flush_commits : t -> (unit, error) result
     and settle everything with one device barrier. *)
 
 val set_group_commit : t -> int -> unit
-(** Override the commit-batching window at run time (the group-commit
-    coalescer in [lib/txn] owns the flush policy and parks this at a
-    value its own barriers never reach). *)
-
-val group_commit : t -> int
+(** Set the commit-batching window, the engine's only group-commit
+    mechanism: 0 (the default) forces every commit, [n > 0] settles
+    commits [n] at a time with one batch flush. [Mvcc.create] ([lib/txn])
+    sets it from its [group_window]. *)
 
 val pending_commits : t -> int
 (** Commits recorded but not yet made durable by a batch flush. *)

@@ -344,7 +344,7 @@ let free_pool_take_min_on t ~channel =
 let reclaim_eu t b =
   match dev_submit_erase t ~cls:Dev.Merge_io b with
   | () -> free_pool_add t b
-  | exception (Chip.Worn_out _ | Chip.Erase_error _ | Resilience.Bbm.Degraded) -> ()
+  | exception (Chip.Erase_error _ | Resilience.Bbm.Degraded) -> ()
 
 (* Retire every reclamation erase a lazy restart deferred. Returns
    whether any ran — an allocation that got here with an empty pool must
@@ -1009,7 +1009,7 @@ let merge_rewrite t eu ~pending =
          in-memory state (best-effort: on a dead chip restart recovery
          rebuilds from the durable crash state anyway). *)
       (try Meta_log.recompact t.meta with
-      | Chip.Power_loss _ | Chip.Worn_out _ -> ()
+      | Chip.Power_loss _ -> ()
       | exn ->
           Logs.warn (fun m ->
               m "merge rollback: meta-log recompaction failed: %s" (Printexc.to_string exn)));
@@ -1017,9 +1017,7 @@ let merge_rewrite t eu ~pending =
        dev_erase t new_phys;
        free_pool_add t new_phys
      with
-    | Chip.Power_loss _ | Chip.Worn_out _ | Chip.Erase_error _ | Resilience.Bbm.Degraded
-      ->
-        ()
+    | Chip.Power_loss _ | Chip.Erase_error _ | Resilience.Bbm.Degraded -> ()
     | exn ->
         Logs.warn (fun m ->
             m "merge rollback: could not reclaim unit %d: %s" new_phys (Printexc.to_string exn)));

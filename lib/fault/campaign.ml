@@ -15,29 +15,25 @@ type report = {
   mean_wear : float;
 }
 
-(* Small pool so evictions (and their log-sector flushes) happen mid-run;
-   group_commit = huge in broken mode means commits are recorded but never
-   forced — the deliberately unsound configuration the checker must catch. *)
-let engine_config ~broken =
-  {
-    Config.default with
-    Config.recovery_enabled = true;
-    buffer_pages = 8;
-    group_commit = (if broken then 1_000_000 else 0);
-  }
+(* Small pool so evictions (and their log-sector flushes) happen mid-run. *)
+let engine_config = { Config.default with Config.recovery_enabled = true; buffer_pages = 8 }
 
 (* Lazy-recovery variant: same deliberately small pool, plus a fuzzy
    checkpoint every 16 commits so the restart under test actually has
    coverage to lean on. [lazy_recovery] is set only on the engine doing
    the restart — the crashed state itself is produced identically. *)
-let recovery_config ~broken ~lazy_recovery =
-  { (engine_config ~broken) with Config.checkpoint_every = 16; lazy_recovery }
+let recovery_config ~lazy_recovery =
+  { engine_config with Config.checkpoint_every = 16; lazy_recovery }
 
 let chip_config () = FConfig.default ~num_blocks:32 ()
 
-let fresh ~config spec =
+(* A huge commit window in broken mode means commits are recorded but
+   never forced — the deliberately unsound configuration the checker must
+   catch. *)
+let fresh ~broken ~config spec =
   let chip = Chip.create (chip_config ()) in
   let engine = Engine.create ~config chip in
+  if broken then Engine.set_group_commit engine 1_000_000;
   let oracle = Oracle.create () in
   let pages = Workload.setup engine oracle spec in
   (chip, engine, oracle, pages)
@@ -132,11 +128,10 @@ let merge_verdicts ~total_ops ~setup_ops ~gstats verdicts =
 let run ?(tear = true) ?(broken = false) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
     ?(lazy_mode = false) ?(jobs = 1) spec =
   let run_config =
-    if lazy_mode then recovery_config ~broken ~lazy_recovery:false
-    else engine_config ~broken
+    if lazy_mode then recovery_config ~lazy_recovery:false else engine_config
   in
   (* Golden run: same spec, no faults — just count the flash operations. *)
-  let chip, engine, oracle, pages = fresh ~config:run_config spec in
+  let chip, engine, oracle, pages = fresh ~broken ~config:run_config spec in
   let setup_ops = Chip.op_count chip in
   Workload.run engine oracle spec ~pages;
   let total_ops = Chip.op_count chip in
@@ -147,7 +142,7 @@ let run ?(tear = true) ?(broken = false) ?(max_ops = 0) ?(sample = 0) ?(stride =
     (* The crashed state is a deterministic function of (spec, point):
        [crashed] can rebuild a bit-identical chip for the eager twin. *)
     let crashed () =
-      let chip, engine, oracle, pages = fresh ~config:run_config spec in
+      let chip, engine, oracle, pages = fresh ~broken ~config:run_config spec in
       Fault_plan.install chip (Fault_plan.crash_at ~tear point);
       (try Workload.run engine oracle spec ~pages with Chip.Power_loss _ -> ());
       Fault_plan.clear chip;
@@ -160,7 +155,7 @@ let run ?(tear = true) ?(broken = false) ?(max_ops = 0) ?(sample = 0) ?(stride =
       | Oracle.Rolled_back -> false
     in
     let restart_config =
-      if lazy_mode then recovery_config ~broken ~lazy_recovery:true else run_config
+      if lazy_mode then recovery_config ~lazy_recovery:true else run_config
     in
     match Engine.restart ~config:restart_config chip with
     | exception e ->
@@ -208,8 +203,7 @@ let fresh_concurrent ~config spec =
 let run_concurrent ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
     ?(lazy_mode = false) ?(sessions = 8) ?(jobs = 1) spec =
   let run_config =
-    if lazy_mode then recovery_config ~broken:false ~lazy_recovery:false
-    else engine_config ~broken:false
+    if lazy_mode then recovery_config ~lazy_recovery:false else engine_config
   in
   let chip, engine, oracle, pages = fresh_concurrent ~config:run_config spec in
   let setup_ops = Chip.op_count chip in
@@ -239,8 +233,7 @@ let run_concurrent ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
       | Concurrent_oracle.Settled -> false
     in
     let restart_config =
-      if lazy_mode then recovery_config ~broken:false ~lazy_recovery:true
-      else run_config
+      if lazy_mode then recovery_config ~lazy_recovery:true else run_config
     in
     match Engine.restart ~config:restart_config chip with
     | exception e ->

@@ -1,7 +1,6 @@
 type sector_state = Free | Valid | Invalid
 
 exception Write_to_unerased of int
-exception Worn_out of int
 exception Out_of_range of int
 exception Power_loss of int
 exception Read_error of int
@@ -177,10 +176,7 @@ let read_sectors t ~sector ~count =
   end;
   out
 
-let bump_wear t b =
-  t.erase_counts.(b) <- t.erase_counts.(b) + 1;
-  if t.config.fail_on_wear_out && t.erase_counts.(b) > t.config.max_erase_cycles then
-    raise (Worn_out b)
+let bump_wear t b = t.erase_counts.(b) <- t.erase_counts.(b) + 1
 
 let write_sectors t ~sector data =
   let ss = t.config.sector_size in

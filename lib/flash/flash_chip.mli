@@ -17,10 +17,6 @@ type sector_state =
 exception Write_to_unerased of int
 (** Raised with the offending flat sector address. *)
 
-exception Worn_out of int
-(** Raised with the block index when [fail_on_wear_out] is set and a block
-    exceeds its endurance. *)
-
 exception Out_of_range of int
 
 exception Power_loss of int

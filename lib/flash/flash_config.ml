@@ -7,13 +7,11 @@ type t = {
   t_write_page : float;
   t_erase_block : float;
   max_erase_cycles : int;
-  fail_on_wear_out : bool;
   grow_bad_on_wear_out : bool;
   materialize : bool;
 }
 
-let default ?(num_blocks = 1024) ?(materialize = true) ?(fail_on_wear_out = false)
-    ?(grow_bad_on_wear_out = false) () =
+let default ?(num_blocks = 1024) ?(materialize = true) ?(grow_bad_on_wear_out = false) () =
   {
     sector_size = 512;
     phys_page_size = 2048;
@@ -23,7 +21,6 @@ let default ?(num_blocks = 1024) ?(materialize = true) ?(fail_on_wear_out = fals
     t_write_page = 200e-6;
     t_erase_block = 1.5e-3;
     max_erase_cycles = 100_000;
-    fail_on_wear_out;
     grow_bad_on_wear_out;
     materialize;
   }
@@ -41,7 +38,4 @@ let validate t =
   check (t.num_blocks > 0) "num_blocks must be positive";
   check (t.t_read_page >= 0.0 && t.t_write_page >= 0.0 && t.t_erase_block >= 0.0)
     "timings must be non-negative";
-  check (t.max_erase_cycles > 0) "max_erase_cycles must be positive";
-  check
-    (not (t.fail_on_wear_out && t.grow_bad_on_wear_out))
-    "fail_on_wear_out and grow_bad_on_wear_out are mutually exclusive wear models"
+  check (t.max_erase_cycles > 0) "max_erase_cycles must be positive"

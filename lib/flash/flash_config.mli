@@ -15,15 +15,12 @@ type t = {
           sector costs the same (paper, footnote 5). *)
   t_erase_block : float;  (** seconds to erase one block *)
   max_erase_cycles : int;  (** endurance of one erase unit *)
-  fail_on_wear_out : bool;
-      (** legacy wear model: raise [Worn_out] after an erase pushes a
-          block past its endurance (the erase itself completes) *)
   grow_bad_on_wear_out : bool;
-      (** production wear model: an erase that would exceed the block's
-          endurance fails with [Erase_error] and the block becomes a
-          grown bad block (see {!Flash_chip.is_bad}); the bad-block
-          manager in [lib/resilience] is built on this. Mutually
-          exclusive with [fail_on_wear_out]. *)
+      (** wear model: an erase that would exceed the block's endurance
+          fails with [Erase_error] and the block becomes a grown bad
+          block (see {!Flash_chip.is_bad}); the bad-block manager in
+          [lib/resilience] is built on this. When false, erases past the
+          endurance succeed and only the wear counters record them. *)
   materialize : bool;
       (** when false, no data bytes are stored: the chip is a pure
           timing/counter model (used for large simulations) *)
@@ -32,7 +29,6 @@ type t = {
 val default :
   ?num_blocks:int ->
   ?materialize:bool ->
-  ?fail_on_wear_out:bool ->
   ?grow_bad_on_wear_out:bool ->
   unit ->
   t

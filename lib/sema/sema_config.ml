@@ -72,7 +72,7 @@ let banned_idents =
    errors on a par with Invalid_argument. *)
 let contract_exceptions =
   [
-    ("Flash_chip", [ "Read_error"; "Program_error"; "Erase_error"; "Worn_out" ]);
+    ("Flash_chip", [ "Read_error"; "Program_error"; "Erase_error" ]);
     ("Bbm", [ "Degraded"; "Uncorrectable" ]);
   ]
 

@@ -49,10 +49,8 @@ type t = {
   engine : Engine.t;
   chains : (int * int, version list ref) Hashtbl.t;
   active : (int, txn) Hashtbl.t;
-  group_window : int;
   mutable commit_ts : int;
   mutable next_id : int;
-  mutable pending : int;  (* commits recorded but not yet durable *)
   mutable flushed : int;  (* commits made durable by a batch barrier *)
   mutable commits : int;
   mutable aborts : int;
@@ -65,18 +63,13 @@ type t = {
 }
 
 let create ?(group_window = 1) engine =
-  (* The MVCC layer owns the flush policy: park the engine's own commit
-     batching where its counter never triggers, so the only durability
-     barriers are the ones [flush] issues. *)
-  Engine.set_group_commit engine max_int;
+  Engine.set_group_commit engine (max 1 group_window);
   {
     engine;
     chains = Hashtbl.create 1024;
     active = Hashtbl.create 64;
-    group_window = max 1 group_window;
     commit_ts = 0;
     next_id = 0;
-    pending = 0;
     flushed = 0;
     commits = 0;
     aborts = 0;
@@ -90,7 +83,7 @@ let create ?(group_window = 1) engine =
 
 let engine t = t.engine
 let txn_id tx = tx.id
-let pending t = t.pending
+let pending t = Engine.pending_commits t.engine
 let flushed_commits t = t.flushed
 
 let stats t =
@@ -337,19 +330,23 @@ let gc t =
 
 (* ---------------- group commit ---------------- *)
 
+(* The engine owns the commit window; this layer only observes a batch
+   of [batch] commits settling and trims the version chains behind it. *)
+let settled t batch =
+  t.barriers <- t.barriers + 1;
+  t.batched <- t.batched + batch;
+  t.max_batch <- max t.max_batch batch;
+  t.flushed <- t.flushed + batch;
+  ignore (gc t : int)
+
 let flush t =
-  if t.pending = 0 then Ok ()
+  let batch = pending t in
+  if batch = 0 then Ok ()
   else
     match Engine.flush_commits t.engine with
     | Error e -> Error (Engine_error e)
     | Ok () ->
-        let batch = t.pending in
-        t.barriers <- t.barriers + 1;
-        t.batched <- t.batched + batch;
-        t.max_batch <- max t.max_batch batch;
-        t.flushed <- t.flushed + batch;
-        t.pending <- 0;
-        ignore (gc t : int);
+        settled t batch;
         Ok ()
 
 let commit t tx =
@@ -367,12 +364,14 @@ let commit t tx =
               (fun v -> if v.writer = tx.id && v.commit_ts = None then v.commit_ts <- Some ts)
               !c)
       tx.writes;
+    let batch = pending t + 1 in
     match Engine.commit t.engine tx.etx with
     | Error e -> Error (Engine_error e)
     | Ok () ->
         t.commits <- t.commits + 1;
-        t.pending <- t.pending + 1;
-        if t.pending >= t.group_window then flush t else Ok ()
+        (* The commit that fills the engine's window flushes the batch. *)
+        if pending t = 0 then settled t batch;
+        Ok ()
   end
 
 let abort t tx =

@@ -18,13 +18,14 @@
     touch the same record, which its delta replay requires. Write skew is
     allowed, as under any snapshot isolation.
 
-    Commits are {e grouped}: [commit] records the transaction's commit
-    with the engine but defers durability; once [group_window] commits
-    have accumulated (or on an explicit {!flush} / {!checkpoint}) a
-    single device barrier settles the whole batch. Version chains are
-    garbage-collected at every batch boundary against the watermark (the
-    oldest live snapshot), and {!compact} folds a GC pass into
-    maintenance merging. *)
+    Commits are {e grouped} by the engine's commit window, which
+    {!create} sets: [commit] records the transaction's commit with the
+    engine, and the commit that fills the window (or an explicit
+    {!flush} / {!checkpoint}) settles the whole batch with one device
+    barrier. This layer keeps no batch counter of its own. Version
+    chains are garbage-collected at every batch boundary against the
+    watermark (the oldest live snapshot), and {!compact} folds a GC pass
+    into maintenance merging. *)
 
 type t
 
@@ -43,10 +44,11 @@ val error_to_string : error -> string
 val pp_error : Format.formatter -> error -> unit
 
 val create : ?group_window:int -> Ipl_core.Ipl_engine.t -> t
-(** Wrap an engine (built with [recovery_enabled = true]). Takes over the
-    engine's commit batching: the engine-side window is parked out of
-    reach and this layer's [group_window] (default 1: every commit
-    flushes, serial behaviour) decides when the batch barrier runs. *)
+(** Wrap an engine (built with [recovery_enabled = true]) and set its
+    commit window to [max 1 group_window] with
+    {!Ipl_core.Ipl_engine.set_group_commit} (default 1: every commit
+    flushes, serial behaviour). The engine's window is the only batching
+    mechanism; this layer observes its batches settle. *)
 
 val engine : t -> Ipl_core.Ipl_engine.t
 val txn_id : txn -> int
@@ -77,7 +79,9 @@ val delete : t -> txn -> page:int -> slot:int -> (unit, error) result
 val commit : t -> txn -> (unit, error) result
 (** Record the commit (first-committer-wins is already guaranteed by the
     eager write checks). Durability is deferred to the group barrier; the
-    commit is batched until {!flushed_commits} passes it. *)
+    commit is batched until {!flushed_commits} passes it. When this commit
+    fills the engine's window the batch flush runs inside the engine's
+    commit, and a device fault there is returned as [Engine_error]. *)
 
 val abort : t -> txn -> (unit, error) result
 (** Roll back: the engine de-applies the writes and the transaction's
@@ -89,7 +93,8 @@ val flush : t -> (unit, error) result
     version chains against the watermark. No-op when nothing is pending. *)
 
 val pending : t -> int
-(** Commits recorded but not yet settled by a batch barrier. *)
+(** Commits recorded but not yet settled by a batch barrier — the
+    engine's {!Ipl_core.Ipl_engine.pending_commits}. *)
 
 val flushed_commits : t -> int
 (** Total commits made durable so far — a session scheduler compares this

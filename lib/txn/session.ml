@@ -68,11 +68,10 @@ let tolerate ctx = function
    a pool batch, small enough to bound the thunk backlog. *)
 let defer_chunk = 128
 
-let run ?(group_window = 0) ?(compact_every = 0) ?(note_read = fun _ -> ()) ?pool
-    ~sessions ~plans engine =
+let run ?(compact_every = 0) ?(note_read = fun _ -> ()) ?pool ~sessions ~plans engine =
   if sessions < 1 then invalid_arg "Session.run: sessions < 1";
-  let window = if group_window > 0 then group_window else sessions in
-  let m = Mvcc.create ~group_window:window engine in
+  (* One commit window per rotation: a full round of commits fills it. *)
+  let m = Mvcc.create ~group_window:sessions engine in
   let committed = ref 0 and aborted = ref 0 and conflict_aborts = ref 0 in
   let finished_txns = ref 0 in
   let clients =

@@ -5,13 +5,14 @@
     rotation advances each session by exactly one step (begin, one record
     operation, commit/abort, or one read), so the interleaving — and with
     it every conflict, batch boundary and read result — is a pure
-    function of [(plans, sessions, group_window)]. One session degrades
+    function of [(plans, sessions)]. One session degrades
     to the serial loop: same operation order, same logical outcome.
 
     Sessions park between their commit and the group barrier that makes
     it durable. When a rotation makes no progress (every live session is
     parked), the pending batch is settled even if the window isn't full —
-    that is what turns N concurrent commits into one device barrier. *)
+    that is what turns N concurrent commits into one device barrier. The
+    commit window is [sessions]: one full rotation of commits fills it. *)
 
 type op =
   | Update of { page : int; slot : int; data : bytes }
@@ -45,7 +46,6 @@ type outcome = {
 }
 
 val run :
-  ?group_window:int ->
   ?compact_every:int ->
   ?note_read:(bytes option -> unit) ->
   ?pool:Par.Domain_pool.t ->
@@ -54,12 +54,11 @@ val run :
   Ipl_core.Ipl_engine.t ->
   outcome
 (** Multiplex [plans] over [sessions] clients (plan [i] goes to session
-    [i mod sessions], preserving per-session order). [group_window]
-    defaults to [sessions]. [compact_every] > 0 runs a {!Mvcc.compact}
-    with one merge after every that-many finished transactions, like the
-    serial benchmark loop. [note_read] sees every read result in
-    deterministic schedule order. The final batch is flushed before
-    returning; the engine is left checkpoint-ready.
+    [i mod sessions], preserving per-session order). [compact_every] > 0
+    runs a {!Mvcc.compact} with one merge after every that-many finished
+    transactions, like the serial benchmark loop. [note_read] sees every
+    read result in deterministic schedule order. The final batch is
+    flushed before returning; the engine is left checkpoint-ready.
 
     [pool] moves the post-commit read phase's {e resolution} onto a
     {!Par.Domain_pool}: each read is pinned at its original schedule

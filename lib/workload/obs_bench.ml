@@ -117,8 +117,7 @@ let ok = function
 let fatal f =
   try f () with
   | ( Chip.Read_error _ | Chip.Program_error _ | Chip.Erase_error _
-    | Chip.Worn_out _ | Resilience.Bbm.Degraded | Resilience.Bbm.Uncorrectable _
-      ) as e ->
+    | Resilience.Bbm.Degraded | Resilience.Bbm.Uncorrectable _ ) as e ->
       failwith ("Obs_bench: device fault: " ^ Printexc.to_string e)
 
 (* The same OLTP-ish mix as the fault campaign (55% update / 30% insert /

@@ -63,7 +63,7 @@ let run_on_disk ?config q =
    device exception to the caller. *)
 let fatal_faults f =
   try f () with
-  | (Chip.Read_error _ | Chip.Program_error _ | Chip.Erase_error _ | Chip.Worn_out _) as e ->
+  | (Chip.Read_error _ | Chip.Program_error _ | Chip.Erase_error _) as e ->
       failwith ("Queries: device fault during sweep: " ^ Printexc.to_string e)
 
 let run_on_flash ?config q =

@@ -63,12 +63,13 @@ let ok = function
   | Ok v -> v
   | Error e -> failwith ("Restart_bench: engine error: " ^ Engine.error_to_string e)
 
-(* The sweep runs on fault-free chips through the Unsafe shim; a device
-   fault here means the fixture is broken, so abort as a plain failure
-   instead of leaking a device exception to the caller. *)
+(* The sweep runs on fault-free chips; a device fault here (typed by the
+   result API, or raised by engine construction and restart) means the
+   fixture is broken, so abort as a plain failure instead of leaking a
+   device exception to the caller. *)
 let fatal f =
   try f () with
-  | ( Chip.Read_error _ | Chip.Program_error _ | Chip.Erase_error _ | Chip.Worn_out _
+  | ( Chip.Read_error _ | Chip.Program_error _ | Chip.Erase_error _
     | Resilience.Bbm.Degraded | Resilience.Bbm.Uncorrectable _ ) as e ->
       failwith ("Restart_bench: device fault: " ^ Printexc.to_string e)
 
@@ -80,17 +81,15 @@ let populate spec chip =
   let engine = Engine.create ~config:(config spec ~lazy_recovery:false) chip in
   let rng = Rng.of_int spec.seed in
   let fresh () = Bytes.of_string (Rng.alpha_string rng ~min:payload ~max:payload) in
-  let pages = Array.init spec.pages (fun _ -> Engine.Unsafe.allocate_page engine) in
-  let tx = Engine.Unsafe.begin_txn engine in
-  Array.iter
-    (fun p -> ignore (ok (Engine.Unsafe.insert engine ~tx ~page:p (fresh ())) : int))
-    pages;
-  Engine.Unsafe.commit engine tx;
+  let pages = Array.init spec.pages (fun _ -> ok (Engine.allocate_page engine)) in
+  let tx = ok (Engine.begin_txn engine) in
+  Array.iter (fun p -> ignore (ok (Engine.insert engine ~tx ~page:p (fresh ())) : int)) pages;
+  ok (Engine.commit engine tx);
   for i = 0 to spec.transactions - 1 do
-    let tx = Engine.Unsafe.begin_txn engine in
+    let tx = ok (Engine.begin_txn engine) in
     let p = pages.(i mod spec.pages) in
-    ok (Engine.Unsafe.update engine ~tx ~page:p ~slot:0 (fresh ()));
-    Engine.Unsafe.commit engine tx
+    ok (Engine.update engine ~tx ~page:p ~slot:0 (fresh ()));
+    ok (Engine.commit engine tx)
   done;
   pages
 
@@ -98,12 +97,12 @@ let populate spec chip =
    update it, commit. Time-to-first-transaction is the simulated-clock
    span from just before [Engine.restart] to this commit's barrier. *)
 let first_txn engine page =
-  let tx = Engine.Unsafe.begin_txn engine in
-  (match Engine.Unsafe.read engine ~page ~slot:0 with
+  let tx = ok (Engine.begin_txn engine) in
+  (match ok (Engine.read engine ~page ~slot:0) with
   | Some _ -> ()
   | None -> failwith "Restart_bench: seeded record missing");
-  ok (Engine.Unsafe.update engine ~tx ~page ~slot:0 (Bytes.make payload 'z'));
-  Engine.Unsafe.commit engine tx
+  ok (Engine.update engine ~tx ~page ~slot:0 (Bytes.make payload 'z'));
+  ok (Engine.commit engine tx)
 
 (* Logical digest over every page's slot-0 record — CRC-32 folded in page
    order. Equal digests across the eager and lazy engines mean identical
@@ -112,7 +111,7 @@ let first_txn engine page =
 let digest engine pages =
   Array.fold_left
     (fun acc page ->
-      match Engine.Unsafe.read engine ~page ~slot:0 with
+      match ok (Engine.read engine ~page ~slot:0) with
       | Some b -> Ipl_util.Checksum.crc32 ~init:acc b ~pos:0 ~len:(Bytes.length b)
       | None -> Ipl_util.Checksum.crc32 ~init:acc (Bytes.of_string "\xff") ~pos:0 ~len:1)
     0 pages

@@ -3,4 +3,3 @@
 exception Read_error of int
 exception Program_error of int
 exception Erase_error of int
-exception Worn_out of int

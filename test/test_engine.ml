@@ -387,8 +387,8 @@ let test_group_commit_batches () =
      into shared sectors. *)
   let run group =
     let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
-    let config = { (base_config ~recovery:true ()) with Config.group_commit = group } in
-    let e = Engine.create ~config chip in
+    let e = Engine.create ~config:(base_config ~recovery:true ()) chip in
+    Engine.set_group_commit e group;
     let page = Engine.Unsafe.allocate_page e in
     Engine.Unsafe.checkpoint e;
     for i = 0 to 99 do
@@ -407,8 +407,9 @@ let test_group_commit_batches () =
 
 let test_group_commit_durability_boundary () =
   let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
-  let config = { (base_config ~recovery:true ()) with Config.group_commit = 100 } in
+  let config = base_config ~recovery:true () in
   let e = Engine.create ~config chip in
+  Engine.set_group_commit e 100;
   let page = Engine.Unsafe.allocate_page e in
   Engine.Unsafe.checkpoint e;
   let t1 = Engine.Unsafe.begin_txn e in
@@ -419,6 +420,7 @@ let test_group_commit_durability_boundary () =
   let e', _ = Engine.restart ~config chip in
   Alcotest.(check (option bytes)) "unflushed commit lost" None (Engine.Unsafe.read e' ~page ~slot:s1);
   (* Same scenario, but flush_commits makes it durable. *)
+  Engine.set_group_commit e' 100;
   let t2 = Engine.Unsafe.begin_txn e' in
   let s2 = ok (Engine.Unsafe.insert e' ~tx:t2 ~page (b "batched-2")) in
   Engine.Unsafe.commit e' t2;

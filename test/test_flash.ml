@@ -136,19 +136,6 @@ let test_wear_tracking () =
   Alcotest.(check int) "block 4 wear" 1 (Chip.erase_count chip 4);
   Alcotest.(check int) "block 0 wear" 0 (Chip.erase_count chip 0)
 
-let test_wear_out_raises () =
-  let config =
-    { (small_config ()) with Config.max_erase_cycles = 3; fail_on_wear_out = true }
-  in
-  let chip = Chip.create config in
-  for _ = 1 to 3 do
-    Chip.erase_block chip 0
-  done;
-  try
-    Chip.erase_block chip 0;
-    Alcotest.fail "expected Worn_out"
-  with Chip.Worn_out b -> Alcotest.(check int) "block" 0 b
-
 let test_out_of_range () =
   let chip = mk () in
   Alcotest.check_raises "read oob" (Chip.Out_of_range 4096) (fun () ->
@@ -336,6 +323,5 @@ let () =
           Alcotest.test_case "merge ~20ms (paper)" `Quick test_merge_cost_is_about_20ms;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
           Alcotest.test_case "wear tracking" `Quick test_wear_tracking;
-          Alcotest.test_case "wear-out raises" `Quick test_wear_out_raises;
         ] );
     ]

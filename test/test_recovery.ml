@@ -30,10 +30,12 @@ let mk_chip ?(blocks = 32) () = Chip.create (FConfig.default ~num_blocks:blocks 
 
 (* Deterministic populate: [pages] pages seeded with one record each,
    then [txns] single-update transactions round-robining over them, each
-   update writing a value derived from its index. Stops abruptly — no
-   checkpoint call, no quiesce. Returns the page handles. *)
-let populate ?(pages = 8) ?(txns = 40) config chip =
+   update writing a value derived from its index, under commit window
+   [window] (0: every commit forced). Stops abruptly — no checkpoint
+   call, no quiesce. Returns the page handles. *)
+let populate ?(pages = 8) ?(txns = 40) ?(window = 0) config chip =
   let e = Engine.create ~config chip in
+  Engine.set_group_commit e window;
   let ps = Array.init pages (fun _ -> Engine.Unsafe.allocate_page e) in
   let tx = Engine.Unsafe.begin_txn e in
   Array.iteri
@@ -54,10 +56,10 @@ let slot0 e page = Engine.Unsafe.read e ~page ~slot:0
    eager and lazy twins must agree on. *)
 let contents e pages = Array.to_list (Array.map (fun p -> slot0 e p) pages)
 
-let check_twins ?pages:(np = 8) ?txns config =
+let check_twins ?pages:(np = 8) ?txns ?window config =
   let chip_e = mk_chip () and chip_l = mk_chip () in
-  let pages = populate ~pages:np ?txns config chip_e in
-  let (_ : int array) = populate ~pages:np ?txns config chip_l in
+  let pages = populate ~pages:np ?txns ?window config chip_e in
+  let (_ : int array) = populate ~pages:np ?txns ?window config chip_l in
   let eager, _ = Engine.restart ~config:{ config with Config.lazy_recovery = false } chip_e in
   let lzy, _ = Engine.restart ~config:{ config with Config.lazy_recovery = true } chip_l in
   (* Compare once right after restart (first-touch repair on the read
@@ -82,10 +84,10 @@ let test_lazy_matches_eager () =
    only checkpoints whose watermark is durable) — silently falling back
    to the eager scan, never replaying unforced records as committed. *)
 let test_ckpt_spanning_deferred_commits () =
-  let config = { base_config with Config.group_commit = 6; checkpoint_every = 2 } in
+  let config = { base_config with Config.checkpoint_every = 2 } in
   (* 43 txns: the last group-commit window is only partially filled, so
      the tail commits are non-durable when the crash hits. *)
-  let eager, lzy, pages = check_twins ~txns:43 config in
+  let eager, lzy, pages = check_twins ~txns:43 ~window:6 config in
   (* The populate stream is fully deterministic, so whatever prefix
      survived must be the same prefix on both engines — already checked —
      and the seeded values must never be lost (they precede the last
@@ -157,7 +159,7 @@ let test_double_crash_during_repair () =
   let config = { base_config with Config.lazy_recovery = true } in
   let chip = mk_chip () in
   let pages = populate ~pages:8 ~txns:40 config chip in
-  (* Every populate transaction committed with group_commit = 0, so the
+  (* Every populate transaction committed with commit window 0, so the
      expected content is exact: page i's slot 0 holds the last txn that
      touched it. *)
   let expected =

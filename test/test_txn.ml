@@ -3,7 +3,7 @@
    scheduler. The anomaly tests pin the SI contract — lost updates are
    rejected, write skew is allowed — and the QCheck property checks that
    any interleaving of random plans is a pure function of
-   (plans, sessions, group_window). *)
+   (plans, sessions). *)
 
 module Chip = Flash_sim.Flash_chip
 module FConfig = Flash_sim.Flash_config
@@ -148,12 +148,18 @@ let test_group_commit_batching () =
   let _, m = mk ~window:4 () in
   let pids = seed m ~pages:1 ~slots:8 in
   let page = pids.(0) in
+  (* Mvcc keeps no counter of its own: its pending count is the engine's. *)
+  let same_pending () =
+    Alcotest.(check int) "pending is the engine's" (Engine.pending_commits (Mvcc.engine m))
+      (Mvcc.pending m)
+  in
   (* Three commits stay pending; the fourth fills the window and one
      barrier settles all four. *)
   for i = 0 to 2 do
     let tx = ok_m (Mvcc.begin_txn m) in
     ok_m (Mvcc.update m tx ~page ~slot:i (b "batched"));
-    ok_m (Mvcc.commit m tx)
+    ok_m (Mvcc.commit m tx);
+    same_pending ()
   done;
   let before = Mvcc.stats m in
   Alcotest.(check int) "pending below window" 3 (Mvcc.pending m);
@@ -162,6 +168,7 @@ let test_group_commit_batching () =
   let tx = ok_m (Mvcc.begin_txn m) in
   ok_m (Mvcc.update m tx ~page ~slot:3 (b "batched"));
   ok_m (Mvcc.commit m tx);
+  same_pending ();
   let s = Mvcc.stats m in
   Alcotest.(check int) "window flushes" 0 (Mvcc.pending m);
   Alcotest.(check int) "one more barrier" 2 s.Mvcc.barriers;
@@ -171,10 +178,68 @@ let test_group_commit_batching () =
   let tx = ok_m (Mvcc.begin_txn m) in
   ok_m (Mvcc.update m tx ~page ~slot:4 (b "partial"));
   ok_m (Mvcc.commit m tx);
+  same_pending ();
   Alcotest.(check int) "partial pending" 1 (Mvcc.pending m);
   ok_m (Mvcc.flush m);
   Alcotest.(check int) "partial settled" 0 (Mvcc.pending m);
   Alcotest.(check int) "all commits flushed" 6 (Mvcc.flushed_commits m)
+
+(* The engine's commit window is the only batching mechanism, so setting
+   it through Mvcc or directly on the engine must cost the device exactly
+   the same: same flash and storage counters, same simulated clock. *)
+let test_one_window_two_entry_points () =
+  let n = 20 in
+  let run ~window ~via_mvcc =
+    let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
+    let config = { Config.default with Config.recovery_enabled = true; buffer_pages = 8 } in
+    let engine = Engine.create ~config chip in
+    let page = ok_e (Engine.allocate_page engine) in
+    let tx = ok_e (Engine.begin_txn engine) in
+    for _ = 0 to 3 do
+      ignore (ok_e (Engine.insert engine ~tx ~page (b "seed")) : int)
+    done;
+    ok_e (Engine.commit engine tx);
+    let value i = b (Printf.sprintf "v%03d" i) in
+    let barriers =
+      if via_mvcc then begin
+        let m = Mvcc.create ~group_window:window engine in
+        for i = 0 to n - 1 do
+          let tx = ok_m (Mvcc.begin_txn m) in
+          ok_m (Mvcc.update m tx ~page ~slot:(i mod 4) (value i));
+          ok_m (Mvcc.commit m tx);
+          Alcotest.(check int) "pending is the engine's" (Engine.pending_commits engine)
+            (Mvcc.pending m)
+        done;
+        ok_m (Mvcc.flush m);
+        (Mvcc.stats m).Mvcc.barriers
+      end
+      else begin
+        Engine.set_group_commit engine window;
+        for i = 0 to n - 1 do
+          let tx = ok_e (Engine.begin_txn engine) in
+          ok_e (Engine.update engine ~tx ~page ~slot:(i mod 4) (value i));
+          ok_e (Engine.commit engine tx)
+        done;
+        ok_e (Engine.flush_commits engine);
+        0
+      end
+    in
+    let s = Engine.stats engine in
+    ( Ipl_util.Json.to_string (Flash_sim.Flash_stats.to_json s.Engine.flash),
+      Ipl_util.Json.to_string (Ipl_core.Ipl_storage.Stats.to_json s.Engine.storage),
+      Engine.elapsed engine,
+      barriers )
+  in
+  List.iter
+    (fun window ->
+      let flash_m, storage_m, elapsed_m, barriers = run ~window ~via_mvcc:true in
+      let flash_e, storage_e, elapsed_e, _ = run ~window ~via_mvcc:false in
+      let name what = Printf.sprintf "window %d: %s" window what in
+      Alcotest.(check string) (name "flash stats") flash_e flash_m;
+      Alcotest.(check string) (name "storage stats") storage_e storage_m;
+      Alcotest.(check (float 0.)) (name "elapsed") elapsed_e elapsed_m;
+      Alcotest.(check int) (name "barriers") ((n + window - 1) / window) barriers)
+    [ 1; 4; 16 ]
 
 let test_version_gc () =
   let _, m = mk () in
@@ -385,6 +450,8 @@ let () =
       ( "group commit",
         [
           Alcotest.test_case "batching counters" `Quick test_group_commit_batching;
+          Alcotest.test_case "one window, two entry points" `Quick
+            test_one_window_two_entry_points;
           Alcotest.test_case "version GC" `Quick test_version_gc;
         ] );
       ( "sessions",
