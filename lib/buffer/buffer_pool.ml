@@ -11,7 +11,7 @@ type stats = { hits : int; misses : int; evictions : int; dirty_write_backs : in
 
 type 'a t = {
   capacity : int;
-  fetch : int -> 'a;
+  fetch : int -> 'a option -> 'a;
   write_back : int -> 'a -> unit;
   table : (int, 'a frame) Hashtbl.t;
   mutable mru : 'a frame option;
@@ -77,7 +77,7 @@ let write_back_frame t f =
     | Some emit -> emit (Obs.Event.Write_back { page = f.key })
   end
 
-(* Evict the least-recently-used unpinned frame. *)
+(* Evict the least-recently-used unpinned frame; returns its value. *)
 let evict_one t =
   let rec find = function
     | None -> failwith "Buffer_pool: all frames are pinned"
@@ -88,9 +88,10 @@ let evict_one t =
   unlink t victim;
   Hashtbl.remove t.table victim.key;
   t.evictions <- t.evictions + 1;
-  match t.trace with
+  (match t.trace with
   | None -> ()
-  | Some emit -> emit (Obs.Event.Evict { page = victim.key })
+  | Some emit -> emit (Obs.Event.Evict { page = victim.key }));
+  victim.value
 
 let get_frame t key =
   match Hashtbl.find_opt t.table key with
@@ -100,8 +101,11 @@ let get_frame t key =
       f
   | None ->
       t.misses <- t.misses + 1;
-      if Hashtbl.length t.table >= t.capacity then evict_one t;
-      let f = { key; value = t.fetch key; dirty = false; pins = 0; prev = None; next = None } in
+      (* A full pool hands the evicted value to [fetch] for reuse. *)
+      let evicted = if Hashtbl.length t.table >= t.capacity then Some (evict_one t) else None in
+      let f =
+        { key; value = t.fetch key evicted; dirty = false; pins = 0; prev = None; next = None }
+      in
       Hashtbl.add t.table key f;
       push_front t f;
       f
@@ -129,7 +133,7 @@ let clean t key =
 let preload t key value =
   if not (Hashtbl.mem t.table key) then begin
     t.misses <- t.misses + 1;
-    if Hashtbl.length t.table >= t.capacity then evict_one t;
+    if Hashtbl.length t.table >= t.capacity then ignore (evict_one t : 'a);
     let f = { key; value; dirty = false; pins = 0; prev = None; next = None } in
     Hashtbl.add t.table key f;
     push_front t f

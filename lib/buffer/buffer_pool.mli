@@ -16,14 +16,29 @@ type 'a t
 type stats = { hits : int; misses : int; evictions : int; dirty_write_backs : int }
 
 val create :
-  capacity:int -> fetch:(int -> 'a) -> write_back:(int -> 'a -> unit) -> unit -> 'a t
-(** [capacity] must be positive. *)
+  capacity:int ->
+  fetch:(int -> 'a option -> 'a) ->
+  write_back:(int -> 'a -> unit) ->
+  unit ->
+  'a t
+(** [capacity] must be positive. [fetch key evicted] loads [key] on a
+    miss. [evicted] is [Some v] exactly when the miss found the pool full:
+    [v] is the value just evicted (already written back, so clean), and
+    [fetch] may recycle it — overwrite it in place and return it — instead
+    of allocating. It is [None] on a miss in a pool with room; {!preload}
+    never calls [fetch]. Because a recycled value becomes another key's
+    value, nothing may keep a value past the {!with_page} callback that
+    received it. *)
 
 val with_page : 'a t -> int -> ?dirty:bool -> ('a -> 'b) -> 'b
 (** [with_page t key f] pins the frame for [key] (fetching it on a miss,
     evicting the LRU unpinned frame if full), applies [f], and unpins.
     [~dirty:true] marks the frame dirty. Nested calls are allowed; raises
-    [Failure] if every frame is pinned. *)
+    [Failure] if every frame is pinned. The value is the frame's only
+    while it is pinned: [f] must not return it or keep it (or anything
+    sharing its mutable state) after it returns, because a later miss may
+    evict the frame and hand the value to [fetch] to be refilled with
+    another key's contents. *)
 
 val mark_dirty : 'a t -> int -> unit
 (** Mark a cached frame dirty; raises [Invalid_argument] (naming the

@@ -98,14 +98,28 @@ let flush_frame store trx page frame =
     Log_sector.clear frame.log
   end
 
+(* A miss in a full pool re-reads the new page straight into the frame
+   it just evicted, reusing both its page bytes and its log sector. An
+   evicted frame is clean, and a clean frame's log is empty: a write-back
+   or commit clears the log it flushes. The one exception is a flush that
+   failed mid-update, which can leave records in a frame never marked
+   dirty. Such a frame is dropped and the new page gets a fresh one, so
+   the stale records cannot reach another page. *)
+let fetch_frame config store pid evicted =
+  match evicted with
+  | Some frame when Log_sector.is_empty frame.log ->
+      Ipl_storage.read_page_into store pid frame.page;
+      frame
+  | Some _ | None ->
+      {
+        page = Ipl_storage.read_page store pid;
+        log = Log_sector.create ~capacity:config.Ipl_config.in_memory_log_bytes;
+      }
+
 let build config dev store bbm trx =
   let pool =
     Pool.create ~capacity:config.Ipl_config.buffer_pages
-      ~fetch:(fun pid ->
-        {
-          page = (Ipl_storage.read_page store pid);
-          log = Log_sector.create ~capacity:config.Ipl_config.in_memory_log_bytes;
-        })
+      ~fetch:(fetch_frame config store)
       ~write_back:(fun pid frame -> flush_frame store trx pid frame)
       ()
   in
@@ -423,17 +437,17 @@ let note_dirty t ~tx ~page =
   if tx <> 0 then Hashtbl.replace (txn_info t tx).dirty_pages page ()
 
 (* Rebuild a frame's page image from flash plus its surviving buffered
-   records. Used when a mutation already applied to the in-memory page
-   cannot be logged (the flush of a full log sector failed): dropping the
-   unlogged mutation keeps the invariant that the image always equals the
-   flash state plus the in-memory log sector. On a dead chip the re-read
-   itself fails; that is fine — every subsequent operation fails too and
-   restart recovery reads only flash. *)
+   records, re-reading straight into the frame's own bytes. Used when a
+   mutation already applied to the in-memory page cannot be logged (the
+   flush of a full log sector failed): dropping the unlogged mutation
+   keeps the invariant that the image always equals the flash state plus
+   the in-memory log sector. A failed re-read may leave the stored image
+   in the frame without its log applied. On a dead chip, where the
+   re-read itself fails, that is fine: every subsequent operation fails
+   too and restart recovery reads only flash. *)
 let restore_frame t ~page frame =
   try
-    let fresh = Ipl_storage.read_page t.store page in
-    Bytes.blit (Page.to_bytes fresh) 0 (Page.to_bytes frame.page) 0
-      (Bytes.length (Page.to_bytes fresh));
+    Ipl_storage.read_page_into t.store page frame.page;
     List.iter
       (fun r ->
         match Log_record.apply frame.page r with

@@ -229,7 +229,11 @@ val prefetch_finish : t -> prefetch_token -> (unit, error) result
 
 val with_page : t -> int -> (Storage.Page.t -> 'a) -> ('a, error) result
 (** Read-only access to the current version of a page through the buffer
-    pool. The callback must not retain or mutate the page. *)
+    pool. The callback must not mutate the page, and must not keep it —
+    nor return it, nor anything sharing its bytes — after it returns: a
+    later miss may evict the frame and re-read another page straight into
+    the same bytes. Copy out what must outlive the callback
+    ({!Storage.Page.read} and {!Storage.Page.iter} already copy). *)
 
 val page_free_space : t -> int -> (int, error) result
 

@@ -95,6 +95,9 @@ type t = {
          consecutive page allocations stripe across chips; a single-chip
          device has exactly one fill unit, the serial behaviour *)
   mutable next_page : int;
+  merge_scratch : bytes;
+      (* the one page image every merge copy passes through (see
+         [merge_rewrite]) *)
   (* geometry *)
   sectors_per_page : int;
   data_pages : int;
@@ -176,6 +179,7 @@ let mk ?(config = Ipl_config.default) ?bbm dev ~first_block ~num_blocks ~txn_sta
     current_overflow = None;
     fills = Array.make (Dev.num_chips dev) None;
     next_page = 0;
+    merge_scratch = Bytes.create config.Ipl_config.page_size;
     sectors_per_page;
     data_pages;
     log_sectors =
@@ -225,18 +229,23 @@ let fresh_eu_info phys data_pages =
    asynchronous — the operation executes now, its completion time settles
    at the next barrier (every durability force point is one). *)
 
-let dev_read ?cls t ~sector ~count =
+let dev_read_into ?cls t ~sector ~count dst =
   match t.bbm with
-  | Some d -> Resilience.Bbm.read_sectors ?cls d ~sector ~count
+  | Some d -> Resilience.Bbm.read_sectors_into ?cls d ~sector ~count dst
   | None -> (
       match cls with
       | Some Dev.Merge_io ->
           (* Background relocation read: execution is eager, so the data
-             is available at submission and the merge never blocks the
+             is in [dst] at submission and the merge never blocks the
              host clock on it — the read's service time lands on the
              chip's timeline like any other cleaning-engine operation. *)
-          fst (Dev.submit_read t.dev ~cls:Dev.Merge_io ~sector ~count)
-      | _ -> Dev.read_sectors ?cls t.dev ~sector ~count)
+          Dev.publish_read_into t.dev ~cls:Dev.Merge_io ~sector ~count dst
+      | _ -> Dev.read_sectors_into ?cls t.dev ~sector ~count dst)
+
+let dev_read ?cls t ~sector ~count =
+  let dst = Bytes.create (count * (Dev.config t.dev).FConfig.sector_size) in
+  dev_read_into ?cls t ~sector ~count dst;
+  dst
 
 let dev_submit_write t ~cls ~sector data =
   match t.bbm with
@@ -381,10 +390,11 @@ let alloc_eu ?channel t =
 let data_sector t eu_phys idx = Dev.sector_of_block t.dev eu_phys + (idx * t.sectors_per_page)
 let log_sector_addr t eu_phys i = Dev.sector_of_block t.dev eu_phys + t.log_start + i
 
-let read_raw_page ?cls t eu idx =
+(* The stored image of slot [idx], read into [buf] (one page long). *)
+let read_raw_page_into ?cls t eu idx buf =
   t.c_page_reads <- t.c_page_reads + 1;
-  let b = dev_read ?cls t ~sector:(data_sector t eu.phys idx) ~count:t.sectors_per_page in
-  Page.of_bytes b
+  dev_read_into ?cls t ~sector:(data_sector t eu.phys idx) ~count:t.sectors_per_page buf;
+  Page.of_bytes buf
 
 (* Data-page programs are asynchronous: a bulk load streams pages to the
    fill units of every channel and the channels program in parallel; the
@@ -673,11 +683,19 @@ let note_page_read t pid eu =
       Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
         (Obs.Event.Page_read { page = pid; eu = eu.phys })
 
-let read_page t pid =
+(* The paper's read-with-apply, into [dst]: the stored image lands in
+   the caller's page and the live log records are applied to it there. *)
+let read_page_into t pid dst =
+  if Page.size dst <> t.config.Ipl_config.page_size then
+    invalid_arg "Ipl_storage.read_page_into: wrong page size";
   let eu, idx = lookup t pid in
-  let page = read_raw_page t eu idx in
+  let page = read_raw_page_into t eu idx (Page.to_bytes dst) in
   apply_records page (live_records_of_page t eu pid);
-  note_page_read t pid eu;
+  note_page_read t pid eu
+
+let read_page t pid =
+  let page = Page.create t.config.Ipl_config.page_size in
+  read_page_into t pid page;
   page
 
 (* Batched read: the raw page reads of the whole batch are submitted
@@ -921,13 +939,26 @@ let merge_rewrite t eu ~pending =
   try
     let all = read_eu_log_records ~cls:Dev.Merge_io t eu @ pending in
     let committed, carried, dropped = classify t all in
-    (* Rewrite every hosted page with its committed records applied. *)
+    (* Bucket the committed records by page in one pass, each bucket in
+       application order. *)
+    let by_page = Hashtbl.create 16 in
+    List.iter
+      (fun r ->
+        let pid = r.Log_record.page in
+        Hashtbl.replace by_page pid
+          (r :: Option.value ~default:[] (Hashtbl.find_opt by_page pid)))
+      committed;
+    (* Rewrite every hosted page with its committed records applied. Every
+       copy goes through the one scratch page: a program executes at
+       submission, so the buffer is free again once the submit returns. *)
     let applied = ref 0 in
     Array.iteri
       (fun idx pid ->
         if pid >= 0 then begin
-          let page = read_raw_page ~cls:Dev.Merge_io t eu idx in
-          let mine = List.filter (fun r -> r.Log_record.page = pid) committed in
+          let page = read_raw_page_into ~cls:Dev.Merge_io t eu idx t.merge_scratch in
+          let mine =
+            match Hashtbl.find_opt by_page pid with Some rev -> List.rev rev | None -> []
+          in
           apply_records page mine;
           applied := !applied + List.length mine;
           submit_data_page t ~cls:Dev.Merge_io new_phys idx page

@@ -141,7 +141,16 @@ val num_pages : t -> int
 
 val read_page : t -> int -> Storage.Page.t
 (** Current version: stored image + all live log records (aborted
-    transactions' records are skipped). *)
+    transactions' records are skipped). Allocates the page;
+    {!read_page_into} is the primitive. *)
+
+val read_page_into : t -> int -> Storage.Page.t -> unit
+(** {!read_page} into an existing page of the configured page size (a
+    recycled buffer-pool frame, say): the stored image is read over
+    [dst]'s bytes and the live log records are applied there. Counters,
+    flash operations and the result are those of {!read_page}. Raises
+    [Invalid_argument] on a page of another size. If the read fails,
+    [dst] may hold the stored image without its log applied. *)
 
 val read_pages : t -> int list -> (int * Storage.Page.t) list
 (** Batched {!read_page}: the raw page reads of the whole batch are

@@ -378,10 +378,18 @@ let run_async t ~cls ~write ~chip_idx execute =
 (* ------------------------------------------------------------------ *)
 (* Synchronous chip-compatible surface                                 *)
 
-let read_sectors ?(cls = Foreground) t ~sector ~count =
+let read_sectors_into ?(cls = Foreground) t ~sector ~count dst =
   let chip_idx, ls = locate t ~sector ~count in
   t.last_read_chan <- chip_idx;
-  run_sync t ~cls ~write:false ~chip_idx (fun chip -> Chip.read_sectors chip ~sector:ls ~count)
+  run_sync t ~cls ~write:false ~chip_idx (fun chip ->
+      Chip.read_sectors_into chip ~sector:ls ~count dst)
+
+let sector_buffer t count = Bytes.create (max 0 count * t.config.FConfig.sector_size)
+
+let read_sectors ?cls t ~sector ~count =
+  let out = sector_buffer t count in
+  read_sectors_into ?cls t ~sector ~count out;
+  out
 
 let write_sectors ?(cls = Foreground) t ~sector data =
   let ss = t.config.FConfig.sector_size in
@@ -454,10 +462,18 @@ let last_read_corrected t = Chip.last_read_corrected t.chans.(t.last_read_chan).
 (* ------------------------------------------------------------------ *)
 (* Asynchronous submission / completion                                *)
 
-let submit_read t ~cls ~sector ~count =
+let submit_read_into t ~cls ~sector ~count dst =
   let chip_idx, ls = locate t ~sector ~count in
   t.last_read_chan <- chip_idx;
-  run_async t ~cls ~write:false ~chip_idx (fun chip -> Chip.read_sectors chip ~sector:ls ~count)
+  let (), tag =
+    run_async t ~cls ~write:false ~chip_idx (fun chip ->
+        Chip.read_sectors_into chip ~sector:ls ~count dst)
+  in
+  tag
+
+let submit_read t ~cls ~sector ~count =
+  let out = sector_buffer t count in
+  (out, submit_read_into t ~cls ~sector ~count out)
 
 let submit_write t ~cls ~sector data =
   let ss = t.config.FConfig.sector_size in
@@ -478,6 +494,9 @@ let submit_erase t ~cls b =
    never escapes, so the settling protocol is explicit at the call site. *)
 let publish_write t ~cls ~sector data = ignore (submit_write t ~cls ~sector data : tag)
 let publish_erase t ~cls b = ignore (submit_erase t ~cls b : tag)
+
+let publish_read_into t ~cls ~sector ~count dst =
+  ignore (submit_read_into t ~cls ~sector ~count dst : tag)
 
 let await t tag =
   if not t.single then

@@ -86,6 +86,12 @@ val channel_of_block : t -> int -> int
     operation to a scheduler class. *)
 
 val read_sectors : ?cls:op_class -> t -> sector:int -> count:int -> bytes
+
+val read_sectors_into : ?cls:op_class -> t -> sector:int -> count:int -> bytes -> unit
+(** {!read_sectors} into a caller-owned buffer of exactly
+    [count * sector_size] bytes (see {!Chip.read_sectors_into});
+    [read_sectors] allocates one and calls this. *)
+
 val write_sectors : ?cls:op_class -> t -> sector:int -> bytes -> unit
 val erase_block : ?cls:op_class -> t -> int -> unit
 val invalidate_sectors : t -> sector:int -> count:int -> unit
@@ -107,6 +113,12 @@ val last_read_corrected : t -> bool
     exactly where the serial path raised them. *)
 
 val submit_read : t -> cls:op_class -> sector:int -> count:int -> bytes * tag
+
+val submit_read_into : t -> cls:op_class -> sector:int -> count:int -> bytes -> tag
+(** {!submit_read} into a caller-owned buffer. The data lands in the
+    buffer at submission (execution is eager); only the completion time
+    is outstanding until the tag is awaited. *)
+
 val submit_write : t -> cls:op_class -> sector:int -> bytes -> tag
 val submit_erase : t -> cls:op_class -> int -> tag
 
@@ -118,6 +130,12 @@ val publish_write : t -> cls:op_class -> sector:int -> bytes -> unit
 
 val publish_erase : t -> cls:op_class -> int -> unit
 (** Fire-and-forget {!submit_erase}; see {!publish_write}. *)
+
+val publish_read_into : t -> cls:op_class -> sector:int -> count:int -> bytes -> unit
+(** Fire-and-forget {!submit_read_into}: the data is in the buffer on
+    return, and the read's completion settles as the host clock passes it
+    (or at {!drain}), never by an individual await. Background relocation
+    reads use it, so they never block the host clock. *)
 
 val await : t -> tag -> unit
 (** Advance the host clock past the tag's completion. Idempotent; unknown

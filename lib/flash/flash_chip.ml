@@ -137,8 +137,11 @@ let block_data t b =
       Hashtbl.add t.data b bytes;
       bytes
 
-let read_sectors t ~sector ~count =
+let read_sectors_into t ~sector ~count dst =
   if count <= 0 then invalid_arg "Flash_chip.read_sectors: count must be positive";
+  let ss = t.config.sector_size in
+  if Bytes.length dst <> count * ss then
+    invalid_arg "Flash_chip.read_sectors_into: destination must hold exactly count sectors";
   check_sector t sector;
   check_sector t (sector + count - 1);
   t.last_read_corrected <- false;
@@ -162,18 +165,22 @@ let read_sectors t ~sector ~count =
   (match t.tracer with
   | None -> ()
   | Some tr -> Obs.Tracer.emit tr ~time:t.elapsed (Obs.Event.Read_sector { sector; count }));
-  let ss = t.config.sector_size in
-  let out = Bytes.make (count * ss) '\xff' in
-  if t.config.materialize then begin
+  if not t.config.materialize then Bytes.fill dst 0 (count * ss) '\xff'
+  else begin
     let spb = Flash_config.sectors_per_block t.config in
     for i = 0 to count - 1 do
       let s = sector + i in
-      if Bytes.get t.state s <> '\000' then begin
+      if Bytes.get t.state s = '\000' then Bytes.fill dst (i * ss) ss '\xff'
+      else begin
         let b = s / spb and off = s mod spb in
-        Bytes.blit (block_data t b) (off * ss) out (i * ss) ss
+        Bytes.blit (block_data t b) (off * ss) dst (i * ss) ss
       end
     done
-  end;
+  end
+
+let read_sectors t ~sector ~count =
+  let out = Bytes.create (max 0 count * t.config.sector_size) in
+  read_sectors_into t ~sector ~count out;
   out
 
 let bump_wear t b = t.erase_counts.(b) <- t.erase_counts.(b) + 1

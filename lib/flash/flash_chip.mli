@@ -124,7 +124,15 @@ val read_sectors : t -> sector:int -> count:int -> bytes
     is a host-side bookkeeping mark, the charge stays trapped in the cells
     until the block is erased. Recovery and the fault-injection layer rely
     on this (e.g. overflow log sectors invalidated by a merge whose
-    metadata never became durable are still readable after restart). *)
+    metadata never became durable are still readable after restart).
+    Allocates the result; {!read_sectors_into} is the primitive. *)
+
+val read_sectors_into : t -> sector:int -> count:int -> bytes -> unit
+(** [read_sectors_into t ~sector ~count dst] is {!read_sectors} into a
+    caller-owned buffer: same checks, fault consultation, counters, clock
+    and trace event, with [Free] (or, on a timing-only chip, every) sector
+    filled with 0xFF. [dst] must be exactly [count * sector_size] bytes.
+    A failed read (fault, fail-stop, range error) leaves [dst] untouched. *)
 
 val write_sectors : t -> sector:int -> bytes -> unit
 (** Program [Bytes.length data / sector_size] sectors starting at [sector].
@@ -180,9 +188,9 @@ val bad_blocks : t -> int list
 (** Indices of all bad blocks, ascending. *)
 
 val last_read_corrected : t -> bool
-(** True iff the most recent {!read_sectors} needed ECC correction
-    ([Read_correctable] fault action). Cleared at the start of every
-    read. *)
+(** True iff the most recent read ({!read_sectors} or
+    {!read_sectors_into}) needed ECC correction ([Read_correctable] fault
+    action). Cleared at the start of every read. *)
 
 val erase_count : t -> int -> int
 (** Number of erase cycles block [i] has been through. *)

@@ -136,9 +136,9 @@ let rec alloc_spare ?near ~cls t =
             alloc_spare ?near ~cls t)
       else Some b
 
-let read_retry ?(cls = Dev.Foreground) t ~phys_sector ~count ~virt_sector =
+let read_retry ?(cls = Dev.Foreground) t ~phys_sector ~count ~virt_sector dst =
   let rec go attempt =
-    try Dev.read_sectors ~cls t.dev ~sector:phys_sector ~count
+    try Dev.read_sectors_into ~cls t.dev ~sector:phys_sector ~count dst
     with Chip.Read_error _ ->
       if attempt > t.read_retries then begin
         t.c_uncorrectable <- t.c_uncorrectable + 1;
@@ -167,9 +167,8 @@ let copy_block t ~cls ~from_phys ~to_phys =
         incr o
       done;
       let count = !o - start in
-      let data =
-        read_retry ~cls t ~phys_sector:(src + start) ~count ~virt_sector:(src + start)
-      in
+      let data = Bytes.create (count * (Dev.config t.dev).FConfig.sector_size) in
+      read_retry ~cls t ~phys_sector:(src + start) ~count ~virt_sector:(src + start) data;
       Dev.write_sectors ~cls t.dev ~sector:(dst + start) data;
       for i = start to !o - 1 do
         if Dev.sector_state t.dev (src + i) = Chip.Invalid then
@@ -226,11 +225,15 @@ let scrub t v =
 
 let check_writable t = if t.degraded then raise Degraded
 
-let read_sectors ?cls t ~sector ~count =
+let read_sectors_into ?cls t ~sector ~count dst =
   let ps = translate t ~sector ~count in
-  let data = read_retry ?cls t ~phys_sector:ps ~count ~virt_sector:sector in
+  read_retry ?cls t ~phys_sector:ps ~count ~virt_sector:sector dst;
   if Dev.last_read_corrected t.dev && t.scrub_on_correctable then
-    scrub t (sector / t.spb);
+    scrub t (sector / t.spb)
+
+let read_sectors ?cls t ~sector ~count =
+  let data = Bytes.create (max 0 count * (Dev.config t.dev).FConfig.sector_size) in
+  read_sectors_into ?cls t ~sector ~count data;
   data
 
 (* A failed program always relocates at merge priority: completing the

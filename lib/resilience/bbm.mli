@@ -85,6 +85,12 @@ val read_sectors :
     (the scrub's own I/O runs at [Scrub] priority). [cls] defaults to
     [Foreground]. *)
 
+val read_sectors_into :
+  ?cls:Device.Flash_device.op_class -> t -> sector:int -> count:int -> bytes -> unit
+(** {!read_sectors} into a caller-owned buffer of exactly
+    [count * sector_size] bytes, with the same retries and scrub;
+    [read_sectors] allocates one and calls this. *)
+
 val write_sectors :
   ?cls:Device.Flash_device.op_class -> t -> sector:int -> bytes -> unit
 (** Raises {!Degraded} when the device is read-only or when a required

@@ -58,7 +58,7 @@ let create ?(page_size = Ipl_core.Ipl_config.default.Ipl_core.Ipl_config.page_si
     lazy
       (let pool =
          Pool.create ~capacity
-           ~fetch:(fun _ -> ())
+           ~fetch:(fun _ _ -> ())
            ~write_back:(fun page () -> Trace.add_page_write (Lazy.force t).builder ~page)
            ()
        in
@@ -311,7 +311,7 @@ let set_buffer_bytes t bytes =
   let capacity = max 1 (bytes / t.page_size) in
   t.pool <-
     Pool.create ~capacity
-      ~fetch:(fun _ -> ())
+      ~fetch:(fun _ _ -> ())
       ~write_back:(fun page () -> Trace.add_page_write t.builder ~page)
       ()
 

@@ -6,7 +6,7 @@ let mk ?(capacity = 3) () =
   let fetched = ref [] and written = ref [] in
   let pool =
     Pool.create ~capacity
-      ~fetch:(fun k ->
+      ~fetch:(fun k _ ->
         fetched := k :: !fetched;
         ref (k * 10))
       ~write_back:(fun k v -> written := (k, !v) :: !written)
@@ -148,13 +148,61 @@ let test_write_back_once_per_cleaning () =
   ignore (Pool.with_page pool 3 (fun _ -> ()));
   Alcotest.(check int) "single write back" 1 (List.length !written)
 
+(* [fetch] is offered the value a miss just evicted, and only then: a miss
+   with room, a hit and [preload] offer nothing. A recycled value becomes
+   the new key's value, and a dirty victim is written back before [fetch]
+   sees it. *)
+let test_fetch_sees_evicted () =
+  let events = ref [] in
+  let pool =
+    Pool.create ~capacity:2
+      ~fetch:(fun k evicted ->
+        events := `Fetch (k, Option.map (fun v -> !v) evicted) :: !events;
+        match evicted with
+        | Some v ->
+            v := k * 10;
+            v
+        | None -> ref (k * 10))
+      ~write_back:(fun k _ -> events := `Write_back k :: !events)
+      ()
+  in
+  let get k = Pool.with_page pool k (fun v -> !v) in
+  Alcotest.(check int) "miss with room" 10 (get 1);
+  Alcotest.(check int) "second miss with room" 20 (get 2);
+  Alcotest.(check int) "hit" 10 (get 1);
+  let two = Option.get (Pool.find pool 2) in
+  Pool.with_page pool 3 ~dirty:true (fun v -> v := 33);
+  Alcotest.(check bool) "victim recycled as the new value" true
+    (Option.get (Pool.find pool 3) == two);
+  Pool.preload pool 4 (ref 40);
+  Alcotest.(check int) "dirty victim" 50 (get 5);
+  Pool.drop_all pool;
+  Alcotest.(check int) "miss after drop_all" 60 (get 6);
+  let expected =
+    [
+      `Fetch (1, None);
+      `Fetch (2, None);
+      `Fetch (3, Some 20);
+      `Write_back 3;
+      `Fetch (5, Some 33);
+      `Fetch (6, None);
+    ]
+  in
+  let show = function
+    | `Fetch (k, None) -> Printf.sprintf "fetch %d None" k
+    | `Fetch (k, Some v) -> Printf.sprintf "fetch %d Some %d" k v
+    | `Write_back k -> Printf.sprintf "write_back %d" k
+  in
+  Alcotest.(check (list string)) "fetch calls" (List.map show expected)
+    (List.rev_map show !events)
+
 (* Property: hit+miss accounting and capacity invariant under random access. *)
 let prop_capacity_invariant =
   QCheck.Test.make ~name:"never exceeds capacity; stats consistent" ~count:100
     QCheck.(pair (int_range 1 8) (small_list (pair (int_bound 20) bool)))
     (fun (cap, accesses) ->
       let pool =
-        Pool.create ~capacity:cap ~fetch:(fun k -> k) ~write_back:(fun _ _ -> ()) ()
+        Pool.create ~capacity:cap ~fetch:(fun k _ -> k) ~write_back:(fun _ _ -> ()) ()
       in
       List.iter
         (fun (k, dirty) -> ignore (Pool.with_page pool k ~dirty (fun v -> v)))
@@ -181,6 +229,7 @@ let () =
           Alcotest.test_case "dirty count incremental" `Quick test_dirty_count_incremental;
           Alcotest.test_case "find does not touch" `Quick test_find_does_not_touch;
           Alcotest.test_case "write back once" `Quick test_write_back_once_per_cleaning;
+          Alcotest.test_case "fetch sees evicted" `Quick test_fetch_sees_evicted;
           QCheck_alcotest.to_alcotest prop_capacity_invariant;
         ] );
     ]

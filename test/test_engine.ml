@@ -499,6 +499,102 @@ let prop_crash_anywhere =
           && match Engine.Unsafe.read e' ~page ~slot with Some got -> Bytes.to_string got = v | None -> false)
         committed true)
 
+(* A seeded insert/update/delete/read mix over a few pages, one
+   transaction at a time, three in four committed and the rest aborted.
+   Returns every operation's outcome, the full contents after the mix,
+   the full contents after a crash and restart, and the engine. *)
+let recycling_mix ~buffer_pages =
+  let module Rng = Ipl_util.Rng in
+  let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
+  let config = base_config ~recovery:true ~buffer_pages () in
+  let e = Engine.create ~config chip in
+  let rng = Rng.of_int 20240917 in
+  let npages = 9 and nslots = 12 in
+  let pages = Array.init npages (fun _ -> Engine.Unsafe.allocate_page e) in
+  let out = Buffer.create 4096 in
+  let note fmt = Printf.bprintf out (fmt ^^ "\n") in
+  let show = function Ok () -> "ok" | Error err -> Engine.error_to_string err in
+  let payload () = Bytes.init (Rng.int_in rng 4 40) (fun _ -> Char.chr (Rng.int_in rng 97 122)) in
+  for _ = 1 to 240 do
+    let tx = Engine.Unsafe.begin_txn e in
+    for _ = 1 to Rng.int_in rng 1 5 do
+      let page = pages.(Rng.int rng npages) and slot = Rng.int rng nslots in
+      match Rng.int rng 5 with
+      | 0 -> (
+          match Engine.Unsafe.insert e ~tx ~page (payload ()) with
+          | Ok s -> note "insert %d -> %d" page s
+          | Error err -> note "insert %d -> %s" page (Engine.error_to_string err))
+      | 1 -> note "update %d.%d %s" page slot (show (Engine.Unsafe.update e ~tx ~page ~slot (payload ())))
+      | 2 -> note "delete %d.%d %s" page slot (show (Engine.Unsafe.delete e ~tx ~page ~slot))
+      | 3 ->
+          note "patch %d.%d %s" page slot
+            (show (Engine.Unsafe.update_range e ~tx ~page ~slot ~offset:1 (b "PQ")))
+      | _ ->
+          note "read %d.%d %s" page slot
+            (Option.fold ~none:"-" ~some:Bytes.to_string (Engine.Unsafe.read e ~page ~slot))
+    done;
+    if Rng.int rng 4 = 0 then Engine.Unsafe.abort e tx else Engine.Unsafe.commit e tx
+  done;
+  let contents e =
+    let c = Buffer.create 4096 in
+    Array.iter
+      (fun page ->
+        for slot = 0 to nslots - 1 do
+          Printf.bprintf c "%d.%d %s\n" page slot
+            (Option.fold ~none:"-" ~some:Bytes.to_string (Engine.Unsafe.read e ~page ~slot))
+        done)
+      pages;
+    Buffer.contents c
+  in
+  let before = contents e in
+  let e', _ = Engine.restart ~config chip in
+  (Buffer.contents out, before, contents e', e)
+
+(* A 2-frame pool recycles an evicted frame on almost every access; a
+   pool holding every page never evicts. Recycling must be invisible: the
+   same mix returns the same outcomes and leaves the same contents, both
+   live and after a crash and restart. *)
+let test_recycled_frames_invisible () =
+  let ops2, live2, restarted2, e2 = recycling_mix ~buffer_pages:2 in
+  let opsall, liveall, restartedall, eall = recycling_mix ~buffer_pages:64 in
+  let pool e = (Engine.stats e).Engine.pool in
+  Alcotest.(check bool) "the small pool evicts" true ((pool e2).Bufmgr.Buffer_pool.evictions > 100);
+  Alcotest.(check int) "the large pool never evicts" 0 (pool eall).Bufmgr.Buffer_pool.evictions;
+  Alcotest.(check bool) "the mix merges" true
+    ((Engine.stats e2).Engine.storage.Store.merges > 0);
+  Alcotest.(check string) "same outcomes" opsall ops2;
+  Alcotest.(check string) "same contents" liveall live2;
+  Alcotest.(check string) "same contents after restart" restartedall restarted2;
+  Alcotest.(check string) "restart keeps the contents" live2 restarted2
+
+(* A miss on a full pool re-reads into the evicted frame's bytes: on a
+   warm engine it must not allocate a fresh page image (1 024 words for
+   an 8 KB page) in the major heap. *)
+let test_read_miss_allocates_no_page () =
+  let _, config, e = mk ~buffer_pages:64 ~blocks:128 () in
+  let pages = Array.init 96 (fun _ -> Engine.Unsafe.allocate_page e) in
+  Array.iter (fun page -> ignore (ok (Engine.Unsafe.insert e ~tx:0 ~page (b "row")))) pages;
+  Engine.Unsafe.checkpoint e;
+  Array.iter (fun page -> ignore (Engine.Unsafe.read e ~page ~slot:0)) pages;
+  let misses () = (Engine.stats e).Engine.pool.Bufmgr.Buffer_pool.misses in
+  let page_words = config.Config.page_size / (Sys.word_size / 8) in
+  (* Pages 0..31 were evicted by the warm-up scan: each read below misses. *)
+  for i = 0 to 7 do
+    let misses0 = misses () in
+    Gc.minor ();
+    let words0 = (Gc.quick_stat ()).Gc.major_words in
+    ignore (Engine.Unsafe.read e ~page:pages.(i) ~slot:0);
+    (* A minor collection settles the counter; it also promotes whatever
+       the read left live in the minor heap, which counts against it. *)
+    Gc.minor ();
+    let words = (Gc.quick_stat ()).Gc.major_words -. words0 in
+    Alcotest.(check int) "a miss" (misses0 + 1) (misses ());
+    Alcotest.(check bool)
+      (Printf.sprintf "major words of a miss (%.0f) below one page image (%d)" words page_words)
+      true
+      (words < float_of_int page_words)
+  done
+
 let () =
   Alcotest.run "ipl_engine"
     [
@@ -515,6 +611,8 @@ let () =
           Alcotest.test_case "chunked large update" `Quick test_large_equal_length_update_chunks;
           Alcotest.test_case "resize as delete+insert" `Quick test_large_resize_update_as_delete_insert;
           Alcotest.test_case "oversized records rejected" `Quick test_oversized_records_rejected_cleanly;
+          Alcotest.test_case "recycled frames invisible" `Quick test_recycled_frames_invisible;
+          Alcotest.test_case "read miss allocates no page" `Quick test_read_miss_allocates_no_page;
         ] );
       ( "restart",
         [

@@ -271,6 +271,55 @@ let test_fault_transient_read () =
   Alcotest.(check bytes) "retry succeeds" data (Chip.read_sectors chip ~sector:5 ~count:1);
   Chip.set_fault_hook chip None
 
+(* [read_sectors_into] is [read_sectors] into a caller's buffer: over a
+   dirty destination it must yield the same bytes on programmed, erased
+   and invalidated sectors, charge the same counters and time, and fail
+   on an injected fault exactly as the allocating read does, leaving the
+   destination untouched. Two chips run the same operations, one reading
+   each way. *)
+let test_read_into_matches_read () =
+  List.iter
+    (fun materialize ->
+      let setup () =
+        let chip = mk ~materialize () in
+        Chip.write_sectors chip ~sector:0
+          (Bytes.init (6 * 512) (fun i -> Char.chr ((i * 7) mod 251)));
+        Chip.invalidate_sectors chip ~sector:2 ~count:2;
+        chip
+      in
+      let a = setup () and b = setup () in
+      let ss = (Chip.config a).Config.sector_size in
+      let label s = Printf.sprintf "%s (materialize=%b)" s materialize in
+      List.iter
+        (fun (sector, count) ->
+          let want = Chip.read_sectors a ~sector ~count in
+          let dst = Bytes.make (count * ss) 'Z' in
+          Chip.read_sectors_into b ~sector ~count dst;
+          Alcotest.(check bytes) (label "same bytes") want dst)
+        [ (0, 10); (2, 2); (6, 4); (1, 1) ];
+      Alcotest.(check bool) (label "same stats") true (Chip.stats a = Chip.stats b);
+      Alcotest.(check (float 0.)) (label "same elapsed") (Chip.elapsed a) (Chip.elapsed b);
+      Alcotest.check_raises (label "short destination") (Invalid_argument
+        "Flash_chip.read_sectors_into: destination must hold exactly count sectors")
+        (fun () -> Chip.read_sectors_into b ~sector:0 ~count:2 (Bytes.create ss));
+      Alcotest.(check int) (label "rejected read is not an operation") (Chip.op_count a)
+        (Chip.op_count b);
+      let fault chip =
+        Chip.set_fault_hook chip
+          (Some (fun _ op -> match op with Chip.Op_read _ -> Chip.Read_fault | _ -> Chip.Proceed))
+      in
+      fault a;
+      fault b;
+      Alcotest.check_raises (label "read fault") (Chip.Read_error 4) (fun () ->
+          ignore (Chip.read_sectors a ~sector:4 ~count:2));
+      let dst = Bytes.make (2 * ss) 'Z' in
+      Alcotest.check_raises (label "read fault into") (Chip.Read_error 4) (fun () ->
+          Chip.read_sectors_into b ~sector:4 ~count:2 dst);
+      Alcotest.(check bytes) (label "failed read leaves destination") (Bytes.make (2 * ss) 'Z') dst;
+      Alcotest.(check bool) (label "same stats after fault") true (Chip.stats a = Chip.stats b);
+      Alcotest.(check int) (label "same op count") (Chip.op_count a) (Chip.op_count b))
+    [ true; false ]
+
 let test_wear_histogram () =
   let chip = mk () in
   Chip.erase_block chip 0;
@@ -315,6 +364,7 @@ let () =
           Alcotest.test_case "torn multi-sector program" `Quick test_fault_torn_program;
           Alcotest.test_case "silent bit flip" `Quick test_fault_flip_bit;
           Alcotest.test_case "transient read error" `Quick test_fault_transient_read;
+          Alcotest.test_case "read into matches read" `Quick test_read_into_matches_read;
           Alcotest.test_case "wear histogram" `Quick test_wear_histogram;
         ] );
       ( "timing & wear",
