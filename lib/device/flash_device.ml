@@ -47,9 +47,19 @@ type pending = {
 
 let completion p = p.p_start +. p.p_dur
 
+(* Fills the vacant slots of a timeline, so settled records are not kept
+   alive. *)
+let vacant =
+  { p_tag = no_tag; p_class = Foreground; p_chip = -1; p_start = 0.0; p_dur = 0.0;
+    p_submitted = 0.0; p_write = false }
+
 type chan = {
   chip : Chip.t;
-  mutable sched : pending list;  (* unsettled ops, ascending start time *)
+  sched : pending array;
+      (* the chip's virtual timeline: unsettled ops in [0, n), ascending
+         (p_start, p_tag); capacity is the queue depth, and [make_room]
+         keeps [n] below it before every push *)
+  mutable n : int;
   mutable max_depth : int;
   mutable depth_sum : int;
   mutable depth_obs : int;
@@ -93,10 +103,11 @@ let advance_now t cause target =
     t.now <- target
   end
 
-let mk_chan chip =
+let mk_chan ~queue_depth chip =
   {
     chip;
-    sched = [];
+    sched = Array.make queue_depth vacant;
+    n = 0;
     max_depth = 0;
     depth_sum = 0;
     depth_obs = 0;
@@ -121,7 +132,7 @@ let default_queue_depth = 32
 
 let of_chip chip =
   {
-    chans = [| mk_chan chip |];
+    chans = [| mk_chan ~queue_depth:1 chip |];
     channels = 1;
     ways = 1;
     queue_depth = 1;
@@ -152,7 +163,7 @@ let create ?(queue_depth = default_queue_depth) ~channels ~ways config =
     let per_chip = { config with FConfig.num_blocks = config.FConfig.num_blocks / n } in
     let t =
       {
-        chans = Array.init n (fun _ -> mk_chan (Chip.create per_chip));
+        chans = Array.init n (fun _ -> mk_chan ~queue_depth (Chip.create per_chip));
         channels;
         ways;
         queue_depth;
@@ -231,24 +242,79 @@ let settle t p =
   Hashtbl.remove t.tags p.p_tag
 
 (* Drop (and account) every operation whose completion the host clock has
-   passed. *)
+   passed: one compaction pass, settling in timeline order (the latency
+   sums depend on it). *)
 let prune t c =
-  let fin, live = List.partition (fun p -> completion p <= t.now) c.sched in
-  List.iter (settle t) fin;
-  c.sched <- live
+  let live = ref 0 in
+  for i = 0 to c.n - 1 do
+    let p = c.sched.(i) in
+    if completion p <= t.now then settle t p
+    else begin
+      c.sched.(!live) <- p;
+      incr live
+    end
+  done;
+  Array.fill c.sched !live (c.n - !live) vacant;
+  c.n <- !live
 
 (* Per-chip queue-depth cap: a submission against a full queue blocks the
    host (clock advances to the earliest completion) — the model of a
    bounded hardware queue. *)
 let rec make_room t c =
   prune t c;
-  if List.length c.sched >= t.queue_depth then begin
-    let earliest =
-      List.fold_left (fun acc p -> Float.min acc (completion p)) infinity c.sched
-    in
-    advance_now t wait_backpressure earliest;
+  if c.n >= t.queue_depth then begin
+    let earliest = ref infinity in
+    for i = 0 to c.n - 1 do
+      earliest := Float.min !earliest (completion c.sched.(i))
+    done;
+    advance_now t wait_backpressure !earliest;
     make_room t c
   end
+
+(* Restore (p_start, p_tag) order after start times moved or an op was
+   appended. Tags are unique, so the order is total. The timeline holds at
+   most [queue_depth] ops and is nearly sorted, so insertion sort. *)
+let sort_timeline c =
+  let a = c.sched in
+  for i = 1 to c.n - 1 do
+    let p = a.(i) in
+    let j = ref (i - 1) in
+    while
+      !j >= 0
+      &&
+      let q = a.(!j) in
+      let o = Float.compare p.p_start q.p_start in
+      o < 0 || (o = 0 && p.p_tag < q.p_tag)
+    do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- p
+  done
+
+let queued t q = q.p_start > t.now
+
+(* Start [p], already on chip [c]'s timeline, after every other op that
+   [behind] does not select ([behind] never selects [p]); push the
+   selected ones back behind it in timeline order, each starting no
+   earlier than the previous one ends; then restore the timeline's
+   order. *)
+let place t c p ~behind =
+  let base = ref t.now in
+  for i = 0 to c.n - 1 do
+    let q = c.sched.(i) in
+    if q != p && not (behind q) then base := Float.max !base (completion q)
+  done;
+  p.p_start <- !base;
+  let prev_end = ref (completion p) in
+  for i = 0 to c.n - 1 do
+    let q = c.sched.(i) in
+    if behind q then begin
+      q.p_start <- Float.max q.p_start !prev_end;
+      prev_end := completion q
+    end
+  done;
+  sort_timeline c
 
 (* Place a new operation of [cls] on chip [c]'s timeline. It starts after
    the in-progress operation and every queued operation of equal or higher
@@ -258,27 +324,13 @@ let rec make_room t c =
 let schedule t c ~chip_idx ~cls ~write ~dur =
   let tag = t.next_tag in
   t.next_tag <- tag + 1;
-  let started, queued = List.partition (fun p -> p.p_start <= t.now) c.sched in
-  let ahead, behind = List.partition (fun p -> prio p.p_class <= prio cls) queued in
-  let base =
-    List.fold_left (fun acc p -> Float.max acc (completion p)) t.now started
-  in
-  let base = List.fold_left (fun acc p -> Float.max acc (completion p)) base ahead in
   let p =
-    { p_tag = tag; p_class = cls; p_chip = chip_idx; p_start = base; p_dur = dur;
+    { p_tag = tag; p_class = cls; p_chip = chip_idx; p_start = t.now; p_dur = dur;
       p_submitted = t.now; p_write = write }
   in
-  let rec push_back prev_end = function
-    | [] -> ()
-    | q :: rest ->
-        q.p_start <- Float.max q.p_start prev_end;
-        push_back (completion q) rest
-  in
-  push_back (completion p) behind;
-  c.sched <-
-    List.sort
-      (fun a b -> compare (a.p_start, a.p_tag) (b.p_start, b.p_tag))
-      ((p :: started) @ ahead @ behind);
+  c.sched.(c.n) <- p;
+  c.n <- c.n + 1;
+  place t c p ~behind:(fun q -> queued t q && prio q.p_class > prio cls);
   Hashtbl.replace t.tags tag p;
   p
 
@@ -289,26 +341,8 @@ let schedule t c ~chip_idx ~cls ~write ~dur =
    host is waiting on sits behind readahead traffic. Pure time
    arithmetic; execution was eager. *)
 let expedite t p =
-  if p.p_start > t.now then begin
-    let c = t.chans.(p.p_chip) in
-    let started, queued = List.partition (fun q -> q.p_start <= t.now) c.sched in
-    let others = List.filter (fun q -> q.p_tag <> p.p_tag) queued in
-    let base =
-      List.fold_left (fun acc q -> Float.max acc (completion q)) t.now started
-    in
-    p.p_start <- base;
-    let rec push_back prev_end = function
-      | [] -> ()
-      | q :: rest ->
-          q.p_start <- Float.max q.p_start prev_end;
-          push_back (completion q) rest
-    in
-    push_back (completion p) others;
-    c.sched <-
-      List.sort
-        (fun a b -> compare (a.p_start, a.p_tag) (b.p_start, b.p_tag))
-        (started @ (p :: others))
-  end
+  if queued t p then
+    place t t.chans.(p.p_chip) p ~behind:(fun q -> q != p && queued t q)
 
 let check_dead t =
   match t.dead with Some i -> raise (Chip.Power_loss i) | None -> ()
@@ -316,7 +350,7 @@ let check_dead t =
 let note_submission t c ~cls =
   c.submitted.(class_index cls) <- c.submitted.(class_index cls) + 1;
   if not t.single then begin
-    let d = List.length c.sched in
+    let d = c.n in
     if d > c.max_depth then c.max_depth <- d;
     c.depth_sum <- c.depth_sum + d;
     c.depth_obs <- c.depth_obs + 1
@@ -522,15 +556,17 @@ let durability_class = function
 
 let barrier t =
   if not t.single then begin
-    (* Sorted by tag so promotion order (and thus the resulting timeline)
-       is independent of hash-table iteration order. *)
-    let ps =
-      Hashtbl.fold
-        (fun _ p acc ->
-          if p.p_write && durability_class p.p_class then p :: acc else acc)
-        t.tags []
-      |> List.sort (fun a b -> compare a.p_tag b.p_tag)
-    in
+    (* Promoted in tag (submission) order: promotion order decides the
+       resulting timeline. *)
+    let ps = ref [] in
+    Array.iter
+      (fun c ->
+        for i = 0 to c.n - 1 do
+          let p = c.sched.(i) in
+          if p.p_write && durability_class p.p_class then ps := p :: !ps
+        done)
+      t.chans;
+    let ps = List.sort (fun a b -> Int.compare a.p_tag b.p_tag) !ps in
     List.iter
       (fun p ->
         expedite t p;
@@ -549,9 +585,14 @@ let drain t =
 (* Clock and stats                                                     *)
 
 let makespan t =
-  Array.fold_left
-    (fun acc c -> List.fold_left (fun a p -> Float.max a (completion p)) acc c.sched)
-    t.now t.chans
+  let m = ref t.now in
+  Array.iter
+    (fun c ->
+      for i = 0 to c.n - 1 do
+        m := Float.max !m (completion c.sched.(i))
+      done)
+    t.chans;
+  !m
 
 let elapsed t = if t.single then Chip.elapsed t.chans.(0).chip else makespan t
 

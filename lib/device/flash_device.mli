@@ -20,6 +20,14 @@
     in-flight write and a subsequent read cannot exist — the scheduler
     models queueing time only.
 
+    {b Per-chip timeline.} Each chip's unsettled operations live in a
+    fixed array of [queue_depth] slots, kept in (start time, tag) order
+    and updated in place: settling compacts it, a submission or a
+    promotion pushes back the displaced queued operations in one pass and
+    restores the order by insertion. A submission therefore costs
+    O([queue_depth]) time and allocates only its own record and tag
+    entry, never a rebuilt queue.
+
     {b Single-chip mode.} With one chip ([of_chip], or [channels = ways =
     1]) every operation is forwarded verbatim and the chip's own clock is
     the device clock, making the device bit-for-bit equivalent — state,
@@ -46,9 +54,9 @@ val create :
   ?queue_depth:int -> channels:int -> ways:int -> Flash_sim.Flash_config.t -> t
 (** Build a device of [channels * ways] chips from a device-level
     geometry; [num_blocks] must divide evenly across the chips.
-    [queue_depth] (default 8) bounds outstanding operations per chip: a
-    submission against a full queue stalls the host clock to the earliest
-    completion. *)
+    [queue_depth] (default 32) bounds outstanding operations per chip,
+    and sizes each chip's timeline: a submission against a full queue
+    stalls the host clock to the earliest completion. *)
 
 val of_chip : Chip.t -> t
 (** Wrap an existing chip as a single-channel device (the bit-for-bit

@@ -1,8 +1,9 @@
 (* Tests for the multi-channel flash device: block striping, single-chip
    bit-for-bit equivalence, deterministic virtual-time scheduling,
    op-class priorities with deadline promotion, queue-depth backpressure,
-   barrier vs drain semantics, and 1-channel vs 4-channel logical
-   equivalence of a full engine workload. *)
+   barrier vs drain semantics, seeded timelines pinned to golden
+   constants, the scheduler's allocation per submission, and 1-channel vs
+   4-channel logical equivalence of a full engine workload. *)
 
 module Config = Flash_sim.Flash_config
 module Chip = Flash_sim.Flash_chip
@@ -160,6 +161,148 @@ let test_queue_depth_backpressure () =
   Alcotest.(check bool) "bounded queue" true (Dev.in_flight dev <= 2);
   Dev.drain dev
 
+(* --- golden scheduler timelines ------------------------------------ *)
+
+(* Seeded random operation sequences: reads, programs and erases of every
+   op class, sync, awaited and fire-and-forget, with awaits, barriers,
+   drains, host think time and queue-filling bursts interleaved, one
+   injected program failure and one torn program (which kills the device
+   until the hook is cleared). The device clock and in-flight count after
+   every step, and the final device report, are pinned to constants: the
+   scheduler's data structures may change, its timelines may not. *)
+let golden_run ~channels ~ways ~queue_depth ~seed =
+  let rng = Random.State.make [| seed |] in
+  let n = channels * ways in
+  let dev = Dev.create ~queue_depth ~channels ~ways (cfg ~num_blocks:(2 * n) ()) in
+  let nblocks = (Dev.config dev).Config.num_blocks in
+  let spb = Config.sectors_per_block (Dev.config dev) in
+  let classes = [| Dev.Foreground; Dev.Log_flush; Dev.Merge_io; Dev.Scrub |] in
+  let trace = Buffer.create 8192 in
+  let tags = ref [] in
+  let keep tag = tags := List.filteri (fun i _ -> i < 16) (tag :: !tags) in
+  let fail_at = 60 + Random.State.int rng 60 and tear_at = 250 + Random.State.int rng 60 in
+  let failed = ref false and torn = ref false in
+  let hook i = function
+    | Chip.Op_program _ when i >= fail_at && not !failed ->
+        failed := true;
+        Chip.Program_fail
+    | Chip.Op_program _ when i >= tear_at && not !torn ->
+        torn := true;
+        Chip.Tear 1
+    | _ -> Chip.Proceed
+  in
+  Dev.set_fault_hook dev (Some hook);
+  let pick k = Random.State.int rng k in
+  for _ = 1 to 500 do
+    let cls = classes.(pick 4) in
+    let b = pick nblocks in
+    let base = Dev.sector_of_block dev b in
+    let free = Dev.free_sectors_in_block dev b in
+    (try
+       match pick 100 with
+       | r when r < 30 ->
+           let count = 1 + pick 4 in
+           let sector = base + pick (spb - count + 1) in
+           (match pick 3 with
+           | 0 -> ignore (Dev.read_sectors ~cls dev ~sector ~count : bytes)
+           | 1 -> keep (snd (Dev.submit_read dev ~cls ~sector ~count))
+           | _ -> Dev.publish_read_into dev ~cls ~sector ~count (sector_bytes dev count))
+       | r when r < 62 && free > 0 ->
+           (* Blocks are always programmed from their first free sector
+              on, so the free sectors are the block's tail. *)
+           let count = 1 + pick (min 4 free) in
+           let sector = base + spb - free in
+           let data = sector_bytes dev count in
+           (match pick 3 with
+           | 0 -> Dev.write_sectors ~cls dev ~sector data
+           | 1 -> keep (Dev.submit_write dev ~cls ~sector data)
+           | _ -> Dev.publish_write dev ~cls ~sector data)
+       | r when r < 70 -> (
+           match pick 3 with
+           | 0 -> Dev.erase_block ~cls dev b
+           | 1 -> keep (Dev.submit_erase dev ~cls b)
+           | _ -> Dev.publish_erase dev ~cls b)
+       | r when r < 84 -> (
+           match !tags with [] -> () | l -> Dev.await dev (List.nth l (pick (List.length l))))
+       | r when r < 91 -> Dev.barrier dev
+       | r when r < 92 -> Dev.drain dev
+       | r when r < 95 ->
+           (* A burst of reads of mixed classes on one chip: fills deep
+              queues, so backpressure and priority push-backs run. *)
+           for _ = 1 to 20 + pick 30 do
+             let cls = classes.(pick 4) in
+             Dev.publish_read_into dev ~cls ~sector:(base + pick spb) ~count:1 (sector_bytes dev 1)
+           done
+       | _ -> Dev.advance_time dev (float_of_int (pick 400) *. 1e-6)
+     with
+    | Chip.Program_error _ -> Buffer.add_string trace "program_error;"
+    | Chip.Power_loss _ ->
+        Buffer.add_string trace "power_loss;";
+        Dev.set_fault_hook dev None);
+    Printf.bprintf trace "%h/%d;" (Dev.elapsed dev) (Dev.in_flight dev)
+  done;
+  Alcotest.(check bool) "program failure injected" true !failed;
+  Alcotest.(check bool) "torn program injected" true !torn;
+  Dev.drain dev;
+  Printf.bprintf trace "%h/%d" (Dev.elapsed dev) (Dev.in_flight dev);
+  ( Digest.to_hex (Digest.string (Buffer.contents trace)),
+    Digest.to_hex (Digest.string (Json.to_string (Dev.to_json dev))) )
+
+let golden_cases =
+  [
+    (* channels, ways, queue_depth, seed, clock trace MD5, report MD5 *)
+    (2, 1, 1, 1, "6367677551a968b796260bc01ec09bdd", "ae512a3f1bdec045edabfbb3924ec2c8");
+    (2, 1, 32, 2, "ba3a08360cbc69464fbc6cfdfec5e66f", "43bf3746ab1d4473dce4cf825a837d79");
+    (2, 2, 2, 3, "90ffd9358822b352b6d514ab750ab718", "5d14406cfbe9cd5c85f1c58fb94144b3");
+    (3, 1, 32, 4, "65df0ea2be6ca76a716ef8b34cef583c", "a926ca557040debad15ccab9cf552726");
+    (4, 1, 2, 5, "b9a04bff9e46b6e5f0f8becb9ad0a2f8", "e9e09d667f150c03ceb9373a1394a176");
+    (2, 3, 1, 6, "c55fdaf15f98c4e31f2f42e69ecd1ac4", "b4a629632028932a53eca7601e8bb04f");
+    (4, 2, 32, 7, "3289b024bde18db5e434ba6faad62ca6", "e9df62197ed7c9eaf2e8dbec0214adfa");
+    (2, 4, 2, 8, "0c7de9b13cda4587120231fdd9c3839c", "bed0bf4a15d9b57f6d63ef6fd890d287");
+  ]
+
+let test_golden_timelines () =
+  List.iter
+    (fun (channels, ways, queue_depth, seed, clock_md5, report_md5) ->
+      let name = Printf.sprintf "%dx%d qd %d seed %d" channels ways queue_depth seed in
+      let clock, report = golden_run ~channels ~ways ~queue_depth ~seed in
+      Alcotest.(check string) (name ^ " clock") clock_md5 clock;
+      Alcotest.(check string) (name ^ " report") report_md5 report)
+    golden_cases
+
+(* --- submission allocation ----------------------------------------- *)
+
+(* With every chip's queue full, a 1-sector submission settles one
+   completion and schedules one operation. Guard the scheduler's
+   per-submission allocation: it is a fixed per-chip timeline, so a
+   submission costs the pending record, its tag-table entry and the
+   chip's own bookkeeping, not a rebuilt queue. *)
+let test_submission_allocation () =
+  let dev = Dev.create ~channels:4 ~ways:2 (cfg ~num_blocks:64 ()) in
+  let nblocks = (Dev.config dev).Config.num_blocks in
+  let next = Array.make nblocks 0 in
+  let data = sector_bytes dev 1 in
+  let submit i =
+    let b = i mod nblocks in
+    let sector = Dev.sector_of_block dev b + next.(b) in
+    next.(b) <- next.(b) + 1;
+    ignore (Dev.submit_write dev ~cls:Dev.Log_flush ~sector data : Dev.tag)
+  in
+  let warm = 2 * Dev.num_chips dev * Dev.queue_depth dev and runs = 4096 in
+  for i = 0 to warm - 1 do
+    submit i
+  done;
+  Alcotest.(check int) "queues full" (Dev.num_chips dev * Dev.queue_depth dev) (Dev.in_flight dev);
+  let w0 = Gc.minor_words () in
+  for i = warm to warm + runs - 1 do
+    submit i
+  done;
+  let per = (Gc.minor_words () -. w0) /. float_of_int runs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per submission <= 128" per)
+    true (per <= 128.0);
+  Dev.drain dev
+
 (* --- 1ch vs 4ch logical equivalence -------------------------------- *)
 
 let digest_of json =
@@ -185,6 +328,8 @@ let () =
           Alcotest.test_case "priority overtakes queued" `Quick test_priority_overtakes_queued;
           Alcotest.test_case "barrier vs drain" `Quick test_barrier_vs_drain;
           Alcotest.test_case "queue-depth backpressure" `Quick test_queue_depth_backpressure;
+          Alcotest.test_case "golden timelines" `Quick test_golden_timelines;
+          Alcotest.test_case "submission allocation" `Quick test_submission_allocation;
           Alcotest.test_case "1ch vs 4ch digest" `Quick test_geometry_equivalence;
         ] );
     ]
