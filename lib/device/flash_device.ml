@@ -163,7 +163,7 @@ let create ?(queue_depth = default_queue_depth) ~channels ~ways config =
     let per_chip = { config with FConfig.num_blocks = config.FConfig.num_blocks / n } in
     let t =
       {
-        chans = Array.init n (fun _ -> mk_chan ~queue_depth (Chip.create per_chip));
+        chans = Array.map (mk_chan ~queue_depth) (Chip.create_shared n per_chip);
         channels;
         ways;
         queue_depth;

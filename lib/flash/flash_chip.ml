@@ -29,10 +29,18 @@ let corrupt_error_to_string = function
   | Sector_erased -> "sector is erased"
   | Bad_offset -> "offset outside the sector"
 
+(* Buffers of erased blocks, for the next first program of any block
+   that shares the list (the chips of one device). At most one buffer per
+   erased block. *)
+type spares = { mutable free : Bytes.t list }
+
 type t = {
   config : Flash_config.t;
   state : Bytes.t;  (* one byte per sector: 0 = Free, 1 = Valid, 2 = Invalid *)
-  data : (int, Bytes.t) Hashtbl.t;  (* block -> contents, only when materializing *)
+  blocks : Bytes.t array;
+      (* block -> contents when materializing; empty until the block's
+         first program after creation or an erase *)
+  spares : spares;
   erase_counts : int array;
   bad : bool array;  (* grown / host-retired bad blocks *)
   mutable page_reads : int;
@@ -52,13 +60,14 @@ type t = {
   mutable dead : bool;
 }
 
-let create config =
+let create_with spares config =
   Flash_config.validate config;
   let num_sectors = Flash_config.sectors_per_block config * config.num_blocks in
   {
     config;
     state = Bytes.make num_sectors '\000';
-    data = Hashtbl.create (if config.materialize then 256 else 1);
+    blocks = Array.make config.num_blocks Bytes.empty;
+    spares;
     erase_counts = Array.make config.num_blocks 0;
     bad = Array.make config.num_blocks false;
     page_reads = 0;
@@ -77,6 +86,12 @@ let create config =
     ops = 0;
     dead = false;
   }
+
+let create config = create_with { free = [] } config
+
+let create_shared n config =
+  let spares = { free = [] } in
+  Array.init n (fun _ -> create_with spares config)
 
 let op_count t = t.ops
 let is_dead t = t.dead
@@ -129,13 +144,23 @@ let pages_touched t ~sector ~count =
   let first = sector / spp and last = (sector + count - 1) / spp in
   last - first + 1
 
-let block_data t b =
-  match Hashtbl.find_opt t.data b with
-  | Some bytes -> bytes
-  | None ->
-      let bytes = Bytes.make t.config.block_size '\xff' in
-      Hashtbl.add t.data b bytes;
-      bytes
+(* Contents of block [b] for a program: an erased block takes a spare
+   buffer, refilled with 0xff, or a new one when there is none. *)
+let programmable_block t b =
+  let d = t.blocks.(b) in
+  if Bytes.length d > 0 then d
+  else begin
+    let d =
+      match t.spares.free with
+      | d :: rest ->
+          t.spares.free <- rest;
+          Bytes.fill d 0 (Bytes.length d) '\xff';
+          d
+      | [] -> Bytes.make t.config.block_size '\xff'
+    in
+    t.blocks.(b) <- d;
+    d
+  end
 
 let read_sectors_into t ~sector ~count dst =
   if count <= 0 then invalid_arg "Flash_chip.read_sectors: count must be positive";
@@ -167,15 +192,25 @@ let read_sectors_into t ~sector ~count dst =
   | Some tr -> Obs.Tracer.emit tr ~time:t.elapsed (Obs.Event.Read_sector { sector; count }));
   if not t.config.materialize then Bytes.fill dst 0 (count * ss) '\xff'
   else begin
+    (* Copy run by run: a run of free sectors reads 0xff, a run of
+       programmed sectors within one block is one blit. *)
     let spb = Flash_config.sectors_per_block t.config in
-    for i = 0 to count - 1 do
-      let s = sector + i in
-      if Bytes.get t.state s = '\000' then Bytes.fill dst (i * ss) ss '\xff'
-      else begin
-        let b = s / spb and off = s mod spb in
-        Bytes.blit (block_data t b) (off * ss) dst (i * ss) ss
+    let stop = sector + count in
+    let rec copy s =
+      if s < stop then begin
+        let free = Bytes.get t.state s = '\000' in
+        let limit = if free then stop else min stop (((s / spb) + 1) * spb) in
+        let rec run_end e =
+          if e < limit && (Bytes.get t.state e = '\000') = free then run_end (e + 1) else e
+        in
+        let e = run_end (s + 1) in
+        let pos = (s - sector) * ss and len = (e - s) * ss in
+        if free then Bytes.fill dst pos len '\xff'
+        else Bytes.blit t.blocks.(s / spb) ((s mod spb) * ss) dst pos len;
+        copy e
       end
-    done
+    in
+    copy sector
   end
 
 let read_sectors t ~sector ~count =
@@ -219,13 +254,18 @@ let write_sectors t ~sector data =
   for i = 0 to programmed - 1 do
     Bytes.set t.state (sector + i) '\001'
   done;
-  if t.config.materialize && programmed > 0 then begin
+  if t.config.materialize then begin
+    (* One blit per block the programmed sectors touch. *)
     let spb = Flash_config.sectors_per_block t.config in
-    for i = 0 to programmed - 1 do
-      let s = sector + i in
-      let b = s / spb and off = s mod spb in
-      Bytes.blit data (i * ss) (block_data t b) (off * ss) ss
-    done
+    let rec copy i =
+      if i < programmed then begin
+        let s = sector + i in
+        let n = min (programmed - i) (spb - (s mod spb)) in
+        Bytes.blit data (i * ss) (programmable_block t (s / spb)) ((s mod spb) * ss) (n * ss);
+        copy (i + n)
+      end
+    in
+    copy 0
   end;
   if programmed > 0 then begin
     let pages = pages_touched t ~sector ~count:programmed in
@@ -247,7 +287,7 @@ let write_sectors t ~sector data =
       let s = sector + (off / ss) in
       let spb = Flash_config.sectors_per_block t.config in
       let b = s / spb and boff = ((s mod spb) * ss) + (off mod ss) in
-      let stored = block_data t b in
+      let stored = t.blocks.(b) in
       Bytes.set stored boff (Char.chr (Char.code (Bytes.get stored boff) lxor 0x10))
   | _ -> ()
 
@@ -282,7 +322,13 @@ let erase_block t b =
   end;
   let spb = Flash_config.sectors_per_block t.config in
   Bytes.fill t.state (b * spb) spb '\000';
-  if t.config.materialize then Hashtbl.remove t.data b;
+  (* The erased block's buffer goes to the spares; its old bytes are
+     overwritten with 0xff before any block uses it again. *)
+  let d = t.blocks.(b) in
+  if Bytes.length d > 0 then begin
+    t.spares.free <- d :: t.spares.free;
+    t.blocks.(b) <- Bytes.empty
+  end;
   bump_wear t b;
   t.block_erases <- t.block_erases + 1;
   t.elapsed <- t.elapsed +. t.config.t_erase_block;
@@ -305,7 +351,7 @@ let corrupt_sector ?(offset = 0) t s =
   else begin
     let spb = Flash_config.sectors_per_block t.config in
     let b = s / spb and off = s mod spb in
-    let data = block_data t b in
+    let data = t.blocks.(b) in
     let pos = (off * t.config.sector_size) + offset in
     Bytes.set data pos (Char.chr (Char.code (Bytes.get data pos) lxor 0x5A));
     Ok ()

@@ -104,6 +104,18 @@ val is_dead : t -> bool
 (** True after an injected fail-stop until the hook is cleared. *)
 
 val create : Flash_config.t -> t
+(** A chip with its own free list of erased block buffers (see
+    {!erase_block}). *)
+
+val create_shared : int -> Flash_config.t -> t array
+(** [create_shared n config] builds [n] chips that share one free list of
+    erased block buffers: a block erased on one chip lends its buffer to
+    the next first program of a block on any of them. For the chips of
+    one multi-chip device ([Flash_device.create]), whose merges
+    program the new erase unit on another chip than the one they erase.
+    The list belongs to these chips alone, so chips of different devices
+    may run on different domains. *)
+
 val config : t -> Flash_config.t
 
 val num_sectors : t -> int
@@ -146,7 +158,15 @@ val invalidate_sectors : t -> sector:int -> count:int -> unit
     validity bitmap). Invalidating a [Free] sector is a no-op. *)
 
 val erase_block : t -> int -> unit
-(** Erase a whole block: all its sectors become [Free]. *)
+(** Erase a whole block: all its sectors become [Free]. On a
+    materializing chip the block's stored bytes move to the chip's free
+    list (shared with the other chips of its device, see
+    {!create_shared}), which holds at most one buffer per erased block.
+    The next first program of any block sharing the list takes a buffer
+    from it and refills it with 0xFF, and allocates a new one only when
+    the list is empty. An erased block's old bytes are never observable:
+    [Free] sectors read 0xFF, and a sector becomes readable data again
+    only by being programmed. *)
 
 val sector_state : t -> int -> sector_state
 

@@ -50,7 +50,7 @@ let set_slot p i ~off ~len =
 
 let dir_start p = size p - (slot_entry_size * slot_count p)
 
-let is_live p i = i >= 0 && i < slot_count p && snd (slot p i) > 0
+let is_live p i = i >= 0 && i < slot_count p && Bytes.get_uint16_le p (slot_pos p i + 2) > 0
 
 let read p i = if is_live p i then
     let off, len = slot p i in

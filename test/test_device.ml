@@ -2,8 +2,10 @@
    bit-for-bit equivalence, deterministic virtual-time scheduling,
    op-class priorities with deadline promotion, queue-depth backpressure,
    barrier vs drain semantics, seeded timelines pinned to golden
-   constants, the scheduler's allocation per submission, and 1-channel vs
-   4-channel logical equivalence of a full engine workload. *)
+   constants, the scheduler's allocation per submission, erased-block
+   buffers reused across chips, device and per-chip contents against a
+   byte-array model, and 1-channel vs 4-channel logical equivalence of a
+   full engine workload. *)
 
 module Config = Flash_sim.Flash_config
 module Chip = Flash_sim.Flash_chip
@@ -303,6 +305,94 @@ let test_submission_allocation () =
     true (per <= 128.0);
   Dev.drain dev
 
+(* --- erase-unit storage ------------------------------------------- *)
+
+(* A merge programs a fresh erase unit and erases the old one, and on a
+   multi-chip device the two sit on different chips. Alternate erasing a
+   fully programmed block on one chip with the first full-block program
+   of an erased block on the next chip: the erased block's storage must
+   be reused, so after a one-cycle warm-up 200 cycles add less than one
+   block (16 384 words) to the major heap. Allocating fresh storage per
+   program costs at least one block per cycle; a free list private to
+   each chip would allocate once on each chip the walk first reaches. *)
+let test_erase_program_allocation () =
+  let dev = Dev.create ~channels:4 ~ways:2 (cfg ~num_blocks:16 ()) in
+  let c = Dev.config dev in
+  let full = Bytes.make c.Config.block_size 'f' in
+  let n = Dev.num_chips dev in
+  let cycle i =
+    Dev.erase_block ~cls:Dev.Merge_io dev (i mod n);
+    Dev.write_sectors ~cls:Dev.Merge_io dev ~sector:(Dev.sector_of_block dev ((i + 1) mod n)) full
+  in
+  Dev.write_sectors ~cls:Dev.Merge_io dev ~sector:0 full;
+  cycle 0;
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  for i = 1 to 200 do
+    cycle i
+  done;
+  let words = (Gc.quick_stat ()).Gc.major_words -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words over 200 cycles < 16384" words)
+    true (words < 16384.0)
+
+(* --- reference model ------------------------------------------------ *)
+
+let device_target dev =
+  let c = Dev.config dev in
+  let spb = Config.sectors_per_block c and n = Dev.num_chips dev in
+  {
+    Flash_model.name = "2x2 device";
+    num_sectors = Dev.num_sectors dev;
+    spb;
+    ss = c.Config.sector_size;
+    crosses = false;
+    read_into = (fun ~sector ~count dst -> Dev.read_sectors_into dev ~sector ~count dst);
+    write = (fun ~sector data -> Dev.write_sectors dev ~sector data);
+    erase = Dev.erase_block dev;
+    invalidate = (fun ~sector ~count -> Dev.invalidate_sectors dev ~sector ~count);
+    state = Dev.sector_state dev;
+    chip_sector = (fun s -> (s / spb / n * spb) + (s mod spb));
+  }
+
+(* Seeded random sequences against the byte-array model in
+   flash_model.ml: through a 2x2 device's own surface (operations across
+   a device block boundary must be rejected), and on the same device's
+   four chips driven directly, whose operations may cross their own
+   block boundaries. *)
+let test_reference_model () =
+  List.iter
+    (fun seed ->
+      let dev = mk ~channels:2 ~ways:2 ~num_blocks:16 () in
+      Flash_model.run ~seed ~steps:1500 ~set_hook:(Dev.set_fault_hook dev) [| device_target dev |];
+      let dev = mk ~channels:2 ~ways:2 ~num_blocks:16 () in
+      Flash_model.run ~seed ~steps:1500 ~set_hook:(Dev.set_fault_hook dev)
+        (Array.init (Dev.num_chips dev) (fun i ->
+             Flash_model.of_chip ~name:(Printf.sprintf "chip %d of a 2x2 device" i) (Dev.chip dev i))))
+    [ 1; 2; 3 ]
+
+(* An erased block's old bytes never show, also once another chip of
+   the same device has taken over its storage: fill device block 0 (chip
+   0), erase it, program one sector and read the block back; fill and
+   erase it again, program one sector of device block 1 (chip 1) and
+   read that block back. *)
+let test_erased_bytes_never_visible () =
+  let dev = mk ~channels:2 ~ways:2 () in
+  let c = Dev.config dev in
+  let spb = Config.sectors_per_block c and ss = c.Config.sector_size in
+  let one = Bytes.make ss 'o' in
+  let read b = Dev.read_sectors dev ~sector:(b * spb) ~count:spb in
+  Alcotest.(check int) "block 1 on chip 1" 1 (Dev.channel_of_block dev 1);
+  Dev.write_sectors dev ~sector:0 (Bytes.make (spb * ss) 'q');
+  Dev.erase_block dev 0;
+  Dev.write_sectors dev ~sector:5 one;
+  Flash_model.check_one_sector ~what:"same block" ~ss ~s:5 one (read 0);
+  Dev.write_sectors dev ~sector:6 (Bytes.make ((spb - 6) * ss) 'r');
+  Dev.erase_block dev 0;
+  Dev.write_sectors dev ~sector:(spb + 9) one;
+  Flash_model.check_one_sector ~what:"block on another chip" ~ss ~s:9 one (read 1);
+  Alcotest.(check bool) "erased block reads 0xff" true
+    (Bytes.for_all (fun ch -> ch = '\xff') (read 0))
+
 (* --- 1ch vs 4ch logical equivalence -------------------------------- *)
 
 let digest_of json =
@@ -330,6 +420,9 @@ let () =
           Alcotest.test_case "queue-depth backpressure" `Quick test_queue_depth_backpressure;
           Alcotest.test_case "golden timelines" `Quick test_golden_timelines;
           Alcotest.test_case "submission allocation" `Quick test_submission_allocation;
+          Alcotest.test_case "erase/program allocation" `Quick test_erase_program_allocation;
+          Alcotest.test_case "reference model" `Quick test_reference_model;
+          Alcotest.test_case "erased bytes never visible" `Quick test_erased_bytes_never_visible;
           Alcotest.test_case "1ch vs 4ch digest" `Quick test_geometry_equivalence;
         ] );
     ]

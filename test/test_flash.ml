@@ -1,5 +1,6 @@
 (* Tests for the NAND flash chip simulator: erase-before-write discipline,
-   timing accounting, wear tracking, data round-trips. *)
+   timing accounting, wear tracking, data round-trips, and contents
+   against a byte-array model across erases and buffer reuse. *)
 
 module Config = Flash_sim.Flash_config
 module Chip = Flash_sim.Flash_chip
@@ -333,6 +334,38 @@ let test_wear_histogram () =
   Alcotest.(check int) "max wear in stats" 2 s.Stats.max_wear;
   Alcotest.(check (float 0.001)) "mean wear in stats" (3.0 /. 8.0) s.Stats.mean_wear
 
+(* Seeded random programs, reads, erases and invalidations, with torn
+   and bit-flipped programs and ranges across block boundaries, checked
+   against the byte-array model in flash_model.ml. *)
+let test_reference_model () =
+  List.iter
+    (fun seed ->
+      let chip = mk () in
+      Flash_model.run ~seed ~steps:1500 ~set_hook:(Chip.set_fault_hook chip)
+        [| Flash_model.of_chip chip |])
+    [ 1; 2; 3; 4; 5 ]
+
+(* An erased block's old bytes never show: fill a block, erase it,
+   program one sector and read the whole block back; then fill and erase
+   it again and do the same on another block, which may take over the
+   erased block's storage. *)
+let test_erased_bytes_never_visible () =
+  let chip = mk () in
+  let c = Chip.config chip in
+  let spb = Config.sectors_per_block c and ss = c.Config.sector_size in
+  let one = Bytes.make ss 'o' in
+  let read b = Chip.read_sectors chip ~sector:(b * spb) ~count:spb in
+  Chip.write_sectors chip ~sector:0 (Bytes.make (spb * ss) 'q');
+  Chip.erase_block chip 0;
+  Chip.write_sectors chip ~sector:5 one;
+  Flash_model.check_one_sector ~what:"same block" ~ss ~s:5 one (read 0);
+  Chip.write_sectors chip ~sector:6 (Bytes.make ((spb - 6) * ss) 'r');
+  Chip.erase_block chip 0;
+  Chip.write_sectors chip ~sector:((3 * spb) + 9) one;
+  Flash_model.check_one_sector ~what:"another block" ~ss ~s:9 one (read 3);
+  Alcotest.(check bool) "erased block reads 0xff" true
+    (Bytes.for_all (fun ch -> ch = '\xff') (read 0))
+
 let () =
   Alcotest.run "flash_sim"
     [
@@ -366,6 +399,11 @@ let () =
           Alcotest.test_case "transient read error" `Quick test_fault_transient_read;
           Alcotest.test_case "read into matches read" `Quick test_read_into_matches_read;
           Alcotest.test_case "wear histogram" `Quick test_wear_histogram;
+        ] );
+      ( "reference model",
+        [
+          Alcotest.test_case "random sequences" `Quick test_reference_model;
+          Alcotest.test_case "erased bytes never visible" `Quick test_erased_bytes_never_visible;
         ] );
       ( "timing & wear",
         [
