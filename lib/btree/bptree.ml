@@ -38,13 +38,13 @@ let fail_on_error = function
   | Ok x -> x
   | Error e -> failwith ("Bptree: unexpected engine error: " ^ Engine.error_to_string e)
 
-(* [(is_leaf, next_leaf)] from a pinned node's meta record. *)
+(* [(is_leaf, next_leaf)] from a pinned node's meta record, read in place. *)
 let meta p =
-  match Page.read p 0 with
-  | None -> failwith "Bptree: missing node meta"
-  | Some m ->
-      if Bytes.get_uint8 m 0 <> meta_magic then failwith "Bptree: bad node magic";
-      (Bytes.get_uint8 m 1 = 1, Int32.to_int (Bytes.get_int32_le m 2) land 0xFFFFFFFF)
+  let off = Page.record_offset p 0 in
+  if off < 0 then failwith "Bptree: missing node meta";
+  let m = Page.to_bytes p in
+  if Bytes.get_uint8 m off <> meta_magic then failwith "Bptree: bad node magic";
+  (Bytes.get_uint8 m (off + 1) = 1, Int32.to_int (Bytes.get_int32_le m (off + 2)) land 0xFFFFFFFF)
 
 let entry_key b off = Int64.to_int (Bytes.get_int64_le b off)
 let entry_value b off = Int64.to_int (Bytes.get_int64_le b (off + 8))
@@ -91,9 +91,9 @@ let set_next_leaf t ~tx pid next =
 let root t =
   fail_on_error
   @@ Engine.with_page t.engine t.header (fun p ->
-      match Page.read p 0 with
-      | Some b -> Int64.to_int (Bytes.get_int64_le b 0)
-      | None -> failwith "Bptree: missing header record")
+      let off = Page.record_offset p 0 in
+      if off < 0 then failwith "Bptree: missing header record";
+      entry_key (Page.to_bytes p) off)
 
 let set_root t ~tx pid =
   let b = Bytes.create 8 in
@@ -114,63 +114,49 @@ let create engine =
 let attach engine ~header = { engine; header }
 let header_page t = t.header
 
-(* Child of a pinned internal node covering [key]: the child of the
-   greatest (separator, child, slot) with separator <= key. The leftmost
-   separator is min_int, so one exists; failing that, the least entry's.
-   Entries arrive in slot order, so of two equal (separator, child) pairs
-   the later is the greater. *)
-let child_for p key =
-  let found = ref false and best_k = ref 0 and best_v = ref 0 in
-  let any = ref false and least_k = ref 0 and least_v = ref 0 in
-  iter_entries
-    (fun k v _ ->
-      if k <= key && ((not !found) || k > !best_k || (k = !best_k && v >= !best_v)) then begin
-        found := true;
-        best_k := k;
-        best_v := v
-      end;
-      if (not !any) || k < !least_k || (k = !least_k && v < !least_v) then begin
-        any := true;
-        least_k := k;
-        least_v := v
-      end)
-    p;
-  if !found then !best_v
-  else if !any then !least_v
-  else failwith "Bptree: empty internal node"
+(* Node search. A node's keys are unique ([insert] refuses duplicates and
+   [check_invariants] demands strictly increasing keys), so the slot
+   whose key equals, or is nearest to, the search key is the only
+   answer, whatever order the slots are in. The searches run on the
+   pinned page in place, from slot 1 (slot 0 is the meta record). *)
 
-(* [(slot, value)] of the least entry of a pinned leaf with this key. *)
+let entry_value_at p slot = entry_value (Page.to_bytes p) (Page.record_offset p slot)
+
+(* Child of a pinned internal node covering [key]: the child of the
+   greatest separator <= key. The leftmost separator is min_int, so one
+   exists; failing that, the least entry's. *)
+let child_for p key =
+  let slot = Page.nearest_int64 p ~from:1 key ~below:true in
+  let slot = if slot >= 0 then slot else Page.nearest_int64 p ~from:1 min_int ~below:false in
+  if slot < 0 then failwith "Bptree: empty internal node" else entry_value_at p slot
+
+(* [(slot, value)] of the entry of a pinned leaf with this key. Entries
+   are usually in slot order (rows arrive in key order, and [split]
+   copies in sorted order), so a binary search, which only ever returns
+   a slot holding [key], finds most hits; the scan settles the rest. *)
 let leaf_find p key =
-  let slot = ref (-1) and value = ref 0 in
-  iter_entries
-    (fun k v s ->
-      if k = key && (!slot < 0 || v < !value) then begin
-        slot := s;
-        value := v
-      end)
-    p;
-  if !slot < 0 then None else Some (!slot, !value)
+  let slot = Page.find_sorted_int64 p ~from:1 key in
+  let slot =
+    if slot >= 0 then slot
+    else
+      let floor = Page.nearest_int64 p ~from:1 key ~below:true in
+      if floor >= 0 && entry_key (Page.to_bytes p) (Page.record_offset p floor) = key then floor
+      else -1
+  in
+  if slot < 0 then None else Some (slot, entry_value_at p slot)
 
 (* Least [(key, value)] of a pinned leaf with key >= [key]. *)
 let leaf_next_ge p key =
-  let found = ref false and best_k = ref 0 and best_v = ref 0 in
-  iter_entries
-    (fun k v _ ->
-      if k >= key && ((not !found) || k < !best_k || (k = !best_k && v < !best_v)) then begin
-        found := true;
-        best_k := k;
-        best_v := v
-      end)
-    p;
-  if !found then Some (!best_k, !best_v) else None
+  let slot = Page.nearest_int64 p ~from:1 key ~below:false in
+  if slot < 0 then None
+  else
+    let off = Page.record_offset p slot and b = Page.to_bytes p in
+    Some (entry_key b off, entry_value b off)
 
-(* Whether a pinned leaf lacks room for one more entry: [Page.insert]
-   reuses a deleted slot if there is one, else it needs a new one. Only
-   the pin count depends on this: without a copy, [split] reads the
-   node itself. *)
-let leaf_full p =
-  let reuse = if Page.live_records p < Page.slot_count p then Page.slot_entry_size else 0 in
-  Page.free_space p + reuse < entry_size
+(* Whether a pinned leaf lacks room for one more entry. Only the pin
+   count depends on this: without a copy, [split] reads the node
+   itself. *)
+let leaf_full p = not (Page.has_room p entry_size)
 
 (* Walk from the root to the leaf covering [key], searching each node in
    place on its pinned page, and apply [leaf] to the leaf's page. Returns
@@ -277,33 +263,45 @@ let rec insert_sep t ~tx ~path ~child_pid sep new_pid =
             (Result.map (fun (_ : int) -> ())
                (Engine.insert t.engine ~tx ~page:target (encode_entry sep new_pid))))
 
-let rec insert_leafward t ~tx key value ~overwrite =
-  let probe p =
-    match leaf_find p key with
-    | Some (slot, _) -> `Present slot
-    | None ->
-        (* A leaf without room for the entry is about to be split: take
-           the copy the split needs now, rather than pin the leaf again. *)
-        `Absent (if leaf_full p then Some (node_of_page p) else None)
-  in
-  match descend t key ~leaf:probe with
-  | pid, _, `Present slot ->
-      if overwrite then
-        Result.map_error Engine.error_to_string
-          (Engine.update t.engine ~tx ~page:pid ~slot (encode_entry key value))
-      else Error "duplicate key"
-  | pid, path, `Absent node -> (
-      match Engine.insert t.engine ~tx ~page:pid (encode_entry key value) with
-      | Ok _ -> Ok ()
-      | Error _ ->
-          (* Leaf full: split and retry from the top (ancestor set may have
-             changed shape). *)
-          let sep, new_pid = split t ~tx ?node pid in
-          insert_sep t ~tx ~path ~child_pid:pid sep new_pid;
-          insert_leafward t ~tx key value ~overwrite)
+(* Descend to the leaf for [key] and probe it: [`Present slot], or
+   [`Absent node] where [node] is the sorted copy a split of the leaf
+   will need if it has no room for the entry, taken now rather than by
+   pinning the leaf again. *)
+let probe t key =
+  descend t key ~leaf:(fun p ->
+      match leaf_find p key with
+      | Some (slot, _) -> `Present slot
+      | None -> `Absent (if leaf_full p then Some (node_of_page p) else None))
 
-let insert t ~tx ~key ~value = insert_leafward t ~tx key value ~overwrite:false
-let set t ~tx ~key ~value = insert_leafward t ~tx key value ~overwrite:true
+(* Insert an entry for the absent [key] into the probed leaf [pid]. *)
+let rec insert_absent t ~tx key value pid path node =
+  match Engine.insert t.engine ~tx ~page:pid (encode_entry key value) with
+  | Ok _ -> Ok ()
+  | Error _ -> (
+      (* Leaf full: split and retry from the top (ancestor set may have
+         changed shape). *)
+      let sep, new_pid = split t ~tx ?node pid in
+      insert_sep t ~tx ~path ~child_pid:pid sep new_pid;
+      match probe t key with
+      | pid, path, `Absent node -> insert_absent t ~tx key value pid path node
+      | _, _, `Present _ -> failwith "Bptree: key appeared during a split")
+
+let insert_with t ~tx ~key make =
+  match probe t key with
+  | _, _, `Present _ -> Error "duplicate key"
+  | pid, path, `Absent node -> (
+      match make () with
+      | Ok value -> insert_absent t ~tx key value pid path node
+      | Error _ as e -> e)
+
+let insert t ~tx ~key ~value = insert_with t ~tx ~key (fun () -> Ok value)
+
+let set t ~tx ~key ~value =
+  match probe t key with
+  | pid, _, `Present slot ->
+      Result.map_error Engine.error_to_string
+        (Engine.update t.engine ~tx ~page:pid ~slot (encode_entry key value))
+  | pid, path, `Absent node -> insert_absent t ~tx key value pid path node
 
 let delete t ~tx ~key =
   match descend t key ~leaf:(fun p -> leaf_find p key) with

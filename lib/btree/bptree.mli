@@ -25,6 +25,13 @@ val header_page : t -> int
 val insert : t -> tx:Ipl_core.Ipl_engine.txn -> key:int -> value:int -> (unit, string) result
 (** Fails with [Error "duplicate key"] if the key exists. *)
 
+val insert_with :
+  t -> tx:Ipl_core.Ipl_engine.txn -> key:int -> (unit -> (int, string) result) -> (unit, string) result
+(** [insert_with t ~tx ~key make] descends once. If [key] is present it
+    fails with [Error "duplicate key"] without calling [make]; otherwise
+    it calls [make ()] for the value and inserts it, or returns [make]'s
+    error with the tree unchanged. *)
+
 val set : t -> tx:Ipl_core.Ipl_engine.txn -> key:int -> value:int -> (unit, string) result
 (** Insert or overwrite. *)
 

@@ -13,11 +13,7 @@ let heap_header t = Heap.header t.heap
 let index_header t = B.header_page t.index
 
 let insert t ~tx ~key row =
-  if B.mem t.index key then Error "duplicate key"
-  else
-    match Heap.insert t.heap ~tx (Record.encode row) with
-    | Error _ as e -> e |> Result.map (fun _ -> ())
-    | Ok rid -> B.insert t.index ~tx ~key ~value:rid
+  B.insert_with t.index ~tx ~key (fun () -> Heap.insert t.heap ~tx (Record.encode row))
 
 let find_rowid t key = B.find t.index key
 

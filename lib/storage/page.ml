@@ -207,6 +207,72 @@ let iter_in_place f p =
     if len > 0 then f i (Bytes.get_uint16_le p pos) len
   done
 
+let record_offset p i = if is_live p i then Bytes.get_uint16_le p (slot_pos p i) else -1
+
+(* The key searches below are plain loops over the slot directory, here
+   rather than in their callers: dune's dev profile compiles every
+   library [-opaque], so a per-slot accessor called across modules is
+   never inlined. Each live record of at least 8 bytes is keyed by its
+   leading little-endian int64; shorter ones are skipped. *)
+
+let key_at p pos = Int64.to_int (Bytes.get_int64_le p (Bytes.get_uint16_le p pos))
+
+let nearest_int64 p ~from key ~below =
+  let n = slot_count p in
+  let best = ref (-1) and best_key = ref 0 and i = ref (max 0 from) in
+  while !i < n do
+    let pos = slot_pos p !i in
+    if Bytes.get_uint16_le p (pos + 2) >= 8 then begin
+      let k = key_at p pos in
+      if k = key then begin
+        best := !i;
+        i := n
+      end
+      else if
+        if below then k < key && (!best < 0 || k > !best_key)
+        else k > key && (!best < 0 || k < !best_key)
+      then begin
+        best := !i;
+        best_key := k
+      end
+    end;
+    incr i
+  done;
+  !best
+
+(* Binary search of slots [lo, hi) for [key], treating slot order as key
+   order. A probe that lands on a dead or short slot moves to the next
+   keyed slot below [hi]; if there is none, the upper half is empty. Only
+   a slot whose key equals [key] is ever returned. *)
+let find_sorted_int64 p ~from key =
+  let lo = ref (max 0 from) and hi = ref (slot_count p) and found = ref (-1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let j = ref mid in
+    while !j < !hi && Bytes.get_uint16_le p (slot_pos p !j + 2) < 8 do
+      incr j
+    done;
+    if !j >= !hi then hi := mid
+    else begin
+      let k = key_at p (slot_pos p !j) in
+      if k = key then begin
+        found := !j;
+        lo := !hi
+      end
+      else if k < key then lo := !j + 1
+      else hi := mid
+    end
+  done;
+  !found
+
+(* [insert] reuses a deleted slot if there is one, else it needs a new
+   one; it compacts only when the contiguous space falls short. *)
+let has_room p len =
+  if contiguous_room p ~extra_slots:1 ~len then true
+  else
+    let extra_slots = if live_records p < slot_count p then 0 else 1 in
+    size p - header_size - used_payload p - (slot_entry_size * (slot_count p + extra_slots)) >= len
+
 let equal_content a b =
   let slots p =
     let acc = ref [] in

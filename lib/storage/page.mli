@@ -78,5 +78,33 @@ val iter_in_place : (int -> int -> int -> unit) -> t -> unit
     allocates nothing. The offsets are valid only until the page is next
     modified, so [f] must not keep them, or the image, past the scan. *)
 
+val record_offset : t -> int -> int
+(** [record_offset p slot] is the offset in [to_bytes p] of a live slot's
+    payload, or -1 for a deleted or out-of-range slot. *)
+
+val has_room : t -> int -> bool
+(** [has_room p len] is whether {!insert} of a [len]-byte record would
+    succeed now. It costs O(1) when the contiguous free space is enough,
+    and a pass over the slot directory otherwise. *)
+
+(** {2 Searches by int64 key}
+
+    These treat each live record of at least 8 bytes as keyed by its
+    leading little-endian int64 (read as an OCaml [int]); other slots are
+    skipped. They consider slots [from] and up, copy nothing and allocate
+    nothing. *)
+
+val nearest_int64 : t -> from:int -> int -> below:bool -> int
+(** [nearest_int64 p ~from key ~below] is the slot with the greatest key
+    [<= key] ([~below:true]) or the least key [>= key] ([~below:false]),
+    or -1 if there is none. The scan stops at the first slot whose key
+    equals [key]; among equal keys otherwise, the lowest slot wins. *)
+
+val find_sorted_int64 : t -> from:int -> int -> int
+(** [find_sorted_int64 p ~from key] binary-searches the keyed slots as if
+    slot order were key order. It returns a slot only if that slot's key
+    equals [key], and -1 otherwise: on a page whose slots are not in key
+    order it may miss a present key, but it never returns a wrong slot. *)
+
 val equal_content : t -> t -> bool
 (** Same live slots with the same payloads (layout may differ). *)

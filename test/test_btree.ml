@@ -149,6 +149,23 @@ let test_transactional_abort_rolls_back_index () =
   Alcotest.(check (option int)) "delete rolled back" (Some 50) (B.find t 50);
   Alcotest.(check (result unit string)) "invariants" (Ok ()) (B.check_invariants t)
 
+(* A hit on a resident two-level tree pins three pages (header, root,
+   leaf) and searches both nodes in place. The bound leaves the pins'
+   own allocation and no more. *)
+let test_find_allocation () =
+  let _, _, _, t = mk () in
+  for k = 0 to 1_999 do
+    ok (B.insert t ~tx:Engine.no_txn ~key:k ~value:(k * 3))
+  done;
+  Alcotest.(check int) "two levels" 2 (B.height t);
+  let probes = Array.init 100 (fun i -> i * 19) in
+  Array.iter (fun k -> ignore (B.find t k)) probes;
+  let before = Gc.minor_words () in
+  let hits = Array.fold_left (fun n k -> if B.find t k = Some (k * 3) then n + 1 else n) 0 probes in
+  let words = (Gc.minor_words () -. before) /. float_of_int (Array.length probes) in
+  Alcotest.(check int) "every probe hits" (Array.length probes) hits;
+  if words > 160. then Alcotest.failf "a find hit allocates %.1f words" words
+
 (* Property: tree matches a model map under random insert/set/delete. *)
 let prop_tree_vs_model =
   let gen_op =
@@ -320,6 +337,63 @@ let test_in_place_search_matches_reference () =
       check_against_reference rng e' t' ~keys)
     [ 1; 2; 3 ]
 
+(* Trees built by ascending, descending and shuffled inserts, then
+   thinned by deletes whose slots later inserts reuse (so leaves stop
+   being in slot order), then touched by a transaction that is aborted.
+   Every stage must agree with the decode-and-sort reference. *)
+let test_build_orders_match_reference () =
+  let keys = 10_000 in
+  let orders =
+    [
+      ("ascending", fun _ -> Array.init keys Fun.id);
+      ("descending", fun _ -> Array.init keys (fun i -> keys - 1 - i));
+      ( "shuffled",
+        fun rng ->
+          let a = Array.init keys Fun.id in
+          Ipl_util.Rng.shuffle rng a;
+          a );
+    ]
+  in
+  List.iter
+    (fun (name, order) ->
+      let rng = Ipl_util.Rng.of_int 11 in
+      let config = { small_page_config with Config.recovery_enabled = true } in
+      let chip = Chip.create (FConfig.default ~num_blocks:512 ()) in
+      let e = Engine.create ~config chip in
+      let t = B.create e in
+      let stage label =
+        Alcotest.(check (result unit string))
+          (Printf.sprintf "%s: invariants %s" name label)
+          (Ok ()) (B.check_invariants t);
+        check_against_reference rng e t ~keys
+      in
+      Array.iter (fun key -> ok (B.insert t ~tx:Engine.no_txn ~key ~value:(key * 3))) (order rng);
+      Alcotest.(check bool) (name ^ ": three levels") true (B.height t >= 3);
+      stage "after build";
+      for _ = 1 to keys / 3 do
+        ignore (B.delete t ~tx:Engine.no_txn ~key:(Ipl_util.Rng.int rng keys))
+      done;
+      stage "after deletes";
+      for _ = 1 to keys / 6 do
+        let key = Ipl_util.Rng.int rng keys in
+        ignore (B.insert t ~tx:Engine.no_txn ~key ~value:(-key))
+      done;
+      stage "after reinserts";
+      let before = Reference.range e t ~lo:min_int ~hi:max_int in
+      let txi = Engine.Unsafe.begin_txn e in
+      let tx = Engine.Unsafe.txn txi in
+      for _ = 1 to 400 do
+        let key = Ipl_util.Rng.int rng (2 * keys) in
+        if Ipl_util.Rng.bool rng then ignore (B.insert t ~tx ~key ~value:(key + 7))
+        else ignore (B.delete t ~tx ~key)
+      done;
+      Engine.Unsafe.abort e txi;
+      stage "after abort";
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": abort restores the entries")
+        before (B.range t ~lo:min_int ~hi:max_int))
+    orders
+
 let () =
   Alcotest.run "btree"
     [
@@ -336,8 +410,11 @@ let () =
           Alcotest.test_case "negative keys" `Quick test_negative_keys;
           Alcotest.test_case "survives restart" `Slow test_survives_restart;
           Alcotest.test_case "abort rolls back" `Quick test_transactional_abort_rolls_back_index;
+          Alcotest.test_case "find allocation" `Quick test_find_allocation;
           QCheck_alcotest.to_alcotest prop_tree_vs_model;
           Alcotest.test_case "in-place search = decode and sort" `Slow
             test_in_place_search_matches_reference;
+          Alcotest.test_case "build orders, deletes and abort = reference" `Slow
+            test_build_orders_match_reference;
         ] );
     ]

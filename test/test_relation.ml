@@ -165,6 +165,33 @@ let test_table_transactional () =
   Alcotest.(check bool) "update rolled back" true (Table.find t 1 = Some Record.[ I 1; F 10.0 ]);
   Alcotest.(check bool) "insert rolled back" true (Table.find t 2 = None)
 
+(* A rejected insert leaves no trace: a duplicate key adds no heap row,
+   and a row the heap refuses adds no index entry. *)
+let test_table_rejected_insert () =
+  let _, _, e = mk () in
+  let t = Table.create e in
+  for k = 1 to 50 do
+    ok (Table.insert t ~tx:Engine.no_txn ~key:k Record.[ I k; S "row" ])
+  done;
+  let heap = Heap.attach e ~header:(Table.heap_header t) in
+  let heap_rows () =
+    let rows = ref [] in
+    Heap.iter heap (fun rid data -> rows := (rid, Bytes.to_string data) :: !rows);
+    List.rev !rows
+  in
+  let rows = heap_rows () and pages = Table.heap_pages t in
+  (match Table.insert t ~tx:Engine.no_txn ~key:17 Record.[ I 0; S "other" ] with
+  | Error "duplicate key" -> ()
+  | _ -> Alcotest.fail "duplicate must fail");
+  Alcotest.(check (list (pair int string))) "heap rows unchanged" rows (heap_rows ());
+  Alcotest.(check int) "heap pages unchanged" pages (Table.heap_pages t);
+  Alcotest.(check bool) "original row kept" true (Table.find t 17 = Some Record.[ I 17; S "row" ]);
+  (match Table.insert t ~tx:Engine.no_txn ~key:99 Record.[ S (String.make 20_000 'x') ] with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "an oversized row must fail");
+  Alcotest.(check bool) "no index entry" false (Table.mem t 99);
+  Alcotest.(check int) "count" 50 (Table.count t)
+
 (* Property: table matches a model map under random mutations, and
    re-attaching after checkpoint+restart preserves the state. *)
 let prop_table_vs_model_with_restart =
@@ -220,6 +247,7 @@ let () =
           Alcotest.test_case "range & scan" `Quick test_table_range_and_scan;
           Alcotest.test_case "attach after restart" `Quick test_table_attach_after_restart;
           Alcotest.test_case "transactional" `Quick test_table_transactional;
+          Alcotest.test_case "rejected insert leaves no trace" `Quick test_table_rejected_insert;
           QCheck_alcotest.to_alcotest prop_table_vs_model_with_restart;
         ] );
     ]

@@ -177,6 +177,175 @@ let test_iter_in_place_allocates_nothing () =
   Alcotest.(check int) "every record visited" (Page.live_records p) !visited;
   Alcotest.(check (float 0.)) "no minor words" empty scan
 
+(* ------------------------------------------------------------------ *)
+(* Searches by int64 key, against a brute-force model                  *)
+
+let keyed key ~extra =
+  let b = Bytes.make (8 + extra) 'x' in
+  Bytes.set_int64_le b 0 (Int64.of_int key);
+  b
+
+(* The keyed slots of [p] at or after [from], in slot order. *)
+let keyed_slots p ~from =
+  let acc = ref [] in
+  Page.iter
+    (fun slot data ->
+      if slot >= from && Bytes.length data >= 8 then
+        acc := (slot, Int64.to_int (Bytes.get_int64_le data 0)) :: !acc)
+    p;
+  List.rev !acc
+
+(* The model: of the slots whose key is best, the lowest. *)
+let model_nearest p ~from key ~below =
+  let better k b = if below then k > b else k < b in
+  List.fold_left
+    (fun best (slot, k) ->
+      let eligible = if below then k <= key else k >= key in
+      match best with
+      | _ when not eligible -> best
+      | Some (_, b) when not (better k b) -> best
+      | _ -> Some (slot, k))
+    None (keyed_slots p ~from)
+  |> Option.fold ~none:(-1) ~some:fst
+
+let model_exact p ~from key =
+  match List.find_opt (fun (_, k) -> k = key) (keyed_slots p ~from) with
+  | Some (slot, _) -> slot
+  | None -> -1
+
+let interesting_keys = [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ]
+
+let draw_key rng =
+  if Ipl_util.Rng.int rng 10 = 0 then List.nth interesting_keys (Ipl_util.Rng.int rng 7)
+  else Ipl_util.Rng.int rng 81 - 40
+
+(* A random page of one of three kinds. [`Sorted] pages get ascending
+   unique keys with short records between them and deletes after them,
+   so their keyed slots stay in key order. [`Reused] pages mix inserts,
+   short records and deletes, so inserts reuse low slots; a key is never
+   inserted twice, even after a delete. In [`Duplicates] pages keys may
+   repeat. *)
+let random_keyed_page rng kind =
+  let p = Page.create 1024 in
+  let used_keys = Hashtbl.create 16 in
+  let insert_key key = ignore (Page.insert p (keyed key ~extra:(Ipl_util.Rng.int rng 9))) in
+  let insert_short () =
+    ignore (Page.insert p (Bytes.make (1 + Ipl_util.Rng.int rng 7) 's'))
+  in
+  let delete_some n =
+    for _ = 1 to n do
+      ignore (Page.delete p (Ipl_util.Rng.int rng (max 1 (Page.slot_count p))))
+    done
+  in
+  let n = Ipl_util.Rng.int rng 30 in
+  (match kind with
+  | `Sorted ->
+      let keys = List.sort_uniq compare (List.init n (fun _ -> draw_key rng)) in
+      List.iter
+        (fun k ->
+          if Ipl_util.Rng.int rng 4 = 0 then insert_short ();
+          insert_key k)
+        keys;
+      delete_some (Ipl_util.Rng.int rng 5)
+  | `Reused | `Duplicates ->
+      for _ = 1 to n do
+        match Ipl_util.Rng.int rng 6 with
+        | 0 -> insert_short ()
+        | 1 | 2 -> delete_some 1
+        | _ ->
+            let k = draw_key rng in
+            if kind = `Duplicates || not (Hashtbl.mem used_keys k) then begin
+              Hashtbl.replace used_keys k ();
+              insert_key k
+            end
+      done);
+  p
+
+let test_key_searches_match_model () =
+  let rng = Ipl_util.Rng.of_int 42 in
+  let check_page p kind =
+    let froms = [ 0; 1; Ipl_util.Rng.int rng (Page.slot_count p + 2) ] in
+    let probes =
+      interesting_keys
+      @ List.concat_map (fun (_, k) -> [ k - 1; k; k + 1 ]) (keyed_slots p ~from:0)
+      @ List.init 10 (fun _ -> draw_key rng)
+    in
+    List.iter
+      (fun from ->
+        List.iter
+          (fun key ->
+            List.iter
+              (fun below ->
+                let want = model_nearest p ~from key ~below in
+                let got = Page.nearest_int64 p ~from key ~below in
+                if got <> want then
+                  Alcotest.failf "nearest_int64 ~from:%d %d ~below:%b = %d, model %d" from key below
+                    got want)
+              [ true; false ];
+            let exact = model_exact p ~from key in
+            let got = Page.find_sorted_int64 p ~from key in
+            let ok =
+              match kind with
+              | `Sorted -> got = exact
+              | `Reused -> got = exact || got = -1
+              | `Duplicates ->
+                  got = -1 || List.mem (got, key) (keyed_slots p ~from)
+            in
+            if not ok then Alcotest.failf "find_sorted_int64 ~from:%d %d = %d, model %d" from key got exact)
+          probes)
+      froms
+  in
+  check_page (Page.create 1024) `Sorted;
+  for _ = 1 to 400 do
+    List.iter (fun kind -> check_page (random_keyed_page rng kind) kind) [ `Sorted; `Reused; `Duplicates ]
+  done
+
+let test_key_searches_allocate_nothing () =
+  let p = mk () in
+  let n = ref 0 in
+  while Page.insert p (keyed (!n * 2) ~extra:8) <> None do
+    incr n
+  done;
+  let minor_words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let empty = minor_words (fun () -> ()) in
+  let hit = 2 * (!n / 2) in
+  let miss = hit + 1 in
+  let searches =
+    minor_words (fun () ->
+        ignore (Page.nearest_int64 p ~from:0 hit ~below:true);
+        ignore (Page.nearest_int64 p ~from:0 miss ~below:true);
+        ignore (Page.nearest_int64 p ~from:0 miss ~below:false);
+        ignore (Page.find_sorted_int64 p ~from:0 hit);
+        ignore (Page.find_sorted_int64 p ~from:0 miss))
+  in
+  Alcotest.(check int) "binary search hits" (!n / 2) (Page.find_sorted_int64 p ~from:0 hit);
+  Alcotest.(check (float 0.)) "no minor words" empty searches
+
+let test_record_offset_and_has_room () =
+  let p = Page.create 256 in
+  Alcotest.(check int) "empty directory" (-1) (Page.record_offset p 0);
+  let s = Option.get (Page.insert p (bytes_of_string "abc")) in
+  let off = Page.record_offset p s in
+  Alcotest.(check string) "offset of payload" "abc" (Bytes.sub_string (Page.to_bytes p) off 3);
+  ignore (Page.delete p s);
+  Alcotest.(check int) "dead slot" (-1) (Page.record_offset p s);
+  (* [has_room] must agree with [insert] at every fill level, including
+     after deletes leave holes that only compaction reclaims. *)
+  let rng = Ipl_util.Rng.of_int 3 in
+  for _ = 1 to 2_000 do
+    let len = 1 + Ipl_util.Rng.int rng 40 in
+    if Ipl_util.Rng.int rng 3 = 0 then ignore (Page.delete p (Ipl_util.Rng.int rng (max 1 (Page.slot_count p))))
+    else begin
+      let room = Page.has_room p len in
+      let fits = Page.insert p (Bytes.make len 'r') <> None in
+      if room <> fits then Alcotest.failf "has_room %d = %b, insert fits = %b" len room fits
+    end
+  done
+
 (* Property: a random sequence of inserts/updates/deletes tracked against a
    model Hashtbl always matches the page contents. *)
 let prop_page_vs_model =
@@ -280,6 +449,10 @@ let () =
           Alcotest.test_case "in-place scan = read" `Quick test_iter_in_place;
           Alcotest.test_case "in-place scan allocates nothing" `Quick
             test_iter_in_place_allocates_nothing;
+          Alcotest.test_case "key searches = brute force" `Quick test_key_searches_match_model;
+          Alcotest.test_case "key searches allocate nothing" `Quick
+            test_key_searches_allocate_nothing;
+          Alcotest.test_case "record_offset & has_room" `Quick test_record_offset_and_has_room;
           QCheck_alcotest.to_alcotest prop_page_vs_model;
         ] );
       ( "record",
