@@ -4,11 +4,12 @@
    DESIGN.md, and finishes with Bechamel micro-benchmarks of the core
    operations.
 
-   Usage: dune exec bench/main.exe [-- --quick] [-- --skip-micro]
+   Usage: dune exec bench/main.exe -- [--quick] [--skip-micro]
+            [--csv-dir DIR] [--channels N] [--ways N]
 
    --quick scales the TPC-C study down (1 warehouse, small pools) for a
    fast smoke run; the default reproduces the paper's 1 GB configuration
-   and takes a few minutes. *)
+   and takes a few minutes. --help lists every option. *)
 
 module Chip = Flash_sim.Flash_chip
 module FConfig = Flash_sim.Flash_config
@@ -33,33 +34,8 @@ let eok = function
 (* Database page size shared by every storage design under test. *)
 let db_page_size = Ipl_core.Ipl_config.default.Ipl_core.Ipl_config.page_size
 
-let quick = Array.exists (( = ) "--quick") Sys.argv
-let skip_micro = Array.exists (( = ) "--skip-micro") Sys.argv
-
-(* --csv-dir DIR: also dump plot-ready data files for each figure. *)
-let csv_dir =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then None
-    else if Sys.argv.(i) = "--csv-dir" then Some Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-(* --channels N / --ways N: device geometry for the instrumented IPL
-   backend of the BENCH_ipl.json export (the baseline replays always run
-   serial). *)
-let int_arg name default =
-  let rec find i =
-    if i >= Array.length Sys.argv - 1 then default
-    else if Sys.argv.(i) = name then int_of_string Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-let channels = int_arg "--channels" 1
-let ways = int_arg "--ways" 1
-
-let with_csv name f =
+(* Also dump a figure's plot-ready data to [csv_dir]/[name], when given. *)
+let with_csv csv_dir name f =
   match csv_dir with
   | None -> ()
   | Some dir ->
@@ -102,7 +78,7 @@ let paper_table3 = function
   | Q.Q5 -> (151.92, 61.76)
   | Q.Q6 -> (340.72, 369.88)
 
-let tables_3_and_2 () =
+let tables_3_and_2 ~csv_dir =
   section "Table 3: read and write query performance (seconds)";
   let results = Q.table3 () in
   let flash_of q =
@@ -130,7 +106,7 @@ let tables_3_and_2 () =
   pp `Write `Disk "disk, write workload" "4.5 ~ 10.0";
   pp `Read `Flash "flash, read workload" "1.1 ~ 1.2";
   pp `Write `Flash "flash, write workload" "2.4 ~ 14.2";
-  with_csv "table3.csv" (fun oc ->
+  with_csv csv_dir "table3.csv" (fun oc ->
       output_string oc "query,disk_s,disk_paper_s,flash_s,flash_paper_s\n";
       List.iter
         (fun (q, (d : Q.measurement), (f : Q.measurement)) ->
@@ -148,7 +124,7 @@ type study = {
   buf_medium : int;  (* the "40MB" point *)
 }
 
-let generate_study () =
+let generate_study ~quick =
   section "TPC-C trace generation (stand-in for Hammerora, Section 4.2.1)";
   let warehouses, buffer_100m, buffer_mbs, tx_1g, tx_100m, users =
     if quick then (1, 2, [ 2; 4; 6; 8; 10 ], 3_000, 1_500, 10)
@@ -215,7 +191,7 @@ let pp_skew_series label (s : Locality.skew) paper_note =
   Printf.printf "    hottest keys: #1=%d #10=%d #100=%d #500=%d #2000=%d  %s\n" (pick 0)
     (pick 9) (pick 99) (pick 499) (pick 1999) paper_note
 
-let figure4 study =
+let figure4 ~csv_dir study =
   section "Figure 4: TPC-C update locality (1G.20M.100u trace)";
   let trace = trace_1g_20m study in
   pp_skew_series "(a) log references by page"
@@ -227,7 +203,7 @@ let figure4 study =
   pp_skew_series "(c) erases by erase unit"
     (Locality.erase_skew trace ~top:100 ~pages_per_eu:15)
     "(paper: clearly skewed across units)";
-  with_csv "fig4.csv" (fun oc ->
+  with_csv csv_dir "fig4.csv" (fun oc ->
       output_string oc "rank,log_refs,page_writes\n";
       let a = (Locality.log_reference_skew trace ~top:2000).Locality.top_counts in
       let b = (Locality.page_write_skew trace ~top:2000).Locality.top_counts in
@@ -264,7 +240,7 @@ let table5 study =
 (* ------------------------------------------------------------------ *)
 (* Figures 5 and 6: log-region sweep                                   *)
 
-let figures_5_and_6 study =
+let figures_5_and_6 ~csv_dir study =
   section "Figure 5: merges vs log-region size / Figure 6: estimated write time and space";
   let traces = [ trace_1g_20m study; trace_1g_40m study; study.trace_100m ] in
   List.iter
@@ -279,7 +255,7 @@ let figures_5_and_6 study =
             (p.Sweep.db_size / 1024 / 1024))
         (Sweep.log_region_sweep trace))
     traces;
-  with_csv "fig5_6.csv" (fun oc ->
+  with_csv csv_dir "fig5_6.csv" (fun oc ->
       output_string oc "trace,log_region_kb,merges,sector_writes,t_ipl_s,db_size_mb\n";
       List.iter
         (fun trace ->
@@ -296,7 +272,7 @@ let figures_5_and_6 study =
 (* ------------------------------------------------------------------ *)
 (* Figure 7: varying buffer sizes                                      *)
 
-let figure7 study =
+let figure7 ~csv_dir study =
   section "Figure 7: IPL vs conventional server across buffer-pool sizes (1GB DB)";
   let series =
     List.map (fun (mb, trace) -> (Printf.sprintf "%dMB" mb, trace)) study.series_1g
@@ -311,7 +287,7 @@ let figure7 study =
         p.Sweep.result.Sim.sector_writes p.Sweep.result.Sim.merges p.Sweep.t_ipl (conv 0.9)
         (conv 0.5))
     points;
-  with_csv "fig7.csv" (fun oc ->
+  with_csv csv_dir "fig7.csv" (fun oc ->
       output_string oc "buffer,sector_writes,merges,t_ipl_s,t_conv_09_s,t_conv_05_s\n";
       List.iter
         (fun (p : Sweep.buffer_point) ->
@@ -619,7 +595,9 @@ let ablation_selective_merge_threshold () =
 (* ------------------------------------------------------------------ *)
 (* Instrumented backend comparison → BENCH_ipl.json                    *)
 
-let obs_bench_export () =
+(* [channels] x [ways]: device geometry for the instrumented IPL
+   backend. *)
+let obs_bench_export ~quick ~channels ~ways =
   section "Instrumented backend comparison (lib/obs)";
   let spec = if quick then Workload.Obs_bench.quick else Workload.Obs_bench.default in
   let spec = { spec with Workload.Obs_bench.channels; ways } in
@@ -782,19 +760,19 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
-let () =
+let run quick skip_micro csv_dir channels ways =
   (* Large retained heaps (the 1 GB logical database) behave much better
      with a roomier GC on this machine. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024; space_overhead = 200 };
   Printf.printf "In-Page Logging reproduction benchmark%s\n" (if quick then " (--quick)" else "");
   table1 ();
-  tables_3_and_2 ();
-  let study = generate_study () in
+  tables_3_and_2 ~csv_dir;
+  let study = generate_study ~quick in
   table4 study;
-  figure4 study;
+  figure4 ~csv_dir study;
   table5 study;
-  figures_5_and_6 study;
-  figure7 study;
+  figures_5_and_6 ~csv_dir study;
+  figure7 ~csv_dir study;
   table6 ();
   ablation_baseline_replay study;
   ablation_fill_policy study;
@@ -804,6 +782,45 @@ let () =
   ablation_group_commit ();
   ablation_background_merge ();
   ablation_selective_merge_threshold ();
-  obs_bench_export ();
+  obs_bench_export ~quick ~channels ~ways;
   if not skip_micro then micro ();
   Printf.printf "\nDone.\n"
+
+open Cmdliner
+
+let quick_t =
+  Arg.(
+    value & flag
+    & info [ "quick" ]
+        ~doc:
+          "Scale the TPC-C study down (1 warehouse, small pools) for a fast smoke run \
+           instead of the paper's 1 GB configuration.")
+
+let skip_micro_t =
+  Arg.(value & flag & info [ "skip-micro" ] ~doc:"Skip the Bechamel micro-benchmarks.")
+
+let csv_dir_t =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "csv-dir" ] ~docv:"DIR"
+        ~doc:"Also write plot-ready data files for each figure into $(docv).")
+
+let geometry_t name what =
+  Arg.(
+    value & opt int 1
+    & info [ name ] ~docv:"N"
+        ~doc:
+          (Printf.sprintf
+             "Flash %s of the instrumented IPL backend behind BENCH_ipl.json (the \
+              baseline replays always run serial)."
+             what))
+
+let () =
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "main" ~doc:"Reproduce the paper's tables and figures, with ablations.")
+          Term.(
+            const run $ quick_t $ skip_micro_t $ csv_dir_t $ geometry_t "channels" "channels"
+            $ geometry_t "ways" "ways per channel")))

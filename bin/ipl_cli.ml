@@ -213,7 +213,8 @@ let crash_campaign ops sample stride lazy_mode seed transactions pages no_tear b
       ~jobs spec
   in
   if lazy_mode then
-    Printf.printf "lazy-recovery mode: every crash point checked lazy == eager\n";
+    Printf.printf
+      "checkpointed mode: every crash point checked first touch == drain first\n";
   Format.printf "%a@." Fault.Campaign.pp_report report;
   let nviol = List.length report.Fault.Campaign.violations in
   if broken then
@@ -262,7 +263,7 @@ let concurrent_campaign ops sample stride lazy_mode seed transactions pages no_t
       ~lazy_mode ~sessions ~jobs spec
   in
   Printf.printf "concurrent campaign: %d sessions%s\n" sessions
-    (if lazy_mode then " (lazy == eager checked)" else "");
+    (if lazy_mode then " (first touch == drain first checked)" else "");
   Format.printf "%a@." Fault.Campaign.pp_report report;
   if report.Fault.Campaign.violations <> [] then exit 1
 
@@ -302,9 +303,11 @@ let lazy_t =
     value & flag
     & info [ "lazy" ]
         ~doc:
-          "Lazy-recovery equivalence mode: restart every crashed chip with on-demand page \
-           repair (fuzzy checkpoints enabled) and require its logical digest to match an \
-           eagerly recovered twin, before and after the repair drain.")
+          "Checkpointed mode: run the campaign with a fuzzy checkpoint every 16 commits, \
+           so every restart repairs checkpoint-covered pages at first touch, and require \
+           each crashed chip's logical digest to match a twin restarted from the same \
+           crashed state that drains every repair before its first read, both before and \
+           after the first engine's own drain.")
 
 let fc_transactions_t =
   Arg.(
@@ -519,8 +522,9 @@ let bench_restart_t =
     & info [ "restart" ]
         ~doc:
           "Also run the restart-availability benchmark: simulated time to the first \
-           committed transaction after a crash, eager full-scan recovery versus lazy \
-           (fuzzy-checkpoint) recovery, over three database sizes. With $(b,--json) the \
+           committed transaction after a crash over a fuzzy checkpoint, with the \
+           restart's repairs drained first (eager) versus left to first touch (lazy), \
+           over three database sizes. With $(b,--json) the \
            results are appended to the document under $(i,restart).")
 
 let bench_spares_t =

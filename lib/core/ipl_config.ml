@@ -18,7 +18,6 @@ type t = {
          submission stalls the host clock. 1 x 1 is the paper's serial
          chip. *)
   checkpoint_every : int;
-  lazy_recovery : bool;
 }
 
 let default =
@@ -38,7 +37,6 @@ let default =
     ways = 1;
     queue_depth = 64;
     checkpoint_every = 0;
-    lazy_recovery = false;
   }
 
 let data_pages_per_eu t ~block_size = (block_size - t.log_region_bytes) / t.page_size

@@ -57,14 +57,10 @@ type t = {
           table and the durable transaction-log watermark — to the
           metadata log, without quiescing. A checkpoint bounds the
           restart scan: recovery replays meta events as always but only
-          reads flash log sectors written {e after} the checkpoint *)
-  lazy_recovery : bool;
-      (** false (default): restart eagerly re-reads every erase unit's
-          log region, exactly the pre-checkpoint behaviour. true:
-          restart builds a per-erase-unit repair plan from the last
-          checkpoint instead and returns immediately; pages are repaired
-          on first touch (or by {!Ipl_engine.drain_repairs}), warming
-          the log-record cache from the sectors the scan decodes *)
+          reads flash log sectors written {e after} the checkpoint, and
+          each covered prefix is replayed on the unit's first touch (or
+          by {!Ipl_engine.drain_repairs}). Without a usable checkpoint,
+          restart reads every erase unit's whole log *)
 }
 
 val default : t

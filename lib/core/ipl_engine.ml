@@ -707,7 +707,7 @@ let checkpoint t =
       Trx_log.force log
   | None -> ());
   (* The explicit checkpoint doubles as a fuzzy-checkpoint emission
-     point (forced, unlike the cadence-driven ones), so a lazy restart
+     point (forced, unlike the cadence-driven ones), so a restart
      after a clean checkpoint has nothing to rescan. *)
   if t.config.Ipl_config.checkpoint_every > 0 then begin
     t.commits_since_ckpt <- 0;

@@ -97,13 +97,14 @@ val restart_device :
     aborted (their ids are returned); everything else is reconstructed
     on demand by the normal read path.
 
-    With [config.lazy_recovery] set and a usable fuzzy checkpoint on the
-    metadata log, the restart scan reads only each erase unit's
-    post-checkpoint log delta and returns as soon as the mapping and
-    record counts are rebuilt; the covered log prefixes are re-read on
-    first touch or via {!drain_repairs} (see {!Ipl_storage.recover}).
-    Logical content is identical to an eager restart from the first
-    transaction onward — only the flash-read schedule differs. *)
+    With a usable fuzzy checkpoint on the metadata log, the restart scan
+    reads only each covered erase unit's post-checkpoint log delta and
+    returns as soon as the mapping and record counts are rebuilt; the
+    covered log prefixes are re-read on first touch or via
+    {!drain_repairs} (see {!Ipl_storage.recover}). Without one it reads
+    every unit's whole log. Logical content is the same either way, and
+    the same whether the repairs run at first touch or are drained
+    first — only the flash-read schedule differs. *)
 
 val restart :
   ?config:Ipl_config.t ->
@@ -241,10 +242,10 @@ val page_free_space : t -> int -> (int, error) result
 
 val checkpoint : t -> (unit, error) result
 (** Flush all in-memory log sectors and force the metadata (and
-    transaction) logs; a full device quiesce. Drains all pending lazy
+    transaction) logs; a full device quiesce. Drains all pending restart
     repairs first, and — when [config.checkpoint_every > 0] — forces a
-    fresh fuzzy checkpoint, so a lazy restart after a clean checkpoint
-    has nothing to rescan. *)
+    fresh fuzzy checkpoint, so a restart after a clean checkpoint has
+    nothing to rescan. *)
 
 val compact : t -> max_merges:int -> (int, error) result
 (** Background merging: merge up to [max_merges] of the erase units whose
@@ -254,8 +255,9 @@ val compact : t -> max_merges:int -> (int, error) result
     catch-up budget. *)
 
 val repair_pending : t -> int
-(** Erase units still awaiting on-demand repair after a lazy restart
-    (0 after an eager restart, and once repair has drained). *)
+(** Erase units still awaiting on-demand repair after a restart (0 when
+    no usable checkpoint covered any unit, and once repair has
+    drained). *)
 
 val drain_repairs : t -> max_eus:int -> (int, error) result
 (** Background repair drainer: repair up to [max_eus] pending units now

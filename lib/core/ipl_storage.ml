@@ -71,8 +71,8 @@ type t = {
          virtual address under a bad-block manager, so relocations do
          not disturb entries) *)
   repairs : Log_record.t Recovery.Repair_table.t;
-      (* erase units a lazy restart still owes a replay, keyed by
-         [eu.phys]; empty except between a lazy restart and the moment
+      (* erase units a restart still owes a replay, keyed by [eu.phys];
+         empty except between a restart over a checkpoint and the moment
          every unit has been touched or drained *)
   mutable last_ckpt_footer : (int list * int) option;
       (* (active, trx_watermark) of the newest emitted checkpoint, so a
@@ -82,13 +82,8 @@ type t = {
       (* a merge is rewriting a unit right now: between the overflow
          release and the durability point its counts and overflow list
          disagree, so a compaction snapshot must not re-emit checkpoint
-         coverage (dropping the checkpoint is safe — restart just falls
-         back to the eager scan) *)
-  mutable pending_reclaims : int list;
-      (* dirty unmapped blocks a lazy restart left unerased: reclamation
-         erases dominate restart latency, so a lazy restart defers them
-         here and they are retired by the background drainer — or, at the
-         latest, by an allocation that finds the free pool empty *)
+         coverage (dropping the checkpoint is safe — restart just reads
+         every unit's whole log) *)
   mutable current_overflow : int option;
   fills : eu_info option array;
       (* unit receiving new page allocations, one per device channel so
@@ -175,7 +170,6 @@ let mk ?(config = Ipl_config.default) ?bbm dev ~first_block ~num_blocks ~txn_sta
     repairs = Recovery.Repair_table.create ();
     last_ckpt_footer = None;
     in_merge = false;
-    pending_reclaims = [];
     current_overflow = None;
     fills = Array.make (Dev.num_chips dev) None;
     next_page = 0;
@@ -355,34 +349,16 @@ let reclaim_eu t b =
   | () -> free_pool_add t b
   | exception (Chip.Erase_error _ | Resilience.Bbm.Degraded) -> ()
 
-(* Retire every reclamation erase a lazy restart deferred. Returns
-   whether any ran — an allocation that got here with an empty pool must
-   not fail while deferred units still exist. *)
-let drain_pending_reclaims t =
-  match t.pending_reclaims with
-  | [] -> false
-  | blocks ->
-      t.pending_reclaims <- [];
-      List.iter (reclaim_eu t) blocks;
-      true
-
 (* ------------------------------------------------------------------ *)
 (* Free-unit allocation                                                *)
 
 let alloc_eu ?channel t =
-  let take () =
+  let taken =
     match channel with
     | Some c -> free_pool_take_min_on t ~channel:c
     | None -> free_pool_take_min t
   in
-  match take () with
-  | Some b -> b
-  | None -> (
-      if not (drain_pending_reclaims t) then
-        failwith "Ipl_storage: out of erase units";
-      match take () with
-      | Some b -> b
-      | None -> failwith "Ipl_storage: out of erase units")
+  match taken with Some b -> b | None -> failwith "Ipl_storage: out of erase units"
 
 (* ------------------------------------------------------------------ *)
 (* Low-level sector helpers                                            *)
@@ -404,26 +380,32 @@ let submit_data_page t ~cls eu_phys idx (page : Page.t) =
 
 let sector_size t = (Dev.config t.dev).FConfig.sector_size
 
-(* All log records stored for an erase unit, in application order:
-   in-page log sectors by slot, then overflow sectors oldest-first. *)
-let read_eu_log_records_uncached ?cls t eu =
-  let ss = sector_size t in
-  let records = ref [] in
-  if eu.used_log > 0 then begin
-    let blob = dev_read ?cls t ~sector:(log_sector_addr t eu.phys 0) ~count:eu.used_log in
-    t.c_log_sector_reads <- t.c_log_sector_reads + eu.used_log;
-    for i = 0 to eu.used_log - 1 do
-      let sector = Bytes.sub blob (i * ss) ss in
-      records := Log_sector.deserialize sector :: !records
-    done
-  end;
-  List.iter
+(* The records of a unit's in-region log sectors [first, first + count),
+   in slot order, fetched with one read. *)
+let read_log_region ?cls t eu ~first ~count =
+  if count <= 0 then []
+  else begin
+    let ss = sector_size t in
+    let blob = dev_read ?cls t ~sector:(log_sector_addr t eu.phys first) ~count in
+    t.c_log_sector_reads <- t.c_log_sector_reads + count;
+    List.concat (List.init count (fun i -> Log_sector.deserialize (Bytes.sub blob (i * ss) ss)))
+  end
+
+(* The records of the given overflow sectors, one read each, in list
+   order. *)
+let read_overflow_sectors ?cls t addrs =
+  List.concat_map
     (fun addr ->
       let sector = dev_read ?cls t ~sector:addr ~count:1 in
       t.c_log_sector_reads <- t.c_log_sector_reads + 1;
-      records := Log_sector.deserialize sector :: !records)
-    (List.rev eu.overflow_rev);
-  List.concat (List.rev !records)
+      Log_sector.deserialize sector)
+    addrs
+
+(* All log records stored for an erase unit, in application order:
+   in-page log sectors by slot, then overflow sectors oldest-first. *)
+let read_eu_log_records_uncached ?cls t eu =
+  let in_region = read_log_region ?cls t eu ~first:0 ~count:eu.used_log in
+  in_region @ read_overflow_sectors ?cls t (List.rev eu.overflow_rev)
 
 let eu_log_empty eu = eu.used_log = 0 && eu.overflow_rev = []
 
@@ -488,22 +470,9 @@ let note_records eu records =
 let repair_eu t eu (e : Log_record.t Recovery.Repair_table.entry) =
   Recovery.Repair_table.remove t.repairs ~eu:eu.phys;
   if Cache.Log_cache.enabled t.cache then begin
-    let ss = sector_size t in
-    let pre_in =
-      if e.pre_in = 0 then []
-      else begin
-        let blob = dev_read t ~sector:(log_sector_addr t eu.phys 0) ~count:e.pre_in in
-        t.c_log_sector_reads <- t.c_log_sector_reads + e.pre_in;
-        List.concat
-          (List.init e.pre_in (fun i -> Log_sector.deserialize (Bytes.sub blob (i * ss) ss)))
-      end
-    in
+    let pre_in = read_log_region t eu ~first:0 ~count:e.pre_in in
     let pre_over =
-      List.concat_map
-        (fun addr ->
-          let sector = dev_read t ~sector:addr ~count:1 in
-          t.c_log_sector_reads <- t.c_log_sector_reads + 1;
-          Log_sector.deserialize sector)
+      read_overflow_sectors t
         (List.filteri (fun i _ -> i < e.pre_over) (List.rev eu.overflow_rev))
     in
     Cache.Log_cache.install t.cache eu.phys (pre_in @ e.delta_in @ pre_over @ e.delta_over);
@@ -549,20 +518,7 @@ let repair_step t ~max_eus =
               Recovery.Repair_table.remove t.repairs ~eu:phys);
           go (n + 1)
   in
-  let repaired = go 0 in
-  (* Leftover budget retires deferred reclamation erases, so a full
-     drain leaves no background debt at all. *)
-  let rec reclaim n =
-    if n < max_eus then
-      match t.pending_reclaims with
-      | [] -> ()
-      | b :: rest ->
-          t.pending_reclaims <- rest;
-          reclaim_eu t b;
-          reclaim (n + 1)
-  in
-  reclaim repaired;
-  repaired
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Page allocation                                                     *)
@@ -1413,13 +1369,14 @@ let recover ?config ?bbm ?(trx_durable = 0) dev ~first_block ~num_blocks ~txn_st
       | Meta_log.Remap _ | Meta_log.Retire _ | Meta_log.Degraded -> ())
     meta_events;
   t.last_ckpt_footer <- !cov_footer;
-  let lazy_on = t.config.Ipl_config.lazy_recovery && !cov_footer <> None in
   (* Rebuild log-sector usage and record counts. Free-state scans cost no
-     simulated time; the flash reads do. Eagerly (or for units the
-     checkpoint does not vouch for) the whole log region is read back;
-     under lazy recovery a covered unit's counts are seeded from the
-     checkpoint, only the post-checkpoint delta is read and decoded, and
-     an entry in the repair table records what first touch still owes. *)
+     simulated time; the flash reads do. A unit the checkpoint vouches
+     for has its counts seeded from the checkpoint and only its
+     post-checkpoint delta read and decoded; any other unit is covered up
+     to nothing, so its delta is its whole log. A unit whose covered
+     prefix is non-empty is filed in the repair table, which records what
+     first touch still owes; any other unit has been read in full, and its
+     records go straight into the log-record cache as a restart miss. *)
   Hashtbl.iter
     (fun _ eu ->
       let rec used i =
@@ -1428,62 +1385,43 @@ let recover ?config ?bbm ?(trx_durable = 0) dev ~first_block ~num_blocks ~txn_st
         else i
       in
       eu.used_log <- used 0;
-      let cov = if lazy_on then Hashtbl.find_opt cov_effective eu.phys else None in
-      match cov with
-      | Some (ck_used, ck_over, ck_counts)
-        when ck_used <= eu.used_log && ck_over <= List.length eu.overflow_rev ->
-          Hashtbl.reset eu.txn_counts;
-          eu.total_records <- 0;
-          List.iter
-            (fun (txid, n) ->
-              Hashtbl.replace eu.txn_counts txid
-                (n + Option.value ~default:0 (Hashtbl.find_opt eu.txn_counts txid)))
-            ck_counts;
-          eu.total_records <- List.fold_left (fun a (_, n) -> a + n) 0 ck_counts;
-          let ss = sector_size t in
-          let delta_in =
-            if eu.used_log > ck_used then begin
-              let count = eu.used_log - ck_used in
-              let blob = dev_read t ~sector:(log_sector_addr t eu.phys ck_used) ~count in
-              t.c_log_sector_reads <- t.c_log_sector_reads + count;
-              List.concat
-                (List.init count (fun i ->
-                     Log_sector.deserialize (Bytes.sub blob (i * ss) ss)))
-            end
-            else []
-          in
-          let delta_over =
-            (* [overflow_rev] is newest-first: the first
-               [length - ck_over] entries postdate the checkpoint; read
-               them oldest-first. *)
-            let beyond = List.length eu.overflow_rev - ck_over in
-            List.concat_map
-              (fun addr ->
-                let sector = dev_read t ~sector:addr ~count:1 in
-                t.c_log_sector_reads <- t.c_log_sector_reads + 1;
-                Log_sector.deserialize sector)
-              (List.rev (List.filteri (fun i _ -> i < beyond) eu.overflow_rev))
-          in
-          let delta = delta_in @ delta_over in
-          note_records eu delta;
-          if ck_used > 0 || ck_over > 0 || delta <> [] then begin
-            let pages =
-              List.sort_uniq compare (List.map (fun r -> r.Log_record.page) delta)
-            in
-            Recovery.Repair_table.add t.repairs ~eu:eu.phys
-              {
-                Recovery.Repair_table.pre_in = ck_used;
-                pre_over = ck_over;
-                delta_in;
-                delta_over;
-                pages;
-              }
-          end
-      | _ ->
-          let records = read_eu_log_records t eu in
-          Hashtbl.reset eu.txn_counts;
-          eu.total_records <- 0;
-          note_records eu records)
+      let ck_used, ck_over, ck_counts =
+        match Hashtbl.find_opt cov_effective eu.phys with
+        | Some ((u, o, _) as cov) when u <= eu.used_log && o <= List.length eu.overflow_rev
+          ->
+            cov
+        | _ -> (0, 0, [])
+      in
+      Hashtbl.reset eu.txn_counts;
+      List.iter
+        (fun (txid, n) ->
+          Hashtbl.replace eu.txn_counts txid
+            (n + Option.value ~default:0 (Hashtbl.find_opt eu.txn_counts txid)))
+        ck_counts;
+      eu.total_records <- List.fold_left (fun a (_, n) -> a + n) 0 ck_counts;
+      let delta_in = read_log_region t eu ~first:ck_used ~count:(eu.used_log - ck_used) in
+      let delta_over =
+        (* [overflow_rev] is newest-first: the first [length - ck_over]
+           entries postdate the checkpoint; read them oldest-first. *)
+        let beyond = List.length eu.overflow_rev - ck_over in
+        read_overflow_sectors t
+          (List.rev (List.filteri (fun i _ -> i < beyond) eu.overflow_rev))
+      in
+      let delta = delta_in @ delta_over in
+      note_records eu delta;
+      if ck_used > 0 || ck_over > 0 then
+        Recovery.Repair_table.add t.repairs ~eu:eu.phys
+          {
+            Recovery.Repair_table.pre_in = ck_used;
+            pre_over = ck_over;
+            delta_in;
+            delta_over;
+            pages = List.sort_uniq compare (List.map (fun r -> r.Log_record.page) delta);
+          }
+      else if Cache.Log_cache.enabled t.cache && not (eu_log_empty eu) then begin
+        Cache.Log_cache.install t.cache eu.phys delta;
+        cache_note t eu ~hit:false
+      end)
     t.data_eus;
   Hashtbl.iter
     (fun phys info ->
@@ -1502,7 +1440,6 @@ let recover ?config ?bbm ?(trx_durable = 0) dev ~first_block ~num_blocks ~txn_st
   for b = first_block to first_block + num_blocks - 1 do
     if (not (Hashtbl.mem t.data_eus b)) && not (Hashtbl.mem t.overflow_eus b) then
       if dev_free_in_block t b >= t.sectors_per_block then free_pool_add t b
-      else if lazy_on then t.pending_reclaims <- b :: t.pending_reclaims
       else reclaim_eu t b
   done;
   (* Resume filling: one unit with a usable free slot per channel, if

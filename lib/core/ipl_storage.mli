@@ -26,10 +26,10 @@
     without re-scanning the flash log region. The cache is write-through
     (appends mirror successful log programs) and invalidated when a merge
     rewrites a unit; it holds no state flash does not, so crash recovery
-    is unaffected. An eager restart re-warms it as a side effect of the
-    recovery rescan (each unit's decoded records are installed, counted
-    as [log_cache_misses]); a lazy restart re-warms each covered unit at
-    first touch instead, counted as [log_cache_warm_entries].
+    is unaffected. A restart re-warms it: a unit it reads in full has
+    its decoded records installed right away, counted as
+    [log_cache_misses]; a checkpoint-covered unit is re-warmed at first
+    touch instead, counted as [log_cache_warm_entries].
     [log_cache_bytes = 0] disables it, reproducing the uncached engine
     bit-for-bit.
 
@@ -47,10 +47,10 @@
     log grows and is invalidated only when a merge or an overflow
     release recycles the unit (recovery voids coverage on those events).
 
-    With [Ipl_config.lazy_recovery] set, {!recover} seeds each covered
-    unit's record counts from the checkpoint, reads only the
-    post-checkpoint {e delta} of its log, and files the unit in a repair
-    table. The covered prefix is then re-read and replayed on-demand —
+    {!recover} seeds each covered unit's record counts from the last
+    usable checkpoint, reads only the post-checkpoint {e delta} of its
+    log, and files the unit in a repair table; a unit no checkpoint
+    covers is read in full. The covered prefix is then re-read and replayed on-demand —
     at the unit's first read, merge or log flush ({!Obs.Event.Page_repaired})
     — or drained in the background via {!repair_step}. Until a unit is
     repaired its full record list has not been materialised, but its
@@ -124,11 +124,11 @@ val recover :
     [trx_durable] is the recovered transaction log's durable sector count
     ({!Trx_log.durable_sectors} after {!Trx_log.recover}); a checkpoint
     footer whose watermark exceeds it is discarded, since the statuses
-    its counts were filtered against never reached flash. When
-    [config.lazy_recovery] is set and a usable checkpoint is found, the
-    scan reads only each covered unit's post-checkpoint log delta and
-    defers the covered prefix to on-demand repair (see the header);
-    otherwise the scan is eager and the repair table stays empty. *)
+    its counts were filtered against never reached flash. The scan
+    reads only each covered unit's post-checkpoint log delta and defers
+    the covered prefix to on-demand repair (see the header); units no
+    usable checkpoint covers are read in full, and without one the
+    repair table stays empty. *)
 
 val config : t -> Ipl_config.t
 
@@ -202,19 +202,18 @@ val emit_checkpoint : t -> active:int list -> trx_watermark:int -> unit
     compactions, so a checkpoint survives compaction. *)
 
 val repair_pending : t -> int
-(** Erase units still awaiting on-demand repair after a lazy restart
-    (0 on an eager restart, and once repair has drained). *)
+(** Erase units still awaiting on-demand repair after a restart (0 when
+    no usable checkpoint covered any unit, and once repair has
+    drained). *)
 
 val repair_step : t -> max_eus:int -> int
 (** Repair up to [max_eus] pending units (lowest-numbered first): re-read
     each unit's covered log prefix, re-install its full decoded record
     list into the cache, and emit {!Obs.Event.Page_repaired} per touched
-    page. Leftover budget then retires reclamation erases the lazy
-    restart deferred (dirty unmapped blocks it left unerased to get off
-    the critical path), so a [max_int] drain leaves no background debt.
-    Returns the number of units repaired (deferred erases are not
-    counted). Used by the engine's background drainer; first-touch
-    repair happens implicitly on reads, merges and log flushes. *)
+    page. Returns the number of units repaired; a [max_int] drain leaves
+    no background debt. Used by the engine's background drainer;
+    first-touch repair happens implicitly on reads, merges and log
+    flushes. *)
 
 val merge_fullest : t -> max_merges:int -> int
 (** Merge up to [max_merges] data erase units, fullest log region first,

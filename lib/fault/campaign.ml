@@ -18,12 +18,10 @@ type report = {
 (* Small pool so evictions (and their log-sector flushes) happen mid-run. *)
 let engine_config = { Config.default with Config.recovery_enabled = true; buffer_pages = 8 }
 
-(* Lazy-recovery variant: same deliberately small pool, plus a fuzzy
+(* Checkpointed variant: same deliberately small pool, plus a fuzzy
    checkpoint every 16 commits so the restart under test actually has
-   coverage to lean on. [lazy_recovery] is set only on the engine doing
-   the restart — the crashed state itself is produced identically. *)
-let recovery_config ~lazy_recovery =
-  { engine_config with Config.checkpoint_every = 16; lazy_recovery }
+   coverage to lean on. *)
+let recovery_config = { engine_config with Config.checkpoint_every = 16 }
 
 let chip_config () = FConfig.default ~num_blocks:32 ()
 
@@ -52,8 +50,8 @@ let thin ~stride points =
 (* Logical digest of an engine's committed state: every page/slot value
    in a fixed order, hashed. Two engines with identical logical content
    produce equal digests regardless of physical flash layout — the
-   lazy-vs-eager equivalence check. Reading every slot also drives the
-   lazy engine's first-touch repairs. *)
+   first-touch-vs-drain-first equivalence check. Reading every slot also
+   drives the engine's first-touch repairs. *)
 let digest engine ~pages ~slots =
   let buf = Buffer.create 4096 in
   Array.iter
@@ -69,32 +67,34 @@ let digest engine ~pages ~slots =
     pages;
   Digest.string (Buffer.contents buf)
 
-(* Restart an eager twin from an identically crashed chip and require its
-   logical digest to match the lazy engine's — once right after the lazy
-   restart (first-touch repairs fire during the digest reads) and again
-   after the background drainer has settled every remaining unit. *)
-let lazy_vs_eager ~eager_config ~crashed lazy_engine ~pages ~slots =
-  let chip_e, _oracle_e, _pages_e = crashed () in
-  match Engine.restart ~config:eager_config chip_e with
-  | exception e -> [ "eager twin restart raised: " ^ Printexc.to_string e ]
-  | eager_engine, _aborted ->
-      let de = digest eager_engine ~pages ~slots in
-      let dl = digest lazy_engine ~pages ~slots in
+(* Restart a drain-first twin from an identically crashed chip: it
+   settles every repair with [drain_repairs] before its first read. Its
+   logical digest must match the first-touch engine's — once right after
+   that engine's restart (its first-touch repairs fire during the digest
+   reads) and again after its own drain has settled every remaining
+   unit. *)
+let drain_first_twin ~config ~crashed engine ~pages ~slots =
+  let drained engine what =
+    match Engine.drain_repairs engine ~max_eus:max_int with
+    | Error e -> [ what ^ " drain_repairs: " ^ Engine.error_to_string e ]
+    | Ok _ when Engine.repair_pending engine <> 0 ->
+        [ what ^ " repairs still pending after full drain" ]
+    | Ok _ -> []
+  in
+  let chip_d, _oracle_d, _pages_d = crashed () in
+  match Engine.restart ~config chip_d with
+  | exception e -> [ "drain-first twin restart raised: " ^ Printexc.to_string e ]
+  | twin, _aborted ->
+      let vs = drained twin "twin" in
+      let dd = digest twin ~pages ~slots in
       let vs =
-        if dl <> de then [ "lazy/eager digest mismatch after restart" ] else []
-      in
-      let vs =
-        match Engine.drain_repairs lazy_engine ~max_eus:max_int with
-        | Ok _ -> vs
-        | Error e -> vs @ [ "drain_repairs: " ^ Engine.error_to_string e ]
-      in
-      let vs =
-        if Engine.repair_pending lazy_engine <> 0 then
-          vs @ [ "repairs still pending after full drain" ]
+        if digest engine ~pages ~slots <> dd then
+          vs @ [ "first-touch/drain-first digest mismatch after restart" ]
         else vs
       in
-      if digest lazy_engine ~pages ~slots <> de then
-        vs @ [ "lazy/eager digest mismatch after repair drain" ]
+      let vs = vs @ drained engine "first-touch" in
+      if digest engine ~pages ~slots <> dd then
+        vs @ [ "first-touch/drain-first digest mismatch after repair drain" ]
       else vs
 
 (* The per-point verdict: did the restart complete, did the crash land
@@ -127,11 +127,9 @@ let merge_verdicts ~total_ops ~setup_ops ~gstats verdicts =
 
 let run ?(tear = true) ?(broken = false) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
     ?(lazy_mode = false) ?(jobs = 1) spec =
-  let run_config =
-    if lazy_mode then recovery_config ~lazy_recovery:false else engine_config
-  in
+  let config = if lazy_mode then recovery_config else engine_config in
   (* Golden run: same spec, no faults — just count the flash operations. *)
-  let chip, engine, oracle, pages = fresh ~broken ~config:run_config spec in
+  let chip, engine, oracle, pages = fresh ~broken ~config spec in
   let setup_ops = Chip.op_count chip in
   Workload.run engine oracle spec ~pages;
   let total_ops = Chip.op_count chip in
@@ -140,9 +138,9 @@ let run ?(tear = true) ?(broken = false) ?(max_ops = 0) ?(sample = 0) ?(stride =
   let points = thin ~stride (spread ~lo:setup_ops ~hi sample) in
   let check_point point =
     (* The crashed state is a deterministic function of (spec, point):
-       [crashed] can rebuild a bit-identical chip for the eager twin. *)
+       [crashed] can rebuild a bit-identical chip for the drain-first twin. *)
     let crashed () =
-      let chip, engine, oracle, pages = fresh ~broken ~config:run_config spec in
+      let chip, engine, oracle, pages = fresh ~broken ~config spec in
       Fault_plan.install chip (Fault_plan.crash_at ~tear point);
       (try Workload.run engine oracle spec ~pages with Chip.Power_loss _ -> ());
       Fault_plan.clear chip;
@@ -154,10 +152,7 @@ let run ?(tear = true) ?(broken = false) ?(max_ops = 0) ?(sample = 0) ?(stride =
       | Oracle.In_doubt -> true
       | Oracle.Rolled_back -> false
     in
-    let restart_config =
-      if lazy_mode then recovery_config ~lazy_recovery:true else run_config
-    in
-    match Engine.restart ~config:restart_config chip with
+    match Engine.restart ~config chip with
     | exception e ->
         { point; ok = false; doubt; vs = [ "restart raised: " ^ Printexc.to_string e ] }
     | engine', _aborted ->
@@ -173,7 +168,7 @@ let run ?(tear = true) ?(broken = false) ?(max_ops = 0) ?(sample = 0) ?(stride =
           if not lazy_mode then vs
           else
             vs
-            @ lazy_vs_eager ~eager_config:run_config ~crashed engine' ~pages
+            @ drain_first_twin ~config ~crashed engine' ~pages
                 ~slots:(Workload.max_slots spec)
         in
         { point; ok = true; doubt; vs }
@@ -202,10 +197,8 @@ let fresh_concurrent ~config spec =
    watermark, with conflict-losers and rolled-back transactions absent. *)
 let run_concurrent ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
     ?(lazy_mode = false) ?(sessions = 8) ?(jobs = 1) spec =
-  let run_config =
-    if lazy_mode then recovery_config ~lazy_recovery:false else engine_config
-  in
-  let chip, engine, oracle, pages = fresh_concurrent ~config:run_config spec in
+  let config = if lazy_mode then recovery_config else engine_config in
+  let chip, engine, oracle, pages = fresh_concurrent ~config spec in
   let setup_ops = Chip.op_count chip in
   ignore
     (Workload.run_concurrent engine oracle spec ~sessions ~pages
@@ -216,7 +209,7 @@ let run_concurrent ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
   let points = thin ~stride (spread ~lo:setup_ops ~hi sample) in
   let check_point point =
     let crashed () =
-      let chip, engine, oracle, pages = fresh_concurrent ~config:run_config spec in
+      let chip, engine, oracle, pages = fresh_concurrent ~config spec in
       Fault_plan.install chip (Fault_plan.crash_at ~tear point);
       (try
          ignore
@@ -232,10 +225,7 @@ let run_concurrent ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
       | Concurrent_oracle.In_doubt -> true
       | Concurrent_oracle.Settled -> false
     in
-    let restart_config =
-      if lazy_mode then recovery_config ~lazy_recovery:true else run_config
-    in
-    match Engine.restart ~config:restart_config chip with
+    match Engine.restart ~config chip with
     | exception e ->
         { point; ok = false; doubt; vs = [ "restart raised: " ^ Printexc.to_string e ] }
     | engine', _aborted ->
@@ -251,7 +241,7 @@ let run_concurrent ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
           if not lazy_mode then vs
           else
             vs
-            @ lazy_vs_eager ~eager_config:run_config ~crashed engine' ~pages
+            @ drain_first_twin ~config ~crashed engine' ~pages
                 ~slots:(Workload.max_slots spec)
         in
         { point; ok = true; doubt; vs }

@@ -40,16 +40,17 @@ val run :
     points, spread evenly; [stride] (default 1) then keeps every
     [stride]-th of them.
 
-    [lazy_mode] (default [false]) turns every crash point into a
-    lazy-vs-eager equivalence check: the engine runs with fuzzy
-    checkpoints enabled, the crashed chip is restarted with
-    [lazy_recovery] and oracle-checked as usual, and an {e eager} twin —
-    restarted from a bit-identical crashed chip rebuilt by the
-    deterministic workload — must produce the same logical digest
-    (every page/slot value), both right after the lazy restart and
-    again after {!Ipl_core.Ipl_engine.drain_repairs} has settled every
-    pending unit. Any mismatch is reported as a violation at that crash
-    point.
+    [lazy_mode] (default [false]) runs the engine with a fuzzy
+    checkpoint every 16 commits, so each restart leans on checkpoint
+    coverage and repairs the covered units at first touch; the crashed
+    chip is restarted and oracle-checked as usual. Every crash point
+    then also gets a {e drain-first} twin: a bit-identical crashed chip,
+    rebuilt by the deterministic workload, restarted and fully drained
+    with {!Ipl_core.Ipl_engine.drain_repairs} before any read. Its
+    logical digest (every page/slot value) must equal the first-touch
+    engine's, both right after that engine's restart and again after
+    its own drain has settled every pending unit. Any mismatch is
+    reported as a violation at that crash point.
 
     [jobs] (default 1) fans the crash points across a
     {!Par.Domain_pool} — each point rebuilds its own chip, engine and
@@ -78,8 +79,8 @@ val run_concurrent :
     with conflict-losers and rolled-back transactions absent. [in_doubt]
     counts crash points that hit inside a commit call. [stride],
     [lazy_mode] and [jobs] behave as in {!run} — in particular
-    [lazy_mode] checks lazy-vs-eager digest equality over the concurrent
-    histories too, and [jobs] parallelises the crash points without
+    [lazy_mode] checks first-touch-vs-drain-first digest equality over
+    the concurrent histories too, and [jobs] parallelises the crash points without
     changing the report. *)
 
 (** {1 Resilience campaign}

@@ -11,7 +11,9 @@ eus_repaired_lazily), the concurrency section must be mode-tagged
 and a per_session breakdown), wall_clock must record the jobs the run
 used, and — when the document was produced with --restart — the restart
 section must carry per-spec points and the time_to_first_txn headline
-with both eager_s and lazy_s.
+with both eager_s (restart, full repair drain, then the first
+transaction) and lazy_s (repairs left to first touch). Both columns
+restart the same crashed state along the one restart path.
 
 Usage: check_bench_schema.py BENCH_ipl.json
 Exits non-zero on the first violation.

@@ -566,12 +566,16 @@ let test_store_recover_after_merges () =
   let p = Store.read_page store' pid in
   Alcotest.(check (option bytes)) "content after recovery" (Some (b "40")) (Page.read p 0)
 
-let test_store_recovery_gc_unreferenced_unit () =
-  (* A crash in the middle of a merge leaves a half-written erase unit that
-     no metadata references. Recovery must erase it and return it to the
-     free pool. *)
-  let chip, _, store = mk_store () in
+(* A crash in the middle of a merge leaves a half-written erase unit that
+   no metadata references. Recovery must erase it and return it to the
+   free pool before it returns — also when a fuzzy checkpoint footer on
+   the metadata log lets the restart lean on checkpoint coverage
+   ([ckpt]). *)
+let gc_unreferenced_unit ~ckpt () =
+  let config = if ckpt then { Config.default with Config.checkpoint_every = 1 } else Config.default in
+  let chip, _, store = mk_store ~config () in
   ignore (Store.allocate_page store (page_with [ "live" ]));
+  if ckpt then Store.emit_checkpoint store ~active:[] ~trx_watermark:0;
   Store.force_meta store;
   (* Fake the torn merge: scribble into a free unit behind the manager's
      back. *)
@@ -580,14 +584,20 @@ let test_store_recovery_gc_unreferenced_unit () =
   Alcotest.(check bool) "scribbled" true
     (Chip.free_sectors_in_block chip victim < 256);
   let meta', events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
+  if ckpt then
+    Alcotest.(check bool) "checkpoint footer on the meta log" true
+      (List.exists (function Meta_log.Ckpt _ -> true | _ -> false) events);
   let store' =
-    Store.recover (dev_of chip) ~first_block:2 ~num_blocks:30
+    Store.recover ~config (dev_of chip) ~first_block:2 ~num_blocks:30
       ~txn_status:(fun _ -> Trx_log.Committed)
       ~meta:meta' ~meta_events:events ()
   in
   Alcotest.(check int) "unit erased by GC" 256 (Chip.free_sectors_in_block chip victim);
   (* And it is allocatable again: fill pages until it gets used. *)
   Alcotest.(check bool) "free pool intact" true (Store.free_eus store' >= 28)
+
+let test_store_recovery_gc_unreferenced_unit = gc_unreferenced_unit ~ckpt:false
+let test_store_recovery_gc_under_checkpoint = gc_unreferenced_unit ~ckpt:true
 
 let test_store_detects_corrupt_log_sector () =
   (* Corrupt a written in-page log sector on the chip: the read path must
@@ -719,6 +729,8 @@ let () =
           Alcotest.test_case "recovery (clean)" `Quick test_store_recover_after_clean_shutdown;
           Alcotest.test_case "recovery (after merges)" `Quick test_store_recover_after_merges;
           Alcotest.test_case "recovery GCs torn merges" `Quick test_store_recovery_gc_unreferenced_unit;
+          Alcotest.test_case "recovery GCs torn merges under a checkpoint" `Quick
+            test_store_recovery_gc_under_checkpoint;
           Alcotest.test_case "detects corrupt log sector" `Quick test_store_detects_corrupt_log_sector;
           Alcotest.test_case "out of space" `Quick test_store_out_of_space;
           QCheck_alcotest.to_alcotest prop_store_durability;

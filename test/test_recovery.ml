@@ -1,9 +1,10 @@
 (* Tests of the lazy-restart path: fuzzy checkpoints on the metadata
    log, the page-indexed repair plan a restart builds from them, and
    on-demand page repair. The recurring shape is a deterministic
-   populate run executed twice onto two bit-identical chips, one
-   reopened eagerly and one lazily — the recovered logical content must
-   match slot for slot. *)
+   populate run executed twice: once with checkpoints, and once with
+   [checkpoint_every = 0] as the reference, whose restart has no
+   coverage and so reads every unit's whole log. The recovered logical
+   content must match slot for slot; the physical layouts may differ. *)
 
 module Chip = Flash_sim.Flash_chip
 module FConfig = Flash_sim.Flash_config
@@ -53,15 +54,19 @@ let populate ?(pages = 8) ?(txns = 40) ?(window = 0) config chip =
 let slot0 e page = Engine.Unsafe.read e ~page ~slot:0
 
 (* Every page's slot-0 value, in page order — the logical content the
-   eager and lazy twins must agree on. *)
+   full-read reference and the lazy restart must agree on. *)
 let contents e pages = Array.to_list (Array.map (fun p -> slot0 e p) pages)
+
+(* The full-read reference for [config]: the same engine without
+   checkpoints. *)
+let reference config = { config with Config.checkpoint_every = 0 }
 
 let check_twins ?pages:(np = 8) ?txns ?window config =
   let chip_e = mk_chip () and chip_l = mk_chip () in
-  let pages = populate ~pages:np ?txns ?window config chip_e in
+  let pages = populate ~pages:np ?txns ?window (reference config) chip_e in
   let (_ : int array) = populate ~pages:np ?txns ?window config chip_l in
-  let eager, _ = Engine.restart ~config:{ config with Config.lazy_recovery = false } chip_e in
-  let lzy, _ = Engine.restart ~config:{ config with Config.lazy_recovery = true } chip_l in
+  let eager, _ = Engine.restart ~config:(reference config) chip_e in
+  let lzy, _ = Engine.restart ~config chip_l in
   (* Compare once right after restart (first-touch repair on the read
      path) and once after the background drainer has settled the rest. *)
   Alcotest.(check (list (option bytes)))
@@ -82,7 +87,8 @@ let test_lazy_matches_eager () =
    volatile. Its footer then carries a trx_watermark ahead of the
    durable watermark and a crash must make recovery discard it (promote
    only checkpoints whose watermark is durable) — silently falling back
-   to the eager scan, never replaying unforced records as committed. *)
+   to reading every unit's whole log, never replaying unforced records
+   as committed. *)
 let test_ckpt_spanning_deferred_commits () =
   let config = { base_config with Config.checkpoint_every = 2 } in
   (* 43 txns: the last group-commit window is only partially filled, so
@@ -106,7 +112,7 @@ let test_ckpt_spanning_deferred_commits () =
    repair plan drains fine while mutations keep answering
    [Device_degraded]. *)
 let test_restart_while_degraded () =
-  let config = { base_config with Config.spare_blocks = 1; lazy_recovery = true } in
+  let config = { base_config with Config.spare_blocks = 1 } in
   let chip = mk_chip () in
   let pages = populate config chip in
   (* Exhaust the 1-block spare pool: force every data-area program to
@@ -115,7 +121,7 @@ let test_restart_while_degraded () =
      sit outside the bad-block manager, so the plan must spare them. *)
   let data_start = 8 * FConfig.sectors_per_block (FConfig.default ()) in
   Plan.install chip (Plan.program_failures ~seed:7 ~rate:1.0 ~min_sector:data_start ());
-  let e', _ = Engine.restart ~config:{ config with Config.lazy_recovery = false } chip in
+  let e', _ = Engine.restart ~config chip in
   (* Committed updates force log-sector programs; each forced program
      fails under the plan and costs a remap until the pool is gone. *)
   let rec hammer i =
@@ -156,7 +162,7 @@ let test_restart_while_degraded () =
    repair table is volatile, so the second restart rebuilds its plan
    from flash alone and must reach the same committed content. *)
 let test_double_crash_during_repair () =
-  let config = { base_config with Config.lazy_recovery = true } in
+  let config = base_config in
   let chip = mk_chip () in
   let pages = populate ~pages:8 ~txns:40 config chip in
   (* Every populate transaction committed with commit window 0, so the
@@ -186,7 +192,7 @@ let test_double_crash_during_repair () =
    repair (not by demand misses) are counted, and with the cache
    disabled repair still settles the debt without warming anything. *)
 let test_warm_entries_counted () =
-  let config = { base_config with Config.lazy_recovery = true } in
+  let config = base_config in
   let chip = mk_chip () in
   let pages = populate config chip in
   let e, _ = Engine.restart ~config chip in
@@ -200,14 +206,12 @@ let test_warm_entries_counted () =
   Array.iter (fun p -> Alcotest.(check bool) "readable" true (slot0 e p <> None)) pages
 
 let test_cache_disabled_repair () =
-  let config = { base_config with Config.lazy_recovery = true; log_cache_bytes = 0 } in
+  let config = { base_config with Config.log_cache_bytes = 0 } in
   let chip_l = mk_chip () and chip_e = mk_chip () in
   let pages = populate config chip_l in
-  let (_ : int array) = populate config chip_e in
+  let (_ : int array) = populate (reference config) chip_e in
   let lzy, _ = Engine.restart ~config chip_l in
-  let eager, _ =
-    Engine.restart ~config:{ config with Config.lazy_recovery = false } chip_e
-  in
+  let eager, _ = Engine.restart ~config:(reference config) chip_e in
   let (_ : int) = Engine.Unsafe.drain_repairs lzy ~max_eus:max_int in
   let s = (Engine.stats lzy).Engine.storage in
   Alcotest.(check bool) "units still counted as repaired" true (s.Store.eus_repaired_lazily > 0);
