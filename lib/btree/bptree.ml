@@ -136,13 +136,7 @@ let child_for p key =
    a slot holding [key], finds most hits; the scan settles the rest. *)
 let leaf_find p key =
   let slot = Page.find_sorted_int64 p ~from:1 key in
-  let slot =
-    if slot >= 0 then slot
-    else
-      let floor = Page.nearest_int64 p ~from:1 key ~below:true in
-      if floor >= 0 && entry_key (Page.to_bytes p) (Page.record_offset p floor) = key then floor
-      else -1
-  in
+  let slot = if slot >= 0 then slot else Page.find_int64 p ~from:1 key in
   if slot < 0 then None else Some (slot, entry_value_at p slot)
 
 (* Least [(key, value)] of a pinned leaf with key >= [key]. *)

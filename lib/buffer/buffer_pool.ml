@@ -5,15 +5,23 @@ type 'a frame = {
   mutable pins : int;
   mutable prev : 'a frame option;  (* towards MRU *)
   mutable next : 'a frame option;  (* towards LRU *)
+  self : 'a frame option;  (* [Some] of this frame, allocated once *)
 }
 
 type stats = { hits : int; misses : int; evictions : int; dirty_write_backs : int }
 
+(* Two views of the resident frames. [index] is dense, indexed by page
+   id, and answers every lookup of a key in [0, Array.length index)
+   without hashing; other keys are looked up in [table]. [table] holds
+   every resident frame and is changed exactly as before the index
+   existed, so iterating it — and [flush_all]'s write-back order with
+   it — does not depend on the index. *)
 type 'a t = {
   capacity : int;
   fetch : int -> 'a option -> 'a;
   write_back : int -> 'a -> unit;
   table : (int, 'a frame) Hashtbl.t;
+  mutable index : 'a frame option array;
   mutable mru : 'a frame option;
   mutable lru : 'a frame option;
   mutable hits : int;
@@ -31,6 +39,7 @@ let create ~capacity ~fetch ~write_back () =
     fetch;
     write_back;
     table = Hashtbl.create (2 * capacity);
+    index = Array.make (max 16 (2 * capacity)) None;
     mru = None;
     lru = None;
     hits = 0;
@@ -42,6 +51,34 @@ let create ~capacity ~fetch ~write_back () =
   }
 
 let set_trace t trace = t.trace <- trace
+
+let lookup t key =
+  if key >= 0 && key < Array.length t.index then t.index.(key)
+  else Hashtbl.find_opt t.table key
+
+(* Page ids are handed out in sequence, so the index grows one doubling
+   at a time: a key in [len, 2 len) doubles it, and the resident keys
+   the new half covers move in from the table. Larger keys stay in the
+   table alone, which keeps the index proportional to the ids in use. *)
+let index_frame t f =
+  let len = Array.length t.index in
+  if f.key >= len && f.key < 2 * len then begin
+    let index = Array.make (2 * len) None in
+    Array.blit t.index 0 index 0 len;
+    Hashtbl.iter (fun key fr -> if key >= len && key < 2 * len then index.(key) <- fr.self) t.table;
+    t.index <- index
+  end;
+  if f.key >= 0 && f.key < Array.length t.index then t.index.(f.key) <- f.self
+
+let add_frame t key value =
+  let rec f = { key; value; dirty = false; pins = 0; prev = None; next = None; self = Some f } in
+  Hashtbl.add t.table key f;
+  index_frame t f;
+  f
+
+let remove_frame t f =
+  Hashtbl.remove t.table f.key;
+  if f.key >= 0 && f.key < Array.length t.index then t.index.(f.key) <- None
 
 let set_dirty t f v =
   if f.dirty <> v then begin
@@ -58,14 +95,15 @@ let unlink t f =
 let push_front t f =
   f.next <- t.mru;
   f.prev <- None;
-  (match t.mru with Some m -> m.prev <- Some f | None -> t.lru <- Some f);
-  t.mru <- Some f
+  (match t.mru with Some m -> m.prev <- f.self | None -> t.lru <- f.self);
+  t.mru <- f.self
 
 let touch t f =
-  if t.mru != Some f then begin
-    unlink t f;
-    push_front t f
-  end
+  match t.mru with
+  | Some m when m == f -> ()
+  | _ ->
+      unlink t f;
+      push_front t f
 
 let write_back_frame t f =
   if f.dirty then begin
@@ -86,7 +124,7 @@ let evict_one t =
   let victim = find t.lru in
   write_back_frame t victim;
   unlink t victim;
-  Hashtbl.remove t.table victim.key;
+  remove_frame t victim;
   t.evictions <- t.evictions + 1;
   (match t.trace with
   | None -> ()
@@ -94,7 +132,7 @@ let evict_one t =
   victim.value
 
 let get_frame t key =
-  match Hashtbl.find_opt t.table key with
+  match lookup t key with
   | Some f ->
       t.hits <- t.hits + 1;
       touch t f;
@@ -103,27 +141,35 @@ let get_frame t key =
       t.misses <- t.misses + 1;
       (* A full pool hands the evicted value to [fetch] for reuse. *)
       let evicted = if Hashtbl.length t.table >= t.capacity then Some (evict_one t) else None in
-      let f =
-        { key; value = t.fetch key evicted; dirty = false; pins = 0; prev = None; next = None }
-      in
-      Hashtbl.add t.table key f;
+      let f = add_frame t key (t.fetch key evicted) in
       push_front t f;
       f
 
+(* The unpin is spelled out rather than left to [Fun.protect], whose
+   closures a resident hit would otherwise allocate. *)
 let with_page t key ?(dirty = false) f =
   let frame = get_frame t key in
   frame.pins <- frame.pins + 1;
   if dirty then set_dirty t frame true;
-  Fun.protect ~finally:(fun () -> frame.pins <- frame.pins - 1) (fun () -> f frame.value)
+  match f frame.value with
+  | v ->
+      frame.pins <- frame.pins - 1;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      frame.pins <- frame.pins - 1;
+      Printexc.raise_with_backtrace e bt
+
+let contains t key = match lookup t key with Some _ -> true | None -> false
 
 let mark_dirty t key =
-  match Hashtbl.find_opt t.table key with
+  match lookup t key with
   | Some f -> set_dirty t f true
   | None ->
       invalid_arg (Printf.sprintf "Buffer_pool.mark_dirty: page %d is not cached" key)
 
 let clean t key =
-  match Hashtbl.find_opt t.table key with Some f -> set_dirty t f false | None -> ()
+  match lookup t key with Some f -> set_dirty t f false | None -> ()
 
 (* Insert an externally fetched value as a clean resident frame — the
    batched-prefetch entry point. A later [with_page] of the key is a hit
@@ -131,25 +177,22 @@ let clean t key =
    come from below), keeping hit/miss totals comparable with a
    fetch-on-demand run. No-op when the key is already resident. *)
 let preload t key value =
-  if not (Hashtbl.mem t.table key) then begin
+  if not (contains t key) then begin
     t.misses <- t.misses + 1;
     if Hashtbl.length t.table >= t.capacity then ignore (evict_one t : 'a);
-    let f = { key; value; dirty = false; pins = 0; prev = None; next = None } in
-    Hashtbl.add t.table key f;
-    push_front t f
+    push_front t (add_frame t key value)
   end
-
-let contains t key = Hashtbl.mem t.table key
 
 (* Bump a resident page to MRU without fetching — the prefetch path uses
    this so preloading a batch's missing pages cannot evict the batch's
    already-resident ones. *)
 let promote t key =
-  match Hashtbl.find_opt t.table key with Some f -> touch t f | None -> ()
-let find t key = Option.map (fun f -> f.value) (Hashtbl.find_opt t.table key)
+  match lookup t key with Some f -> touch t f | None -> ()
+
+let find t key = match lookup t key with Some f -> Some f.value | None -> None
 
 let is_dirty t key =
-  match Hashtbl.find_opt t.table key with Some f -> f.dirty | None -> false
+  match lookup t key with Some f -> f.dirty | None -> false
 
 let capacity t = t.capacity
 let cached t = Hashtbl.length t.table
@@ -163,6 +206,7 @@ let drop_all t =
     t.table;
   flush_all t;
   Hashtbl.reset t.table;
+  Array.fill t.index 0 (Array.length t.index) None;
   t.mru <- None;
   t.lru <- None
 

@@ -91,7 +91,7 @@ let flush_frame store trx page frame =
        must be durable, or a crash would leave records whose status lookup
        defaults to "committed". *)
     (match trx with
-    | Some log when List.exists (fun txid -> txid <> 0) (Log_sector.txids frame.log) ->
+    | Some log when Log_sector.has_user_txn frame.log ->
         Trx_log.force log
     | _ -> ());
     Ipl_storage.flush_log store ~page (Log_sector.records frame.log);
@@ -369,7 +369,7 @@ let commit t txid =
     Hashtbl.iter
       (fun pid () ->
         match Pool.find t.pool pid with
-        | Some frame when List.mem txid (Log_sector.txids frame.log) ->
+        | Some frame when Log_sector.has_txid frame.log txid ->
             flush_frame t.store t.trx pid frame;
             Pool.clean t.pool pid
         | _ -> ())

@@ -587,25 +587,11 @@ let lookup t pid =
 (* ------------------------------------------------------------------ *)
 (* Read path                                                           *)
 
-(* One transaction-status lookup per distinct txid within a single
-   operation. Valid only within one storage call: a status can flip
-   (Active -> Committed/Aborted) between calls, never during one. *)
-let memo_status t =
-  let tbl = Hashtbl.create 16 in
-  fun txid ->
-    match Hashtbl.find_opt tbl txid with
-    | Some s -> s
-    | None ->
-        let s = t.txn_status txid in
-        Hashtbl.add tbl txid s;
-        s
-
 let live_records_of_page t eu pid =
   repair_eu_if_pending t eu;
   if eu_log_empty eu then []
   else begin
-    let status = memo_status t in
-    let not_aborted r = status r.Log_record.txid <> Trx_log.Aborted in
+    let not_aborted r = t.txn_status r.Log_record.txid <> Trx_log.Aborted in
     (* The per-page index makes a cache hit proportional to the page's own
        records; only a miss pays for the whole unit. *)
     let mine =
@@ -762,11 +748,10 @@ let overflow_write ?(cls = Dev.Log_flush) t eu sector_bytes =
 (* Split a unit's records by the status of their transactions. Preserves
    order within each class. *)
 let classify t records =
-  let status = memo_status t in
   let committed = ref [] and active = ref [] and dropped = ref 0 in
   List.iter
     (fun r ->
-      match status r.Log_record.txid with
+      match t.txn_status r.Log_record.txid with
       | Trx_log.Committed -> committed := r :: !committed
       | Trx_log.Active -> active := r :: !active
       | Trx_log.Aborted -> incr dropped)
@@ -1031,15 +1016,14 @@ let merge t eu ~pending =
 (* Log flushing                                                        *)
 
 let active_fraction t eu ~pending =
-  let status = memo_status t in
   let active_of records =
     List.fold_left
-      (fun acc r -> if status r.Log_record.txid = Trx_log.Active then acc + 1 else acc)
+      (fun acc r -> if t.txn_status r.Log_record.txid = Trx_log.Active then acc + 1 else acc)
       0 records
   in
   let active_stored =
     Hashtbl.fold
-      (fun txid n acc -> if status txid = Trx_log.Active then acc + n else acc)
+      (fun txid n acc -> if t.txn_status txid = Trx_log.Active then acc + n else acc)
       eu.txn_counts 0
   in
   let total = eu.total_records + List.length pending in

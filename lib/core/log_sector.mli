@@ -40,8 +40,12 @@ val remove_txn : t -> int -> Log_record.t list
 (** Remove and return (in arrival order) all records of a transaction —
     the in-memory half of rolling back an abort. *)
 
-val txids : t -> int list
-(** Distinct transaction ids present, ascending. *)
+val has_txid : t -> int -> bool
+(** Whether any record belongs to this transaction. Allocates nothing. *)
+
+val has_user_txn : t -> bool
+(** Whether any record belongs to a transaction other than txid 0 (the
+    non-transactional writer). Allocates nothing. *)
 
 val serialize : t -> bytes
 (** Exactly [capacity] bytes:

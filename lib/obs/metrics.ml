@@ -17,24 +17,25 @@ module Latency = struct
      profiles, and the representation is a handful of ints no matter how
      many observations arrive. *)
   type t = {
-    buckets : Ipl_util.Histogram.t;
+    buckets : int array;  (* [buckets.(k)]: observations in bucket [k] *)
+    stats : float array;  (* sum, min, max: a float array holds them unboxed *)
     mutable count : int;
-    mutable sum : float;
-    mutable min_v : float;
-    mutable max_v : float;
   }
+
+  let num_buckets = 64
+  let sum_i = 0
+  let min_i = 1
+  let max_i = 2
 
   let create () =
     {
-      buckets = Ipl_util.Histogram.create ~initial_size:64 ();
+      buckets = Array.make num_buckets 0;
+      stats = [| 0.0; Float.infinity; Float.neg_infinity |];
       count = 0;
-      sum = 0.0;
-      min_v = Float.infinity;
-      max_v = Float.neg_infinity;
     }
 
   (* floor(log2 ns) computed on the truncated integer — exact, no float
-     log rounding at bucket boundaries. *)
+     log rounding at bucket boundaries. At most 62 for any [int]. *)
   let bucket_of_seconds v =
     let ns = v *. 1e9 in
     if ns < 1.0 then 0
@@ -45,21 +46,26 @@ module Latency = struct
 
   let observe t v =
     let v = if Float.is_nan v || v < 0.0 then 0.0 else v in
-    Ipl_util.Histogram.incr t.buckets (bucket_of_seconds v);
+    let k = bucket_of_seconds v in
+    t.buckets.(k) <- t.buckets.(k) + 1;
     t.count <- t.count + 1;
-    t.sum <- t.sum +. v;
-    if v < t.min_v then t.min_v <- v;
-    if v > t.max_v then t.max_v <- v
+    let s = t.stats in
+    s.(sum_i) <- s.(sum_i) +. v;
+    if v < s.(min_i) then s.(min_i) <- v;
+    if v > s.(max_i) then s.(max_i) <- v
 
   let count t = t.count
-  let sum t = t.sum
-  let min_seconds t = if t.count = 0 then 0.0 else t.min_v
-  let max_seconds t = if t.count = 0 then 0.0 else t.max_v
-  let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
+  let sum t = t.stats.(sum_i)
+  let min_seconds t = if t.count = 0 then 0.0 else t.stats.(min_i)
+  let max_seconds t = if t.count = 0 then 0.0 else t.stats.(max_i)
+  let mean t = if t.count = 0 then 0.0 else sum t /. float_of_int t.count
 
   let sorted_buckets t =
-    List.sort compare
-      (Ipl_util.Histogram.fold (fun k n acc -> (k, n) :: acc) t.buckets [])
+    let acc = ref [] in
+    for k = num_buckets - 1 downto 0 do
+      if t.buckets.(k) > 0 then acc := (k, t.buckets.(k)) :: !acc
+    done;
+    !acc
 
   let percentile t q =
     if t.count = 0 then 0.0
@@ -69,12 +75,12 @@ module Latency = struct
         Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int t.count)))
       in
       let rec walk cum = function
-        | [] -> t.max_v
+        | [] -> max_seconds t
         | (k, n) :: rest ->
             if cum + n >= rank then
               (* Upper bound of the bucket, clamped to the observed range. *)
               let upper_ns = Float.of_int (1 lsl (k + 1)) in
-              Float.max t.min_v (Float.min t.max_v (upper_ns /. 1e9))
+              Float.max (min_seconds t) (Float.min (max_seconds t) (upper_ns /. 1e9))
             else walk (cum + n) rest
       in
       walk 0 (sorted_buckets t)
@@ -84,7 +90,7 @@ module Latency = struct
     Json.Obj
       [
         ("count", Json.Int t.count);
-        ("sum_s", Json.Float t.sum);
+        ("sum_s", Json.Float (sum t));
         ("min_s", Json.Float (min_seconds t));
         ("max_s", Json.Float (max_seconds t));
         ("mean_s", Json.Float (mean t));

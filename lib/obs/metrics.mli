@@ -2,9 +2,10 @@
 
     A registry maps names to metrics created on first use ([counter] /
     [latency] are get-or-create). Latency histograms keep exact
-    count/sum/min/max plus power-of-two nanosecond buckets (built on
-    {!Ipl_util.Histogram}), so percentile queries cost O(buckets) and the
-    memory footprint is independent of the number of observations. *)
+    count/sum/min/max plus 64 power-of-two nanosecond buckets in flat
+    arrays, so an observation allocates nothing, percentile queries cost
+    O(buckets) and the memory footprint is independent of the number of
+    observations. *)
 
 module Counter : sig
   type t

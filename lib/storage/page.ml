@@ -78,10 +78,16 @@ let compact p =
   Bytes.blit scratch header_size p header_size (!cursor - header_size);
   set_free_start p !cursor
 
+(* The slot loops below step a directory position down from slot 0's
+   entry instead of calling [slot_pos] per slot: at ocamlopt's default
+   [-inline] level, [slot_pos] stays a real call even within this
+   module. *)
 let used_payload p =
   let total = ref 0 in
-  for i = 0 to slot_count p - 1 do
-    total := !total + Bytes.get_uint16_le p (slot_pos p i + 2)
+  let pos = ref (size p - slot_entry_size) in
+  for _ = 1 to slot_count p do
+    total := !total + Bytes.get_uint16_le p (!pos + 2);
+    pos := !pos - slot_entry_size
   done;
   !total
 
@@ -102,10 +108,19 @@ let ensure_room p ~extra_slots ~len =
     contiguous_room p ~extra_slots ~len
   end
 
+(* A page with every slot live has no empty one, which the header's
+   counts say without a scan. *)
 let first_empty_slot p =
   let n = slot_count p in
-  let rec find i = if i >= n then None else if not (is_live p i) then Some i else find (i + 1) in
-  find 0
+  if live_records p = n then None
+  else begin
+    let i = ref 0 and pos = ref (size p - slot_entry_size + 2) in
+    while !i < n && Bytes.get_uint16_le p !pos > 0 do
+      incr i;
+      pos := !pos - slot_entry_size
+    done;
+    if !i < n then Some !i else None
+  end
 
 let append_payload p data =
   let off = free_start p in
@@ -201,10 +216,11 @@ let iter f p =
   done
 
 let iter_in_place f p =
+  let pos = ref (size p - slot_entry_size) in
   for i = 0 to slot_count p - 1 do
-    let pos = slot_pos p i in
-    let len = Bytes.get_uint16_le p (pos + 2) in
-    if len > 0 then f i (Bytes.get_uint16_le p pos) len
+    let len = Bytes.get_uint16_le p (!pos + 2) in
+    if len > 0 then f i (Bytes.get_uint16_le p !pos) len;
+    pos := !pos - slot_entry_size
   done
 
 let record_offset p i = if is_live p i then Bytes.get_uint16_le p (slot_pos p i) else -1
@@ -220,10 +236,10 @@ let key_at p pos = Int64.to_int (Bytes.get_int64_le p (Bytes.get_uint16_le p pos
 let nearest_int64 p ~from key ~below =
   let n = slot_count p in
   let best = ref (-1) and best_key = ref 0 and i = ref (max 0 from) in
+  let pos = ref (slot_pos p !i) in
   while !i < n do
-    let pos = slot_pos p !i in
-    if Bytes.get_uint16_le p (pos + 2) >= 8 then begin
-      let k = key_at p pos in
+    if Bytes.get_uint16_le p (!pos + 2) >= 8 then begin
+      let k = key_at p !pos in
       if k = key then begin
         best := !i;
         i := n
@@ -236,9 +252,20 @@ let nearest_int64 p ~from key ~below =
         best_key := k
       end
     end;
-    incr i
+    incr i;
+    pos := !pos - slot_entry_size
   done;
   !best
+
+let find_int64 p ~from key =
+  let n = slot_count p in
+  let i = ref (max 0 from) in
+  let pos = ref (slot_pos p !i) in
+  while !i < n && (Bytes.get_uint16_le p (!pos + 2) < 8 || key_at p !pos <> key) do
+    incr i;
+    pos := !pos - slot_entry_size
+  done;
+  if !i < n then !i else -1
 
 (* Binary search of slots [lo, hi) for [key], treating slot order as key
    order. A probe that lands on a dead or short slot moves to the next
@@ -248,13 +275,14 @@ let find_sorted_int64 p ~from key =
   let lo = ref (max 0 from) and hi = ref (slot_count p) and found = ref (-1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let j = ref mid in
-    while !j < !hi && Bytes.get_uint16_le p (slot_pos p !j + 2) < 8 do
-      incr j
+    let j = ref mid and pos = ref (slot_pos p mid) in
+    while !j < !hi && Bytes.get_uint16_le p (!pos + 2) < 8 do
+      incr j;
+      pos := !pos - slot_entry_size
     done;
     if !j >= !hi then hi := mid
     else begin
-      let k = key_at p (slot_pos p !j) in
+      let k = key_at p !pos in
       if k = key then begin
         found := !j;
         lo := !hi

@@ -100,6 +100,13 @@ val nearest_int64 : t -> from:int -> int -> below:bool -> int
     or -1 if there is none. The scan stops at the first slot whose key
     equals [key]; among equal keys otherwise, the lowest slot wins. *)
 
+val find_int64 : t -> from:int -> int -> int
+(** [find_int64 p ~from key] is the first slot whose key equals [key],
+    or -1 if there is none. It scans in slot order, so it finds [key]
+    wherever it is; on a page whose keys are unique it is the slot
+    [nearest_int64 ~below:true] returns exactly when that slot's key is
+    [key]. *)
+
 val find_sorted_int64 : t -> from:int -> int -> int
 (** [find_sorted_int64 p ~from key] binary-searches the keyed slots as if
     slot order were key order. It returns a slot only if that slot's key

@@ -6,7 +6,8 @@
 
 val crc32 : ?init:int -> bytes -> pos:int -> len:int -> int
 (** Checksum of [len] bytes starting at [pos], as a non-negative int
-    (32-bit range). [init] chains computations. *)
+    (32-bit range). [init] chains computations: pass the checksum of the
+    preceding bytes (only its low 32 bits are used). *)
 
 val crc32_bytes : bytes -> int
 (** Checksum of a whole byte string. *)

@@ -150,8 +150,9 @@ let test_transactional_abort_rolls_back_index () =
   Alcotest.(check (result unit string)) "invariants" (Ok ()) (B.check_invariants t)
 
 (* A hit on a resident two-level tree pins three pages (header, root,
-   leaf) and searches both nodes in place. The bound leaves the pins'
-   own allocation and no more. *)
+   leaf) and searches both nodes in place. The buffer pool's pins
+   allocate nothing; the bound leaves the engine's result wrappers and
+   callbacks and no more. *)
 let test_find_allocation () =
   let _, _, _, t = mk () in
   for k = 0 to 1_999 do
@@ -164,7 +165,7 @@ let test_find_allocation () =
   let hits = Array.fold_left (fun n k -> if B.find t k = Some (k * 3) then n + 1 else n) 0 probes in
   let words = (Gc.minor_words () -. before) /. float_of_int (Array.length probes) in
   Alcotest.(check int) "every probe hits" (Array.length probes) hits;
-  if words > 160. then Alcotest.failf "a find hit allocates %.1f words" words
+  if words > 100. then Alcotest.failf "a find hit allocates %.1f words" words
 
 (* Property: tree matches a model map under random insert/set/delete. *)
 let prop_tree_vs_model =

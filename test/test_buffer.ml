@@ -196,6 +196,101 @@ let test_fetch_sees_evicted () =
   Alcotest.(check (list string)) "fetch calls" (List.map show expected)
     (List.rev_map show !events)
 
+let read v = !v
+
+let minor_words g =
+  let before = Gc.minor_words () in
+  g ();
+  Gc.minor_words () -. before
+
+(* A hit on a resident page costs no allocation: no closure for the
+   unpin, no hashing, no [Some] for the LRU links. *)
+let test_resident_hit_allocates_nothing () =
+  let pool, _, _ = mk ~capacity:4 () in
+  List.iter (fun k -> ignore (Pool.with_page pool k read)) [ 1; 2; 3 ];
+  let empty = minor_words (fun () -> ()) in
+  let hits =
+    minor_words (fun () ->
+        for k = 1 to 3 do
+          ignore (Pool.with_page pool k read : int);
+          ignore (Pool.with_page pool k ~dirty:true read : int)
+        done)
+  in
+  Alcotest.(check (float 0.)) "no minor words" empty hits;
+  Alcotest.(check int) "all hits" 6 (Pool.stats pool).Pool.hits
+
+let test_raising_callback_unpins () =
+  let pool, _, _ = mk ~capacity:1 () in
+  (match Pool.with_page pool 1 (fun _ -> failwith "boom") with
+  | () -> Alcotest.fail "expected the callback's exception"
+  | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m);
+  (* Page 1 is the only frame: a new page can come in only if it was
+     unpinned. *)
+  Alcotest.(check int) "evictable" 20 (Pool.with_page pool 2 read);
+  Alcotest.(check bool) "evicted" false (Pool.contains pool 1)
+
+(* Negative keys, and keys past the dense index, are resident all the
+   same: every operation finds them. *)
+let test_keys_outside_index () =
+  let pool, fetched, written = mk ~capacity:3 () in
+  let far = 1_000_000 in
+  List.iter (fun k -> ignore (Pool.with_page pool k ~dirty:true read)) [ -5; far; 2 ];
+  Alcotest.(check int) "negative hit" (-50) (Pool.with_page pool (-5) read);
+  Alcotest.(check int) "far hit" (far * 10) (Pool.with_page pool far read);
+  Alcotest.(check int) "two hits" 2 (Pool.stats pool).Pool.hits;
+  Alcotest.(check bool) "contains" true (Pool.contains pool (-5) && Pool.contains pool far);
+  Alcotest.(check bool) "dirty" true (Pool.is_dirty pool far);
+  Pool.clean pool far;
+  Alcotest.(check bool) "cleaned" false (Pool.is_dirty pool far);
+  Pool.mark_dirty pool far;
+  Alcotest.(check (option int)) "find" (Some (-50)) (Option.map ( ! ) (Pool.find pool (-5)));
+  (* With page 2 promoted, page -5 is the least recently used. *)
+  Pool.promote pool 2;
+  ignore (Pool.with_page pool 7 read);
+  Alcotest.(check bool) "LRU evicted" false (Pool.contains pool (-5));
+  Alcotest.(check (list (pair int int))) "written back" [ (-5, -50) ] !written;
+  Alcotest.(check (list int)) "fetches" [ 7; 2; far; -5 ] !fetched
+
+(* The index starts at 2 * capacity entries and doubles when a key in
+   its next doubling arrives; keys that came in before the growth must
+   still be hits after it. *)
+let test_index_growth_preserves_hits () =
+  let pool, fetched, _ = mk ~capacity:8 () in
+  let keys = [ 40; 3; 20; 100; 33; 64; 127 ] in
+  List.iter (fun k -> ignore (Pool.with_page pool k read)) keys;
+  List.iter (fun k -> Alcotest.(check int) "value" (k * 10) (Pool.with_page pool k read)) keys;
+  Alcotest.(check int) "each fetched once" (List.length keys) (List.length !fetched);
+  Alcotest.(check int) "hits" (List.length keys) (Pool.stats pool).Pool.hits
+
+(* [flush_all] writes frames back in the iteration order of a plain
+   [Hashtbl] that saw the same additions and removals: the dense index
+   must not move write-backs. *)
+let test_flush_all_order () =
+  let capacity = 8 in
+  let model = Hashtbl.create (2 * capacity) in
+  let written = ref [] in
+  let pool =
+    Pool.create ~capacity
+      ~fetch:(fun k _ ->
+        Hashtbl.add model k ();
+        ref k)
+      ~write_back:(fun k _ -> written := k :: !written)
+      ()
+  in
+  Pool.set_trace pool
+    (Some (function Obs.Event.Evict { page } -> Hashtbl.remove model page | _ -> ()));
+  let rng = Ipl_util.Rng.of_int 11 in
+  for _ = 1 to 500 do
+    let k = Ipl_util.Rng.int rng 300 - 20 in
+    ignore (Pool.with_page pool k ~dirty:(Ipl_util.Rng.int rng 3 = 0) read)
+  done;
+  let dirty = Hashtbl.fold (fun k () acc -> if Pool.is_dirty pool k then k :: acc else acc) model [] in
+  let expected = List.rev dirty in
+  written := [];
+  Pool.flush_all pool;
+  Alcotest.(check (list int)) "model order" expected (List.rev !written);
+  Alcotest.(check bool) "some written" true (List.length expected > 1)
+
 (* Property: hit+miss accounting and capacity invariant under random access. *)
 let prop_capacity_invariant =
   QCheck.Test.make ~name:"never exceeds capacity; stats consistent" ~count:100
@@ -230,6 +325,12 @@ let () =
           Alcotest.test_case "find does not touch" `Quick test_find_does_not_touch;
           Alcotest.test_case "write back once" `Quick test_write_back_once_per_cleaning;
           Alcotest.test_case "fetch sees evicted" `Quick test_fetch_sees_evicted;
+          Alcotest.test_case "resident hit allocates nothing" `Quick
+            test_resident_hit_allocates_nothing;
+          Alcotest.test_case "raising callback unpins" `Quick test_raising_callback_unpins;
+          Alcotest.test_case "keys outside the index" `Quick test_keys_outside_index;
+          Alcotest.test_case "index growth preserves hits" `Quick test_index_growth_preserves_hits;
+          Alcotest.test_case "flush_all order" `Quick test_flush_all_order;
           QCheck_alcotest.to_alcotest prop_capacity_invariant;
         ] );
     ]

@@ -137,14 +137,24 @@ let test_sector_remove_txn () =
   List.iter
     (fun (tx, n) -> ignore (LS.add ls (mk_update tx 0 n)))
     [ (1, 0); (2, 1); (1, 2); (3, 3) ];
-  Alcotest.(check (list int)) "txids" [ 1; 2; 3 ] (LS.txids ls);
+  let txids () = List.filter (LS.has_txid ls) [ 0; 1; 2; 3; 4 ] in
+  Alcotest.(check (list int)) "txids" [ 1; 2; 3 ] (txids ());
+  Alcotest.(check bool) "user txn" true (LS.has_user_txn ls);
+  let before = Gc.minor_words () in
+  let found = LS.has_txid ls 3 && LS.has_user_txn ls && not (LS.has_txid ls 4) in
+  let words = Gc.minor_words () -. before in
+  let empty = (let b = Gc.minor_words () in Gc.minor_words () -. b) in
+  Alcotest.(check bool) "found" true found;
+  Alcotest.(check (float 0.)) "predicates allocate nothing" empty words;
   let removed = LS.remove_txn ls 1 in
   Alcotest.(check int) "removed" 2 (List.length removed);
   Alcotest.(check int) "remaining" 2 (LS.count ls);
-  Alcotest.(check (list int)) "txids after" [ 2; 3 ] (LS.txids ls);
+  Alcotest.(check (list int)) "txids after" [ 2; 3 ] (txids ());
   let used = LS.bytes_used ls in
   LS.clear ls;
-  Alcotest.(check bool) "cleared" true (LS.is_empty ls && LS.bytes_used ls < used)
+  Alcotest.(check bool) "cleared" true (LS.is_empty ls && LS.bytes_used ls < used);
+  ignore (LS.add ls (mk_update 0 0 4));
+  Alcotest.(check bool) "txid 0 is no user txn" false (LS.has_user_txn ls)
 
 let test_sector_checksum_detects_corruption () =
   let ls = LS.create ~capacity:512 in

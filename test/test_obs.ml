@@ -111,6 +111,41 @@ let test_event_json () =
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 
+(* The JSON of a histogram is pinned byte for byte, clamped inputs and
+   the extreme buckets included. *)
+let test_latency_json_pinned () =
+  let h = Obs.Metrics.Latency.create () in
+  List.iter (Obs.Metrics.Latency.observe h)
+    [ 0.0; -1.0; Float.nan; 3e-10; 1e-9; 1.5e-6; 2e-6; 2e-6; 7.3e-4; 0.25; 12.0; 4e6 ];
+  Alcotest.(check string)
+    "observed"
+    "{\"count\":12,\"sum_s\":4000012.2507355013,\"min_s\":0.0,\"max_s\":4000000.0,\"mean_s\":333334.35422795842,\"p50_s\":2.0480000000000001e-06,\"p90_s\":17.179869184000001,\"p99_s\":4000000.0,\"buckets\":[[1,5],[1024,3],[524288,1],[134217728,1],[8589934592,1],[2251799813685248,1]]}"
+    (Json.to_string (Obs.Metrics.Latency.to_json h));
+  Alcotest.(check string)
+    "empty"
+    "{\"count\":0,\"sum_s\":0.0,\"min_s\":0.0,\"max_s\":0.0,\"mean_s\":0.0,\"p50_s\":0.0,\"p90_s\":0.0,\"p99_s\":0.0,\"buckets\":[]}"
+    (Json.to_string (Obs.Metrics.Latency.to_json (Obs.Metrics.Latency.create ())))
+
+let test_latency_observe_allocates_nothing () =
+  let h = Obs.Metrics.Latency.create () in
+  (* Boxed already, so that passing them allocates nothing either. *)
+  let samples = List.init 64 (fun i -> Float.of_int (i * i) *. 1e-7) in
+  let rec observe_all = function
+    | [] -> ()
+    | v :: rest ->
+        Obs.Metrics.Latency.observe h v;
+        observe_all rest
+  in
+  let minor_words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let empty = minor_words (fun () -> ()) in
+  let observed = minor_words (fun () -> observe_all samples) in
+  Alcotest.(check (float 0.)) "no minor words" empty observed;
+  Alcotest.(check int) "count" 64 (Obs.Metrics.Latency.count h)
+
 let test_metrics () =
   let m = Obs.Metrics.create () in
   let c = Obs.Metrics.counter m "ops" in
@@ -338,7 +373,13 @@ let () =
           Alcotest.test_case "ring buffer" `Quick test_tracer_ring;
           Alcotest.test_case "event json" `Quick test_event_json;
         ] );
-      ("metrics", [ Alcotest.test_case "counters and histograms" `Quick test_metrics ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "counters and histograms" `Quick test_metrics;
+          Alcotest.test_case "latency json pinned" `Quick test_latency_json_pinned;
+          Alcotest.test_case "latency observe allocates nothing" `Quick
+            test_latency_observe_allocates_nothing;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "traced workload" `Quick test_traced_workload;

@@ -325,6 +325,64 @@ let test_key_searches_allocate_nothing () =
   Alcotest.(check int) "binary search hits" (!n / 2) (Page.find_sorted_int64 p ~from:0 hit);
   Alcotest.(check (float 0.)) "no minor words" empty searches
 
+(* [find_int64] is the first slot holding [key], which is what the
+   B+-tree's leaf search used to derive from [nearest_int64 ~below:true]
+   plus a re-check of the floor's key. *)
+let test_find_int64_matches_nearest () =
+  let rng = Ipl_util.Rng.of_int 7 in
+  let check_page p =
+    let keys = List.map snd (keyed_slots p ~from:0) in
+    let probes = interesting_keys @ List.concat_map (fun k -> [ k - 1; k; k + 1 ]) keys in
+    List.iter
+      (fun from ->
+        List.iter
+          (fun key ->
+            let floor = Page.nearest_int64 p ~from key ~below:true in
+            let via_floor =
+              if floor >= 0 && List.assoc floor (keyed_slots p ~from) = key then floor else -1
+            in
+            let got = Page.find_int64 p ~from key in
+            if got <> via_floor || got <> model_exact p ~from key then
+              Alcotest.failf "find_int64 ~from:%d %d = %d, via nearest_int64 %d" from key got via_floor)
+          probes)
+      [ 0; 1; Ipl_util.Rng.int rng (Page.slot_count p + 2) ]
+  in
+  check_page (Page.create 1024);
+  for _ = 1 to 400 do
+    List.iter (fun kind -> check_page (random_keyed_page rng kind)) [ `Sorted; `Reused; `Duplicates ]
+  done
+
+(* Beyond its [Some] result, an insert into a page whose every slot is
+   live allocates nothing: the header's counts rule out a dead slot
+   without a scan. *)
+let test_find_int64_and_insert_allocate_nothing () =
+  let p = mk () in
+  let rec fill n = if Page.insert p (keyed (n * 2) ~extra:8) <> None then fill (n + 1) else n in
+  let n = fill 0 in
+  let minor_words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let empty = minor_words (fun () -> ()) in
+  let hit = 2 * (n / 2) in
+  let searches =
+    minor_words (fun () ->
+        ignore (Page.find_int64 p ~from:0 hit);
+        ignore (Page.find_int64 p ~from:0 (hit + 1)))
+  in
+  Alcotest.(check int) "finds the key" (n / 2) (Page.find_int64 p ~from:0 hit);
+  Alcotest.(check (float 0.)) "search: no minor words" empty searches;
+  let q = Page.create 4096 in
+  let record = keyed 1 ~extra:8 in
+  for _ = 1 to 10 do
+    ignore (Page.insert q record)
+  done;
+  let slot = ref None in
+  let insert = minor_words (fun () -> slot := Page.insert q record) in
+  Alcotest.(check (option int)) "new slot" (Some 10) !slot;
+  Alcotest.(check (float 0.)) "insert: only the result" (empty +. 2.) insert
+
 let test_record_offset_and_has_room () =
   let p = Page.create 256 in
   Alcotest.(check int) "empty directory" (-1) (Page.record_offset p 0);
@@ -452,6 +510,9 @@ let () =
           Alcotest.test_case "key searches = brute force" `Quick test_key_searches_match_model;
           Alcotest.test_case "key searches allocate nothing" `Quick
             test_key_searches_allocate_nothing;
+          Alcotest.test_case "find_int64 = nearest_int64 answer" `Quick test_find_int64_matches_nearest;
+          Alcotest.test_case "find_int64 and full-directory insert allocate nothing" `Quick
+            test_find_int64_and_insert_allocate_nothing;
           Alcotest.test_case "record_offset & has_room" `Quick test_record_offset_and_has_room;
           QCheck_alcotest.to_alcotest prop_page_vs_model;
         ] );

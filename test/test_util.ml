@@ -4,6 +4,7 @@ module Rng = Ipl_util.Rng
 module Stats = Ipl_util.Stats
 module Histogram = Ipl_util.Histogram
 module Size = Ipl_util.Size
+module Checksum = Ipl_util.Checksum
 
 let test_rng_determinism () =
   let a = Rng.of_int 42 and b = Rng.of_int 42 in
@@ -257,6 +258,44 @@ let prop_shuffle_preserves_multiset =
       Array.sort compare sb;
       sa = sb)
 
+(* The byte-at-a-time CRC-32 the sliced one must agree with. *)
+let reference_crc32 ?(init = 0) b ~pos ~len =
+  let c = ref (init lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_standard_vector () =
+  Alcotest.(check int) "123456789" 0xCBF43926 (Checksum.crc32_bytes (Bytes.of_string "123456789"));
+  Alcotest.(check int) "empty" 0 (Checksum.crc32_bytes Bytes.empty);
+  let b = Bytes.of_string "123456789" in
+  let head = Checksum.crc32 b ~pos:0 ~len:4 in
+  Alcotest.(check int) "chained" 0xCBF43926 (Checksum.crc32 ~init:head b ~pos:4 ~len:5)
+
+let test_crc32_every_offset_and_length () =
+  let b = Bytes.init 160 (fun i -> Char.chr ((i * 37 + 11) land 0xFF)) in
+  for pos = 0 to 64 do
+    for len = 0 to 64 do
+      let expected = reference_crc32 b ~pos ~len in
+      if Checksum.crc32 b ~pos ~len <> expected then
+        Alcotest.failf "pos %d len %d: got %08x, want %08x" pos len (Checksum.crc32 b ~pos ~len)
+          expected
+    done
+  done
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 = byte-at-a-time reference" ~count:200
+    QCheck.(triple string (int_bound 0xFFFF_FFFF) (int_bound 7))
+    (fun (s, init, skip) ->
+      let b = Bytes.of_string s in
+      let pos = min skip (Bytes.length b) in
+      let len = Bytes.length b - pos in
+      Checksum.crc32 ~init b ~pos ~len = reference_crc32 ~init b ~pos ~len)
+
 let () =
   Alcotest.run "ipl_util"
     [
@@ -288,6 +327,13 @@ let () =
           Alcotest.test_case "basic counts" `Quick test_histogram_basic;
           Alcotest.test_case "top-k" `Quick test_histogram_top;
           Alcotest.test_case "counts desc" `Quick test_histogram_counts_desc;
+        ] );
+      ( "checksum",
+        [
+          Alcotest.test_case "crc32 standard vector" `Quick test_crc32_standard_vector;
+          Alcotest.test_case "crc32 every offset and length" `Quick
+            test_crc32_every_offset_and_length;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
         ] );
       ( "diff",
         [
