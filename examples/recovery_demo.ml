@@ -23,7 +23,7 @@ let read engine ~page ~slot =
   | None -> "<absent>"
 
 let () =
-  let config = { Config.default with Config.recovery_enabled = true; buffer_pages = 4 } in
+  let config = { Config.default with Config.buffer_pages = 4 } in
   let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
   let engine = Engine.create ~config chip in
   let page = ok (Engine.allocate_page engine) in

@@ -4,8 +4,9 @@
 
    Loads a small TPC-C database (rows in slotted pages, one B+-tree per
    table) on a simulated flash chip, runs the standard transaction mix
-   with transactional recovery enabled, prints what the storage layer did,
-   and finally crash-restarts and checks the data is still there. *)
+   (1% of New-Order transactions roll back), prints what the storage
+   layer did, and finally crash-restarts and checks the data is still
+   there. *)
 
 module FConfig = Flash_sim.Flash_config
 module Engine = Ipl_core.Ipl_engine

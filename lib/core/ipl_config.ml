@@ -1,14 +1,11 @@
 type t = {
   page_size : int;
   log_region_bytes : int;
-  in_memory_log_bytes : int;
   recovery_enabled : bool;
   selective_merge_threshold : float;
   wear_aware_allocation : bool;
   buffer_pages : int;
   spare_blocks : int;
-  read_retries : int;
-  scrub_on_correctable : bool;
   log_cache_bytes : int;
   channels : int;
   ways : int;
@@ -24,14 +21,11 @@ let default =
   {
     page_size = 8192;
     log_region_bytes = 8192;
-    in_memory_log_bytes = 512;
-    recovery_enabled = false;
+    recovery_enabled = true;
     selective_merge_threshold = 0.5;
     wear_aware_allocation = true;
     buffer_pages = 2560;
     spare_blocks = 0;
-    read_retries = 3;
-    scrub_on_correctable = true;
     log_cache_bytes = 256 * 1024;
     channels = 1;
     ways = 1;
@@ -48,8 +42,7 @@ let validate t ~sector_size ~block_size =
     "page size must be a positive multiple of the flash sector size";
   check (t.log_region_bytes mod sector_size = 0)
     "log region must be a multiple of the flash sector size";
-  check (t.in_memory_log_bytes = sector_size)
-    "in-memory log sector must match the flash sector size";
+  check t.recovery_enabled "recovery_enabled must be true: every engine keeps a transaction log";
   check ((block_size - t.log_region_bytes) mod t.page_size = 0)
     "data region must be a multiple of the page size";
   check (data_pages_per_eu t ~block_size >= 1) "at least one data page per erase unit";
@@ -58,7 +51,6 @@ let validate t ~sector_size ~block_size =
     "selective merge threshold must be in [0,1]";
   check (t.buffer_pages > 0) "buffer pool must hold at least one page";
   check (t.spare_blocks >= 0) "spare_blocks must be non-negative";
-  check (t.read_retries >= 0) "read_retries must be non-negative";
   check (t.log_cache_bytes >= 0) "log_cache_bytes must be non-negative";
   check (t.channels >= 1) "channels must be at least 1";
   check (t.ways >= 1) "ways must be at least 1";

@@ -11,12 +11,11 @@ type t = {
   log_region_bytes : int;
       (** bytes of every erase unit reserved for log sectors; the paper
           sweeps this from 8 KB to 64 KB (Figures 5 and 6) *)
-  in_memory_log_bytes : int;
-      (** capacity of the per-page in-memory log sector; equals the flash
-          log sector size (512 B) *)
   recovery_enabled : bool;
-      (** enable the Section 5 extensions: system-wide transaction log,
-          commit-time log forcing, selective merges *)
+      (** always [true]: {!validate} rejects [false]. Every engine runs the
+          Section 5 design (system-wide transaction log, commit-time log
+          forcing, selective merges). The field is kept only because the
+          frozen [perfbench] sources still set it *)
   selective_merge_threshold : float;
       (** tau: when the fraction of log records that would have to be
           carried over to the new erase unit (because their transactions
@@ -30,12 +29,6 @@ type t = {
           n > 0: the last n blocks of the chip become the bad-block
           manager's spare pool and every data-area operation goes through
           it (see [lib/resilience]) *)
-  read_retries : int;
-      (** bounded retries of a failed physical read, beyond the first
-          attempt (resilience only) *)
-  scrub_on_correctable : bool;
-      (** preventively relocate an erase unit whose read needed ECC
-          correction (resilience only) *)
   log_cache_bytes : int;
       (** DRAM budget for the per-erase-unit log-record cache that lets
           page reads and merges skip re-reading the flash log region
@@ -64,16 +57,15 @@ type t = {
 }
 
 val default : t
-(** 8 KB pages, 8 KB log region, 512 B log sectors, recovery off,
-    tau = 0.5, wear-aware allocation, 2560 buffer pages (20 MB),
-    256 KB log-record cache. Commit batching is not a configuration
+(** 8 KB pages, 8 KB log region, tau = 0.5, wear-aware allocation,
+    2560 buffer pages (20 MB), 256 KB log-record cache. Commit batching is not a configuration
     field: see {!Ipl_engine.set_group_commit}. *)
 
 val validate : t -> sector_size:int -> block_size:int -> unit
 (** Check the configuration against a chip geometry: the log region and
-    page size must tile the erase unit, the in-memory log sector must
-    match the flash sector size, and at least one data page and one log
-    sector must fit. *)
+    page size must tile the erase unit, and at least one data page and
+    one log sector must fit. Raises [Invalid_argument] on a violation,
+    and on [recovery_enabled = false]. *)
 
 val data_pages_per_eu : t -> block_size:int -> int
 val log_sectors_per_eu : t -> sector_size:int -> int

@@ -25,7 +25,6 @@ type error =
   | Device_degraded
   | Read_failed
   | Device_fault
-  | Recovery_disabled
 
 (* The strings reproduce the pre-typed-error API exactly, so callers that
    formatted engine errors keep their output. *)
@@ -39,7 +38,6 @@ let error_to_string = function
   | Device_degraded -> "device degraded: read-only"
   | Read_failed -> "uncorrectable read error"
   | Device_fault -> "unrecoverable device fault"
-  | Recovery_disabled -> "transactional recovery disabled"
 
 (* The abstract handle is the raw id: the engine's own state is keyed by
    integer ids everywhere (log records, the transaction log), so the
@@ -66,7 +64,7 @@ type t = {
   dev : Dev.t;
   store : Ipl_storage.t;
   bbm : Resilience.Bbm.t option;
-  trx : Trx_log.t option;
+  trx : Trx_log.t;
   pool : frame Pool.t;
   txns : (int, txn_info) Hashtbl.t;
   mutable next_txid : int;
@@ -90,10 +88,7 @@ let flush_frame store trx page frame =
        transaction's physiological records reach flash, its begin record
        must be durable, or a crash would leave records whose status lookup
        defaults to "committed". *)
-    (match trx with
-    | Some log when Log_sector.has_user_txn frame.log ->
-        Trx_log.force log
-    | _ -> ());
+    if Log_sector.has_user_txn frame.log then Trx_log.force trx;
     Ipl_storage.flush_log store ~page (Log_sector.records frame.log);
     Log_sector.clear frame.log
   end
@@ -105,7 +100,7 @@ let flush_frame store trx page frame =
    failed mid-update, which can leave records in a frame never marked
    dirty. Such a frame is dropped and the new page gets a fresh one, so
    the stale records cannot reach another page. *)
-let fetch_frame config store pid evicted =
+let fetch_frame store ~log_bytes pid evicted =
   match evicted with
   | Some frame when Log_sector.is_empty frame.log ->
       Ipl_storage.read_page_into store pid frame.page;
@@ -113,13 +108,13 @@ let fetch_frame config store pid evicted =
   | Some _ | None ->
       {
         page = Ipl_storage.read_page store pid;
-        log = Log_sector.create ~capacity:config.Ipl_config.in_memory_log_bytes;
+        log = Log_sector.create ~capacity:log_bytes;
       }
 
 let build config dev store bbm trx =
   let pool =
     Pool.create ~capacity:config.Ipl_config.buffer_pages
-      ~fetch:(fetch_frame config store)
+      ~fetch:(fetch_frame store ~log_bytes:(Dev.config dev).FConfig.sector_size)
       ~write_back:(fun pid frame -> flush_frame store trx pid frame)
       ()
   in
@@ -191,30 +186,17 @@ let create_device ?(config = Ipl_config.default) ?(meta_blocks = 4) ?(trx_blocks
   if fc.FConfig.num_blocks <= reserved + config.Ipl_config.spare_blocks then
     invalid_arg "Ipl_engine: device too small";
   let meta = Meta_log.create dev ~first_block:0 ~num_blocks:meta_blocks in
-  let trx =
-    if config.Ipl_config.recovery_enabled then
-      Some (Trx_log.create dev ~first_block:meta_blocks ~num_blocks:trx_blocks)
-    else None
-  in
-  let txn_status =
-    match trx with
-    | Some log -> fun txid -> Trx_log.status log txid
-    | None -> fun _ -> Trx_log.Committed
-  in
+  let trx = Trx_log.create dev ~first_block:meta_blocks ~num_blocks:trx_blocks in
   let bbm =
     match bbm_parts config dev ~meta with
     | None -> None
     | Some (spares, persist, force) ->
-        Some
-          (Resilience.Bbm.create dev ~spares
-             ~read_retries:config.Ipl_config.read_retries
-             ~scrub_on_correctable:config.Ipl_config.scrub_on_correctable ~persist
-             ~force ())
+        Some (Resilience.Bbm.create dev ~spares ~persist ~force ())
   in
   let store =
     Ipl_storage.create ~config ?bbm dev ~first_block:reserved
       ~num_blocks:(fc.FConfig.num_blocks - reserved - config.Ipl_config.spare_blocks)
-      ~txn_status ~meta ()
+      ~txn_status:(Trx_log.status trx) ~meta ()
   in
   build config dev store bbm trx
 
@@ -226,17 +208,7 @@ let restart_device ?(config = Ipl_config.default) ?(meta_blocks = 4) ?(trx_block
   let fc = Dev.config dev in
   let reserved = meta_blocks + trx_blocks in
   let meta, events = Meta_log.recover dev ~first_block:0 ~num_blocks:meta_blocks in
-  let trx, aborted =
-    if config.Ipl_config.recovery_enabled then
-      let log, aborted = Trx_log.recover dev ~first_block:meta_blocks ~num_blocks:trx_blocks in
-      (Some log, aborted)
-    else (None, [])
-  in
-  let txn_status =
-    match trx with
-    | Some log -> fun txid -> Trx_log.status log txid
-    | None -> fun _ -> Trx_log.Committed
-  in
+  let trx, aborted = Trx_log.recover dev ~first_block:meta_blocks ~num_blocks:trx_blocks in
   let bbm =
     match bbm_parts config dev ~meta with
     | None -> None
@@ -251,23 +223,16 @@ let restart_device ?(config = Ipl_config.default) ?(meta_blocks = 4) ?(trx_block
               | _ -> None)
             events
         in
-        Some
-          (Resilience.Bbm.recover dev ~spares
-             ~read_retries:config.Ipl_config.read_retries
-             ~scrub_on_correctable:config.Ipl_config.scrub_on_correctable ~persist
-             ~force ~events:bbm_events ())
+        Some (Resilience.Bbm.recover dev ~spares ~persist ~force ~events:bbm_events ())
   in
   let store =
     Ipl_storage.recover ~config ?bbm
-      ~trx_durable:(match trx with Some log -> Trx_log.durable_sectors log | None -> 0)
-      dev ~first_block:reserved
+      ~trx_durable:(Trx_log.durable_sectors trx) dev ~first_block:reserved
       ~num_blocks:(fc.FConfig.num_blocks - reserved - config.Ipl_config.spare_blocks)
-      ~txn_status ~meta ~meta_events:events ()
+      ~txn_status:(Trx_log.status trx) ~meta ~meta_events:events ()
   in
   let t = build config dev store bbm trx in
-  (match trx with
-  | Some log -> t.next_txid <- max t.next_txid (Trx_log.max_txid log + 1)
-  | None -> ());
+  t.next_txid <- max t.next_txid (Trx_log.max_txid trx + 1);
   (t, aborted)
 
 let restart ?config ?meta_blocks ?trx_blocks chip =
@@ -280,19 +245,15 @@ let begin_txn t =
   let txid = t.next_txid in
   t.next_txid <- txid + 1;
   Hashtbl.replace t.txns txid { dirty_pages = Hashtbl.create 8 };
-  (match t.trx with
-  | Some log ->
-      Trx_log.log_begin log txid;
-      (* Publish the begin record now so its program overlaps the
-         transaction's reads: the write-ahead settle at the first dirty
-         flush then finds it long since completed instead of paying the
-         program (and queueing) time inside the commit. *)
-      Trx_log.publish log
-  | None -> ());
+  Trx_log.log_begin t.trx txid;
+  (* Publish the begin record now so its program overlaps the
+     transaction's reads: the write-ahead settle at the first dirty flush
+     then finds it long since completed instead of paying the program
+     (and queueing) time inside the commit. *)
+  Trx_log.publish t.trx;
   txid
 
-let txn_status t txid =
-  match t.trx with Some log -> Trx_log.status log txid | None -> Trx_log.Committed
+let txn_status t txid = Trx_log.status t.trx txid
 
 let txn_info t txid =
   match Hashtbl.find_opt t.txns txid with
@@ -313,12 +274,8 @@ let maybe_checkpoint t ~committed =
     t.commits_since_ckpt <- t.commits_since_ckpt + committed;
     if t.commits_since_ckpt >= every then begin
       t.commits_since_ckpt <- 0;
-      let active, trx_watermark =
-        match t.trx with
-        | Some log -> (Trx_log.active log, Trx_log.durable_sectors log)
-        | None -> ([], 0)
-      in
-      Ipl_storage.emit_checkpoint t.store ~active ~trx_watermark;
+      Ipl_storage.emit_checkpoint t.store ~active:(Trx_log.active t.trx)
+        ~trx_watermark:(Trx_log.durable_sectors t.trx);
       Ipl_storage.publish_meta t.store
     end
   end
@@ -336,11 +293,8 @@ let flush_commits t =
        record must not reach flash while one of its batch's log sectors
        is still in flight. *)
     Dev.barrier t.dev;
-    (match t.trx with
-    | Some log ->
-        Trx_log.flush_deferred log;
-        Trx_log.publish log
-    | None -> ());
+    Trx_log.flush_deferred t.trx;
+    Trx_log.publish t.trx;
     (* The commit-record settle. Two waits per batch instead of the
        serial path's force-per-sector: still one commit-record program
        and two quiesces amortised over the whole batch. *)
@@ -358,7 +312,7 @@ let commit t txid =
        but its commit record stays out of the log buffer until the batch
        flush — data records must reach flash first (see
        {!Trx_log.defer_commit}). *)
-    (match t.trx with Some log -> Trx_log.defer_commit log txid | None -> ());
+    Trx_log.defer_commit t.trx txid;
     Hashtbl.remove t.txns txid;
     t.pending_commits <- t.pending_commits + 1;
     emit_txn_event t (Obs.Event.Commit { tx = txid });
@@ -375,11 +329,8 @@ let commit t txid =
         | _ -> ())
       info.dirty_pages;
     Ipl_storage.publish_meta t.store;
-    (match t.trx with
-    | Some log ->
-        Trx_log.log_commit ~force:false log txid;
-        Trx_log.publish log
-    | None -> ());
+    Trx_log.log_commit ~force:false t.trx txid;
+    Trx_log.publish t.trx;
     (* The commit's one durability wait: every asynchronous program this
        transaction issued — log flushes, the metadata and commit-record
        sectors just published — completes before commit returns. *)
@@ -390,10 +341,8 @@ let commit t txid =
   end
 
 let abort t txid =
-  if t.trx = None then
-    failwith "Ipl_engine.abort: transactional recovery is disabled in this configuration";
   let info = txn_info t txid in
-  (match t.trx with Some log -> Trx_log.log_abort log txid | None -> ());
+  Trx_log.log_abort t.trx txid;
   (* Rebuild every touched, still-buffered page: the flash read path now
      filters out this transaction's records; surviving in-memory records
      of other transactions are re-applied on top. The fresh images are
@@ -515,7 +464,7 @@ let mutate t ~tx ~page f =
 (* Largest record payload the logging path accepts: one record must fit an
    empty in-memory log sector. *)
 let max_record_payload t =
-  t.config.Ipl_config.in_memory_log_bytes - Log_sector.header_size - 13
+  (Dev.config t.dev).FConfig.sector_size - Log_sector.header_size - 13
 
 let insert t ~tx ~page data =
   if Bytes.length data > max_record_payload t then Error Record_too_large
@@ -678,7 +627,7 @@ let prefetch_finish t token =
   List.iter
     (fun (pid, page) ->
       Pool.preload t.pool pid
-        { page; log = Log_sector.create ~capacity:t.config.Ipl_config.in_memory_log_bytes })
+        { page; log = Log_sector.create ~capacity:(Dev.config t.dev).FConfig.sector_size })
     (Ipl_storage.read_pages_finish t.store token)
 
 let prefetch t pids = prefetch_finish t (prefetch_start t pids)
@@ -701,22 +650,15 @@ let checkpoint t =
   let (_ : int) = Ipl_storage.repair_step t.store ~max_eus:max_int in
   Pool.flush_all t.pool;
   Ipl_storage.force_meta t.store;
-  (match t.trx with
-  | Some log ->
-      Trx_log.flush_deferred log;
-      Trx_log.force log
-  | None -> ());
+  Trx_log.flush_deferred t.trx;
+  Trx_log.force t.trx;
   (* The explicit checkpoint doubles as a fuzzy-checkpoint emission
      point (forced, unlike the cadence-driven ones), so a restart
      after a clean checkpoint has nothing to rescan. *)
   if t.config.Ipl_config.checkpoint_every > 0 then begin
     t.commits_since_ckpt <- 0;
-    let active, trx_watermark =
-      match t.trx with
-      | Some log -> (Trx_log.active log, Trx_log.durable_sectors log)
-      | None -> ([], 0)
-    in
-    Ipl_storage.emit_checkpoint t.store ~active ~trx_watermark;
+    Ipl_storage.emit_checkpoint t.store ~active:(Trx_log.active t.trx)
+      ~trx_watermark:(Trx_log.durable_sectors t.trx);
     Ipl_storage.force_meta t.store
   end;
   (* A checkpoint is a full quiesce: background relocation traffic
@@ -769,9 +711,7 @@ let commit t tx = guard t (fun () -> Ok (Unsafe.commit t tx))
    and must still run on a degraded (read-only) device — only the abort
    record's flash append may fail, and that failure surfaces as the
    device error after the in-memory state has been unwound. *)
-let abort t tx =
-  if t.trx = None then Error Recovery_disabled
-  else trap (fun () -> Ok (Unsafe.abort t tx))
+let abort t tx = trap (fun () -> Ok (Unsafe.abort t tx))
 
 let flush_commits t = guard t (fun () -> Ok (Unsafe.flush_commits t))
 let set_group_commit t n = t.group_commit <- n

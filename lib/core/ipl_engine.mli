@@ -3,8 +3,7 @@
     Every page mutation updates the in-memory copy {e and} appends a
     physiological log record to the page's in-memory log sector. Log
     sectors are flushed to flash when they fill, when their page is
-    evicted, and — with recovery enabled — when one of their transactions
-    commits. Dirty page images themselves are never written back: the
+    evicted, and when one of their transactions commits. Dirty page images themselves are never written back: the
     stored image plus its log records {e is} the page.
 
     Transactions: {!begin_txn}/{!commit}/{!abort} implement the Section 5
@@ -12,9 +11,10 @@
     applications (it is single-threaded); several transactions may be
     open at once as long as no two {e active} transactions modify the
     same record — the snapshot-isolation layer ([lib/txn]) enforces
-    exactly that and is the intended multi-client front door. With
-    [recovery_enabled = false] the engine is the basic Section 3 design:
-    all work is implicitly committed and {!abort} is unavailable.
+    exactly that and is the intended multi-client front door. There is
+    one engine mode: every engine keeps the system-wide transaction log,
+    so work done under a transaction that never commits is rolled back
+    by {!abort} or, after a crash, by {!restart}.
 
     The whole surface returns [(_, error) result]: device exceptions —
     the bad-block manager's ({!Resilience.Bbm.Degraded} /
@@ -49,9 +49,6 @@ type error =
       (** an unrecoverable program/erase/wear fault escaped the device
           layers (no bad-block manager installed, or a fault outside its
           remit) *)
-  | Recovery_disabled
-      (** the operation needs the Section 5 transaction machinery but the
-          engine was built with [recovery_enabled = false] *)
 
 val error_to_string : error -> string
 (** The exact strings of the pre-typed-error API ("page full",
@@ -66,7 +63,7 @@ val create_device :
   Device.Flash_device.t ->
   t
 (** Lay out a fresh database on the device: metadata-log region,
-    transaction-log region (used when recovery is enabled), then the IPL
+    transaction-log region, then the IPL
     data area. With [config.spare_blocks > 0] the last [spare_blocks]
     blocks of the device become a bad-block manager's spare pool and all
     data-area flash traffic is routed through it (see [lib/resilience]);
@@ -155,8 +152,7 @@ val commit : t -> txn -> (unit, error) result
 
 val abort : t -> txn -> (unit, error) result
 (** Rolls back in-memory changes and leaves flash records to be dropped
-    by selective merges. [Error Recovery_disabled] when the engine has no
-    transaction log. Never refused on a degraded device: the in-memory
+    by selective merges. Never refused on a degraded device: the in-memory
     rollback always runs, even when appending the abort record fails. *)
 
 val flush_commits : t -> (unit, error) result
@@ -295,8 +291,7 @@ val tracer : t -> Obs.Tracer.t option
 (** {1 Unsafe compatibility shim}
 
     The pre-redesign surface: integer transaction ids and raising entry
-    points (device faults escape as their exceptions, [abort] without
-    recovery raises [Failure]). Kept {e only} for tests, which predate
+    points (device faults escape as their exceptions). Kept {e only} for tests, which predate
     the typed surface and drive fault injection through exceptions on
     purpose. Production callers use the result API above. *)
 

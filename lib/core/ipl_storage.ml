@@ -1057,9 +1057,7 @@ let flush_log t ~page records =
         Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
           (Obs.Event.Log_flush { page; eu = eu.phys; records = List.length records })
   end
-  else if
-    t.config.Ipl_config.recovery_enabled
-    && active_fraction t eu ~pending:records > t.config.Ipl_config.selective_merge_threshold
+  else if active_fraction t eu ~pending:records > t.config.Ipl_config.selective_merge_threshold
   then begin
     let sector = serialize_records t records in
     overflow_write t eu sector;

@@ -6,8 +6,8 @@
     records flushed — one flash sector at a time — into the {e same} erase
     unit. Reading a page re-creates its current version on the fly by
     applying its log records to the stored image. When an erase unit runs
-    out of log sectors, a merge (Algorithm 1; Algorithm 3 when recovery is
-    enabled) rewrites it into a freshly erased unit.
+    out of log sectors, a merge (Algorithm 1, made selective by
+    Algorithm 3) rewrites it into a freshly erased unit.
 
     The logical-to-physical page mapping changes only on merges and is
     persisted through a {!Meta_log.t}; crash recovery replays that log and

@@ -16,7 +16,7 @@ type report = {
 }
 
 (* Small pool so evictions (and their log-sector flushes) happen mid-run. *)
-let engine_config = { Config.default with Config.recovery_enabled = true; buffer_pages = 8 }
+let engine_config = { Config.default with Config.buffer_pages = 8 }
 
 (* Checkpointed variant: same deliberately small pool, plus a fuzzy
    checkpoint every 16 commits so the restart under test actually has
@@ -287,8 +287,7 @@ let resilience_ok r =
 let resilience_config ~spares =
   {
     Config.default with
-    Config.recovery_enabled = true;
-    buffer_pages = 8;
+    Config.buffer_pages = 8;
     spare_blocks = spares;
   }
 

@@ -64,7 +64,7 @@ val run_concurrent :
 val run_resilient :
   Ipl_core.Ipl_engine.t -> Oracle.t -> spec -> pages:int array -> resilient_outcome
 (** The same mix through the exception-free entry points
-    ([Ipl_engine.commit_result] etc.), for campaigns that inject device
+    ([Ipl_engine.commit] etc.), for campaigns that inject device
     failures rather than crashes: a transaction hitting
     [Device_degraded]/[Read_failed] is aborted (mirrored into the
     oracle), and degradation ends the run. {!Flash_sim.Flash_chip.Power_loss}

@@ -72,20 +72,14 @@ module Engine_run = struct
     | Ok () -> ()
     | Error e -> failwith ("Tpcc_driver: " ^ Ipl_core.Ipl_engine.error_to_string e)
 
-  let run ?(sizing = Tpcc_txn.mini_sizing) ?(seed = 42) ?config ~chip_blocks ~transactions () =
-    let config =
-      match config with
-      | Some c -> c
-      | None -> { Ipl_core.Ipl_config.default with Ipl_core.Ipl_config.recovery_enabled = true }
-    in
+  let run ?(sizing = Tpcc_txn.mini_sizing) ?(seed = 42) ?(config = Ipl_core.Ipl_config.default)
+      ~chip_blocks ~transactions () =
     let chip =
       Flash_sim.Flash_chip.create (Flash_sim.Flash_config.default ~num_blocks:chip_blocks ())
     in
     let engine = Ipl_core.Ipl_engine.create ~config chip in
     let store = Tpcc_engine_store.create engine in
-    (* New-Order rollbacks need abort support, which requires recovery. *)
-    let rollback_rate = if config.Ipl_core.Ipl_config.recovery_enabled then 0.01 else 0.0 in
-    let ctx = Engine_txn.make_ctx ~rollback_rate store ~seed sizing in
+    let ctx = Engine_txn.make_ctx ~rollback_rate:0.01 store ~seed sizing in
     Engine_txn.load ctx;
     checkpoint engine;
     Engine_txn.run ctx ~n:transactions;

@@ -65,5 +65,5 @@ module Engine_run : sig
     unit ->
     t
   (** Load a (small) TPC-C database on a fresh IPL engine and run the mix
-      end-to-end with transactional recovery enabled. *)
+      end-to-end, rolling back 1% of New-Order transactions. *)
 end

@@ -44,8 +44,7 @@ val error_to_string : error -> string
 val pp_error : Format.formatter -> error -> unit
 
 val create : ?group_window:int -> Ipl_core.Ipl_engine.t -> t
-(** Wrap an engine (built with [recovery_enabled = true]) and set its
-    commit window to [max 1 group_window] with
+(** Wrap an engine and set its commit window to [max 1 group_window] with
     {!Ipl_core.Ipl_engine.set_group_commit} (default 1: every commit
     flushes, serial behaviour). The engine's window is the only batching
     mechanism; this layer observes its batches settle. *)

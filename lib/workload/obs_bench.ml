@@ -87,8 +87,7 @@ let tracer_capacity spec = (spec.transactions * 192) + (16 * 1024)
 let engine_config spec =
   {
     Config.default with
-    Config.recovery_enabled = true;
-    buffer_pages = spec.buffer_pages;
+    Config.buffer_pages = spec.buffer_pages;
     spare_blocks = spec.spare_blocks;
     log_cache_bytes = spec.log_cache_bytes;
     channels = spec.channels;

@@ -54,8 +54,7 @@ let payload = 64
 let config spec =
   {
     Config.default with
-    Config.recovery_enabled = true;
-    buffer_pages = 32;
+    Config.buffer_pages = 32;
     checkpoint_every = spec.checkpoint_every;
   }
 

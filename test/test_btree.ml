@@ -134,7 +134,7 @@ let test_survives_restart () =
 
 let test_transactional_abort_rolls_back_index () =
   let chip = Chip.create (FConfig.default ~num_blocks:256 ()) in
-  let config = { Config.default with Config.recovery_enabled = true; buffer_pages = 32 } in
+  let config = { Config.default with Config.buffer_pages = 32 } in
   let e = Engine.create ~config chip in
   let t = B.create e in
   for k = 1 to 100 do
@@ -358,9 +358,8 @@ let test_build_orders_match_reference () =
   List.iter
     (fun (name, order) ->
       let rng = Ipl_util.Rng.of_int 11 in
-      let config = { small_page_config with Config.recovery_enabled = true } in
       let chip = Chip.create (FConfig.default ~num_blocks:512 ()) in
-      let e = Engine.create ~config chip in
+      let e = Engine.create ~config:small_page_config chip in
       let t = B.create e in
       let stage label =
         Alcotest.(check (result unit string))

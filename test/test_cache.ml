@@ -104,7 +104,7 @@ let test_disabled () =
 let engine_with ~cache_bytes ~blocks =
   let chip = Chip.create (FConfig.default ~num_blocks:blocks ()) in
   let config =
-    { Config.default with Config.recovery_enabled = true; log_cache_bytes = cache_bytes }
+    { Config.default with Config.log_cache_bytes = cache_bytes }
   in
   (chip, config, Engine.create ~config chip)
 

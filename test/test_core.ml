@@ -326,6 +326,16 @@ let test_meta_log_compaction_via_snapshot () =
   Alcotest.(check bool) "bounded" true (List.length recovered < 25_000)
 
 (* ------------------------------------------------------------------ *)
+(* Configuration                                                       *)
+
+let test_config_rejects_recovery_off () =
+  let validate c = Config.validate c ~sector_size:512 ~block_size:(128 * 1024) in
+  validate Config.default;
+  match validate { Config.default with Config.recovery_enabled = false } with
+  | () -> Alcotest.fail "recovery_enabled = false must be rejected"
+  | exception Invalid_argument _ -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Storage manager                                                     *)
 
 (* A small chip: 128 KB erase units, 8 KB pages, 8 KB log region ->
@@ -422,8 +432,7 @@ let test_store_aborted_records_skipped () =
     if txid = 0 then Trx_log.Committed
     else Option.value ~default:Trx_log.Committed (Hashtbl.find_opt statuses txid)
   in
-  let config = { Config.default with Config.recovery_enabled = true } in
-  let _, _, store = mk_store ~config ~txn_status () in
+  let _, _, store = mk_store ~txn_status () in
   let pid = Store.allocate_page store (page_with [ "base" ]) in
   Hashtbl.replace statuses 1 Trx_log.Aborted;
   Hashtbl.replace statuses 2 Trx_log.Committed;
@@ -442,7 +451,7 @@ let test_store_selective_merge_diverts_to_overflow () =
     else Option.value ~default:Trx_log.Active (Hashtbl.find_opt statuses txid)
   in
   let config =
-    { Config.default with Config.recovery_enabled = true; selective_merge_threshold = 0.5 }
+    { Config.default with Config.selective_merge_threshold = 0.5 }
   in
   let _, _, store = mk_store ~config ~txn_status () in
   let pid = Store.allocate_page store (page_with [ "base" ]) in
@@ -482,7 +491,7 @@ let test_store_carry_over_active_records () =
   in
   let config =
     (* tau = 1.0: a merge always proceeds, carrying active records over. *)
-    { Config.default with Config.recovery_enabled = true; selective_merge_threshold = 1.0 }
+    { Config.default with Config.selective_merge_threshold = 1.0 }
   in
   let _, _, store = mk_store ~config ~txn_status () in
   let pid = Store.allocate_page store (page_with [ "base" ]) in
@@ -725,6 +734,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_meta_log_roundtrip;
           Alcotest.test_case "snapshot compaction" `Quick test_meta_log_compaction_via_snapshot;
         ] );
+      ( "ipl_config",
+        [ Alcotest.test_case "validate rejects recovery_enabled = false" `Quick
+            test_config_rejects_recovery_off ] );
       ( "ipl_storage",
         [
           Alcotest.test_case "allocate & read" `Quick test_store_allocate_and_read;

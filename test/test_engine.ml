@@ -11,12 +11,11 @@ module Trx_log = Ipl_core.Trx_log
 
 let b = Bytes.of_string
 
-let base_config ?(recovery = false) ?(buffer_pages = 8) () =
-  { Config.default with Config.recovery_enabled = recovery; buffer_pages }
+let base_config ?(buffer_pages = 8) () = { Config.default with Config.buffer_pages }
 
-let mk ?recovery ?buffer_pages ?(blocks = 64) () =
+let mk ?buffer_pages ?(blocks = 64) () =
   let chip = Chip.create (FConfig.default ~num_blocks:blocks ()) in
-  let config = base_config ?recovery ?buffer_pages () in
+  let config = base_config ?buffer_pages () in
   (chip, config, Engine.create ~config chip)
 
 let ok = function Ok x -> x | Error e -> Alcotest.failf "unexpected error: %s" (Engine.error_to_string e)
@@ -202,8 +201,8 @@ let test_oversized_records_rejected_cleanly () =
 (* Transactions                                                        *)
 
 let test_commit_durable_without_checkpoint () =
-  let chip, _, e = mk ~recovery:true () in
-  let config = base_config ~recovery:true () in
+  let chip, _, e = mk () in
+  let config = base_config () in
   let page = Engine.Unsafe.allocate_page e in
   let tx = Engine.Unsafe.begin_txn e in
   let slot = ok (Engine.Unsafe.insert e ~tx ~page (b "committed-data")) in
@@ -215,7 +214,7 @@ let test_commit_durable_without_checkpoint () =
     (Engine.Unsafe.read e' ~page ~slot)
 
 let test_abort_rolls_back_in_memory () =
-  let _, _, e = mk ~recovery:true () in
+  let _, _, e = mk () in
   let page = Engine.Unsafe.allocate_page e in
   let slot = ok (Engine.Unsafe.insert e ~tx:0 ~page (b "stable")) in
   Engine.Unsafe.commit e (let tx = Engine.Unsafe.begin_txn e in ignore tx; tx);
@@ -233,7 +232,7 @@ let test_abort_after_flush_filtered_by_status () =
   (* Force the aborting transaction's records all the way to flash (tiny
      buffer pool -> eviction flushes), then abort: the read path must
      filter them out. *)
-  let _, _, e = mk ~recovery:true ~buffer_pages:2 () in
+  let _, _, e = mk ~buffer_pages:2 () in
   let page = Engine.Unsafe.allocate_page e in
   let slot = ok (Engine.Unsafe.insert e ~tx:0 ~page (b "stable")) in
   Engine.Unsafe.checkpoint e;
@@ -247,8 +246,8 @@ let test_abort_after_flush_filtered_by_status () =
     (Engine.Unsafe.read e ~page ~slot)
 
 let test_active_txn_aborted_on_restart () =
-  let chip, _, e = mk ~recovery:true ~buffer_pages:2 () in
-  let config = base_config ~recovery:true () in
+  let chip, _, e = mk ~buffer_pages:2 () in
+  let config = base_config () in
   let page = Engine.Unsafe.allocate_page e in
   let slot = ok (Engine.Unsafe.insert e ~tx:0 ~page (b "stable")) in
   Engine.Unsafe.checkpoint e;
@@ -265,7 +264,7 @@ let test_active_txn_aborted_on_restart () =
     (Engine.Unsafe.read e' ~page ~slot)
 
 let test_committed_and_aborted_interleaved () =
-  let _, _, e = mk ~recovery:true () in
+  let _, _, e = mk () in
   let page = Engine.Unsafe.allocate_page e in
   let keep = Engine.Unsafe.begin_txn e in
   let drop = Engine.Unsafe.begin_txn e in
@@ -276,17 +275,27 @@ let test_committed_and_aborted_interleaved () =
   Alcotest.(check (option bytes)) "kept" (Some (b "keep")) (Engine.Unsafe.read e ~page ~slot:s_keep);
   Alcotest.(check (option bytes)) "dropped" None (Engine.Unsafe.read e ~page ~slot:s_drop)
 
-let test_abort_requires_recovery_mode () =
-  let _, _, e = mk () in
+(* Every engine keeps a transaction log, the default configuration
+   included: records of a transaction with no outcome record must not
+   survive a crash even after a checkpoint has stolen them to flash. *)
+let test_default_config_restart_aborts_uncommitted () =
+  let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
+  let e = Engine.create chip in
+  let page = Engine.Unsafe.allocate_page e in
+  let slot = ok (Engine.Unsafe.insert e ~tx:0 ~page (b "stable")) in
+  Engine.Unsafe.checkpoint e;
   let tx = Engine.Unsafe.begin_txn e in
-  try
-    Engine.Unsafe.abort e tx;
-    Alcotest.fail "abort must fail without recovery"
-  with Failure _ -> ()
+  ok (Engine.Unsafe.update e ~tx ~page ~slot (b "zombie"));
+  Engine.Unsafe.checkpoint e;
+  let e', aborted = Engine.restart chip in
+  Alcotest.(check (list int)) "uncommitted tx aborted" [ tx ] aborted;
+  Alcotest.(check bool) "status aborted" true (Engine.txn_status e' tx = Trx_log.Aborted);
+  Alcotest.(check (option bytes)) "old value reads back" (Some (b "stable"))
+    (Engine.Unsafe.read e' ~page ~slot)
 
 let test_txn_ids_resume_after_restart () =
-  let chip, _, e = mk ~recovery:true () in
-  let config = base_config ~recovery:true () in
+  let chip, _, e = mk () in
+  let config = base_config () in
   let tx1 = Engine.Unsafe.begin_txn e in
   Engine.Unsafe.commit e tx1;
   let tx2 = Engine.Unsafe.begin_txn e in
@@ -299,7 +308,7 @@ let test_selective_merge_under_long_txn () =
   (* A long-running transaction hammers one page while its unit runs out of
      log sectors: the engine must divert to overflow, keep the data
      readable, and merge once the transaction commits. *)
-  let _, _, e = mk ~recovery:true ~buffer_pages:2 () in
+  let _, _, e = mk ~buffer_pages:2 () in
   let page = Engine.Unsafe.allocate_page e in
   let slot = ok (Engine.Unsafe.insert e ~tx:0 ~page (b "v0000")) in
   Engine.Unsafe.checkpoint e;
@@ -355,7 +364,7 @@ let prop_transactional_crash_consistency =
     QCheck.(small_list (pair bool (int_bound 999)))
     (fun txs ->
       let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
-      let config = base_config ~recovery:true ~buffer_pages:4 () in
+      let config = base_config ~buffer_pages:4 () in
       let e = Engine.create ~config chip in
       let page = Engine.Unsafe.allocate_page e in
       Engine.Unsafe.checkpoint e;
@@ -387,7 +396,7 @@ let test_group_commit_batches () =
      into shared sectors. *)
   let run group =
     let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
-    let e = Engine.create ~config:(base_config ~recovery:true ()) chip in
+    let e = Engine.create ~config:(base_config ()) chip in
     Engine.set_group_commit e group;
     let page = Engine.Unsafe.allocate_page e in
     Engine.Unsafe.checkpoint e;
@@ -407,7 +416,7 @@ let test_group_commit_batches () =
 
 let test_group_commit_durability_boundary () =
   let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
-  let config = base_config ~recovery:true () in
+  let config = base_config () in
   let e = Engine.create ~config chip in
   Engine.set_group_commit e 100;
   let page = Engine.Unsafe.allocate_page e in
@@ -464,7 +473,7 @@ let prop_crash_anywhere =
     QCheck.(pair small_int (int_bound 30))
     (fun (seed, crash_after) ->
       let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
-      let config = base_config ~recovery:true ~buffer_pages:3 () in
+      let config = base_config ~buffer_pages:3 () in
       let e = Engine.create ~config chip in
       let page = Engine.Unsafe.allocate_page e in
       Engine.Unsafe.checkpoint e;
@@ -506,7 +515,7 @@ let prop_crash_anywhere =
 let recycling_mix ~buffer_pages =
   let module Rng = Ipl_util.Rng in
   let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
-  let config = base_config ~recovery:true ~buffer_pages () in
+  let config = base_config ~buffer_pages () in
   let e = Engine.create ~config chip in
   let rng = Rng.of_int 20240917 in
   let npages = 9 and nslots = 12 in
@@ -627,7 +636,8 @@ let () =
           Alcotest.test_case "abort after flush" `Quick test_abort_after_flush_filtered_by_status;
           Alcotest.test_case "active aborted on restart" `Quick test_active_txn_aborted_on_restart;
           Alcotest.test_case "commit + abort interleaved" `Quick test_committed_and_aborted_interleaved;
-          Alcotest.test_case "abort needs recovery mode" `Quick test_abort_requires_recovery_mode;
+          Alcotest.test_case "default config: an uncommitted transaction is aborted by restart"
+            `Quick test_default_config_restart_aborts_uncommitted;
           Alcotest.test_case "txn ids resume" `Quick test_txn_ids_resume_after_restart;
           Alcotest.test_case "selective merge under long txn" `Quick test_selective_merge_under_long_txn;
           Alcotest.test_case "group commit batches" `Quick test_group_commit_batches;

@@ -140,7 +140,7 @@ let test_meta_log_rollback () =
 
 (* ---------------- exception safety of the merge path ---------------- *)
 
-let base_config = { Config.default with Config.recovery_enabled = true; buffer_pages = 4 }
+let base_config = { Config.default with Config.buffer_pages = 4 }
 
 let payload c = Bytes.make 48 c
 

@@ -184,7 +184,7 @@ let test_metrics () =
 
 let test_traced_workload () =
   let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
-  let config = { Config.default with Config.recovery_enabled = true; buffer_pages = 8 } in
+  let config = { Config.default with Config.buffer_pages = 8 } in
   let engine = Engine.create ~config chip in
   let tracer = Obs.Tracer.create ~capacity:65536 () in
   Engine.set_tracer engine (Some tracer);

@@ -22,8 +22,7 @@ let ok = function
 let base_config =
   {
     Config.default with
-    Config.recovery_enabled = true;
-    buffer_pages = 8;
+    Config.buffer_pages = 8;
     checkpoint_every = 4;
   }
 

@@ -151,7 +151,7 @@ let test_table_attach_after_restart () =
 
 let test_table_transactional () =
   let chip = Chip.create (FConfig.default ~num_blocks:128 ()) in
-  let config = { Config.default with Config.recovery_enabled = true; buffer_pages = 16 } in
+  let config = { Config.default with Config.buffer_pages = 16 } in
   let e = Engine.create ~config chip in
   let t = Table.create e in
   ok (Table.insert t ~tx:Engine.no_txn ~key:1 Record.[ I 1; F 10.0 ]);

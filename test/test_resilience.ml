@@ -276,8 +276,7 @@ let test_recover_replay () =
 let resilient_config ?(spares = 4) () =
   {
     Config.default with
-    Config.recovery_enabled = true;
-    buffer_pages = 4;
+    Config.buffer_pages = 4;
     spare_blocks = spares;
   }
 

@@ -342,10 +342,7 @@ let test_engine_vs_layout_agree () =
   let sizing = Txn.mini_sizing in
   let module E = Txn.Make (Estore) in
   let chip = Flash_sim.Flash_chip.create (Flash_sim.Flash_config.default ~num_blocks:512 ()) in
-  let config =
-    { Ipl_core.Ipl_config.default with Ipl_core.Ipl_config.recovery_enabled = true }
-  in
-  let engine = Ipl_core.Ipl_engine.create ~config chip in
+  let engine = Ipl_core.Ipl_engine.create chip in
   let estore = Estore.create engine in
   let ectx = E.make_ctx estore ~seed:21 sizing in
   E.load ectx;

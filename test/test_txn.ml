@@ -24,7 +24,7 @@ let ok_m = function
 
 let mk ?(window = 1) ?(blocks = 64) () =
   let chip = Chip.create (FConfig.default ~num_blocks:blocks ()) in
-  let config = { Config.default with Config.recovery_enabled = true; buffer_pages = 8 } in
+  let config = { Config.default with Config.buffer_pages = 8 } in
   let engine = Engine.create ~config chip in
   (engine, Mvcc.create ~group_window:window engine)
 
@@ -191,7 +191,7 @@ let test_one_window_two_entry_points () =
   let n = 20 in
   let run ~window ~via_mvcc =
     let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
-    let config = { Config.default with Config.recovery_enabled = true; buffer_pages = 8 } in
+    let config = { Config.default with Config.buffer_pages = 8 } in
     let engine = Engine.create ~config chip in
     let page = ok_e (Engine.allocate_page engine) in
     let tx = ok_e (Engine.begin_txn engine) in
