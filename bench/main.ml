@@ -489,7 +489,7 @@ let ablation_group_commit () =
       s.Engine.storage.Store.log_sector_writes s.Engine.storage.Store.merges
       s.Engine.flash.FStats.elapsed
   in
-  List.iter run [ 0; 10; 50 ];
+  List.iter run [ 1; 10; 50 ];
   note "batching lets several transactions' records share flash log sectors"
 
 let ablation_background_merge () =
@@ -566,46 +566,6 @@ let ablation_selective_merge_threshold () =
         "  tau %4.2f: %5d merges, %5d diversions to overflow, %6d records carried over\n" tau
         s.Store.merges s.Store.overflow_diversions s.Store.records_carried_over)
     [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
-
-(* ------------------------------------------------------------------ *)
-(* Instrumented backend comparison → BENCH_ipl.json                    *)
-
-(* [channels] x [ways]: device geometry for the instrumented IPL
-   backend. *)
-let obs_bench_export ~quick ~channels ~ways =
-  section "Instrumented backend comparison (lib/obs)";
-  let spec = if quick then Workload.Obs_bench.quick else Workload.Obs_bench.default in
-  let spec = { spec with Workload.Obs_bench.channels; ways } in
-  let r = Workload.Obs_bench.run ~spec () in
-  let tracer = r.Workload.Obs_bench.tracer in
-  note "workload: %d transactions; trace: %d events (%d dropped)"
-    spec.Workload.Obs_bench.transactions
-    (Obs.Tracer.emitted tracer) (Obs.Tracer.dropped tracer);
-  note "device: %d channel(s) x %d way(s)" channels ways;
-  note "storage: %d log flushes, %d merges, %d overflow diversions"
-    (Obs.Tracer.count_kind tracer "log_flush")
-    (Obs.Tracer.count_kind tracer "merge")
-    (Obs.Tracer.count_kind tracer "overflow_diversion");
-  (match Ipl_util.Json.member "backends" r.Workload.Obs_bench.json with
-  | Some (Ipl_util.Json.List backends) ->
-      List.iter
-        (fun b ->
-          let name =
-            match Ipl_util.Json.member "name" b with
-            | Some (Ipl_util.Json.String s) -> s
-            | _ -> "?"
-          in
-          let elapsed =
-            match Option.bind (Ipl_util.Json.member "flash" b) (Ipl_util.Json.member "elapsed_s") with
-            | Some (Ipl_util.Json.Float f) -> f
-            | Some (Ipl_util.Json.Int n) -> float_of_int n
-            | _ -> Float.nan
-          in
-          note "%-8s flash time %.4f s" name elapsed)
-        backends
-  | _ -> ());
-  Workload.Obs_bench.write_json "BENCH_ipl.json" r;
-  note "wrote BENCH_ipl.json (schema %s)" Workload.Obs_bench.schema_version
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -735,7 +695,7 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
-let run quick skip_micro csv_dir channels ways =
+let run quick skip_micro csv_dir =
   (* Large retained heaps (the 1 GB logical database) behave much better
      with a roomier GC on this machine. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024; space_overhead = 200 };
@@ -756,7 +716,6 @@ let run quick skip_micro csv_dir channels ways =
   ablation_group_commit ();
   ablation_background_merge ();
   ablation_selective_merge_threshold ();
-  obs_bench_export ~quick ~channels ~ways;
   if not skip_micro then micro ();
   Printf.printf "\nDone.\n"
 
@@ -780,21 +739,10 @@ let csv_dir_t =
     & info [ "csv-dir" ] ~docv:"DIR"
         ~doc:"Also write plot-ready data files for each figure into $(docv).")
 
-let geometry_t name what =
-  Arg.(
-    value & opt int 1
-    & info [ name ] ~docv:"N"
-        ~doc:
-          (Printf.sprintf
-             "Flash %s of the instrumented IPL backend behind BENCH_ipl.json (the \
-              baseline replays always run serial)."
-             what))
-
 let () =
   exit
     (Cmd.eval
        (Cmd.v
           (Cmd.info "main" ~doc:"Reproduce the paper's tables and figures, with ablations.")
           Term.(
-            const run $ quick_t $ skip_micro_t $ csv_dir_t $ geometry_t "channels" "channels"
-            $ geometry_t "ways" "ways per channel")))
+            const run $ quick_t $ skip_micro_t $ csv_dir_t)))

@@ -200,7 +200,7 @@ let jobs_t =
     & info [ "j"; "jobs" ]
         ~doc:
           "Worker domains for the parallel paths (crash-point campaigns, baseline \
-           replays, session read resolution, restart sweep). 0 (default): use the \
+           replays, restart sweep). 0 (default): use the \
            $(b,IPL_JOBS) environment variable if set, else 1 — fully serial, no \
            domains. Clamped to the machine's recommended domain count. The results \
            are byte-identical for every value; only wall-clock time changes.")

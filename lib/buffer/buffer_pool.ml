@@ -5,17 +5,19 @@ type 'a frame = {
   mutable pins : int;
   mutable prev : 'a frame option;  (* towards MRU *)
   mutable next : 'a frame option;  (* towards LRU *)
-  self : 'a frame option;  (* [Some] of this frame, allocated once *)
+  mutable dirty_prev : 'a frame option;  (* dirty list: towards older *)
+  mutable dirty_next : 'a frame option;  (* dirty list: towards newer *)
+  mutable self : 'a frame option;  (* [Some] of this frame, allocated once *)
 }
 
 type stats = { hits : int; misses : int; evictions : int; dirty_write_backs : int }
 
 (* Two views of the resident frames. [index] is dense, indexed by page
    id, and answers every lookup of a key in [0, Array.length index)
-   without hashing; other keys are looked up in [table]. [table] holds
-   every resident frame and is changed exactly as before the index
-   existed, so iterating it — and [flush_all]'s write-back order with
-   it — does not depend on the index. *)
+   without hashing; other keys are looked up in [table], which holds
+   every resident frame. The dirty frames are also threaded, in the
+   order they became dirty, on an intrusive list from [dirty_old] to
+   [dirty_new], so [flush_all] visits only them. *)
 type 'a t = {
   capacity : int;
   fetch : int -> 'a option -> 'a;
@@ -29,6 +31,8 @@ type 'a t = {
   mutable evictions : int;
   mutable dirty_write_backs : int;
   mutable dirty_frames : int;  (* maintained at every dirty-flag transition *)
+  mutable dirty_old : 'a frame option;
+  mutable dirty_new : 'a frame option;
   mutable trace : (Obs.Event.t -> unit) option;
 }
 
@@ -47,6 +51,8 @@ let create ~capacity ~fetch ~write_back () =
     evictions = 0;
     dirty_write_backs = 0;
     dirty_frames = 0;
+    dirty_old = None;
+    dirty_new = None;
     trace = None;
   }
 
@@ -70,8 +76,23 @@ let index_frame t f =
   end;
   if f.key >= 0 && f.key < Array.length t.index then t.index.(f.key) <- f.self
 
+(* [self] is tied after the record exists: a [let rec] record would be
+   allocated twice, a dummy block and the real one. *)
 let add_frame t key value =
-  let rec f = { key; value; dirty = false; pins = 0; prev = None; next = None; self = Some f } in
+  let f =
+    {
+      key;
+      value;
+      dirty = false;
+      pins = 0;
+      prev = None;
+      next = None;
+      dirty_prev = None;
+      dirty_next = None;
+      self = None;
+    }
+  in
+  f.self <- Some f;
   Hashtbl.add t.table key f;
   index_frame t f;
   f
@@ -80,10 +101,31 @@ let remove_frame t f =
   Hashtbl.remove t.table f.key;
   if f.key >= 0 && f.key < Array.length t.index then t.index.(f.key) <- None
 
+(* Every dirty-flag transition goes through here, which keeps the dirty
+   list and its count exact. Linking through [self] allocates nothing. *)
 let set_dirty t f v =
   if f.dirty <> v then begin
     f.dirty <- v;
-    t.dirty_frames <- t.dirty_frames + (if v then 1 else -1)
+    if v then begin
+      t.dirty_frames <- t.dirty_frames + 1;
+      f.dirty_prev <- t.dirty_new;
+      f.dirty_next <- None;
+      (match t.dirty_new with
+      | Some n -> n.dirty_next <- f.self
+      | None -> t.dirty_old <- f.self);
+      t.dirty_new <- f.self
+    end
+    else begin
+      t.dirty_frames <- t.dirty_frames - 1;
+      (match f.dirty_prev with
+      | Some p -> p.dirty_next <- f.dirty_next
+      | None -> t.dirty_old <- f.dirty_next);
+      (match f.dirty_next with
+      | Some n -> n.dirty_prev <- f.dirty_prev
+      | None -> t.dirty_new <- f.dirty_prev);
+      f.dirty_prev <- None;
+      f.dirty_next <- None
+    end
   end
 
 let unlink t f =
@@ -198,7 +240,17 @@ let capacity t = t.capacity
 let cached t = Hashtbl.length t.table
 let dirty_count t = t.dirty_frames
 
-let flush_all t = Hashtbl.iter (fun _ f -> write_back_frame t f) t.table
+(* Oldest-dirtied first. The successor is read before the write-back
+   unlinks the frame. *)
+let flush_all t =
+  let rec walk = function
+    | None -> ()
+    | Some f ->
+        let next = f.dirty_next in
+        write_back_frame t f;
+        walk next
+  in
+  walk t.dirty_old
 
 let drop_all t =
   Hashtbl.iter

@@ -77,7 +77,10 @@ val dirty_count : 'a t -> int
     dirty-flag transition, not a scan. *)
 
 val flush_all : 'a t -> unit
-(** Write back every dirty frame (keeping them cached and now clean). *)
+(** Write back every dirty frame (keeping them cached and now clean), in
+    the order the frames became dirty, oldest first. It walks an
+    intrusive list of the dirty frames, so its cost does not grow with
+    the clean resident ones. *)
 
 val drop_all : 'a t -> unit
 (** Write back every dirty frame and empty the pool. Raises [Failure] if

@@ -69,7 +69,7 @@ type t = {
   txns : (int, txn_info) Hashtbl.t;
   mutable next_txid : int;
   mutable pending_commits : int;
-  mutable group_commit : int;  (* commit window; 0 = force at every commit *)
+  mutable group_commit : int;  (* commit window, at least 1 *)
   mutable commits_since_ckpt : int;  (* fuzzy-checkpoint cadence counter *)
   mutable tracer : Obs.Tracer.t option;
 }
@@ -128,7 +128,7 @@ let build config dev store bbm trx =
     txns = Hashtbl.create 64;
     next_txid = 1;
     pending_commits = 0;
-    group_commit = 0;
+    group_commit = 1;
     commits_since_ckpt = 0;
     tracer = None;
   }
@@ -169,13 +169,7 @@ let bbm_parts config dev ~meta =
     let spares =
       List.init spare_blocks (fun i -> fc.FConfig.num_blocks - spare_blocks + i)
     in
-    let persist ev =
-      Meta_log.log meta
-        (match ev with
-        | Resilience.Bbm.P_remap { virt; phys } -> Meta_log.Remap { virt; phys }
-        | Resilience.Bbm.P_retire { block } -> Meta_log.Retire { block }
-        | Resilience.Bbm.P_degraded -> Meta_log.Degraded)
-    in
+    let persist ev = Meta_log.log meta (Meta_log.of_bbm_event ev) in
     Some (spares, persist, fun () -> Meta_log.force meta)
   end
 
@@ -213,16 +207,7 @@ let restart_device ?(config = Ipl_config.default) ?(meta_blocks = 4) ?(trx_block
     match bbm_parts config dev ~meta with
     | None -> None
     | Some (spares, persist, force) ->
-        let bbm_events =
-          List.filter_map
-            (function
-              | Meta_log.Remap { virt; phys } ->
-                  Some (Resilience.Bbm.P_remap { virt; phys })
-              | Meta_log.Retire { block } -> Some (Resilience.Bbm.P_retire { block })
-              | Meta_log.Degraded -> Some Resilience.Bbm.P_degraded
-              | _ -> None)
-            events
-        in
+        let bbm_events = List.filter_map Meta_log.to_bbm_event events in
         Some (Resilience.Bbm.recover dev ~spares ~persist ~force ~events:bbm_events ())
   in
   let store =
@@ -282,7 +267,8 @@ let maybe_checkpoint t ~committed =
 
 (* Make every batched commit durable: flush all dirty frames (their
    in-memory log sectors may mix records of several committed
-   transactions), then force metadata and the commit records. *)
+   transactions, and records written with [no_txn]), then force metadata
+   and the commit records. *)
 let flush_commits t =
   if t.pending_commits > 0 then begin
     Pool.flush_all t.pool;
@@ -295,50 +281,36 @@ let flush_commits t =
     Dev.barrier t.dev;
     Trx_log.flush_deferred t.trx;
     Trx_log.publish t.trx;
-    (* The commit-record settle. Two waits per batch instead of the
-       serial path's force-per-sector: still one commit-record program
-       and two quiesces amortised over the whole batch. *)
+    (* The commit-record settle, the batch's second and last wait. *)
     Dev.barrier t.dev;
     let committed = t.pending_commits in
     t.pending_commits <- 0;
     maybe_checkpoint t ~committed
   end
 
+(* Section 5.2's no-force-of-data / force-log-at-commit policy, batched:
+   the transaction is committed for every live reader, but its commit
+   record stays out of the log buffer until the batch flush — data
+   records must reach flash first (see {!Trx_log.defer_commit}). The
+   commit that fills the window runs the flush; if that raises, this
+   transaction leaves the batch and is open again — active, if its
+   commit record was not yet appended — so the caller can abort it. The
+   batch's other members stay pending: their handles are dead, so none
+   can be aborted after its commit record was deferred. *)
 let commit t txid =
   let info = txn_info t txid in
-  let group = t.group_commit in
-  if group > 0 then begin
-    (* Group commit: the transaction is committed for every live reader,
-       but its commit record stays out of the log buffer until the batch
-       flush — data records must reach flash first (see
-       {!Trx_log.defer_commit}). *)
-    Trx_log.defer_commit t.trx txid;
-    Hashtbl.remove t.txns txid;
-    t.pending_commits <- t.pending_commits + 1;
-    emit_txn_event t (Obs.Event.Commit { tx = txid });
-    if t.pending_commits >= group then flush_commits t
-  end
-  else begin
-    (* Force every in-memory log sector holding one of our records. *)
-    Hashtbl.iter
-      (fun pid () ->
-        match Pool.find t.pool pid with
-        | Some frame when Log_sector.has_txid frame.log txid ->
-            flush_frame t.store t.trx pid frame;
-            Pool.clean t.pool pid
-        | _ -> ())
-      info.dirty_pages;
-    Ipl_storage.publish_meta t.store;
-    Trx_log.log_commit ~force:false t.trx txid;
-    Trx_log.publish t.trx;
-    (* The commit's one durability wait: every asynchronous program this
-       transaction issued — log flushes, the metadata and commit-record
-       sectors just published — completes before commit returns. *)
-    Dev.barrier t.dev;
-    Hashtbl.remove t.txns txid;
-    maybe_checkpoint t ~committed:1;
-    emit_txn_event t (Obs.Event.Commit { tx = txid })
-  end
+  Trx_log.defer_commit t.trx txid;
+  Hashtbl.remove t.txns txid;
+  t.pending_commits <- t.pending_commits + 1;
+  emit_txn_event t (Obs.Event.Commit { tx = txid });
+  if t.pending_commits >= t.group_commit then
+    try flush_commits t
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Trx_log.reopen t.trx txid;
+      Hashtbl.replace t.txns txid info;
+      t.pending_commits <- t.pending_commits - 1;
+      Printexc.raise_with_backtrace e bt
 
 let abort t txid =
   let info = txn_info t txid in
@@ -630,11 +602,7 @@ let prefetch_finish t token =
         { page; log = Log_sector.create ~capacity:(Dev.config t.dev).FConfig.sector_size })
     (Ipl_storage.read_pages_finish t.store token)
 
-let prefetch t pids = prefetch_finish t (prefetch_start t pids)
-
 let with_page t page f = Pool.with_page t.pool page (fun frame -> f frame.page)
-
-let page_free_space t page = with_page t page Page.free_space
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance                                                         *)
@@ -642,15 +610,14 @@ let page_free_space t page = with_page t page Page.free_space
 let drain_repairs t ~max_eus = Ipl_storage.repair_step t.store ~max_eus
 
 let checkpoint t =
-  t.pending_commits <- 0;
   (* Settle any outstanding lazy-restart repairs first: the fresh fuzzy
      checkpoint emitted below claims exact coverage of every unit's log,
      which an unrepaired unit can honour but the repair-table bookkeeping
      is simplest when a full checkpoint leaves nothing owed. *)
   let (_ : int) = Ipl_storage.repair_step t.store ~max_eus:max_int in
+  flush_commits t;
   Pool.flush_all t.pool;
   Ipl_storage.force_meta t.store;
-  Trx_log.flush_deferred t.trx;
   Trx_log.force t.trx;
   (* The explicit checkpoint doubles as a fuzzy-checkpoint emission
      point (forced, unlike the cadence-driven ones), so a restart
@@ -696,9 +663,7 @@ module Unsafe = struct
   let read = read
   let allocate_page = allocate_page
   let allocate_page_with = allocate_page_with
-  let prefetch = prefetch
   let with_page = with_page
-  let page_free_space = page_free_space
   let checkpoint = checkpoint
   let compact = compact
   let drain_repairs = drain_repairs
@@ -714,17 +679,18 @@ let commit t tx = guard t (fun () -> Ok (Unsafe.commit t tx))
 let abort t tx = trap (fun () -> Ok (Unsafe.abort t tx))
 
 let flush_commits t = guard t (fun () -> Ok (Unsafe.flush_commits t))
-let set_group_commit t n = t.group_commit <- n
+let set_group_commit t n =
+  if n < 1 then invalid_arg "Ipl_engine.set_group_commit: window must be at least 1";
+  t.group_commit <- n
+
 let pending_commits t = t.pending_commits
 let elapsed t = Dev.elapsed t.dev
 let allocate_page t = guard t (fun () -> Ok (Unsafe.allocate_page t))
 let allocate_page_with t page = guard t (fun () -> Ok (Unsafe.allocate_page_with t page))
 let read t ~page ~slot = trap (fun () -> Ok (Unsafe.read t ~page ~slot))
-let prefetch t pids = trap (fun () -> Ok (Unsafe.prefetch t pids))
 let prefetch_start t pids = trap (fun () -> Ok (prefetch_start t pids))
 let prefetch_finish t token = trap (fun () -> Ok (prefetch_finish t token))
 let with_page t page f = trap (fun () -> Ok (Unsafe.with_page t page f))
-let page_free_space t page = trap (fun () -> Ok (Unsafe.page_free_space t page))
 let checkpoint t = guard t (fun () -> Ok (Unsafe.checkpoint t))
 let compact t ~max_merges = guard t (fun () -> Ok (Unsafe.compact t ~max_merges))
 let repair_pending t = Ipl_storage.repair_pending t.store

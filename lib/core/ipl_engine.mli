@@ -140,15 +140,16 @@ val txn_id : txn -> int
 val begin_txn : t -> (txn, error) result
 
 val commit : t -> txn -> (unit, error) result
-(** With a commit window of 0 (the default): forces the in-memory log
-    sectors of every page the transaction touched, then the commit
-    record — the no-force-of-data / force-log-at-commit policy of
-    Section 5.2. With a window of [n > 0] ({!set_group_commit}): the
-    commit is recorded and its [Commit] event emitted, and the commit
-    that fills the window runs {!flush_commits} before returning, so a
-    device fault in that flush surfaces here. Otherwise the batch waits
-    for {!flush_commits} or {!checkpoint}; {!pending_commits} falling
-    back to 0 is the sign that a batch has settled. *)
+(** Section 5.2's no-force-of-data / force-log-at-commit policy, with one
+    protocol for every window ({!set_group_commit}). The commit is
+    recorded, its [Commit] event emitted and its commit record deferred;
+    the commit that fills the window runs {!flush_commits} before
+    returning, so with the default window of 1 every commit is durable
+    when it returns. A device fault in that flush surfaces here: this
+    transaction then leaves the batch and is active again, so it can be
+    {!abort}ed, while the batch's other members stay pending for the next
+    {!flush_commits} or {!checkpoint}. {!pending_commits} falling back to
+    0 is the sign that a batch has settled. *)
 
 val abort : t -> txn -> (unit, error) result
 (** Rolls back in-memory changes and leaves flash records to be dropped
@@ -156,15 +157,17 @@ val abort : t -> txn -> (unit, error) result
     rollback always runs, even when appending the abort record fails. *)
 
 val flush_commits : t -> (unit, error) result
-(** Make all batched (group) commits durable now: flush the dirty
-    in-memory log sectors, publish the metadata and transaction logs,
-    and settle everything with one device barrier. *)
+(** Make all batched commits durable now, with two device waits: flush
+    every dirty in-memory log sector and publish the metadata log, wait
+    for those programs (the write-ahead settle), then append and publish
+    the batch's commit records and wait again. *)
 
 val set_group_commit : t -> int -> unit
-(** Set the commit-batching window, the engine's only group-commit
-    mechanism: 0 (the default) forces every commit, [n > 0] settles
-    commits [n] at a time with one batch flush. [Mvcc.create] ([lib/txn])
-    sets it from its [group_window]. *)
+(** Set the commit window, the engine's only batching mechanism: commits
+    settle [n] at a time with one batch flush. The default, 1, makes
+    every commit durable before it returns. Raises [Invalid_argument] if
+    [n < 1]. [Mvcc.create] ([lib/txn]) sets it from its
+    [group_window]. *)
 
 val pending_commits : t -> int
 (** Commits recorded but not yet made durable by a batch flush. *)
@@ -202,27 +205,24 @@ val read : t -> page:int -> slot:int -> (bytes option, error) result
 (** Current committed-plus-active image of the record ([None] = slot not
     live). Never refuses on a degraded device. *)
 
-val prefetch : t -> int list -> (unit, error) result
-(** Batched read-ahead: fetch the batch's missing pages through the
-    storage manager's parallel read path ({!Ipl_storage.read_pages} —
-    pages on different channels are read in parallel on the simulated
-    clock) and install them as clean buffer-pool frames. Resident pages,
-    unknown ids and duplicates are skipped; a later {!read} of a
-    prefetched page is a pool hit. *)
-
 type prefetch_token
 
 val prefetch_start : t -> int list -> (prefetch_token, error) result
-(** First half of {!prefetch}: submit the batch's missing-page reads
-    without waiting for their simulated completion. Issue before a
+(** Batched read-ahead, first half: submit the reads of the batch's
+    missing pages through the storage manager's parallel read path
+    ({!Ipl_storage.read_pages_start} — pages on different channels are
+    read in parallel on the simulated clock) without waiting for their
+    simulated completion. Resident pages, unknown ids and duplicates are
+    skipped. Issue before a
     {!commit} and the commit's durability barrier absorbs the read
     latency — {!prefetch_finish} then settles for free. Only sound for
     pages the pending transaction has not touched (a non-resident page
     has no unflushed records, so the captured image is current). *)
 
 val prefetch_finish : t -> prefetch_token -> (unit, error) result
-(** Second half of {!prefetch}: await the batch and install the pages as
-    clean frames. *)
+(** Second half of {!prefetch_start}: await the batch and install the
+    pages as clean buffer-pool frames; a later {!read} of a prefetched
+    page is a pool hit. *)
 
 val with_page : t -> int -> (Storage.Page.t -> 'a) -> ('a, error) result
 (** Read-only access to the current version of a page through the buffer
@@ -232,13 +232,12 @@ val with_page : t -> int -> (Storage.Page.t -> 'a) -> ('a, error) result
     the same bytes. Copy out what must outlive the callback
     ({!Storage.Page.read} and {!Storage.Page.iter} already copy). *)
 
-val page_free_space : t -> int -> (int, error) result
-
 (** {1 Maintenance} *)
 
 val checkpoint : t -> (unit, error) result
-(** Flush all in-memory log sectors and force the metadata (and
-    transaction) logs; a full device quiesce. Drains all pending restart
+(** Settle the pending commit batch with {!flush_commits}, flush all
+    in-memory log sectors and force the metadata and transaction logs;
+    a full device quiesce. Drains all pending restart
     repairs first, and — when [config.checkpoint_every > 0] — forces a
     fresh fuzzy checkpoint, so a restart after a clean checkpoint has
     nothing to rescan. *)
@@ -314,9 +313,7 @@ module Unsafe : sig
   val read : t -> page:int -> slot:int -> bytes option
   val allocate_page : t -> int
   val allocate_page_with : t -> Storage.Page.t -> int
-  val prefetch : t -> int list -> unit
   val with_page : t -> int -> (Storage.Page.t -> 'a) -> 'a
-  val page_free_space : t -> int -> int
   val checkpoint : t -> unit
   val compact : t -> max_merges:int -> int
   val drain_repairs : t -> max_eus:int -> int

@@ -1073,10 +1073,6 @@ let flush_log t ~page records =
   end
   else merge t eu ~pending:records
 
-let merge_eu_of_page t pid =
-  let eu, _ = lookup t pid in
-  merge t eu ~pending:[]
-
 let merge_fullest t ~max_merges =
   if max_merges <= 0 then 0
   else begin
@@ -1241,13 +1237,7 @@ let snapshot_fun t () =
   let resilience =
     match t.bbm with
     | None -> []
-    | Some d ->
-        List.map
-          (function
-            | Resilience.Bbm.P_remap { virt; phys } -> Meta_log.Remap { virt; phys }
-            | Resilience.Bbm.P_retire { block } -> Meta_log.Retire { block }
-            | Resilience.Bbm.P_degraded -> Meta_log.Degraded)
-          (Resilience.Bbm.snapshot_events d)
+    | Some d -> List.map Meta_log.of_bbm_event (Resilience.Bbm.snapshot_events d)
   in
   (* The newest checkpoint must survive compaction — re-emit it from the
      current (equivalent or fresher) coverage, under the footer it was

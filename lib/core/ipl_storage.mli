@@ -220,10 +220,6 @@ val merge_fullest : t -> max_merges:int -> int
     skipping units with empty log regions. Returns the number merged. Used
     for proactive (background) merging. *)
 
-val merge_eu_of_page : t -> int -> unit
-(** Force a merge of the erase unit containing a page (used by tests and
-    by checkpointing to purge old log records). *)
-
 val eu_of_page : t -> int -> int
 (** Physical erase unit currently hosting a page. *)
 

@@ -42,16 +42,11 @@ let remove_txn t txid =
     header_size + List.fold_left (fun acc r -> acc + Log_record.encoded_size r) 0 others;
   List.rev mine
 
-(* Top-level walks: a local one would close over [txid] and allocate. *)
-let rec mem_txid txid = function
-  | [] -> false
-  | r :: rest -> r.Log_record.txid = txid || mem_txid txid rest
-
+(* A top-level walk: a local closure would allocate. *)
 let rec mem_user_txn = function
   | [] -> false
   | r :: rest -> r.Log_record.txid <> 0 || mem_user_txn rest
 
-let has_txid t txid = mem_txid txid t.rev_records
 let has_user_txn t = mem_user_txn t.rev_records
 
 exception Corrupt

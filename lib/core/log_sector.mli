@@ -40,9 +40,6 @@ val remove_txn : t -> int -> Log_record.t list
 (** Remove and return (in arrival order) all records of a transaction —
     the in-memory half of rolling back an abort. *)
 
-val has_txid : t -> int -> bool
-(** Whether any record belongs to this transaction. Allocates nothing. *)
-
 val has_user_txn : t -> bool
 (** Whether any record belongs to a transaction other than txid 0 (the
     non-transactional writer). Allocates nothing. *)

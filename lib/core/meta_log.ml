@@ -112,6 +112,18 @@ let decode b =
         { active = List.init n (fun i -> g32 b (9 + (4 * i))); trx_watermark = g32 b 1 }
   | _ -> invalid_arg "Meta_log.decode: unknown tag"
 
+(* The bad-block manager's persistent events are a subset of ours. *)
+let of_bbm_event = function
+  | Resilience.Bbm.P_remap { virt; phys } -> Remap { virt; phys }
+  | Resilience.Bbm.P_retire { block } -> Retire { block }
+  | Resilience.Bbm.P_degraded -> Degraded
+
+let to_bbm_event = function
+  | Remap { virt; phys } -> Some (Resilience.Bbm.P_remap { virt; phys })
+  | Retire { block } -> Some (Resilience.Bbm.P_retire { block })
+  | Degraded -> Some Resilience.Bbm.P_degraded
+  | _ -> None
+
 let create chip ~first_block ~num_blocks =
   { log = Seq_log.create chip ~first_block ~num_blocks; snapshot = None }
 

@@ -39,6 +39,13 @@ type event =
           records since the previous footer into the effective
           checkpoint; a torn checkpoint (footer lost) is simply ignored *)
 
+val of_bbm_event : Resilience.Bbm.persist_event -> event
+(** The metadata-log form of a bad-block manager event: [Remap],
+    [Retire] or [Degraded]. *)
+
+val to_bbm_event : event -> Resilience.Bbm.persist_event option
+(** Inverse of {!of_bbm_event}; [None] for every other event. *)
+
 type t
 
 val create : Device.Flash_device.t -> first_block:int -> num_blocks:int -> t

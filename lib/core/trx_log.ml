@@ -61,10 +61,10 @@ let log_begin t txid =
   Hashtbl.replace t.statuses txid Active;
   append t (encode 0 txid)
 
-let log_commit ?(force = true) t txid =
+let log_commit t txid =
   Hashtbl.replace t.statuses txid Committed;
   append t (encode 1 txid);
-  if force then Seq_log.force t.log
+  Seq_log.force t.log
 
 (* Group commit's write-ahead discipline, the mirror image of the begin
    record's: a commit record may only reach flash AFTER the batch's data
@@ -78,6 +78,12 @@ let defer_commit t txid =
   t.deferred <- txid :: t.deferred
 
 let is_deferred t txid = List.mem txid t.deferred
+
+let reopen t txid =
+  if is_deferred t txid then begin
+    t.deferred <- List.filter (fun d -> d <> txid) t.deferred;
+    Hashtbl.replace t.statuses txid Active
+  end
 
 let flush_deferred t =
   let batch = List.rev t.deferred in

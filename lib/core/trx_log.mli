@@ -6,8 +6,10 @@
     physiological log records survive in flash can be decided. No per-update
     records are ever written here; those live in the in-page logs.
 
-    Commit and abort records are forced immediately (they are the durability
-    point); begin records may ride along buffered. *)
+    Abort records are forced immediately. The engine's commit records
+    are deferred ({!defer_commit}) and appended only after the batch's
+    data records are on flash ({!flush_deferred}); begin records may ride
+    along buffered. *)
 
 type status = Active | Committed | Aborted
 
@@ -22,8 +24,9 @@ val recover : Device.Flash_device.t -> first_block:int -> num_blocks:int -> t * 
 
 val log_begin : t -> int -> unit
 
-val log_commit : ?force:bool -> t -> int -> unit
-(** [force] defaults to true (the durability point). *)
+val log_commit : t -> int -> unit
+(** Append a commit record and force it: the durability point of a
+    transaction whose data records are already on flash. *)
 
 val defer_commit : t -> int -> unit
 (** Group commit: record the commit but keep its record out of the log
@@ -32,6 +35,11 @@ val defer_commit : t -> int -> unit
     a crash rolls the transaction back, so {!status} keeps answering
     [Active]: merges must carry its in-page records forward, not bake
     them into home pages. *)
+
+val reopen : t -> int -> unit
+(** Undo {!defer_commit} for a transaction whose commit record is still
+    deferred: it is [Active] again and can be aborted. No-op once
+    {!flush_deferred} has appended the record. *)
 
 val flush_deferred : t -> unit
 (** Append every deferred commit record, in commit order. Call after the

@@ -122,11 +122,6 @@ val last_read_corrected : t -> bool
 
 val submit_read : t -> cls:op_class -> sector:int -> count:int -> bytes * tag
 
-val submit_read_into : t -> cls:op_class -> sector:int -> count:int -> bytes -> tag
-(** {!submit_read} into a caller-owned buffer. The data lands in the
-    buffer at submission (execution is eager); only the completion time
-    is outstanding until the tag is awaited. *)
-
 val submit_write : t -> cls:op_class -> sector:int -> bytes -> tag
 val submit_erase : t -> cls:op_class -> int -> tag
 
@@ -140,8 +135,8 @@ val publish_erase : t -> cls:op_class -> int -> unit
 (** Fire-and-forget {!submit_erase}; see {!publish_write}. *)
 
 val publish_read_into : t -> cls:op_class -> sector:int -> count:int -> bytes -> unit
-(** Fire-and-forget {!submit_read_into}: the data is in the buffer on
-    return, and the read's completion settles as the host clock passes it
+(** Fire-and-forget {!submit_read} into a caller-owned buffer: the data
+    is in the buffer on return, and the read's completion settles as the host clock passes it
     (or at {!drain}), never by an individual await. Background relocation
     reads use it, so they never block the host clock. *)
 

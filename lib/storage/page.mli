@@ -14,7 +14,6 @@
 type t
 
 val header_size : int
-val slot_entry_size : int
 
 val create : int -> t
 (** [create size] is an empty page of [size] bytes. [size] must be at

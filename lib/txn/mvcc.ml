@@ -270,31 +270,6 @@ let read_committed t ~page ~slot =
           let visible (v : version) = v.commit_ts <> None in
           Ok (visible_value ~visible current !c))
 
-(* Deferred {!read_committed}: the engine read and a snapshot of the
-   chain's visibility bits happen NOW, on the caller's domain — the
-   returned thunk is a pure walk over that snapshot, safe to evaluate on
-   another domain while the chains keep mutating. Forcing the thunk
-   yields exactly what [read_committed] would have returned at the call
-   site. *)
-let read_committed_deferred t ~page ~slot =
-  match raw_read t ~page ~slot with
-  | Error _ as e -> e
-  | Ok current -> (
-      match Hashtbl.find_opt t.chains (page, slot) with
-      | None -> Ok (fun () -> current)
-      | Some c ->
-          let frozen =
-            List.map (fun (v : version) -> (v.commit_ts <> None, v.before)) !c
-          in
-          Ok
-            (fun () ->
-              let rec walk value = function
-                | [] -> value
-                | (visible, before) :: older ->
-                    if visible then value else walk before older
-              in
-              walk current frozen))
-
 (* ---------------- version GC ---------------- *)
 
 (* Every version at or below the watermark (the oldest snapshot any live

@@ -62,15 +62,6 @@ val read_committed : t -> page:int -> slot:int -> (bytes option, error) result
 (** The latest committed version — a fresh snapshot's view, hiding every
     live transaction's in-flight writes. *)
 
-val read_committed_deferred :
-  t -> page:int -> slot:int -> (unit -> bytes option, error) result
-(** {!read_committed} split in two: the engine read and a frozen copy of
-    the chain's visibility happen at the call (on the calling domain, at
-    the schedule point that defines the answer); the returned thunk is
-    pure and may be forced later — including on a {!Par.Domain_pool}
-    worker — yielding exactly the value [read_committed] would have
-    returned at the call site. *)
-
 val insert : t -> txn -> page:int -> bytes -> (int, error) result
 val update : t -> txn -> page:int -> slot:int -> bytes -> (unit, error) result
 val delete : t -> txn -> page:int -> slot:int -> (unit, error) result

@@ -64,11 +64,7 @@ let tolerate ctx = function
       ()
   | Error e -> failwith ("Session." ^ ctx ^ ": " ^ Mvcc.error_to_string e)
 
-(* Deferred reads drain in chunks of this many: large enough to amortise
-   a pool batch, small enough to bound the thunk backlog. *)
-let defer_chunk = 128
-
-let run ?(compact_every = 0) ?(note_read = fun _ -> ()) ?pool ~sessions ~plans engine =
+let run ?(compact_every = 0) ?(note_read = fun _ -> ()) ~sessions ~plans engine =
   if sessions < 1 then invalid_arg "Session.run: sessions < 1";
   (* One commit window per rotation: a full round of commits fills it. *)
   let m = Mvcc.create ~group_window:sessions engine in
@@ -88,32 +84,8 @@ let run ?(compact_every = 0) ?(note_read = fun _ -> ()) ?pool ~sessions ~plans e
         })
   in
   (* A transaction's post-commit reads run against the latest committed
-     state, exactly where the serial loop reads after its commit. With a
-     pool, the read's answer is still pinned at its schedule step (the
-     engine read and chain-visibility snapshot happen here, on this
-     domain) but the pure resolution is deferred; [note_read] then sees
-     the values in defer order — the same order, and the same values,
-     the serial path produces. *)
-  let deferred : (unit -> bytes option) Queue.t = Queue.create () in
-  let resolve_deferred () =
-    if not (Queue.is_empty deferred) then begin
-      let thunks = Array.of_seq (Queue.to_seq deferred) in
-      Queue.clear deferred;
-      let values =
-        match pool with
-        | Some p -> Par.Domain_pool.parallel_map p (fun f -> f ()) thunks
-        | None -> Array.map (fun f -> f ()) thunks
-      in
-      Array.iter note_read values
-    end
-  in
-  let do_read (page, slot) =
-    match pool with
-    | None -> note_read (fail "read" (Mvcc.read_committed m ~page ~slot))
-    | Some _ ->
-        Queue.add (fail "read" (Mvcc.read_committed_deferred m ~page ~slot)) deferred;
-        if Queue.length deferred >= defer_chunk then resolve_deferred ()
-  in
+     state, exactly where the serial loop reads after its commit. *)
+  let do_read (page, slot) = note_read (fail "read" (Mvcc.read_committed m ~page ~slot)) in
   let finish_txn () =
     incr finished_txns;
     if compact_every > 0 && !finished_txns mod compact_every = 0 then
@@ -209,7 +181,6 @@ let run ?(compact_every = 0) ?(note_read = fun _ -> ()) ?pool ~sessions ~plans e
            turning into a spin. *)
         failwith "Session.run: deadlock with no pending commits"
   done;
-  resolve_deferred ();
   fail "flush" (Mvcc.flush m);
   {
     committed = !committed;

@@ -48,7 +48,6 @@ type outcome = {
 val run :
   ?compact_every:int ->
   ?note_read:(bytes option -> unit) ->
-  ?pool:Par.Domain_pool.t ->
   sessions:int ->
   plans:plan array ->
   Ipl_core.Ipl_engine.t ->
@@ -58,12 +57,4 @@ val run :
     runs a {!Mvcc.compact} with one merge after every that-many finished
     transactions, like the serial benchmark loop. [note_read] sees every
     read result in deterministic schedule order. The final batch is
-    flushed before returning; the engine is left checkpoint-ready.
-
-    [pool] moves the post-commit read phase's {e resolution} onto a
-    {!Par.Domain_pool}: each read is pinned at its original schedule
-    step with {!Mvcc.read_committed_deferred} (so the answer is defined
-    by exactly the same state as the serial path) and the pure snapshot
-    walks are evaluated in chunks on the pool, with [note_read] invoked
-    in the original order. Outcome and read values are identical with
-    and without a pool, for any job count. *)
+    flushed before returning; the engine is left checkpoint-ready. *)

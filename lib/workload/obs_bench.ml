@@ -133,7 +133,7 @@ let fatal f =
    Returns wall-clock seconds per phase and the digest. Wall time comes
    from {!Ipl_util.Clock} (monotonic host time — the one measurement
    here that is {e not} simulated and so not machine-independent). *)
-let run_workload spec engine tracer metrics ~pool =
+let run_workload spec engine tracer metrics =
   let dev = Engine.device engine in
   let elapsed () = Dev.elapsed dev in
   Engine.set_tracer engine (Some tracer);
@@ -316,12 +316,8 @@ let run_workload spec engine tracer metrics ~pool =
             })
           plans
       in
-      (* The pool only ever carries the sessions' pure read resolution
-         ({!Ipl_txn.Session.run}); with one job the serial code path runs
-         untouched. *)
       let o =
         Ipl_txn.Session.run ~compact_every:spec.compact_every ~note_read
-          ?pool:(if Par.Domain_pool.jobs pool > 1 then Some pool else None)
           ~sessions:spec.sessions ~plans:splans engine
       in
       ok (Engine.checkpoint engine);
@@ -597,7 +593,7 @@ let run ?(spec = default) ?(jobs = 1) () =
   let engine = fatal (fun () -> Engine.create_device ~config:(engine_config spec) dev) in
   let tracer = Obs.Tracer.create ~capacity:(tracer_capacity spec) () in
   let metrics = Obs.Metrics.create () in
-  let phases, logical_digest, conc = run_workload spec engine tracer metrics ~pool in
+  let phases, logical_digest, conc = run_workload spec engine tracer metrics in
   let replay0 = Ipl_util.Clock.now_s () in
   let stream = page_stream tracer in
   let trace_summary =

@@ -106,8 +106,7 @@ val run : ?spec:spec -> ?jobs:int -> unit -> t
 
     [jobs] (default 1: fully serial, no domains) runs the two baseline
     replays on a {!Par.Domain_pool} while the IPL run holds the main
-    domain, and hands the session read phase's pure resolution to the
-    pool ({!Ipl_txn.Session.run}'s [pool]). Every section of the
+    domain. Every section of the
     document except [wall_clock] — which records [jobs] and host times
     by design — is byte-identical for every job count. *)
 

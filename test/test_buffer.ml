@@ -262,33 +262,40 @@ let test_index_growth_preserves_hits () =
   Alcotest.(check int) "each fetched once" (List.length keys) (List.length !fetched);
   Alcotest.(check int) "hits" (List.length keys) (Pool.stats pool).Pool.hits
 
-(* [flush_all] writes frames back in the iteration order of a plain
-   [Hashtbl] that saw the same additions and removals: the dense index
-   must not move write-backs. *)
+(* [flush_all] writes back exactly the dirty frames, in the order they
+   became dirty: a model list appends a key when it turns dirty and drops
+   it when an eviction or [clean] cleans it. *)
 let test_flush_all_order () =
   let capacity = 8 in
-  let model = Hashtbl.create (2 * capacity) in
+  let model = ref [] in
   let written = ref [] in
   let pool =
-    Pool.create ~capacity
-      ~fetch:(fun k _ ->
-        Hashtbl.add model k ();
-        ref k)
+    Pool.create ~capacity ~fetch:(fun k _ -> ref k)
       ~write_back:(fun k _ -> written := k :: !written)
       ()
   in
   Pool.set_trace pool
-    (Some (function Obs.Event.Evict { page } -> Hashtbl.remove model page | _ -> ()));
+    (Some
+       (function
+       | Obs.Event.Write_back { page } -> model := List.filter (( <> ) page) !model
+       | _ -> ()));
   let rng = Ipl_util.Rng.of_int 11 in
   for _ = 1 to 500 do
     let k = Ipl_util.Rng.int rng 300 - 20 in
-    ignore (Pool.with_page pool k ~dirty:(Ipl_util.Rng.int rng 3 = 0) read)
+    match Ipl_util.Rng.int rng 8 with
+    | 0 ->
+        Pool.clean pool k;
+        model := List.filter (( <> ) k) !model
+    | r ->
+        let dirty = r <= 3 in
+        if dirty && not (Pool.is_dirty pool k) then model := !model @ [ k ];
+        ignore (Pool.with_page pool k ~dirty read)
   done;
-  let dirty = Hashtbl.fold (fun k () acc -> if Pool.is_dirty pool k then k :: acc else acc) model [] in
-  let expected = List.rev dirty in
+  let expected = !model in
   written := [];
   Pool.flush_all pool;
-  Alcotest.(check (list int)) "model order" expected (List.rev !written);
+  Alcotest.(check (list int)) "dirtied order" expected (List.rev !written);
+  Alcotest.(check int) "none dirty" 0 (Pool.dirty_count pool);
   Alcotest.(check bool) "some written" true (List.length expected > 1)
 
 (* Property: hit+miss accounting and capacity invariant under random access. *)

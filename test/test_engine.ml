@@ -408,11 +408,17 @@ let test_group_commit_batches () =
     Engine.Unsafe.flush_commits e;
     (Engine.stats e).Engine.storage.Store.log_sector_writes
   in
-  let per_commit = run 0 and grouped = run 10 in
+  let per_commit = run 1 and grouped = run 10 in
   Alcotest.(check bool)
     (Printf.sprintf "grouped writes fewer sectors (%d < %d)" grouped per_commit)
     true
     (grouped * 3 < per_commit)
+
+let test_group_commit_window_positive () =
+  let e = Engine.create ~config:(base_config ()) (Chip.create (FConfig.default ~num_blocks:64 ())) in
+  Alcotest.check_raises "window 0 rejected"
+    (Invalid_argument "Ipl_engine.set_group_commit: window must be at least 1") (fun () ->
+      Engine.set_group_commit e 0)
 
 let test_group_commit_durability_boundary () =
   let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
@@ -642,6 +648,8 @@ let () =
           Alcotest.test_case "selective merge under long txn" `Quick test_selective_merge_under_long_txn;
           Alcotest.test_case "group commit batches" `Quick test_group_commit_batches;
           Alcotest.test_case "group commit durability boundary" `Quick test_group_commit_durability_boundary;
+          Alcotest.test_case "group commit window is at least 1" `Quick
+            test_group_commit_window_positive;
           Alcotest.test_case "background compact" `Quick test_compact_moves_merges_off_path;
           QCheck_alcotest.to_alcotest prop_transactional_crash_consistency;
           QCheck_alcotest.to_alcotest prop_crash_anywhere;

@@ -224,6 +224,65 @@ let test_merge_power_loss_recovers () =
     (Some (payload committed))
     (Engine.Unsafe.read e2 ~page ~slot)
 
+(* ---------------- exception safety of the commit batch ---------------- *)
+
+(* Window 3: the third commit runs the batch flush, and its first
+   data-area program raises. That transaction must be active again and
+   abortable; the first two stay pending, cannot be aborted, and become
+   durable at the next flush. *)
+let test_commit_batch_failure () =
+  let chip = mk_chip () in
+  let e = Engine.create ~config:{ base_config with Config.buffer_pages = 16 } chip in
+  Engine.set_group_commit e 3;
+  let page = Engine.Unsafe.allocate_page e in
+  Engine.Unsafe.checkpoint e;
+  let insert tx c =
+    match Engine.Unsafe.insert e ~tx ~page (payload c) with
+    | Ok slot -> slot
+    | Error m -> failwith (Engine.error_to_string m)
+  in
+  let committed =
+    List.map
+      (fun c ->
+        let tx = Engine.Unsafe.begin_txn e in
+        let slot = insert tx c in
+        Engine.Unsafe.commit e tx;
+        (tx, slot, c))
+      [ 'a'; 'b' ]
+  in
+  Alcotest.(check int) "two pending" 2 (Engine.pending_commits e);
+  let tx = Engine.Unsafe.begin_txn e in
+  let doomed = insert tx 'c' in
+  let data_area = 8 * 256 in
+  Plan.install chip (fun _ op ->
+      match op with
+      | Chip.Op_program { sector; _ } when sector >= data_area -> raise Injected
+      | _ -> Chip.Proceed);
+  (match Engine.Unsafe.commit e tx with
+  | () -> Alcotest.fail "expected the batch flush to fail"
+  | exception Injected -> ());
+  Plan.clear chip;
+  Alcotest.(check bool) "failed commit is active again" true
+    (Engine.txn_status e tx = Ipl_core.Trx_log.Active);
+  Engine.Unsafe.abort e tx;
+  Alcotest.(check int) "first two still pending" 2 (Engine.pending_commits e);
+  List.iter
+    (fun (tx, _, _) ->
+      match Engine.Unsafe.abort e tx with
+      | () -> Alcotest.fail "a pending commit was aborted"
+      | exception Invalid_argument _ -> ())
+    committed;
+  Engine.Unsafe.flush_commits e;
+  Alcotest.(check int) "batch settled" 0 (Engine.pending_commits e);
+  let e2, _ = Engine.restart ~config:base_config chip in
+  List.iter
+    (fun (_, slot, c) ->
+      Alcotest.(check (option bytes)) (Printf.sprintf "commit %c survives" c)
+        (Some (payload c)) (Engine.Unsafe.read e2 ~page ~slot))
+    committed;
+  Alcotest.(check (option bytes)) "aborted insert gone" None
+    (Engine.Unsafe.read e2 ~page ~slot:doomed)
+
 (* ---------------- the oracle ---------------- *)
 
 let read_of tbl ~page ~slot = Hashtbl.find_opt tbl (page, slot)
@@ -322,6 +381,11 @@ let () =
             test_merge_transient_exception_rolls_back;
           Alcotest.test_case "power loss mid-merge recovers" `Quick
             test_merge_power_loss_recovers;
+        ] );
+      ( "commit batch safety",
+        [
+          Alcotest.test_case "failed flush reopens the committing transaction" `Quick
+            test_commit_batch_failure;
         ] );
       ( "oracle",
         [

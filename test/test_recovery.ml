@@ -31,9 +31,9 @@ let mk_chip ?(blocks = 32) () = Chip.create (FConfig.default ~num_blocks:blocks 
 (* Deterministic populate: [pages] pages seeded with one record each,
    then [txns] single-update transactions round-robining over them, each
    update writing a value derived from its index, under commit window
-   [window] (0: every commit forced). Stops abruptly — no checkpoint
+   [window] (1: every commit durable on return). Stops abruptly — no checkpoint
    call, no quiesce. Returns the page handles. *)
-let populate ?(pages = 8) ?(txns = 40) ?(window = 0) config chip =
+let populate ?(pages = 8) ?(txns = 40) ?(window = 1) config chip =
   let e = Engine.create ~config chip in
   Engine.set_group_commit e window;
   let ps = Array.init pages (fun _ -> Engine.Unsafe.allocate_page e) in
@@ -164,7 +164,7 @@ let test_double_crash_during_repair () =
   let config = base_config in
   let chip = mk_chip () in
   let pages = populate ~pages:8 ~txns:40 config chip in
-  (* Every populate transaction committed with commit window 0, so the
+  (* Every populate transaction committed with commit window 1, so the
      expected content is exact: page i's slot 0 holds the last txn that
      touched it. *)
   let expected =

@@ -76,6 +76,29 @@ let test_heap_attach_after_restart () =
   let rid = ok (Heap.insert h' ~tx:Engine.no_txn (b "post-restart")) in
   Alcotest.(check (option bytes)) "new insert" (Some (b "post-restart")) (Heap.read h' rid)
 
+(* A transaction that grows the heap registers the new member page in a
+   directory page under [no_txn]. Its commit must make that directory
+   entry durable too: after a crash-restart with no checkpoint, every
+   committed row is reachable from the directory head. *)
+let test_heap_commit_durable_directory () =
+  let chip, config, e = mk () in
+  let h = Heap.create e in
+  Engine.Unsafe.checkpoint e;
+  let tx = Engine.Unsafe.txn (Engine.Unsafe.begin_txn e) in
+  let rows = ref [] in
+  while Heap.page_count h < 2 do
+    let row = Printf.sprintf "row-%04d-%s" (List.length !rows) (String.make 300 'x') in
+    ignore (ok (Heap.insert h ~tx (b row)) : Heap.rowid);
+    rows := row :: !rows
+  done;
+  ok (Result.map_error Engine.error_to_string (Engine.commit e tx));
+  let e', _ = Engine.restart ~config chip in
+  let h' = Heap.attach e' ~header:(Heap.header h) in
+  let seen = ref [] in
+  Heap.iter h' (fun _ data -> seen := Bytes.to_string data :: !seen);
+  Alcotest.(check (list string)) "every committed row" (List.sort compare !rows)
+    (List.sort compare !seen)
+
 let test_heap_directory_chain_growth () =
   (* Small (2 KB) pages make directory pages overflow quickly: one holds
      ~169 member-page entries; 700 records at 4 per page need ~175 member
@@ -240,6 +263,8 @@ let () =
           Alcotest.test_case "iter & fold" `Quick test_heap_iter_order_and_fold;
           Alcotest.test_case "attach after restart" `Quick test_heap_attach_after_restart;
           Alcotest.test_case "directory chain growth" `Slow test_heap_directory_chain_growth;
+          Alcotest.test_case "commit makes new member pages durable" `Quick
+            test_heap_commit_durable_directory;
         ] );
       ( "table",
         [
