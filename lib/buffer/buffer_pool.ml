@@ -12,18 +12,17 @@ type 'a frame = {
 
 type stats = { hits : int; misses : int; evictions : int; dirty_write_backs : int }
 
-(* Two views of the resident frames. [index] is dense, indexed by page
-   id, and answers every lookup of a key in [0, Array.length index)
-   without hashing; other keys are looked up in [table], which holds
-   every resident frame. The dirty frames are also threaded, in the
-   order they became dirty, on an intrusive list from [dirty_old] to
-   [dirty_new], so [flush_all] visits only them. *)
+(* The resident frames are found through [index], a dense array indexed
+   by page id, and threaded on the LRU list from [mru] to [lru]. The
+   dirty frames are also threaded, in the order they became dirty, on an
+   intrusive list from [dirty_old] to [dirty_new], so [flush_all] visits
+   only them. *)
 type 'a t = {
   capacity : int;
   fetch : int -> 'a option -> 'a;
   write_back : int -> 'a -> unit;
-  table : (int, 'a frame) Hashtbl.t;
   mutable index : 'a frame option array;
+  mutable resident : int;
   mutable mru : 'a frame option;
   mutable lru : 'a frame option;
   mutable hits : int;
@@ -42,8 +41,8 @@ let create ~capacity ~fetch ~write_back () =
     capacity;
     fetch;
     write_back;
-    table = Hashtbl.create (2 * capacity);
     index = Array.make (max 16 (2 * capacity)) None;
+    resident = 0;
     mru = None;
     lru = None;
     hits = 0;
@@ -58,23 +57,22 @@ let create ~capacity ~fetch ~write_back () =
 
 let set_trace t trace = t.trace <- trace
 
-let lookup t key =
-  if key >= 0 && key < Array.length t.index then t.index.(key)
-  else Hashtbl.find_opt t.table key
+let lookup t key = if key >= 0 && key < Array.length t.index then t.index.(key) else None
 
-(* Page ids are handed out in sequence, so the index grows one doubling
-   at a time: a key in [len, 2 len) doubles it, and the resident keys
-   the new half covers move in from the table. Larger keys stay in the
-   table alone, which keeps the index proportional to the ids in use. *)
+let check_key fn key =
+  if key < 0 then invalid_arg (Printf.sprintf "Buffer_pool.%s: negative page id %d" fn key)
+
+(* Page ids are handed out from 0 in sequence, so the index doubles
+   until it covers the key and stays proportional to the ids in use. *)
 let index_frame t f =
   let len = Array.length t.index in
-  if f.key >= len && f.key < 2 * len then begin
-    let index = Array.make (2 * len) None in
+  if f.key >= len then begin
+    let rec covering n = if f.key < n then n else covering (2 * n) in
+    let index = Array.make (covering (2 * len)) None in
     Array.blit t.index 0 index 0 len;
-    Hashtbl.iter (fun key fr -> if key >= len && key < 2 * len then index.(key) <- fr.self) t.table;
     t.index <- index
   end;
-  if f.key >= 0 && f.key < Array.length t.index then t.index.(f.key) <- f.self
+  t.index.(f.key) <- f.self
 
 (* [self] is tied after the record exists: a [let rec] record would be
    allocated twice, a dummy block and the real one. *)
@@ -93,13 +91,13 @@ let add_frame t key value =
     }
   in
   f.self <- Some f;
-  Hashtbl.add t.table key f;
   index_frame t f;
+  t.resident <- t.resident + 1;
   f
 
 let remove_frame t f =
-  Hashtbl.remove t.table f.key;
-  if f.key >= 0 && f.key < Array.length t.index then t.index.(f.key) <- None
+  t.index.(f.key) <- None;
+  t.resident <- t.resident - 1
 
 (* Every dirty-flag transition goes through here, which keeps the dirty
    list and its count exact. Linking through [self] allocates nothing. *)
@@ -180,9 +178,10 @@ let get_frame t key =
       touch t f;
       f
   | None ->
+      check_key "with_page" key;
       t.misses <- t.misses + 1;
       (* A full pool hands the evicted value to [fetch] for reuse. *)
-      let evicted = if Hashtbl.length t.table >= t.capacity then Some (evict_one t) else None in
+      let evicted = if t.resident >= t.capacity then Some (evict_one t) else None in
       let f = add_frame t key (t.fetch key evicted) in
       push_front t f;
       f
@@ -219,9 +218,10 @@ let clean t key =
    come from below), keeping hit/miss totals comparable with a
    fetch-on-demand run. No-op when the key is already resident. *)
 let preload t key value =
+  check_key "preload" key;
   if not (contains t key) then begin
     t.misses <- t.misses + 1;
-    if Hashtbl.length t.table >= t.capacity then ignore (evict_one t : 'a);
+    if t.resident >= t.capacity then ignore (evict_one t : 'a);
     push_front t (add_frame t key value)
   end
 
@@ -237,7 +237,7 @@ let is_dirty t key =
   match lookup t key with Some f -> f.dirty | None -> false
 
 let capacity t = t.capacity
-let cached t = Hashtbl.length t.table
+let cached t = t.resident
 let dirty_count t = t.dirty_frames
 
 (* Oldest-dirtied first. The successor is read before the write-back
@@ -252,33 +252,35 @@ let flush_all t =
   in
   walk t.dirty_old
 
+(* Most-recently-used first. *)
+let iter f t =
+  let rec walk = function
+    | None -> ()
+    | Some fr ->
+        f fr.key fr.value ~dirty:fr.dirty;
+        walk fr.next
+  in
+  walk t.mru
+
 let drop_all t =
-  Hashtbl.iter
-    (fun _ f -> if f.pins > 0 then failwith "Buffer_pool.drop_all: frame pinned")
-    t.table;
+  let rec check = function
+    | None -> ()
+    | Some f ->
+        if f.pins > 0 then failwith "Buffer_pool.drop_all: frame pinned";
+        check f.next
+  in
+  check t.mru;
   flush_all t;
-  Hashtbl.reset t.table;
   Array.fill t.index 0 (Array.length t.index) None;
+  t.resident <- 0;
   t.mru <- None;
   t.lru <- None
-
-let iter f t = Hashtbl.iter (fun key fr -> f key fr.value ~dirty:fr.dirty) t.table
 
 let stats t =
   { hits = t.hits; misses = t.misses; evictions = t.evictions; dirty_write_backs = t.dirty_write_backs }
 
 module Stats = struct
   type t = stats
-
-  let zero = { hits = 0; misses = 0; evictions = 0; dirty_write_backs = 0 }
-
-  let add (a : t) (b : t) : t =
-    {
-      hits = a.hits + b.hits;
-      misses = a.misses + b.misses;
-      evictions = a.evictions + b.evictions;
-      dirty_write_backs = a.dirty_write_backs + b.dirty_write_backs;
-    }
 
   let diff (a : t) (b : t) : t =
     {
@@ -287,10 +289,6 @@ module Stats = struct
       evictions = a.evictions - b.evictions;
       dirty_write_backs = a.dirty_write_backs - b.dirty_write_backs;
     }
-
-  let pp ppf (t : t) =
-    Format.fprintf ppf "hits=%d misses=%d evictions=%d dirty_write_backs=%d" t.hits
-      t.misses t.evictions t.dirty_write_backs
 
   let to_json (t : t) =
     Ipl_util.Json.Obj

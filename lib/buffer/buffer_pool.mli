@@ -34,7 +34,8 @@ val with_page : 'a t -> int -> ?dirty:bool -> ('a -> 'b) -> 'b
 (** [with_page t key f] pins the frame for [key] (fetching it on a miss,
     evicting the LRU unpinned frame if full), applies [f], and unpins.
     [~dirty:true] marks the frame dirty. Nested calls are allowed; raises
-    [Failure] if every frame is pinned. The value is the frame's only
+    [Failure] if every frame is pinned, and [Invalid_argument] if [key]
+    is negative: frames are indexed by page id. The value is the frame's only
     while it is pinned: [f] must not return it or keep it (or anything
     sharing its mutable state) after it returns, because a later miss may
     evict the frame and hand the value to [fetch] to be refilled with
@@ -54,7 +55,8 @@ val preload : 'a t -> int -> 'a -> unit
 (** [preload t key value] inserts an externally fetched [value] as a
     clean resident frame (evicting if full), so a later access is a hit
     that does not call [fetch]. Counted as a miss — the value did come
-    from below. No-op when [key] is already resident. The batched
+    from below. No-op when [key] is already resident; raises
+    [Invalid_argument] if [key] is negative. The batched
     multi-channel prefetch path installs pages read with
     {!Ipl_storage.read_pages} through this. *)
 
@@ -87,6 +89,8 @@ val drop_all : 'a t -> unit
     any frame is pinned. *)
 
 val iter : (int -> 'a -> dirty:bool -> unit) -> 'a t -> unit
+(** Visit the resident frames, most recently used first. *)
+
 val stats : 'a t -> stats
 
 val set_trace : 'a t -> (Obs.Event.t -> unit) option -> unit
@@ -96,4 +100,13 @@ val set_trace : 'a t -> (Obs.Event.t -> unit) option -> unit
     by the engine) supplies the timestamp. With no sink installed each
     hook site is a single option check. *)
 
-module Stats : Ipl_util.Stats_intf.S with type t = stats
+module Stats : sig
+  type t = stats
+
+  val diff : t -> t -> t
+  (** [diff later earlier]: field-wise difference, for interval
+      measurements. *)
+
+  val to_json : t -> Ipl_util.Json.t
+  (** One-level object keyed by the record's field names. *)
+end

@@ -721,35 +721,6 @@ let stats t =
 module Stats = struct
   type t = combined_stats
 
-  let zero =
-    {
-      storage = Ipl_storage.Stats.zero;
-      pool = Pool.Stats.zero;
-      flash = Flash_sim.Flash_stats.zero;
-      resilience = Resilience.Bbm.Stats.zero;
-    }
-
-  let add a b =
-    {
-      storage = Ipl_storage.Stats.add a.storage b.storage;
-      pool = Pool.Stats.add a.pool b.pool;
-      flash = Flash_sim.Flash_stats.add a.flash b.flash;
-      resilience = Resilience.Bbm.Stats.add a.resilience b.resilience;
-    }
-
-  let diff a b =
-    {
-      storage = Ipl_storage.Stats.diff a.storage b.storage;
-      pool = Pool.Stats.diff a.pool b.pool;
-      flash = Flash_sim.Flash_stats.diff a.flash b.flash;
-      resilience = Resilience.Bbm.Stats.diff a.resilience b.resilience;
-    }
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>flash: %a@,%a@,pool: %a@,%a@]" Flash_sim.Flash_stats.pp
-      t.flash Ipl_storage.Stats.pp t.storage Pool.Stats.pp t.pool
-      Resilience.Bbm.Stats.pp t.resilience
-
   let to_json t =
     Ipl_util.Json.Obj
       [

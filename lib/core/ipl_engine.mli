@@ -263,9 +263,14 @@ val drain_repairs : t -> max_eus:int -> (int, error) result
 
 val stats : t -> combined_stats
 
-module Stats : Ipl_util.Stats_intf.S with type t = combined_stats
-(** Interval measurement, aggregation and JSON export over the combined
-    record, composed field-wise from the layer [Stats] modules. *)
+module Stats : sig
+  type t = combined_stats
+
+  val to_json : t -> Ipl_util.Json.t
+  (** One object with a [storage], [pool], [flash] and [resilience]
+      member, each the layer's own [Stats.to_json]. Interval
+      measurement diffs the layer records directly. *)
+end
 
 (** {1 Resilience} *)
 

@@ -18,6 +18,21 @@ type eu_info = {
 
 type overflow_info = { mutable next_idx : int; mutable live : int }
 
+(* What a lazy (REDO-only) restart still owes one erase unit. The
+   checkpoint-bounded recovery scan splits the unit's log into the
+   prefix the last fuzzy checkpoint vouches for (still on flash, counted
+   but unread) and the post-checkpoint delta (already decoded). Repairing
+   the unit on first touch reads the prefix, splices the delta behind it
+   and warms the log-record cache; a background drainer repairs whatever
+   reads never touch. *)
+type repair = {
+  pre_in : int;  (* in-region log sectors durable at the checkpoint *)
+  pre_over : int;  (* overflow sectors durable at the checkpoint *)
+  delta_in : Log_record.t list;  (* decoded post-checkpoint in-region records *)
+  delta_over : Log_record.t list;  (* decoded post-checkpoint overflow records *)
+  delta_pages : int list;  (* distinct pages the delta touches, for repair events *)
+}
+
 type stats = {
   pages_allocated : int;
   page_reads : int;
@@ -70,7 +85,7 @@ type t = {
       (* decoded log records per erase unit, keyed by [eu.phys] (a
          virtual address under a bad-block manager, so relocations do
          not disturb entries) *)
-  repairs : Log_record.t Recovery.Repair_table.t;
+  repairs : (int, repair) Hashtbl.t;
       (* erase units a restart still owes a replay, keyed by [eu.phys];
          empty except between a restart over a checkpoint and the moment
          every unit has been touched or drained *)
@@ -167,7 +182,7 @@ let mk ?(config = Ipl_config.default) ?bbm dev ~first_block ~num_blocks ~txn_sta
     overflow_eus = Hashtbl.create 16;
     free = { by_wear = IntMap.empty; bucket_of = Hashtbl.create 256 };
     cache;
-    repairs = Recovery.Repair_table.create ();
+    repairs = Hashtbl.create 32;
     last_ckpt_footer = None;
     in_merge = false;
     current_overflow = None;
@@ -467,8 +482,8 @@ let note_records eu records =
    the result. With the cache disabled there is nothing to warm: every
    read re-scans the full log region anyway, so the entry is simply
    dropped. Either way the unit's pages count as repaired. *)
-let repair_eu t eu (e : Log_record.t Recovery.Repair_table.entry) =
-  Recovery.Repair_table.remove t.repairs ~eu:eu.phys;
+let repair_eu t eu e =
+  Hashtbl.remove t.repairs eu.phys;
   if Cache.Log_cache.enabled t.cache then begin
     let pre_in = read_log_region t eu ~first:0 ~count:e.pre_in in
     let pre_over =
@@ -486,28 +501,31 @@ let repair_eu t eu (e : Log_record.t Recovery.Repair_table.entry) =
         (fun page ->
           Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
             (Obs.Event.Page_repaired { page; eu = eu.phys }))
-        e.pages
+        e.delta_pages
 
 (* First-touch hook: any access to an erase unit's log state — a page
    read, a log flush, a merge — repairs the unit first, so the cache can
    never be installed from a scan that misses post-restart appends and
    the repair table shrinks monotonically towards the fully-warm state. *)
 let repair_eu_if_pending t eu =
-  if Recovery.Repair_table.pending t.repairs > 0 then
-    match Recovery.Repair_table.find t.repairs ~eu:eu.phys with
+  if Hashtbl.length t.repairs > 0 then
+    match Hashtbl.find_opt t.repairs eu.phys with
     | None -> ()
     | Some e -> repair_eu t eu e
 
-let repair_pending t = Recovery.Repair_table.pending t.repairs
+let repair_pending t = Hashtbl.length t.repairs
 
 (* Background drainer: repair up to [max_eus] pending units
-   (lowest-numbered first, a deterministic schedule), returning how many
-   were repaired. *)
+   (lowest-numbered first, a schedule independent of the table's
+   layout), returning how many were repaired. *)
 let repair_step t ~max_eus =
+  let lowest phys e best =
+    match best with Some (p, _) when p <= phys -> best | _ -> Some (phys, e)
+  in
   let rec go n =
     if n >= max_eus then n
     else
-      match Recovery.Repair_table.choose t.repairs with
+      match Hashtbl.fold lowest t.repairs None with
       | None -> n
       | Some (phys, e) ->
           (match Hashtbl.find_opt t.data_eus phys with
@@ -515,7 +533,7 @@ let repair_step t ~max_eus =
           | None ->
               (* unreachable: merging a unit repairs it first, so a live
                  entry always has a live unit — but never loop on one *)
-              Recovery.Repair_table.remove t.repairs ~eu:phys);
+              Hashtbl.remove t.repairs phys);
           go (n + 1)
   in
   go 0
@@ -1136,26 +1154,6 @@ let stats t =
 module Stats = struct
   type t = stats
 
-  let zero =
-    {
-      pages_allocated = 0;
-      page_reads = 0;
-      log_sector_writes = 0;
-      overflow_sector_writes = 0;
-      log_sector_reads = 0;
-      merges = 0;
-      overflow_diversions = 0;
-      records_applied_at_merge = 0;
-      records_dropped_aborted = 0;
-      records_carried_over = 0;
-      erase_units_reclaimed = 0;
-      log_cache_hits = 0;
-      log_cache_misses = 0;
-      log_cache_evictions = 0;
-      log_cache_warm_entries = 0;
-      eus_repaired_lazily = 0;
-    }
-
   let map2 f (a : t) (b : t) : t =
     {
       pages_allocated = f a.pages_allocated b.pages_allocated;
@@ -1176,7 +1174,6 @@ module Stats = struct
       eus_repaired_lazily = f a.eus_repaired_lazily b.eus_repaired_lazily;
     }
 
-  let add = map2 ( + )
   let diff = map2 ( - )
 
   let fields (t : t) =
@@ -1198,10 +1195,6 @@ module Stats = struct
       ("log_cache_warm_entries", t.log_cache_warm_entries);
       ("eus_repaired_lazily", t.eus_repaired_lazily);
     ]
-
-  let pp ppf t =
-    Format.pp_print_string ppf "storage:";
-    List.iter (fun (k, v) -> Format.fprintf ppf " %s=%d" k v) (fields t)
 
   let to_json t =
     Ipl_util.Json.Obj (List.map (fun (k, v) -> (k, Ipl_util.Json.Int v)) (fields t))
@@ -1382,13 +1375,13 @@ let recover ?config ?bbm ?(trx_durable = 0) dev ~first_block ~num_blocks ~txn_st
       let delta = delta_in @ delta_over in
       note_records eu delta;
       if ck_used > 0 || ck_over > 0 then
-        Recovery.Repair_table.add t.repairs ~eu:eu.phys
+        Hashtbl.replace t.repairs eu.phys
           {
-            Recovery.Repair_table.pre_in = ck_used;
+            pre_in = ck_used;
             pre_over = ck_over;
             delta_in;
             delta_over;
-            pages = List.sort_uniq compare (List.map (fun r -> r.Log_record.page) delta);
+            delta_pages = List.sort_uniq compare (List.map (fun r -> r.Log_record.page) delta);
           }
       else if Cache.Log_cache.enabled t.cache && not (eu_log_empty eu) then begin
         Cache.Log_cache.install t.cache eu.phys delta;

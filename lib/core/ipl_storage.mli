@@ -230,7 +230,16 @@ val overflow_sectors : t -> eu:int -> int
 val free_eus : t -> int
 val stats : t -> stats
 
-module Stats : Ipl_util.Stats_intf.S with type t = stats
+module Stats : sig
+  type t = stats
+
+  val diff : t -> t -> t
+  (** [diff later earlier]: field-wise difference, for interval
+      measurements. *)
+
+  val to_json : t -> Ipl_util.Json.t
+  (** One-level object keyed by the record's field names. *)
+end
 
 val set_tracer : t -> Obs.Tracer.t option -> unit
 (** Install or clear a trace sink for storage-level events:

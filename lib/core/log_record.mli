@@ -30,7 +30,4 @@ val apply : Storage.Page.t -> t -> (unit, string) result
 val unapply : Storage.Page.t -> t -> (unit, string) result
 (** Reverse the change (the page must reflect the record's after-state). *)
 
-val op_name : t -> string
-(** ["insert"], ["delete"] or ["update"]. *)
-
 val pp : Format.formatter -> t -> unit

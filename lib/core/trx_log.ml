@@ -61,11 +61,6 @@ let log_begin t txid =
   Hashtbl.replace t.statuses txid Active;
   append t (encode 0 txid)
 
-let log_commit t txid =
-  Hashtbl.replace t.statuses txid Committed;
-  append t (encode 1 txid);
-  Seq_log.force t.log
-
 (* Group commit's write-ahead discipline, the mirror image of the begin
    record's: a commit record may only reach flash AFTER the batch's data
    records, but [force] (begin-record write-ahead at a dirty-frame flush)

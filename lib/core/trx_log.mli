@@ -24,10 +24,6 @@ val recover : Device.Flash_device.t -> first_block:int -> num_blocks:int -> t * 
 
 val log_begin : t -> int -> unit
 
-val log_commit : t -> int -> unit
-(** Append a commit record and force it: the durability point of a
-    transaction whose data records are already on flash. *)
-
 val defer_commit : t -> int -> unit
 (** Group commit: record the commit but keep its record out of the log
     buffer — a begin-record force or a compaction must not carry it to

@@ -438,7 +438,11 @@ let erase_block ?(cls = Foreground) t b =
 (* Invalidation is host-side bookkeeping (free of charge on the chip), so
    it bypasses the scheduler entirely — but still dies with the device. *)
 let invalidate_sectors t ~sector ~count =
-  if not t.single then check_dead t;
+  if t.single then begin
+    let chip = t.chans.(0).chip in
+    if Chip.is_dead chip then raise (Chip.Power_loss (Chip.op_count chip))
+  end
+  else check_dead t;
   let chip_idx, ls = locate t ~sector ~count in
   Chip.invalidate_sectors t.chans.(chip_idx).chip ~sector:ls ~count
 
@@ -472,21 +476,6 @@ let bad_blocks t =
 let erase_count t b =
   let chip_idx, lb = locate_block t b in
   Chip.erase_count t.chans.(chip_idx).chip lb
-
-let erase_counts t =
-  if t.single then Chip.erase_counts t.chans.(0).chip
-  else
-    Array.init t.config.FConfig.num_blocks (fun b ->
-        let chip_idx, lb = locate_block t b in
-        Chip.erase_count t.chans.(chip_idx).chip lb)
-
-let wear_histogram t =
-  if t.single then Chip.wear_histogram t.chans.(0).chip
-  else begin
-    let h = Ipl_util.Histogram.create () in
-    Array.iteri (fun b n -> Ipl_util.Histogram.add h b n) (erase_counts t);
-    h
-  end
 
 let live_sectors t =
   Array.fold_left (fun acc c -> acc + Chip.live_sectors c.chip) 0 t.chans
@@ -607,8 +596,6 @@ let stats t =
     FStats.mean_wear = agg.FStats.mean_wear /. float_of_int (nchips t);
   }
 
-let reset_stats t = Array.iter (fun c -> Chip.reset_stats c.chip) t.chans
-
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
 
@@ -629,7 +616,6 @@ let set_fault_hook t hook =
           t.chans
   end
 
-let op_count t = if t.single then Chip.op_count t.chans.(0).chip else t.ops
 let is_dead t = if t.single then Chip.is_dead t.chans.(0).chip else t.dead <> None
 
 let set_tracer t tracer = Array.iter (fun c -> Chip.set_tracer c.chip tracer) t.chans

@@ -109,8 +109,6 @@ val mark_bad : t -> int -> unit
 val is_bad : t -> int -> bool
 val bad_blocks : t -> int list
 val erase_count : t -> int -> int
-val erase_counts : t -> int array
-val wear_histogram : t -> Ipl_util.Histogram.t
 val live_sectors : t -> int
 val last_read_corrected : t -> bool
 
@@ -174,8 +172,6 @@ val stats : t -> Flash_sim.Flash_stats.t
 (** Aggregated over chips; [elapsed] is the device makespan (not the sum
     of per-chip busy times), [mean_wear] the cross-chip mean. *)
 
-val reset_stats : t -> unit
-
 (** {1 Fault injection}
 
     A device-level hook sees one global, deterministic operation
@@ -186,7 +182,6 @@ val reset_stats : t -> unit
     single-chip mode the hook is installed directly on the chip. *)
 
 val set_fault_hook : t -> (int -> Chip.op -> Chip.fault_action) option -> unit
-val op_count : t -> int
 val is_dead : t -> bool
 
 (** {1 Tracing and per-channel observability} *)

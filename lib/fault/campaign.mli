@@ -96,8 +96,6 @@ type profile =
   | Erase_faults  (** random erase failures *)
   | Wear_out  (** per-block endurance budgets, to spare-pool exhaustion *)
 
-val profile_to_string : profile -> string
-
 val profile_of_string : string -> profile option
 (** ["flaky" | "program" | "erase" | "wearout"]. *)
 

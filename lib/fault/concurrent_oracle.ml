@@ -45,7 +45,6 @@ let abort t ~txn =
   Hashtbl.remove t.active txn
 
 let durable t n = if n > t.durable then t.durable <- n
-let committed_count t = List.length t.commits
 
 (* A crash mid-commit: the transaction's record was appended to the
    sequential log after every earlier commit's, so it is exactly the

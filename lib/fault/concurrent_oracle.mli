@@ -47,8 +47,6 @@ val durable : t -> int -> unit
     have been settled by a completed barrier. Monotonic; lower values are
     ignored. *)
 
-val committed_count : t -> int
-
 val crash : t -> outcome
 (** Resolve the model after a power loss: live transactions roll back, a
     mid-commit transaction becomes the optional tail of the commit

@@ -15,12 +15,6 @@ let crash_at ?(tear = false) point : t =
         Chip.Tear (count / 2)
     | _ -> Chip.Fail_stop
 
-let flip_bit ~point ~bit : t =
- fun idx op ->
-  match op with
-  | Chip.Op_program _ when idx = point -> Chip.Flip_bit bit
-  | _ -> Chip.Proceed
-
 let transient_read ~point : t =
  fun idx op ->
   match op with

@@ -16,10 +16,6 @@ val crash_at : ?tear:bool -> int -> t
     operation is a multi-sector program it is torn half-way first, so the
     surviving flash state contains a partially programmed page. *)
 
-val flip_bit : point:int -> bit:int -> t
-(** Silently corrupt one bit of the data programmed at operation index
-    [point] (no exception — the damage is only found by checksums). *)
-
 val transient_read : point:int -> t
 (** Fail the read at operation index [point] with
     {!Flash_sim.Flash_chip.Read_error}; the data is intact and later

@@ -18,7 +18,9 @@ type t = {
   grown_bad_blocks : int;  (** blocks currently marked grown-bad *)
 }
 
-(** This module satisfies {!Ipl_util.Stats_intf.S}. *)
+(** Every operation has a caller: the device folds its chips with
+    [zero]/[add], interval measurement uses [diff], and reports use
+    [pp]/[to_json]. *)
 
 val zero : t
 

@@ -24,8 +24,6 @@ type config = {
   host_rate : float;  (** host interface bandwidth, bytes/s *)
 }
 
-val default_config : config
-
 type stats = {
   host_reads : int;
   host_writes : int;

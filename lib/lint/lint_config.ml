@@ -109,7 +109,6 @@ let libraries =
     { dir = "lib/sema"; wrapper = "Sema"; allowed = [ "Lint" ] };
     { dir = "lib/obs"; wrapper = "Obs"; allowed = [ "Ipl_util" ] };
     { dir = "lib/cache"; wrapper = "Cache"; allowed = [ "Ipl_util" ] };
-    { dir = "lib/recovery"; wrapper = "Recovery"; allowed = [ "Ipl_util" ] };
     { dir = "lib/flash"; wrapper = "Flash_sim"; allowed = [ "Ipl_util"; "Obs" ] };
     { dir = "lib/device"; wrapper = "Device"; allowed = [ "Ipl_util"; "Obs"; "Flash_sim" ] };
     {
@@ -134,7 +133,6 @@ let libraries =
           "Storage";
           "Bufmgr";
           "Cache";
-          "Recovery";
         ];
     };
     { dir = "lib/btree"; wrapper = "Btree"; allowed = [ "Ipl_util"; "Storage"; "Ipl_core" ] };

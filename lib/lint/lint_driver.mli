@@ -1,10 +1,6 @@
 (** Orchestration: scan the roots, run the parsetree walker and the
     dependency checker on every file, apply suppressions, and report. *)
 
-val lint_file : ?siblings:string list -> Lint_source.file -> Lint_finding.t list
-(** All per-file rules (AST rules + layering) with suppressions applied.
-    [siblings] are the module names of the file's own library (shadowing). *)
-
 val run : string list -> Lint_finding.t list
 (** Lint every .ml/.mli under the given roots, including mli-coverage.
     Deduplicated by (file, line, rule) and sorted deterministically. *)

@@ -11,9 +11,6 @@ val scan : string list -> file list
 
 val read_file : string -> string
 
-val module_name : file -> string
-(** Capitalized basename: the OCaml module the file defines. *)
-
 val siblings : file list -> string -> string list
 (** Module names defined in the given directory. *)
 

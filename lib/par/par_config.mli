@@ -7,9 +7,6 @@
     [jobs = 1] (the default everywhere) is the bit-for-bit serial path:
     no pool, no domains, no scheduling. *)
 
-val env_var : string
-(** ["IPL_JOBS"]. *)
-
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 

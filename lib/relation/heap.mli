@@ -10,9 +10,6 @@ type t
 type rowid = int
 (** Packed (page, slot). *)
 
-val page_of_rowid : rowid -> int
-val slot_of_rowid : rowid -> int
-
 val create : Ipl_core.Ipl_engine.t -> t
 val attach : Ipl_core.Ipl_engine.t -> header:int -> t
 (** Re-open by directory-head page id (after restart). *)

@@ -371,20 +371,6 @@ module Stats = struct
       spares_left = 0;
     }
 
-  let map2 f (a : t) (b : t) : t =
-    {
-      read_retries = f a.read_retries b.read_retries;
-      uncorrectable_reads = f a.uncorrectable_reads b.uncorrectable_reads;
-      remaps = f a.remaps b.remaps;
-      retired_blocks = f a.retired_blocks b.retired_blocks;
-      scrubs = f a.scrubs b.scrubs;
-      degradations = f a.degradations b.degradations;
-      spares_left = f a.spares_left b.spares_left;
-    }
-
-  let add = map2 ( + )
-  let diff = map2 ( - )
-
   let fields (t : t) =
     [
       ("read_retries", t.read_retries);

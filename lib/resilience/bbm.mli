@@ -146,13 +146,15 @@ type stats = {
 
 val stats : t -> stats
 
-(** Satisfies {!Ipl_util.Stats_intf.S}. *)
 module Stats : sig
   type t = stats
 
   val zero : t
-  val add : t -> t -> t
-  val diff : t -> t -> t
+  (** All counters zero: the engine reports it when it has no manager. *)
+
   val pp : Format.formatter -> t -> unit
+  (** One [resilience: key=value ...] line, as the campaign report
+      prints it. *)
+
   val to_json : t -> Ipl_util.Json.t
 end

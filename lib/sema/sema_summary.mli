@@ -33,8 +33,3 @@ val build : Sema_cmt.unit_info list -> table
 val iter_children : (Typedtree.expression -> unit) -> Typedtree.expression -> unit
 (** Visit every direct child expression (shared traversal helper). *)
 
-val raises_of_body :
-  table -> Sema_path.env -> Typedtree.expression -> SSet.t
-(** Contract exceptions an expression can raise, seeing through known
-    callees, try/with subtraction (re-raising catch-alls are transparent)
-    and thunks passed to known catchers like [Ipl_engine.guard]. *)

@@ -94,7 +94,4 @@ let customer_by_last_name t ~w ~d ~last =
           | Some row -> Some (c, row)
           | None -> None))
 
-let index_height t tbl =
-  B.height (B.attach t.engine ~header:(Table.index_header (table t tbl)))
-
 let row_count t tbl = Table.count (table t tbl)

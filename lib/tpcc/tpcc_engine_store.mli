@@ -9,6 +9,5 @@ include Tpcc_store.S
 val create : Ipl_core.Ipl_engine.t -> t
 val engine : t -> Ipl_core.Ipl_engine.t
 
-val index_height : t -> Tpcc_schema.table -> int
 val row_count : t -> Tpcc_schema.table -> int
 (** Entries in the table's index (full scan — for tests). *)

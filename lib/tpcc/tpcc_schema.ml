@@ -41,7 +41,6 @@ let () =
 let districts_per_warehouse = 10
 let customers_per_district = 3000
 let items = 100_000
-let stock_per_warehouse = 100_000
 let initial_orders_per_district = 3000
 
 (* Key packing. Bounds: w <= 9999, d <= 10, c <= 99_999, o < 10^8,

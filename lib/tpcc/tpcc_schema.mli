@@ -28,7 +28,6 @@ val table_name : table -> string
 val districts_per_warehouse : int
 val customers_per_district : int
 val items : int
-val stock_per_warehouse : int
 val initial_orders_per_district : int
 
 (** {1 Composite-key packing}

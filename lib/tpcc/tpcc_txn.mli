@@ -49,9 +49,6 @@ module Make (S : Tpcc_store.S) : sig
   val delivery : ctx -> unit
   val stock_level : ctx -> unit
 
-  val run_transaction : ctx -> unit
-  (** One transaction from the standard mix (45/43/4/4/4). *)
-
   val run : ctx -> n:int -> unit
   val counts : ctx -> counts
   val store : ctx -> S.t

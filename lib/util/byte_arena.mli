@@ -15,9 +15,7 @@ val create : ?chunk_size:int -> unit -> t
 
 val add : t -> bytes -> int
 (** Store a copy; returns a handle. The value must be shorter than the
-    chunk size and at most {!max_len} bytes. *)
-
-val max_len : int
+    chunk size and at most 1023 bytes. *)
 
 val get : t -> int -> bytes
 (** A fresh copy of the stored value. *)

@@ -6,8 +6,6 @@ val kib : int -> int
 val mib : int -> int
 (** [mib n] is [n * 1024 * 1024]. *)
 
-val gib : int -> int
-
 val pp_bytes : Format.formatter -> int -> unit
 (** Human-readable size, e.g. [128 KB], [1.5 MB]. *)
 

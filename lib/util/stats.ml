@@ -49,7 +49,3 @@ let gini xs =
     let nf = float_of_int n in
     ((2.0 *. !weighted) /. (nf *. total)) -. ((nf +. 1.0) /. nf)
   end
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f total=%.3f" s.count
-    s.mean s.stddev s.min s.max s.total

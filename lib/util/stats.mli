@@ -22,5 +22,3 @@ val gini : float array -> float
 (** Gini coefficient of a non-negative sample: 0 = perfectly even,
     approaching 1 = maximally skewed. Used to characterise update-frequency
     skew (Figure 4 of the paper). *)
-
-val pp_summary : Format.formatter -> summary -> unit

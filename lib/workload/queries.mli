@@ -15,7 +15,6 @@ type query = Q1 | Q2 | Q3 | Q4 | Q5 | Q6
 
 val all : query list
 val name : query -> string
-val is_write : query -> bool
 
 val table_pages : int
 (** 64 000 *)
@@ -30,10 +29,9 @@ type measurement = {
   segment_evictions : int;  (** FTL write-buffer evictions; 0 on disk *)
 }
 
-val run_on_disk : ?config:Disk_sim.Disk_config.t -> query -> measurement
 val run_on_flash : ?config:Ftl.Block_ftl.config -> query -> measurement
-(** Both build a fresh device holding the populated table, run the
-    query's pattern, flush, and report simulated time. *)
+(** Builds a fresh flash device holding the populated table, runs the
+    query's pattern, flushes, and reports simulated time. *)
 
 val table3 :
   ?disk:Disk_sim.Disk_config.t ->

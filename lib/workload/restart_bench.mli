@@ -23,9 +23,6 @@ type spec = {
   checkpoint_every : int;
 }
 
-val specs : spec list
-(** The swept sizes: ["small"], ["medium"], ["large"]. *)
-
 type point = {
   name : string;
   pages : int;

@@ -229,31 +229,43 @@ let test_raising_callback_unpins () =
   Alcotest.(check int) "evictable" 20 (Pool.with_page pool 2 read);
   Alcotest.(check bool) "evicted" false (Pool.contains pool 1)
 
-(* Negative keys, and keys past the dense index, are resident all the
-   same: every operation finds them. *)
+(* The index covers page ids from 0: a negative id is refused before
+   anything is fetched or counted, and a lookup of one finds nothing. A
+   key far past the index grows it, and is a hit from then on. *)
 let test_keys_outside_index () =
   let pool, fetched, written = mk ~capacity:3 () in
+  let refused name g =
+    match g () with
+    | () -> Alcotest.failf "%s of a negative id accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "with_page" (fun () -> ignore (Pool.with_page pool (-5) read : int));
+  refused "preload" (fun () -> Pool.preload pool (-5) (ref 0));
+  Alcotest.(check int) "nothing fetched or counted" 0
+    ((Pool.stats pool).Pool.misses + List.length !fetched);
+  Alcotest.(check bool) "negative lookups miss" false
+    (Pool.contains pool (-5) || Pool.is_dirty pool (-5) || Pool.find pool (-5) <> None);
   let far = 1_000_000 in
-  List.iter (fun k -> ignore (Pool.with_page pool k ~dirty:true read)) [ -5; far; 2 ];
-  Alcotest.(check int) "negative hit" (-50) (Pool.with_page pool (-5) read);
+  List.iter (fun k -> ignore (Pool.with_page pool k ~dirty:true read)) [ 5; far; 2 ];
+  Alcotest.(check int) "low hit" 50 (Pool.with_page pool 5 read);
   Alcotest.(check int) "far hit" (far * 10) (Pool.with_page pool far read);
   Alcotest.(check int) "two hits" 2 (Pool.stats pool).Pool.hits;
-  Alcotest.(check bool) "contains" true (Pool.contains pool (-5) && Pool.contains pool far);
+  Alcotest.(check int) "cached" 3 (Pool.cached pool);
   Alcotest.(check bool) "dirty" true (Pool.is_dirty pool far);
   Pool.clean pool far;
   Alcotest.(check bool) "cleaned" false (Pool.is_dirty pool far);
   Pool.mark_dirty pool far;
-  Alcotest.(check (option int)) "find" (Some (-50)) (Option.map ( ! ) (Pool.find pool (-5)));
-  (* With page 2 promoted, page -5 is the least recently used. *)
+  Alcotest.(check (option int)) "find" (Some 50) (Option.map ( ! ) (Pool.find pool 5));
+  (* With page 2 promoted, page 5 is the least recently used. *)
   Pool.promote pool 2;
   ignore (Pool.with_page pool 7 read);
-  Alcotest.(check bool) "LRU evicted" false (Pool.contains pool (-5));
-  Alcotest.(check (list (pair int int))) "written back" [ (-5, -50) ] !written;
-  Alcotest.(check (list int)) "fetches" [ 7; 2; far; -5 ] !fetched
+  Alcotest.(check bool) "LRU evicted" false (Pool.contains pool 5);
+  Alcotest.(check (list (pair int int))) "written back" [ (5, 50) ] !written;
+  Alcotest.(check (list int)) "fetches" [ 7; 2; far; 5 ] !fetched
 
-(* The index starts at 2 * capacity entries and doubles when a key in
-   its next doubling arrives; keys that came in before the growth must
-   still be hits after it. *)
+(* The index starts at 2 * capacity entries and doubles until it covers
+   each new key; keys that came in before a growth must still be hits
+   after it. *)
 let test_index_growth_preserves_hits () =
   let pool, fetched, _ = mk ~capacity:8 () in
   let keys = [ 40; 3; 20; 100; 33; 64; 127 ] in
@@ -281,7 +293,7 @@ let test_flush_all_order () =
        | _ -> ()));
   let rng = Ipl_util.Rng.of_int 11 in
   for _ = 1 to 500 do
-    let k = Ipl_util.Rng.int rng 300 - 20 in
+    let k = Ipl_util.Rng.int rng 300 in
     match Ipl_util.Rng.int rng 8 with
     | 0 ->
         Pool.clean pool k;

@@ -241,12 +241,19 @@ let test_seq_log_fills_up () =
 (* ------------------------------------------------------------------ *)
 (* Transaction log                                                     *)
 
+(* A commit as the engine makes one: defer the record, append it at
+   the batch barrier, force it. *)
+let commit log txid =
+  Trx_log.defer_commit log txid;
+  Trx_log.flush_deferred log;
+  Trx_log.force log
+
 let test_trx_log_statuses () =
   let chip = small_chip () in
   let log = Trx_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
   Trx_log.log_begin log 1;
   Trx_log.log_begin log 2;
-  Trx_log.log_commit log 1;
+  commit log 1;
   Alcotest.(check bool) "committed" true (Trx_log.status log 1 = Trx_log.Committed);
   Alcotest.(check bool) "active" true (Trx_log.status log 2 = Trx_log.Active);
   Alcotest.(check bool) "txid 0" true (Trx_log.status log 0 = Trx_log.Committed);
@@ -258,7 +265,7 @@ let test_trx_log_recovery_aborts_incomplete () =
   let chip = small_chip () in
   let log = Trx_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
   Trx_log.log_begin log 1;
-  Trx_log.log_commit log 1;
+  commit log 1;
   Trx_log.log_begin log 2;
   Trx_log.log_begin log 3;
   Trx_log.log_abort log 3;
@@ -276,7 +283,7 @@ let test_trx_log_compaction () =
      must kick in transparently. *)
   for txid = 1 to 2000 do
     Trx_log.log_begin log txid;
-    Trx_log.log_commit log txid
+    commit log txid
   done;
   Trx_log.log_begin log 2001;
   Trx_log.log_abort log 2001;

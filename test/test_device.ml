@@ -4,8 +4,8 @@
    barrier vs drain semantics, seeded timelines pinned to golden
    constants, the scheduler's allocation per submission, erased-block
    buffers reused across chips, device and per-chip contents against a
-   byte-array model, and 1-channel vs 4-channel logical equivalence of a
-   full engine workload. *)
+   byte-array model, 1-channel vs 4-channel logical equivalence of a
+   full engine workload, and a dead device refusing invalidation. *)
 
 module Config = Flash_sim.Flash_config
 module Chip = Flash_sim.Flash_chip
@@ -407,6 +407,28 @@ let test_geometry_equivalence () =
   Alcotest.(check string) "identical logical results" (digest_of one.Bench.json)
     (digest_of four.Bench.json)
 
+(* --- a dead device ----------------------------------------------- *)
+
+(* After a fail-stop every operation raises [Power_loss], host-side
+   invalidation included, whatever the geometry: sector 0 stays valid. *)
+let test_dead_device_refuses_invalidation () =
+  List.iter
+    (fun (channels, ways) ->
+      let name = Printf.sprintf "%dx%d" channels ways in
+      let dev = mk ~channels ~ways () in
+      Dev.write_sectors dev ~sector:0 (sector_bytes dev 1);
+      Dev.set_fault_hook dev (Some (fun _ _ -> Chip.Fail_stop));
+      (match Dev.read_sectors dev ~sector:0 ~count:1 with
+      | _ -> Alcotest.failf "%s: fail-stop read succeeded" name
+      | exception Chip.Power_loss _ -> ());
+      Alcotest.(check bool) (name ^ " dead") true (Dev.is_dead dev);
+      (match Dev.invalidate_sectors dev ~sector:0 ~count:1 with
+      | () -> Alcotest.failf "%s: dead device accepted an invalidation" name
+      | exception Chip.Power_loss _ -> ());
+      Alcotest.(check bool) (name ^ " sector 0 still valid") true
+        (Dev.sector_state dev 0 = Chip.Valid))
+    [ (1, 1); (2, 1) ]
+
 let () =
   Alcotest.run "device"
     [
@@ -424,5 +446,7 @@ let () =
           Alcotest.test_case "reference model" `Quick test_reference_model;
           Alcotest.test_case "erased bytes never visible" `Quick test_erased_bytes_never_visible;
           Alcotest.test_case "1ch vs 4ch digest" `Quick test_geometry_equivalence;
+          Alcotest.test_case "dead device refuses invalidation" `Quick
+            test_dead_device_refuses_invalidation;
         ] );
     ]

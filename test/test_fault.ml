@@ -105,7 +105,9 @@ let test_trx_log_lost_commit_record () =
   let trx = Trx_log.create (dev_of chip) ~first_block:0 ~num_blocks:1 in
   Trx_log.log_begin trx 1;
   Trx_log.force trx;
-  Trx_log.log_commit trx 1;
+  Trx_log.defer_commit trx 1;
+  Trx_log.flush_deferred trx;
+  Trx_log.force trx;
   (* The commit record's sector rots: the implicit-UNDO contract is that
      the transaction reverts to its pre-crash (un-committed) status. *)
   corrupt chip 1 ~offset:3;

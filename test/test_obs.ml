@@ -1,5 +1,5 @@
 (* Tests of the observability layer (lib/obs): JSON round-trips, the
-   trace ring buffer, latency histograms, the Stats_intf retrofit, the
+   trace ring buffer, latency histograms, interval stats, the
    typed engine errors, and a deterministic traced workload whose event
    counts must agree with the storage-manager counters. *)
 
@@ -10,13 +10,6 @@ module Engine = Ipl_core.Ipl_engine
 module Config = Ipl_core.Ipl_config
 module Store = Ipl_core.Ipl_storage
 module Bench = Workload.Obs_bench
-
-(* Compile-time satellite check: all four stats records implement the
-   common signature. *)
-module _ : Ipl_util.Stats_intf.S with type t = Flash_sim.Flash_stats.t = Flash_sim.Flash_stats
-module _ : Ipl_util.Stats_intf.S with type t = Store.stats = Store.Stats
-module _ : Ipl_util.Stats_intf.S with type t = Bufmgr.Buffer_pool.stats = Bufmgr.Buffer_pool.Stats
-module _ : Ipl_util.Stats_intf.S with type t = Engine.combined_stats = Engine.Stats
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -300,39 +293,62 @@ let test_bench_json_schema () =
   | _ -> Alcotest.fail "trace dropped events (capacity too small)"
 
 (* ------------------------------------------------------------------ *)
-(* Stats_intf retrofit                                                 *)
+(* Interval stats                                                      *)
+
+(* An interval is the layer diffs of two [Engine.stats] snapshots, as a
+   benchmark round measures it. *)
+let interval_json (later : Engine.combined_stats) (earlier : Engine.combined_stats) =
+  let module P = Bufmgr.Buffer_pool in
+  let module F = Flash_sim.Flash_stats in
+  Json.to_string
+    (Json.Obj
+       [
+         ("storage", Store.Stats.to_json (Store.Stats.diff later.storage earlier.storage));
+         ("pool", P.Stats.to_json (P.Stats.diff later.pool earlier.pool));
+         ("flash", F.to_json (F.diff later.flash earlier.flash));
+       ])
 
 let test_stats_interval () =
   let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
   let config = { Config.default with Config.buffer_pages = 8 } in
   let engine = Engine.create ~config chip in
   let page = Engine.Unsafe.allocate_page engine in
-  let before = Engine.stats engine in
-  for _ = 1 to 200 do
+  let insert () =
     match Engine.Unsafe.insert engine ~tx:0 ~page (Bytes.make 40 'y') with Ok _ | Error _ -> ()
+  in
+  insert ();
+  Engine.Unsafe.checkpoint engine;
+  let before = Engine.stats engine in
+  let before_json = Json.to_string (Engine.Stats.to_json before) in
+  (* No work between two snapshots: every layer's interval is zero. *)
+  let idle = interval_json (Engine.stats engine) before in
+  String.iter
+    (fun c -> if c >= '1' && c <= '9' then Alcotest.failf "idle interval not zero: %s" idle)
+    idle;
+  for _ = 1 to 200 do
+    insert ()
   done;
   Engine.Unsafe.checkpoint engine;
-  let interval = Engine.Stats.diff (Engine.stats engine) before in
-  Alcotest.(check bool)
-    "interval counts only new work" true
-    (interval.Engine.storage.Store.log_sector_writes > 0
-    && interval.Engine.storage.Store.pages_allocated = 0);
-  (* add(diff(b,a), a) = b on a few load-bearing fields. *)
-  let back = Engine.Stats.add before interval in
   let now = Engine.stats engine in
-  Alcotest.(check int) "add inverts diff (flash writes)"
-    now.Engine.flash.Flash_sim.Flash_stats.page_writes
-    back.Engine.flash.Flash_sim.Flash_stats.page_writes;
-  Alcotest.(check int) "add inverts diff (pool misses)"
-    now.Engine.pool.Bufmgr.Buffer_pool.misses back.Engine.pool.Bufmgr.Buffer_pool.misses;
-  (* zero is the identity; JSON renders all three layers and reparses. *)
-  let z = Engine.Stats.add Engine.Stats.zero Engine.Stats.zero in
-  Alcotest.(check int) "zero" 0 z.Engine.storage.Store.merges;
+  let storage = Store.Stats.diff now.storage before.storage in
+  let pool = Bufmgr.Buffer_pool.Stats.diff now.pool before.pool in
+  let flash = Flash_sim.Flash_stats.diff now.flash before.flash in
+  Alcotest.(check int) "page allocated before the interval" 1 before.storage.Store.pages_allocated;
+  Alcotest.(check int) "no allocation in the interval" 0 storage.Store.pages_allocated;
+  Alcotest.(check bool) "interval log writes" true
+    (storage.Store.log_sector_writes > 0
+    && storage.Store.log_sector_writes < now.storage.Store.log_sector_writes);
+  Alcotest.(check int) "interval pool accesses" 200
+    (pool.Bufmgr.Buffer_pool.hits + pool.Bufmgr.Buffer_pool.misses);
+  Alcotest.(check bool) "interval flash writes" true
+    (flash.Flash_sim.Flash_stats.page_writes > 0
+    && flash.Flash_sim.Flash_stats.page_writes < now.flash.Flash_sim.Flash_stats.page_writes);
+  Alcotest.(check string) "earlier snapshot unchanged" before_json
+    (Json.to_string (Engine.Stats.to_json before));
   let j = roundtrip (Engine.Stats.to_json now) in
   List.iter
     (fun k -> if Json.member k j = None then Alcotest.failf "combined json misses %s" k)
-    [ "storage"; "pool"; "flash" ];
-  ignore (Format.asprintf "%a" Engine.Stats.pp now)
+    [ "storage"; "pool"; "flash"; "resilience" ]
 
 (* ------------------------------------------------------------------ *)
 (* Typed errors                                                        *)
