@@ -20,13 +20,18 @@
     in-flight write and a subsequent read cannot exist — the scheduler
     models queueing time only.
 
-    {b Per-chip timeline.} Each chip's unsettled operations live in a
-    fixed array of [queue_depth] slots, kept in (start time, tag) order
-    and updated in place: settling compacts it, a submission or a
-    promotion pushes back the displaced queued operations in one pass and
-    restores the order by insertion. A submission therefore costs
-    O([queue_depth]) time and allocates only its own record and tag
-    entry, never a rebuilt queue.
+    {b Per-chip timeline.} Each chip's unsettled operations live in
+    [queue_depth] preallocated slots (flat arrays of start, duration,
+    submission time, tag and class), kept in (start time, tag) order. A
+    chip serves one operation at a time, so completions ascend along the
+    timeline too: settling drops a prefix, and a full queue waits for its
+    first slot. A submission that preempts nothing is appended in O(1); a
+    preempting submission or a promotion pushes back the displaced queued
+    operations in one pass and restores the order by insertion, in
+    O([queue_depth]). A tag encodes its chip, so an await searches only
+    that chip's slots, and a barrier sorts its tags in a preallocated
+    array: a submission, an await and a barrier allocate nothing in the
+    scheduler.
 
     {b Single-chip mode.} With one chip ([of_chip], or [channels = ways =
     1]) every operation is forwarded verbatim and the chip's own clock is
@@ -56,7 +61,9 @@ val create :
     geometry; [num_blocks] must divide evenly across the chips.
     [queue_depth] (default 32) bounds outstanding operations per chip,
     and sizes each chip's timeline: a submission against a full queue
-    stalls the host clock to the earliest completion. *)
+    stalls the host clock to the earliest completion. A multi-chip device
+    needs positive op timings in [config], since its timelines rely on
+    every operation taking time. *)
 
 val of_chip : Chip.t -> t
 (** Wrap an existing chip as a single-channel device (the bit-for-bit

@@ -34,17 +34,16 @@ module Latency = struct
       count = 0;
     }
 
+  let rec bits acc n = if n <= 1 then acc else bits (acc + 1) (n lsr 1)
+
   (* floor(log2 ns) computed on the truncated integer — exact, no float
      log rounding at bucket boundaries. At most 62 for any [int]. *)
-  let bucket_of_seconds v =
+  let[@inline] bucket_of_seconds v =
     let ns = v *. 1e9 in
-    if ns < 1.0 then 0
-    else
-      let n = int_of_float ns in
-      let rec bits acc n = if n <= 1 then acc else bits (acc + 1) (n lsr 1) in
-      bits 0 n
+    if ns < 1.0 then 0 else bits 0 (int_of_float ns)
 
-  let observe t v =
+  (* Inlined, so [observe_batch] passes no boxed float. *)
+  let[@inline] observe t v =
     let v = if Float.is_nan v || v < 0.0 then 0.0 else v in
     let k = bucket_of_seconds v in
     t.buckets.(k) <- t.buckets.(k) + 1;
@@ -53,6 +52,11 @@ module Latency = struct
     s.(sum_i) <- s.(sum_i) +. v;
     if v < s.(min_i) then s.(min_i) <- v;
     if v > s.(max_i) then s.(max_i) <- v
+
+  let observe_batch t values n =
+    for i = 0 to n - 1 do
+      observe t (Float.Array.get values i)
+    done
 
   let count t = t.count
   let sum t = t.stats.(sum_i)

@@ -25,6 +25,11 @@ module Latency : sig
   (** Record one observation in seconds. Negative and NaN observations are
       clamped to zero. *)
 
+  val observe_batch : t -> Float.Array.t -> int -> unit
+  (** [observe_batch t values n] records [values.(0)] to [values.(n-1)] in
+      order, exactly as [n] calls of {!observe} would, without boxing them:
+      a caller that keeps its samples in a flat array allocates nothing. *)
+
   val count : t -> int
   val sum : t -> float
   val min_seconds : t -> float

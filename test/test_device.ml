@@ -2,10 +2,11 @@
    bit-for-bit equivalence, deterministic virtual-time scheduling,
    op-class priorities with deadline promotion, queue-depth backpressure,
    barrier vs drain semantics, seeded timelines pinned to golden
-   constants, the scheduler's allocation per submission, erased-block
-   buffers reused across chips, device and per-chip contents against a
-   byte-array model, 1-channel vs 4-channel logical equivalence of a
-   full engine workload, and a dead device refusing invalidation. *)
+   constants, the scheduler's allocation per submission, await and
+   barrier, erased-block buffers reused across chips, device and
+   per-chip contents against a byte-array model, 1-channel vs 4-channel
+   logical equivalence of a full engine workload, and a dead device
+   refusing invalidation. *)
 
 module Config = Flash_sim.Flash_config
 module Chip = Flash_sim.Flash_chip
@@ -261,6 +262,8 @@ let golden_cases =
     (2, 3, 1, 6, "c55fdaf15f98c4e31f2f42e69ecd1ac4", "b4a629632028932a53eca7601e8bb04f");
     (4, 2, 32, 7, "3289b024bde18db5e434ba6faad62ca6", "e9df62197ed7c9eaf2e8dbec0214adfa");
     (2, 4, 2, 8, "0c7de9b13cda4587120231fdd9c3839c", "bed0bf4a15d9b57f6d63ef6fd890d287");
+    (4, 2, 64, 9, "68553f66190ce5223184539957cfa76b", "c2c18c2b1425cf61e5550ee9f4cff4d2");
+    (2, 2, 64, 10, "923d557b4fd2db5f3a68b2ad98792220", "c68b1c1c9364e304f4674ead7c114e34");
   ]
 
 let test_golden_timelines () =
@@ -272,38 +275,86 @@ let test_golden_timelines () =
       Alcotest.(check string) (name ^ " report") report_md5 report)
     golden_cases
 
-(* --- submission allocation ----------------------------------------- *)
+(* --- scheduler allocation ------------------------------------------ *)
 
-(* With every chip's queue full, a 1-sector submission settles one
-   completion and schedules one operation. Guard the scheduler's
-   per-submission allocation: it is a fixed per-chip timeline, so a
-   submission costs the pending record, its tag-table entry and the
-   chip's own bookkeeping, not a rebuilt queue. *)
-let test_submission_allocation () =
+(* A 4x2 device and a submitter of 1-sector log-flush programs that walks
+   the blocks round-robin, so every chip's queue fills alike. *)
+let log_writer () =
   let dev = Dev.create ~channels:4 ~ways:2 (cfg ~num_blocks:64 ()) in
   let nblocks = (Dev.config dev).Config.num_blocks in
-  let next = Array.make nblocks 0 in
+  let next = Array.make nblocks 0 and i = ref 0 in
   let data = sector_bytes dev 1 in
-  let submit i =
-    let b = i mod nblocks in
+  let submit () =
+    let b = !i mod nblocks in
+    incr i;
     let sector = Dev.sector_of_block dev b + next.(b) in
     next.(b) <- next.(b) + 1;
-    ignore (Dev.submit_write dev ~cls:Dev.Log_flush ~sector data : Dev.tag)
+    Dev.submit_write dev ~cls:Dev.Log_flush ~sector data
   in
-  let warm = 2 * Dev.num_chips dev * Dev.queue_depth dev and runs = 4096 in
-  for i = 0 to warm - 1 do
-    submit i
-  done;
-  Alcotest.(check int) "queues full" (Dev.num_chips dev * Dev.queue_depth dev) (Dev.in_flight dev);
+  (dev, submit)
+
+(* Minor words allocated by one call of [f]. *)
+let words f =
   let w0 = Gc.minor_words () in
-  for i = warm to warm + runs - 1 do
-    submit i
+  f ();
+  Gc.minor_words () -. w0
+
+(* With every chip's queue full, a 1-sector submission settles one
+   completion and schedules one operation. The scheduler allocates
+   nothing for it: its timelines are preallocated slots, and a tag is an
+   int. What remains (14 words when this bound was set) is the chip's
+   own: its operation record, its boxed clock and its copy loop's
+   closure. *)
+let test_submission_allocation () =
+  let dev, submit = log_writer () in
+  let full = Dev.num_chips dev * Dev.queue_depth dev and runs = 4096 in
+  for _ = 1 to 2 * full do
+    ignore (submit () : Dev.tag)
+  done;
+  Alcotest.(check int) "queues full" full (Dev.in_flight dev);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (submit () : Dev.tag)
   done;
   let per = (Gc.minor_words () -. w0) /. float_of_int runs in
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per submission <= 128" per)
-    true (per <= 128.0);
+    (Printf.sprintf "%.1f minor words per submission <= 32" per)
+    true (per <= 32.0);
   Dev.drain dev
+
+(* An await of an outstanding tag, which promotes it to the head of its
+   chip's full queue, and a durability barrier over full queues on every
+   chip allocate nothing: a tag names its chip, and a barrier sorts its
+   tags in a preallocated array. *)
+let test_await_barrier_allocation () =
+  let dev, submit = log_writer () in
+  let full = Dev.num_chips dev * Dev.queue_depth dev in
+  let fill () =
+    while Dev.in_flight dev < full do
+      ignore (submit () : Dev.tag)
+    done
+  in
+  fill ();
+  let awaits = 256 and barriers = 32 in
+  let await_words = ref 0.0 in
+  for _ = 1 to awaits do
+    let tag = submit () in
+    await_words := !await_words +. words (fun () -> Dev.await dev tag)
+  done;
+  let barrier_words = ref 0.0 in
+  for _ = 1 to barriers do
+    fill ();
+    barrier_words := !barrier_words +. words (fun () -> Dev.barrier dev);
+    Alcotest.(check int) "barrier settles every log flush" 0 (Dev.in_flight dev)
+  done;
+  let per_await = !await_words /. float_of_int awaits
+  and per_barrier = !barrier_words /. float_of_int barriers in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per await <= 2" per_await)
+    true (per_await <= 2.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per barrier <= 2" per_barrier)
+    true (per_barrier <= 2.0)
 
 (* --- erase-unit storage ------------------------------------------- *)
 
@@ -442,6 +493,7 @@ let () =
           Alcotest.test_case "queue-depth backpressure" `Quick test_queue_depth_backpressure;
           Alcotest.test_case "golden timelines" `Quick test_golden_timelines;
           Alcotest.test_case "submission allocation" `Quick test_submission_allocation;
+          Alcotest.test_case "await/barrier allocation" `Quick test_await_barrier_allocation;
           Alcotest.test_case "erase/program allocation" `Quick test_erase_program_allocation;
           Alcotest.test_case "reference model" `Quick test_reference_model;
           Alcotest.test_case "erased bytes never visible" `Quick test_erased_bytes_never_visible;
