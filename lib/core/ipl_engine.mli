@@ -79,9 +79,10 @@ val create :
   ?trx_blocks:int ->
   Flash_sim.Flash_chip.t ->
   t
-(** {!create_device} over a single chip
-    ({!Device.Flash_device.of_chip}) — bit-for-bit the pre-device serial
-    engine. *)
+(** {!create_device} over [chip] wrapped as a one-chip device at queue
+    depth 1 ({!Device.Flash_device.of_chip}): the device clock starts at
+    the chip's, and a fault plan installed on the chip fires with the
+    chip's own operation numbering. *)
 
 val restart_device :
   ?config:Ipl_config.t ->

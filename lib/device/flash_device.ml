@@ -35,22 +35,25 @@ type tag = int
 
 let no_tag : tag = -1
 
-(* The host virtual clock (multi-chip mode). A record whose one field is a
-   float is stored flat, so advancing the clock allocates nothing. *)
+(* The host virtual clock. A record whose one field is a float is stored
+   flat, so advancing the clock allocates nothing. *)
 type clock = { mutable now : float }
 
-(* A chip's virtual timeline: its scheduled but unsettled operations, in
-   slots [0, n) ascending (start, tag). Slot [i] is entry [i] of each of
-   the flat arrays below, allocated once with [queue_depth] entries, so
-   scheduling allocates nothing; [make_room] keeps [n] below the queue
-   depth before every push. *)
+(* A chip's virtual timeline: its scheduled but unsettled operations, at
+   positions [0, n) in ascending (start, tag) order. The slots form a
+   ring: position [p] is entry [(head + p) land mask] of each flat array
+   below, whose power-of-two capacity is at least the queue depth. So
+   settling a prefix only moves [head], scheduling allocates nothing, and
+   [make_room] keeps [n] below the queue depth before every push. *)
 type chan = {
   chip : Chip.t;
+  mask : int;
   tags : int array;
   info : int array;  (* class index lsl 1, lor 1 for a program or erase *)
   start : Float.Array.t;  (* a promotion or an arrival may push a queued op back *)
   dur : Float.Array.t;
   since : Float.Array.t;  (* submission time *)
+  mutable head : int;
   mutable n : int;
   mutable max_depth : int;
   mutable depth_sum : int;
@@ -65,10 +68,6 @@ type t = {
   queue_depth : int;
   config : FConfig.t;  (* device-level geometry (num_blocks = total) *)
   spb : int;
-  single : bool;
-      (* one chip: every operation is forwarded verbatim and the chip's
-         own clock is the device clock, making the single-channel device
-         bit-for-bit (state, stats, time) equal to the bare-chip path *)
   clock : clock;
   mutable next_seq : int;
   lat : Obs.Metrics.Latency.t array;  (* per-class submit-to-completion *)
@@ -77,8 +76,6 @@ type t = {
   settled_n : int array;
   durable : int array;  (* a barrier's tags, sorted in place *)
   mutable dead : int option;  (* op index of a device-wide fail-stop *)
-  mutable hook : (int -> Chip.op -> Chip.fault_action) option;
-  mutable ops : int;  (* device-global operation numbering *)
   mutable last_read_chan : int;
   waits : float array;  (* host stall time by cause, see [wait_cause] *)
 }
@@ -104,13 +101,17 @@ let[@inline] advance_now t cause target =
   end
 
 let mk_chan ~queue_depth chip =
+  let rec capacity k = if k >= queue_depth then k else capacity (2 * k) in
+  let cap = capacity 1 in
   {
     chip;
-    tags = Array.make queue_depth no_tag;
-    info = Array.make queue_depth 0;
-    start = Float.Array.make queue_depth 0.0;
-    dur = Float.Array.make queue_depth 0.0;
-    since = Float.Array.make queue_depth 0.0;
+    mask = cap - 1;
+    tags = Array.make cap no_tag;
+    info = Array.make cap 0;
+    start = Float.Array.make cap 0.0;
+    dur = Float.Array.make cap 0.0;
+    since = Float.Array.make cap 0.0;
+    head = 0;
     n = 0;
     max_depth = 0;
     depth_sum = 0;
@@ -120,21 +121,14 @@ let mk_chan ~queue_depth chip =
 
 let nchips t = Array.length t.chans
 
-(* In multi-chip mode every chip consults this permanent hook, which keeps
-   one device-global operation numbering (deterministic: eager execution
-   means submission order is numbering order) and forwards to the
-   user-installed device hook, if any. *)
-let install_counter t c =
-  Chip.set_fault_hook c.chip
-    (Some
-       (fun _local op ->
-         let i = t.ops in
-         t.ops <- i + 1;
-         match t.hook with None -> Chip.Proceed | Some f -> f i op))
+(* The device-wide operation number: the sum of what each chip has
+   numbered (eager execution means submission order is numbering order).
+   On one chip it is the chip's own numbering. *)
+let op_count t = Array.fold_left (fun acc c -> acc + Chip.op_count c.chip) 0 t.chans
 
 let default_queue_depth = 32
 
-let make ~channels ~ways ~queue_depth ~single config chips =
+let make ~channels ~ways ~queue_depth config chips =
   {
     chans = Array.map (mk_chan ~queue_depth) chips;
     channels;
@@ -142,22 +136,20 @@ let make ~channels ~ways ~queue_depth ~single config chips =
     queue_depth;
     config;
     spb = FConfig.sectors_per_block config;
-    single;
-    clock = { now = 0.0 };
+    clock = { now = Chip.elapsed chips.(0) };
     next_seq = 0;
     lat = Array.init num_classes (fun _ -> Obs.Metrics.Latency.create ());
     settled = Array.init num_classes (fun _ -> Float.Array.make queue_depth 0.0);
     settled_n = Array.make num_classes 0;
     durable = Array.make (Array.length chips * queue_depth) no_tag;
     dead = None;
-    hook = None;
-    ops = 0;
     last_read_chan = 0;
     waits = Array.make num_wait_causes 0.0;
   }
 
-let of_chip chip =
-  make ~channels:1 ~ways:1 ~queue_depth:1 ~single:true (Chip.config chip) [| chip |]
+(* The clock starts at the chip's own, so a device wrapped around a used
+   chip reports the time the chip has already spent. *)
+let of_chip chip = make ~channels:1 ~ways:1 ~queue_depth:1 (Chip.config chip) [| chip |]
 
 let create ?(queue_depth = default_queue_depth) ~channels ~ways config =
   if channels <= 0 then invalid_arg "Flash_device.create: channels must be positive";
@@ -167,19 +159,14 @@ let create ?(queue_depth = default_queue_depth) ~channels ~ways config =
   let n = channels * ways in
   if config.FConfig.num_blocks mod n <> 0 then
     invalid_arg "Flash_device.create: num_blocks must divide evenly across channels x ways";
-  if n = 1 then of_chip (Chip.create config)
-  else begin
-    if
-      not
-        (config.FConfig.t_read_page > 0.0
-        && config.FConfig.t_write_page > 0.0
-        && config.FConfig.t_erase_block > 0.0)
-    then invalid_arg "Flash_device.create: a multi-chip device needs positive op timings";
-    let per_chip = { config with FConfig.num_blocks = config.FConfig.num_blocks / n } in
-    let t = make ~channels ~ways ~queue_depth ~single:false config (Chip.create_shared n per_chip) in
-    Array.iter (install_counter t) t.chans;
-    t
-  end
+  if
+    not
+      (config.FConfig.t_read_page > 0.0
+      && config.FConfig.t_write_page > 0.0
+      && config.FConfig.t_erase_block > 0.0)
+  then invalid_arg "Flash_device.create: the device needs positive op timings";
+  let per_chip = { config with FConfig.num_blocks = config.FConfig.num_blocks / n } in
+  make ~channels ~ways ~queue_depth config (Chip.create_shared n per_chip)
 
 let config t = t.config
 let channels t = t.channels
@@ -207,79 +194,89 @@ let sector_of_block t b =
 
 let channel_of_block t b =
   check_block t b;
-  if t.single then 0 else b mod nchips t
+  b mod nchips t
 
-let local_block t b = if t.single then b else b / nchips t
+let local_block t b = b / nchips t
 
 (* Chip index of a device-address range. Multi-sector operations must
    stay within one erase block — the striping granularity — exactly the
-   discipline the erase-unit-based storage layers above already obey. *)
+   discipline the erase-unit-based storage layers above already obey. One
+   chip stripes nothing, so there a range may cross blocks, as on the
+   chip itself. *)
 let channel_of_range t ~sector ~count =
   check_sector t sector;
   if count > 0 then check_sector t (sector + count - 1);
-  if t.single then 0
-  else begin
-    let b = sector / t.spb in
-    if count > 1 && (sector + count - 1) / t.spb <> b then
-      invalid_arg "Flash_device: operation crosses an erase-block boundary";
-    b mod nchips t
-  end
+  let b = sector / t.spb and n = nchips t in
+  if n > 1 && count > 1 && (sector + count - 1) / t.spb <> b then
+    invalid_arg "Flash_device: operation crosses an erase-block boundary";
+  b mod n
 
 (* Chip-local flat address of a device sector. *)
-let local_sector t s =
-  if t.single then s else (s / t.spb / nchips t * t.spb) + (s mod t.spb)
+let local_sector t s = (s / t.spb / nchips t * t.spb) + (s mod t.spb)
 
 (* ------------------------------------------------------------------ *)
-(* Virtual-time scheduler (multi-chip mode only)                       *)
+(* Virtual-time scheduler                                              *)
 
 (* A chip serves one operation at a time: [place] starts every operation
-   no earlier than the completion of each one ahead of it on the
+   no earlier than the completion of the one ahead of it on the
    timeline, and every scheduled operation takes positive time. So
    completion times ascend along a timeline just as start times do: the
    operations the host clock has passed are the timeline's prefix, its
    first operation completes earliest and its last one latest. *)
 
-let[@inline] start_of c i = Float.Array.get c.start i
-let[@inline] completion c i = Float.Array.get c.start i +. Float.Array.get c.dur i
-let[@inline] class_of c i = c.info.(i) lsr 1
-let[@inline] queued t c i = start_of c i > t.clock.now
+let[@inline] slot c p = (c.head + p) land c.mask
+let[@inline] start_of c p = Float.Array.get c.start (slot c p)
+
+let[@inline] completion c p =
+  let s = slot c p in
+  Float.Array.get c.start s +. Float.Array.get c.dur s
+
+let[@inline] class_of c p = c.info.(slot c p) lsr 1
+let[@inline] queued t c p = start_of c p > t.clock.now
 
 let move c ~src ~dst =
+  let src = slot c src and dst = slot c dst in
   c.tags.(dst) <- c.tags.(src);
   c.info.(dst) <- c.info.(src);
   Float.Array.set c.start dst (Float.Array.get c.start src);
   Float.Array.set c.dur dst (Float.Array.get c.dur src);
   Float.Array.set c.since dst (Float.Array.get c.since src)
 
-(* The slot of [tag] on chip [c], searching from slot [i]; -1 once it has
-   settled. *)
-let rec find c tag i = if i >= c.n then -1 else if c.tags.(i) = tag then i else find c tag (i + 1)
+(* The position of [tag] on chip [c], searching from position [p]; -1 once
+   it has settled. *)
+let rec find c tag p =
+  if p >= c.n then -1 else if c.tags.(slot c p) = tag then p else find c tag (p + 1)
+
+(* Settled latencies collect per class and reach the histograms one batch
+   per class, taken from a flat array unboxed. *)
+let[@inline] settle t cls latency =
+  let m = t.settled_n.(cls) in
+  Float.Array.set t.settled.(cls) m latency;
+  t.settled_n.(cls) <- m + 1
+
+let observe_settled t =
+  for cls = 0 to num_classes - 1 do
+    let m = t.settled_n.(cls) in
+    if m > 0 then begin
+      Obs.Metrics.Latency.observe_batch t.lat.(cls) t.settled.(cls) m;
+      t.settled_n.(cls) <- 0
+    end
+  done
 
 (* Drop (and account) every operation whose completion the host clock has
    passed — the timeline's prefix, so this returns at once when the first
-   has not completed. Settles in timeline order (the latency sums depend
-   on it). *)
+   has not completed, and the ring drops it by moving its head. Settles in
+   timeline order (the latency sums depend on it). *)
 let prune t c =
-  let now = t.clock.now in
-  if c.n > 0 && completion c 0 <= now then begin
-    let k = ref 0 in
-    while !k < c.n && completion c !k <= now do
-      let cls = class_of c !k in
-      let m = t.settled_n.(cls) in
-      Float.Array.set t.settled.(cls) m (completion c !k -. Float.Array.get c.since !k);
-      t.settled_n.(cls) <- m + 1;
-      incr k
-    done;
-    for cls = 0 to num_classes - 1 do
-      let m = t.settled_n.(cls) in
-      if m > 0 then begin
-        Obs.Metrics.Latency.observe_batch t.lat.(cls) t.settled.(cls) m;
-        t.settled_n.(cls) <- 0
-      end
-    done;
-    for i = !k to c.n - 1 do
-      move c ~src:i ~dst:(i - !k)
-    done;
+  let now = t.clock.now and k = ref 0 in
+  while !k < c.n && completion c !k <= now do
+    let s = slot c !k in
+    settle t (c.info.(s) lsr 1) (completion c !k -. Float.Array.get c.since s);
+    incr k
+  done;
+  if !k > 0 then begin
+    observe_settled t;
+    c.head <- slot c !k;
     c.n <- c.n - !k
   end
 
@@ -293,106 +290,106 @@ let make_room t c =
     prune t c
   end
 
-(* Restore (start, tag) order after start times moved. Tags are unique, so
-   the order is total. The timeline holds at most [queue_depth] ops and is
-   nearly sorted, so insertion sort. *)
-let sort_timeline c =
-  for i = 1 to c.n - 1 do
-    let tag = c.tags.(i) and info = c.info.(i) in
-    let s = start_of c i and d = Float.Array.get c.dur i and since = Float.Array.get c.since i in
-    let j = ref (i - 1) in
-    while
-      !j >= 0
-      &&
-      let sj = start_of c !j in
-      s < sj || (s = sj && tag < c.tags.(!j))
-    do
-      move c ~src:!j ~dst:(!j + 1);
-      decr j
+(* Move the op at position [i] to position [q <= i], shifting the
+   displaced run [q, i) up by one; start it when the op now ahead of it
+   completes (or now); then push every later op back in timeline order,
+   each starting no earlier than the one ahead of it completes. The
+   callers choose [q] so that every later op is queued, and the moved op
+   starts before all of them: the timeline stays in (start, tag) order. *)
+let place t c ~q i =
+  if q < i then begin
+    let s = slot c i in
+    let tag = c.tags.(s) and info = c.info.(s) in
+    let d = Float.Array.get c.dur s and since = Float.Array.get c.since s in
+    for j = i - 1 downto q do
+      move c ~src:j ~dst:(j + 1)
     done;
-    let j = !j + 1 in
-    if j < i then begin
-      c.tags.(j) <- tag;
-      c.info.(j) <- info;
-      Float.Array.set c.start j s;
-      Float.Array.set c.dur j d;
-      Float.Array.set c.since j since
-    end
+    let s = slot c q in
+    c.tags.(s) <- tag;
+    c.info.(s) <- info;
+    Float.Array.set c.dur s d;
+    Float.Array.set c.since s since
+  end;
+  let now = t.clock.now in
+  Float.Array.set c.start (slot c q) (if q = 0 then now else fmax now (completion c (q - 1)));
+  let prev_end = ref (completion c q) in
+  for j = q + 1 to c.n - 1 do
+    let s = slot c j in
+    let start = fmax (Float.Array.get c.start s) !prev_end in
+    Float.Array.set c.start s start;
+    prev_end := start +. Float.Array.get c.dur s
   done
 
-(* Whether [place] pushes the op in slot [j] back behind the one in slot
-   [i]: it is queued and of a class index above [cutoff]. *)
-let[@inline] behind t c ~i ~cutoff j = j <> i && queued t c j && class_of c j > cutoff
+(* Whether an arrival of class index [cutoff] goes ahead of the op at
+   position [p]: it is queued and of lower priority. *)
+let[@inline] behind t c ~cutoff p = queued t c p && class_of c p > cutoff
 
-(* Start the op in slot [i] after every other op that [behind] does not
-   select; push the selected ones back behind it in timeline order, each
-   starting no earlier than the previous one ends; then restore the
-   timeline's order. Returns the op's new slot. *)
-let place t c i ~cutoff =
-  let base = ref t.clock.now in
-  for j = 0 to c.n - 1 do
-    if j <> i && not (behind t c ~i ~cutoff j) then base := fmax !base (completion c j)
-  done;
-  Float.Array.set c.start i !base;
-  let prev_end = ref (completion c i) in
-  for j = 0 to c.n - 1 do
-    if behind t c ~i ~cutoff j then begin
-      Float.Array.set c.start j (fmax (start_of c j) !prev_end);
-      prev_end := completion c j
-    end
-  done;
-  let tag = c.tags.(i) in
-  sort_timeline c;
-  find c tag 0
-
-(* Schedule a new operation of [cls] on chip [c] and return its slot. It
-   starts after the in-progress operation and every queued operation of
-   equal or higher priority (FIFO within a class), and preempts queued
+(* Schedule a new operation of [cls] on chip [c] and return its position.
+   It starts after the in-progress operation and every queued operation
+   of equal or higher priority (FIFO within a class), and preempts queued
    lower-priority operations, which are pushed back. Pure time
    arithmetic: the data effects already happened at submission.
 
    Between calls the queued operations (a suffix of the timeline) are in
    priority order: an arrival goes ahead of the lower-priority ones only,
    and every promotion is followed by advancing the host clock past the
-   promoted operation, which is then no longer queued. So unless the
-   last operation is a queued one of lower priority, none is, and the
-   common case is O(1): the new operation starts when the last one
+   promoted operation, which is then no longer queued. So the ops the
+   arrival preempts are the timeline's suffix, and the common case, with
+   none of them, is O(1): the new operation starts when the last one
    completes, and is last in (start, tag) order. *)
-let[@inline] schedule t c ~chip_idx ~cls ~write ~dur =
-  let i = c.n and k = class_index cls and now = t.clock.now in
-  c.tags.(i) <- (t.next_seq * nchips t) + chip_idx;
+let schedule t c ~chip_idx ~cls ~write ~dur =
+  let i = c.n and k = class_index cls in
+  let s = slot c i in
+  c.tags.(s) <- (t.next_seq * nchips t) + chip_idx;
   t.next_seq <- t.next_seq + 1;
-  c.info.(i) <- (k lsl 1) lor Bool.to_int write;
-  Float.Array.set c.start i now;
-  Float.Array.set c.dur i dur;
-  Float.Array.set c.since i now;
+  c.info.(s) <- (k lsl 1) lor Bool.to_int write;
+  Float.Array.set c.dur s dur;
+  Float.Array.set c.since s t.clock.now;
   c.n <- i + 1;
-  if i = 0 then i
-  else if not (behind t c ~i ~cutoff:k (i - 1)) then begin
-    Float.Array.set c.start i (fmax now (completion c (i - 1)));
-    i
-  end
-  else place t c i ~cutoff:k
+  let q = ref i in
+  while !q > 0 && behind t c ~cutoff:k (!q - 1) do
+    decr q
+  done;
+  place t c ~q:!q i;
+  !q
 
-(* Deadline promotion: the host is blocked on the op in slot [i]. If it
-   has not started yet, nothing on its chip is more urgent — move it ahead
-   of every other queued (not yet started) operation, pushing them back. A
-   real controller reorders its internal queue the same way when a flush
-   the host is waiting on sits behind readahead traffic. Pure time
-   arithmetic; execution was eager. Returns the op's slot. *)
-let expedite t c i = if queued t c i then place t c i ~cutoff:(-1) else i
+(* Deadline promotion: the host is blocked on the op at position [i]. If
+   it has not started yet, nothing on its chip is more urgent — move it
+   ahead of every other queued (not yet started) operation, pushing them
+   back. A real controller reorders its internal queue the same way when a
+   flush the host is waiting on sits behind readahead traffic. Pure time
+   arithmetic; execution was eager. Returns the op's position.
+
+   A queued op starts exactly when the op ahead of it completes (it was
+   placed or pushed back there), so one already first in the queue keeps
+   its start, and so does every op behind it: there is nothing to do. *)
+let expedite t c i =
+  if not (queued t c i) then i
+  else begin
+    let q = ref i in
+    while !q > 0 && queued t c (!q - 1) do
+      decr q
+    done;
+    if !q < i then place t c ~q:!q i;
+    !q
+  end
+
+(* The host waits for the op at position [i]: promote it, advance the
+   clock past its completion, settle. *)
+let finish t c ~cause i =
+  let i = expedite t c i in
+  advance_now t cause (completion c i);
+  prune t c
 
 let check_dead t =
   match t.dead with Some i -> raise (Chip.Power_loss i) | None -> ()
 
-let note_submission t c ~cls =
+let note_submission c ~cls =
   c.submitted.(class_index cls) <- c.submitted.(class_index cls) + 1;
-  if not t.single then begin
-    let d = c.n in
-    if d > c.max_depth then c.max_depth <- d;
-    c.depth_sum <- c.depth_sum + d;
-    c.depth_obs <- c.depth_obs + 1
-  end
+  let d = c.n in
+  if d > c.max_depth then c.max_depth <- d;
+  c.depth_sum <- c.depth_sum + d;
+  c.depth_obs <- c.depth_obs + 1
 
 (* The three physical operations, on a chip-local address: a sector, or
    an erase's block. *)
@@ -406,52 +403,51 @@ let execute chip kind ~addr ~count data =
 
 (* Run one physical operation eagerly on its chip, measuring its service
    time from the chip's own clock (so the device never re-implements the
-   chip's timing model), and schedule its completion; returns its slot.
-   Failed operations normally charge no time; the exception is a torn
-   program, which charges the partial program before the power dies —
-   that time is folded in synchronously so the clock stays consistent. *)
-let dispatch t ~cls kind ~chip_idx ~addr ~count data =
+   chip's timing model), and schedule its completion. A synchronous
+   operation ([sync]) then waits for it and returns [no_tag]; an
+   asynchronous one returns its tag. A synchronous operation that finds
+   its chip idle starts now and completes at [now +. dur], so it skips
+   the timeline: the clock, its wait and its latency take exactly the
+   values the timeline would give them. Failed operations normally charge
+   no time; the exception is a torn program, which charges the partial
+   program before the power dies — that time is folded in synchronously
+   so the clock stays consistent. *)
+let dispatch t ~sync ~cls kind ~chip_idx ~addr ~count data =
   check_dead t;
   let c = t.chans.(chip_idx) in
   make_room t c;
-  note_submission t c ~cls;
+  note_submission c ~cls;
   let write = match kind with Read -> false | Program | Erase -> true in
   let t0 = Chip.elapsed c.chip in
   match execute c.chip kind ~addr ~count data with
-  | () -> schedule t c ~chip_idx ~cls ~write ~dur:(Chip.elapsed c.chip -. t0)
+  | () ->
+      let dur = Chip.elapsed c.chip -. t0 in
+      if sync && c.n = 0 then begin
+        let now = t.clock.now in
+        let fin = now +. dur in
+        settle t (class_index cls) (fin -. now);
+        observe_settled t;
+        advance_now t wait_sync fin;
+        no_tag
+      end
+      else begin
+        let i = schedule t c ~chip_idx ~cls ~write ~dur in
+        if sync then begin
+          finish t c ~cause:wait_sync i;
+          no_tag
+        end
+        else c.tags.(slot c i)
+      end
   | exception e ->
       (match e with
-      | Chip.Power_loss _ -> t.dead <- Some (max 0 (t.ops - 1))
+      | Chip.Power_loss _ -> t.dead <- Some (max 0 (op_count t - 1))
       | _ -> ());
       let dur = Chip.elapsed c.chip -. t0 in
-      if dur > 0.0 then begin
-        let i = expedite t c (schedule t c ~chip_idx ~cls ~write ~dur) in
-        advance_now t wait_sync (completion c i);
-        prune t c
-      end;
+      if dur > 0.0 then finish t c ~cause:wait_sync (schedule t c ~chip_idx ~cls ~write ~dur);
       raise e
 
 let run_sync t ~cls kind ~chip_idx ~addr ~count data =
-  if t.single then begin
-    let c = t.chans.(0) in
-    note_submission t c ~cls;
-    let t0 = Chip.elapsed c.chip in
-    execute c.chip kind ~addr ~count data;
-    Obs.Metrics.Latency.observe t.lat.(class_index cls) (Chip.elapsed c.chip -. t0)
-  end
-  else begin
-    let c = t.chans.(chip_idx) in
-    let i = expedite t c (dispatch t ~cls kind ~chip_idx ~addr ~count data) in
-    advance_now t wait_sync (completion c i);
-    prune t c
-  end
-
-let run_async t ~cls kind ~chip_idx ~addr ~count data =
-  if t.single then begin
-    run_sync t ~cls kind ~chip_idx ~addr ~count data;
-    no_tag
-  end
-  else t.chans.(chip_idx).tags.(dispatch t ~cls kind ~chip_idx ~addr ~count data)
+  ignore (dispatch t ~sync:true ~cls kind ~chip_idx ~addr ~count data : tag)
 
 (* ------------------------------------------------------------------ *)
 (* Synchronous chip-compatible surface                                 *)
@@ -482,11 +478,7 @@ let erase_block ?(cls = Foreground) t b =
 (* Invalidation is host-side bookkeeping (free of charge on the chip), so
    it bypasses the scheduler entirely — but still dies with the device. *)
 let invalidate_sectors t ~sector ~count =
-  if t.single then begin
-    let chip = t.chans.(0).chip in
-    if Chip.is_dead chip then raise (Chip.Power_loss (Chip.op_count chip))
-  end
-  else check_dead t;
+  check_dead t;
   let chip_idx = channel_of_range t ~sector ~count in
   Chip.invalidate_sectors t.chans.(chip_idx).chip ~sector:(local_sector t sector) ~count
 
@@ -501,15 +493,12 @@ let mark_bad t b = Chip.mark_bad t.chans.(channel_of_block t b).chip (local_bloc
 let is_bad t b = Chip.is_bad t.chans.(channel_of_block t b).chip (local_block t b)
 
 let bad_blocks t =
-  if t.single then Chip.bad_blocks t.chans.(0).chip
-  else
-    List.sort compare
-      (List.concat
-         (Array.to_list
-            (Array.mapi
-               (fun i c ->
-                 List.map (fun lb -> (lb * nchips t) + i) (Chip.bad_blocks c.chip))
-               t.chans)))
+  List.sort compare
+    (List.concat
+       (Array.to_list
+          (Array.mapi
+             (fun i c -> List.map (fun lb -> (lb * nchips t) + i) (Chip.bad_blocks c.chip))
+             t.chans)))
 
 let erase_count t b = Chip.erase_count t.chans.(channel_of_block t b).chip (local_block t b)
 
@@ -524,7 +513,7 @@ let last_read_corrected t = Chip.last_read_corrected t.chans.(t.last_read_chan).
 let submit_read_into t ~cls ~sector ~count dst =
   let chip_idx = channel_of_range t ~sector ~count in
   t.last_read_chan <- chip_idx;
-  run_async t ~cls Read ~chip_idx ~addr:(local_sector t sector) ~count dst
+  dispatch t ~sync:false ~cls Read ~chip_idx ~addr:(local_sector t sector) ~count dst
 
 let submit_read t ~cls ~sector ~count =
   let out = sector_buffer t count in
@@ -533,11 +522,11 @@ let submit_read t ~cls ~sector ~count =
 let submit_write t ~cls ~sector data =
   let count = sector_count t data in
   let chip_idx = channel_of_range t ~sector ~count in
-  run_async t ~cls Program ~chip_idx ~addr:(local_sector t sector) ~count data
+  dispatch t ~sync:false ~cls Program ~chip_idx ~addr:(local_sector t sector) ~count data
 
 let submit_erase t ~cls b =
   let chip_idx = channel_of_block t b in
-  run_async t ~cls Erase ~chip_idx ~addr:(local_block t b) ~count:1 Bytes.empty
+  dispatch t ~sync:false ~cls Erase ~chip_idx ~addr:(local_block t b) ~count:1 Bytes.empty
 
 (* Fire-and-forget submissions for callers that settle by class barrier
    (or not at all — scrub relocation), not by individual await. The tag
@@ -549,15 +538,11 @@ let publish_read_into t ~cls ~sector ~count dst =
   ignore (submit_read_into t ~cls ~sector ~count dst : tag)
 
 let await t tag =
-  if (not t.single) && tag >= 0 then begin
+  if tag >= 0 then begin
     let c = t.chans.(tag mod nchips t) in
     let i = find c tag 0 in
     (* -1: already settled *)
-    if i >= 0 then begin
-      let i = expedite t c i in
-      advance_now t wait_await (completion c i);
-      prune t c
-    end
+    if i >= 0 then finish t c ~cause:wait_await i
   end
 
 let in_flight t = Array.fold_left (fun acc c -> acc + c.n) 0 t.chans
@@ -569,7 +554,7 @@ let in_flight t = Array.fold_left (fun acc c -> acc + c.n) 0 t.chans
    ([Merge_io], [Scrub]) is excluded: it models the FTL's cleaning
    engine, which orders its programs against the mapping journal
    per-chip and never stalls a commit. {!drain} waits for everything. *)
-let durable_write c i = c.info.(i) land 1 = 1 && class_of c i <= class_index Log_flush
+let durable_write c p = c.info.(slot c p) land 1 = 1 && class_of c p <= class_index Log_flush
 
 let sort_ints a n =
   for i = 1 to n - 1 do
@@ -583,39 +568,35 @@ let sort_ints a n =
   done
 
 let barrier t =
-  if not t.single then begin
-    let k = ref 0 in
-    for ci = 0 to nchips t - 1 do
-      let c = t.chans.(ci) in
-      for i = 0 to c.n - 1 do
-        if durable_write c i then begin
-          t.durable.(!k) <- c.tags.(i);
-          incr k
-        end
-      done
-    done;
-    (* Promoted in tag (submission) order: promotion order decides the
-       resulting timeline. Nothing settles before the last promotion, so
-       every tag is still on its chip. *)
-    sort_ints t.durable !k;
-    for x = 0 to !k - 1 do
-      let tag = t.durable.(x) in
-      let c = t.chans.(tag mod nchips t) in
-      let i = expedite t c (find c tag 0) in
-      advance_now t wait_barrier (completion c i)
-    done;
-    for ci = 0 to nchips t - 1 do
-      prune t t.chans.(ci)
+  let k = ref 0 in
+  for ci = 0 to nchips t - 1 do
+    let c = t.chans.(ci) in
+    for i = 0 to c.n - 1 do
+      if durable_write c i then begin
+        t.durable.(!k) <- c.tags.(slot c i);
+        incr k
+      end
     done
-  end
+  done;
+  (* Promoted in tag (submission) order: promotion order decides the
+     resulting timeline. Nothing settles before the last promotion, so
+     every tag is still on its chip. *)
+  sort_ints t.durable !k;
+  for x = 0 to !k - 1 do
+    let tag = t.durable.(x) in
+    let c = t.chans.(tag mod nchips t) in
+    let i = expedite t c (find c tag 0) in
+    advance_now t wait_barrier (completion c i)
+  done;
+  for ci = 0 to nchips t - 1 do
+    prune t t.chans.(ci)
+  done
 
 let drain t =
-  if not t.single then begin
-    Array.iter
-      (fun c -> if c.n > 0 then advance_now t wait_barrier (completion c (c.n - 1)))
-      t.chans;
-    Array.iter (fun c -> prune t c) t.chans
-  end
+  Array.iter
+    (fun c -> if c.n > 0 then advance_now t wait_barrier (completion c (c.n - 1)))
+    t.chans;
+  Array.iter (fun c -> prune t c) t.chans
 
 (* ------------------------------------------------------------------ *)
 (* Clock and stats                                                     *)
@@ -629,10 +610,8 @@ let makespan t =
   done;
   !m
 
-let elapsed t = if t.single then Chip.elapsed t.chans.(0).chip else makespan t
-
-let advance_time t dt =
-  if t.single then Chip.advance_time t.chans.(0).chip dt else t.clock.now <- t.clock.now +. dt
+let elapsed = makespan
+let advance_time t dt = t.clock.now <- t.clock.now +. dt
 
 let stats t =
   let agg = Array.fold_left (fun acc c -> FStats.add acc (Chip.stats c.chip)) FStats.zero t.chans in
@@ -645,24 +624,21 @@ let stats t =
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
 
+(* A device hook is wrapped once and installed on every chip, replacing
+   any hook installed on a chip directly; a hook installed directly on a
+   chip after the device was built is never overwritten. *)
 let set_fault_hook t hook =
-  if t.single then Chip.set_fault_hook t.chans.(0).chip hook
-  else begin
-    t.hook <- hook;
-    match hook with
-    | Some _ -> ()
-    | None ->
-        (* Clearing revives the device, like clearing a chip hook revives
-           the chip: reset per-chip deadness, then re-arm the counters. *)
-        t.dead <- None;
-        Array.iter
-          (fun c ->
-            Chip.set_fault_hook c.chip None;
-            install_counter t c)
-          t.chans
-  end
+  match hook with
+  | Some f ->
+      let numbered = Some (fun _local op -> f (op_count t - 1) op) in
+      Array.iter (fun c -> Chip.set_fault_hook c.chip numbered) t.chans
+  | None ->
+      (* Clearing revives the device, like clearing a chip hook revives
+         the chip. *)
+      t.dead <- None;
+      Array.iter (fun c -> Chip.set_fault_hook c.chip None) t.chans
 
-let is_dead t = if t.single then Chip.is_dead t.chans.(0).chip else t.dead <> None
+let is_dead t = t.dead <> None
 
 let set_tracer t tracer = Array.iter (fun c -> Chip.set_tracer c.chip tracer) t.chans
 let tracer t = Chip.tracer t.chans.(0).chip

@@ -20,24 +20,27 @@
     in-flight write and a subsequent read cannot exist — the scheduler
     models queueing time only.
 
-    {b Per-chip timeline.} Each chip's unsettled operations live in
-    [queue_depth] preallocated slots (flat arrays of start, duration,
-    submission time, tag and class), kept in (start time, tag) order. A
-    chip serves one operation at a time, so completions ascend along the
-    timeline too: settling drops a prefix, and a full queue waits for its
-    first slot. A submission that preempts nothing is appended in O(1); a
-    preempting submission or a promotion pushes back the displaced queued
-    operations in one pass and restores the order by insertion, in
-    O([queue_depth]). A tag encodes its chip, so an await searches only
-    that chip's slots, and a barrier sorts its tags in a preallocated
-    array: a submission, an await and a barrier allocate nothing in the
-    scheduler.
+    Every device runs through this scheduler, a one-chip device
+    included: on one chip asynchronous submissions queue behind each
+    other and class priorities reorder them, just as on each chip of a
+    wider device.
 
-    {b Single-chip mode.} With one chip ([of_chip], or [channels = ways =
-    1]) every operation is forwarded verbatim and the chip's own clock is
-    the device clock, making the device bit-for-bit equivalent — state,
-    stats, simulated time, fault-op numbering — to using the chip
-    directly. *)
+    {b Per-chip timeline.} Each chip's unsettled operations live in a
+    ring of preallocated slots (flat arrays of start, duration,
+    submission time, tag and class; a power-of-two capacity of at least
+    [queue_depth]), kept in (start time, tag) order. A chip serves one
+    operation at a time, so completions ascend along the timeline too:
+    settling drops a prefix by moving the ring's head, in O(1) per
+    settled operation, and a full queue waits for its first slot. A
+    submission that preempts nothing is appended in O(1), and so is a
+    synchronous operation that finds its chip idle, which skips the
+    timeline altogether. A preempting submission or a promotion inserts
+    the operation ahead of the displaced queued ones, shifting only that
+    run, and pushes back every later queued operation: O(number of
+    queued operations behind it). A tag encodes its chip, so an await
+    searches only that chip's slots, and a barrier sorts its tags in a
+    preallocated array: a submission, an await and a barrier allocate
+    nothing in the scheduler. *)
 
 module Chip = Flash_sim.Flash_chip
 
@@ -61,14 +64,18 @@ val create :
     geometry; [num_blocks] must divide evenly across the chips.
     [queue_depth] (default 32) bounds outstanding operations per chip,
     and sizes each chip's timeline: a submission against a full queue
-    stalls the host clock to the earliest completion. A multi-chip device
-    needs positive op timings in [config], since its timelines rely on
-    every operation taking time. *)
+    stalls the host clock to the earliest completion. Every device, one
+    chip included, needs positive op timings in [config], since its
+    timelines rely on every operation taking time. *)
 
 val of_chip : Chip.t -> t
-(** Wrap an existing chip as a single-channel device (the bit-for-bit
-    compatibility path: fault hooks installed directly on the chip keep
-    working, including their operation numbering). *)
+(** Wrap an existing chip as a one-chip device at queue depth 1, whose
+    clock starts at the chip's own ({!Chip.elapsed}): a device wrapped
+    around a used chip reports the time the chip has spent. The device
+    installs no fault hook of its own, so a hook installed directly on
+    the chip, before or after wrapping, keeps firing with the chip's own
+    operation numbering. A synchronous operation advances the device
+    clock by its service time, as on the bare chip. *)
 
 val config : t -> Flash_sim.Flash_config.t
 (** Device-level geometry: [num_blocks] is the total across all chips. *)
@@ -170,8 +177,8 @@ val in_flight : t -> int
 (** {1 Clock and stats} *)
 
 val elapsed : t -> float
-(** Simulated makespan so far: host clock advanced past every scheduled
-    completion. Single-chip mode: the chip's own clock. *)
+(** Simulated makespan so far: the host clock, or the last scheduled
+    completion on any chip if that is later. *)
 
 val advance_time : t -> float -> unit
 
@@ -181,12 +188,15 @@ val stats : t -> Flash_sim.Flash_stats.t
 
 (** {1 Fault injection}
 
-    A device-level hook sees one global, deterministic operation
-    numbering across all chips (submission order). A [Fail_stop] (or a
-    torn program) kills the whole device — power is shared — and every
+    A device-level hook is wrapped once and installed on every chip. It
+    sees one global, deterministic operation numbering across all chips
+    (submission order): the sum of the chips' own numbers, so on a
+    one-chip device the chip's numbering. A [Fail_stop] (or a torn
+    program) kills the whole device — power is shared — and every
     further operation raises {!Chip.Power_loss} until the hook is cleared
-    with [set_fault_hook t None], which also revives the chips. In
-    single-chip mode the hook is installed directly on the chip. *)
+    with [set_fault_hook t None], which also revives the chips. A hook
+    installed directly on a chip fires with that chip's numbering and is
+    replaced only by a later [set_fault_hook]. *)
 
 val set_fault_hook : t -> (int -> Chip.op -> Chip.fault_action) option -> unit
 val is_dead : t -> bool
@@ -212,8 +222,8 @@ type channel_report = {
 val channel_report : t -> channel_report list
 
 val class_latency : t -> op_class -> Obs.Metrics.Latency.t
-(** Submit-to-completion latency histogram of an op class (service time
-    in single-chip mode, where submissions never wait). *)
+(** Submit-to-completion latency histogram of an op class: queueing
+    behind the chip's other operations plus service time. *)
 
 val to_json : t -> Ipl_util.Json.t
 (** [{channels, ways, queue_depth, elapsed_s, per_channel: [...],

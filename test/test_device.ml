@@ -1,5 +1,6 @@
 (* Tests for the multi-channel flash device: block striping, single-chip
-   bit-for-bit equivalence, deterministic virtual-time scheduling,
+   bit-for-bit equivalence, a one-chip device's queue and its wrapped
+   chip's fault numbering and clock, deterministic virtual-time scheduling,
    op-class priorities with deadline promotion, queue-depth backpressure,
    barrier vs drain semantics, seeded timelines pinned to golden
    constants, the scheduler's allocation per submission, await and
@@ -38,9 +39,10 @@ let test_striping () =
 
 (* --- single-chip equivalence -------------------------------------- *)
 
-(* The same operation sequence, against a bare chip and against devices
-   in both single-chip modes; state, data, timing and stats must be
-   bit-for-bit identical. *)
+(* The same operation sequence of synchronous operations, against a bare
+   chip and against both one-chip devices ([of_chip] and a 1x1
+   [create]); state, data, timing and stats must be bit-for-bit
+   identical. *)
 let drive_ops read write erase num_sectors =
   let acc = Buffer.create 256 in
   let data i = Bytes.init 512 (fun j -> Char.chr ((i + j) mod 256)) in
@@ -83,6 +85,61 @@ let test_single_chip_equivalence () =
     assert (Chip.sector_state chip s = Dev.sector_state wrapped s);
     assert (Chip.sector_state chip s = Dev.sector_state created s)
   done
+
+(* --- one chip ------------------------------------------------------ *)
+
+(* A 1x1 device runs through the same per-chip scheduler as any other:
+   asynchronous submissions stay in flight until awaited. Awaiting the
+   last of three promotes it ahead of the second, which has not started
+   either, so that one is still in flight; awaiting it too empties the
+   queue. *)
+let test_one_chip_queue () =
+  let dev = Dev.create ~channels:1 ~ways:1 ~queue_depth:8 (cfg ()) in
+  let submit s = Dev.submit_write dev ~cls:Dev.Log_flush ~sector:s (sector_bytes dev 1) in
+  let t0 = submit 0 in
+  let t1 = submit 1 in
+  let t2 = submit 2 in
+  Alcotest.(check int) "three in flight" 3 (Dev.in_flight dev);
+  Dev.await dev t2;
+  Alcotest.(check int) "the second, pushed back, is in flight" 1 (Dev.in_flight dev);
+  Dev.await dev t1;
+  Alcotest.(check int) "awaiting it empties the queue" 0 (Dev.in_flight dev);
+  Dev.await dev t0;
+  Alcotest.(check int) "a settled tag is a no-op" 0 (Dev.in_flight dev)
+
+(* A fault plan on a chip fires at the chip's own operation numbers,
+   whether it was installed before the chip was wrapped or after: the
+   device installs no hook of its own. *)
+let test_plan_on_wrapped_chip () =
+  let write dev s = Dev.write_sectors dev ~sector:s (sector_bytes dev 1) in
+  List.iter
+    (fun before ->
+      let name = if before then "installed before of_chip" else "installed after of_chip" in
+      let chip = Chip.create (cfg ()) in
+      for s = 0 to 2 do
+        Chip.write_sectors chip ~sector:s (Bytes.make 512 'c')
+      done;
+      if before then Fault.Fault_plan.install chip (Fault.Fault_plan.crash_at 5);
+      let dev = Dev.of_chip chip in
+      if not before then Fault.Fault_plan.install chip (Fault.Fault_plan.crash_at 5);
+      write dev 3;
+      write dev 4;
+      Alcotest.(check bool) (name ^ ": alive before op 5") false (Dev.is_dead dev);
+      (match write dev 5 with
+      | () -> Alcotest.failf "%s: op 5 survived" name
+      | exception Chip.Power_loss i -> Alcotest.(check int) (name ^ ": dies at op") 5 i);
+      Alcotest.(check bool) (name ^ ": dead") true (Dev.is_dead dev);
+      Alcotest.(check int) (name ^ ": chip numbered it") 6 (Chip.op_count chip))
+    [ true; false ]
+
+(* A device wrapped around a used chip starts its clock at the chip's. *)
+let test_wrapped_clock () =
+  let chip = Chip.create (cfg ()) in
+  Chip.write_sectors chip ~sector:0 (Bytes.make 512 'c');
+  Chip.erase_block chip 1;
+  let dev = Dev.of_chip chip in
+  Alcotest.(check (float 0.0)) "clock before the first op" (Chip.elapsed chip) (Dev.elapsed dev);
+  Alcotest.(check bool) "positive" true (Dev.elapsed dev > 0.0)
 
 (* --- determinism --------------------------------------------------- *)
 
@@ -264,6 +321,10 @@ let golden_cases =
     (2, 4, 2, 8, "0c7de9b13cda4587120231fdd9c3839c", "bed0bf4a15d9b57f6d63ef6fd890d287");
     (4, 2, 64, 9, "68553f66190ce5223184539957cfa76b", "c2c18c2b1425cf61e5550ee9f4cff4d2");
     (2, 2, 64, 10, "923d557b4fd2db5f3a68b2ad98792220", "c68b1c1c9364e304f4674ead7c114e34");
+    (* One chip: a burst of mixed-class ops queued on it is tpcc's
+       pattern. *)
+    (1, 1, 32, 12, "f0a7df8cde8582e4865cf37f60ef9ba2", "04f5603db92a475fad234a8be38856f0");
+    (1, 1, 64, 13, "7520f924a371451c8abe9496402be8c3", "a296e2aed649e76253ec1e34a06114f9");
   ]
 
 let test_golden_timelines () =
@@ -487,6 +548,9 @@ let () =
         [
           Alcotest.test_case "striping" `Quick test_striping;
           Alcotest.test_case "single-chip equivalence" `Quick test_single_chip_equivalence;
+          Alcotest.test_case "one-chip queue" `Quick test_one_chip_queue;
+          Alcotest.test_case "plan on a wrapped chip" `Quick test_plan_on_wrapped_chip;
+          Alcotest.test_case "wrapped chip's clock" `Quick test_wrapped_clock;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "priority overtakes queued" `Quick test_priority_overtakes_queued;
           Alcotest.test_case "barrier vs drain" `Quick test_barrier_vs_drain;
