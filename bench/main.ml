@@ -585,7 +585,8 @@ let micro () =
     Test.make ~name:"page/insert+delete"
       (Staged.stage (fun () ->
            match Storage.Page.insert p payload with
-           | Some slot -> ignore (Storage.Page.delete p slot)
+           | Some slot -> (
+               match Storage.Page.delete p slot with Ok () -> () | Error e -> failwith e)
            | None -> Storage.Page.compact p))
   in
   let record_bench =

@@ -673,15 +673,12 @@ let queries_cmd =
     (Cmd.info "queries" ~doc:"Tables 2/3: run Q1-Q6 on the disk and flash-SSD models.")
     Term.(const queries $ const ())
 
-(* ---------------- lint / sema ---------------- *)
+(* ---------------- sema ---------------- *)
 
-let lint json_out rules roots = exit (Lint.Lint_driver.main ?json_out ~rules roots)
-
-let lint_roots_t =
+let roots_t =
   Arg.(
     value & pos_all string []
-    & info [] ~docv:"DIR"
-        ~doc:"Directories (or files) to lint; defaults to lib, bin and bench.")
+    & info [] ~docv:"DIR" ~doc:"Directories to analyse; defaults to lib, bin and bench.")
 
 let json_out_t =
   Arg.(
@@ -695,26 +692,18 @@ let rules_t =
     value & opt_all string []
     & info [ "rule" ] ~docv:"ID" ~doc:"Only report findings of rule $(docv) (repeatable).")
 
-let lint_cmd =
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Static-analysis gate: flash-safety and layering invariants (layering, flash-call, \
-          no-silent-swallow, no-ignored-flash-result, no-magic-geometry, banned-construct, \
-          mli-coverage). Exits 1 on any error-severity finding.")
-    Term.(const lint $ json_out_t $ rules_t $ lint_roots_t)
-
 let sema json_out rules roots = exit (Sema.Sema_driver.main ?json_out ~rules roots)
 
 let sema_cmd =
   Cmd.v
     (Cmd.info "sema"
        ~doc:
-         "Typed dataflow gate over the dune-emitted .cmt files: tag-leak, unchecked-result, \
-          exception-escape and determinism checking (sema-tag-leak, sema-unchecked-result, \
-          sema-exception-escape, sema-determinism). Run after `dune build` so the build \
-          context is populated. Exits 1 on any error-severity finding.")
-    Term.(const sema $ json_out_t $ rules_t $ lint_roots_t)
+         "Static-analysis gate over the dune-emitted .cmt/.cmti files: layering and \
+          flash-safety invariants (layering, flash-call, no-silent-swallow, no-magic-geometry, \
+          banned-construct, mli-coverage) and typed dataflow (sema-tag-leak, \
+          sema-unchecked-result, sema-exception-escape, sema-determinism). Run after `dune \
+          build @check` so the build context holds every unit. Exits 1 on any finding.")
+    Term.(const sema $ json_out_t $ rules_t $ roots_t)
 
 (* ---------------- main ---------------- *)
 
@@ -733,7 +722,6 @@ let main_cmd =
       bench_cmd;
       chansweep_cmd;
       queries_cmd;
-      lint_cmd;
       sema_cmd;
     ]
 

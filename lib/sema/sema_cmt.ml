@@ -1,11 +1,13 @@
-(* Discovery and loading of dune-emitted .cmt files.
+(* Discovery and loading of dune-emitted .cmt/.cmti files.
 
    Dune compiles library modules under <dir>/.<lib>.objs/byte/ and
-   executable modules under <dir>/.eobjs/byte/, inside the build context
-   (_build/default by default). We walk the build context below the
-   requested roots, load every implementation cmt, and map it back to its
-   repo-relative source file; generated units (the "Lib__" alias module,
-   .ml-gen files) have no source and are skipped. *)
+   executable modules under <dir>/.<exe>.eobjs/byte/, inside the build
+   context (_build/default by default). We walk the build context below the
+   requested roots, load every implementation cmt with the cmti beside it,
+   and map it back to its repo-relative source file; generated units (the
+   "Lib__" alias module, .ml-gen files) have no source and are skipped.
+   Executables get their cmts from the @check alias only, not from
+   @default. *)
 
 type unit_info = {
   source : string;  (* repo-relative, e.g. "lib/core/ipl_engine.ml" *)
@@ -13,6 +15,7 @@ type unit_info = {
   unit_prefix : string list;  (* ["Ipl_core"; "Ipl_engine"] *)
   env : Sema_path.env;
   structure : Typedtree.structure;
+  signature : Typedtree.signature option;
 }
 
 let default_build_root () =
@@ -42,7 +45,7 @@ let source_dir_of_rel rel =
     | c :: _
       when String.length c > 1
            && c.[0] = '.'
-           && (Filename.check_suffix c ".objs" || c = ".eobjs") ->
+           && (Filename.check_suffix c ".objs" || Filename.check_suffix c ".eobjs") ->
         Some (List.rev acc)
     | c :: rest -> take (c :: acc) rest
   in
@@ -95,7 +98,13 @@ let load_one ~build_root ~source_root cmt_path =
             in
             let env = Sema_path.fresh_env unit_prefix in
             collect_aliases env structure;
-            Some { source; dir; unit_prefix; env; structure }
+            let signature =
+              match (Cmt_format.read_cmt (cmt_path ^ "i")).Cmt_format.cmt_annots with
+              | Cmt_format.Interface sg -> Some sg
+              | _ -> None
+              | exception Sys_error _ -> None
+            in
+            Some { source; dir; unit_prefix; env; structure; signature }
       | _ -> None)
 
 let load ~build_root ~source_root roots =
@@ -109,3 +118,5 @@ let load ~build_root ~source_root roots =
     List.sort_uniq (fun a b -> String.compare a.source b.source) units
   in
   units
+
+let interface_source u = Filename.remove_extension u.source ^ ".mli"

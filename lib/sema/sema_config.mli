@@ -1,10 +1,33 @@
-(** Rule registry and per-rule allowlists/contracts of the typed checker. *)
+(** Repo-specific tables of the analyser: the layering diagram, restricted
+    flash entry points, geometry literals, file and directory allowlists,
+    and the contract universes of the typed rules. *)
 
-type rule = { id : string; severity : Lint.Lint_finding.severity; doc : string }
+type library = { dir : string; wrapper : string; allowed : string list }
 
-val rules : rule list
-val find_rule : string -> rule option
-val severity_of : string -> Lint.Lint_finding.severity
+val libraries : library list
+(** The layering diagram: one entry per internal library with the wrapper
+    modules it may reference. *)
+
+val library_of_dir : string -> library option
+val wrapper_names : string list
+
+val chip_module_names : string list
+(** Module path components identifying the chip ([Chip], [Flash_chip]). *)
+
+val flash_mutators : string list
+(** Flash_chip operations only the device and raw-flash layers may call. *)
+
+val flash_ops : string list
+(** Flash_chip operations whose results must not be discarded. *)
+
+val flash_call_allowed_dirs : string list
+
+val geometry_literals : int list
+
+val geometry_config_files : string list
+(** Basenames allowed to contain raw geometry literals. *)
+
+val bytes_unsafe_allowed_files : string list
 
 val tag_leak_exempt_files : string list
 (** Files allowed to manufacture/drop tags (the device implementation). *)

@@ -1,53 +1,103 @@
-(* Orchestration: load cmts, build summaries, run the four rule families,
-   apply [@lint.allow] suppressions (shared with the syntactic linter) and
-   report. *)
+(* Orchestration: load cmts, build summaries, run every rule, apply
+   [@lint.allow] suppressions and report. *)
 
-let tool = "ipl_sema"
+type allow = { file : string; rule : string; first : int; last : int }
 
-let run ?build_root ?(source_root = ".") roots =
-  let build_root =
-    match build_root with
-    | Some r -> r
-    | None -> Sema_cmt.default_build_root ()
+(* [@lint.allow "rule-id"] / [@lint.allow "a, b"]; a bare [@lint.allow]
+   suppresses every rule over the attributed node. *)
+let allowed_rules (attr : Parsetree.attribute) =
+  if attr.attr_name.txt <> "lint.allow" then []
+  else
+    match attr.attr_payload with
+    | Parsetree.PStr
+        [
+          {
+            pstr_desc =
+              Pstr_eval ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
+            _;
+          };
+        ] ->
+        String.split_on_char ',' s |> List.map String.trim |> List.filter (fun r -> r <> "")
+    | _ -> [ "*" ]
+
+(* Suppressions carried by the typed tree's attributes: an attribute on an
+   expression, pattern, value or module binding covers the lines of that
+   node; a floating [@@@lint.allow] covers its whole file. *)
+let allows (u : Sema_cmt.unit_info) =
+  let acc = ref [] in
+  let file = ref u.source in
+  let span first last attrs =
+    List.iter
+      (fun a ->
+        List.iter (fun rule -> acc := { file = !file; rule; first; last } :: !acc) (allowed_rules a))
+      attrs
   in
-  let units = Sema_cmt.load ~build_root ~source_root roots in
+  let node (loc : Location.t) attrs =
+    span loc.loc_start.Lexing.pos_lnum loc.loc_end.Lexing.pos_lnum attrs
+  in
+  let default = Tast_iterator.default_iterator in
+  let it =
+    {
+      default with
+      expr =
+        (fun self e ->
+          node e.exp_loc e.exp_attributes;
+          List.iter (fun (_, loc, attrs) -> node loc attrs) e.exp_extra;
+          default.expr self e);
+      pat =
+        (fun self p ->
+          node p.pat_loc p.pat_attributes;
+          default.pat self p);
+      value_binding =
+        (fun self vb ->
+          node vb.vb_loc vb.vb_attributes;
+          default.value_binding self vb);
+      module_binding =
+        (fun self mb ->
+          node mb.mb_loc mb.mb_attributes;
+          default.module_binding self mb);
+      structure_item =
+        (fun self item ->
+          (match item.str_desc with Tstr_attribute a -> span 1 max_int [ a ] | _ -> ());
+          default.structure_item self item);
+      signature_item =
+        (fun self item ->
+          (match item.sig_desc with Tsig_attribute a -> span 1 max_int [ a ] | _ -> ());
+          default.signature_item self item);
+    }
+  in
+  it.structure it u.structure;
+  Option.iter
+    (fun sg ->
+      file := Sema_cmt.interface_source u;
+      it.signature it sg)
+    u.signature;
+  !acc
+
+let check units =
   let table = Sema_summary.build units in
-  let per_unit =
-    List.concat_map
-      (fun u ->
-        Sema_tagflow.check table u
-        @ Sema_rules.determinism u
-        @ Sema_rules.unchecked_result u)
-      units
+  let findings =
+    List.concat_map (fun u -> Sema_tagflow.check table u @ Sema_rules.local u) units
+    @ Sema_rules.exception_escape units table
   in
-  let findings = per_unit @ Sema_rules.exception_escape ~source_root table in
-  (* Suppressions ride on the parsetree walker so [@lint.allow] covers both
-     checkers uniformly. *)
-  let by_file = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Lint.Lint_finding.t) ->
-      Hashtbl.replace by_file f.Lint.Lint_finding.file ())
-    findings;
-  let suppressions =
-    Hashtbl.fold
-      (fun file () acc ->
-        let path = Filename.concat source_root file in
-        if Sys.file_exists path then
-          let r = Lint.Lint_walker.walk ~file (Lint.Lint_source.read_file path) in
-          r.Lint.Lint_walker.suppressions @ acc
-        else acc)
-      by_file []
+  let allows = List.concat_map allows units in
+  let allowed (f : Sema_finding.t) =
+    List.exists
+      (fun a ->
+        a.file = f.file && (a.rule = "*" || a.rule = f.rule) && a.first <= f.line
+        && f.line <= a.last)
+      allows
   in
-  Lint.Lint_finding.dedup (Lint.Lint_walker.apply_suppressions suppressions findings)
+  Sema_finding.dedup (List.filter (fun f -> not (allowed f)) findings)
 
-let dump_summaries ?build_root ?(source_root = ".") ppf roots =
+let load ?build_root ?(source_root = ".") roots =
   let build_root =
-    match build_root with
-    | Some r -> r
-    | None -> Sema_cmt.default_build_root ()
+    match build_root with Some r -> r | None -> Sema_cmt.default_build_root ()
   in
-  let units = Sema_cmt.load ~build_root ~source_root roots in
-  let table = Sema_summary.build units in
+  Sema_cmt.load ~build_root ~source_root roots
+
+let dump_summaries ?build_root ?source_root ppf roots =
+  let table = Sema_summary.build (load ?build_root ?source_root roots) in
   let keys =
     List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) table [])
   in
@@ -62,21 +112,29 @@ let dump_summaries ?build_root ?(source_root = ".") ppf roots =
           (if s.returns_tag then " returns-tag" else ""))
     keys
 
+(* [--json FILE] mirrors the report as JSON, [--rule ID] (repeatable)
+   filters to the given rules, everything else is a root. *)
+let parse_args args =
+  let rec go json rules roots = function
+    | "--json" :: path :: rest -> go (Some path) rules roots rest
+    | "--rule" :: id :: rest -> go json (id :: rules) roots rest
+    | arg :: rest -> go json rules (arg :: roots) rest
+    | [] -> (json, List.rev rules, List.rev roots)
+  in
+  go None [] [] args
+
 let main ?(ppf = Format.std_formatter) ?json_out ?(rules = []) ?build_root
     ?source_root roots =
   let roots = if roots = [] then [ "lib"; "bin"; "bench" ] else roots in
-  let findings = run ?build_root ?source_root roots in
+  let findings = check (load ?build_root ?source_root roots) in
   let findings =
     if rules = [] then findings
-    else
-      List.filter
-        (fun (f : Lint.Lint_finding.t) -> List.mem f.Lint.Lint_finding.rule rules)
-        findings
+    else List.filter (fun (f : Sema_finding.t) -> List.mem f.rule rules) findings
   in
-  Lint.Lint_finding.print_report ~tool ppf findings;
+  Sema_finding.print_report ppf findings;
   (match json_out with
   | Some path ->
-      let json = Lint.Lint_finding.to_json_string ~tool findings in
+      let json = Sema_finding.to_json_string findings in
       if path = "-" then Format.fprintf ppf "%s@." json
       else (
         let oc = open_out path in
@@ -84,4 +142,4 @@ let main ?(ppf = Format.std_formatter) ?json_out ?(rules = []) ?build_root
         output_char oc '\n';
         close_out oc)
   | None -> ());
-  if Lint.Lint_finding.has_errors findings then 1 else 0
+  if findings = [] then 0 else 1

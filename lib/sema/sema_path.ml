@@ -84,6 +84,10 @@ let is_apply_op comps =
 let is_pipe_op comps =
   match comps with [ "Stdlib"; "|>" ] | [ "|>" ] -> true | _ -> false
 
+let is_flash_op ops comps =
+  List.mem (last comps) ops
+  && List.exists (fun m -> has m comps) Sema_config.chip_module_names
+
 let banned_determinism comps =
   List.exists
     (fun (m, f) -> last comps = f && has m comps)
@@ -117,7 +121,6 @@ let result_comps comps =
   match (comps, last comps) with
   | [ "result" ], _ | [ "Stdlib"; "result" ], _ -> true
   | _, "t" -> has "Result" comps
-  | _, "result" -> true
   | _ -> false
 
 let is_result_type env ty =

@@ -40,14 +40,21 @@ val is_apply_op : string list -> bool
 val is_pipe_op : string list -> bool
 (** [Stdlib.( |> )] — callers re-associate [x |> f] into [f x]. *)
 
+val is_flash_op : string list -> string list -> bool
+(** [is_flash_op ops comps]: the components name a chip operation in [ops]. *)
+
 val banned_determinism : string list -> bool
 
 val exn_key : string list -> string option
 (** Canonical ["Module.Constructor"] key when the components name a
     contract exception. *)
 
+val type_path : Types.type_expr -> Path.t option
+(** Path of the head type constructor, if any. *)
+
 val is_tag_type : env -> Types.type_expr -> bool
 val is_result_type : env -> Types.type_expr -> bool
+(** [Stdlib.result] or [Result.t] — not any type named [result]. *)
 
 val is_engine_result_type : env -> Types.type_expr -> bool
 (** [(_, Ipl_engine.error) result]. *)

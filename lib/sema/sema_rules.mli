@@ -1,13 +1,13 @@
-(** The non-dataflow rule families. Tag-leak lives in {!Sema_tagflow}. *)
+(** The rules outside the tag dataflow (which lives in {!Sema_tagflow}). *)
 
-val determinism : Sema_cmt.unit_info -> Lint.Lint_finding.t list
-(** No wall clock, self-seeding randomness, or randomized hashing outside
-    the sanctioned sites. *)
+val local : Sema_cmt.unit_info -> Sema_finding.t list
+(** One walk over the unit's typed tree and interface: layering (every
+    resolved cross-library reference is an edge of the diagram),
+    flash-call, no-silent-swallow, no-magic-geometry, banned-construct,
+    mli-coverage, sema-determinism and sema-unchecked-result (a dropped
+    result or chip-operation return). The directory- and file-keyed
+    allowlists read the unit's [dir] and [source]. *)
 
-val unchecked_result : Sema_cmt.unit_info -> Lint.Lint_finding.t list
-(** Result-typed values must not be dropped through [ignore] or [let _]. *)
-
-val exception_escape :
-  source_root:string -> Sema_summary.table -> Lint.Lint_finding.t list
+val exception_escape : Sema_cmt.unit_info list -> Sema_summary.table -> Sema_finding.t list
 (** Public functions of the contract directories must not leak contract
     exceptions, and result-typed engine APIs must never raise them. *)

@@ -33,3 +33,6 @@ val build : Sema_cmt.unit_info list -> table
 val iter_children : (Typedtree.expression -> unit) -> Typedtree.expression -> unit
 (** Visit every direct child expression (shared traversal helper). *)
 
+val iter_all : (Typedtree.expression -> unit) -> Typedtree.expression -> unit
+(** Visit an expression and every expression below it. *)
+

@@ -16,9 +16,7 @@
 
 module Summary = Sema_summary
 
-let finding ~file ~line msg =
-  Lint.Lint_finding.make ~rule:"sema-tag-leak"
-    ~severity:(Sema_config.severity_of "sema-tag-leak") ~file ~line msg
+let finding ~file ~line msg = Sema_finding.make ~rule:"sema-tag-leak" ~file ~line msg
 
 let head_comps env (fn : Typedtree.expression) =
   match fn.exp_desc with

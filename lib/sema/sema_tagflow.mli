@@ -5,4 +5,4 @@
     ([let _], [ignore]) are always findings — the sanctioned
     fire-and-forget spelling is [publish_write]/[publish_erase]. *)
 
-val check : Sema_summary.table -> Sema_cmt.unit_info -> Lint.Lint_finding.t list
+val check : Sema_summary.table -> Sema_cmt.unit_info -> Sema_finding.t list

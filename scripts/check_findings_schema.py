@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate an ipl_lint / ipl_sema --json report against
+"""Validate an ipl_sema --json report against
 schema/findings.schema.json.
 
 Hand-rolled validator covering exactly the subset of JSON Schema the

@@ -1,5 +1,5 @@
-(* The same violation twice: once suppressed with [@@lint.allow] (shared
-   with the syntactic linter), once live. Only the live one may surface. *)
+(* The same violation twice: once suppressed with [@@lint.allow], once
+   live. Only the live one may surface. *)
 
 let dev : Flash_device.t = ()
 

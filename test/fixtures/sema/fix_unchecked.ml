@@ -15,3 +15,9 @@ let checked () =
   match Ipl_engine.commit_result engine 2 with
   | Ok () -> ()
   | Error e -> failwith (Ipl_engine.error_to_string e)
+
+(* clean: a record that happens to be named result. *)
+type result = { passed : bool }
+
+let outcome () = { passed = true }
+let record () = ignore (outcome ())
