@@ -28,9 +28,10 @@ let class_name = function
 
 let all_classes = [ Foreground; Log_flush; Merge_io; Scrub ]
 
-(* A tag names one asynchronous submission: [seq * num_chips + chip], where
-   [seq] numbers the device's submissions. An await therefore searches
-   only the tag's own chip, and tag order is submission order. *)
+(* A tag names one asynchronous submission:
+   [(seq * num_chips + chip) * num_classes + class index], where [seq]
+   numbers the device's submissions. An await therefore searches only the
+   tag's own chip and class, and tag order is submission order. *)
 type tag = int
 
 let no_tag : tag = -1
@@ -39,22 +40,24 @@ let no_tag : tag = -1
    flat, so advancing the clock allocates nothing. *)
 type clock = { mutable now : float }
 
-(* A chip's virtual timeline: its scheduled but unsettled operations, at
-   positions [0, n) in ascending (start, tag) order. The slots form a
-   ring: position [p] is entry [(head + p) land mask] of each flat array
-   below, whose power-of-two capacity is at least the queue depth. So
-   settling a prefix only moves [head], scheduling allocates nothing, and
-   [make_room] keeps [n] below the queue depth before every push. *)
+(* A chip's virtual timeline, its scheduled but unsettled operations, is
+   the concatenation of its queues, in (start, tag) order: queue 0, the
+   run queue, holds the started ones, queue [1 + k] the queued ones of
+   class index [k] in FIFO order. An operation takes one of
+   [queue_depth] preallocated slots, entry [s] of each flat array, and
+   the queues and the free slots are lists linked through [next].
+   [make_room] keeps [depth] below the queue depth before every push. *)
 type chan = {
   chip : Chip.t;
-  mask : int;
-  tags : int array;
-  info : int array;  (* class index lsl 1, lor 1 for a program or erase *)
+  tags : int array;  (* tag lsl 1, lor 1 for a program or erase *)
+  next : int array;  (* the slot after [s] in its list; -1 last *)
   start : Float.Array.t;  (* a promotion or an arrival may push a queued op back *)
   dur : Float.Array.t;
   since : Float.Array.t;  (* submission time *)
-  mutable head : int;
-  mutable n : int;
+  first : int array;  (* per queue, its first slot; -1 when empty *)
+  last : int array;  (* per queue, its last slot *)
+  mutable free : int;  (* the first free slot *)
+  mutable depth : int;  (* slots in use *)
   mutable max_depth : int;
   mutable depth_sum : int;
   mutable depth_obs : int;
@@ -101,18 +104,18 @@ let[@inline] advance_now t cause target =
   end
 
 let mk_chan ~queue_depth chip =
-  let rec capacity k = if k >= queue_depth then k else capacity (2 * k) in
-  let cap = capacity 1 in
+  let floats () = Float.Array.make queue_depth 0.0 in
   {
     chip;
-    mask = cap - 1;
-    tags = Array.make cap no_tag;
-    info = Array.make cap 0;
-    start = Float.Array.make cap 0.0;
-    dur = Float.Array.make cap 0.0;
-    since = Float.Array.make cap 0.0;
-    head = 0;
-    n = 0;
+    tags = Array.make queue_depth 0;
+    next = Array.init queue_depth (fun s -> if s + 1 < queue_depth then s + 1 else -1);
+    start = floats ();
+    dur = floats ();
+    since = floats ();
+    first = Array.make (1 + num_classes) (-1);
+    last = Array.make (1 + num_classes) (-1);
+    free = 0;
+    depth = 0;
     max_depth = 0;
     depth_sum = 0;
     depth_obs = 0;
@@ -217,35 +220,59 @@ let local_sector t s = (s / t.spb / nchips t * t.spb) + (s mod t.spb)
 (* ------------------------------------------------------------------ *)
 (* Virtual-time scheduler                                              *)
 
-(* A chip serves one operation at a time: [place] starts every operation
-   no earlier than the completion of the one ahead of it on the
-   timeline, and every scheduled operation takes positive time. So
-   completion times ascend along a timeline just as start times do: the
-   operations the host clock has passed are the timeline's prefix, its
-   first operation completes earliest and its last one latest. *)
+(* A chip serves one operation at a time: each starts no earlier than the
+   one ahead of it completes, and takes positive time. So completions
+   ascend along a timeline as starts do: what the host clock has passed
+   is a prefix, and at most one started op is still in progress. *)
 
-let[@inline] slot c p = (c.head + p) land c.mask
-let[@inline] start_of c p = Float.Array.get c.start (slot c p)
+let[@inline] end_at c s = Float.Array.get c.start s +. Float.Array.get c.dur s
+let[@inline] class_of c s = (c.tags.(s) lsr 1) mod num_classes
 
-let[@inline] completion c p =
-  let s = slot c p in
-  Float.Array.get c.start s +. Float.Array.get c.dur s
+(* The first nonempty queue from [q] on (past the last if none); the last up to [q] (or -1). *)
+let rec next_queue c q = if q > num_classes || c.first.(q) >= 0 then q else next_queue c (q + 1)
+let rec prev_queue c q = if q < 0 || c.first.(q) >= 0 then q else prev_queue c (q - 1)
 
-let[@inline] class_of c p = c.info.(slot c p) lsr 1
-let[@inline] queued t c p = start_of c p > t.clock.now
+(* When an op behind queue [q]'s last starts: [now], or that op's end. *)
+let[@inline] start_after c q now = if q < 0 then now else fmax now (end_at c c.last.(q))
 
-let move c ~src ~dst =
-  let src = slot c src and dst = slot c dst in
-  c.tags.(dst) <- c.tags.(src);
-  c.info.(dst) <- c.info.(src);
-  Float.Array.set c.start dst (Float.Array.get c.start src);
-  Float.Array.set c.dur dst (Float.Array.get c.dur src);
-  Float.Array.set c.since dst (Float.Array.get c.since src)
+let[@inline] append c q s =
+  c.next.(s) <- -1;
+  if c.first.(q) < 0 then c.first.(q) <- s else c.next.(c.last.(q)) <- s;
+  c.last.(q) <- s
 
-(* The position of [tag] on chip [c], searching from position [p]; -1 once
-   it has settled. *)
-let rec find c tag p =
-  if p >= c.n then -1 else if c.tags.(slot c p) = tag then p else find c tag (p + 1)
+let[@inline] pop c q =
+  let s = c.first.(q) in
+  c.first.(q) <- c.next.(s);
+  s
+
+(* Unlink slot [s] from queue [q], walking to the slot ahead of it. *)
+let remove c q s =
+  if c.first.(q) = s then c.first.(q) <- c.next.(s)
+  else begin
+    let p = ref c.first.(q) in
+    while c.next.(!p) <> s do
+      p := c.next.(!p)
+    done;
+    c.next.(!p) <- c.next.(s);
+    if c.last.(q) = s then c.last.(q) <- !p
+  end
+
+(* The slot of [tag] from slot [s] on along its list, or -1. *)
+let rec slot_of c tag s = if s < 0 || c.tags.(s) lsr 1 = tag then s else slot_of c tag c.next.(s)
+
+(* Move the class queues' started heads, a prefix of their concatenation,
+   to the run queue; there are none while the run queue's last op runs. *)
+let move_started t c =
+  let now = t.clock.now and q = ref 1 in
+  while !q <= num_classes do
+    let s = c.first.(!q) in
+    if s < 0 then incr q
+    else if Float.Array.get c.start s <= now then append c 0 (pop c !q)
+    else q := num_classes + 1
+  done
+
+let[@inline] start_due t c =
+  if c.depth > 0 && (c.first.(0) < 0 || end_at c c.last.(0) <= t.clock.now) then move_started t c
 
 (* Settled latencies collect per class and reach the histograms one batch
    per class, taken from a flat array unboxed. *)
@@ -263,130 +290,106 @@ let observe_settled t =
     end
   done
 
-(* Drop (and account) every operation whose completion the host clock has
-   passed — the timeline's prefix, so this returns at once when the first
-   has not completed, and the ring drops it by moving its head. Settles in
-   timeline order (the latency sums depend on it). *)
+(* Settle every op the clock has completed, in timeline order (the latency
+   sums depend on it), freeing its slot: the run queue's, then the class
+   queues' heads. An op in progress at a class queue's head moves to the
+   run queue. *)
 let prune t c =
-  let now = t.clock.now and k = ref 0 in
-  while !k < c.n && completion c !k <= now do
-    let s = slot c !k in
-    settle t (c.info.(s) lsr 1) (completion c !k -. Float.Array.get c.since s);
-    incr k
+  let now = t.clock.now and d = c.depth and q = ref (if c.depth > 0 then 0 else num_classes + 1) in
+  while !q <= num_classes do
+    let s = c.first.(!q) in
+    if s < 0 then incr q
+    else if end_at c s <= now then begin
+      settle t (class_of c s) (end_at c s -. Float.Array.get c.since s);
+      c.first.(!q) <- c.next.(s);
+      c.next.(s) <- c.free;
+      c.free <- s;
+      c.depth <- c.depth - 1
+    end
+    else begin
+      if !q > 0 && Float.Array.get c.start s <= now then append c 0 (pop c !q);
+      q := num_classes + 1
+    end
   done;
-  if !k > 0 then begin
-    observe_settled t;
-    c.head <- slot c !k;
-    c.n <- c.n - !k
-  end
+  if c.depth < d then observe_settled t
 
-(* Per-chip queue-depth cap: a submission against a full queue blocks the
-   host (the clock advances to the earliest completion, the first
-   operation's) — the model of a bounded hardware queue. *)
+(* A submission against a full queue blocks the host until the first op
+   completes: the model of a bounded hardware queue. *)
 let make_room t c =
   prune t c;
-  if c.n >= t.queue_depth then begin
-    advance_now t wait_backpressure (completion c 0);
+  if c.depth >= t.queue_depth then begin
+    advance_now t wait_backpressure (end_at c c.first.(next_queue c 0));
     prune t c
   end
 
-(* Move the op at position [i] to position [q <= i], shifting the
-   displaced run [q, i) up by one; start it when the op now ahead of it
-   completes (or now); then push every later op back in timeline order,
-   each starting no earlier than the one ahead of it completes. The
-   callers choose [q] so that every later op is queued, and the moved op
-   starts before all of them: the timeline stays in (start, tag) order. *)
-let place t c ~q i =
-  if q < i then begin
-    let s = slot c i in
-    let tag = c.tags.(s) and info = c.info.(s) in
-    let d = Float.Array.get c.dur s and since = Float.Array.get c.since s in
-    for j = i - 1 downto q do
-      move c ~src:j ~dst:(j + 1)
-    done;
-    let s = slot c q in
-    c.tags.(s) <- tag;
-    c.info.(s) <- info;
-    Float.Array.set c.dur s d;
-    Float.Array.set c.since s since
-  end;
-  let now = t.clock.now in
-  Float.Array.set c.start (slot c q) (if q = 0 then now else fmax now (completion c (q - 1)));
-  let prev_end = ref (completion c q) in
-  for j = q + 1 to c.n - 1 do
-    let s = slot c j in
-    let start = fmax (Float.Array.get c.start s) !prev_end in
-    Float.Array.set c.start s start;
-    prev_end := start +. Float.Array.get c.dur s
+(* Push back the class queues from queue [q] on, each op to start no
+   earlier than the one ahead completes (the first, than slot [s]). *)
+let[@inline] push_back c s q =
+  let prev_end = ref (end_at c s) in
+  for q = q to num_classes do
+    let s = ref c.first.(q) in
+    while !s >= 0 do
+      let start = fmax (Float.Array.get c.start !s) !prev_end in
+      Float.Array.set c.start !s start;
+      prev_end := start +. Float.Array.get c.dur !s;
+      s := c.next.(!s)
+    done
   done
 
-(* Whether an arrival of class index [cutoff] goes ahead of the op at
-   position [p]: it is queued and of lower priority. *)
-let[@inline] behind t c ~cutoff p = queued t c p && class_of c p > cutoff
-
-(* Schedule a new operation of [cls] on chip [c] and return its position.
-   It starts after the in-progress operation and every queued operation
-   of equal or higher priority (FIFO within a class), and preempts queued
-   lower-priority operations, which are pushed back. Pure time
-   arithmetic: the data effects already happened at submission.
-
-   Between calls the queued operations (a suffix of the timeline) are in
-   priority order: an arrival goes ahead of the lower-priority ones only,
-   and every promotion is followed by advancing the host clock past the
-   promoted operation, which is then no longer queued. So the ops the
-   arrival preempts are the timeline's suffix, and the common case, with
-   none of them, is O(1): the new operation starts when the last one
-   completes, and is last in (start, tag) order. *)
+(* Schedule a new op of [cls] on chip [c], settled by the caller, and
+   return its tag: it joins its class queue's tail, after every op of
+   equal or higher priority, and pushes back the lower-priority queues.
+   Pure time arithmetic: the data effects happened at submission. *)
 let schedule t c ~chip_idx ~cls ~write ~dur =
-  let i = c.n and k = class_index cls in
-  let s = slot c i in
-  c.tags.(s) <- (t.next_seq * nchips t) + chip_idx;
+  let k = class_index cls and s = c.free in
+  c.free <- c.next.(s);
+  let tag = (((t.next_seq * nchips t) + chip_idx) * num_classes) + k in
   t.next_seq <- t.next_seq + 1;
-  c.info.(s) <- (k lsl 1) lor Bool.to_int write;
+  c.tags.(s) <- (tag lsl 1) lor Bool.to_int write;
   Float.Array.set c.dur s dur;
   Float.Array.set c.since s t.clock.now;
-  c.n <- i + 1;
-  let q = ref i in
-  while !q > 0 && behind t c ~cutoff:k (!q - 1) do
-    decr q
-  done;
-  place t c ~q:!q i;
-  !q
+  Float.Array.set c.start s (start_after c (prev_queue c (k + 1)) t.clock.now);
+  append c (k + 1) s;
+  c.depth <- c.depth + 1;
+  push_back c s (k + 2);
+  tag
 
-(* Deadline promotion: the host is blocked on the op at position [i]. If
-   it has not started yet, nothing on its chip is more urgent — move it
-   ahead of every other queued (not yet started) operation, pushing them
-   back. A real controller reorders its internal queue the same way when a
-   flush the host is waiting on sits behind readahead traffic. Pure time
-   arithmetic; execution was eager. Returns the op's position.
+(* The host waits for the op in slot [s] of queue [q], after [start_due].
+   Deadline promotion, as a controller reorders its queue for a flush the
+   host waits on: an op queued behind another queued op moves to the run
+   queue's tail, pushing every queued op back. The clock then passes it,
+   so the class queues stay in class order between calls. *)
+let wait_for t c ~cause q s =
+  if q > 0 && (c.first.(q) <> s || next_queue c 1 < q) then begin
+    remove c q s;
+    Float.Array.set c.start s (start_after c (prev_queue c 0) t.clock.now);
+    append c 0 s;
+    push_back c s 1
+  end;
+  advance_now t cause (end_at c s)
 
-   A queued op starts exactly when the op ahead of it completes (it was
-   placed or pushed back there), so one already first in the queue keeps
-   its start, and so does every op behind it: there is nothing to do. *)
-let expedite t c i =
-  if not (queued t c i) then i
-  else begin
-    let q = ref i in
-    while !q > 0 && queued t c (!q - 1) do
-      decr q
-    done;
-    if !q < i then place t c ~q:!q i;
-    !q
-  end
-
-(* The host waits for the op at position [i]: promote it, advance the
-   clock past its completion, settle. *)
-let finish t c ~cause i =
-  let i = expedite t c i in
-  advance_now t cause (completion c i);
+(* Schedule a synchronous op and wait for it, its class queue's tail. *)
+let run_scheduled t c ~chip_idx ~cls ~write ~dur =
+  ignore (schedule t c ~chip_idx ~cls ~write ~dur : tag);
+  let q = 1 + class_index cls in
+  wait_for t c ~cause:wait_sync q c.last.(q);
   prune t c
+
+(* The host waits for [tag] on its chip [c]; false if it has settled. *)
+let wait_tag t c ~cause tag =
+  start_due t c;
+  let s = slot_of c tag c.first.(0) in
+  let q = if s >= 0 then 0 else 1 + (tag mod num_classes) in
+  let s = if s >= 0 then s else slot_of c tag c.first.(q) in
+  if s >= 0 then wait_for t c ~cause q s;
+  s >= 0
 
 let check_dead t =
   match t.dead with Some i -> raise (Chip.Power_loss i) | None -> ()
 
 let note_submission c ~cls =
   c.submitted.(class_index cls) <- c.submitted.(class_index cls) + 1;
-  let d = c.n in
+  let d = c.depth in
   if d > c.max_depth then c.max_depth <- d;
   c.depth_sum <- c.depth_sum + d;
   c.depth_obs <- c.depth_obs + 1
@@ -406,12 +409,10 @@ let execute chip kind ~addr ~count data =
    chip's timing model), and schedule its completion. A synchronous
    operation ([sync]) then waits for it and returns [no_tag]; an
    asynchronous one returns its tag. A synchronous operation that finds
-   its chip idle starts now and completes at [now +. dur], so it skips
-   the timeline: the clock, its wait and its latency take exactly the
-   values the timeline would give them. Failed operations normally charge
-   no time; the exception is a torn program, which charges the partial
-   program before the power dies — that time is folded in synchronously
-   so the clock stays consistent. *)
+   its chip idle skips the timeline: it starts now and completes at [now
+   +. dur], the values the timeline would give it. Failed operations
+   charge no time, except a torn program: its partial program is folded
+   in synchronously before the power dies. *)
 let dispatch t ~sync ~cls kind ~chip_idx ~addr ~count data =
   check_dead t;
   let c = t.chans.(chip_idx) in
@@ -422,7 +423,7 @@ let dispatch t ~sync ~cls kind ~chip_idx ~addr ~count data =
   match execute c.chip kind ~addr ~count data with
   | () ->
       let dur = Chip.elapsed c.chip -. t0 in
-      if sync && c.n = 0 then begin
+      if sync && c.depth = 0 then begin
         let now = t.clock.now in
         let fin = now +. dur in
         settle t (class_index cls) (fin -. now);
@@ -430,20 +431,17 @@ let dispatch t ~sync ~cls kind ~chip_idx ~addr ~count data =
         advance_now t wait_sync fin;
         no_tag
       end
-      else begin
-        let i = schedule t c ~chip_idx ~cls ~write ~dur in
-        if sync then begin
-          finish t c ~cause:wait_sync i;
-          no_tag
-        end
-        else c.tags.(slot c i)
+      else if sync then begin
+        run_scheduled t c ~chip_idx ~cls ~write ~dur;
+        no_tag
       end
+      else schedule t c ~chip_idx ~cls ~write ~dur
   | exception e ->
       (match e with
       | Chip.Power_loss _ -> t.dead <- Some (max 0 (op_count t - 1))
       | _ -> ());
       let dur = Chip.elapsed c.chip -. t0 in
-      if dur > 0.0 then finish t c ~cause:wait_sync (schedule t c ~chip_idx ~cls ~write ~dur);
+      if dur > 0.0 then run_scheduled t c ~chip_idx ~cls ~write ~dur;
       raise e
 
 let run_sync t ~cls kind ~chip_idx ~addr ~count data =
@@ -537,15 +535,15 @@ let publish_erase t ~cls b = ignore (submit_erase t ~cls b : tag)
 let publish_read_into t ~cls ~sector ~count dst =
   ignore (submit_read_into t ~cls ~sector ~count dst : tag)
 
+let chan_of_tag t tag = t.chans.(tag / num_classes mod nchips t)
+
 let await t tag =
   if tag >= 0 then begin
-    let c = t.chans.(tag mod nchips t) in
-    let i = find c tag 0 in
-    (* -1: already settled *)
-    if i >= 0 then finish t c ~cause:wait_await i
+    let c = chan_of_tag t tag in
+    if wait_tag t c ~cause:wait_await tag then prune t c
   end
 
-let in_flight t = Array.fold_left (fun acc c -> acc + c.n) 0 t.chans
+let in_flight t = Array.fold_left (fun acc c -> acc + c.depth) 0 t.chans
 
 (* The durability barrier: the host clock advances past every outstanding
    foreground and log-flush completion. State-wise a no-op (execution is
@@ -554,7 +552,7 @@ let in_flight t = Array.fold_left (fun acc c -> acc + c.n) 0 t.chans
    ([Merge_io], [Scrub]) is excluded: it models the FTL's cleaning
    engine, which orders its programs against the mapping journal
    per-chip and never stalls a commit. {!drain} waits for everything. *)
-let durable_write c p = c.info.(slot c p) land 1 = 1 && class_of c p <= class_index Log_flush
+let durable_write c s = c.tags.(s) land 1 = 1 && class_of c s <= class_index Log_flush
 
 let sort_ints a n =
   for i = 1 to n - 1 do
@@ -571,11 +569,16 @@ let barrier t =
   let k = ref 0 in
   for ci = 0 to nchips t - 1 do
     let c = t.chans.(ci) in
-    for i = 0 to c.n - 1 do
-      if durable_write c i then begin
-        t.durable.(!k) <- c.tags.(slot c i);
-        incr k
-      end
+    (* The run queue and the queues of the two durable classes. *)
+    for q = 0 to 1 + class_index Log_flush do
+      let s = ref c.first.(q) in
+      while !s >= 0 do
+        if durable_write c !s then begin
+          t.durable.(!k) <- c.tags.(!s) lsr 1;
+          incr k
+        end;
+        s := c.next.(!s)
+      done
     done
   done;
   (* Promoted in tag (submission) order: promotion order decides the
@@ -584,9 +587,7 @@ let barrier t =
   sort_ints t.durable !k;
   for x = 0 to !k - 1 do
     let tag = t.durable.(x) in
-    let c = t.chans.(tag mod nchips t) in
-    let i = expedite t c (find c tag 0) in
-    advance_now t wait_barrier (completion c i)
+    ignore (wait_tag t (chan_of_tag t tag) ~cause:wait_barrier tag : bool)
   done;
   for ci = 0 to nchips t - 1 do
     prune t t.chans.(ci)
@@ -594,7 +595,7 @@ let barrier t =
 
 let drain t =
   Array.iter
-    (fun c -> if c.n > 0 then advance_now t wait_barrier (completion c (c.n - 1)))
+    (fun c -> advance_now t wait_barrier (start_after c (prev_queue c num_classes) t.clock.now))
     t.chans;
   Array.iter (fun c -> prune t c) t.chans
 
@@ -605,8 +606,7 @@ let drain t =
 let makespan t =
   let m = ref t.clock.now in
   for ci = 0 to nchips t - 1 do
-    let c = t.chans.(ci) in
-    if c.n > 0 then m := fmax !m (completion c (c.n - 1))
+    m := start_after t.chans.(ci) (prev_queue t.chans.(ci) num_classes) !m
   done;
   !m
 

@@ -25,22 +25,33 @@
     other and class priorities reorder them, just as on each chip of a
     wider device.
 
-    {b Per-chip timeline.} Each chip's unsettled operations live in a
-    ring of preallocated slots (flat arrays of start, duration,
-    submission time, tag and class; a power-of-two capacity of at least
-    [queue_depth]), kept in (start time, tag) order. A chip serves one
-    operation at a time, so completions ascend along the timeline too:
-    settling drops a prefix by moving the ring's head, in O(1) per
-    settled operation, and a full queue waits for its first slot. A
-    submission that preempts nothing is appended in O(1), and so is a
-    synchronous operation that finds its chip idle, which skips the
-    timeline altogether. A preempting submission or a promotion inserts
-    the operation ahead of the displaced queued ones, shifting only that
-    run, and pushes back every later queued operation: O(number of
-    queued operations behind it). A tag encodes its chip, so an await
-    searches only that chip's slots, and a barrier sorts its tags in a
-    preallocated array: a submission, an await and a barrier allocate
-    nothing in the scheduler. *)
+    {b Per-chip timeline.} Each chip's unsettled operations take
+    [queue_depth] preallocated slots (flat arrays of start, duration,
+    submission time and tag) and sit in five queues, lists linked
+    through the slots: a run queue of started operations and one FIFO
+    queue per op class. Their concatenation is the chip's timeline, in
+    (start time, tag) order, and a chip serves one operation at a time,
+    so completions ascend along it too. Per operation:
+    - an arrival joins the tail of its class queue in O(1), with no scan
+      and no slot moves; a float-only pass pushes back the start times
+      of the queued lower-priority operations;
+    - a settle frees completed operations in timeline order and moves a
+      class queue's head that is in progress to the run queue, O(1) per
+      operation, and O(1) outright while the run queue's first
+      operation is in progress; a full queue waits for its first
+      operation;
+    - a synchronous operation that finds its chip idle skips the
+      timeline altogether;
+    - a promotion (an await or a barrier of an operation queued behind
+      another queued one) relinks the operation to the run queue's tail
+      and pushes back every queued operation;
+    - a tag encodes its chip and class, so an await searches only that
+      chip's run queue and class queue, and a barrier collects durable
+      writes from the run queue and the [Foreground] and [Log_flush]
+      queues and sorts their tags in a preallocated array.
+
+    A submission, an await and a barrier allocate nothing in the
+    scheduler. *)
 
 module Chip = Flash_sim.Flash_chip
 

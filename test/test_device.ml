@@ -3,8 +3,10 @@
    chip's fault numbering and clock, deterministic virtual-time scheduling,
    op-class priorities with deadline promotion, queue-depth backpressure,
    barrier vs drain semantics, seeded timelines pinned to golden
-   constants, the scheduler's allocation per submission, await and
-   barrier, erased-block buffers reused across chips, device and
+   constants (tpcc's preemption pattern among them), the scheduler's
+   allocation per submission, await and barrier (on full queues of eight
+   chips and of one chip preempted by log flushes), erased-block
+   buffers reused across chips, device and
    per-chip contents against a byte-array model, 1-channel vs 4-channel
    logical equivalence of a full engine workload, and a dead device
    refusing invalidation. *)
@@ -327,14 +329,107 @@ let golden_cases =
     (1, 1, 64, 13, "7520f924a371451c8abe9496402be8c3", "a296e2aed649e76253ec1e34a06114f9");
   ]
 
+(* tpcc's pattern, seeded: each round refills a Merge_io backlog to full
+   queues, lets Log_flush programs preempt it, awaits a Log_flush program
+   queued behind a Foreground read on the same chip (so the promotion is
+   out of order), and runs a barrier or awaits. Every fourth round first
+   drains the device, submits one program and queues more behind it on
+   the same chip, and advances the host clock by exactly the first
+   one's service time: the second then starts at the host clock, which
+   a settle must count as started. Pinned like [golden_run]. *)
+let tpcc_shaped_run ~channels ~ways ~queue_depth ~seed =
+  let rng = Random.State.make [| seed |] in
+  let n = channels * ways in
+  let dev = Dev.create ~queue_depth ~channels ~ways (cfg ~num_blocks:(4 * n) ()) in
+  let spb = Config.sectors_per_block (Dev.config dev) in
+  let pick k = Random.State.int rng k in
+  let trace = Buffer.create 8192 in
+  let step () = Printf.bprintf trace "%h/%d;" (Dev.elapsed dev) (Dev.in_flight dev) in
+  (* Blocks [0, 2n) take merge I/O, [2n, 4n) log flushes; device block
+     [b] lives on chip [b mod n]. A full block is erased as merge I/O. *)
+  let used = Array.make (4 * n) 0 in
+  let room b count =
+    if used.(b) + count > spb then begin
+      Dev.publish_erase dev ~cls:Dev.Merge_io b;
+      used.(b) <- 0
+    end;
+    used.(b) <- used.(b) + count;
+    Dev.sector_of_block dev b + used.(b) - count
+  in
+  let merge_write b count =
+    Dev.publish_write dev ~cls:Dev.Merge_io ~sector:(room b count) (sector_bytes dev count)
+  in
+  let log_sector chip = room ((2 * n) + chip + (n * pick 2)) 1 in
+  let full = n * queue_depth in
+  for round = 1 to 48 do
+    if round mod 4 = 1 then begin
+      Dev.drain dev;
+      let e0 = Dev.elapsed dev and b = pick (2 * n) in
+      merge_write b 1;
+      let e1 = Dev.elapsed dev in
+      for _ = 1 to 3 do
+        merge_write b 1
+      done;
+      Dev.advance_time dev (e1 -. e0);
+      step ()
+    end;
+    let k = ref 0 in
+    while Dev.in_flight dev < full - n && !k < 2 * full do
+      incr k;
+      let b = pick (2 * n) in
+      if pick 8 = 0 then
+        Dev.publish_read_into dev ~cls:Dev.Merge_io
+          ~sector:(Dev.sector_of_block dev b + pick spb)
+          ~count:1 (sector_bytes dev 1)
+      else merge_write b (1 + pick 4)
+    done;
+    step ();
+    let tags = ref [] in
+    for _ = 0 to pick 4 do
+      let sector = log_sector (pick n) in
+      tags := Dev.submit_write dev ~cls:Dev.Log_flush ~sector (sector_bytes dev 1) :: !tags;
+      step ()
+    done;
+    if pick 2 = 0 then begin
+      Dev.write_sectors ~cls:Dev.Log_flush dev ~sector:(log_sector (pick n)) (sector_bytes dev 1);
+      step ()
+    end;
+    let chip = pick n in
+    let sector = Dev.sector_of_block dev chip in
+    let _, read = Dev.submit_read dev ~cls:Dev.Foreground ~sector ~count:1 in
+    let sector = log_sector chip in
+    let flush = Dev.submit_write dev ~cls:Dev.Log_flush ~sector (sector_bytes dev 1) in
+    Dev.await dev flush;
+    step ();
+    if pick 2 = 0 then Dev.await dev read;
+    (match pick 3 with 0 -> Dev.barrier dev | 1 -> List.iter (Dev.await dev) !tags | _ -> ());
+    step ();
+    if pick 3 = 0 then Dev.advance_time dev (float_of_int (pick 400) *. 1e-6)
+  done;
+  Dev.drain dev;
+  step ();
+  ( Digest.to_hex (Digest.string (Buffer.contents trace)),
+    Digest.to_hex (Digest.string (Json.to_string (Dev.to_json dev))) )
+
+let tpcc_shaped_cases =
+  [
+    (* channels, ways, queue_depth, seed, clock trace MD5, report MD5 *)
+    (1, 1, 64, 14, "1ed99b430e9fbdb2bfc79d2becc3b9aa", "d47bfff2be2f06c67520287a0024660e");
+    (4, 2, 32, 15, "f93e4b0e42c5d31a6c9165f4b759c2f2", "43d3db2a397cb06eb8f8f4f14ba03ce5");
+  ]
+
 let test_golden_timelines () =
-  List.iter
-    (fun (channels, ways, queue_depth, seed, clock_md5, report_md5) ->
-      let name = Printf.sprintf "%dx%d qd %d seed %d" channels ways queue_depth seed in
-      let clock, report = golden_run ~channels ~ways ~queue_depth ~seed in
-      Alcotest.(check string) (name ^ " clock") clock_md5 clock;
-      Alcotest.(check string) (name ^ " report") report_md5 report)
-    golden_cases
+  let check run cases =
+    List.iter
+      (fun (channels, ways, queue_depth, seed, clock_md5, report_md5) ->
+        let name = Printf.sprintf "%dx%d qd %d seed %d" channels ways queue_depth seed in
+        let clock, report = run ~channels ~ways ~queue_depth ~seed in
+        Alcotest.(check string) (name ^ " clock") clock_md5 clock;
+        Alcotest.(check string) (name ^ " report") report_md5 report)
+      cases
+  in
+  check golden_run golden_cases;
+  check tpcc_shaped_run tpcc_shaped_cases
 
 (* --- scheduler allocation ------------------------------------------ *)
 
@@ -416,6 +511,47 @@ let test_await_barrier_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "%.1f minor words per barrier <= 2" per_barrier)
     true (per_barrier <= 2.0)
+
+(* tpcc's preemptions on one chip allocate nothing in the scheduler
+   either. With a queue-depth-64 chip full of Merge_io programs, a
+   Merge_io and a Log_flush submission each first settle the earliest
+   op (backpressure); the log flush then preempts the whole backlog. An
+   await of the queued Merge_io tag promotes it ahead of the log flush
+   and the rest of the backlog, and a barrier waits for the log flush.
+   Bounds as for the 4x2 device above. *)
+let test_preemption_allocation () =
+  let dev = Dev.create ~channels:1 ~ways:1 ~queue_depth:64 (cfg ~num_blocks:64 ()) in
+  let spb = Config.sectors_per_block (Dev.config dev) in
+  let next = ref 0 and data = sector_bytes dev 1 in
+  let program cls =
+    (* Walks the device's sectors, erasing each block before reuse. *)
+    if !next mod spb = 0 then Dev.publish_erase dev ~cls:Dev.Merge_io (!next / spb mod 64);
+    let sector = !next mod Dev.num_sectors dev in
+    incr next;
+    Dev.submit_write dev ~cls ~sector data
+  in
+  let runs = 256 in
+  let submit = ref 0.0 and await = ref 0.0 and barrier = ref 0.0 in
+  for _ = 1 to runs do
+    while Dev.in_flight dev < Dev.queue_depth dev do
+      ignore (program Dev.Merge_io : Dev.tag)
+    done;
+    let merge = ref (program Dev.Merge_io) in
+    submit := !submit +. words (fun () -> merge := program Dev.Merge_io);
+    submit := !submit +. words (fun () -> ignore (program Dev.Log_flush : Dev.tag));
+    await := !await +. words (fun () -> Dev.await dev !merge);
+    barrier := !barrier +. words (fun () -> Dev.barrier dev)
+  done;
+  let per total n = total /. float_of_int (n * runs) in
+  let check what total n bound =
+    Alcotest.(check bool)
+      (Printf.sprintf "%.1f minor words per %s <= %.0f" (per total n) what bound)
+      true
+      (per total n <= bound)
+  in
+  check "submission" !submit 2 32.0;
+  check "await" !await 1 2.0;
+  check "barrier" !barrier 1 2.0
 
 (* --- erase-unit storage ------------------------------------------- *)
 
@@ -558,6 +694,7 @@ let () =
           Alcotest.test_case "golden timelines" `Quick test_golden_timelines;
           Alcotest.test_case "submission allocation" `Quick test_submission_allocation;
           Alcotest.test_case "await/barrier allocation" `Quick test_await_barrier_allocation;
+          Alcotest.test_case "one-chip preemption allocation" `Quick test_preemption_allocation;
           Alcotest.test_case "erase/program allocation" `Quick test_erase_program_allocation;
           Alcotest.test_case "reference model" `Quick test_reference_model;
           Alcotest.test_case "erased bytes never visible" `Quick test_erased_bytes_never_visible;
