@@ -205,77 +205,70 @@ let jobs_t =
            domains. Clamped to the machine's recommended domain count. The results \
            are byte-identical for every value; only wall-clock time changes.")
 
-let crash_campaign ops sample stride lazy_mode seed transactions pages no_tear broken jobs =
-  let transactions = Option.value ~default:200 transactions in
+let crash_sweep campaign ops sample stride lazy_mode seed transactions pages no_tear jobs =
+  let open Fault.Campaign in
+  let transactions =
+    Option.value transactions ~default:(match campaign with Serial _ -> 200 | _ -> 60)
+  in
   let spec = { Fault.Workload.default with Fault.Workload.seed; transactions; pages } in
   let report =
-    Fault.Campaign.run ~tear:(not no_tear) ~broken ~max_ops:ops ~sample ~stride ~lazy_mode
-      ~jobs spec
+    run ~tear:(not no_tear) ~max_ops:ops ~sample ~stride ~lazy_mode ~jobs campaign spec
   in
-  if lazy_mode then
-    Printf.printf
-      "checkpointed mode: every crash point checked first touch == drain first\n";
-  Format.printf "%a@." Fault.Campaign.pp_report report;
-  let nviol = List.length report.Fault.Campaign.violations in
-  if broken then
-    if nviol > 0 then begin
-      Printf.printf "broken-commit mode: checker caught the unsound configuration, as expected\n";
-      exit 0
-    end
-    else begin
-      Printf.printf "broken-commit mode: checker FAILED to catch the unsound configuration\n";
-      exit 1
-    end
-  else if nviol > 0 then exit 1
+  let failed = report.violations <> [] in
+  let broken = match campaign with Serial { broken } -> broken | _ -> false in
+  (match campaign with
+  | Remap_crash _ ->
+      if not failed then Printf.printf "remap-crash: every crash point recovered cleanly\n";
+      List.iter
+        (fun (delta, vs) ->
+          Printf.printf "crash %d ops after remap trigger:\n" delta;
+          List.iter (fun v -> Printf.printf "- %s\n" v) vs)
+        report.violations
+  | Concurrent { sessions } ->
+      Printf.printf "concurrent campaign: %d sessions%s\n" sessions
+        (if lazy_mode then " (first touch == drain first checked)" else "");
+      Format.printf "%a@." pp_report report
+  | Serial _ ->
+      if lazy_mode then
+        Printf.printf
+          "checkpointed mode: every crash point checked first touch == drain first\n";
+      Format.printf "%a@." pp_report report;
+      if broken then
+        Printf.printf "broken-commit mode: checker %s\n"
+          (if failed then "caught the unsound configuration, as expected"
+           else "FAILED to catch the unsound configuration"));
+  (* The --broken self-test passes only when the checker flags the run. *)
+  if failed <> broken then exit 1
 
 let resilience_campaign profile spares seed transactions =
-  if profile = "remap-crash" then begin
-    match Fault.Campaign.run_remap_crash ~spares ~seed () with
-    | [] -> Printf.printf "remap-crash: every crash point recovered cleanly\n"
-    | l ->
-        List.iter
-          (fun (delta, vs) ->
-            Printf.printf "crash %d ops after remap trigger:\n" delta;
-            List.iter (fun v -> Printf.printf "- %s\n" v) vs)
-          l;
-        exit 1
-  end
-  else
-    match Fault.Campaign.profile_of_string profile with
-    | None ->
-        Printf.eprintf
-          "unknown profile %S (expected flaky, program, erase, wearout, remap-crash or \
-           concurrent)\n"
-          profile;
-        exit 2
-    | Some p ->
-        let transactions = Option.value ~default:0 transactions in
-        let r = Fault.Campaign.run_resilience ~spares ~transactions ~seed p in
-        Format.printf "%a@." Fault.Campaign.pp_resilience_report r;
-        if not (Fault.Campaign.resilience_ok r) then exit 1
-
-let concurrent_campaign ops sample stride lazy_mode seed transactions pages no_tear sessions
-    jobs =
-  let transactions = Option.value ~default:60 transactions in
-  let spec = { Fault.Workload.default with Fault.Workload.seed; transactions; pages } in
-  let report =
-    Fault.Campaign.run_concurrent ~tear:(not no_tear) ~max_ops:ops ~sample ~stride
-      ~lazy_mode ~sessions ~jobs spec
-  in
-  Printf.printf "concurrent campaign: %d sessions%s\n" sessions
-    (if lazy_mode then " (first touch == drain first checked)" else "");
-  Format.printf "%a@." Fault.Campaign.pp_report report;
-  if report.Fault.Campaign.violations <> [] then exit 1
+  match Fault.Campaign.profile_of_string profile with
+  | None ->
+      Printf.eprintf
+        "unknown profile %S (expected flaky, program, erase, wearout, remap-crash or \
+         concurrent)\n"
+        profile;
+      exit 2
+  | Some p ->
+      let transactions = Option.value ~default:0 transactions in
+      let r = Fault.Campaign.run_resilience ~spares ~transactions ~seed p in
+      Format.printf "%a@." Fault.Campaign.pp_resilience_report r;
+      if not (Fault.Campaign.resilience_ok r) then exit 1
 
 let faultcheck ops sample stride lazy_mode seed transactions pages no_tear broken profile
     spares sessions jobs =
-  let jobs = resolve_jobs jobs in
+  let sweep campaign =
+    crash_sweep campaign ops sample stride lazy_mode seed transactions pages no_tear
+      (resolve_jobs jobs)
+  in
   match profile with
-  | None ->
-      crash_campaign ops sample stride lazy_mode seed transactions pages no_tear broken jobs
-  | Some "concurrent" ->
-      concurrent_campaign ops sample stride lazy_mode seed transactions pages no_tear
-        sessions jobs
+  | Some _ when broken ->
+      (* The concurrent oracle cannot catch an unforced commit window: no
+         barrier ever settles, so its durable watermark stays 0. *)
+      prerr_endline "--broken only applies to the plain crash sweep (no --profile)";
+      exit 2
+  | None -> sweep (Fault.Campaign.Serial { broken })
+  | Some "concurrent" -> sweep (Fault.Campaign.Concurrent { sessions })
+  | Some "remap-crash" -> sweep (Fault.Campaign.Remap_crash { spares })
   | Some profile -> resilience_campaign profile spares seed transactions
 
 let ops_t =
@@ -327,7 +320,10 @@ let broken_t =
   Arg.(
     value & flag
     & info [ "broken" ]
-        ~doc:"Self-test: disable commit-time log forcing and verify the checker flags the lost transactions (exits 0 only if it does).")
+        ~doc:
+          "Self-test: disable commit-time log forcing and verify the checker flags the \
+           lost transactions (exits 0 only if it does). Plain crash sweep only: with \
+           $(b,--profile) it exits 2.")
 
 let profile_t =
   Arg.(

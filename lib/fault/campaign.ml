@@ -18,23 +18,21 @@ type report = {
 (* Small pool so evictions (and their log-sector flushes) happen mid-run. *)
 let engine_config = { Config.default with Config.buffer_pages = 8 }
 
-(* Checkpointed variant: same deliberately small pool, plus a fuzzy
-   checkpoint every 16 commits so the restart under test actually has
-   coverage to lean on. *)
-let recovery_config = { engine_config with Config.checkpoint_every = 16 }
+(* The same pool with a bad-block manager over [spares] spare blocks. *)
+let resilience_config ~spares = { engine_config with Config.spare_blocks = spares }
 
 let chip_config () = FConfig.default ~num_blocks:32 ()
 
-(* A huge commit window in broken mode means commits are recorded but
-   never forced — the deliberately unsound configuration the checker must
-   catch. *)
-let fresh ~broken ~config spec =
-  let chip = Chip.create (chip_config ()) in
-  let engine = Engine.create ~config chip in
-  if broken then Engine.set_group_commit engine 1_000_000;
-  let oracle = Oracle.create () in
-  let pages = Workload.setup engine oracle spec in
-  (chip, engine, oracle, pages)
+(* The engine reserves blocks 0..7 for the metadata and transaction logs
+   (4 + 4 with its defaults); device-fault plans must spare those — they
+   sit outside the bad-block manager. *)
+let data_first_block = 8
+let data_first_sector () = data_first_block * FConfig.sectors_per_block (chip_config ())
+
+let read engine ~page ~slot =
+  match Engine.read engine ~page ~slot with
+  | Ok v -> v
+  | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e)
 
 (* [n] indices spread evenly across [lo, hi). *)
 let spread ~lo ~hi n =
@@ -81,7 +79,7 @@ let drain_first_twin ~config ~crashed engine ~pages ~slots =
         [ what ^ " repairs still pending after full drain" ]
     | Ok _ -> []
   in
-  let chip_d, _oracle_d, _pages_d = crashed () in
+  let chip_d, _, _ = crashed () in
   match Engine.restart ~config chip_d with
   | exception e -> [ "drain-first twin restart raised: " ^ Printexc.to_string e ]
   | twin, _aborted ->
@@ -99,9 +97,10 @@ let drain_first_twin ~config ~crashed engine ~pages ~slots =
 
 (* The per-point verdict: did the restart complete, did the crash land
    mid-commit, and what (if anything) did the checker flag. Verdicts are
-   a pure function of (spec, point) — each one rebuilds its own chip,
-   engine and oracle — which is what lets the campaign fan points across
-   domains and still merge a report identical to the serial sweep. *)
+   a pure function of (campaign, spec, point) — each one rebuilds its
+   own chip, engine and oracle — which is what lets the campaign fan
+   points across domains and still merge a report identical to the
+   serial sweep. *)
 type verdict = { point : int; ok : bool; doubt : bool; vs : string list }
 
 let merge_verdicts ~total_ops ~setup_ops ~gstats verdicts =
@@ -125,124 +124,138 @@ let merge_verdicts ~total_ops ~setup_ops ~gstats verdicts =
     mean_wear = gstats.FStats.mean_wear;
   }
 
-let run ?(tear = true) ?(broken = false) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
-    ?(lazy_mode = false) ?(jobs = 1) spec =
-  let config = if lazy_mode then recovery_config else engine_config in
-  (* Golden run: same spec, no faults — just count the flash operations. *)
-  let chip, engine, oracle, pages = fresh ~broken ~config spec in
+(* One history over a fresh oracle: load the setup state, run the mix
+   ([run] is [false] when a transaction met a typed engine error), settle
+   the oracle at a crash ([true] when a commit was in doubt), and check a
+   restarted engine against it. *)
+type history = {
+  setup : Engine.t -> int array;
+  run : Engine.t -> pages:int array -> bool;
+  settle : unit -> bool;
+  check :
+    read:(page:int -> slot:int -> bytes option) ->
+    pages:int list ->
+    slots:int ->
+    string list;
+}
+
+(* The serial mix against {!Oracle}. A huge commit window in broken mode
+   means commits are recorded but never forced — the deliberately
+   unsound configuration the checker must catch. *)
+let serial ~broken spec () =
+  let oracle = Oracle.create () in
+  {
+    setup =
+      (fun engine ->
+        if broken then Engine.set_group_commit engine 1_000_000;
+        Workload.setup engine (Oracle.seed oracle) spec);
+    run =
+      (fun engine ~pages ->
+        let o = Workload.run_resilient engine oracle spec ~pages in
+        o.Workload.read_failures = 0 && o.Workload.degraded_at = None);
+    settle =
+      (fun () ->
+        match Oracle.crash oracle with
+        | Oracle.In_doubt -> true
+        | Oracle.Rolled_back -> false);
+    check = Oracle.check oracle;
+  }
+
+(* The same mix interleaved across [sessions] MVCC transactions with
+   group commit, against {!Concurrent_oracle}: after every crash the
+   recovered state must equal the setup state plus a commit-order prefix
+   reaching at least the durable watermark, with conflict-losers and
+   rolled-back transactions absent. *)
+let concurrent ~sessions spec () =
+  let oracle = Concurrent_oracle.create () in
+  {
+    setup = (fun engine -> Workload.setup engine (Concurrent_oracle.seed oracle) spec);
+    run =
+      (fun engine ~pages ->
+        ignore
+          (Workload.run_concurrent engine oracle spec ~sessions ~pages
+            : Workload.concurrent_outcome);
+        true);
+    settle =
+      (fun () ->
+        match Concurrent_oracle.crash oracle with
+        | Concurrent_oracle.In_doubt -> true
+        | Concurrent_oracle.Settled -> false);
+    check = Concurrent_oracle.check oracle;
+  }
+
+type campaign =
+  | Serial of { broken : bool }
+  | Concurrent of { sessions : int }
+  | Remap_crash of { spares : int }
+
+(* Crash-during-remap: force a program failure (and so a relocation) at
+   the first program after setup, then power-fail this many operations
+   later — inside the copy, between the copy and the remap force, or
+   just after. *)
+let remap_deltas = [ 1; 2; 3; 5; 8; 13; 21; 40 ]
+
+(* The crash-point loop. A golden run counts the flash operations and
+   picks the points; each point then rebuilds the chip, engine and
+   oracle, installs its fault plan, runs the history to the power loss,
+   restarts and checks the oracle. *)
+let run ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1) ?(lazy_mode = false)
+    ?(jobs = 1) campaign spec =
+  let history, config =
+    match campaign with
+    | Serial { broken } -> (serial ~broken spec, engine_config)
+    | Concurrent { sessions } -> (concurrent ~sessions spec, engine_config)
+    | Remap_crash { spares } -> (serial ~broken:false spec, resilience_config ~spares)
+  in
+  (* Checkpointed mode: a fuzzy checkpoint every 16 commits, so the
+     restart under test actually has coverage to lean on. *)
+  let config = if lazy_mode then { config with Config.checkpoint_every = 16 } else config in
+  let fresh () =
+    let chip = Chip.create (chip_config ()) in
+    let engine = Engine.create ~config chip in
+    let h = history () in
+    let pages = h.setup engine in
+    (chip, engine, h, pages)
+  in
+  (* Golden run: same spec, no faults — count the flash operations. *)
+  let chip, engine, h, pages = fresh () in
   let setup_ops = Chip.op_count chip in
-  Workload.run engine oracle spec ~pages;
+  if not (h.run engine ~pages) then
+    failwith "Campaign: the golden run met a typed engine error";
   let total_ops = Chip.op_count chip in
   let gstats = Chip.stats chip in
-  let hi = if max_ops > 0 then min total_ops (setup_ops + max_ops) else total_ops in
-  let points = thin ~stride (spread ~lo:setup_ops ~hi sample) in
+  let points, plan =
+    match campaign with
+    | Serial _ | Concurrent _ ->
+        let hi = if max_ops > 0 then min total_ops (setup_ops + max_ops) else total_ops in
+        (thin ~stride (spread ~lo:setup_ops ~hi sample), Fault_plan.crash_at ~tear)
+    | Remap_crash _ ->
+        ( remap_deltas,
+          fun delta ->
+            Fault_plan.program_fail_then_crash ~point:setup_ops ~crash_after:delta
+              ~min_sector:(data_first_sector ()) () )
+  in
+  let slots = Workload.max_slots spec in
   let check_point point =
     (* The crashed state is a deterministic function of (spec, point):
        [crashed] can rebuild a bit-identical chip for the drain-first twin. *)
     let crashed () =
-      let chip, engine, oracle, pages = fresh ~broken ~config spec in
-      Fault_plan.install chip (Fault_plan.crash_at ~tear point);
-      (try Workload.run engine oracle spec ~pages with Chip.Power_loss _ -> ());
+      let chip, engine, h, pages = fresh () in
+      Fault_plan.install chip (plan point);
+      (try ignore (h.run engine ~pages : bool) with Chip.Power_loss _ -> ());
       Fault_plan.clear chip;
-      (chip, oracle, pages)
+      (chip, h, pages)
     in
-    let chip, oracle, pages = crashed () in
-    let doubt =
-      match Oracle.crash oracle with
-      | Oracle.In_doubt -> true
-      | Oracle.Rolled_back -> false
-    in
+    let chip, h, pages = crashed () in
+    let doubt = h.settle () in
     match Engine.restart ~config chip with
     | exception e ->
         { point; ok = false; doubt; vs = [ "restart raised: " ^ Printexc.to_string e ] }
     | engine', _aborted ->
-        let vs =
-          Oracle.check oracle
-            ~read:(fun ~page ~slot ->
-              match Engine.read engine' ~page ~slot with
-              | Ok v -> v
-              | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e))
-            ~pages:(Array.to_list pages) ~slots:(Workload.max_slots spec)
-        in
+        let vs = h.check ~read:(read engine') ~pages:(Array.to_list pages) ~slots in
         let vs =
           if not lazy_mode then vs
-          else
-            vs
-            @ drain_first_twin ~config ~crashed engine' ~pages
-                ~slots:(Workload.max_slots spec)
-        in
-        { point; ok = true; doubt; vs }
-  in
-  let verdicts =
-    Par.Domain_pool.with_pool ~jobs (fun pool ->
-        Par.Domain_pool.parallel_map pool check_point (Array.of_list points))
-  in
-  merge_verdicts ~total_ops ~setup_ops ~gstats verdicts
-
-(* ------------------------------------------------------------------ *)
-(* Concurrent crash campaign: MVCC sessions + group commit              *)
-
-let fresh_concurrent ~config spec =
-  let chip = Chip.create (chip_config ()) in
-  let engine = Engine.create ~config chip in
-  let oracle = Concurrent_oracle.create () in
-  let pages = Workload.setup_concurrent engine oracle spec in
-  (chip, engine, oracle, pages)
-
-(* The crash-point sweep of [run], over concurrent histories: the same
-   mix interleaved across [sessions] MVCC transactions with group
-   commit. The oracle's prefix check replaces the single-transaction
-   model — after every crash the recovered state must equal the setup
-   state plus a commit-order prefix reaching at least the durable
-   watermark, with conflict-losers and rolled-back transactions absent. *)
-let run_concurrent ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
-    ?(lazy_mode = false) ?(sessions = 8) ?(jobs = 1) spec =
-  let config = if lazy_mode then recovery_config else engine_config in
-  let chip, engine, oracle, pages = fresh_concurrent ~config spec in
-  let setup_ops = Chip.op_count chip in
-  ignore
-    (Workload.run_concurrent engine oracle spec ~sessions ~pages
-      : Workload.concurrent_outcome);
-  let total_ops = Chip.op_count chip in
-  let gstats = Chip.stats chip in
-  let hi = if max_ops > 0 then min total_ops (setup_ops + max_ops) else total_ops in
-  let points = thin ~stride (spread ~lo:setup_ops ~hi sample) in
-  let check_point point =
-    let crashed () =
-      let chip, engine, oracle, pages = fresh_concurrent ~config spec in
-      Fault_plan.install chip (Fault_plan.crash_at ~tear point);
-      (try
-         ignore
-           (Workload.run_concurrent engine oracle spec ~sessions ~pages
-             : Workload.concurrent_outcome)
-       with Chip.Power_loss _ -> ());
-      Fault_plan.clear chip;
-      (chip, oracle, pages)
-    in
-    let chip, oracle, pages = crashed () in
-    let doubt =
-      match Concurrent_oracle.crash oracle with
-      | Concurrent_oracle.In_doubt -> true
-      | Concurrent_oracle.Settled -> false
-    in
-    match Engine.restart ~config chip with
-    | exception e ->
-        { point; ok = false; doubt; vs = [ "restart raised: " ^ Printexc.to_string e ] }
-    | engine', _aborted ->
-        let vs =
-          Concurrent_oracle.check oracle
-            ~read:(fun ~page ~slot ->
-              match Engine.read engine' ~page ~slot with
-              | Ok v -> v
-              | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e))
-            ~pages:(Array.to_list pages) ~slots:(Workload.max_slots spec)
-        in
-        let vs =
-          if not lazy_mode then vs
-          else
-            vs
-            @ drain_first_twin ~config ~crashed engine' ~pages
-                ~slots:(Workload.max_slots spec)
+          else vs @ drain_first_twin ~config ~crashed engine' ~pages ~slots
         in
         { point; ok = true; doubt; vs }
   in
@@ -284,20 +297,8 @@ let resilience_ok r =
   r.violations = [] && r.restart_violations = [] && r.writes_refused_after_degrade
   && r.degradation_persisted
 
-let resilience_config ~spares =
-  {
-    Config.default with
-    Config.buffer_pages = 8;
-    spare_blocks = spares;
-  }
-
-(* The engine reserves blocks 0..7 for the metadata and transaction logs
-   (4 + 4 with its defaults); the wear-out plan must spare those — they
-   sit outside the bad-block manager. *)
-let data_first_block = 8
-
 let plan_of_profile ~seed profile =
-  let min_sector = data_first_block * FConfig.sectors_per_block (chip_config ()) in
+  let min_sector = data_first_sector () in
   match profile with
   | Flaky -> Fault_plan.flaky_reads ~seed ~min_sector ()
   | Program_faults -> Fault_plan.program_failures ~seed ~rate:0.02 ~min_sector ()
@@ -327,18 +328,14 @@ let run_resilience ?(spares = 4) ?(transactions = 0) ?(seed = 7) profile =
   let chip = Chip.create (chip_config ()) in
   let engine = Engine.create ~config chip in
   let oracle = Oracle.create () in
-  let pages = Workload.setup engine oracle spec in
+  let pages = Workload.setup engine (Oracle.seed oracle) spec in
   Fault_plan.install chip (plan_of_profile ~seed profile);
   let outcome = Workload.run_resilient engine oracle spec ~pages in
-  let read ~page ~slot =
-    match Engine.read engine ~page ~slot with
-    | Ok v -> v
-    | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e)
-  in
-  let violations =
-    Oracle.check oracle ~read ~pages:(Array.to_list pages)
+  let check engine =
+    Oracle.check oracle ~read:(read engine) ~pages:(Array.to_list pages)
       ~slots:(Workload.max_slots spec)
   in
+  let violations = check engine in
   let writes_refused_after_degrade =
     match outcome.Workload.degraded_at with
     | None -> true
@@ -353,14 +350,7 @@ let run_resilience ?(spares = 4) ?(transactions = 0) ?(seed = 7) profile =
     match Engine.restart ~config chip with
     | exception e -> ([ "restart raised: " ^ Printexc.to_string e ], false)
     | engine', _ ->
-        let vs =
-          Oracle.check oracle
-            ~read:(fun ~page ~slot ->
-                match Engine.read engine' ~page ~slot with
-                | Ok v -> v
-                | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e))
-            ~pages:(Array.to_list pages) ~slots:(Workload.max_slots spec)
-        in
+        let vs = check engine' in
         (vs, Engine.degraded engine' = (outcome.Workload.degraded_at <> None))
   in
   {
@@ -372,47 +362,6 @@ let run_resilience ?(spares = 4) ?(transactions = 0) ?(seed = 7) profile =
     violations;
     restart_violations;
   }
-
-(* Crash-during-remap: force a program failure (and so a relocation) at
-   the first program after setup, then power-fail a few operations later
-   — inside the copy, between the copy and the remap force, or just
-   after. Whatever the crash point, restart must land on the old complete
-   mapping or the new complete one. Returns per-delta violations. *)
-let run_remap_crash ?(spares = 4) ?(seed = 7) ?(deltas = [ 1; 2; 3; 5; 8; 13; 21; 40 ])
-    () =
-  let config = resilience_config ~spares in
-  let spec = { Workload.default with Workload.seed } in
-  let violations = ref [] in
-  List.iter
-    (fun delta ->
-      let chip = Chip.create (chip_config ()) in
-      let engine = Engine.create ~config chip in
-      let oracle = Oracle.create () in
-      let pages = Workload.setup engine oracle spec in
-      let point = Chip.op_count chip in
-      let min_sector = data_first_block * FConfig.sectors_per_block (chip_config ()) in
-      Fault_plan.install chip
-        (Fault_plan.program_fail_then_crash ~point ~crash_after:delta ~min_sector ());
-      (try ignore (Workload.run_resilient engine oracle spec ~pages)
-       with Chip.Power_loss _ -> ());
-      (match Oracle.crash oracle with Oracle.In_doubt | Oracle.Rolled_back -> ());
-      Fault_plan.clear chip;
-      match Engine.restart ~config chip with
-      | exception e ->
-          violations :=
-            (delta, [ "restart raised: " ^ Printexc.to_string e ]) :: !violations
-      | engine', _ ->
-          let vs =
-            Oracle.check oracle
-              ~read:(fun ~page ~slot ->
-                match Engine.read engine' ~page ~slot with
-                | Ok v -> v
-                | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e))
-              ~pages:(Array.to_list pages) ~slots:(Workload.max_slots spec)
-          in
-          if vs <> [] then violations := (delta, vs) :: !violations)
-    deltas;
-  List.rev !violations
 
 let pp_resilience_report ppf r =
   let o = r.outcome in

@@ -2,12 +2,14 @@
 
     One golden run of the deterministic {!Workload} counts the chip's
     flash operations. The campaign then re-runs the workload once per
-    crash point: a fresh chip and engine, a {!Fault_plan.crash_at} pinned
-    to that operation index (tearing multi-sector programs when [tear]),
-    the power loss caught, the chip revived, the database reopened with
-    [Ipl_engine.restart], and the recovered state compared against the
-    {!Oracle} — committed transactions durable, uncommitted ones rolled
-    back, in-doubt commits atomic, every page readable. *)
+    crash point: a fresh chip and engine, the point's fault plan
+    installed, the power loss caught, the chip revived, the database
+    reopened with [Ipl_engine.restart], and the recovered state compared
+    against the oracle — committed transactions durable, uncommitted ones
+    rolled back, in-doubt commits atomic, every page readable. The loop
+    is written once; a {!campaign} names what differs: the history (the
+    serial mix with {!Oracle}, or MVCC sessions with
+    {!Concurrent_oracle}), the engine config and the fault plan. *)
 
 type report = {
   total_ops : int;  (** flash operations in the golden run *)
@@ -20,25 +22,51 @@ type report = {
   mean_wear : float;  (** per-block erase wear of the golden run *)
 }
 
+type campaign =
+  | Serial of { broken : bool }
+      (** The serial mix, checked by {!Oracle}, crashed at flash
+          operations ({!Fault_plan.crash_at}). [broken] runs the engine
+          with commit-time log forcing effectively disabled (an enormous
+          group-commit window) — a deliberately unsound recovery
+          configuration that the checker must flag, used to validate the
+          checker itself. *)
+  | Concurrent of { sessions : int }
+      (** The same mix through [sessions] interleaved {!Ipl_txn.Mvcc}
+          transactions with a group-commit window of [sessions], checked
+          by {!Concurrent_oracle}: the recovered state must equal some
+          commit-order prefix at or past the durable watermark, with
+          conflict-losers and rolled-back transactions absent.
+          [in_doubt] counts crash points that hit inside a commit call. *)
+  | Remap_crash of { spares : int }
+      (** Crash during a bad-block remap, on an engine with [spares]
+          spare blocks: force a program failure (hence a relocation) at
+          the first program after setup, then power-fail [delta]
+          operations later, for a fixed list of deltas (1 to 40) that
+          land inside the copy, between the copy and the remap force, and
+          after it. The crash points, and the report's [violations] keys,
+          are those deltas; [tear], [max_ops], [sample] and [stride] do
+          not apply, [lazy_mode] and [jobs] do. The remap
+          persist-before-switch ordering makes every delta recoverable. *)
+
 val run :
   ?tear:bool ->
-  ?broken:bool ->
   ?max_ops:int ->
   ?sample:int ->
   ?stride:int ->
   ?lazy_mode:bool ->
   ?jobs:int ->
+  campaign ->
   Workload.spec ->
   report
-(** [tear] (default [true]) tears multi-sector programs at the crash
-    point instead of failing cleanly before them. [broken] (default
-    [false]) runs the engine with commit-time log forcing effectively
-    disabled (an enormous group-commit window) — a deliberately unsound
-    recovery configuration that the checker must flag, used to validate
-    the checker itself. [max_ops] (0 = no cap) bounds how far past setup
-    crash points may fall; [sample] (0 = all) tests only that many
-    points, spread evenly; [stride] (default 1) then keeps every
-    [stride]-th of them.
+(** The crash-point sweep. Fails with [Failure] if the fault-free golden
+    run meets a typed engine error: that is a harness bug, not a
+    finding.
+
+    [tear] (default [true]) tears multi-sector programs at the crash
+    point instead of failing cleanly before them. [max_ops] (0 = no cap)
+    bounds how far past setup crash points may fall; [sample] (0 = all)
+    tests only that many points, spread evenly; [stride] (default 1) then
+    keeps every [stride]-th of them.
 
     [lazy_mode] (default [false]) runs the engine with a fuzzy
     checkpoint every 16 commits, so each restart leans on checkpoint
@@ -60,28 +88,6 @@ val run :
     the serial path itself with no domains spawned. *)
 
 val pp_report : Format.formatter -> report -> unit
-
-val run_concurrent :
-  ?tear:bool ->
-  ?max_ops:int ->
-  ?sample:int ->
-  ?stride:int ->
-  ?lazy_mode:bool ->
-  ?sessions:int ->
-  ?jobs:int ->
-  Workload.spec ->
-  report
-(** The crash-point sweep of {!run} over {e concurrent} histories: the
-    workload mix runs through [sessions] (default 8) interleaved
-    {!Ipl_txn.Mvcc} transactions with a group-commit window of
-    [sessions], checked by {!Concurrent_oracle} — the recovered state
-    must equal some commit-order prefix at or past the durable watermark,
-    with conflict-losers and rolled-back transactions absent. [in_doubt]
-    counts crash points that hit inside a commit call. [stride],
-    [lazy_mode] and [jobs] behave as in {!run} — in particular
-    [lazy_mode] checks first-touch-vs-drain-first digest equality over
-    the concurrent histories too, and [jobs] parallelises the crash points without
-    changing the report. *)
 
 (** {1 Resilience campaign}
 
@@ -120,13 +126,5 @@ val run_resilience :
 (** [spares] (default 4) sizes the spare pool; [transactions] overrides
     the profile's default workload length (wear-out runs long enough to
     exhaust the pool). *)
-
-val run_remap_crash :
-  ?spares:int -> ?seed:int -> ?deltas:int list -> unit -> (int * string list) list
-(** Crash-during-remap sweep: force a program failure (hence a
-    relocation) at the first program after setup, then power-fail
-    [delta] operations later, restart, and check the oracle. The remap
-    persist-before-switch ordering makes every delta recoverable; the
-    returned list (delta, violations) is empty when all are. *)
 
 val pp_resilience_report : Format.formatter -> resilience_report -> unit

@@ -26,7 +26,9 @@ let ok ctx = function
   | Ok v -> v
   | Error e -> failwith ("Workload." ^ ctx ^ ": " ^ Engine.error_to_string e)
 
-let setup engine oracle spec =
+(* [record] mirrors each loaded record into the campaign's oracle as
+   already durable: [Oracle.seed] or [Concurrent_oracle.seed]. *)
+let setup engine record spec =
   let pages = Array.init spec.pages (fun _ -> ok "setup" (Engine.allocate_page engine)) in
   let rng = Rng.of_int (spec.seed lxor 0x5eed) in
   let tx = ok "setup" (Engine.begin_txn engine) in
@@ -34,9 +36,7 @@ let setup engine oracle spec =
     (fun p ->
       for _ = 1 to spec.slots_per_page do
         let data = bytes_of rng spec.payload in
-        match Engine.insert engine ~tx ~page:p data with
-        | Ok slot -> Oracle.seed oracle ~page:p ~slot data
-        | Error e -> failwith ("Workload.setup: " ^ Engine.error_to_string e)
+        record ~page:p ~slot:(ok "setup" (Engine.insert engine ~tx ~page:p data)) data
       done)
     pages;
   ok "setup" (Engine.commit engine tx);
@@ -49,7 +49,13 @@ let setup engine oracle spec =
    the model tracks the engine exactly up to the crash, wherever it
    falls. Determinism matters: the golden run and every crash re-run draw
    the same stream, so operation index N is the same flash operation in
-   each. *)
+   each.
+
+   The mix goes through the exception-free engine entry points. A
+   transaction that hits a device error ([Device_degraded],
+   [Read_failed]) is aborted — its effects must vanish, and the oracle
+   mirrors that — and a degraded device ends the run: the remaining
+   transactions could only be refused. *)
 type resilient_outcome = {
   committed : int;
   aborted : int;
@@ -59,12 +65,6 @@ type resilient_outcome = {
 
 exception Tx_failed of Engine.error
 
-(* The resilience-campaign variant of {!run}: same transaction mix, but
-   driven through the exception-free engine entry points. A transaction
-   that hits a device error ([Device_degraded], [Read_failed]) is aborted
-   — its effects must vanish, and the oracle mirrors that — and a
-   degraded device ends the run: the remaining transactions could only be
-   refused. *)
 let run_resilient engine oracle spec ~pages =
   let rng = Rng.of_int spec.seed in
   let committed = ref 0 and aborted = ref 0 in
@@ -88,8 +88,11 @@ let run_resilient engine oracle spec ~pages =
            let r = Rng.float rng 1.0 in
            if r < 0.55 then (
              match Oracle.current oracle ~page ~slot with
-             | None -> ()
+             | None -> () (* nothing there to update *)
              | Some old ->
+                 (* Mostly equal-length (logged as byte-range deltas); a
+                    quarter change size to exercise the full-image /
+                    delete+insert logging paths. *)
                  let len =
                    if Rng.chance rng 0.25 then 1 + Rng.int rng (2 * spec.payload)
                    else Bytes.length old
@@ -160,23 +163,6 @@ type cop =
   | CUpdate of int * int * bytes  (* page, slot, data *)
   | CInsert of int * bytes
   | CDelete of int * int
-
-let setup_concurrent engine oracle spec =
-  let pages = Array.init spec.pages (fun _ -> ok "setup" (Engine.allocate_page engine)) in
-  let rng = Rng.of_int (spec.seed lxor 0x5eed) in
-  let tx = ok "setup" (Engine.begin_txn engine) in
-  Array.iter
-    (fun p ->
-      for _ = 1 to spec.slots_per_page do
-        let data = bytes_of rng spec.payload in
-        match Engine.insert engine ~tx ~page:p data with
-        | Ok slot -> Concurrent_oracle.seed oracle ~page:p ~slot data
-        | Error e -> failwith ("Workload.setup_concurrent: " ^ Engine.error_to_string e)
-      done)
-    pages;
-  ok "setup" (Engine.commit engine tx);
-  ok "setup" (Engine.checkpoint engine);
-  pages
 
 (* The serial mix, pre-drawn into per-transaction plans (the concurrent
    oracle has no single "current" view to consult, so update lengths come
@@ -295,50 +281,3 @@ let run_concurrent engine oracle spec ~sessions ~pages =
     aborted_txns = !aborted;
     conflicts = (Mvcc.stats m).Mvcc.conflicts;
   }
-
-let run engine oracle spec ~pages =
-  let rng = Rng.of_int spec.seed in
-  for _ = 1 to spec.transactions do
-    let tx = ok "run" (Engine.begin_txn engine) in
-    Oracle.begin_txn oracle;
-    let nops = 1 + Rng.int rng 4 in
-    for _ = 1 to nops do
-      let page = pages.(Rng.int rng (Array.length pages)) in
-      let slot = Rng.int rng (spec.slots_per_page * 2) in
-      let r = Rng.float rng 1.0 in
-      if r < 0.55 then (
-        match Oracle.current oracle ~page ~slot with
-        | None -> () (* nothing there to update *)
-        | Some old ->
-            (* Mostly equal-length (logged as byte-range deltas); a quarter
-               change size to exercise the full-image / delete+insert
-               logging paths. *)
-            let len =
-              if Rng.chance rng 0.25 then 1 + Rng.int rng (2 * spec.payload)
-              else Bytes.length old
-            in
-            let data = bytes_of rng len in
-            (match Engine.update engine ~tx ~page ~slot data with
-            | Ok () -> Oracle.note oracle ~page ~slot (Some data)
-            | Error _ -> ()))
-      else if r < 0.85 then begin
-        let data = bytes_of rng spec.payload in
-        match Engine.insert engine ~tx ~page data with
-        | Ok slot -> Oracle.note oracle ~page ~slot (Some data)
-        | Error _ -> ()
-      end
-      else
-        match Engine.delete engine ~tx ~page ~slot with
-        | Ok () -> Oracle.note oracle ~page ~slot None
-        | Error _ -> ()
-    done;
-    if Rng.chance rng spec.abort_fraction then begin
-      ok "run" (Engine.abort engine tx);
-      Oracle.abort oracle
-    end
-    else begin
-      Oracle.start_commit oracle;
-      ok "run" (Engine.commit engine tx);
-      Oracle.end_commit oracle
-    end
-  done

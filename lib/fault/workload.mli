@@ -19,31 +19,35 @@ val max_slots : spec -> int
 (** Upper bound on slot numbers the run can create; the oracle's sweep
     range. *)
 
-val setup : Ipl_core.Ipl_engine.t -> Oracle.t -> spec -> int array
-(** Allocate the pages, load the initial records (mirrored into the
-    oracle as already-committed), commit and checkpoint. Returns the page
-    ids the run will use. *)
-
-val run : Ipl_core.Ipl_engine.t -> Oracle.t -> spec -> pages:int array -> unit
-(** Execute the transaction mix, mirroring every successful engine call
-    into the oracle. Raises whatever the engine raises — under a fault
-    plan, typically {!Flash_sim.Flash_chip.Power_loss}. *)
+val setup :
+  Ipl_core.Ipl_engine.t -> (page:int -> slot:int -> bytes -> unit) -> spec -> int array
+(** [setup engine record spec] allocates the pages, loads the initial
+    records (each passed to [record] — {!Oracle.seed} or
+    {!Concurrent_oracle.seed} — as already committed), commits and
+    checkpoints. Returns the page ids the run will use. *)
 
 type resilient_outcome = {
   committed : int;
   aborted : int;  (** includes transactions aborted by device errors *)
   degraded_at : int option;  (** 1-based transaction index, if degraded *)
-  read_failures : int;  (** transactions lost to [Read_failed] *)
+  read_failures : int;  (** transactions lost to [Read_failed] or a failed commit *)
 }
+
+val run_resilient :
+  Ipl_core.Ipl_engine.t -> Oracle.t -> spec -> pages:int array -> resilient_outcome
+(** Execute the transaction mix through the exception-free entry points
+    ([Ipl_engine.commit] etc.), mirroring every successful engine call
+    into the oracle. A transaction hitting [Device_degraded]/[Read_failed]
+    (or a failed commit) is aborted, mirrored into the oracle, and
+    degradation ends the run; a fault-free run that reports either is a
+    harness bug. {!Flash_sim.Flash_chip.Power_loss} escapes — under a
+    crash plan, that is how the run ends. *)
 
 type concurrent_outcome = {
   committed_txns : int;
   aborted_txns : int;  (** voluntary aborts plus conflict-doomed rollbacks *)
   conflicts : int;  (** write-write conflicts detected by the MVCC layer *)
 }
-
-val setup_concurrent : Ipl_core.Ipl_engine.t -> Concurrent_oracle.t -> spec -> int array
-(** {!setup}, mirroring into the concurrent-history oracle instead. *)
 
 val run_concurrent :
   Ipl_core.Ipl_engine.t ->
@@ -60,12 +64,3 @@ val run_concurrent :
     oracle; the durable watermark follows the group barriers. Raises
     whatever the engine raises — under a fault plan, typically
     {!Flash_sim.Flash_chip.Power_loss}. *)
-
-val run_resilient :
-  Ipl_core.Ipl_engine.t -> Oracle.t -> spec -> pages:int array -> resilient_outcome
-(** The same mix through the exception-free entry points
-    ([Ipl_engine.commit] etc.), for campaigns that inject device
-    failures rather than crashes: a transaction hitting
-    [Device_degraded]/[Read_failed] is aborted (mirrored into the
-    oracle), and degradation ends the run. {!Flash_sim.Flash_chip.Power_loss}
-    still escapes, for plans that also crash the chip. *)

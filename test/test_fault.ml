@@ -336,25 +336,101 @@ let test_oracle_in_doubt_atomicity () =
   Alcotest.(check bool) "half-applied commit flagged" true
     (check [ ((0, 0), "new0"); ((0, 1), "old1") ] <> [])
 
+(* ---------------- the concurrent oracle ---------------- *)
+
+module COracle = Fault.Concurrent_oracle
+
+(* Seed slot 0 with "base", then commit one transaction per value in
+   order, transaction i writing slot i. *)
+let committed_history values =
+  let o = COracle.create () in
+  COracle.seed o ~page:0 ~slot:0 (Bytes.of_string "base");
+  List.iteri
+    (fun i v ->
+      let txn = i + 1 in
+      COracle.begin_txn o ~txn;
+      COracle.note o ~txn ~page:0 ~slot:txn (Some (Bytes.of_string v));
+      COracle.start_commit o ~txn;
+      COracle.end_commit o ~txn)
+    values;
+  o
+
+let ccheck o vals = COracle.check o ~read:(read_of (db vals)) ~pages:[ 0 ] ~slots:4
+
+let test_coracle_watermark () =
+  let o = committed_history [ "a"; "b" ] in
+  COracle.durable o 1;
+  Alcotest.(check bool) "settled" true (COracle.crash o = COracle.Settled);
+  Alcotest.(check bool) "prefix at the watermark passes" true
+    (ccheck o [ ((0, 0), "base"); ((0, 1), "a") ] = []);
+  Alcotest.(check bool) "full commit order passes" true
+    (ccheck o [ ((0, 0), "base"); ((0, 1), "a"); ((0, 2), "b") ] = []);
+  Alcotest.(check bool) "durable commit missing flagged" true
+    (ccheck o [ ((0, 0), "base") ] <> [])
+
+let test_coracle_skipped_commit () =
+  let o = committed_history [ "a"; "b"; "c" ] in
+  ignore (COracle.crash o : COracle.outcome);
+  Alcotest.(check bool) "empty prefix passes" true (ccheck o [ ((0, 0), "base") ] = []);
+  Alcotest.(check bool) "two-commit prefix passes" true
+    (ccheck o [ ((0, 0), "base"); ((0, 1), "a"); ((0, 2), "b") ] = []);
+  Alcotest.(check bool) "skipped middle commit flagged" true
+    (ccheck o [ ((0, 0), "base"); ((0, 1), "a"); ((0, 3), "c") ] <> [])
+
+let test_coracle_in_doubt () =
+  let o = committed_history [ "a" ] in
+  COracle.durable o 1;
+  COracle.begin_txn o ~txn:2;
+  COracle.note o ~txn:2 ~page:0 ~slot:2 (Some (Bytes.of_string "b"));
+  COracle.note o ~txn:2 ~page:0 ~slot:3 (Some (Bytes.of_string "c"));
+  COracle.start_commit o ~txn:2;
+  Alcotest.(check bool) "in doubt" true (COracle.crash o = COracle.In_doubt);
+  let before = [ ((0, 0), "base"); ((0, 1), "a") ] in
+  Alcotest.(check bool) "in-doubt commit absent passes" true (ccheck o before = []);
+  Alcotest.(check bool) "in-doubt commit present passes" true
+    (ccheck o (before @ [ ((0, 2), "b"); ((0, 3), "c") ]) = []);
+  Alcotest.(check bool) "half-applied in-doubt commit flagged" true
+    (ccheck o (before @ [ ((0, 2), "b") ]) <> [])
+
+let test_coracle_aborted_write () =
+  let o = committed_history [ "a" ] in
+  (* A voluntary abort, and a conflict loser that the MVCC layer doomed
+     after one successful write: both leave the commit order. *)
+  COracle.begin_txn o ~txn:2;
+  COracle.note o ~txn:2 ~page:0 ~slot:2 (Some (Bytes.of_string "aborted"));
+  COracle.abort o ~txn:2;
+  COracle.begin_txn o ~txn:3;
+  COracle.note o ~txn:3 ~page:0 ~slot:0 (Some (Bytes.of_string "loser"));
+  COracle.abort o ~txn:3;
+  ignore (COracle.crash o : COracle.outcome);
+  let clean = [ ((0, 0), "base"); ((0, 1), "a") ] in
+  Alcotest.(check bool) "clean state passes" true (ccheck o clean = []);
+  Alcotest.(check bool) "surviving aborted write flagged" true
+    (ccheck o (clean @ [ ((0, 2), "aborted") ]) <> []);
+  Alcotest.(check bool) "surviving conflict-loser write flagged" true
+    (ccheck o [ ((0, 0), "loser"); ((0, 1), "a") ] <> [])
+
 (* ---------------- the campaign ---------------- *)
 
 let small_spec = { Workload.default with Workload.transactions = 25 }
 
 let test_campaign_zero_violations () =
-  let r = Campaign.run ~sample:40 small_spec in
+  let r = Campaign.run ~sample:40 (Campaign.Serial { broken = false }) small_spec in
   Alcotest.(check bool) "crash points tested" true (r.Campaign.crash_points > 0);
   Alcotest.(check int) "every restart recovered" r.Campaign.crash_points r.Campaign.recovered;
   Alcotest.(check int) "zero violations" 0 (List.length r.Campaign.violations)
 
 let test_campaign_zero_violations_no_tear () =
-  let r = Campaign.run ~tear:false ~sample:15 small_spec in
+  let r =
+    Campaign.run ~tear:false ~sample:15 (Campaign.Serial { broken = false }) small_spec
+  in
   Alcotest.(check int) "zero violations" 0 (List.length r.Campaign.violations)
 
 let test_campaign_catches_broken_commit () =
   (* With commit-time log forcing effectively disabled, committed
      transactions are not durable — every sampled crash point must show
      lost-commit violations. This validates the checker itself. *)
-  let r = Campaign.run ~broken:true ~sample:8 small_spec in
+  let r = Campaign.run ~sample:8 (Campaign.Serial { broken = true }) small_spec in
   Alcotest.(check bool) "unsound configuration caught" true (r.Campaign.violations <> [])
 
 let () =
@@ -395,6 +471,15 @@ let () =
           Alcotest.test_case "catches surviving uncommitted" `Quick
             test_oracle_catches_surviving_uncommitted;
           Alcotest.test_case "in-doubt atomicity" `Quick test_oracle_in_doubt_atomicity;
+        ] );
+      ( "concurrent oracle",
+        [
+          Alcotest.test_case "durable watermark" `Quick test_coracle_watermark;
+          Alcotest.test_case "skipped commit is not a prefix" `Quick
+            test_coracle_skipped_commit;
+          Alcotest.test_case "in-doubt last commit" `Quick test_coracle_in_doubt;
+          Alcotest.test_case "aborted and conflict-losing writes" `Quick
+            test_coracle_aborted_write;
         ] );
       ( "campaign",
         [

@@ -94,17 +94,13 @@ let test_config () =
 
 let campaign_spec = { Fault.Workload.default with transactions = 30; pages = 4 }
 
-let test_campaign_jobs_equal () =
-  let serial = Fault.Campaign.run ~sample:10 ~jobs:1 campaign_spec in
-  let par = Fault.Campaign.run ~sample:10 ~jobs:4 campaign_spec in
+(* Each campaign's report must not depend on the job count: the serial
+   mix, MVCC sessions, and the crash-during-remap deltas. *)
+let campaign_jobs_equal campaign () =
+  let run jobs = Fault.Campaign.run ~sample:10 ~jobs campaign campaign_spec in
+  let serial = run 1 in
   Alcotest.(check bool) "sweep found crash points" true (serial.Fault.Campaign.crash_points > 0);
-  Alcotest.(check bool) "report identical at jobs=4" true (serial = par)
-
-let test_campaign_concurrent_jobs_equal () =
-  let serial = Fault.Campaign.run_concurrent ~sample:8 ~sessions:4 ~jobs:1 campaign_spec in
-  let par = Fault.Campaign.run_concurrent ~sample:8 ~sessions:4 ~jobs:4 campaign_spec in
-  Alcotest.(check bool) "sweep found crash points" true (serial.Fault.Campaign.crash_points > 0);
-  Alcotest.(check bool) "concurrent report identical at jobs=4" true (serial = par)
+  Alcotest.(check bool) "report identical at jobs=4" true (serial = run 4)
 
 (* ---------------- determinism: bench JSON ---------------- *)
 
@@ -167,7 +163,10 @@ let prop_campaign_job_independent =
     QCheck.(pair (int_range 2 4) (int_range 0 1000))
     (fun (jobs, seed) ->
       let spec = { Fault.Workload.default with seed; transactions = 16; pages = 3 } in
-      Fault.Campaign.run ~sample:6 ~jobs spec = Fault.Campaign.run ~sample:6 ~jobs:1 spec)
+      let run jobs =
+        Fault.Campaign.run ~sample:6 ~jobs (Fault.Campaign.Serial { broken = false }) spec
+      in
+      run jobs = run 1)
 
 let prop_pool_matches_array_map =
   QCheck.Test.make ~name:"parallel_map equals Array.map for any jobs and input" ~count:30
@@ -197,9 +196,12 @@ let () =
       ("config", [ Alcotest.test_case "clamp and resolve" `Quick test_config ]);
       ( "determinism",
         [
-          Alcotest.test_case "campaign report jobs=4 == jobs=1" `Quick test_campaign_jobs_equal;
+          Alcotest.test_case "campaign report jobs=4 == jobs=1" `Quick
+            (campaign_jobs_equal (Fault.Campaign.Serial { broken = false }));
           Alcotest.test_case "concurrent campaign jobs=4 == jobs=1" `Quick
-            test_campaign_concurrent_jobs_equal;
+            (campaign_jobs_equal (Fault.Campaign.Concurrent { sessions = 4 }));
+          Alcotest.test_case "remap-crash campaign jobs=4 == jobs=1" `Quick
+            (campaign_jobs_equal (Fault.Campaign.Remap_crash { spares = 4 }));
           Alcotest.test_case "bench JSON jobs=4 == jobs=1" `Quick test_bench_jobs_equal;
           Alcotest.test_case "concurrency JSON modes" `Quick test_bench_concurrency_modes;
           Alcotest.test_case "restart sweep jobs=3 == jobs=1" `Quick

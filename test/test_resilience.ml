@@ -389,7 +389,9 @@ let test_campaign_wear_out () =
     (r.Campaign.outcome.Fault.Workload.degraded_at <> None)
 
 let test_campaign_remap_crash () =
-  match Campaign.run_remap_crash () with
+  let r = Campaign.run (Campaign.Remap_crash { spares = 4 }) Fault.Workload.default in
+  Alcotest.(check int) "every delta tested" 8 r.Campaign.crash_points;
+  match r.Campaign.violations with
   | [] -> ()
   | (delta, vs) :: _ ->
       Alcotest.failf "crash %d ops after remap trigger: %s" delta
