@@ -241,53 +241,89 @@ let crash_sweep campaign ops sample stride lazy_mode seed transactions pages no_
   if failed <> broken then exit 1
 
 let resilience_campaign profile spares seed transactions =
-  match Fault.Campaign.profile_of_string profile with
-  | None ->
-      Printf.eprintf
-        "unknown profile %S (expected flaky, program, erase, wearout, remap-crash or \
-         concurrent)\n"
-        profile;
-      exit 2
-  | Some p ->
-      let transactions = Option.value ~default:0 transactions in
-      let r = Fault.Campaign.run_resilience ~spares ~transactions ~seed p in
-      Format.printf "%a@." Fault.Campaign.pp_resilience_report r;
-      if not (Fault.Campaign.resilience_ok r) then exit 1
+  let transactions = Option.value ~default:0 transactions in
+  let r = Fault.Campaign.run_resilience ~spares ~transactions ~seed profile in
+  Format.printf "%a@." Fault.Campaign.pp_resilience_report r;
+  if not (Fault.Campaign.resilience_ok r) then exit 1
 
+let crash_point_scope = "the crash-point sweeps (no --profile, or --profile concurrent)"
+let sweep_scope = "the crash sweeps (no --profile, concurrent or remap-crash)"
+let spares_scope = "the device profiles (flaky, program, erase, wearout, remap-crash)"
+
+(* Each campaign reads only some of the options; one it would ignore is
+   refused (exit 2) instead, so a run never passes on a setting it did
+   not use. *)
 let faultcheck ops sample stride lazy_mode seed transactions pages no_tear broken profile
     spares sessions jobs =
-  let sweep campaign =
-    crash_sweep campaign ops sample stride lazy_mode seed transactions pages no_tear
-      (resolve_jobs jobs)
+  let device =
+    match profile with
+    | None | Some ("concurrent" | "remap-crash") -> None
+    | Some p -> (
+        match Fault.Campaign.profile_of_string p with
+        | Some _ as d -> d
+        | None ->
+            Printf.eprintf
+              "unknown profile %S (expected flaky, program, erase, wearout, remap-crash \
+               or concurrent)\n"
+              p;
+            exit 2)
   in
-  match profile with
-  | Some _ when broken ->
-      (* The concurrent oracle cannot catch an unforced commit window: no
-         barrier ever settles, so its durable watermark stays 0. *)
-      prerr_endline "--broken only applies to the plain crash sweep (no --profile)";
-      exit 2
-  | None -> sweep (Fault.Campaign.Serial { broken })
-  | Some "concurrent" -> sweep (Fault.Campaign.Concurrent { sessions })
-  | Some "remap-crash" -> sweep (Fault.Campaign.Remap_crash { spares })
-  | Some profile -> resilience_campaign profile spares seed transactions
+  let plain = profile = None and concurrent = profile = Some "concurrent" in
+  let crash_points = plain || concurrent and sweep = device = None in
+  let refused =
+    List.filter
+      (fun (given, _, applies, _) -> given && not applies)
+      [
+        (* The concurrent oracle cannot catch an unforced commit window:
+           no barrier ever settles, so its durable watermark stays 0. *)
+        (broken, "--broken", plain, "the plain crash sweep (no --profile)");
+        (ops <> None, "--ops", crash_points, crash_point_scope);
+        (sample <> None, "--sample", crash_points, crash_point_scope);
+        (stride <> None, "--stride", crash_points, crash_point_scope);
+        (no_tear, "--no-tear", crash_points, crash_point_scope);
+        (lazy_mode, "--lazy", sweep, sweep_scope);
+        (pages <> None, "--pages", sweep, sweep_scope);
+        (jobs <> 0, "--jobs", sweep, sweep_scope);
+        (sessions <> None, "--sessions", concurrent, "--profile concurrent");
+        (spares <> None, "--spares", not crash_points, spares_scope);
+      ]
+  in
+  if refused <> [] then begin
+    List.iter
+      (fun (_, name, _, scope) -> Printf.eprintf "%s only applies to %s\n" name scope)
+      refused;
+    exit 2
+  end;
+  let spares = Option.value spares ~default:4 in
+  let sweep campaign =
+    crash_sweep campaign (Option.value ops ~default:0) (Option.value sample ~default:0)
+      (Option.value stride ~default:1) lazy_mode seed transactions
+      (Option.value pages ~default:6) no_tear (resolve_jobs jobs)
+  in
+  match device with
+  | Some d -> resilience_campaign d spares seed transactions
+  | None when plain -> sweep (Fault.Campaign.Serial { broken })
+  | None when concurrent ->
+      sweep (Fault.Campaign.Concurrent { sessions = Option.value sessions ~default:8 })
+  | None -> sweep (Fault.Campaign.Remap_crash { spares })
 
 let ops_t =
   Arg.(
     value
-    & opt int 0
+    & opt (some' ~none:0 int) None
     & info [ "ops" ]
         ~doc:"Consider only the first $(docv) flash operations after setup as crash points (0 = all).")
 
 let sample_t =
   Arg.(
     value
-    & opt int 0
+    & opt (some' ~none:0 int) None
     & info [ "sample" ] ~doc:"Test only $(docv) crash points, spread evenly (0 = every point).")
 
 let stride_t =
   Arg.(
     value
-    & opt int 1
+    & opt (some' ~none:1 int) None
     & info [ "stride" ]
         ~doc:"Keep only every $(docv)-th crash point after sampling (cheap CI thinning).")
 
@@ -309,7 +345,8 @@ let fc_transactions_t =
     & info [ "n"; "transactions" ]
         ~doc:"Transactions in the workload (default: 200, or the profile's own length).")
 
-let fc_pages_t = Arg.(value & opt int 6 & info [ "pages" ] ~doc:"Data pages in the workload.")
+let fc_pages_t =
+  Arg.(value & opt (some' ~none:6 int) None & info [ "pages" ] ~doc:"Data pages in the workload.")
 
 let no_tear_t =
   Arg.(
@@ -339,14 +376,20 @@ let profile_t =
 
 let fc_sessions_t =
   Arg.(
-    value & opt int 8
+    value
+    & opt (some' ~none:8 int) None
     & info [ "sessions" ]
         ~doc:"Concurrent MVCC sessions for $(b,--profile concurrent).")
 
 let spares_t =
   Arg.(
-    value & opt int 4
-    & info [ "spares" ] ~doc:"Spare-pool size for $(b,--profile) campaigns.")
+    value
+    & opt (some' ~none:4 int) None
+    & info [ "spares" ]
+        ~doc:
+          "Spare-pool size for the device-resilience and $(b,remap-crash) profiles. With \
+           0 the pool is empty: failed reads are still retried, and the first failed \
+           program or erase degrades the device to read-only.")
 
 let faultcheck_cmd =
   Cmd.v
@@ -528,8 +571,9 @@ let bench_spares_t =
     value & opt int 0
     & info [ "spares" ]
         ~doc:
-          "Run the IPL engine with an $(docv)-block spare pool (bad-block manager); its \
-           resilience counters appear in the JSON backend stats.")
+          "Size of the IPL engine's spare pool, in blocks (0: an empty pool). Every \
+           engine runs its data area through the bad-block manager; its resilience \
+           counters appear in the JSON backend stats.")
 
 let bench_cache_bytes_t =
   Arg.(
@@ -669,38 +713,6 @@ let queries_cmd =
     (Cmd.info "queries" ~doc:"Tables 2/3: run Q1-Q6 on the disk and flash-SSD models.")
     Term.(const queries $ const ())
 
-(* ---------------- sema ---------------- *)
-
-let roots_t =
-  Arg.(
-    value & pos_all string []
-    & info [] ~docv:"DIR" ~doc:"Directories to analyse; defaults to lib, bin and bench.")
-
-let json_out_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Also write the findings as machine-readable JSON to $(docv) (- for stdout).")
-
-let rules_t =
-  Arg.(
-    value & opt_all string []
-    & info [ "rule" ] ~docv:"ID" ~doc:"Only report findings of rule $(docv) (repeatable).")
-
-let sema json_out rules roots = exit (Sema.Sema_driver.main ?json_out ~rules roots)
-
-let sema_cmd =
-  Cmd.v
-    (Cmd.info "sema"
-       ~doc:
-         "Static-analysis gate over the dune-emitted .cmt/.cmti files: layering and \
-          flash-safety invariants (layering, flash-call, no-silent-swallow, no-magic-geometry, \
-          banned-construct, mli-coverage) and typed dataflow (sema-tag-leak, \
-          sema-unchecked-result, sema-exception-escape, sema-determinism). Run after `dune \
-          build @check` so the build context holds every unit. Exits 1 on any finding.")
-    Term.(const sema $ json_out_t $ rules_t $ roots_t)
-
 (* ---------------- main ---------------- *)
 
 let main_cmd =
@@ -718,7 +730,6 @@ let main_cmd =
       bench_cmd;
       chansweep_cmd;
       queries_cmd;
-      sema_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -25,10 +25,11 @@ type t = {
       (** allocate free erase units lowest-erase-count-first *)
   buffer_pages : int;  (** capacity of the buffer pool, in pages *)
   spare_blocks : int;
-      (** 0 (default): resilience off, the engine talks to the raw chip.
-          n > 0: the last n blocks of the chip become the bad-block
-          manager's spare pool and every data-area operation goes through
-          it (see [lib/resilience]) *)
+      (** size of the bad-block manager's spare pool: the last n blocks
+          of the chip (see [lib/resilience]). Every data-area operation
+          goes through the manager. With 0 (default) the pool is empty:
+          failed reads are still retried, but the first failed program or
+          erase degrades the device to read-only *)
   log_cache_bytes : int;
       (** DRAM budget for the per-erase-unit log-record cache that lets
           page reads and merges skip re-reading the flash log region

@@ -1,5 +1,6 @@
 module Chip = Flash_sim.Flash_chip
 module Dev = Device.Flash_device
+module Bbm = Resilience.Bbm
 module FConfig = Flash_sim.Flash_config
 module Page = Storage.Page
 module Pool = Bufmgr.Buffer_pool
@@ -12,7 +13,7 @@ type combined_stats = {
   storage : Ipl_storage.stats;
   pool : Pool.stats;
   flash : Flash_sim.Flash_stats.t;
-  resilience : Resilience.Bbm.stats;
+  resilience : Bbm.stats;
 }
 
 type error =
@@ -63,7 +64,7 @@ type t = {
   config : Ipl_config.t;
   dev : Dev.t;
   store : Ipl_storage.t;
-  bbm : Resilience.Bbm.t option;
+  bbm : Bbm.t;
   trx : Trx_log.t;
   pool : frame Pool.t;
   txns : (int, txn_info) Hashtbl.t;
@@ -140,9 +141,7 @@ let set_tracer t tracer =
   t.tracer <- tracer;
   Dev.set_tracer t.dev tracer;
   Ipl_storage.set_tracer t.store tracer;
-  (match t.bbm with
-  | Some d -> Resilience.Bbm.set_tracer d tracer
-  | None -> ());
+  Bbm.set_tracer t.bbm tracer;
   Pool.set_trace t.pool
     (match tracer with
     | None -> None
@@ -157,21 +156,18 @@ let emit_txn_event t ev =
 
 (* Resilience layout: the spare pool lives in the last [spare_blocks]
    physical blocks of the chip, carved out of (never handed to) the
-   storage manager's data area. The metadata and transaction log regions
-   stay on the raw chip — the manager's own state is persisted through
-   the metadata log, so routing that region through it would be
-   circular. *)
-let bbm_parts config dev ~meta =
-  let spare_blocks = config.Ipl_config.spare_blocks in
-  if spare_blocks = 0 then None
-  else begin
-    let fc = Dev.config dev in
-    let spares =
-      List.init spare_blocks (fun i -> fc.FConfig.num_blocks - spare_blocks + i)
-    in
-    let persist ev = Meta_log.log meta (Meta_log.of_bbm_event ev) in
-    Some (spares, persist, fun () -> Meta_log.force meta)
-  end
+   storage manager's data area; with [spare_blocks = 0] it is empty. The
+   metadata and transaction log regions stay on the raw chip — the
+   manager's own state is persisted through the metadata log, so routing
+   that region through it would be circular. A fresh database has no
+   [events] to replay. *)
+let data_area config dev ~meta ~events =
+  let n = config.Ipl_config.spare_blocks and fc = Dev.config dev in
+  Bbm.recover dev
+    ~spares:(List.init n (fun i -> fc.FConfig.num_blocks - n + i))
+    ~persist:(fun ev -> Meta_log.log meta (Meta_log.of_bbm_event ev))
+    ~force:(fun () -> Meta_log.force meta)
+    ~events ()
 
 let create_device ?(config = Ipl_config.default) ?(meta_blocks = 4) ?(trx_blocks = 4)
     dev =
@@ -181,14 +177,9 @@ let create_device ?(config = Ipl_config.default) ?(meta_blocks = 4) ?(trx_blocks
     invalid_arg "Ipl_engine: device too small";
   let meta = Meta_log.create dev ~first_block:0 ~num_blocks:meta_blocks in
   let trx = Trx_log.create dev ~first_block:meta_blocks ~num_blocks:trx_blocks in
-  let bbm =
-    match bbm_parts config dev ~meta with
-    | None -> None
-    | Some (spares, persist, force) ->
-        Some (Resilience.Bbm.create dev ~spares ~persist ~force ())
-  in
+  let bbm = data_area config dev ~meta ~events:[] in
   let store =
-    Ipl_storage.create ~config ?bbm dev ~first_block:reserved
+    Ipl_storage.create ~config bbm ~first_block:reserved
       ~num_blocks:(fc.FConfig.num_blocks - reserved - config.Ipl_config.spare_blocks)
       ~txn_status:(Trx_log.status trx) ~meta ()
   in
@@ -203,16 +194,10 @@ let restart_device ?(config = Ipl_config.default) ?(meta_blocks = 4) ?(trx_block
   let reserved = meta_blocks + trx_blocks in
   let meta, events = Meta_log.recover dev ~first_block:0 ~num_blocks:meta_blocks in
   let trx, aborted = Trx_log.recover dev ~first_block:meta_blocks ~num_blocks:trx_blocks in
-  let bbm =
-    match bbm_parts config dev ~meta with
-    | None -> None
-    | Some (spares, persist, force) ->
-        let bbm_events = List.filter_map Meta_log.to_bbm_event events in
-        Some (Resilience.Bbm.recover dev ~spares ~persist ~force ~events:bbm_events ())
-  in
+  let bbm = data_area config dev ~meta ~events:(List.filter_map Meta_log.to_bbm_event events) in
   let store =
-    Ipl_storage.recover ~config ?bbm
-      ~trx_durable:(Trx_log.durable_sectors trx) dev ~first_block:reserved
+    Ipl_storage.recover ~config ~trx_durable:(Trx_log.durable_sectors trx) bbm
+      ~first_block:reserved
       ~num_blocks:(fc.FConfig.num_blocks - reserved - config.Ipl_config.spare_blocks)
       ~txn_status:(Trx_log.status trx) ~meta ~meta_events:events ()
   in
@@ -398,13 +383,14 @@ let add_record t frame ~page record =
 (* Fault trap around the result-returning read entry points: every
    device-contract exception — the bad-block manager's (spare pool
    exhausted mid-operation, a read that failed all its retries) and the
-   raw chip's (no manager installed) — becomes a typed error instead of
-   escaping to the caller. Power_loss is deliberately NOT caught: crash
-   simulation must unwind the whole stack. *)
+   raw chip's (the metadata and transaction logs sit on the chip) —
+   becomes a typed error instead of escaping to the caller. Power_loss is
+   deliberately NOT caught: crash simulation must unwind the whole
+   stack. *)
 let trap f =
   try f () with
-  | Resilience.Bbm.Degraded -> Error Device_degraded
-  | Resilience.Bbm.Uncorrectable _ | Chip.Read_error _ -> Error Read_failed
+  | Bbm.Degraded -> Error Device_degraded
+  | Bbm.Uncorrectable _ | Chip.Read_error _ -> Error Read_failed
   | Chip.Program_error _ | Chip.Erase_error _ -> Error Device_fault
 
 (* Resilience guard around the result-returning mutation entry points:
@@ -413,14 +399,11 @@ let trap f =
    try/with is spelled out (not delegated to [trap]) so the analyzer's
    per-function catch sets see it directly. *)
 let guard t f =
-  let refused =
-    match t.bbm with Some d -> Resilience.Bbm.degraded d | None -> false
-  in
-  if refused then Error Device_degraded
+  if Bbm.degraded t.bbm then Error Device_degraded
   else
     try f () with
-    | Resilience.Bbm.Degraded -> Error Device_degraded
-    | Resilience.Bbm.Uncorrectable _ | Chip.Read_error _ -> Error Read_failed
+    | Bbm.Degraded -> Error Device_degraded
+    | Bbm.Uncorrectable _ | Chip.Read_error _ -> Error Read_failed
     | Chip.Program_error _ | Chip.Erase_error _ -> Error Device_fault
 
 let mutate t ~tx ~page f =
@@ -699,23 +682,15 @@ let repair_pending t = Ipl_storage.repair_pending t.store
    entries, so it must keep draining on a degraded (read-only) device. *)
 let drain_repairs t ~max_eus = trap (fun () -> Ok (Unsafe.drain_repairs t ~max_eus))
 
-let degraded t =
-  match t.bbm with Some d -> Resilience.Bbm.degraded d | None -> false
-
-let spares_left t =
-  match t.bbm with Some d -> Resilience.Bbm.spares_left d | None -> 0
-
-let bbm t = t.bbm
+let degraded t = Bbm.degraded t.bbm
+let spares_left t = Bbm.spares_left t.bbm
 
 let stats t =
   {
     storage = Ipl_storage.stats t.store;
     pool = Pool.stats t.pool;
     flash = Dev.stats t.dev;
-    resilience =
-      (match t.bbm with
-      | Some d -> Resilience.Bbm.stats d
-      | None -> Resilience.Bbm.Stats.zero);
+    resilience = Bbm.stats t.bbm;
   }
 
 module Stats = struct
@@ -727,6 +702,6 @@ module Stats = struct
         ("storage", Ipl_storage.Stats.to_json t.storage);
         ("pool", Pool.Stats.to_json t.pool);
         ("flash", Flash_sim.Flash_stats.to_json t.flash);
-        ("resilience", Resilience.Bbm.Stats.to_json t.resilience);
+        ("resilience", Bbm.Stats.to_json t.resilience);
       ]
 end

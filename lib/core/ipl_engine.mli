@@ -18,8 +18,8 @@
 
     The whole surface returns [(_, error) result]: device exceptions —
     the bad-block manager's ({!Resilience.Bbm.Degraded} /
-    [Uncorrectable]) and the raw chip's (no manager installed) — become
-    typed errors instead of escaping. [Flash_chip.Power_loss] still
+    [Uncorrectable]) and the chip's under the metadata and transaction
+    logs — become typed errors instead of escaping. [Flash_chip.Power_loss] still
     propagates: crash simulation must unwind the whole stack. Read-side
     entry points never refuse on a degraded device — read-only means
     reads still serve all committed data. The pre-redesign raising API
@@ -42,13 +42,14 @@ type error =
   | Range_out_of_bounds  (** byte range falls outside the record *)
   | Bad_record_length  (** zero-length or oversized record payload *)
   | Device_degraded
-      (** the spare pool is exhausted: the device is permanently read-only
-          (reads still serve all committed data) *)
+      (** a failed program or erase found the spare pool empty: the
+          device is permanently read-only (reads still serve all committed
+          data) *)
   | Read_failed  (** a flash read failed all its bounded retries *)
   | Device_fault
       (** an unrecoverable program/erase/wear fault escaped the device
-          layers (no bad-block manager installed, or a fault outside its
-          remit) *)
+          layers (a fault outside the bad-block manager's remit: the
+          metadata and transaction logs) *)
 
 val error_to_string : error -> string
 (** The exact strings of the pre-typed-error API ("page full",
@@ -63,11 +64,11 @@ val create_device :
   Device.Flash_device.t ->
   t
 (** Lay out a fresh database on the device: metadata-log region,
-    transaction-log region, then the IPL
-    data area. With [config.spare_blocks > 0] the last [spare_blocks]
-    blocks of the device become a bad-block manager's spare pool and all
-    data-area flash traffic is routed through it (see [lib/resilience]);
-    mutations on a device whose pool has run out return
+    transaction-log region, then the IPL data area. All data-area flash
+    traffic goes through a bad-block manager (see [lib/resilience])
+    whose spare pool is the last [config.spare_blocks] blocks of the
+    device, empty when that is 0; once a failed program or erase finds
+    the pool empty the device is read-only, and mutations return
     [Error Device_degraded]. On a multi-channel device, page allocation
     stripes over the channels, merges copy across channels, and log
     flushes / merge writes are issued asynchronously; every commit /
@@ -276,11 +277,11 @@ end
 (** {1 Resilience} *)
 
 val degraded : t -> bool
-(** [true] once the spare pool is exhausted: the device is read-only.
-    Always [false] when [spare_blocks = 0]. *)
+(** [true] once a relocation found the spare pool empty: the device is
+    read-only. With [spare_blocks = 0] the first failed data-area program
+    or erase degrades it. *)
 
 val spares_left : t -> int
-val bbm : t -> Resilience.Bbm.t option
 
 (** {1 Observability} *)
 

@@ -1,5 +1,6 @@
 module Chip = Flash_sim.Flash_chip
 module Dev = Device.Flash_device
+module Bbm = Resilience.Bbm
 module FConfig = Flash_sim.Flash_config
 module Page = Storage.Page
 
@@ -68,10 +69,11 @@ type free_pool = {
 }
 
 type t = {
-  dev : Dev.t;
-  bbm : Resilience.Bbm.t option;
-      (* when present, every data-area flash operation is routed through
-         the bad-block manager (virtual block addressing) *)
+  dev : Dev.t;  (* the manager's device: addressing, clock, geometry *)
+  bbm : Bbm.t;
+      (* every data-area flash operation goes through the bad-block
+         manager (virtual block addressing); without spares its pool is
+         empty *)
   config : Ipl_config.t;
   first_block : int;
   num_blocks : int;
@@ -83,8 +85,8 @@ type t = {
   free : free_pool;
   cache : Log_record.t Cache.Log_cache.t;
       (* decoded log records per erase unit, keyed by [eu.phys] (a
-         virtual address under a bad-block manager, so relocations do
-         not disturb entries) *)
+         virtual address of the bad-block manager, so relocations do not
+         disturb entries) *)
   repairs : (int, repair) Hashtbl.t;
       (* erase units a restart still owes a replay, keyed by [eu.phys];
          empty except between a restart over a checkpoint and the moment
@@ -140,8 +142,8 @@ let config t = t.config
    allowance for the list/index cells that carry it. *)
 let cached_record_overhead = 48
 
-let mk ?(config = Ipl_config.default) ?bbm dev ~first_block ~num_blocks ~txn_status
-    ~meta =
+let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~meta =
+  let dev = Bbm.device bbm in
   let fc = Dev.config dev in
   Ipl_config.validate config ~sector_size:fc.FConfig.sector_size
     ~block_size:fc.FConfig.block_size;
@@ -230,67 +232,6 @@ let fresh_eu_info phys data_pages =
     next_slot = 0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Device indirection: with a bad-block manager installed, data-area
-   operations use virtual block addresses and survive program/erase
-   failures; without one they hit the device directly. [cls] attributes
-   each operation to a scheduler class; the [submit_] variants are
-   asynchronous — the operation executes now, its completion time settles
-   at the next barrier (every durability force point is one). *)
-
-let dev_read_into ?cls t ~sector ~count dst =
-  match t.bbm with
-  | Some d -> Resilience.Bbm.read_sectors_into ?cls d ~sector ~count dst
-  | None -> (
-      match cls with
-      | Some Dev.Merge_io ->
-          (* Background relocation read: execution is eager, so the data
-             is in [dst] at submission and the merge never blocks the
-             host clock on it — the read's service time lands on the
-             chip's timeline like any other cleaning-engine operation. *)
-          Dev.publish_read_into t.dev ~cls:Dev.Merge_io ~sector ~count dst
-      | _ -> Dev.read_sectors_into ?cls t.dev ~sector ~count dst)
-
-let dev_read ?cls t ~sector ~count =
-  let dst = Bytes.create (count * (Dev.config t.dev).FConfig.sector_size) in
-  dev_read_into ?cls t ~sector ~count dst;
-  dst
-
-let dev_submit_write t ~cls ~sector data =
-  match t.bbm with
-  | Some d -> Resilience.Bbm.submit_write_sectors d ~cls ~sector data
-  | None -> Dev.publish_write t.dev ~cls ~sector data
-
-let dev_erase ?cls t b =
-  match t.bbm with
-  | Some d -> Resilience.Bbm.erase_block ?cls d b
-  | None -> Dev.erase_block ?cls t.dev b
-
-let dev_submit_erase t ~cls b =
-  match t.bbm with
-  | Some d -> Resilience.Bbm.submit_erase_block d ~cls b
-  | None -> Dev.publish_erase t.dev ~cls b
-
-let dev_invalidate t ~sector ~count =
-  match t.bbm with
-  | Some d -> Resilience.Bbm.invalidate_sectors d ~sector ~count
-  | None -> Dev.invalidate_sectors t.dev ~sector ~count
-
-let dev_state t s =
-  match t.bbm with
-  | Some d -> Resilience.Bbm.sector_state d s
-  | None -> Dev.sector_state t.dev s
-
-let dev_free_in_block t b =
-  match t.bbm with
-  | Some d -> Resilience.Bbm.free_sectors_in_block d b
-  | None -> Dev.free_sectors_in_block t.dev b
-
-let dev_wear t b =
-  match t.bbm with
-  | Some d -> Resilience.Bbm.erase_count d b
-  | None -> Dev.erase_count t.dev b
-
 let width t = Array.length t.fills
 let channel_of t b = Dev.channel_of_block t.dev b
 
@@ -302,7 +243,7 @@ let free_pool_size t = Hashtbl.length t.free.bucket_of
 let free_pool_add t b =
   let p = t.free in
   if not (Hashtbl.mem p.bucket_of b) then begin
-    let wear = if t.config.Ipl_config.wear_aware_allocation then dev_wear t b else 0 in
+    let wear = if t.config.Ipl_config.wear_aware_allocation then Bbm.erase_count t.bbm b else 0 in
     Hashtbl.replace p.bucket_of b wear;
     p.by_wear <-
       IntMap.update wear
@@ -354,15 +295,15 @@ let free_pool_take_min_on t ~channel =
 (* Reclaim a unit onto the free list. The erase is submitted
    asynchronously at merge priority — reclamation is never on the query
    path — and executes eagerly, so a failure still surfaces here. A unit
-   whose erase fails stays off the list: leaked until a later recovery
-   retries (raw device), or — under a bad-block manager that could not
-   remap it — lost with its backing block. A [Degraded] raised here is
-   swallowed: reclamation runs after durability points, and the flag it
-   sets fails the *next* mutation with a typed error instead. *)
+   whose erase fails and that the bad-block manager could not remap
+   stays off the list, lost with its backing block. The [Degraded]
+   raised then is swallowed: reclamation runs after durability points,
+   and the flag it sets fails the *next* mutation with a typed error
+   instead. *)
 let reclaim_eu t b =
-  match dev_submit_erase t ~cls:Dev.Merge_io b with
+  match Bbm.submit_erase_block t.bbm ~cls:Dev.Merge_io b with
   | () -> free_pool_add t b
-  | exception (Chip.Erase_error _ | Resilience.Bbm.Degraded) -> ()
+  | exception Bbm.Degraded -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Free-unit allocation                                                *)
@@ -384,14 +325,15 @@ let log_sector_addr t eu_phys i = Dev.sector_of_block t.dev eu_phys + t.log_star
 (* The stored image of slot [idx], read into [buf] (one page long). *)
 let read_raw_page_into ?cls t eu idx buf =
   t.c_page_reads <- t.c_page_reads + 1;
-  dev_read_into ?cls t ~sector:(data_sector t eu.phys idx) ~count:t.sectors_per_page buf;
+  let sector = data_sector t eu.phys idx in
+  Bbm.read_sectors_into ?cls t.bbm ~sector ~count:t.sectors_per_page buf;
   Page.of_bytes buf
 
 (* Data-page programs are asynchronous: a bulk load streams pages to the
    fill units of every channel and the channels program in parallel; the
    next durability barrier (or any await) settles the completion times. *)
 let submit_data_page t ~cls eu_phys idx (page : Page.t) =
-  dev_submit_write t ~cls ~sector:(data_sector t eu_phys idx) (Page.to_bytes page)
+  Bbm.submit_write_sectors t.bbm ~cls ~sector:(data_sector t eu_phys idx) (Page.to_bytes page)
 
 let sector_size t = (Dev.config t.dev).FConfig.sector_size
 
@@ -401,7 +343,7 @@ let read_log_region ?cls t eu ~first ~count =
   if count <= 0 then []
   else begin
     let ss = sector_size t in
-    let blob = dev_read ?cls t ~sector:(log_sector_addr t eu.phys first) ~count in
+    let blob = Bbm.read_sectors ?cls t.bbm ~sector:(log_sector_addr t eu.phys first) ~count in
     t.c_log_sector_reads <- t.c_log_sector_reads + count;
     List.concat (List.init count (fun i -> Log_sector.deserialize (Bytes.sub blob (i * ss) ss)))
   end
@@ -411,7 +353,7 @@ let read_log_region ?cls t eu ~first ~count =
 let read_overflow_sectors ?cls t addrs =
   List.concat_map
     (fun addr ->
-      let sector = dev_read ?cls t ~sector:addr ~count:1 in
+      let sector = Bbm.read_sectors ?cls t.bbm ~sector:addr ~count:1 in
       t.c_log_sector_reads <- t.c_log_sector_reads + 1;
       Log_sector.deserialize sector)
     addrs
@@ -549,7 +491,7 @@ let find_free_slot t eu =
     end
     else if
       eu.pages.(idx) = -1
-      && dev_state t (data_sector t eu.phys idx) = Chip.Free
+      && Bbm.sector_state t.bbm (data_sector t eu.phys idx) = Chip.Free
     then begin
       eu.next_slot <- idx;
       Some idx
@@ -662,46 +604,35 @@ let read_page t pid =
    asynchronously before any is awaited, so reads of pages on different
    channels overlap on the simulated clock. The per-page log replay
    (cache hits, or synchronous log-region reads) happens as each page is
-   settled. Under a bad-block manager the batch degrades to sequential
-   reads — the retry/scrub logic is inherently synchronous. Counters,
-   applied records and returned pages are identical to a [read_page]
-   loop either way. *)
-type read_batch =
-  | Rb_sync of int list  (* bad-block manager: the batch is a plain loop *)
-  | Rb_submitted of (int * eu_info * bytes * Log_record.t list * Dev.tag) list
+   settled. Counters, applied records and returned pages are identical
+   to a [read_page] loop. *)
+type read_batch = (int * eu_info * bytes * Log_record.t list * Dev.tag) list
 
 let read_pages_start t pids =
-  match t.bbm with
-  | Some _ -> Rb_sync pids
-  | None ->
-      Rb_submitted
-        (List.map
-           (fun pid ->
-             let eu, idx = lookup t pid in
-             t.c_page_reads <- t.c_page_reads + 1;
-             let data, tag =
-               Dev.submit_read t.dev ~cls:Dev.Foreground
-                 ~sector:(data_sector t eu.phys idx)
-                 ~count:t.sectors_per_page
-             in
-             (* The live records are captured here too: image and log
-                must snapshot the same instant, or a merge between start
-                and finish (which folds the records into a new image)
-                would leave the old image paired with an emptied log. *)
-             (pid, eu, data, live_records_of_page t eu pid, tag))
-           pids)
+  List.map
+    (fun pid ->
+      let eu, idx = lookup t pid in
+      t.c_page_reads <- t.c_page_reads + 1;
+      let data, tag =
+        Bbm.submit_read_sectors t.bbm ~cls:Dev.Foreground ~sector:(data_sector t eu.phys idx)
+          ~count:t.sectors_per_page
+      in
+      (* The live records are captured here too: image and log must
+         snapshot the same instant, or a merge between start and finish
+         (which folds the records into a new image) would leave the old
+         image paired with an emptied log. *)
+      (pid, eu, data, live_records_of_page t eu pid, tag))
+    pids
 
-let read_pages_finish t = function
-  | Rb_sync pids -> List.map (fun pid -> (pid, read_page t pid)) pids
-  | Rb_submitted submitted ->
-      List.map
-        (fun (pid, eu, data, records, tag) ->
-          Dev.await t.dev tag;
-          let page = Page.of_bytes data in
-          apply_records page records;
-          note_page_read t pid eu;
-          (pid, page))
-        submitted
+let read_pages_finish t batch =
+  List.map
+    (fun (pid, eu, data, records, tag) ->
+      Dev.await t.dev tag;
+      let page = Page.of_bytes data in
+      apply_records page records;
+      note_page_read t pid eu;
+      (pid, page))
+    batch
 
 let read_pages t pids = read_pages_finish t (read_pages_start t pids)
 
@@ -714,7 +645,7 @@ let release_overflow t eu =
   if eu.overflow_rev <> [] then begin
     List.iter
       (fun addr ->
-        dev_invalidate t ~sector:addr ~count:1;
+        Bbm.invalidate_sectors t.bbm ~sector:addr ~count:1;
         let block = Dev.block_of_sector t.dev addr in
         match Hashtbl.find_opt t.overflow_eus block with
         | Some info -> info.live <- info.live - 1
@@ -753,7 +684,7 @@ let overflow_write ?(cls = Dev.Log_flush) t eu sector_bytes =
   in
   let info = Hashtbl.find t.overflow_eus phys in
   let addr = Dev.sector_of_block t.dev phys + info.next_idx in
-  dev_submit_write t ~cls ~sector:addr sector_bytes;
+  Bbm.submit_write_sectors t.bbm ~cls ~sector:addr sector_bytes;
   info.next_idx <- info.next_idx + 1;
   info.live <- info.live + 1;
   eu.overflow_rev <- addr :: eu.overflow_rev;
@@ -937,7 +868,7 @@ let merge_rewrite t eu ~pending =
     in
     List.iteri
       (fun i (s, _) ->
-        dev_submit_write t ~cls:Dev.Merge_io ~sector:(log_sector_addr t new_phys i) s)
+        Bbm.submit_write_sectors t.bbm ~cls:Dev.Merge_io ~sector:(log_sector_addr t new_phys i) s)
       in_region;
     release_overflow t eu;
     released := true;
@@ -1004,10 +935,10 @@ let merge_rewrite t eu ~pending =
           Logs.warn (fun m ->
               m "merge rollback: meta-log recompaction failed: %s" (Printexc.to_string exn)));
     (try
-       dev_erase t new_phys;
+       Bbm.erase_block t.bbm new_phys;
        free_pool_add t new_phys
      with
-    | Chip.Power_loss _ | Chip.Erase_error _ | Resilience.Bbm.Degraded -> ()
+    | Chip.Power_loss _ | Bbm.Degraded -> ()
     | exn ->
         Logs.warn (fun m ->
             m "merge rollback: could not reclaim unit %d: %s" new_phys (Printexc.to_string exn)));
@@ -1062,7 +993,8 @@ let flush_log t ~page records =
   repair_eu_if_pending t eu;
   if eu.used_log < t.log_sectors then begin
     let sector = serialize_records t records in
-    dev_submit_write t ~cls:Dev.Log_flush ~sector:(log_sector_addr t eu.phys eu.used_log) sector;
+    let addr = log_sector_addr t eu.phys eu.used_log in
+    Bbm.submit_write_sectors t.bbm ~cls:Dev.Log_flush ~sector:addr sector;
     eu.used_log <- eu.used_log + 1;
     note_records eu records;
     (* Write-through only after the program succeeded: the cache must
@@ -1227,11 +1159,7 @@ let snapshot_fun t () =
   in
   (* The bad-block manager's state must survive compaction too: without
      these events a compacted log would silently forget the remap table. *)
-  let resilience =
-    match t.bbm with
-    | None -> []
-    | Some d -> List.map Meta_log.of_bbm_event (Resilience.Bbm.snapshot_events d)
-  in
+  let resilience = List.map Meta_log.of_bbm_event (Bbm.snapshot_events t.bbm) in
   (* The newest checkpoint must survive compaction — re-emit it from the
      current (equivalent or fresher) coverage, under the footer it was
      taken with. *)
@@ -1244,17 +1172,17 @@ let snapshot_fun t () =
   in
   resilience @ allocs @ List.rev rest @ ckpt
 
-let create ?config ?bbm dev ~first_block ~num_blocks ~txn_status ~meta () =
-  let t = mk ?config ?bbm dev ~first_block ~num_blocks ~txn_status ~meta in
+let create ?config bbm ~first_block ~num_blocks ~txn_status ~meta () =
+  let t = mk ?config bbm ~first_block ~num_blocks ~txn_status ~meta in
   for b = first_block to first_block + num_blocks - 1 do
     free_pool_add t b
   done;
   Meta_log.set_snapshot meta (snapshot_fun t);
   t
 
-let recover ?config ?bbm ?(trx_durable = 0) dev ~first_block ~num_blocks ~txn_status
-    ~meta ~meta_events () =
-  let t = mk ?config ?bbm dev ~first_block ~num_blocks ~txn_status ~meta in
+let recover ?config ?(trx_durable = 0) bbm ~first_block ~num_blocks ~txn_status ~meta
+    ~meta_events () =
+  let t = mk ?config bbm ~first_block ~num_blocks ~txn_status ~meta in
   (* Replay mapping events. *)
   let get_eu phys =
     match Hashtbl.find_opt t.data_eus phys with
@@ -1299,7 +1227,7 @@ let recover ?config ?bbm ?(trx_durable = 0) dev ~first_block ~num_blocks ~txn_st
           match Hashtbl.find_opt t.data_eus data_eu with
           | Some eu ->
               eu.overflow_rev <- sector :: eu.overflow_rev;
-              let block = Dev.block_of_sector dev sector in
+              let block = Dev.block_of_sector t.dev sector in
               (match Hashtbl.find_opt t.overflow_eus block with
               | Some info -> info.live <- info.live + 1
               | None -> ())
@@ -1310,7 +1238,7 @@ let recover ?config ?bbm ?(trx_durable = 0) dev ~first_block ~num_blocks ~txn_st
           | Some eu ->
               List.iter
                 (fun addr ->
-                  let block = Dev.block_of_sector dev addr in
+                  let block = Dev.block_of_sector t.dev addr in
                   match Hashtbl.find_opt t.overflow_eus block with
                   | Some info -> info.live <- info.live - 1
                   | None -> ())
@@ -1346,7 +1274,7 @@ let recover ?config ?bbm ?(trx_durable = 0) dev ~first_block ~num_blocks ~txn_st
     (fun _ eu ->
       let rec used i =
         if i >= t.log_sectors then i
-        else if dev_state t (log_sector_addr t eu.phys i) <> Chip.Free then used (i + 1)
+        else if Bbm.sector_state t.bbm (log_sector_addr t eu.phys i) <> Chip.Free then used (i + 1)
         else i
       in
       eu.used_log <- used 0;
@@ -1390,10 +1318,10 @@ let recover ?config ?bbm ?(trx_durable = 0) dev ~first_block ~num_blocks ~txn_st
     t.data_eus;
   Hashtbl.iter
     (fun phys info ->
-      let base = Dev.sector_of_block dev phys in
+      let base = Dev.sector_of_block t.dev phys in
       let rec next i =
         if i >= t.sectors_per_block then i
-        else if dev_state t (base + i) <> Chip.Free then next (i + 1)
+        else if Bbm.sector_state t.bbm (base + i) <> Chip.Free then next (i + 1)
         else i
       in
       info.next_idx <- next 0;
@@ -1404,7 +1332,7 @@ let recover ?config ?bbm ?(trx_durable = 0) dev ~first_block ~num_blocks ~txn_st
      (a crash mid-merge leaves one). *)
   for b = first_block to first_block + num_blocks - 1 do
     if (not (Hashtbl.mem t.data_eus b)) && not (Hashtbl.mem t.overflow_eus b) then
-      if dev_free_in_block t b >= t.sectors_per_block then free_pool_add t b
+      if Bbm.free_sectors_in_block t.bbm b >= t.sectors_per_block then free_pool_add t b
       else reclaim_eu t b
   done;
   (* Resume filling: one unit with a usable free slot per channel, if

@@ -85,29 +85,29 @@ type stats = {
 
 val create :
   ?config:Ipl_config.t ->
-  ?bbm:Resilience.Bbm.t ->
-  Device.Flash_device.t ->
+  Resilience.Bbm.t ->
   first_block:int ->
   num_blocks:int ->
   txn_status:(int -> Trx_log.status) ->
   meta:Meta_log.t ->
   unit ->
   t
-(** Manage blocks [first_block, first_block + num_blocks). All blocks are
-    erased. The [meta] log must be empty (fresh database). With [bbm],
-    every data-area flash operation is routed through the bad-block
-    manager: block addresses become virtual, failed programs/erases are
-    relocated transparently, and mutations raise
-    {!Resilience.Bbm.Degraded} once the spare pool is exhausted (the
-    engine turns that into its typed [Device_degraded] error). The
-    manager's remap/retire state is included in metadata-log snapshot
-    compactions. *)
+(** Manage blocks [first_block, first_block + num_blocks) of the
+    manager's device. All blocks are erased. The [meta] log must be empty
+    (fresh database). Every data-area flash operation goes through the
+    bad-block manager: block addresses are virtual, failed reads are
+    retried, failed programs/erases are relocated onto a spare, and
+    mutations raise {!Resilience.Bbm.Degraded} once a relocation finds
+    the spare pool empty (the engine turns that into its typed
+    [Device_degraded] error). A manager with an empty pool is the plain
+    data-area path: its first failed program or erase degrades the
+    device. The manager's remap/retire state is included in
+    metadata-log snapshot compactions. *)
 
 val recover :
   ?config:Ipl_config.t ->
-  ?bbm:Resilience.Bbm.t ->
   ?trx_durable:int ->
-  Device.Flash_device.t ->
+  Resilience.Bbm.t ->
   first_block:int ->
   num_blocks:int ->
   txn_status:(int -> Trx_log.status) ->
@@ -117,9 +117,9 @@ val recover :
   t
 (** Rebuild state after a crash from the replayed metadata events plus a
     scan of the flash region. Unreferenced half-written erase units (from
-    a crash mid-merge) are erased. [bbm] must already have had the
-    [Remap]/[Retire]/[Degraded] events replayed into it (they are ignored
-    here).
+    a crash mid-merge) are erased. The manager must already have had the
+    [Remap]/[Retire]/[Degraded] events replayed into it
+    ({!Resilience.Bbm.recover}; they are ignored here).
 
     [trx_durable] is the recovered transaction log's durable sector count
     ({!Trx_log.durable_sectors} after {!Trx_log.recover}); a checkpoint
@@ -155,10 +155,9 @@ val read_page_into : t -> int -> Storage.Page.t -> unit
 val read_pages : t -> int list -> (int * Storage.Page.t) list
 (** Batched {!read_page}: the raw page reads of the whole batch are
     submitted to the device before any is awaited, so pages on different
-    channels are fetched in parallel on the simulated clock. Returns
-    [(pid, page)] in argument order; counters and replay are identical
-    to a sequential loop (and under a bad-block manager the batch {e is}
-    a sequential loop — retries are synchronous). *)
+    channels are fetched in parallel on the simulated clock; a failed
+    read is retried at its submission. Returns [(pid, page)] in argument
+    order; counters and replay are identical to a sequential loop. *)
 
 type read_batch
 

@@ -136,21 +136,36 @@ let rec alloc_spare ?near ~cls t =
             alloc_spare ?near ~cls t)
       else Some b
 
-let read_retry ?(cls = Dev.Foreground) t ~phys_sector ~count ~virt_sector dst =
-  let rec go attempt =
-    try Dev.read_sectors_into ~cls t.dev ~sector:phys_sector ~count dst
-    with Chip.Read_error _ ->
-      if attempt > t.read_retries then begin
-        t.c_uncorrectable <- t.c_uncorrectable + 1;
-        raise (Uncorrectable virt_sector)
-      end
-      else begin
-        t.c_read_retries <- t.c_read_retries + 1;
-        emit t (Obs.Event.Read_retry { sector = virt_sector; attempt });
-        go (attempt + 1)
-      end
-  in
-  go 1
+(* One failed read attempt of virtual sector [virt_sector]: count a
+   retry, or give up once [read_retries] retries beyond the first attempt
+   are spent. *)
+let note_read_error t ~virt_sector attempt =
+  if attempt > t.read_retries then begin
+    t.c_uncorrectable <- t.c_uncorrectable + 1;
+    raise (Uncorrectable virt_sector)
+  end;
+  t.c_read_retries <- t.c_read_retries + 1;
+  emit t (Obs.Event.Read_retry { sector = virt_sector; attempt })
+
+(* Bounded-retry read into [dst]. With [publish] the read is a
+   fire-and-forget background read ({!Dev.publish_read_into}): execution
+   is eager, so the data (or the failure) is there at submission. *)
+let rec read_retry t ~publish ?cls ~phys_sector ~count ~virt_sector dst attempt =
+  match
+    if publish then Dev.publish_read_into t.dev ~cls:Dev.Merge_io ~sector:phys_sector ~count dst
+    else Dev.read_sectors_into ?cls t.dev ~sector:phys_sector ~count dst
+  with
+  | () -> ()
+  | exception Chip.Read_error _ ->
+      note_read_error t ~virt_sector attempt;
+      read_retry t ~publish ?cls ~phys_sector ~count ~virt_sector dst (attempt + 1)
+
+let rec submit_read_retry t ~cls ~phys_sector ~count ~virt_sector attempt =
+  match Dev.submit_read t.dev ~cls ~sector:phys_sector ~count with
+  | r -> r
+  | exception Chip.Read_error _ ->
+      note_read_error t ~virt_sector attempt;
+      submit_read_retry t ~cls ~phys_sector ~count ~virt_sector (attempt + 1)
 
 (* Copy every programmed sector of [from_phys] onto the erased [to_phys],
    preserving Free holes and Invalid marks exactly: Invalid sectors still
@@ -168,7 +183,8 @@ let copy_block t ~cls ~from_phys ~to_phys =
       done;
       let count = !o - start in
       let data = Bytes.create (count * (Dev.config t.dev).FConfig.sector_size) in
-      read_retry ~cls t ~phys_sector:(src + start) ~count ~virt_sector:(src + start) data;
+      read_retry t ~publish:false ~cls ~phys_sector:(src + start) ~count
+        ~virt_sector:(src + start) data 1;
       Dev.write_sectors ~cls t.dev ~sector:(dst + start) data;
       for i = start to !o - 1 do
         if Dev.sector_state t.dev (src + i) = Chip.Invalid then
@@ -225,16 +241,29 @@ let scrub t v =
 
 let check_writable t = if t.degraded then raise Degraded
 
+let scrub_if_corrected t sector =
+  if Dev.last_read_corrected t.dev && t.scrub_on_correctable then scrub t (sector / t.spb)
+
+(* A [Merge_io] read is a background relocation read: it is published,
+   never waited for, so a merge does not block the host clock on it. *)
 let read_sectors_into ?cls t ~sector ~count dst =
   let ps = translate t ~sector ~count in
-  read_retry ?cls t ~phys_sector:ps ~count ~virt_sector:sector dst;
-  if Dev.last_read_corrected t.dev && t.scrub_on_correctable then
-    scrub t (sector / t.spb)
+  let publish = match cls with Some Dev.Merge_io -> true | _ -> false in
+  read_retry t ~publish ?cls ~phys_sector:ps ~count ~virt_sector:sector dst 1;
+  scrub_if_corrected t sector
 
 let read_sectors ?cls t ~sector ~count =
   let data = Bytes.create (max 0 count * (Dev.config t.dev).FConfig.sector_size) in
   read_sectors_into ?cls t ~sector ~count data;
   data
+
+(* Asynchronous read: the retries and the scrub run at submission, where
+   the eager device gives the chip's answer. *)
+let submit_read_sectors t ~cls ~sector ~count =
+  let ps = translate t ~sector ~count in
+  let r = submit_read_retry t ~cls ~phys_sector:ps ~count ~virt_sector:sector 1 in
+  scrub_if_corrected t sector;
+  r
 
 (* A failed program always relocates at merge priority: completing the
    interrupted program is on the caller's critical path whatever class
@@ -300,6 +329,7 @@ let invalidate_sectors t ~sector ~count =
 let sector_state t s = Dev.sector_state t.dev (translate t ~sector:s ~count:1)
 let free_sectors_in_block t v = Dev.free_sectors_in_block t.dev (phys_block t v)
 let erase_count t v = Dev.erase_count t.dev (phys_block t v)
+let device t = t.dev
 let degraded t = t.degraded
 let spares_left t = Hashtbl.length t.pool
 
@@ -359,17 +389,6 @@ let stats t =
 
 module Stats = struct
   type t = stats
-
-  let zero =
-    {
-      read_retries = 0;
-      uncorrectable_reads = 0;
-      remaps = 0;
-      retired_blocks = 0;
-      scrubs = 0;
-      degradations = 0;
-      spares_left = 0;
-    }
 
   let fields (t : t) =
     [

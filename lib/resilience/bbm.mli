@@ -16,8 +16,8 @@
     - a failed read is retried a bounded number of times; a read the chip
       had to ECC-correct triggers a preventive {e scrub} (relocation) of
       the weakening unit, returning the old block to the spare pool;
-    - when a mandatory relocation finds no usable spare the device
-      {e degrades} to read-only: the state is persisted, and every
+    - when a mandatory relocation finds no usable spare (at once, with
+      an empty pool) the device {e degrades} to read-only: the state is persisted, and every
       subsequent mutation raises {!Degraded} while reads keep serving
       committed data.
 
@@ -83,13 +83,22 @@ val read_sectors :
 (** Bounded-retry read; raises {!Uncorrectable} when retries are
     exhausted. A correctable (ECC) read triggers a scrub when enabled
     (the scrub's own I/O runs at [Scrub] priority). [cls] defaults to
-    [Foreground]. *)
+    [Foreground]. A [Merge_io] read is a background relocation read: it
+    is published ({!Device.Flash_device.publish_read_into}), so the data
+    is there on return but the host clock never waits for it. *)
 
 val read_sectors_into :
   ?cls:Device.Flash_device.op_class -> t -> sector:int -> count:int -> bytes -> unit
 (** {!read_sectors} into a caller-owned buffer of exactly
     [count * sector_size] bytes, with the same retries and scrub;
     [read_sectors] allocates one and calls this. *)
+
+val submit_read_sectors :
+  t -> cls:Device.Flash_device.op_class -> sector:int -> count:int ->
+  bytes * Device.Flash_device.tag
+(** Asynchronous {!read_sectors} ({!Device.Flash_device.submit_read}):
+    the device executes eagerly, so the retries and the scrub run here,
+    at submission; the tag settles at the owner's await. *)
 
 val write_sectors :
   ?cls:Device.Flash_device.op_class -> t -> sector:int -> bytes -> unit
@@ -116,6 +125,9 @@ val erase_count : t -> int -> int
 (** Wear of the physical block currently backing the virtual one. *)
 
 (** {1 Introspection} *)
+
+val device : t -> Device.Flash_device.t
+(** The device the manager sits on. *)
 
 val degraded : t -> bool
 val spares_left : t -> int
@@ -148,9 +160,6 @@ val stats : t -> stats
 
 module Stats : sig
   type t = stats
-
-  val zero : t
-  (** All counters zero: the engine reports it when it has no manager. *)
 
   val pp : Format.formatter -> t -> unit
   (** One [resilience: key=value ...] line, as the campaign report

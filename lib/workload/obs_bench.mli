@@ -31,10 +31,11 @@ type spec = {
   compact_every : int;  (** background-merge period in transactions; 0 = never *)
   num_blocks : int;  (** chip size, erase blocks (same for every backend) *)
   spare_blocks : int;
-      (** 0 (default): no bad-block manager. n > 0: the IPL engine runs
-          with an n-block spare pool, and the [resilience] section of its
-          backend stats reports retries/remaps/scrubs (all zero on a
-          fault-free run) *)
+      (** the IPL engine's spare pool, in blocks (0, the default: an
+          empty pool). The [resilience] section of its backend stats
+          reports retries/remaps/scrubs (all zero on a fault-free run);
+          a fault-free run's simulated time, digest and stats are the
+          same for every pool size but for [spares_left] *)
   log_cache_bytes : int;
       (** DRAM log-record cache budget for the IPL engine (0 disables);
           defaults to {!Ipl_core.Ipl_config.default}'s budget *)

@@ -17,6 +17,11 @@ module Config = Ipl_core.Ipl_config
    the old serial behaviour). *)
 let dev_of = Device.Flash_device.of_chip
 
+(* The storage manager reaches its data area through a bad-block
+   manager; these tests give it one with an empty spare pool. *)
+let data_area chip =
+  Resilience.Bbm.create (dev_of chip) ~spares:[] ~persist:ignore ~force:ignore ()
+
 let b = Bytes.of_string
 
 (* ------------------------------------------------------------------ *)
@@ -351,7 +356,7 @@ let mk_store ?(config = Config.default) ?(blocks = 32) ?(txn_status = fun _ -> T
   let chip = Chip.create (FConfig.default ~num_blocks:blocks ()) in
   let meta = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
   let store =
-    Store.create ~config (dev_of chip) ~first_block:2 ~num_blocks:(blocks - 2) ~txn_status ~meta ()
+    Store.create ~config (data_area chip) ~first_block:2 ~num_blocks:(blocks - 2) ~txn_status ~meta ()
   in
   (chip, meta, store)
 
@@ -547,7 +552,7 @@ let test_store_recover_after_clean_shutdown () =
   (* Crash: rebuild everything from the chip. *)
   let meta', events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
   let store' =
-    Store.recover (dev_of chip) ~first_block:2 ~num_blocks:30
+    Store.recover (data_area chip) ~first_block:2 ~num_blocks:30
       ~txn_status:(fun _ -> Trx_log.Committed)
       ~meta:meta' ~meta_events:events ()
   in
@@ -585,7 +590,7 @@ let test_store_recover_after_merges () =
   Alcotest.(check bool) "merged at least twice" true (merges >= 2);
   let meta', events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
   let store' =
-    Store.recover (dev_of chip) ~first_block:2 ~num_blocks:30
+    Store.recover (data_area chip) ~first_block:2 ~num_blocks:30
       ~txn_status:(fun _ -> Trx_log.Committed)
       ~meta:meta' ~meta_events:events ()
   in
@@ -614,7 +619,7 @@ let gc_unreferenced_unit ~ckpt () =
     Alcotest.(check bool) "checkpoint footer on the meta log" true
       (List.exists (function Meta_log.Ckpt _ -> true | _ -> false) events);
   let store' =
-    Store.recover ~config (dev_of chip) ~first_block:2 ~num_blocks:30
+    Store.recover ~config (data_area chip) ~first_block:2 ~num_blocks:30
       ~txn_status:(fun _ -> Trx_log.Committed)
       ~meta:meta' ~meta_events:events ()
   in
@@ -649,7 +654,7 @@ let test_store_out_of_space () =
   let chip = Chip.create (FConfig.default ~num_blocks:4 ()) in
   let meta = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:1 in
   let store =
-    Store.create (dev_of chip) ~first_block:1 ~num_blocks:3
+    Store.create (data_area chip) ~first_block:1 ~num_blocks:3
       ~txn_status:(fun _ -> Trx_log.Committed)
       ~meta ()
   in

@@ -183,6 +183,72 @@ let test_read_retry () =
   Alcotest.(check int) "uncorrectable counted" 1
     (Bbm.stats bbm).Bbm.uncorrectable_reads
 
+(* The asynchronous reads retry and scrub at submission, as the
+   synchronous one does: the device executes eagerly, so the chip's
+   answer is there when the read is submitted. *)
+let test_async_read_retry () =
+  let module Dev = Device.Flash_device in
+  let chip = mk_chip () in
+  let bbm, _ = mk_bbm ~read_retries:3 chip in
+  let dev = Bbm.device bbm in
+  Bbm.write_sectors bbm ~sector:(sec 1 0) (payload 'a');
+  Bbm.write_sectors bbm ~sector:(sec 2 0) (payload 'b');
+  let faults = ref 0 in
+  hook chip (function
+    | Chip.Op_read _ when !faults > 0 ->
+        decr faults;
+        Chip.Read_fault
+    | _ -> Chip.Proceed);
+  faults := 2;
+  let data, tag = Bbm.submit_read_sectors bbm ~cls:Dev.Foreground ~sector:(sec 1 0) ~count:1 in
+  Dev.await dev tag;
+  Alcotest.check bytes_t "submitted read retried" (payload 'a') data;
+  faults := 1;
+  let dst = Bytes.create 512 in
+  Bbm.read_sectors_into ~cls:Dev.Merge_io bbm ~sector:(sec 2 0) ~count:1 dst;
+  Alcotest.check bytes_t "merge-class read retried" (payload 'b') dst;
+  Alcotest.(check int) "three retries counted" 3 (Bbm.stats bbm).Bbm.read_retries;
+  hook chip (function Chip.Op_read _ -> Chip.Read_correctable | _ -> Chip.Proceed);
+  let _, tag = Bbm.submit_read_sectors bbm ~cls:Dev.Foreground ~sector:(sec 1 0) ~count:1 in
+  Dev.await dev tag;
+  unhook chip;
+  Alcotest.(check int) "corrected submitted read scrubbed" 1 (Bbm.stats bbm).Bbm.scrubs;
+  Alcotest.check bytes_t "data survives the scrub" (payload 'a')
+    (Bbm.read_sectors bbm ~sector:(sec 1 0) ~count:1)
+
+(* A fault-free read through a manager allocates no more than the same
+   read on the bare device: the retry loop is a top-level function, not
+   a closure built per read. *)
+let test_read_allocation () =
+  let chip = mk_chip () in
+  let bbm, _ = mk_bbm ~spares:[] chip in
+  let dev = Bbm.device bbm in
+  Bbm.write_sectors bbm ~sector:(sec 8 0) (payload 'r');
+  let dst = Bytes.create 512 and runs = 1000 in
+  let per_read f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to runs do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int runs
+  in
+  let sector = sec 8 0 and merge = Device.Flash_device.Merge_io in
+  List.iter
+    (fun (what, direct, managed) ->
+      let direct = per_read direct and managed = per_read managed in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words per read <= %.1f on the device" what managed direct)
+        true (managed <= direct))
+    [
+      ( "foreground",
+        (fun () -> Device.Flash_device.read_sectors_into dev ~sector ~count:1 dst),
+        fun () -> Bbm.read_sectors_into bbm ~sector ~count:1 dst );
+      ( "merge",
+        (fun () -> Device.Flash_device.publish_read_into dev ~cls:merge ~sector ~count:1 dst),
+        fun () -> Bbm.read_sectors_into ~cls:merge bbm ~sector ~count:1 dst );
+    ]
+
 let test_scrub_on_correctable () =
   let chip = mk_chip () in
   let bbm, _ = mk_bbm chip in
@@ -323,8 +389,10 @@ let test_engine_relocation_and_restart () =
   Alcotest.(check (option string)) "second record after restart" (Some "world")
     (Option.map Bytes.to_string (Engine.Unsafe.read eng' ~page ~slot:slot1))
 
-let test_engine_degradation () =
-  let config = resilient_config ~spares:2 () in
+(* With [spares = 0] the pool is empty from the start: the first failed
+   program degrades the device. *)
+let test_engine_degradation ~spares () =
+  let config = resilient_config ~spares () in
   let chip = mk_chip () in
   let eng = Engine.create ~config chip in
   let page = Engine.Unsafe.allocate_page eng in
@@ -334,7 +402,7 @@ let test_engine_degradation () =
   | Error e -> Alcotest.fail (Engine.error_to_string e));
   Engine.Unsafe.commit eng tx;
   (* Every data-area program fails from here on: the first flush must
-     burn through both spares and degrade the device. *)
+     burn through the spares and degrade the device. *)
   hook chip (function
     | Chip.Op_program { sector; _ } when sector >= 8 * spb -> Chip.Program_fail
     | _ -> Chip.Proceed);
@@ -366,6 +434,30 @@ let test_engine_degradation () =
     (Engine.Unsafe.insert eng' ~tx:0 ~page (Bytes.of_string "no")
     = Error Engine.Device_degraded)
 
+(* A fault-free run does the same work whatever the pool size: every
+   engine reaches its data area through the bad-block manager, so on the
+   4x2 device the simulated time, the logical digest and the storage and
+   pool stats of a run with four spares match one with none. *)
+let test_engine_spares_neutral () =
+  let run spare_blocks =
+    let spec =
+      { Workload.Obs_bench.quick with Workload.Obs_bench.spare_blocks; channels = 4; ways = 2 }
+    in
+    let r = Workload.Obs_bench.run ~spec () in
+    let eng = r.Workload.Obs_bench.engine in
+    let stats = Engine.stats eng in
+    ( Ipl_util.Json.member "logical_digest" r.Workload.Obs_bench.json,
+      Device.Flash_device.elapsed (Engine.device eng),
+      stats.Engine.storage,
+      stats.Engine.pool )
+  in
+  let digest0, elapsed0, storage0, pool0 = run 0 in
+  let digest4, elapsed4, storage4, pool4 = run 4 in
+  Alcotest.(check bool) "logical digest" true (digest0 = digest4);
+  Alcotest.(check (float 0.0)) "device elapsed" elapsed0 elapsed4;
+  Alcotest.(check bool) "storage stats" true (storage0 = storage4);
+  Alcotest.(check bool) "pool stats" true (pool0 = pool4)
+
 (* ---------------- campaign profiles ---------------- *)
 
 let check_campaign r =
@@ -388,8 +480,10 @@ let test_campaign_wear_out () =
   Alcotest.(check bool) "reached degradation" true
     (r.Campaign.outcome.Fault.Workload.degraded_at <> None)
 
-let test_campaign_remap_crash () =
-  let r = Campaign.run (Campaign.Remap_crash { spares = 4 }) Fault.Workload.default in
+(* With no spares the forced program failure degrades the device instead
+   of relocating, and each crash point must still recover. *)
+let test_campaign_remap_crash ~spares () =
+  let r = Campaign.run (Campaign.Remap_crash { spares }) Fault.Workload.default in
   Alcotest.(check int) "every delta tested" 8 r.Campaign.crash_points;
   match r.Campaign.violations with
   | [] -> ()
@@ -415,6 +509,8 @@ let () =
           Alcotest.test_case "remap on erase failure" `Quick
             test_remap_on_erase_failure;
           Alcotest.test_case "read retry" `Quick test_read_retry;
+          Alcotest.test_case "asynchronous read retry" `Quick test_async_read_retry;
+          Alcotest.test_case "read allocation" `Quick test_read_allocation;
           Alcotest.test_case "scrub on correctable" `Quick test_scrub_on_correctable;
           Alcotest.test_case "degradation" `Quick test_degradation;
           Alcotest.test_case "recovery replay" `Quick test_recover_replay;
@@ -423,7 +519,11 @@ let () =
         [
           Alcotest.test_case "relocation and restart" `Quick
             test_engine_relocation_and_restart;
-          Alcotest.test_case "degradation" `Quick test_engine_degradation;
+          Alcotest.test_case "degradation" `Quick (test_engine_degradation ~spares:2);
+          Alcotest.test_case "degradation with no spares" `Quick
+            (test_engine_degradation ~spares:0);
+          Alcotest.test_case "fault-free run: 0 = 4 spares" `Quick
+            test_engine_spares_neutral;
         ] );
       ( "campaign",
         [
@@ -431,6 +531,8 @@ let () =
           Alcotest.test_case "program failures" `Quick test_campaign_program_faults;
           Alcotest.test_case "erase failures" `Quick test_campaign_erase_faults;
           Alcotest.test_case "wear out to exhaustion" `Slow test_campaign_wear_out;
-          Alcotest.test_case "crash during remap" `Quick test_campaign_remap_crash;
+          Alcotest.test_case "crash during remap" `Quick (test_campaign_remap_crash ~spares:4);
+          Alcotest.test_case "crash after degrading, no spares" `Quick
+            (test_campaign_remap_crash ~spares:0);
         ] );
     ]
