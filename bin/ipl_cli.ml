@@ -444,7 +444,7 @@ let observe transactions seed quick tail json_out csv_out =
       let doc =
         Ipl_util.Json.Obj
           [
-            ("metrics", Obs.Export.metrics_json metrics);
+            ("metrics", Obs.Metrics.to_json metrics);
             ("trace", Obs.Export.trace_json tracer);
           ]
       in

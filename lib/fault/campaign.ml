@@ -124,66 +124,6 @@ let merge_verdicts ~total_ops ~setup_ops ~gstats verdicts =
     mean_wear = gstats.FStats.mean_wear;
   }
 
-(* One history over a fresh oracle: load the setup state, run the mix
-   ([run] is [false] when a transaction met a typed engine error), settle
-   the oracle at a crash ([true] when a commit was in doubt), and check a
-   restarted engine against it. *)
-type history = {
-  setup : Engine.t -> int array;
-  run : Engine.t -> pages:int array -> bool;
-  settle : unit -> bool;
-  check :
-    read:(page:int -> slot:int -> bytes option) ->
-    pages:int list ->
-    slots:int ->
-    string list;
-}
-
-(* The serial mix against {!Oracle}. A huge commit window in broken mode
-   means commits are recorded but never forced — the deliberately
-   unsound configuration the checker must catch. *)
-let serial ~broken spec () =
-  let oracle = Oracle.create () in
-  {
-    setup =
-      (fun engine ->
-        if broken then Engine.set_group_commit engine 1_000_000;
-        Workload.setup engine (Oracle.seed oracle) spec);
-    run =
-      (fun engine ~pages ->
-        let o = Workload.run_resilient engine oracle spec ~pages in
-        o.Workload.read_failures = 0 && o.Workload.degraded_at = None);
-    settle =
-      (fun () ->
-        match Oracle.crash oracle with
-        | Oracle.In_doubt -> true
-        | Oracle.Rolled_back -> false);
-    check = Oracle.check oracle;
-  }
-
-(* The same mix interleaved across [sessions] MVCC transactions with
-   group commit, against {!Concurrent_oracle}: after every crash the
-   recovered state must equal the setup state plus a commit-order prefix
-   reaching at least the durable watermark, with conflict-losers and
-   rolled-back transactions absent. *)
-let concurrent ~sessions spec () =
-  let oracle = Concurrent_oracle.create () in
-  {
-    setup = (fun engine -> Workload.setup engine (Concurrent_oracle.seed oracle) spec);
-    run =
-      (fun engine ~pages ->
-        ignore
-          (Workload.run_concurrent engine oracle spec ~sessions ~pages
-            : Workload.concurrent_outcome);
-        true);
-    settle =
-      (fun () ->
-        match Concurrent_oracle.crash oracle with
-        | Concurrent_oracle.In_doubt -> true
-        | Concurrent_oracle.Settled -> false);
-    check = Concurrent_oracle.check oracle;
-  }
-
 type campaign =
   | Serial of { broken : bool }
   | Concurrent of { sessions : int }
@@ -201,11 +141,27 @@ let remap_deltas = [ 1; 2; 3; 5; 8; 13; 21; 40 ]
    restarts and checks the oracle. *)
 let run ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1) ?(lazy_mode = false)
     ?(jobs = 1) campaign spec =
-  let history, config =
+  let config =
     match campaign with
-    | Serial { broken } -> (serial ~broken spec, engine_config)
-    | Concurrent { sessions } -> (concurrent ~sessions spec, engine_config)
-    | Remap_crash { spares } -> (serial ~broken:false spec, resilience_config ~spares)
+    | Serial _ | Concurrent _ -> engine_config
+    | Remap_crash { spares } -> resilience_config ~spares
+  in
+  (* The history under test, reported to the oracle as it runs: [false]
+     when a serial transaction met a typed engine error. A huge commit
+     window in broken mode means serial commits return but are never
+     forced — the deliberately unsound configuration the checker must
+     catch. *)
+  let history engine oracle ~pages =
+    match campaign with
+    | Serial _ | Remap_crash _ ->
+        let o = Workload.run_resilient engine oracle spec ~pages in
+        o.Workload.read_failures = 0 && o.Workload.degraded_at = None
+    | Concurrent { sessions } ->
+        let plans = Workload.plans spec ~pages in
+        ignore
+          (Ipl_txn.Session.run ~observe:(Oracle.observe oracle) ~sessions ~plans engine
+            : Ipl_txn.Session.outcome);
+        true
   in
   (* Checkpointed mode: a fuzzy checkpoint every 16 commits, so the
      restart under test actually has coverage to lean on. *)
@@ -213,14 +169,15 @@ let run ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1) ?(lazy_mode = 
   let fresh () =
     let chip = Chip.create (chip_config ()) in
     let engine = Engine.create ~config chip in
-    let h = history () in
-    let pages = h.setup engine in
-    (chip, engine, h, pages)
+    if campaign = Serial { broken = true } then Engine.set_group_commit engine 1_000_000;
+    let oracle = Oracle.create () in
+    let pages = Workload.setup engine (Oracle.seed oracle) spec in
+    (chip, engine, oracle, pages)
   in
   (* Golden run: same spec, no faults — count the flash operations. *)
-  let chip, engine, h, pages = fresh () in
+  let chip, engine, oracle, pages = fresh () in
   let setup_ops = Chip.op_count chip in
-  if not (h.run engine ~pages) then
+  if not (history engine oracle ~pages) then
     failwith "Campaign: the golden run met a typed engine error";
   let total_ops = Chip.op_count chip in
   let gstats = Chip.stats chip in
@@ -240,19 +197,19 @@ let run ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1) ?(lazy_mode = 
     (* The crashed state is a deterministic function of (spec, point):
        [crashed] can rebuild a bit-identical chip for the drain-first twin. *)
     let crashed () =
-      let chip, engine, h, pages = fresh () in
+      let chip, engine, oracle, pages = fresh () in
       Fault_plan.install chip (plan point);
-      (try ignore (h.run engine ~pages : bool) with Chip.Power_loss _ -> ());
+      (try ignore (history engine oracle ~pages : bool) with Chip.Power_loss _ -> ());
       Fault_plan.clear chip;
-      (chip, h, pages)
+      (chip, oracle, pages)
     in
-    let chip, h, pages = crashed () in
-    let doubt = h.settle () in
+    let chip, oracle, pages = crashed () in
+    let doubt = Oracle.crash oracle = Oracle.In_doubt in
     match Engine.restart ~config chip with
     | exception e ->
         { point; ok = false; doubt; vs = [ "restart raised: " ^ Printexc.to_string e ] }
     | engine', _aborted ->
-        let vs = h.check ~read:(read engine') ~pages:(Array.to_list pages) ~slots in
+        let vs = Oracle.check oracle ~read:(read engine') ~pages:(Array.to_list pages) ~slots in
         let vs =
           if not lazy_mode then vs
           else vs @ drain_first_twin ~config ~crashed engine' ~pages ~slots

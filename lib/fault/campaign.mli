@@ -7,9 +7,10 @@
     reopened with [Ipl_engine.restart], and the recovered state compared
     against the oracle — committed transactions durable, uncommitted ones
     rolled back, in-doubt commits atomic, every page readable. The loop
-    is written once; a {!campaign} names what differs: the history (the
-    serial mix with {!Oracle}, or MVCC sessions with
-    {!Concurrent_oracle}), the engine config and the fault plan. *)
+    is written once, and so is the check: every history reports itself to
+    the one {!Oracle} as it runs. A {!campaign} names what differs: the
+    history (the serial loop, or MVCC sessions through
+    {!Ipl_txn.Session.run}), the engine config and the fault plan. *)
 
 type report = {
   total_ops : int;  (** flash operations in the golden run *)
@@ -24,19 +25,20 @@ type report = {
 
 type campaign =
   | Serial of { broken : bool }
-      (** The serial mix, checked by {!Oracle}, crashed at flash
-          operations ({!Fault_plan.crash_at}). [broken] runs the engine
+      (** The serial mix ({!Workload.run_resilient}, durable watermark at
+          every returned commit), crashed at flash operations
+          ({!Fault_plan.crash_at}). [broken] runs the engine
           with commit-time log forcing effectively disabled (an enormous
           group-commit window) — a deliberately unsound recovery
           configuration that the checker must flag, used to validate the
           checker itself. *)
   | Concurrent of { sessions : int }
-      (** The same mix through [sessions] interleaved {!Ipl_txn.Mvcc}
-          transactions with a group-commit window of [sessions], checked
-          by {!Concurrent_oracle}: the recovered state must equal some
-          commit-order prefix at or past the durable watermark, with
-          conflict-losers and rolled-back transactions absent.
-          [in_doubt] counts crash points that hit inside a commit call. *)
+      (** The same mix pre-drawn ({!Workload.plans}) and run by
+          {!Ipl_txn.Session.run} over [sessions] clients with a
+          group-commit window of [sessions]; its history stream feeds the
+          oracle, whose durable watermark follows the group barriers.
+          [in_doubt] counts crash points that hit inside the commit call
+          of a transaction with writes. *)
   | Remap_crash of { spares : int }
       (** Crash during a bad-block remap, on an engine with [spares]
           spare blocks: force a program failure (hence a relocation) at

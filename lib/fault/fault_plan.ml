@@ -29,13 +29,18 @@ let draw ~seed idx salt =
 
 let flaky_reads ~seed ?(correctable = 0.05) ?(transient = 0.01) ?(min_sector = 0) () : t
     =
- fun idx op ->
-  match op with
-  | Chip.Op_read { sector; _ } when sector >= min_sector ->
-      if draw ~seed idx 0 < transient then Chip.Read_fault
-      else if draw ~seed idx 1 < correctable then Chip.Read_correctable
-      else Chip.Proceed
-  | _ -> Chip.Proceed
+  (* The first read fails whatever the draw, so every seed exercises
+     read retry: a short run can otherwise meet no transient fault. *)
+  let first = ref true in
+  fun idx op ->
+    match op with
+    | Chip.Op_read { sector; _ } when sector >= min_sector ->
+        let forced = !first in
+        first := false;
+        if forced || draw ~seed idx 0 < transient then Chip.Read_fault
+        else if draw ~seed idx 1 < correctable then Chip.Read_correctable
+        else Chip.Proceed
+    | _ -> Chip.Proceed
 
 let program_failures ~seed ~rate ?(min_sector = 0) () : t =
  fun idx op ->

@@ -30,10 +30,12 @@ val flaky_reads :
   seed:int -> ?correctable:float -> ?transient:float -> ?min_sector:int -> unit -> t
 (** A flaky device: reads need ECC correction with probability
     [correctable] (default 0.05) and fail outright with probability
-    [transient] (default 0.01). Drives the bad-block manager's read-retry
-    and scrub-on-correctable paths. [min_sector] (default 0) exempts
-    lower addresses — regions like the metadata/transaction logs that sit
-    outside the bad-block manager and have no retry path. *)
+    [transient] (default 0.01); the first read the plan sees fails
+    outright whatever the draw, so every seed drives the bad-block
+    manager's read-retry path as well as its scrub-on-correctable one.
+    [min_sector] (default 0) exempts lower addresses — regions like the
+    metadata/transaction logs that sit outside the bad-block manager and
+    have no retry path. Stateful; install a fresh instance per run. *)
 
 val program_failures : seed:int -> rate:float -> ?min_sector:int -> unit -> t
 (** Each program at or above [min_sector] fails

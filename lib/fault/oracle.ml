@@ -1,108 +1,132 @@
+module Session = Ipl_txn.Session
+
 type key = int * int (* page, slot *)
 
 type t = {
-  committed : (key, bytes) Hashtbl.t;
-  mutable pending : (key * bytes option) list; (* newest first; None = deleted *)
-  mutable in_txn : bool;
-  mutable committing : bool;
+  base : (key, bytes) Hashtbl.t;  (* durable setup state *)
+  latest : (key, bytes) Hashtbl.t;  (* base + every commit, for [current] *)
+  active : (int, (key * bytes option) list ref) Hashtbl.t;  (* txn -> writes, newest first *)
+  mutable commits : (key * bytes option) list list;  (* newest first; writes in apply order *)
+  mutable committing : int option;
+  mutable durable : int;  (* commits settled by a completed barrier *)
 }
 
-type outcome = Rolled_back | In_doubt
+type outcome = Settled | In_doubt
 
 let create () =
-  { committed = Hashtbl.create 256; pending = []; in_txn = false; committing = false }
+  {
+    base = Hashtbl.create 256;
+    latest = Hashtbl.create 256;
+    active = Hashtbl.create 64;
+    commits = [];
+    committing = None;
+    durable = 0;
+  }
 
-let seed t ~page ~slot data = Hashtbl.replace t.committed (page, slot) data
+let seed t ~page ~slot data =
+  Hashtbl.replace t.base (page, slot) data;
+  Hashtbl.replace t.latest (page, slot) data
 
-let begin_txn t =
-  t.pending <- [];
-  t.in_txn <- true;
-  t.committing <- false
-
-let note t ~page ~slot value =
-  if t.in_txn then t.pending <- ((page, slot), value) :: t.pending
-  else
-    match value with
-    | Some b -> Hashtbl.replace t.committed (page, slot) b
-    | None -> Hashtbl.remove t.committed (page, slot)
-
-let current t ~page ~slot =
-  match List.assoc_opt (page, slot) t.pending with
-  | Some v -> v
-  | None -> Hashtbl.find_opt t.committed (page, slot)
-
-let apply_pending committed pending =
+let apply state writes =
   List.iter
     (fun (k, v) ->
-      match v with
-      | Some b -> Hashtbl.replace committed k b
-      | None -> Hashtbl.remove committed k)
-    (List.rev pending)
+      match v with Some b -> Hashtbl.replace state k b | None -> Hashtbl.remove state k)
+    writes
 
-let start_commit t = t.committing <- true
+let writes t txn =
+  match Hashtbl.find_opt t.active txn with
+  | Some ws -> ws
+  | None -> invalid_arg "Oracle: unknown transaction"
 
-let end_commit t =
-  apply_pending t.committed t.pending;
-  t.pending <- [];
-  t.in_txn <- false;
-  t.committing <- false
+let promote t txn =
+  let ws = List.rev !(writes t txn) in
+  Hashtbl.remove t.active txn;
+  apply t.latest ws;
+  t.commits <- ws :: t.commits
 
-let abort t =
-  t.pending <- [];
-  t.in_txn <- false;
-  t.committing <- false
+let observe t (e : Session.event) =
+  match e with
+  | Begin txn -> Hashtbl.replace t.active txn (ref [])
+  | Write { txn; page; slot; data } ->
+      let ws = writes t txn in
+      ws := ((page, slot), data) :: !ws
+  | Commit_start txn -> t.committing <- Some txn
+  | Committed txn ->
+      t.committing <- None;
+      promote t txn
+  | Aborted txn ->
+      if t.committing = Some txn then t.committing <- None;
+      Hashtbl.remove t.active txn
+  | Durable n -> if n > t.durable then t.durable <- n
+  | Read _ -> ()
 
+let current t ~txn ~page ~slot =
+  match List.assoc_opt (page, slot) !(writes t txn) with
+  | Some v -> v
+  | None -> Hashtbl.find_opt t.latest (page, slot)
+
+(* A crash mid-commit: the transaction's record was appended to the
+   sequential log after every earlier commit's, so it is exactly the
+   optional last entry of the commit order — the prefix sweep in [check]
+   may stop before it or include it. A commit with nothing written
+   changes no state either way and is simply dropped. Every other live
+   transaction rolls back unconditionally. *)
 let crash t =
-  t.in_txn <- false;
-  if t.committing && t.pending <> [] then In_doubt
-  else begin
-    t.pending <- [];
-    t.committing <- false;
-    Rolled_back
-  end
+  let outcome =
+    match t.committing with
+    | Some txn when Hashtbl.mem t.active txn && !(writes t txn) <> [] ->
+        promote t txn;
+        In_doubt
+    | _ -> Settled
+  in
+  t.committing <- None;
+  Hashtbl.reset t.active;
+  outcome
 
-(* Compare the reopened database against the model. A transaction caught
-   mid-commit is in doubt: recovery may legitimately land on either side of
-   the commit, but must land on exactly one side for every record — so the
-   database must match the pre-commit state in full OR the post-commit
-   state in full. Anything else (a lost committed update, a surviving
-   uncommitted one, a half-applied commit) is a violation. *)
+let show = function
+  | None -> "<absent>"
+  | Some b -> Printf.sprintf "%d bytes (%08x)" (Bytes.length b) (Hashtbl.hash b)
+
+(* The recovered database must equal base + commits[0..k] for some k in
+   [durable, n]: at least everything a completed barrier settled, at most
+   everything that ever committed, and nothing in between may be skipped
+   (the transaction log is sequential, so durability is prefix-closed).
+   The sweep applies one commit at a time and compares after each step;
+   when none matches, the differences from the watermark state are the
+   report. *)
 let check t ~read ~pages ~slots =
-  let post =
-    if t.committing && t.pending <> [] then begin
-      let h = Hashtbl.copy t.committed in
-      apply_pending h t.pending;
-      Some h
-    end
-    else None
+  let found =
+    List.concat_map
+      (fun page ->
+        List.init slots (fun slot ->
+            (page, slot, try Ok (read ~page ~slot) with e -> Error (Printexc.to_string e))))
+      pages
   in
-  let show = function
-    | None -> "<absent>"
-    | Some b -> Printf.sprintf "%d bytes (%08x)" (Bytes.length b) (Hashtbl.hash b)
+  let state = Hashtbl.copy t.base in
+  let differs (page, slot, actual) =
+    match actual with Error _ -> true | Ok v -> v <> Hashtbl.find_opt state (page, slot)
   in
-  let v_pre = ref [] and v_post = ref [] in
-  List.iter
-    (fun page ->
-      for slot = 0 to slots - 1 do
-        match (try Ok (read ~page ~slot) with e -> Error (Printexc.to_string e)) with
-        | Error msg ->
-            let v = Printf.sprintf "page %d slot %d: read raised %s" page slot msg in
-            v_pre := v :: !v_pre;
-            v_post := v :: !v_post
-        | Ok actual ->
-            let cmp map acc =
-              let expect = Hashtbl.find_opt map (page, slot) in
-              if actual <> expect then
-                acc :=
-                  Printf.sprintf "page %d slot %d: expected %s, found %s" page slot
-                    (show expect) (show actual)
-                  :: !acc
-            in
-            cmp t.committed v_pre;
-            Option.iter (fun m -> cmp m v_post) post
-      done)
-    pages;
-  match (List.rev !v_pre, post) with
-  | [], _ -> []
-  | _, Some _ when !v_post = [] -> []
-  | pre, _ -> pre
+  let describe (page, slot, actual) =
+    match actual with
+    | Error msg -> Printf.sprintf "page %d slot %d: read raised %s" page slot msg
+    | Ok v ->
+        Printf.sprintf "page %d slot %d: expected %s, found %s" page slot
+          (show (Hashtbl.find_opt state (page, slot)))
+          (show v)
+  in
+  let rec sweep k = function
+    | c :: rest when k < t.durable ->
+        apply state c;
+        sweep (k + 1) rest
+    | rest ->
+        let report = List.map describe (List.filter differs found) in
+        let rec extend = function
+          | _ when not (List.exists differs found) -> []
+          | [] -> report
+          | c :: rest ->
+              apply state c;
+              extend rest
+        in
+        extend rest
+  in
+  sweep 0 (List.rev t.commits)

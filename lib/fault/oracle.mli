@@ -1,50 +1,50 @@
-(** Model-based recovery oracle.
+(** Model-based recovery oracle over a history of transactions.
 
-    A plain hash table tracks what every (page, slot) must hold after a
-    crash and restart: the committed state, plus — for a single active
-    transaction — its pending writes, which must vanish on rollback and
-    must appear atomically on commit. The workload driver mirrors every
-    {e successful} engine call into the oracle; after a crash,
-    {!check} compares the reopened engine against the model. *)
+    The oracle follows a run's history ({!Ipl_txn.Session.event}): each
+    live transaction's write set, the global commit order, and a durable
+    watermark (how many commits a completed barrier has settled). The
+    serial loop raises the watermark at every returned commit; MVCC
+    sessions raise it at every group barrier. After a crash and restart
+    the database must equal the setup state plus some {e prefix} of the
+    commit order — the transaction log is sequential, so a later commit
+    record can never be durable without every earlier one — and the
+    prefix must reach at least the watermark. Rolled-back transactions
+    and conflict losers are absent from the commit order, so any
+    surviving effect of theirs fails the prefix match. *)
 
 type t
 
 type outcome =
-  | Rolled_back  (** the active transaction must be gone after recovery *)
+  | Settled  (** no transaction with writes was mid-commit at the crash *)
   | In_doubt
-      (** the crash hit during commit: recovery may keep or drop the
-          transaction, but must do so atomically *)
+      (** the crash hit inside the commit call of a transaction that
+          wrote something: its record may or may not be durable, so it
+          joins the commit order as an optional last entry *)
 
 val create : unit -> t
 
 val seed : t -> page:int -> slot:int -> bytes -> unit
 (** Record a setup-time value that is already durable (pre-campaign). *)
 
-val begin_txn : t -> unit
+val observe : t -> Ipl_txn.Session.event -> unit
+(** Mirror one step of the history. [Write] must name a transaction
+    opened by [Begin]; [Read] is ignored. *)
 
-val note : t -> page:int -> slot:int -> bytes option -> unit
-(** Mirror one successful engine mutation: [Some data] for insert/update,
-    [None] for delete. Inside a transaction the write is pending;
-    outside, it is applied to the committed state directly. *)
-
-val current : t -> page:int -> slot:int -> bytes option
-(** The transaction's own view (pending overlaid on committed) — what a
-    read through the engine would return right now. *)
-
-val start_commit : t -> unit
-(** Call immediately before [Ipl_engine.commit]: from here until
-    {!end_commit} the transaction is in doubt. *)
-
-val end_commit : t -> unit
-val abort : t -> unit
+val current : t -> txn:int -> page:int -> slot:int -> bytes option
+(** Transaction [txn]'s own writes overlaid on the state after every
+    commit so far — what a read through the engine would return right
+    now while [txn] is the only live transaction. *)
 
 val crash : t -> outcome
-(** Resolve the model after a power loss. *)
+(** Resolve the model after a power loss: live transactions roll back,
+    a mid-commit transaction with writes becomes the optional tail of
+    the commit order. *)
 
 val check :
   t -> read:(page:int -> slot:int -> bytes option) -> pages:int list -> slots:int -> string list
 (** Read back slots [0..slots-1] of every page through [read] (normally
     [Ipl_engine.read] on the restarted engine) and return human-readable
-    violations; [[]] means the recovered state is exactly the model (or,
-    for an in-doubt transaction, exactly one of its two legal states).
-    A [read] that raises is itself a violation. *)
+    violations: [[]] when the recovered state equals the setup state plus
+    commits [0..k] for some [k] between the durable watermark and the
+    full commit order, else every difference from the state at the
+    watermark. A [read] that raises is itself a violation. *)

@@ -1,4 +1,5 @@
 module Engine = Ipl_core.Ipl_engine
+module Session = Ipl_txn.Session
 module Rng = Ipl_util.Rng
 
 type spec = {
@@ -27,7 +28,7 @@ let ok ctx = function
   | Error e -> failwith ("Workload." ^ ctx ^ ": " ^ Engine.error_to_string e)
 
 (* [record] mirrors each loaded record into the campaign's oracle as
-   already durable: [Oracle.seed] or [Concurrent_oracle.seed]. *)
+   already durable ([Oracle.seed]). *)
 let setup engine record spec =
   let pages = Array.init spec.pages (fun _ -> ok "setup" (Engine.allocate_page engine)) in
   let rng = Rng.of_int (spec.seed lxor 0x5eed) in
@@ -45,16 +46,49 @@ let setup engine record spec =
 
 (* One OLTP-ish mix, driven purely by the seed: short transactions of 1-4
    record operations (55% update / 30% insert / 15% delete), 15% of them
-   aborted. Every successful engine call is mirrored into the oracle, so
-   the model tracks the engine exactly up to the crash, wherever it
-   falls. Determinism matters: the golden run and every crash re-run draw
-   the same stream, so operation index N is the same flash operation in
-   each.
+   aborted. Determinism matters: the golden run and every crash re-run
+   draw the same stream, so operation index N is the same flash
+   operation in each.
 
-   The mix goes through the exception-free engine entry points. A
-   transaction that hits a device error ([Device_degraded],
+   One record operation of the mix. [size] gives an update's usual
+   length, or [None] when there is no record to update: then nothing
+   more is drawn and the operation is skipped. *)
+let draw_op rng spec ~pages ~size =
+  let page = pages.(Rng.int rng (Array.length pages)) in
+  let slot = Rng.int rng (spec.slots_per_page * 2) in
+  let r = Rng.float rng 1.0 in
+  if r < 0.55 then
+    Option.map
+      (fun len ->
+        (* Mostly equal-length (logged as byte-range deltas); a quarter
+           change size to exercise the full-image / delete+insert logging
+           paths. *)
+        let len = if Rng.chance rng 0.25 then 1 + Rng.int rng (2 * spec.payload) else len in
+        Session.Update { page; slot; data = bytes_of rng len })
+      (size ~page ~slot)
+  else if r < 0.85 then Some (Session.Insert { page; data = bytes_of rng spec.payload })
+  else Some (Session.Delete { page; slot })
+
+(* The mix pre-drawn for MVCC sessions: with no single current view to
+   consult, update lengths come from the payload instead of the live
+   record. *)
+let plans spec ~pages =
+  let rng = Rng.of_int spec.seed in
+  Array.init spec.transactions (fun _ ->
+      let nops = 1 + Rng.int rng 4 in
+      let ops =
+        List.init nops (fun _ ->
+            draw_op rng spec ~pages ~size:(fun ~page:_ ~slot:_ -> Some spec.payload))
+      in
+      let aborting = Rng.chance rng spec.abort_fraction in
+      { Session.ops = List.filter_map Fun.id ops; aborting; reads = [] })
+
+(* The serial run goes through the exception-free engine entry points,
+   sizing each update from the record it replaces, and reports its
+   history to the oracle with the durable watermark at every returned
+   commit. A transaction that hits a device error ([Device_degraded],
    [Read_failed]) is aborted — its effects must vanish, and the oracle
-   mirrors that — and a degraded device ends the run: the remaining
+   sees that — and a degraded device ends the run: the remaining
    transactions could only be refused. *)
 type resilient_outcome = {
   committed : int;
@@ -67,68 +101,52 @@ exception Tx_failed of Engine.error
 
 let run_resilient engine oracle spec ~pages =
   let rng = Rng.of_int spec.seed in
+  let observe = Oracle.observe oracle in
   let committed = ref 0 and aborted = ref 0 in
   let degraded_at = ref None and read_failures = ref 0 in
+  let write ~txn ~tx op =
+    let r =
+      match op with
+      | Session.Update { page; slot; data } ->
+          Result.map (fun () -> (page, slot, Some data)) (Engine.update engine ~tx ~page ~slot data)
+      | Session.Insert { page; data } ->
+          Result.map (fun slot -> (page, slot, Some data)) (Engine.insert engine ~tx ~page data)
+      | Session.Delete { page; slot } ->
+          Result.map (fun () -> (page, slot, None)) (Engine.delete engine ~tx ~page ~slot)
+    in
+    match r with
+    | Ok (page, slot, data) -> observe (Session.Write { txn; page; slot; data })
+    | Error ((Engine.Device_degraded | Engine.Read_failed) as e) -> raise (Tx_failed e)
+    | Error _ -> ()
+  in
   (try
-     for i = 1 to spec.transactions do
+     for txn = 1 to spec.transactions do
        let tx =
          match Engine.begin_txn engine with
          | Ok tx -> tx
          | Error Engine.Device_degraded ->
-             degraded_at := Some i;
+             degraded_at := Some txn;
              raise Exit
          | Error e -> failwith ("Workload.run_resilient: " ^ Engine.error_to_string e)
        in
-       Oracle.begin_txn oracle;
+       observe (Session.Begin txn);
+       let size ~page ~slot = Option.map Bytes.length (Oracle.current oracle ~txn ~page ~slot) in
        try
-         let nops = 1 + Rng.int rng 4 in
-         for _ = 1 to nops do
-           let page = pages.(Rng.int rng (Array.length pages)) in
-           let slot = Rng.int rng (spec.slots_per_page * 2) in
-           let r = Rng.float rng 1.0 in
-           if r < 0.55 then (
-             match Oracle.current oracle ~page ~slot with
-             | None -> () (* nothing there to update *)
-             | Some old ->
-                 (* Mostly equal-length (logged as byte-range deltas); a
-                    quarter change size to exercise the full-image /
-                    delete+insert logging paths. *)
-                 let len =
-                   if Rng.chance rng 0.25 then 1 + Rng.int rng (2 * spec.payload)
-                   else Bytes.length old
-                 in
-                 let data = bytes_of rng len in
-                 (match Engine.update engine ~tx ~page ~slot data with
-                 | Ok () -> Oracle.note oracle ~page ~slot (Some data)
-                 | Error ((Engine.Device_degraded | Engine.Read_failed) as e) ->
-                     raise (Tx_failed e)
-                 | Error _ -> ()))
-           else if r < 0.85 then begin
-             let data = bytes_of rng spec.payload in
-             match Engine.insert engine ~tx ~page data with
-             | Ok slot -> Oracle.note oracle ~page ~slot (Some data)
-             | Error ((Engine.Device_degraded | Engine.Read_failed) as e) ->
-                 raise (Tx_failed e)
-             | Error _ -> ()
-           end
-           else
-             match Engine.delete engine ~tx ~page ~slot with
-             | Ok () -> Oracle.note oracle ~page ~slot None
-             | Error ((Engine.Device_degraded | Engine.Read_failed) as e) ->
-                 raise (Tx_failed e)
-             | Error _ -> ()
+         for _ = 1 to 1 + Rng.int rng 4 do
+           Option.iter (write ~txn ~tx) (draw_op rng spec ~pages ~size)
          done;
          if Rng.chance rng spec.abort_fraction then begin
            (match Engine.abort engine tx with Ok () | Error _ -> ());
-           Oracle.abort oracle;
+           observe (Session.Aborted txn);
            incr aborted
          end
          else begin
-           Oracle.start_commit oracle;
+           observe (Session.Commit_start txn);
            match Engine.commit engine tx with
            | Ok () ->
-               Oracle.end_commit oracle;
-               incr committed
+               incr committed;
+               observe (Session.Committed txn);
+               observe (Session.Durable !committed)
            | Error e -> raise (Tx_failed e)
          end
        with Tx_failed e ->
@@ -136,11 +154,11 @@ let run_resilient engine oracle spec ~pages =
             record-level effect (dropping the transaction) is what the
             oracle models either way. *)
          (match Engine.abort engine tx with Ok () | Error _ -> ());
-         Oracle.abort oracle;
+         observe (Session.Aborted txn);
          incr aborted;
          (match e with
          | Engine.Device_degraded ->
-             degraded_at := Some i;
+             degraded_at := Some txn;
              raise Exit
          | _ -> incr read_failures)
      done
@@ -150,134 +168,4 @@ let run_resilient engine oracle spec ~pages =
     aborted = !aborted;
     degraded_at = !degraded_at;
     read_failures = !read_failures;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Concurrent histories: the same mix through MVCC sessions            *)
-
-module Mvcc = Ipl_txn.Mvcc
-
-type concurrent_outcome = { committed_txns : int; aborted_txns : int; conflicts : int }
-
-type cop =
-  | CUpdate of int * int * bytes  (* page, slot, data *)
-  | CInsert of int * bytes
-  | CDelete of int * int
-
-(* The serial mix, pre-drawn into per-transaction plans (the concurrent
-   oracle has no single "current" view to consult, so update lengths come
-   from the payload instead of the live record) and interleaved
-   round-robin over [sessions] MVCC transactions: every rotation advances
-   each session by one operation, so the interleaving — conflicts, group
-   batches, crash points — is a pure function of the spec. Every
-   successful MVCC write is mirrored into the oracle, commits take their
-   global order there, and the durable watermark follows
-   [Mvcc.flushed_commits] after every barrier. Only
-   {!Flash_sim.Flash_chip.Power_loss} is supposed to unwind through
-   here. *)
-let run_concurrent engine oracle spec ~sessions ~pages =
-  let sessions = max 1 sessions in
-  let m = Mvcc.create ~group_window:sessions engine in
-  let rng = Rng.of_int spec.seed in
-  let plans =
-    Array.init spec.transactions (fun _ ->
-        let nops = 1 + Rng.int rng 4 in
-        let ops =
-          List.init nops (fun _ ->
-              let page = pages.(Rng.int rng (Array.length pages)) in
-              let slot = Rng.int rng (spec.slots_per_page * 2) in
-              let r = Rng.float rng 1.0 in
-              if r < 0.55 then
-                let len =
-                  if Rng.chance rng 0.25 then 1 + Rng.int rng (2 * spec.payload)
-                  else spec.payload
-                in
-                CUpdate (page, slot, bytes_of rng len)
-              else if r < 0.85 then CInsert (page, bytes_of rng spec.payload)
-              else CDelete (page, slot))
-        in
-        (ops, Rng.chance rng spec.abort_fraction))
-  in
-  let mok ctx = function
-    | Ok v -> v
-    | Error e -> failwith ("Workload." ^ ctx ^ ": " ^ Mvcc.error_to_string e)
-  in
-  let committed = ref 0 and aborted = ref 0 in
-  let next = Array.init sessions (fun i -> i) in
-  let st = Array.make sessions `Idle in
-  let settle () = Concurrent_oracle.durable oracle (Mvcc.flushed_commits m) in
-  let step i =
-    match st.(i) with
-    | `Done -> ()
-    | `Idle ->
-        if next.(i) >= spec.transactions then st.(i) <- `Done
-        else begin
-          let ops, aborting = plans.(next.(i)) in
-          next.(i) <- next.(i) + sessions;
-          let tx = mok "run_concurrent" (Mvcc.begin_txn m) in
-          Concurrent_oracle.begin_txn oracle ~txn:(Mvcc.txn_id tx);
-          st.(i) <- `Run (tx, ops, aborting, false)
-        end
-    | `Run (tx, op :: rest, aborting, doomed) ->
-        let txn = Mvcc.txn_id tx in
-        let r =
-          match op with
-          | CUpdate (page, slot, data) -> (
-              match Mvcc.update m tx ~page ~slot data with
-              | Ok () ->
-                  Concurrent_oracle.note oracle ~txn ~page ~slot (Some data);
-                  Ok ()
-              | Error _ as e -> e)
-          | CInsert (page, data) -> (
-              match Mvcc.insert m tx ~page data with
-              | Ok slot ->
-                  Concurrent_oracle.note oracle ~txn ~page ~slot (Some data);
-                  Ok ()
-              | Error _ as e -> e)
-          | CDelete (page, slot) -> (
-              match Mvcc.delete m tx ~page ~slot with
-              | Ok () ->
-                  Concurrent_oracle.note oracle ~txn ~page ~slot None;
-                  Ok ()
-              | Error _ as e -> e)
-        in
-        let doomed =
-          match r with
-          | Ok () -> doomed
-          | Error (Mvcc.Conflict _ | Mvcc.Doomed) -> true
-          | Error
-              (Mvcc.Engine_error
-                 (Engine.Page_full | Engine.No_such_slot | Engine.Record_too_large)) ->
-              doomed
-          | Error e -> failwith ("Workload.run_concurrent: " ^ Mvcc.error_to_string e)
-        in
-        (* A doomed transaction cannot commit; skip the rest of its ops. *)
-        st.(i) <- `Run (tx, (if doomed then [] else rest), aborting, doomed)
-    | `Run (tx, [], aborting, doomed) ->
-        let txn = Mvcc.txn_id tx in
-        if doomed || aborting then begin
-          (match Mvcc.abort m tx with Ok () | Error _ -> ());
-          Concurrent_oracle.abort oracle ~txn;
-          incr aborted
-        end
-        else begin
-          Concurrent_oracle.start_commit oracle ~txn;
-          mok "run_concurrent" (Mvcc.commit m tx);
-          Concurrent_oracle.end_commit oracle ~txn;
-          settle ();
-          incr committed
-        end;
-        st.(i) <- `Idle
-  in
-  while Array.exists (fun s -> s <> `Done) st do
-    for i = 0 to sessions - 1 do
-      step i
-    done
-  done;
-  mok "run_concurrent" (Mvcc.flush m);
-  settle ();
-  {
-    committed_txns = !committed;
-    aborted_txns = !aborted;
-    conflicts = (Mvcc.stats m).Mvcc.conflicts;
   }

@@ -22,9 +22,16 @@ val max_slots : spec -> int
 val setup :
   Ipl_core.Ipl_engine.t -> (page:int -> slot:int -> bytes -> unit) -> spec -> int array
 (** [setup engine record spec] allocates the pages, loads the initial
-    records (each passed to [record] — {!Oracle.seed} or
-    {!Concurrent_oracle.seed} — as already committed), commits and
-    checkpoints. Returns the page ids the run will use. *)
+    records (each passed to [record] — {!Oracle.seed} — as already
+    committed), commits and checkpoints. Returns the page ids the run
+    will use. *)
+
+val plans : spec -> pages:int array -> Ipl_txn.Session.plan array
+(** The transaction mix pre-drawn for {!Ipl_txn.Session.run}: the serial
+    mix's draws, except that an update's usual length is the payload
+    rather than the live record's, and no plan reads. Deterministic for
+    a fixed [spec], so the crash campaign can count flash operations
+    once and crash each re-run at a chosen index. *)
 
 type resilient_outcome = {
   committed : int;
@@ -36,31 +43,9 @@ type resilient_outcome = {
 val run_resilient :
   Ipl_core.Ipl_engine.t -> Oracle.t -> spec -> pages:int array -> resilient_outcome
 (** Execute the transaction mix through the exception-free entry points
-    ([Ipl_engine.commit] etc.), mirroring every successful engine call
-    into the oracle. A transaction hitting [Device_degraded]/[Read_failed]
-    (or a failed commit) is aborted, mirrored into the oracle, and
-    degradation ends the run; a fault-free run that reports either is a
-    harness bug. {!Flash_sim.Flash_chip.Power_loss} escapes — under a
-    crash plan, that is how the run ends. *)
-
-type concurrent_outcome = {
-  committed_txns : int;
-  aborted_txns : int;  (** voluntary aborts plus conflict-doomed rollbacks *)
-  conflicts : int;  (** write-write conflicts detected by the MVCC layer *)
-}
-
-val run_concurrent :
-  Ipl_core.Ipl_engine.t ->
-  Concurrent_oracle.t ->
-  spec ->
-  sessions:int ->
-  pages:int array ->
-  concurrent_outcome
-(** The same transaction mix interleaved round-robin over [sessions]
-    concurrent {!Ipl_txn.Mvcc} transactions with a group-commit window of
-    [sessions]. Deterministic for a fixed [(spec, sessions)], so the
-    crash campaign can count flash operations once and crash each re-run
-    at a chosen index. Every successful MVCC write is mirrored into the
-    oracle; the durable watermark follows the group barriers. Raises
-    whatever the engine raises — under a fault plan, typically
-    {!Flash_sim.Flash_chip.Power_loss}. *)
+    ([Ipl_engine.commit] etc.), reporting its history to the oracle with
+    the durable watermark raised at every returned commit. A transaction
+    hitting [Device_degraded]/[Read_failed] (or a failed commit) is
+    aborted, and degradation ends the run; a fault-free run that reports
+    either is a harness bug. {!Flash_sim.Flash_chip.Power_loss} escapes —
+    under a crash plan, that is how the run ends. *)

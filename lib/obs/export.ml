@@ -1,7 +1,5 @@
 module Json = Ipl_util.Json
 
-let metrics_json = Metrics.to_json
-
 let trace_json tracer =
   Json.List
     (List.rev

@@ -1,7 +1,5 @@
-(** JSON and CSV exporters for metrics snapshots and traces. *)
-
-val metrics_json : Metrics.t -> Ipl_util.Json.t
-(** Same as {!Metrics.to_json}. *)
+(** JSON and CSV exporters for traces, and CSV for metrics snapshots
+    (their JSON is {!Metrics.to_json}). *)
 
 val metrics_csv : Metrics.t -> string
 (** One row per metric:

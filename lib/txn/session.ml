@@ -7,6 +7,15 @@ type op =
 
 type plan = { ops : op list; aborting : bool; reads : (int * int) list }
 
+type event =
+  | Begin of int
+  | Write of { txn : int; page : int; slot : int; data : bytes option }
+  | Commit_start of int
+  | Committed of int
+  | Aborted of int
+  | Durable of int
+  | Read of bytes option
+
 type session_stats = {
   session : int;
   commits : int;
@@ -64,12 +73,12 @@ let tolerate ctx = function
       ()
   | Error e -> failwith ("Session." ^ ctx ^ ": " ^ Mvcc.error_to_string e)
 
-let run ?(compact_every = 0) ?(note_read = fun _ -> ()) ~sessions ~plans engine =
+let run ?(compact_every = 0) ?(observe = ignore) ~sessions ~plans engine =
   if sessions < 1 then invalid_arg "Session.run: sessions < 1";
   (* One commit window per rotation: a full round of commits fills it. *)
   let m = Mvcc.create ~group_window:sessions engine in
   let committed = ref 0 and aborted = ref 0 and conflict_aborts = ref 0 in
-  let finished_txns = ref 0 in
+  let finished_txns = ref 0 and durable = ref 0 in
   let clients =
     Array.init sessions (fun sid ->
         {
@@ -85,11 +94,24 @@ let run ?(compact_every = 0) ?(note_read = fun _ -> ()) ~sessions ~plans engine 
   in
   (* A transaction's post-commit reads run against the latest committed
      state, exactly where the serial loop reads after its commit. *)
-  let do_read (page, slot) = note_read (fail "read" (Mvcc.read_committed m ~page ~slot)) in
+  let do_read (page, slot) =
+    observe (Read (fail "read" (Mvcc.read_committed m ~page ~slot)))
+  in
+  (* Report the durable watermark after every call that may have settled
+     a batch: a commit that filled the window, a flush, a compaction. *)
+  let settle () =
+    let n = Mvcc.flushed_commits m in
+    if n > !durable then begin
+      durable := n;
+      observe (Durable n)
+    end
+  in
   let finish_txn () =
     incr finished_txns;
-    if compact_every > 0 && !finished_txns mod compact_every = 0 then
-      ignore (fail "compact" (Mvcc.compact m ~max_merges:1) : int)
+    if compact_every > 0 && !finished_txns mod compact_every = 0 then begin
+      ignore (fail "compact" (Mvcc.compact m ~max_merges:1) : int);
+      settle ()
+    end
   in
   (* Advance one session by one step. Returns [true] if the step made
      progress (a parked session waiting for the group barrier does not). *)
@@ -107,17 +129,29 @@ let run ?(compact_every = 0) ?(note_read = fun _ -> ()) ~sessions ~plans engine 
           s.begin_sim <- Engine.elapsed engine;
           s.begin_host <- Ipl_util.Clock.now_s ();
           let tx = fail "begin" (Mvcc.begin_txn m) in
+          observe (Begin (Mvcc.txn_id tx));
           s.state <- In_txn { tx; plan; remaining = plan.ops; conflicted = false };
           true
         end
     | In_txn { tx; plan; remaining = op :: rest; conflicted } ->
+        let txn = Mvcc.txn_id tx in
         let r =
           match op with
-          | Update { page; slot; data } -> Mvcc.update m tx ~page ~slot data
-          | Insert { page; data } -> Result.map ignore (Mvcc.insert m tx ~page data)
-          | Delete { page; slot } -> Mvcc.delete m tx ~page ~slot
+          | Update { page; slot; data } ->
+              Result.map
+                (fun () -> Write { txn; page; slot; data = Some data })
+                (Mvcc.update m tx ~page ~slot data)
+          | Insert { page; data } ->
+              Result.map
+                (fun slot -> Write { txn; page; slot; data = Some data })
+                (Mvcc.insert m tx ~page data)
+          | Delete { page; slot } ->
+              Result.map
+                (fun () -> Write { txn; page; slot; data = None })
+                (Mvcc.delete m tx ~page ~slot)
         in
         tolerate "op" r;
+        Result.iter observe r;
         let conflicted =
           conflicted
           || (match r with Error (Mvcc.Conflict _ | Mvcc.Doomed) -> true | _ -> false)
@@ -127,19 +161,19 @@ let run ?(compact_every = 0) ?(note_read = fun _ -> ()) ~sessions ~plans engine 
         s.state <- In_txn { tx; plan; remaining; conflicted };
         true
     | In_txn { tx; plan; remaining = []; conflicted } ->
-        (if conflicted then begin
+        let txn = Mvcc.txn_id tx in
+        (if conflicted || plan.aborting then begin
            fail "abort" (Mvcc.abort m tx);
-           incr conflict_aborts;
-           s.state <- Reading plan.reads
-         end
-         else if plan.aborting then begin
-           fail "abort" (Mvcc.abort m tx);
-           incr aborted;
+           incr (if conflicted then conflict_aborts else aborted);
+           observe (Aborted txn);
            s.state <- Reading plan.reads
          end
          else begin
+           observe (Commit_start txn);
            fail "commit" (Mvcc.commit m tx);
            incr committed;
+           observe (Committed txn);
+           settle ();
            (* Resume once the group barrier has settled this commit. *)
            s.state <- Await_flush { seq = !committed; reads = plan.reads }
          end);
@@ -174,7 +208,10 @@ let run ?(compact_every = 0) ?(note_read = fun _ -> ()) ~sessions ~plans engine 
        grow any further this round, so settle it now even though the
        window isn't full. *)
     if (not !progressed) && not (all_done ()) then
-      if Mvcc.pending m > 0 then fail "flush" (Mvcc.flush m)
+      if Mvcc.pending m > 0 then begin
+        fail "flush" (Mvcc.flush m);
+        settle ()
+      end
       else
         (* Cannot happen: a non-finished session either progresses or
            waits on a pending commit. Guard against a scheduler bug
@@ -182,6 +219,7 @@ let run ?(compact_every = 0) ?(note_read = fun _ -> ()) ~sessions ~plans engine 
         failwith "Session.run: deadlock with no pending commits"
   done;
   fail "flush" (Mvcc.flush m);
+  settle ();
   {
     committed = !committed;
     aborted = !aborted;

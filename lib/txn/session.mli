@@ -25,6 +25,21 @@ type plan = {
   reads : (int * int) list;  (** post-commit read phase: (page, slot) *)
 }
 
+(** One step of a run's history, in schedule order. Transactions are
+    named by {!Mvcc.txn_id}. *)
+type event =
+  | Begin of int
+  | Write of { txn : int; page : int; slot : int; data : bytes option }
+      (** a successful write: [Some data] for an update or insert (with
+          the slot the insert got), [None] for a delete *)
+  | Commit_start of int  (** the commit call is about to run *)
+  | Committed of int  (** the commit call returned; durability pends *)
+  | Aborted of int  (** a voluntary abort or a conflict-doomed rollback *)
+  | Durable of int
+      (** the first [n] commits, in [Committed] order, are settled by a
+          completed barrier; reported each time [n] grows *)
+  | Read of bytes option  (** one post-commit read result *)
+
 type session_stats = {
   session : int;  (** session index, [0 .. sessions-1] *)
   commits : int;  (** transactions this session saw through to durable *)
@@ -47,7 +62,7 @@ type outcome = {
 
 val run :
   ?compact_every:int ->
-  ?note_read:(bytes option -> unit) ->
+  ?observe:(event -> unit) ->
   sessions:int ->
   plans:plan array ->
   Ipl_core.Ipl_engine.t ->
@@ -55,6 +70,7 @@ val run :
 (** Multiplex [plans] over [sessions] clients (plan [i] goes to session
     [i mod sessions], preserving per-session order). [compact_every] > 0
     runs a {!Mvcc.compact} with one merge after every that-many finished
-    transactions, like the serial benchmark loop. [note_read] sees every
-    read result in deterministic schedule order. The final batch is
+    transactions, like the serial benchmark loop. [observe] sees the run's
+    history as it happens. A crash campaign maps it onto its recovery
+    oracle, and the benchmark digests the [Read] results. The final batch is
     flushed before returning; the engine is left checkpoint-ready. *)

@@ -15,6 +15,7 @@ module Engine = Ipl_core.Ipl_engine
 module Config = Ipl_core.Ipl_config
 module Json = Ipl_util.Json
 module Rng = Ipl_util.Rng
+module Session = Ipl_txn.Session
 
 type spec = {
   seed : int;
@@ -65,7 +66,7 @@ type concurrency = {
   batched_commits : int;
   max_commit_batch : int;
   throughput_tps : float;
-  per_session : Ipl_txn.Session.session_stats list;
+  per_session : Session.session_stats list;
 }
 
 type t = {
@@ -191,9 +192,9 @@ let run_workload spec engine tracer metrics =
                   if Rng.chance rng 0.25 then 1 + Rng.int rng (2 * spec.payload)
                   else spec.payload
                 in
-                `Update (page, slot, bytes_of len)
-              else if r < 0.85 then `Insert (page, bytes_of spec.payload)
-              else `Delete (page, slot))
+                Session.Update { page; slot; data = bytes_of len }
+              else if r < 0.85 then Session.Insert { page; data = bytes_of spec.payload }
+              else Session.Delete { page; slot })
         in
         let aborting = Rng.chance rng spec.abort_fraction in
         let reads =
@@ -202,22 +203,26 @@ let run_workload spec engine tracer metrics =
               let slot = Rng.int rng (spec.slots_per_page * 2) in
               (page, slot))
         in
-        (ops, aborting, reads))
+        { Session.ops; aborting; reads })
   in
   let run_serial () =
     let write_set ops =
-      List.map (function `Update (p, _, _) | `Insert (p, _) | `Delete (p, _) -> p) ops
+      List.map
+        (function
+          | Session.Update { page; _ } | Session.Insert { page; _ } | Session.Delete { page; _ }
+            ->
+              page)
+        ops
     in
     let start_ws n =
       if n < spec.transactions then
-        let ops, _, _ = plans.(n) in
-        Some (ok (Engine.prefetch_start engine (write_set ops)))
+        Some (ok (Engine.prefetch_start engine (write_set plans.(n).Session.ops)))
       else None
     in
     (* In-flight prefetch of the NEXT transaction's write set. *)
     let next_ws = ref (start_ws 0) in
     for n = 1 to spec.transactions do
-      let ops, aborting, reads = plans.(n - 1) in
+      let { Session.ops; aborting; reads } = plans.(n - 1) in
       let tx = ok (Engine.begin_txn engine) in
       (match !next_ws with
       | Some tok -> ok (Engine.prefetch_finish engine tok)
@@ -239,17 +244,17 @@ let run_workload spec engine tracer metrics =
       in
       List.iter
         (function
-          | `Update (page, slot, data) -> (
+          | Session.Update { page; slot; data } -> (
               match
                 timed elapsed l_update (fun () -> Engine.update engine ~tx ~page ~slot data)
               with
               | Ok () -> ()
               | Error _ -> ())
-          | `Insert (page, data) -> (
+          | Session.Insert { page; data } -> (
               match timed elapsed l_insert (fun () -> Engine.insert engine ~tx ~page data) with
               | Ok slot -> Hashtbl.replace live (page, slot) ()
               | Error _ -> ())
-          | `Delete (page, slot) -> (
+          | Session.Delete { page; slot } -> (
               match timed elapsed l_delete (fun () -> Engine.delete engine ~tx ~page ~slot) with
               | Ok () -> Hashtbl.remove live (page, slot)
               | Error _ -> ()))
@@ -299,43 +304,27 @@ let run_workload spec engine tracer metrics =
          serial operation order — and hence the digest — exactly; more
          sessions interleave round-robin, so commits coalesce into group
          batches and write-write conflicts become possible. *)
-      let splans =
-        Array.map
-          (fun (ops, aborting, reads) ->
-            {
-              Ipl_txn.Session.ops =
-                List.map
-                  (function
-                    | `Update (page, slot, data) ->
-                        Ipl_txn.Session.Update { page; slot; data }
-                    | `Insert (page, data) -> Ipl_txn.Session.Insert { page; data }
-                    | `Delete (page, slot) -> Ipl_txn.Session.Delete { page; slot })
-                  ops;
-              aborting;
-              reads;
-            })
-          plans
-      in
       let o =
-        Ipl_txn.Session.run ~compact_every:spec.compact_every ~note_read
-          ~sessions:spec.sessions ~plans:splans engine
+        Session.run ~compact_every:spec.compact_every
+          ~observe:(function Session.Read v -> note_read v | _ -> ())
+          ~sessions:spec.sessions ~plans engine
       in
       ok (Engine.checkpoint engine);
-      Obs.Metrics.Counter.add c_commit o.Ipl_txn.Session.committed;
+      Obs.Metrics.Counter.add c_commit o.Session.committed;
       Obs.Metrics.Counter.add c_abort
-        (o.Ipl_txn.Session.aborted + o.Ipl_txn.Session.conflict_aborts);
-      let st = o.Ipl_txn.Session.mvcc in
+        (o.Session.aborted + o.Session.conflict_aborts);
+      let st = o.Session.mvcc in
       {
         sessions = spec.sessions;
-        committed = o.Ipl_txn.Session.committed;
-        aborted = o.Ipl_txn.Session.aborted;
-        conflict_aborts = o.Ipl_txn.Session.conflict_aborts;
+        committed = o.Session.committed;
+        aborted = o.Session.aborted;
+        conflict_aborts = o.Session.conflict_aborts;
         conflicts = st.Ipl_txn.Mvcc.conflicts;
         commit_batches = st.Ipl_txn.Mvcc.barriers;
         batched_commits = st.Ipl_txn.Mvcc.batched_commits;
         max_commit_batch = st.Ipl_txn.Mvcc.max_batch;
         throughput_tps = 0.0;
-        per_session = o.Ipl_txn.Session.per_session;
+        per_session = o.Session.per_session;
       }
     end
     else begin
@@ -536,7 +525,7 @@ let concurrency_json c =
     in
     let all =
       List.concat_map
-        (fun (s : Ipl_txn.Session.session_stats) -> s.Ipl_txn.Session.sim_latencies)
+        (fun (s : Session.session_stats) -> s.Session.sim_latencies)
         c.per_session
     in
     Json.Obj
@@ -556,11 +545,11 @@ let concurrency_json c =
         ( "per_session",
           Json.List
             (List.map
-               (fun (s : Ipl_txn.Session.session_stats) ->
+               (fun (s : Session.session_stats) ->
                  Json.Obj
-                   (("session", Json.Int s.Ipl_txn.Session.session)
-                   :: ("commits", Json.Int s.Ipl_txn.Session.commits)
-                   :: latency_summary_json s.Ipl_txn.Session.sim_latencies))
+                   (("session", Json.Int s.Session.session)
+                   :: ("commits", Json.Int s.Session.commits)
+                   :: latency_summary_json s.Session.sim_latencies))
                c.per_session) );
       ]
 
@@ -654,8 +643,8 @@ let run ?(spec = default) ?(jobs = 1) () =
           ( "session_commit_wait",
             ns
               (List.fold_left
-                 (fun acc (s : Ipl_txn.Session.session_stats) ->
-                   acc +. s.Ipl_txn.Session.host_latency_s)
+                 (fun acc (s : Session.session_stats) ->
+                   acc +. s.Session.host_latency_s)
                  0.0 conc.per_session) );
         ])
   in

@@ -294,13 +294,22 @@ let db vals =
   List.iter (fun (k, v) -> Hashtbl.replace h k (Bytes.of_string v)) vals;
   h
 
+module Ev = Ipl_txn.Session
+
+let put v = Some (Bytes.of_string v)
+let write o ~txn ~slot data = Oracle.observe o (Ev.Write { txn; page = 0; slot; data })
+
+(* A serial commit as the serial loop reports it: the durable watermark
+   follows every returned commit. *)
+let serial_commit o ~txn writes =
+  Oracle.observe o (Ev.Begin txn);
+  List.iter (fun (slot, data) -> write o ~txn ~slot data) writes;
+  List.iter (Oracle.observe o) [ Ev.Commit_start txn; Ev.Committed txn; Ev.Durable txn ]
+
 let test_oracle_catches_lost_commit () =
   let o = Oracle.create () in
   Oracle.seed o ~page:0 ~slot:0 (Bytes.of_string "keep");
-  Oracle.begin_txn o;
-  Oracle.note o ~page:0 ~slot:1 (Some (Bytes.of_string "new"));
-  Oracle.start_commit o;
-  Oracle.end_commit o;
+  serial_commit o ~txn:1 [ (1, put "new") ];
   Alcotest.(check bool) "intact state passes" true
     (Oracle.check o ~read:(read_of (db [ ((0, 0), "keep"); ((0, 1), "new") ])) ~pages:[ 0 ]
        ~slots:4
@@ -311,9 +320,9 @@ let test_oracle_catches_lost_commit () =
 let test_oracle_catches_surviving_uncommitted () =
   let o = Oracle.create () in
   Oracle.seed o ~page:0 ~slot:0 (Bytes.of_string "base");
-  Oracle.begin_txn o;
-  Oracle.note o ~page:0 ~slot:0 (Some (Bytes.of_string "dirty"));
-  Alcotest.(check bool) "not in doubt" true (Oracle.crash o = Oracle.Rolled_back);
+  Oracle.observe o (Ev.Begin 1);
+  write o ~txn:1 ~slot:0 (put "dirty");
+  Alcotest.(check bool) "not in doubt" true (Oracle.crash o = Oracle.Settled);
   Alcotest.(check bool) "rolled-back state passes" true
     (Oracle.check o ~read:(read_of (db [ ((0, 0), "base") ])) ~pages:[ 0 ] ~slots:2 = []);
   Alcotest.(check bool) "surviving uncommitted write flagged" true
@@ -323,10 +332,10 @@ let test_oracle_in_doubt_atomicity () =
   let o = Oracle.create () in
   Oracle.seed o ~page:0 ~slot:0 (Bytes.of_string "old0");
   Oracle.seed o ~page:0 ~slot:1 (Bytes.of_string "old1");
-  Oracle.begin_txn o;
-  Oracle.note o ~page:0 ~slot:0 (Some (Bytes.of_string "new0"));
-  Oracle.note o ~page:0 ~slot:1 (Some (Bytes.of_string "new1"));
-  Oracle.start_commit o;
+  Oracle.observe o (Ev.Begin 1);
+  write o ~txn:1 ~slot:0 (put "new0");
+  write o ~txn:1 ~slot:1 (put "new1");
+  Oracle.observe o (Ev.Commit_start 1);
   Alcotest.(check bool) "in doubt" true (Oracle.crash o = Oracle.In_doubt);
   let check vals = Oracle.check o ~read:(read_of (db vals)) ~pages:[ 0 ] ~slots:2 in
   Alcotest.(check bool) "pre-commit state legal" true
@@ -336,31 +345,61 @@ let test_oracle_in_doubt_atomicity () =
   Alcotest.(check bool) "half-applied commit flagged" true
     (check [ ((0, 0), "new0"); ((0, 1), "old1") ] <> [])
 
-(* ---------------- the concurrent oracle ---------------- *)
+let test_oracle_empty_commit_settled () =
+  let o = Oracle.create () in
+  Oracle.seed o ~page:0 ~slot:0 (Bytes.of_string "base");
+  serial_commit o ~txn:1 [ (1, put "a") ];
+  Oracle.observe o (Ev.Begin 2);
+  Oracle.observe o (Ev.Commit_start 2);
+  Alcotest.(check bool) "nothing written: not in doubt" true (Oracle.crash o = Oracle.Settled);
+  Alcotest.(check bool) "committed state passes" true
+    (Oracle.check o ~read:(read_of (db [ ((0, 0), "base"); ((0, 1), "a") ])) ~pages:[ 0 ]
+       ~slots:2
+    = [])
 
-module COracle = Fault.Concurrent_oracle
+let test_oracle_current () =
+  let o = Oracle.create () in
+  Oracle.seed o ~page:0 ~slot:0 (Bytes.of_string "base0");
+  Oracle.seed o ~page:0 ~slot:1 (Bytes.of_string "base1");
+  serial_commit o ~txn:1 [ (1, put "committed"); (2, put "gone") ];
+  serial_commit o ~txn:2 [ (2, None) ];
+  Oracle.observe o (Ev.Begin 3);
+  write o ~txn:3 ~slot:0 (put "mine");
+  write o ~txn:3 ~slot:3 (put "new");
+  write o ~txn:3 ~slot:3 None;
+  let current slot = Option.map Bytes.to_string (Oracle.current o ~txn:3 ~page:0 ~slot) in
+  Alcotest.(check (option string)) "own write over setup" (Some "mine") (current 0);
+  Alcotest.(check (option string)) "latest commit" (Some "committed") (current 1);
+  Alcotest.(check (option string)) "committed delete" None (current 2);
+  Alcotest.(check (option string)) "own delete, newest write wins" None (current 3);
+  Oracle.observe o (Ev.Aborted 3);
+  Oracle.observe o (Ev.Begin 4);
+  Alcotest.(check (option string)) "aborted write gone" (Some "base0")
+    (Option.map Bytes.to_string (Oracle.current o ~txn:4 ~page:0 ~slot:0))
+
+(* ---------------- the oracle on MVCC histories ---------------- *)
 
 (* Seed slot 0 with "base", then commit one transaction per value in
-   order, transaction i writing slot i. *)
+   order, transaction i writing slot i; no barrier settles them. *)
 let committed_history values =
-  let o = COracle.create () in
-  COracle.seed o ~page:0 ~slot:0 (Bytes.of_string "base");
+  let o = Oracle.create () in
+  Oracle.seed o ~page:0 ~slot:0 (Bytes.of_string "base");
   List.iteri
     (fun i v ->
       let txn = i + 1 in
-      COracle.begin_txn o ~txn;
-      COracle.note o ~txn ~page:0 ~slot:txn (Some (Bytes.of_string v));
-      COracle.start_commit o ~txn;
-      COracle.end_commit o ~txn)
+      Oracle.observe o (Ev.Begin txn);
+      write o ~txn ~slot:txn (put v);
+      Oracle.observe o (Ev.Commit_start txn);
+      Oracle.observe o (Ev.Committed txn))
     values;
   o
 
-let ccheck o vals = COracle.check o ~read:(read_of (db vals)) ~pages:[ 0 ] ~slots:4
+let ccheck o vals = Oracle.check o ~read:(read_of (db vals)) ~pages:[ 0 ] ~slots:4
 
 let test_coracle_watermark () =
   let o = committed_history [ "a"; "b" ] in
-  COracle.durable o 1;
-  Alcotest.(check bool) "settled" true (COracle.crash o = COracle.Settled);
+  Oracle.observe o (Ev.Durable 1);
+  Alcotest.(check bool) "settled" true (Oracle.crash o = Oracle.Settled);
   Alcotest.(check bool) "prefix at the watermark passes" true
     (ccheck o [ ((0, 0), "base"); ((0, 1), "a") ] = []);
   Alcotest.(check bool) "full commit order passes" true
@@ -370,7 +409,7 @@ let test_coracle_watermark () =
 
 let test_coracle_skipped_commit () =
   let o = committed_history [ "a"; "b"; "c" ] in
-  ignore (COracle.crash o : COracle.outcome);
+  ignore (Oracle.crash o : Oracle.outcome);
   Alcotest.(check bool) "empty prefix passes" true (ccheck o [ ((0, 0), "base") ] = []);
   Alcotest.(check bool) "two-commit prefix passes" true
     (ccheck o [ ((0, 0), "base"); ((0, 1), "a"); ((0, 2), "b") ] = []);
@@ -379,12 +418,12 @@ let test_coracle_skipped_commit () =
 
 let test_coracle_in_doubt () =
   let o = committed_history [ "a" ] in
-  COracle.durable o 1;
-  COracle.begin_txn o ~txn:2;
-  COracle.note o ~txn:2 ~page:0 ~slot:2 (Some (Bytes.of_string "b"));
-  COracle.note o ~txn:2 ~page:0 ~slot:3 (Some (Bytes.of_string "c"));
-  COracle.start_commit o ~txn:2;
-  Alcotest.(check bool) "in doubt" true (COracle.crash o = COracle.In_doubt);
+  Oracle.observe o (Ev.Durable 1);
+  Oracle.observe o (Ev.Begin 2);
+  write o ~txn:2 ~slot:2 (put "b");
+  write o ~txn:2 ~slot:3 (put "c");
+  Oracle.observe o (Ev.Commit_start 2);
+  Alcotest.(check bool) "in doubt" true (Oracle.crash o = Oracle.In_doubt);
   let before = [ ((0, 0), "base"); ((0, 1), "a") ] in
   Alcotest.(check bool) "in-doubt commit absent passes" true (ccheck o before = []);
   Alcotest.(check bool) "in-doubt commit present passes" true
@@ -396,13 +435,13 @@ let test_coracle_aborted_write () =
   let o = committed_history [ "a" ] in
   (* A voluntary abort, and a conflict loser that the MVCC layer doomed
      after one successful write: both leave the commit order. *)
-  COracle.begin_txn o ~txn:2;
-  COracle.note o ~txn:2 ~page:0 ~slot:2 (Some (Bytes.of_string "aborted"));
-  COracle.abort o ~txn:2;
-  COracle.begin_txn o ~txn:3;
-  COracle.note o ~txn:3 ~page:0 ~slot:0 (Some (Bytes.of_string "loser"));
-  COracle.abort o ~txn:3;
-  ignore (COracle.crash o : COracle.outcome);
+  Oracle.observe o (Ev.Begin 2);
+  write o ~txn:2 ~slot:2 (put "aborted");
+  Oracle.observe o (Ev.Aborted 2);
+  Oracle.observe o (Ev.Begin 3);
+  write o ~txn:3 ~slot:0 (put "loser");
+  Oracle.observe o (Ev.Aborted 3);
+  ignore (Oracle.crash o : Oracle.outcome);
   let clean = [ ((0, 0), "base"); ((0, 1), "a") ] in
   Alcotest.(check bool) "clean state passes" true (ccheck o clean = []);
   Alcotest.(check bool) "surviving aborted write flagged" true
@@ -471,6 +510,9 @@ let () =
           Alcotest.test_case "catches surviving uncommitted" `Quick
             test_oracle_catches_surviving_uncommitted;
           Alcotest.test_case "in-doubt atomicity" `Quick test_oracle_in_doubt_atomicity;
+          Alcotest.test_case "empty mid-commit is not in doubt" `Quick
+            test_oracle_empty_commit_settled;
+          Alcotest.test_case "current overlays own writes" `Quick test_oracle_current;
         ] );
       ( "concurrent oracle",
         [

@@ -288,6 +288,12 @@ let make_plans rand ~plans ~pages ~slots =
       let reads = List.init 2 (fun _ -> (pages.(rand (Array.length pages)), rand slots)) in
       { Session.ops; aborting = rand 10 = 0; reads })
 
+(* Append every read result of a run to [trace]. *)
+let note_read trace = function
+  | Session.Read v ->
+      Buffer.add_string trace (match v with None -> "-;" | Some bs -> Bytes.to_string bs ^ ";")
+  | _ -> ()
+
 (* Run one configuration from scratch: fresh chip, engine, seeded pages.
    Returns the outcome plus the full read trace and final committed state
    — everything an identical run must reproduce bit-for-bit. *)
@@ -296,10 +302,7 @@ let run_config ~sessions ~seed:s ~plans:n_plans =
   let pids = seed m ~pages:2 ~slots:4 in
   let plans = make_plans (lcg s) ~plans:n_plans ~pages:pids ~slots:6 in
   let trace = Buffer.create 256 in
-  let note_read v =
-    Buffer.add_string trace (match v with None -> "-;" | Some bs -> Bytes.to_string bs ^ ";")
-  in
-  let outcome = Session.run ~note_read ~sessions ~plans (Mvcc.engine m) in
+  let outcome = Session.run ~observe:(note_read trace) ~sessions ~plans (Mvcc.engine m) in
   let state =
     Array.to_list pids
     |> List.concat_map (fun page ->
@@ -385,6 +388,50 @@ let test_session_batching () =
     (s.Mvcc.barriers < s.Mvcc.commits);
   Alcotest.(check int) "every commit settled" s.Mvcc.commits s.Mvcc.batched_commits
 
+let test_session_history () =
+  (* The history stream of a seeded six-client run agrees with the
+     outcome, keeps writes inside open transactions, never lowers the
+     durable watermark, and carries the read results that the
+     benchmark digests. *)
+  let _, m = mk () in
+  let pids = seed m ~pages:2 ~slots:4 in
+  let plans = make_plans (lcg 11) ~plans:40 ~pages:pids ~slots:6 in
+  let events = ref [] in
+  let o = Session.run ~observe:(fun e -> events := e :: !events) ~sessions:6 ~plans (Mvcc.engine m) in
+  let events = List.rev !events in
+  let count f = List.length (List.filter f events) in
+  Alcotest.(check int) "Committed events" o.Session.committed
+    (count (function Session.Committed _ -> true | _ -> false));
+  Alcotest.(check int) "Aborted events" (o.Session.aborted + o.Session.conflict_aborts)
+    (count (function Session.Aborted _ -> true | _ -> false));
+  Alcotest.(check bool) "conflicts exercised" true (o.Session.conflict_aborts > 0);
+  let open_txns = Hashtbl.create 8 in
+  List.iter
+    (function
+      | Session.Begin txn -> Hashtbl.replace open_txns txn ()
+      | Session.Commit_start txn | Session.Aborted txn -> Hashtbl.remove open_txns txn
+      | Session.Write { txn; _ } ->
+          if not (Hashtbl.mem open_txns txn) then
+            Alcotest.failf "write of transaction %d outside its open span" txn
+      | Session.Committed _ | Session.Durable _ | Session.Read _ -> ())
+    events;
+  let marks = List.filter_map (function Session.Durable n -> Some n | _ -> None) events in
+  ignore
+    (List.fold_left
+       (fun prev n ->
+         if n < prev then Alcotest.failf "durable watermark fell from %d to %d" prev n;
+         n)
+       0 marks
+      : int);
+  Alcotest.(check (option int)) "watermark ends at committed" (Some o.Session.committed)
+    (List.nth_opt marks (List.length marks - 1));
+  let trace = Buffer.create 256 in
+  List.iter (note_read trace) events;
+  (* Pinned from a read callback over the same run: the stream must carry
+     exactly the reads the scheduler makes. *)
+  Alcotest.(check string) "read digest" "8cda8d8011243d6cf3dbd266da170c76"
+    (Digest.to_hex (Digest.string (Buffer.contents trace)))
+
 (* ---------------- QCheck: interleavings ---------------- *)
 
 (* Encoded plan: (kind, page-index, slot, payload) per op, plus the abort
@@ -410,10 +457,7 @@ let run_encoded ~sessions encoded =
   let pids = seed m ~pages:2 ~slots:4 in
   let plans = Array.of_list (List.map (decode_plan pids) encoded) in
   let trace = Buffer.create 256 in
-  let note_read v =
-    Buffer.add_string trace (match v with None -> "-;" | Some bs -> Bytes.to_string bs ^ ";")
-  in
-  let outcome = Session.run ~note_read ~sessions ~plans (Mvcc.engine m) in
+  let outcome = Session.run ~observe:(note_read trace) ~sessions ~plans (Mvcc.engine m) in
   (outcome, Buffer.contents trace)
 
 let prop_interleaving_deterministic =
@@ -459,6 +503,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_session_determinism;
           Alcotest.test_case "one session = serial" `Quick test_single_session_is_serial;
           Alcotest.test_case "batching" `Quick test_session_batching;
+          Alcotest.test_case "history stream" `Quick test_session_history;
           QCheck_alcotest.to_alcotest prop_interleaving_deterministic;
         ] );
     ]
