@@ -439,16 +439,17 @@ let ablation_read_amplification () =
       let eu = Store.eu_of_page store page in
       let have = Store.used_log_sectors store ~eu in
       for _ = have + 1 to target do
-        Store.flush_log store ~page
-          [
-            {
-              Ipl_core.Log_record.txid = 0;
-              page;
-              op =
-                Ipl_core.Log_record.Update_range
-                  { slot = 0; offset = 0; before = Bytes.make 8 'r'; after = Bytes.make 8 'r' };
-            };
-          ]
+        List.iter (Store.flush_log store)
+          (Ipl_core.Log_sector.pack ~capacity:(Chip.config chip).FConfig.sector_size
+             [
+               {
+                 Ipl_core.Log_record.txid = 0;
+                 page;
+                 op =
+                   Ipl_core.Log_record.Update_range
+                     { slot = 0; offset = 0; before = Bytes.make 8 'r'; after = Bytes.make 8 'r' };
+               };
+             ])
       done;
       let eu = Store.eu_of_page store page in
       let used = Store.used_log_sectors store ~eu in

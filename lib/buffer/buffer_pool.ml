@@ -20,7 +20,7 @@ type stats = { hits : int; misses : int; evictions : int; dirty_write_backs : in
 type 'a t = {
   capacity : int;
   fetch : int -> 'a option -> 'a;
-  write_back : int -> 'a -> unit;
+  write_back : (int * 'a) list -> unit;
   mutable index : 'a frame option array;
   mutable resident : int;
   mutable mru : 'a frame option;
@@ -145,14 +145,19 @@ let touch t f =
       unlink t f;
       push_front t f
 
+(* A frame the write-back callback has just persisted: one write-back
+   and one trace event per frame, whatever the size of its batch. *)
+let cleaned t f =
+  t.dirty_write_backs <- t.dirty_write_backs + 1;
+  set_dirty t f false;
+  match t.trace with
+  | None -> ()
+  | Some emit -> emit (Obs.Event.Write_back { page = f.key })
+
 let write_back_frame t f =
   if f.dirty then begin
-    t.write_back f.key f.value;
-    t.dirty_write_backs <- t.dirty_write_backs + 1;
-    set_dirty t f false;
-    match t.trace with
-    | None -> ()
-    | Some emit -> emit (Obs.Event.Write_back { page = f.key })
+    t.write_back [ (f.key, f.value) ];
+    cleaned t f
   end
 
 (* Evict the least-recently-used unpinned frame; returns its value. *)
@@ -240,17 +245,21 @@ let capacity t = t.capacity
 let cached t = t.resident
 let dirty_count t = t.dirty_frames
 
-(* Oldest-dirtied first. The successor is read before the write-back
-   unlinks the frame. *)
+(* One batch, oldest-dirtied first: the dirty list is walked from its
+   newest end, so consing builds the batch in order. If the callback
+   raises, every frame stays dirty. *)
 let flush_all t =
-  let rec walk = function
-    | None -> ()
-    | Some f ->
-        let next = f.dirty_next in
-        write_back_frame t f;
-        walk next
+  let rec batch acc = function
+    | None -> acc
+    | Some f -> batch ((f.key, f.value) :: acc) f.dirty_prev
   in
-  walk t.dirty_old
+  match batch [] t.dirty_new with
+  | [] -> ()
+  | frames ->
+      t.write_back frames;
+      List.iter
+        (fun (key, _) -> match lookup t key with Some f -> cleaned t f | None -> ())
+        frames
 
 (* Most-recently-used first. *)
 let iter f t =

@@ -5,11 +5,13 @@
     the trace generators store placeholder frames. Replacement is strict
     LRU over unpinned frames (constant-time via an intrusive list).
 
-    [fetch] is called on a miss; [write_back] is called exactly once each
-    time a dirty frame is cleaned — on eviction, on {!flush_all}, or on
-    {!drop_all}. This mirrors the paper's buffer manager contract: evicting
-    a dirty page triggers the flush of its in-memory log sector (not a
-    write of the whole page). *)
+    [fetch] is called on a miss; [write_back] is called with a batch of
+    dirty frames to clean: an eviction passes its one frame, and
+    {!flush_all} (and so {!drop_all}) passes every dirty frame in one
+    call. Each frame of a batch counts as one write-back. This mirrors the
+    paper's buffer manager contract: evicting a dirty page triggers the
+    flush of its in-memory log sector (not a write of the whole page),
+    and a commit's flush can pack the log sectors of several pages. *)
 
 type 'a t
 
@@ -18,7 +20,7 @@ type stats = { hits : int; misses : int; evictions : int; dirty_write_backs : in
 val create :
   capacity:int ->
   fetch:(int -> 'a option -> 'a) ->
-  write_back:(int -> 'a -> unit) ->
+  write_back:((int * 'a) list -> unit) ->
   unit ->
   'a t
 (** [capacity] must be positive. [fetch key evicted] loads [key] on a
@@ -28,7 +30,9 @@ val create :
     of allocating. It is [None] on a miss in a pool with room; {!preload}
     never calls [fetch]. Because a recycled value becomes another key's
     value, nothing may keep a value past the {!with_page} callback that
-    received it. *)
+    received it. [write_back frames] must persist every [(key, value)] of
+    [frames] and must not call back into the pool; if it raises, none of
+    the batch's frames is cleaned. *)
 
 val with_page : 'a t -> int -> ?dirty:bool -> ('a -> 'b) -> 'b
 (** [with_page t key f] pins the frame for [key] (fetching it on a miss,
@@ -79,10 +83,11 @@ val dirty_count : 'a t -> int
     dirty-flag transition, not a scan. *)
 
 val flush_all : 'a t -> unit
-(** Write back every dirty frame (keeping them cached and now clean), in
-    the order the frames became dirty, oldest first. It walks an
-    intrusive list of the dirty frames, so its cost does not grow with
-    the clean resident ones. *)
+(** Write back every dirty frame (keeping them cached and now clean) with
+    one [write_back] call, the frames in the order they became dirty,
+    oldest first. It walks an intrusive list of the dirty frames, so its
+    cost does not grow with the clean resident ones. With no dirty frame
+    it calls nothing. *)
 
 val drop_all : 'a t -> unit
 (** Write back every dirty frame and empty the pool. Raises [Failure] if

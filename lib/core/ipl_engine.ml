@@ -83,16 +83,84 @@ let storage t = t.store
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let flush_frame store trx page frame =
-  if not (Log_sector.is_empty frame.log) then begin
-    (* Write-ahead rule for transaction-status records: before any of a
-       transaction's physiological records reach flash, its begin record
-       must be durable, or a crash would leave records whose status lookup
-       defaults to "committed". *)
-    if Log_sector.has_user_txn frame.log then Trx_log.force trx;
-    Ipl_storage.flush_log store ~page (Log_sector.records frame.log);
-    Log_sector.clear frame.log
-  end
+(* After a flush that failed part-way through a unit's sectors, the
+   frames whose records all reached flash are emptied and the frame the
+   failure cut keeps only the records still owed, so every frame's page
+   stays its flash image plus its in-memory log. *)
+let rec keep_unflushed flushed = function
+  | [] -> ()
+  | (_, frame) :: rest ->
+      let n = Log_sector.count frame.log in
+      if flushed >= n then begin
+        Log_sector.clear frame.log;
+        keep_unflushed (flushed - n) rest
+      end
+      else if flushed > 0 then begin
+        let owed = List.filteri (fun i _ -> i >= flushed) (Log_sector.records frame.log) in
+        Log_sector.clear frame.log;
+        List.iter
+          (fun r ->
+            match Log_sector.add frame.log r with
+            | `Added -> ()
+            | `Full -> assert false (* a subset of what the sector held *))
+          owed
+      end
+
+(* [sectors] hold the records of [frames], in order; [flushed] of those
+   records are on flash already. *)
+let rec flush_sectors store frames flushed = function
+  | [] -> List.iter (fun (_, frame) -> Log_sector.clear frame.log) frames
+  | sector :: sectors ->
+      (match Ipl_storage.flush_log store sector with
+      | () -> ()
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          keep_unflushed flushed frames;
+          Printexc.raise_with_backtrace e bt);
+      flush_sectors store frames (flushed + Log_sector.count sector) sectors
+
+let rec in_unit store eu = function
+  | [] -> true
+  | (pid, _) :: rest -> Ipl_storage.eu_of_page store pid = eu && in_unit store eu rest
+
+(* Group [frames] by erase unit, in order of first appearance, and flush
+   each group's records, in arrival order, in as few sectors as they fit.
+   A merge during the flush moves a unit's pages together, so units
+   looked up before it still group the frames that follow. *)
+let rec flush_by_unit store ~sector_size = function
+  | [] -> ()
+  | (_, frame) :: rest when Log_sector.is_empty frame.log ->
+      flush_by_unit store ~sector_size rest
+  | (pid, _) :: _ as frames ->
+      let eu = Ipl_storage.eu_of_page store pid in
+      let mine, rest =
+        if in_unit store eu frames then (frames, [])
+        else List.partition (fun (p, _) -> Ipl_storage.eu_of_page store p = eu) frames
+      in
+      let sectors =
+        match mine with
+        | [ (_, frame) ] -> [ frame.log ] (* one frame's log is one sector already *)
+        | _ ->
+            Log_sector.pack ~capacity:sector_size
+              (List.concat_map (fun (_, frame) -> Log_sector.records frame.log) mine)
+      in
+      flush_sectors store mine 0 sectors;
+      flush_by_unit store ~sector_size rest
+
+(* The one flush path: a commit's or checkpoint's whole batch of dirty
+   frames (oldest-dirtied first), an eviction's one frame, or a frame
+   whose in-memory log sector is full. Write-ahead rule for
+   transaction-status records: before any of a transaction's
+   physiological records reach flash, its begin record must be durable,
+   or a crash would leave records whose status lookup defaults to
+   "committed"; one force covers the batch. A unit's log region is
+   shared by all its pages, so the pages of one unit that a commit
+   dirtied share its sectors instead of taking one each. A frame's log
+   is cleared only once its records are on flash. *)
+let flush_frames store trx ~sector_size batch =
+  if List.exists (fun (_, frame) -> Log_sector.has_user_txn frame.log) batch then
+    Trx_log.force trx;
+  flush_by_unit store ~sector_size batch
 
 (* A miss in a full pool re-reads the new page straight into the frame
    it just evicted, reusing both its page bytes and its log sector. An
@@ -113,10 +181,11 @@ let fetch_frame store ~log_bytes pid evicted =
       }
 
 let build config dev store bbm trx =
+  let sector_size = (Dev.config dev).FConfig.sector_size in
   let pool =
     Pool.create ~capacity:config.Ipl_config.buffer_pages
-      ~fetch:(fetch_frame store ~log_bytes:(Dev.config dev).FConfig.sector_size)
-      ~write_back:(fun pid frame -> flush_frame store trx pid frame)
+      ~fetch:(fetch_frame store ~log_bytes:sector_size)
+      ~write_back:(flush_frames store trx ~sector_size)
       ()
   in
   {
@@ -372,7 +441,9 @@ let add_record t frame ~page record =
   match Log_sector.add frame.log record with
   | `Added -> ()
   | `Full -> (
-      (try flush_frame t.store t.trx page frame
+      (try
+         flush_frames t.store t.trx ~sector_size:(Dev.config t.dev).FConfig.sector_size
+           [ (page, frame) ]
        with e ->
          restore_frame t ~page frame;
          raise e);
@@ -650,6 +721,9 @@ module Unsafe = struct
   let checkpoint = checkpoint
   let compact = compact
   let drain_repairs = drain_repairs
+
+  let buffered_log t page =
+    Option.map (fun frame -> Log_sector.records frame.log) (Pool.find t.pool page)
 end
 
 let begin_txn t = guard t (fun () -> Ok (Unsafe.begin_txn t))

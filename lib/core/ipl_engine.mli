@@ -324,4 +324,10 @@ module Unsafe : sig
   val checkpoint : t -> unit
   val compact : t -> max_merges:int -> int
   val drain_repairs : t -> max_eus:int -> int
+
+  val buffered_log : t -> int -> Log_record.t list option
+  (** The in-memory log records of a resident page, in arrival order
+      ([None] if the page is not in the buffer pool): with the stored
+      image and flash log ({!Ipl_storage.read_page}) they make up the
+      buffered page. *)
 end

@@ -394,16 +394,6 @@ let read_eu_log_records ?cls t eu =
         cache_note t eu ~hit:false;
         records
 
-let serialize_records t records =
-  let ls = Log_sector.create ~capacity:(sector_size t) in
-  List.iter
-    (fun r ->
-      match Log_sector.add ls r with
-      | `Added -> ()
-      | `Full -> invalid_arg "Ipl_storage: records exceed one log sector")
-    records;
-  Log_sector.serialize ls
-
 let note_records eu records =
   List.iter
     (fun r ->
@@ -711,33 +701,9 @@ let classify t records =
    Each sector image is paired with the records it holds, so the merge
    can mirror exactly the persisted records into the cache. *)
 let pack_sectors t records =
-  let sectors = ref [] in
-  let cur = ref (Log_sector.create ~capacity:(sector_size t)) in
-  let cur_records = ref [] in
-  let seal () =
-    if not (Log_sector.is_empty !cur) then begin
-      sectors := (Log_sector.serialize !cur, List.rev !cur_records) :: !sectors;
-      cur := Log_sector.create ~capacity:(sector_size t);
-      cur_records := []
-    end
-  in
-  List.iter
-    (fun r ->
-      match Log_sector.add !cur r with
-      | `Added -> cur_records := r :: !cur_records
-      | `Full -> (
-          seal ();
-          match Log_sector.add !cur r with
-          | `Added -> cur_records := r :: !cur_records
-          | `Full ->
-              (* Unreachable today — [Log_sector.add] raises before
-                 answering [`Full] on an empty sector — but kept typed so
-                 a future Log_sector change surfaces as a clean error
-                 instead of a crash mid-merge. *)
-              raise (Log_sector.Record_too_large (Log_record.encoded_size r))))
-    records;
-  seal ();
-  List.rev !sectors
+  List.map
+    (fun s -> (Log_sector.serialize s, Log_sector.records s))
+    (Log_sector.pack ~capacity:(sector_size t) records)
 
 (* Undo an in-merge [release_overflow]: re-attach the sectors and their
    live counts. The sectors were already invalidated on the chip, but
@@ -979,22 +945,41 @@ let active_fraction t eu ~pending =
   if total = 0 then 0.0
   else float_of_int (active_stored + active_of pending) /. float_of_int total
 
-let flush_log t ~page records =
-  if records = [] then invalid_arg "Ipl_storage.flush_log: no records";
-  List.iter
-    (fun r ->
-      if r.Log_record.page <> page then
-        invalid_arg "Ipl_storage.flush_log: record for a different page")
-    records;
+(* The first record of [records] whose page is not in unit [eu], if
+   any. A top-level walk: the flush path allocates no closure for it. *)
+let rec stranger t eu ~page = function
+  | [] -> None
+  | r :: rest ->
+      let p = r.Log_record.page in
+      if p <> page && (fst (lookup t p)).phys <> eu.phys then Some p
+      else stranger t eu ~page rest
+
+let sector_bytes t sector =
+  let bytes = Log_sector.serialize sector in
+  if Bytes.length bytes <> sector_size t then
+    invalid_arg "Ipl_storage.flush_log: not a sector of this device";
+  bytes
+
+let flush_log t sector =
+  let records = Log_sector.records sector in
+  let page =
+    match records with
+    | [] -> invalid_arg "Ipl_storage.flush_log: no records"
+    | r :: _ -> r.Log_record.page
+  in
   let eu, _ = lookup t page in
+  (match stranger t eu ~page records with
+  | None -> ()
+  | Some p ->
+      invalid_arg
+        (Printf.sprintf "Ipl_storage.flush_log: page %d is not in unit %d" p eu.phys));
   (* An unrepaired unit must be settled before the write-through append
      below: the cache entry a later repair installs has to include this
      flush's records too. *)
   repair_eu_if_pending t eu;
   if eu.used_log < t.log_sectors then begin
-    let sector = serialize_records t records in
     let addr = log_sector_addr t eu.phys eu.used_log in
-    Bbm.submit_write_sectors t.bbm ~cls:Dev.Log_flush ~sector:addr sector;
+    Bbm.submit_write_sectors t.bbm ~cls:Dev.Log_flush ~sector:addr (sector_bytes t sector);
     eu.used_log <- eu.used_log + 1;
     note_records eu records;
     (* Write-through only after the program succeeded: the cache must
@@ -1009,8 +994,7 @@ let flush_log t ~page records =
   end
   else if active_fraction t eu ~pending:records > t.config.Ipl_config.selective_merge_threshold
   then begin
-    let sector = serialize_records t records in
-    overflow_write t eu sector;
+    overflow_write t eu (sector_bytes t sector);
     note_records eu records;
     Cache.Log_cache.append t.cache eu.phys records;
     t.c_overflow_diversions <- t.c_overflow_diversions + 1;

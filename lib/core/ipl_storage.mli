@@ -174,11 +174,15 @@ val read_pages_finish : t -> read_batch -> (int * Storage.Page.t) list
     splitting the two lets the await overlap a durability barrier the
     caller issues in between (the barrier settles the reads too). *)
 
-val flush_log : t -> page:int -> Log_record.t list -> unit
-(** Persist one in-memory log sector's records for [page]. Writes a log
-    sector in the page's erase unit, or — if none is free — merges the
-    unit (consuming the records) or diverts the sector to an overflow
-    area. [records] must be non-empty and fit one sector. *)
+val flush_log : t -> Log_sector.t -> unit
+(** Persist one log sector's records, for any pages of one erase unit:
+    the unit hosting the first record's page. Writes a log sector in that
+    unit, or — if none is free — merges the unit (consuming the records)
+    or diverts the sector to an overflow area. The sector must be
+    non-empty and have the device's sector size; a record for a page of
+    another unit raises [Invalid_argument] before anything is written.
+    The [Log_flush] or [Overflow_diversion] event names the first
+    record's page. *)
 
 val force_meta : t -> unit
 (** Make allocations/merges performed so far durable. *)

@@ -24,6 +24,23 @@ let add t r =
     `Added
   end
 
+(* Greedy, in order: a sector is sealed only when the next record does
+   not fit it, which for contiguous runs is also the fewest sectors. *)
+let pack ~capacity records =
+  let rec go cur acc = function
+    | [] -> List.rev (if cur.count = 0 then acc else cur :: acc)
+    | r :: rest -> (
+        match add cur r with
+        | `Added -> go cur acc rest
+        | `Full ->
+            let next = create ~capacity in
+            (match add next r with
+            | `Added -> ()
+            | `Full -> assert false (* an empty sector takes any record [add] admits *));
+            go next (cur :: acc) rest)
+  in
+  go (create ~capacity) [] records
+
 let records t = List.rev t.rev_records
 let count t = t.count
 let bytes_used t = t.used

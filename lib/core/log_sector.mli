@@ -29,6 +29,12 @@ val add : t -> Log_record.t -> [ `Added | `Full ]
 val records : t -> Log_record.t list
 (** In arrival order. *)
 
+val pack : capacity:int -> Log_record.t list -> t list
+(** [pack ~capacity records] puts [records], in order, into as few
+    sectors of [capacity] bytes as they fit: each sector is filled before
+    the next is started. Raises {!Record_too_large} for a record no
+    sector can hold. *)
+
 val count : t -> int
 val bytes_used : t -> int
 (** Including the sector header. *)

@@ -34,13 +34,26 @@ module Latency = struct
       count = 0;
     }
 
-  let rec bits acc n = if n <= 1 then acc else bits (acc + 1) (n lsr 1)
+  (* floor(log2 n) for n > 1, 0 otherwise, by halving the bit range: six
+     tests for any [int] instead of one step per bit. *)
+  let[@inline] log2_floor n =
+    if n <= 1 then 0
+    else begin
+      let n = ref n and r = ref 0 in
+      if !n lsr 32 <> 0 then begin n := !n lsr 32; r := 32 end;
+      if !n lsr 16 <> 0 then begin n := !n lsr 16; r := !r + 16 end;
+      if !n lsr 8 <> 0 then begin n := !n lsr 8; r := !r + 8 end;
+      if !n lsr 4 <> 0 then begin n := !n lsr 4; r := !r + 4 end;
+      if !n lsr 2 <> 0 then begin n := !n lsr 2; r := !r + 2 end;
+      if !n lsr 1 <> 0 then r := !r + 1;
+      !r
+    end
 
   (* floor(log2 ns) computed on the truncated integer — exact, no float
      log rounding at bucket boundaries. At most 62 for any [int]. *)
   let[@inline] bucket_of_seconds v =
     let ns = v *. 1e9 in
-    if ns < 1.0 then 0 else bits 0 (int_of_float ns)
+    if ns < 1.0 then 0 else log2_floor (int_of_float ns)
 
   (* Inlined, so [observe_batch] passes no boxed float. *)
   let[@inline] observe t v =

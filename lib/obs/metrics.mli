@@ -37,6 +37,10 @@ module Latency : sig
   val mean : t -> float
   (** All 0.0 when no observations were made. *)
 
+  val bucket_of_seconds : float -> int
+  (** The bucket of an observation: floor(log2) of its whole nanoseconds,
+      0 below 2 ns. *)
+
   val percentile : t -> float -> float
   (** [percentile t q] for q in [0,1]: an upper bound on the q-quantile
       (bucket upper edge, clamped to the observed min/max — at most 2x

@@ -175,18 +175,24 @@ let update p i data =
       set_slot p i ~off ~len;
       Ok ()
     end
+    else if
+      (not (contiguous_room p ~extra_slots:0 ~len))
+      && size p - header_size - (used_payload p - old_len) - (slot_entry_size * slot_count p)
+         < len
+    then
+      (* Decided before the slot is touched: a compaction run for a record
+         that then does not fit would move other records over the old
+         copy, which a failed update must leave in place. *)
+      Error "page full"
     else begin
-      (* Relocate: drop the old copy, append the new one. *)
+      (* Relocate: drop the old copy, append the new one. The room check
+         above guarantees [ensure_room] succeeds, compacting if need be. *)
       set_slot p i ~off:0 ~len:0;
-      if not (ensure_room p ~extra_slots:0 ~len) then begin
-        set_slot p i ~off ~len:old_len;
-        Error "page full"
-      end
-      else begin
-        let off' = append_payload p data in
-        set_slot p i ~off:off' ~len;
-        Ok ()
-      end
+      let fits = ensure_room p ~extra_slots:0 ~len in
+      assert fits;
+      let off' = append_payload p data in
+      set_slot p i ~off:off' ~len;
+      Ok ()
     end
   end
 

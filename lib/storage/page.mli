@@ -53,7 +53,7 @@ val insert_at : t -> int -> bytes -> (unit, string) result
 val update : t -> int -> bytes -> (unit, string) result
 (** Replace the payload of a live slot, relocating within the page if the
     new payload is larger. Fails if the slot is not live or the page is
-    full. *)
+    full; a failed update leaves the page unchanged. *)
 
 val update_bytes : t -> slot:int -> offset:int -> bytes -> (unit, string) result
 (** Overwrite part of a live record in place: [offset] is relative to the

@@ -59,7 +59,8 @@ let create ?(page_size = Ipl_core.Ipl_config.default.Ipl_core.Ipl_config.page_si
       (let pool =
          Pool.create ~capacity
            ~fetch:(fun _ _ -> ())
-           ~write_back:(fun page () -> Trace.add_page_write (Lazy.force t).builder ~page)
+           ~write_back:
+             (List.iter (fun (page, ()) -> Trace.add_page_write (Lazy.force t).builder ~page))
            ()
        in
        mk_store pool)
@@ -312,7 +313,7 @@ let set_buffer_bytes t bytes =
   t.pool <-
     Pool.create ~capacity
       ~fetch:(fun _ _ -> ())
-      ~write_back:(fun page () -> Trace.add_page_write t.builder ~page)
+      ~write_back:(List.iter (fun (page, ()) -> Trace.add_page_write t.builder ~page))
       ()
 
 let begin_tracing t =

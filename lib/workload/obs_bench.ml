@@ -372,7 +372,8 @@ let run_workload spec engine tracer metrics =
 
 (* The physical page traffic of the IPL run, as a conventional design
    would see it: every log-sector flush (in-page or diverted) is a page
-   the conventional design must rewrite; every storage-level page fetch
+   the conventional design must rewrite, counted once under the first
+   page whose records the sector carries; every storage-level page fetch
    is a page it must read. Replayed in trace order. *)
 let page_stream tracer =
   List.rev

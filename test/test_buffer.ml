@@ -9,7 +9,7 @@ let mk ?(capacity = 3) () =
       ~fetch:(fun k _ ->
         fetched := k :: !fetched;
         ref (k * 10))
-      ~write_back:(fun k v -> written := (k, !v) :: !written)
+      ~write_back:(List.iter (fun (k, v) -> written := (k, !v) :: !written))
       ()
   in
   (pool, fetched, written)
@@ -163,7 +163,7 @@ let test_fetch_sees_evicted () =
             v := k * 10;
             v
         | None -> ref (k * 10))
-      ~write_back:(fun k _ -> events := `Write_back k :: !events)
+      ~write_back:(List.iter (fun (k, _) -> events := `Write_back k :: !events))
       ()
   in
   let get k = Pool.with_page pool k (fun v -> !v) in
@@ -283,7 +283,7 @@ let test_flush_all_order () =
   let written = ref [] in
   let pool =
     Pool.create ~capacity ~fetch:(fun k _ -> ref k)
-      ~write_back:(fun k _ -> written := k :: !written)
+      ~write_back:(List.iter (fun (k, _) -> written := k :: !written))
       ()
   in
   Pool.set_trace pool
@@ -310,13 +310,52 @@ let test_flush_all_order () =
   Alcotest.(check int) "none dirty" 0 (Pool.dirty_count pool);
   Alcotest.(check bool) "some written" true (List.length expected > 1)
 
+(* [flush_all] hands every dirty frame to one [write_back] call,
+   oldest-dirtied first, and counts one write-back and one [Write_back]
+   event per frame; with nothing dirty it calls nothing. An eviction
+   hands over its one frame. A raising callback cleans nothing. *)
+let test_flush_all_one_batch () =
+  let batches = ref [] and events = ref [] and failing = ref false in
+  let pool =
+    Pool.create ~capacity:4 ~fetch:(fun k _ -> ref k)
+      ~write_back:(fun batch ->
+        if !failing then failwith "write-back failed";
+        batches := List.map fst batch :: !batches)
+      ()
+  in
+  Pool.set_trace pool
+    (Some (function Obs.Event.Write_back { page } -> events := page :: !events | _ -> ()));
+  let touch ?dirty k = Pool.with_page pool k ?dirty ignore in
+  List.iter (touch ~dirty:true) [ 3; 1; 2; 1 ];
+  touch 4;
+  Pool.flush_all pool;
+  Alcotest.(check (list (list int))) "one batch, oldest-dirtied first" [ [ 3; 1; 2 ] ] !batches;
+  Alcotest.(check (list int)) "one event per frame" [ 3; 1; 2 ] (List.rev !events);
+  Alcotest.(check int) "one write-back per frame" 3 (Pool.stats pool).Pool.dirty_write_backs;
+  Alcotest.(check int) "all clean" 0 (Pool.dirty_count pool);
+  Pool.flush_all pool;
+  Alcotest.(check int) "nothing dirty, no call" 1 (List.length !batches);
+  (* LRU order is now 2, 1, 3, 4 (least recent first): 2 and 1 leave
+     clean, then 3 is evicted dirty. *)
+  List.iter (touch ~dirty:true) [ 3; 4 ];
+  List.iter touch [ 5; 6; 7 ];
+  Alcotest.(check (list (list int))) "eviction: its frame alone" [ [ 3 ]; [ 3; 1; 2 ] ] !batches;
+  Alcotest.(check int) "write-backs" 4 (Pool.stats pool).Pool.dirty_write_backs;
+  failing := true;
+  (match Pool.flush_all pool with
+  | () -> Alcotest.fail "the callback's failure must surface"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "frame still dirty" true (Pool.is_dirty pool 4);
+  Alcotest.(check int) "no write-back counted" 4 (Pool.stats pool).Pool.dirty_write_backs;
+  Alcotest.(check int) "no event" 4 (List.length !events)
+
 (* Property: hit+miss accounting and capacity invariant under random access. *)
 let prop_capacity_invariant =
   QCheck.Test.make ~name:"never exceeds capacity; stats consistent" ~count:100
     QCheck.(pair (int_range 1 8) (small_list (pair (int_bound 20) bool)))
     (fun (cap, accesses) ->
       let pool =
-        Pool.create ~capacity:cap ~fetch:(fun k _ -> k) ~write_back:(fun _ _ -> ()) ()
+        Pool.create ~capacity:cap ~fetch:(fun k _ -> k) ~write_back:ignore ()
       in
       List.iter
         (fun (k, dirty) -> ignore (Pool.with_page pool k ~dirty (fun v -> v)))
@@ -350,6 +389,7 @@ let () =
           Alcotest.test_case "keys outside the index" `Quick test_keys_outside_index;
           Alcotest.test_case "index growth preserves hits" `Quick test_index_growth_preserves_hits;
           Alcotest.test_case "flush_all order" `Quick test_flush_all_order;
+          Alcotest.test_case "flush_all is one batch" `Quick test_flush_all_one_batch;
           QCheck_alcotest.to_alcotest prop_capacity_invariant;
         ] );
     ]

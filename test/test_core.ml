@@ -11,6 +11,7 @@ module Trx_log = Ipl_core.Trx_log
 module Meta_log = Ipl_core.Meta_log
 module Store = Ipl_core.Ipl_storage
 module Config = Ipl_core.Ipl_config
+module Engine = Ipl_core.Ipl_engine
 
 (* The system logs and the bad-block manager now sit on the device
    layer; a raw chip is wrapped as a single-channel device (bit-for-bit
@@ -160,6 +161,34 @@ let test_sector_remove_txn () =
   Alcotest.(check bool) "cleared" true (LS.is_empty ls && LS.bytes_used ls < used);
   ignore (LS.add ls (mk_update 0 0 4));
   Alcotest.(check bool) "txid 0 is no user txn" false (LS.has_user_txn ls)
+
+(* [pack] against a reference built with [add]: each run fills an empty
+   sector and the next run's first record did not fit it. *)
+(* [pack] against a reference built with [add]: each sector takes its
+   records in order, and the next sector's first record did not fit it. *)
+let test_sector_pack () =
+  let sized n = { LR.txid = 1; page = n; op = LR.Insert { slot = 0; record = Bytes.make n 'p' } } in
+  let rng = Ipl_util.Rng.of_int 5 in
+  for _ = 1 to 200 do
+    let records = List.init (Ipl_util.Rng.int rng 12) (fun _ -> sized (1 + Ipl_util.Rng.int rng 300)) in
+    let sectors = LS.pack ~capacity:512 records in
+    Alcotest.(check bool) "order kept" true (List.concat_map LS.records sectors = records);
+    List.iteri
+      (fun i s ->
+        Alcotest.(check bool) "no empty sector" false (LS.is_empty s);
+        match List.nth_opt sectors (i + 1) with
+        | Some next ->
+            let full = LS.create ~capacity:512 in
+            List.iter (fun r -> ignore (LS.add full r)) (LS.records s);
+            Alcotest.(check bool) "greedy" true (LS.add full (List.hd (LS.records next)) = `Full)
+        | None -> ())
+      sectors
+  done;
+  Alcotest.(check int) "a list that fits is one sector" 1
+    (List.length (LS.pack ~capacity:512 [ sized 10; sized 20 ]));
+  Alcotest.(check int) "nothing to pack" 0 (List.length (LS.pack ~capacity:512 []));
+  Alcotest.check_raises "oversized" (LS.Record_too_large (sized 500 |> LR.encoded_size)) (fun () ->
+      ignore (LS.pack ~capacity:512 [ sized 1; sized 500 ]))
 
 let test_sector_checksum_detects_corruption () =
   let ls = LS.create ~capacity:512 in
@@ -362,6 +391,14 @@ let mk_store ?(config = Config.default) ?(blocks = 32) ?(txn_status = fun _ -> T
 
 let fresh_page () = Page.create 8192
 
+(* One log sector holding [records]. *)
+let sector records =
+  match LS.pack ~capacity:512 records with
+  | [ s ] -> s
+  | _ -> Alcotest.fail "records do not fit one sector"
+
+let flush store records = Store.flush_log store (sector records)
+
 let page_with strs =
   let p = fresh_page () in
   List.iter (fun s -> ignore (Page.insert p (b s))) strs;
@@ -388,7 +425,7 @@ let test_store_pages_share_eu () =
 let test_store_log_flush_and_read_applies () =
   let _, _, store = mk_store () in
   let pid = Store.allocate_page store (page_with [ "hello" ]) in
-  Store.flush_log store ~page:pid
+  flush store
     [ { LR.txid = 0; page = pid; op = LR.Update_range { slot = 0; offset = 0; before = b "he"; after = b "HE" } } ];
   let eu = Store.eu_of_page store pid in
   Alcotest.(check int) "one log sector used" 1 (Store.used_log_sectors store ~eu);
@@ -402,7 +439,7 @@ let test_store_merge_when_log_full () =
   let eu_before = Store.eu_of_page store pid in
   (* 16 log sectors per erase unit: the 17th flush triggers a merge. *)
   for i = 1 to 17 do
-    Store.flush_log store ~page:pid
+    flush store
       [
         {
           LR.txid = 0;
@@ -433,7 +470,7 @@ let test_store_merge_reclaims_eu () =
   let free_before = Store.free_eus store in
   for i = 0 to 16 do
     ignore i;
-    Store.flush_log store ~page:pid
+    flush store
       [ { LR.txid = 0; page = pid; op = LR.Update_range { slot = 0; offset = 0; before = b "x"; after = b "y" } } ]
   done;
   Alcotest.(check int) "free count unchanged (swap)" free_before (Store.free_eus store)
@@ -448,7 +485,7 @@ let test_store_aborted_records_skipped () =
   let pid = Store.allocate_page store (page_with [ "base" ]) in
   Hashtbl.replace statuses 1 Trx_log.Aborted;
   Hashtbl.replace statuses 2 Trx_log.Committed;
-  Store.flush_log store ~page:pid
+  flush store
     [
       { LR.txid = 1; page = pid; op = LR.Update_range { slot = 0; offset = 0; before = b "b"; after = b "X" } };
       { LR.txid = 2; page = pid; op = LR.Update_range { slot = 0; offset = 1; before = b "a"; after = b "A" } };
@@ -471,7 +508,7 @@ let test_store_selective_merge_diverts_to_overflow () =
   (* Fill all 16 log sectors with records of an active transaction, then
      flush one more: carry fraction 1.0 > 0.5, so no merge — overflow. *)
   for _ = 1 to 17 do
-    Store.flush_log store ~page:pid
+    flush store
       [ { LR.txid = 5; page = pid; op = LR.Update_range { slot = 0; offset = 0; before = b "b"; after = b "b" } } ]
   done;
   let s = Store.stats store in
@@ -485,7 +522,7 @@ let test_store_selective_merge_diverts_to_overflow () =
   (* Now commit the transaction; the next flush merges everything and the
      overflow area is reclaimed. *)
   Hashtbl.replace statuses 5 Trx_log.Committed;
-  Store.flush_log store ~page:pid
+  flush store
     [ { LR.txid = 0; page = pid; op = LR.Update_range { slot = 0; offset = 0; before = b "b"; after = b "B" } } ];
   let s = Store.stats store in
   Alcotest.(check int) "merged after commit" 1 s.Store.merges;
@@ -509,10 +546,10 @@ let test_store_carry_over_active_records () =
   let pid = Store.allocate_page store (page_with [ "base" ]) in
   Hashtbl.replace statuses 9 Trx_log.Active;
   (* One active record among committed filler. *)
-  Store.flush_log store ~page:pid
+  flush store
     [ { LR.txid = 9; page = pid; op = LR.Update_range { slot = 0; offset = 0; before = b "b"; after = b "Z" } } ];
   for _ = 1 to 16 do
-    Store.flush_log store ~page:pid
+    flush store
       [ { LR.txid = 0; page = pid; op = LR.Update_range { slot = 0; offset = 1; before = b "a"; after = b "a" } } ]
   done;
   let s = Store.stats store in
@@ -535,7 +572,7 @@ let test_store_wear_aware_allocation () =
   (* Drive many merge cycles; wear-aware allocation must keep the spread of
      erase counts tight across the free pool. *)
   for _ = 0 to 400 do
-    Store.flush_log store ~page:pid
+    flush store
       [ { LR.txid = 0; page = pid; op = LR.Update_range { slot = 0; offset = 0; before = b "w"; after = b "w" } } ]
   done;
   let s = Store.stats store in
@@ -545,7 +582,7 @@ let test_store_recover_after_clean_shutdown () =
   let chip, meta, store = mk_store () in
   let pid0 = Store.allocate_page store (page_with [ "persisted" ]) in
   let pid1 = Store.allocate_page store (page_with [ "other" ]) in
-  Store.flush_log store ~page:pid0
+  flush store
     [ { LR.txid = 0; page = pid0; op = LR.Update_range { slot = 0; offset = 0; before = b "p"; after = b "P" } } ];
   Store.force_meta store;
   ignore meta;
@@ -569,7 +606,7 @@ let test_store_recover_after_merges () =
   let chip, _, store = mk_store () in
   let pid = Store.allocate_page store (page_with [ "00" ]) in
   for i = 1 to 40 do
-    Store.flush_log store ~page:pid
+    flush store
       [
         {
           LR.txid = 0;
@@ -635,7 +672,7 @@ let test_store_detects_corrupt_log_sector () =
      refuse to replay it rather than apply garbage. *)
   let chip, _, store = mk_store () in
   let pid = Store.allocate_page store (page_with [ "safe" ]) in
-  Store.flush_log store ~page:pid
+  flush store
     [ { LR.txid = 0; page = pid; op = LR.Update_range { slot = 0; offset = 0; before = b "s"; after = b "S" } } ];
   let eu = Store.eu_of_page store pid in
   (* The unit's first log sector sits right after 15 data pages. *)
@@ -669,7 +706,7 @@ let test_store_out_of_space () =
   (* And merges now have no free unit either. *)
   try
     for _ = 0 to 16 do
-      Store.flush_log store ~page:0
+      flush store
         [ { LR.txid = 0; page = 0; op = LR.Update_range { slot = 0; offset = 0; before = b "x"; after = b "x" } } ]
     done;
     Alcotest.fail "expected out of space on merge"
@@ -692,7 +729,7 @@ let prop_store_durability =
         (fun (pi, v) ->
           let pid = pids.(pi) in
           let after = Printf.sprintf "%06d" v in
-          Store.flush_log store ~page:pid
+          flush store
             [
               {
                 LR.txid = 0;
@@ -711,6 +748,350 @@ let prop_store_durability =
           | None -> false)
         pids model)
 
+
+(* ------------------------------------------------------------------ *)
+(* Packed log flushes                                                  *)
+
+let insert_rec ?(txid = 0) page slot s = { LR.txid; page; op = LR.Insert { slot; record = b s } }
+
+(* Records of two pages of one unit go to one sector; a record of
+   another unit's page is refused before anything is written. *)
+let test_flush_log_one_unit_only () =
+  let _, _, store = mk_store () in
+  let pids = List.init 16 (fun _ -> Store.allocate_page store (fresh_page ())) in
+  let p0 = List.nth pids 0 and p1 = List.nth pids 1 and p15 = List.nth pids 15 in
+  let eu = Store.eu_of_page store p0 in
+  flush store [ insert_rec p0 0 "zero"; insert_rec p1 0 "one" ];
+  Alcotest.(check int) "one sector for two pages" 1 (Store.used_log_sectors store ~eu);
+  (match flush store [ insert_rec p0 1 "again"; insert_rec p15 0 "elsewhere" ] with
+  | () -> Alcotest.fail "a record of another unit must be refused"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing written" 1 (Store.used_log_sectors store ~eu);
+  Alcotest.(check int) "other unit untouched" 0
+    (Store.used_log_sectors store ~eu:(Store.eu_of_page store p15));
+  let read pid slot = Page.read (Store.read_page store pid) slot in
+  Alcotest.(check (option bytes)) "page 0" (Some (b "zero")) (read p0 0);
+  Alcotest.(check (option bytes)) "page 1" (Some (b "one")) (read p1 0)
+
+(* A multi-page sector arriving at a full log region is merged with the
+   unit's records when few are active, and diverted to overflow when the
+   active share is above tau; either way both pages read it back. *)
+let test_flush_log_full_region_multi_page () =
+  let statuses = Hashtbl.create 4 in
+  let txn_status txid = Option.value ~default:Trx_log.Committed (Hashtbl.find_opt statuses txid) in
+  let config = { Config.default with Config.selective_merge_threshold = 0.5 } in
+  let _, _, store = mk_store ~config ~txn_status () in
+  let p0 = Store.allocate_page store (fresh_page ()) in
+  let p1 = Store.allocate_page store (fresh_page ()) in
+  let fill txid =
+    for i = 0 to 15 do
+      let page = if i mod 2 = 0 then p0 else p1 in
+      flush store [ insert_rec ~txid page (i / 2) (Printf.sprintf "r%02d" i) ]
+    done
+  in
+  let eu = Store.eu_of_page store p0 in
+  Hashtbl.replace statuses 7 Trx_log.Active;
+  fill 7;
+  Alcotest.(check int) "region full" 16 (Store.used_log_sectors store ~eu);
+  flush store [ insert_rec ~txid:7 p0 8 "a0"; insert_rec ~txid:7 p1 8 "a1" ];
+  let s = Store.stats store in
+  Alcotest.(check int) "diverted above tau" 1 s.Store.overflow_diversions;
+  Alcotest.(check int) "no merge" 0 s.Store.merges;
+  Alcotest.(check int) "overflow sector" 1 (Store.overflow_sectors store ~eu);
+  Alcotest.(check int) "page 0 records" 9 (List.length (Store.live_log_records store ~page:p0));
+  Alcotest.(check int) "page 1 records" 9 (List.length (Store.live_log_records store ~page:p1));
+  Hashtbl.replace statuses 7 Trx_log.Committed;
+  flush store [ insert_rec p0 9 "m0"; insert_rec p1 9 "m1" ];
+  let s = Store.stats store in
+  Alcotest.(check int) "merged below tau" 1 s.Store.merges;
+  Alcotest.(check int) "pending records applied with the unit's" 20
+    s.Store.records_applied_at_merge;
+  List.iter
+    (fun (pid, first) ->
+      let p = Store.read_page store pid in
+      Alcotest.(check int) "ten records" 10 (Page.live_records p);
+      Alcotest.(check (option bytes)) "first" (Some (b first)) (Page.read p 0);
+      Alcotest.(check (option bytes)) "diverted" (Some (b (if pid = p0 then "a0" else "a1")))
+        (Page.read p 8);
+      Alcotest.(check (option bytes)) "pending" (Some (b (if pid = p0 then "m0" else "m1")))
+        (Page.read p 9))
+    [ (p0, "r00"); (p1, "r01") ]
+
+let ok_e = function
+  | Ok x -> x
+  | Error e -> Alcotest.failf "engine error: %s" (Engine.error_to_string e)
+
+let mk_engine ?(page_size = 8192) ?(buffer_pages = 8) () =
+  let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
+  let config = { Config.default with Config.page_size; buffer_pages } in
+  (chip, config, Engine.create ~config chip)
+
+let log_sector_writes e = (Engine.stats e).Engine.storage.Store.log_sector_writes
+let write_backs e = (Engine.stats e).Engine.pool.Bufmgr.Buffer_pool.dirty_write_backs
+
+(* A commit's dirty frames share their unit's log sectors: three small
+   inserts on pages of one unit take one sector, and the same on pages
+   of two units one sector each, the unit of the oldest-dirtied frame
+   first. The pool still counts one write-back per frame. *)
+let test_commit_packs_by_unit () =
+  let _, _, e = mk_engine () in
+  let pids = Array.init 17 (fun _ -> Engine.Unsafe.allocate_page e) in
+  Engine.Unsafe.checkpoint e;
+  let store = Engine.storage e in
+  let commit pages =
+    let tx = Engine.Unsafe.begin_txn e in
+    List.iter (fun page -> ignore (ok_e (Engine.Unsafe.insert e ~tx ~page (b "small")))) pages;
+    let w0 = log_sector_writes e and b0 = write_backs e in
+    Engine.Unsafe.commit e tx;
+    (log_sector_writes e - w0, write_backs e - b0)
+  in
+  Alcotest.(check (pair int int)) "one unit: one sector, three write-backs" (1, 3)
+    (commit [ pids.(0); pids.(1); pids.(2) ]);
+  let tracer = Obs.Tracer.create ~capacity:256 () in
+  Engine.set_tracer e (Some tracer);
+  Alcotest.(check (pair int int)) "two units: a sector each" (2, 4)
+    (commit [ pids.(15); pids.(0); pids.(16); pids.(1) ]);
+  let flushed =
+    List.filter_map
+      (fun (en : Obs.Tracer.entry) ->
+        match en.event with Obs.Event.Log_flush { eu; records; _ } -> Some (eu, records) | _ -> None)
+      (Obs.Tracer.to_list tracer)
+  in
+  Alcotest.(check (list (pair int int))) "oldest-dirtied unit first"
+    [ (Store.eu_of_page store pids.(15), 2); (Store.eu_of_page store pids.(0), 2) ]
+    flushed;
+  Alcotest.(check int) "write-back events" 4 (Obs.Tracer.count_kind tracer "write_back")
+
+(* An eviction writes back its own frame only, even when another dirty
+   frame of the same unit could share the sector. *)
+let test_eviction_flushes_own_frame () =
+  let _, _, e = mk_engine ~buffer_pages:2 () in
+  let a = Engine.Unsafe.allocate_page e in
+  let bpage = Engine.Unsafe.allocate_page e in
+  let c = Engine.Unsafe.allocate_page e in
+  Engine.Unsafe.checkpoint e;
+  ignore (ok_e (Engine.Unsafe.insert e ~tx:0 ~page:a (b "on a")));
+  ignore (ok_e (Engine.Unsafe.insert e ~tx:0 ~page:bpage (b "on b")));
+  let w0 = log_sector_writes e in
+  ignore (Engine.Unsafe.read e ~page:c ~slot:0);
+  Alcotest.(check int) "one sector" 1 (log_sector_writes e - w0);
+  Alcotest.(check bool) "a evicted" true (Engine.Unsafe.buffered_log e a = None);
+  Alcotest.(check int) "a's record on flash" 1
+    (List.length (Store.live_log_records (Engine.storage e) ~page:a));
+  Alcotest.(check int) "b's record still buffered" 1
+    (List.length (Option.get (Engine.Unsafe.buffered_log e bpage)));
+  Alcotest.(check int) "b's record not on flash" 0
+    (List.length (Store.live_log_records (Engine.storage e) ~page:bpage))
+
+(* Every resident page equals its stored image and flash log plus its
+   in-memory log records. *)
+let frames_consistent e pids =
+  List.for_all
+    (fun pid ->
+      match Engine.Unsafe.buffered_log e pid with
+      | None -> true
+      | Some records ->
+          let expect = Store.read_page (Engine.storage e) pid in
+          List.for_all (fun r -> LR.apply expect r = Ok ()) records
+          && Engine.Unsafe.with_page e pid (fun p -> Page.equal_content p expect))
+    pids
+
+let contents e page =
+  Engine.Unsafe.with_page e page (fun p ->
+      let acc = ref [] in
+      Page.iter (fun slot data -> acc := (slot, Bytes.to_string data) :: !acc) p;
+      List.sort compare !acc)
+
+let model_contents m = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+
+(* A flush that fails after some of a unit's sectors are on flash empties
+   the frames it wrote and leaves the frame it cut holding only the
+   records still owed. Page 1's two 200-byte records straddle the
+   sector boundary; the second log-region program fails with no spare
+   left. *)
+let test_failed_packed_flush_keeps_owed () =
+  let chip, _, e = mk_engine () in
+  let p0 = Engine.Unsafe.allocate_page e and p1 = Engine.Unsafe.allocate_page e in
+  Engine.Unsafe.checkpoint e;
+  let tx = Engine.Unsafe.begin_txn e in
+  let rec_of c = Bytes.make 200 c in
+  ignore (ok_e (Engine.Unsafe.insert e ~tx ~page:p0 (rec_of 'a')));
+  ignore (ok_e (Engine.Unsafe.insert e ~tx ~page:p1 (rec_of 'b')));
+  ignore (ok_e (Engine.Unsafe.insert e ~tx ~page:p1 (rec_of 'c')));
+  let data_area = 8 * Chip.sector_of_block chip 1 and programs = ref 0 in
+  Chip.set_fault_hook chip
+    (Some
+       (fun _ -> function
+         | Chip.Op_program { sector; _ } when sector >= data_area ->
+             incr programs;
+             if !programs = 2 then Chip.Program_fail else Chip.Proceed
+         | _ -> Chip.Proceed));
+  (match Engine.commit e (Engine.Unsafe.txn tx) with
+  | Error Engine.Device_degraded -> ()
+  | Ok () -> Alcotest.fail "the commit must fail"
+  | Error err -> Alcotest.failf "unexpected error: %s" (Engine.error_to_string err));
+  Chip.set_fault_hook chip None;
+  Alcotest.(check int) "one sector on flash" 1 (log_sector_writes e);
+  Alcotest.(check (option int)) "page 0 emptied" (Some 0)
+    (Option.map List.length (Engine.Unsafe.buffered_log e p0));
+  Alcotest.(check (option int)) "page 1 owes one record" (Some 1)
+    (Option.map List.length (Engine.Unsafe.buffered_log e p1));
+  Alcotest.(check bool) "pages = flash + log" true (frames_consistent e [ p0; p1 ]);
+  Alcotest.(check (list (pair int string))) "page 1 content"
+    [ (0, String.make 200 'b'); (1, String.make 200 'c') ]
+    (contents e p1);
+  Alcotest.(check (result unit string)) "abort still works" (Ok ())
+    (Result.map_error Engine.error_to_string (Engine.abort e (Engine.Unsafe.txn tx)));
+  Alcotest.(check bool) "after abort" true (frames_consistent e [ p0; p1 ]);
+  Alcotest.(check (list (pair int string))) "page 0 rolled back" [] (contents e p0);
+  Alcotest.(check (list (pair int string))) "page 1 rolled back" [] (contents e p1)
+
+(* Multi-page transactions over two units, with merges: every page reads
+   back equal to the model, before and after a restart. *)
+let test_packed_flush_model_roundtrip () =
+  let chip, config, e = mk_engine ~buffer_pages:6 () in
+  let n = 24 in
+  let pids = Array.init n (fun _ -> Engine.Unsafe.allocate_page e) in
+  let model = Array.init n (fun _ -> Hashtbl.create 8) in
+  Array.iteri
+    (fun i page ->
+      for slot = 0 to 3 do
+        let v = Printf.sprintf "p%02d-s%d-%s" i slot (String.make 40 '.') in
+        Alcotest.(check int) "slot" slot (ok_e (Engine.Unsafe.insert e ~tx:0 ~page (b v)));
+        Hashtbl.replace model.(i) slot v
+      done)
+    pids;
+  Engine.Unsafe.checkpoint e;
+  let rng = Ipl_util.Rng.of_int 31 in
+  for t = 1 to 300 do
+    let tx = Engine.Unsafe.begin_txn e in
+    let abort = Ipl_util.Rng.int rng 5 = 0 in
+    let writes =
+      List.init
+        (1 + Ipl_util.Rng.int rng 6)
+        (fun _ -> (Ipl_util.Rng.int rng n, Ipl_util.Rng.int rng 4))
+    in
+    let changed =
+      List.map
+        (fun (i, slot) ->
+          let old = Hashtbl.find model.(i) slot in
+          let v = Printf.sprintf "%s%05d" (String.sub old 0 (String.length old - 5)) t in
+          ok_e (Engine.Unsafe.update e ~tx ~page:pids.(i) ~slot (b v));
+          (i, slot, v))
+        writes
+    in
+    if abort then Engine.Unsafe.abort e tx
+    else begin
+      Engine.Unsafe.commit e tx;
+      List.iter (fun (i, slot, v) -> Hashtbl.replace model.(i) slot v) changed
+    end
+  done;
+  Alcotest.(check bool) "merges ran" true ((Engine.stats e).Engine.storage.Store.merges > 0);
+  let check e what =
+    Array.iteri
+      (fun i page ->
+        Alcotest.(check (list (pair int string))) (Printf.sprintf "%s: page %d" what i)
+          (model_contents model.(i)) (contents e page))
+      pids
+  in
+  check e "live";
+  let e', _ = Engine.restart ~config chip in
+  check e' "restarted"
+
+(* One transaction at a time over nearly full 1 KB pages: random inserts,
+   growing and shrinking updates, deletes, and aborts. After every
+   operation each buffered page equals its flash image plus its
+   in-memory log records; neither abort nor restart fails, and the
+   restarted engine holds exactly the committed state. *)
+type op = Ins of int * int | Upd of int * int * int | Del of int * int
+
+let show_op = function
+  | Ins (p, n) -> Printf.sprintf "ins p%d %dB" p n
+  | Upd (p, i, n) -> Printf.sprintf "upd p%d #%d %dB" p i n
+  | Del (p, i) -> Printf.sprintf "del p%d #%d" p i
+
+let prop_one_txn_at_a_time =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          (3, map2 (fun p n -> Ins (p, n)) (int_bound 2) (int_range 8 200));
+          (4, map3 (fun p i n -> Upd (p, i, n)) (int_bound 2) nat (int_range 8 260));
+          (1, map2 (fun p i -> Del (p, i)) (int_bound 2) nat);
+        ])
+  in
+  let txn = Gen.(pair (frequencyl [ (3, false); (1, true) ]) (list_size (int_range 1 5) op)) in
+  let print =
+    Print.list (fun (abort, ops) ->
+        (if abort then "abort " else "commit ") ^ String.concat "; " (List.map show_op ops))
+  in
+  Test.make ~name:"pages = flash + log, full pages" ~count:60
+    (make ~print Gen.(list_size (int_range 10 50) txn))
+    (fun txns ->
+      let chip, config, e = mk_engine ~page_size:1024 ~buffer_pages:2 () in
+      let pids = List.init 3 (fun _ -> Engine.Unsafe.allocate_page e) in
+      Engine.Unsafe.checkpoint e;
+      let committed = ref (Array.init 3 (fun _ -> Hashtbl.create 8)) in
+      let stamp = ref 0 in
+      let data n =
+        incr stamp;
+        Bytes.init n (fun i -> Char.chr (65 + ((!stamp + i) mod 26)))
+      in
+      let nth_live m i =
+        match List.map fst (model_contents m) with
+        | [] -> None
+        | slots -> Some (List.nth slots (i mod List.length slots))
+      in
+      let apply tx work = function
+        | Ins (p, n) -> (
+            let d = data n in
+            match Engine.Unsafe.insert e ~tx ~page:(List.nth pids p) d with
+            | Ok slot -> Hashtbl.replace work.(p) slot (Bytes.to_string d)
+            | Error Engine.Page_full -> ()
+            | Error err -> Test.fail_reportf "insert: %s" (Engine.error_to_string err))
+        | Upd (p, i, n) -> (
+            match nth_live work.(p) i with
+            | None -> ()
+            | Some slot -> (
+                let d = data n in
+                match Engine.Unsafe.update e ~tx ~page:(List.nth pids p) ~slot d with
+                | Ok () -> Hashtbl.replace work.(p) slot (Bytes.to_string d)
+                | Error Engine.Page_full -> ()
+                | Error err -> Test.fail_reportf "update: %s" (Engine.error_to_string err)))
+        | Del (p, i) -> (
+            match nth_live work.(p) i with
+            | None -> ()
+            | Some slot ->
+                ok_e (Engine.Unsafe.delete e ~tx ~page:(List.nth pids p) ~slot);
+                Hashtbl.remove work.(p) slot)
+      in
+      let same_as model e =
+        List.for_all2 (fun page m -> contents e page = model_contents m) pids (Array.to_list model)
+      in
+      List.iter
+        (fun (abort, ops) ->
+          let tx = Engine.Unsafe.begin_txn e in
+          let work = Array.map Hashtbl.copy !committed in
+          List.iter
+            (fun op ->
+              apply tx work op;
+              if not (frames_consistent e pids) then
+                Test.fail_reportf "after %s: a buffered page differs from flash + log"
+                  (show_op op);
+              if not (same_as work e) then Test.fail_reportf "after %s: page differs from model" (show_op op))
+            ops;
+          if abort then Engine.Unsafe.abort e tx
+          else begin
+            Engine.Unsafe.commit e tx;
+            committed := work
+          end;
+          if not (frames_consistent e pids && same_as !committed e) then
+            Test.fail_reportf "after %s" (if abort then "abort" else "commit"))
+        txns;
+      let e', _ = Engine.restart ~config chip in
+      same_as !committed e')
+
 let () =
   Alcotest.run "ipl_core"
     [
@@ -728,6 +1109,7 @@ let () =
           Alcotest.test_case "remove txn" `Quick test_sector_remove_txn;
           Alcotest.test_case "oversized record" `Quick test_sector_oversized_record;
           Alcotest.test_case "checksum detects corruption" `Quick test_sector_checksum_detects_corruption;
+          Alcotest.test_case "pack fills greedily" `Quick test_sector_pack;
         ] );
       ( "seq_log",
         [
@@ -768,5 +1150,18 @@ let () =
           Alcotest.test_case "detects corrupt log sector" `Quick test_store_detects_corrupt_log_sector;
           Alcotest.test_case "out of space" `Quick test_store_out_of_space;
           QCheck_alcotest.to_alcotest prop_store_durability;
+          Alcotest.test_case "flush_log takes one unit" `Quick test_flush_log_one_unit_only;
+          Alcotest.test_case "multi-page sector on a full region" `Quick
+            test_flush_log_full_region_multi_page;
+        ] );
+      ( "ipl_engine",
+        [
+          Alcotest.test_case "commit packs by unit" `Quick test_commit_packs_by_unit;
+          Alcotest.test_case "eviction flushes its frame" `Quick test_eviction_flushes_own_frame;
+          Alcotest.test_case "failed packed flush keeps owed" `Quick
+            test_failed_packed_flush_keeps_owed;
+          Alcotest.test_case "packed flush = model, restart" `Quick
+            test_packed_flush_model_roundtrip;
+          QCheck_alcotest.to_alcotest prop_one_txn_at_a_time;
         ] );
     ]

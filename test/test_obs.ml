@@ -119,6 +119,28 @@ let test_latency_json_pinned () =
     "{\"count\":0,\"sum_s\":0.0,\"min_s\":0.0,\"max_s\":0.0,\"mean_s\":0.0,\"p50_s\":0.0,\"p90_s\":0.0,\"p99_s\":0.0,\"buckets\":[]}"
     (Json.to_string (Obs.Metrics.Latency.to_json (Obs.Metrics.Latency.create ())))
 
+(* The bucket function against the one-bit-per-step loop it replaced. *)
+let test_bucket_of_seconds_matches_loop () =
+  let reference v =
+    let rec bits acc n = if n <= 1 then acc else bits (acc + 1) (n lsr 1) in
+    let ns = v *. 1e9 in
+    if ns < 1.0 then 0 else bits 0 (int_of_float ns)
+  in
+  let check v =
+    let want = reference v and got = Obs.Metrics.Latency.bucket_of_seconds v in
+    if got <> want then Alcotest.failf "bucket_of_seconds %h: got %d, want %d" v got want
+  in
+  List.iter check [ 0.0; 1e-12; 3e-10; 9.99e-10; 1e-9 ];
+  for k = 0 to 62 do
+    let p = Float.ldexp 1.0 k in
+    List.iter (fun ns -> check (ns /. 1e9)) [ p -. 1.0; p; p +. 1.0 ]
+  done;
+  let rng = Ipl_util.Rng.of_int 2024 in
+  (* Log-uniform from 0.1 ns to 10^4 s, so every bucket in range is hit. *)
+  for _ = 1 to 100_000 do
+    check (Float.pow 10.0 (Ipl_util.Rng.float rng 14.0 -. 10.0))
+  done
+
 let test_latency_observe_allocates_nothing () =
   let h = Obs.Metrics.Latency.create () in
   (* Boxed already, so that passing them allocates nothing either. *)
@@ -393,6 +415,7 @@ let () =
         [
           Alcotest.test_case "counters and histograms" `Quick test_metrics;
           Alcotest.test_case "latency json pinned" `Quick test_latency_json_pinned;
+          Alcotest.test_case "bucket = bit loop" `Quick test_bucket_of_seconds_matches_loop;
           Alcotest.test_case "latency observe allocates nothing" `Quick
             test_latency_observe_allocates_nothing;
         ] );

@@ -50,6 +50,37 @@ let test_update_in_place_and_relocating () =
   Alcotest.(check (result unit string)) "update dead slot" (Error "slot not live")
     (Page.update p 3 (bytes_of_string "z"))
 
+(* A growing update that does not fit, even after compaction, must leave
+   the page as it was. Four records on a 256-byte page: with the second
+   deleted, growing the first compacts the page only if the room check
+   comes after the slot is cleared, and that compaction moves the third
+   record over the first one's bytes; the next insert then lands on
+   whatever the failed update left behind. *)
+let test_failed_grow_leaves_page () =
+  let p = Page.create 256 in
+  let record c n = Bytes.make n c in
+  let a = Option.get (Page.insert p (record 'a' 60)) in
+  let bb = Option.get (Page.insert p (record 'b' 60)) in
+  let c = Option.get (Page.insert p (record 'c' 60)) in
+  let d = Option.get (Page.insert p (record 'd' 40)) in
+  Alcotest.(check (result unit string)) "delete b" (Ok ()) (Page.delete p bb);
+  let before = Page.copy p in
+  (* Room for [a]: 256 - 8 header - (160 - 60) other payload - 16
+     directory = 132 bytes. *)
+  Alcotest.(check (result unit string)) "133 bytes do not fit" (Error "page full")
+    (Page.update p a (record 'A' 133));
+  Alcotest.(check bool) "page bytes unchanged" true (Bytes.equal (Page.to_bytes before) (Page.to_bytes p));
+  Alcotest.(check (option bytes)) "a kept" (Some (record 'a' 60)) (Page.read p a);
+  let e = Option.get (Page.insert p (record 'e' 12)) in
+  List.iter
+    (fun (slot, want) ->
+      Alcotest.(check (option bytes)) (Printf.sprintf "slot %d" slot) (Some want) (Page.read p slot))
+    [ (a, record 'a' 60); (c, record 'c' 60); (d, record 'd' 40); (e, record 'e' 12) ];
+  (* With [e] in: 256 - 8 - (172 - 60) - 16 = 120 bytes, exactly. *)
+  Alcotest.(check (result unit string)) "120 bytes fit" (Ok ()) (Page.update p a (record 'A' 120));
+  Alcotest.(check (option bytes)) "a grown" (Some (record 'A' 120)) (Page.read p a);
+  Alcotest.(check (option bytes)) "c intact" (Some (record 'c' 60)) (Page.read p c)
+
 let test_update_bytes () =
   let p = mk () in
   ignore (Page.insert p (bytes_of_string "abcdefgh"));
@@ -496,6 +527,7 @@ let () =
           Alcotest.test_case "insert/read" `Quick test_insert_read;
           Alcotest.test_case "delete & slot reuse" `Quick test_delete_and_slot_reuse;
           Alcotest.test_case "update in place & relocate" `Quick test_update_in_place_and_relocating;
+          Alcotest.test_case "failed grow leaves the page" `Quick test_failed_grow_leaves_page;
           Alcotest.test_case "byte-range update" `Quick test_update_bytes;
           Alcotest.test_case "insert_at (replay)" `Quick test_insert_at;
           Alcotest.test_case "fill until full" `Quick test_fill_until_full;
