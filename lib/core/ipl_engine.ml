@@ -188,6 +188,14 @@ let build config dev store bbm trx =
       ~write_back:(flush_frames store trx ~sector_size)
       ()
   in
+  (* A merge may program a page straight from its frame when the frame
+     owes flash nothing: its page is then its stored image plus its live
+     flash records (see [restore_frame]). [Pool.find] leaves recency
+     alone, so a merge does not reorder the pool. *)
+  Ipl_storage.set_buffered store (fun pid ->
+      match Pool.find pool pid with
+      | Some frame when Log_sector.is_empty frame.log -> Some frame.page
+      | Some _ | None -> None);
   {
     config;
     dev;
@@ -574,24 +582,29 @@ let update t ~tx ~page ~slot data =
           else begin
             (* Size-changing replacement. When the combined before/after
                image fits one record, log Update_full; otherwise log it as
-               a delete + insert pair (same replay semantics). *)
-            match Page.update frame.page slot data with
+               a delete + insert pair (same replay semantics). The frame
+               takes the change as a replay of those records does, so its
+               bytes stay the stored image's plus its log: a shrinking
+               pair re-appends the record, where [Page.update] would
+               overwrite it in place, and cannot fail (the deleted copy
+               makes room); a growing record is relocated either way. *)
+            let one_record =
+              15 + Bytes.length before + Bytes.length data <= max_record_payload t + 13
+            in
+            let records =
+              if one_record then [ Log_record.Update_full { slot; before; after = data } ]
+              else [ Log_record.Delete { slot; before }; Log_record.Insert { slot; record = data } ]
+            in
+            let changed =
+              if (not one_record) && Bytes.length data < Bytes.length before then
+                Result.bind (Page.delete frame.page slot) (fun () ->
+                    Page.insert_at frame.page slot data)
+              else Page.update frame.page slot data
+            in
+            match changed with
             | Error e -> Error (of_page_error e)
             | Ok () ->
-                let combined = 15 + Bytes.length before + Bytes.length data in
-                if combined <= max_record_payload t + 13 then
-                  add_record t frame ~page
-                    {
-                      Log_record.txid = tx;
-                      page;
-                      op = Log_record.Update_full { slot; before; after = data };
-                    }
-                else begin
-                  add_record t frame ~page
-                    { Log_record.txid = tx; page; op = Log_record.Delete { slot; before } };
-                  add_record t frame ~page
-                    { Log_record.txid = tx; page; op = Log_record.Insert { slot; record = data } }
-                end;
+                List.iter (fun op -> add_record t frame ~page { Log_record.txid = tx; page; op }) records;
                 Pool.mark_dirty t.pool page;
                 note_dirty t ~tx ~page;
                 Ok ()

@@ -108,8 +108,11 @@ type t = {
          device has exactly one fill unit, the serial behaviour *)
   mutable next_page : int;
   merge_scratch : bytes;
-      (* the one page image every merge copy passes through (see
-         [merge_rewrite]) *)
+      (* the one page image every merge copy read from flash passes
+         through (see [merge_rewrite]) *)
+  mutable buffered : int -> Page.t option;
+      (* the engine's view of a page held in memory with nothing owed to
+         flash (see [set_buffered]) *)
   (* geometry *)
   sectors_per_page : int;
   data_pages : int;
@@ -191,6 +194,7 @@ let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~
     fills = Array.make (Dev.num_chips dev) None;
     next_page = 0;
     merge_scratch = Bytes.create config.Ipl_config.page_size;
+    buffered = (fun _ -> None);
     sectors_per_page;
     data_pages;
     log_sectors =
@@ -220,6 +224,7 @@ let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~
   t
 
 let set_tracer t tracer = t.tracer <- tracer
+let set_buffered t f = t.buffered <- f
 
 let fresh_eu_info phys data_pages =
   {
@@ -697,6 +702,12 @@ let classify t records =
     records;
   (List.rev !committed, List.rev !active, !dropped)
 
+(* Whether any of [records] is for page [pid]: a plain walk, so the
+   merge's per-page check allocates nothing. *)
+let rec names_page pid = function
+  | [] -> false
+  | r :: rest -> r.Log_record.page = pid || names_page pid rest
+
 (* Pack records into as few log sectors as possible (order preserved).
    Each sector image is paired with the records it holds, so the merge
    can mirror exactly the persisted records into the cache. *)
@@ -804,19 +815,28 @@ let merge_rewrite t eu ~pending =
         Hashtbl.replace by_page pid
           (r :: Option.value ~default:[] (Hashtbl.find_opt by_page pid)))
       committed;
-    (* Rewrite every hosted page with its committed records applied. Every
-       copy goes through the one scratch page: a program executes at
-       submission, so the buffer is free again once the submit returns. *)
+    (* Rewrite every hosted page with its committed records applied. A
+       page that no carried record names and whose buffered image owes
+       flash nothing is already that image — its stored image plus its
+       live records, which are all committed here — so it is programmed
+       from memory without a read. Every other copy is read through the
+       one scratch page: a program executes at submission, so the buffer
+       is free again once the submit returns. *)
     let applied = ref 0 in
     Array.iteri
       (fun idx pid ->
         if pid >= 0 then begin
-          let page = read_raw_page_into ~cls:Dev.Merge_io t eu idx t.merge_scratch in
-          let mine =
-            match Hashtbl.find_opt by_page pid with Some rev -> List.rev rev | None -> []
+          let rev = match Hashtbl.find_opt by_page pid with Some rev -> rev | None -> [] in
+          let buffered = if names_page pid carried then None else t.buffered pid in
+          let page =
+            match buffered with
+            | Some page -> page
+            | None ->
+                let page = read_raw_page_into ~cls:Dev.Merge_io t eu idx t.merge_scratch in
+                apply_records page (List.rev rev);
+                page
           in
-          apply_records page mine;
-          applied := !applied + List.length mine;
+          applied := !applied + List.length rev;
           submit_data_page t ~cls:Dev.Merge_io new_phys idx page
         end)
       eu.pages;

@@ -7,7 +7,11 @@
     unit. Reading a page re-creates its current version on the fly by
     applying its log records to the stored image. When an erase unit runs
     out of log sectors, a merge (Algorithm 1, made selective by
-    Algorithm 3) rewrites it into a freshly erased unit.
+    Algorithm 3) rewrites it into a freshly erased unit: each hosted
+    page's stored image with its committed records applied. A page that
+    no carried record names and that the engine holds in memory with
+    nothing owed to flash ({!set_buffered}) is programmed from that
+    image without a flash read.
 
     The logical-to-physical page mapping changes only on merges and is
     persisted through a {!Meta_log.t}; crash recovery replays that log and
@@ -243,6 +247,19 @@ module Stats : sig
   val to_json : t -> Ipl_util.Json.t
   (** One-level object keyed by the record's field names. *)
 end
+
+val set_buffered : t -> (int -> Storage.Page.t option) -> unit
+(** Install the lookup a merge uses to skip a page's flash read:
+    [f pid] is [Some page] only when [page] is page [pid]'s stored image
+    with its live log records applied, as a read would build it — a
+    buffer-pool frame with an empty in-memory log, say. The merge
+    programs it when no carried (active) record names the page, reads
+    and replays the page otherwise, and never keeps it past the program.
+    The two agree byte for byte, except that a page whose earlier merge
+    carried an active record ahead of a later-committed one may hold the
+    same records in another layout. Until a lookup is installed every
+    merge reads every page. [f] is called once per hosted page of each
+    merge and must not touch the manager. *)
 
 val set_tracer : t -> Obs.Tracer.t option -> unit
 (** Install or clear a trace sink for storage-level events:

@@ -1,9 +1,12 @@
 (** Physiological log records.
 
     A record names a page and a slot (the physical half) and describes a
-    logical change to that slot. Records carry enough before-image to be
-    de-applied, which the Section 5 recovery design needs for rolling back
-    an aborting transaction's in-memory changes. *)
+    logical change to that slot. Delete and update records also carry the
+    before-image, part of the on-flash format, but nothing rolls a page
+    back with it: an aborting transaction's buffered pages are rebuilt by
+    replay — the stored image, the live flash records (the aborted
+    transaction's are skipped) and the other transactions' in-memory
+    records — and {!unapply} is exercised only by tests. *)
 
 type op =
   | Insert of { slot : int; record : bytes }
@@ -28,6 +31,7 @@ val apply : Storage.Page.t -> t -> (unit, string) result
 (** Replay the change against (an older version of) the page. *)
 
 val unapply : Storage.Page.t -> t -> (unit, string) result
-(** Reverse the change (the page must reflect the record's after-state). *)
+(** Reverse the change from its before-image (the page must reflect the
+    record's after-state). No engine path calls it; see the header. *)
 
 val pp : Format.formatter -> t -> unit

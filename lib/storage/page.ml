@@ -128,13 +128,26 @@ let append_payload p data =
   set_free_start p (off + Bytes.length data);
   off
 
+(* [insert] reuses a deleted slot if there is one, else it needs a new
+   one; it compacts only when the contiguous space falls short. *)
+let has_room p len =
+  if contiguous_room p ~extra_slots:1 ~len then true
+  else
+    let extra_slots = if live_records p < slot_count p then 0 else 1 in
+    size p - header_size - used_payload p - (slot_entry_size * (slot_count p + extra_slots)) >= len
+
 let insert p data =
   let len = Bytes.length data in
   if len = 0 || len > 0xFFFF then invalid_arg "Page.insert: bad record length";
-  let reuse = first_empty_slot p in
-  let extra_slots = match reuse with Some _ -> 0 | None -> 1 in
-  if not (ensure_room p ~extra_slots ~len) then None
+  (* Decided before any compaction: a failed insert leaves the page's
+     bytes as they were, as a replay of its log (which never sees the
+     failure) does. *)
+  if not (has_room p len) then None
   else begin
+    let reuse = first_empty_slot p in
+    let extra_slots = match reuse with Some _ -> 0 | None -> 1 in
+    let fits = ensure_room p ~extra_slots ~len in
+    assert fits;
     let i = match reuse with Some i -> i | None -> let i = slot_count p in set_slot_count p (i + 1); i in
     let off = append_payload p data in
     set_slot p i ~off ~len;
@@ -298,14 +311,6 @@ let find_sorted_int64 p ~from key =
     end
   done;
   !found
-
-(* [insert] reuses a deleted slot if there is one, else it needs a new
-   one; it compacts only when the contiguous space falls short. *)
-let has_room p len =
-  if contiguous_room p ~extra_slots:1 ~len then true
-  else
-    let extra_slots = if live_records p < slot_count p then 0 else 1 in
-    size p - header_size - used_payload p - (slot_entry_size * (slot_count p + extra_slots)) >= len
 
 let equal_content a b =
   let slots p =

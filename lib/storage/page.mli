@@ -43,7 +43,8 @@ val read : t -> int -> bytes option
 
 val insert : t -> bytes -> int option
 (** Add a record, reusing the lowest deleted slot if any. Returns the slot
-    number, or [None] when the page cannot fit the payload. *)
+    number, or [None] when the page cannot fit the payload; a failed
+    insert leaves the page unchanged. *)
 
 val insert_at : t -> int -> bytes -> (unit, string) result
 (** Place a record at a specific slot (used when replaying log records).

@@ -371,17 +371,17 @@ let run_workload spec engine tracer metrics =
     conc )
 
 (* The physical page traffic of the IPL run, as a conventional design
-   would see it: every log-sector flush (in-page or diverted) is a page
-   the conventional design must rewrite, counted once under the first
-   page whose records the sector carries; every storage-level page fetch
-   is a page it must read. Replayed in trace order. *)
+   would see it: every dirty frame the buffer pool cleans is a page the
+   conventional design must rewrite (IPL packs several such frames' log
+   records into one sector, a conventional design cannot); every
+   storage-level page fetch is a page it must read. Replayed in trace
+   order. *)
 let page_stream tracer =
   List.rev
     (Obs.Tracer.fold
        (fun acc (e : Obs.Tracer.entry) ->
          match e.event with
-         | Obs.Event.Log_flush { page; _ } | Obs.Event.Overflow_diversion { page; _ } ->
-             `Write page :: acc
+         | Obs.Event.Write_back { page } -> `Write page :: acc
          | Obs.Event.Page_read { page; _ } -> `Read page :: acc
          | _ -> acc)
        tracer [])

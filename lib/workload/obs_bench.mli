@@ -3,8 +3,8 @@
 
     Runs one deterministic OLTP-style workload on the real IPL engine
     with a tracer and latency metrics installed, then replays the
-    physical page traffic the run generated (log-sector flushes as page
-    writes, storage-level fetches as page reads) on the two conventional
+    physical page traffic the run generated (buffer-pool write-backs as
+    page writes, storage-level fetches as page reads) on the two conventional
     designs — {!Baseline.Lfs_store} and {!Baseline.Inplace_store} — under
     identical chip geometry. Latency histograms use the chip's simulated
     clock, so they are machine-independent and reproducible from the

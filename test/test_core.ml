@@ -1010,18 +1010,52 @@ let show_op = function
   | Upd (p, i, n) -> Printf.sprintf "upd p%d #%d %dB" p i n
   | Del (p, i) -> Printf.sprintf "del p%d #%d" p i
 
+(* Inserts and updates of 8 to 260 bytes and deletes, on three pages. *)
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun p n -> Ins (p, n)) (int_bound 2) (int_range 8 200));
+        (4, map3 (fun p i n -> Upd (p, i, n)) (int_bound 2) nat (int_range 8 260));
+        (1, map2 (fun p i -> Del (p, i)) (int_bound 2) nat);
+      ])
+
+(* Run [op] in transaction [tx] on page [page p], mirroring it in the
+   model [work.(p)] (slot -> payload); payloads come from [data]. An
+   update or delete names the [i]-th live slot, modulo their number; a
+   full page leaves both unchanged. *)
+let apply_op e ~tx ~page ~data work op =
+  let nth_live m i =
+    match List.map fst (model_contents m) with
+    | [] -> None
+    | slots -> Some (List.nth slots (i mod List.length slots))
+  in
+  match op with
+  | Ins (p, n) -> (
+      let d = data n in
+      match Engine.Unsafe.insert e ~tx ~page:(page p) d with
+      | Ok slot -> Hashtbl.replace work.(p) slot (Bytes.to_string d)
+      | Error Engine.Page_full -> ()
+      | Error err -> QCheck.Test.fail_reportf "insert: %s" (Engine.error_to_string err))
+  | Upd (p, i, n) -> (
+      match nth_live work.(p) i with
+      | None -> ()
+      | Some slot -> (
+          let d = data n in
+          match Engine.Unsafe.update e ~tx ~page:(page p) ~slot d with
+          | Ok () -> Hashtbl.replace work.(p) slot (Bytes.to_string d)
+          | Error Engine.Page_full -> ()
+          | Error err -> QCheck.Test.fail_reportf "update: %s" (Engine.error_to_string err)))
+  | Del (p, i) -> (
+      match nth_live work.(p) i with
+      | None -> ()
+      | Some slot ->
+          ok_e (Engine.Unsafe.delete e ~tx ~page:(page p) ~slot);
+          Hashtbl.remove work.(p) slot)
+
 let prop_one_txn_at_a_time =
   let open QCheck in
-  let op =
-    Gen.(
-      frequency
-        [
-          (3, map2 (fun p n -> Ins (p, n)) (int_bound 2) (int_range 8 200));
-          (4, map3 (fun p i n -> Upd (p, i, n)) (int_bound 2) nat (int_range 8 260));
-          (1, map2 (fun p i -> Del (p, i)) (int_bound 2) nat);
-        ])
-  in
-  let txn = Gen.(pair (frequencyl [ (3, false); (1, true) ]) (list_size (int_range 1 5) op)) in
+  let txn = Gen.(pair (frequencyl [ (3, false); (1, true) ]) (list_size (int_range 1 5) gen_op)) in
   let print =
     Print.list (fun (abort, ops) ->
         (if abort then "abort " else "commit ") ^ String.concat "; " (List.map show_op ops))
@@ -1038,34 +1072,6 @@ let prop_one_txn_at_a_time =
         incr stamp;
         Bytes.init n (fun i -> Char.chr (65 + ((!stamp + i) mod 26)))
       in
-      let nth_live m i =
-        match List.map fst (model_contents m) with
-        | [] -> None
-        | slots -> Some (List.nth slots (i mod List.length slots))
-      in
-      let apply tx work = function
-        | Ins (p, n) -> (
-            let d = data n in
-            match Engine.Unsafe.insert e ~tx ~page:(List.nth pids p) d with
-            | Ok slot -> Hashtbl.replace work.(p) slot (Bytes.to_string d)
-            | Error Engine.Page_full -> ()
-            | Error err -> Test.fail_reportf "insert: %s" (Engine.error_to_string err))
-        | Upd (p, i, n) -> (
-            match nth_live work.(p) i with
-            | None -> ()
-            | Some slot -> (
-                let d = data n in
-                match Engine.Unsafe.update e ~tx ~page:(List.nth pids p) ~slot d with
-                | Ok () -> Hashtbl.replace work.(p) slot (Bytes.to_string d)
-                | Error Engine.Page_full -> ()
-                | Error err -> Test.fail_reportf "update: %s" (Engine.error_to_string err)))
-        | Del (p, i) -> (
-            match nth_live work.(p) i with
-            | None -> ()
-            | Some slot ->
-                ok_e (Engine.Unsafe.delete e ~tx ~page:(List.nth pids p) ~slot);
-                Hashtbl.remove work.(p) slot)
-      in
       let same_as model e =
         List.for_all2 (fun page m -> contents e page = model_contents m) pids (Array.to_list model)
       in
@@ -1075,7 +1081,7 @@ let prop_one_txn_at_a_time =
           let work = Array.map Hashtbl.copy !committed in
           List.iter
             (fun op ->
-              apply tx work op;
+              apply_op e ~tx ~page:(List.nth pids) ~data work op;
               if not (frames_consistent e pids) then
                 Test.fail_reportf "after %s: a buffered page differs from flash + log"
                   (show_op op);
@@ -1091,6 +1097,211 @@ let prop_one_txn_at_a_time =
         txns;
       let e', _ = Engine.restart ~config chip in
       same_as !committed e')
+
+let page_reads e = (Engine.stats e).Engine.storage.Store.page_reads
+
+(* One merge over a unit hosting four pages, one of each kind: [a]
+   resident with an empty in-memory log, [bp] resident with an empty log
+   but a carried record of an active transaction, [c] resident with a
+   record still in memory (its flush is what fills the region), and [d]
+   not resident. Only [a] is programmed from its frame: the merge reads
+   three pages, and the flash contents equal those of a twin engine that
+   reads and replays every page. *)
+let test_merge_copies_clean_frames () =
+  let run ~copy =
+    let chip, _, e = mk_engine ~buffer_pages:3 () in
+    let store = Engine.storage e in
+    if not copy then Store.set_buffered store (fun _ -> None);
+    let a, bp, c, d =
+      match List.init 4 (fun _ -> Engine.Unsafe.allocate_page e) with
+      | [ a; bp; c; d ] -> (a, bp, c, d)
+      | _ -> assert false
+    in
+    Engine.Unsafe.checkpoint e;
+    let sector page v =
+      ignore (ok_e (Engine.Unsafe.insert e ~tx:0 ~page (b v)));
+      Engine.Unsafe.checkpoint e
+    in
+    List.iteri (fun i page -> sector page (Printf.sprintf "fill %d" i))
+      [ a; d; c; a; d; c; a; d; c; a; d; c; d ];
+    List.iter (fun page -> ignore (Engine.Unsafe.read e ~page ~slot:0)) [ a; c ];
+    (* [d] is now least recently used: [bp]'s fetch evicts it. *)
+    let tx = Engine.Unsafe.begin_txn e in
+    ignore (ok_e (Engine.Unsafe.insert e ~tx ~page:bp (b "active")));
+    Engine.Unsafe.checkpoint e;
+    sector a "a 15";
+    sector a "a 16";
+    let eu = Store.eu_of_page store a in
+    Alcotest.(check int) "region full" 16 (Store.used_log_sectors store ~eu);
+    Alcotest.(check (list bool)) "residency" [ true; true; true; false ]
+      (List.map (fun p -> Engine.Unsafe.buffered_log e p <> None) [ a; bp; c; d ]);
+    ignore (ok_e (Engine.Unsafe.insert e ~tx:0 ~page:c (b "pending")));
+    let r0 = page_reads e in
+    Engine.Unsafe.checkpoint e;
+    let reads = page_reads e - r0 in
+    let s = (Engine.stats e).Engine.storage in
+    Alcotest.(check int) "merged" 1 s.Store.merges;
+    Alcotest.(check int) "carried" 1 s.Store.records_carried_over;
+    Engine.Unsafe.commit e tx;
+    let image = Chip.read_sectors chip ~sector:0 ~count:(Chip.num_sectors chip) in
+    (reads, s.Store.records_applied_at_merge, image, List.map (contents e) [ a; bp; c; d ])
+  in
+  let reads, applied, image, pages = run ~copy:true in
+  let reads', applied', image', pages' = run ~copy:false in
+  Alcotest.(check int) "merge reads three pages" 3 reads;
+  Alcotest.(check int) "twin reads all four" 4 reads';
+  Alcotest.(check int) "records applied" applied' applied;
+  Alcotest.(check bool) "flash equals the read-and-replay twin" true (Bytes.equal image image');
+  Alcotest.(check (list (list (pair int string)))) "contents" pages' pages
+
+(* A merge applies a page's committed records before its carried ones,
+   so when a committed record follows an active one on the same page the
+   rebuilt image holds them in another layout than the resident frame,
+   which applied them in arrival order. Once the active transaction
+   commits, the next merge programs the frame's layout: the same records,
+   so every read, before and after a restart, sees the same content. *)
+let test_merge_copy_after_reordering_merge () =
+  let chip, config, e = mk_engine ~buffer_pages:4 () in
+  let p = Engine.Unsafe.allocate_page e and q = Engine.Unsafe.allocate_page e in
+  Engine.Unsafe.checkpoint e;
+  let t1 = Engine.Unsafe.begin_txn e in
+  ignore (ok_e (Engine.Unsafe.insert e ~tx:t1 ~page:p (b "first, committed last")));
+  Engine.Unsafe.checkpoint e;
+  let t2 = Engine.Unsafe.begin_txn e in
+  ignore (ok_e (Engine.Unsafe.insert e ~tx:t2 ~page:p (b "second, committed first")));
+  Engine.Unsafe.commit e t2;
+  let fill n =
+    for i = 1 to n do
+      ignore (ok_e (Engine.Unsafe.insert e ~tx:0 ~page:q (b (Printf.sprintf "q%d" i))));
+      Engine.Unsafe.checkpoint e
+    done
+  in
+  let merges () = (Engine.stats e).Engine.storage.Store.merges in
+  let want = [ (0, "first, committed last"); (1, "second, committed first") ] in
+  let on_flash () = Store.read_page (Engine.storage e) p in
+  fill 15;
+  Alcotest.(check int) "carrying merge" 1 (merges ());
+  Alcotest.(check bool) "re-laid on flash" false
+    (Engine.Unsafe.with_page e p (fun f -> Bytes.equal (Page.to_bytes f) (Page.to_bytes (on_flash ()))));
+  Engine.Unsafe.commit e t1;
+  fill 16;
+  Alcotest.(check int) "copying merge" 2 (merges ());
+  Alcotest.(check bool) "frame programmed" true
+    (Engine.Unsafe.with_page e p (fun f -> Bytes.equal (Page.to_bytes f) (Page.to_bytes (on_flash ()))));
+  Alcotest.(check (list (pair int string))) "content" want (contents e p);
+  let e', _ = Engine.restart ~config chip in
+  Alcotest.(check (list (pair int string))) "content after restart" want (contents e' p)
+
+(* Every resident frame whose in-memory log is empty is byte for byte its
+   stored image plus its live flash records: what a merge programs from
+   it. Reading the frame makes it most recently used, as a hit does. *)
+let clean_frames_exact e pids =
+  List.for_all
+    (fun pid ->
+      match Engine.Unsafe.buffered_log e pid with
+      | Some [] ->
+          let flash = Page.to_bytes (Store.read_page (Engine.storage e) pid) in
+          Engine.Unsafe.with_page e pid (fun p -> Bytes.equal (Page.to_bytes p) flash)
+      | Some _ | None -> true)
+    pids
+
+(* Two transactions open at once, each on its own three pages of one
+   unit with a two-sector log region, and a three-page pool: commits
+   flush the other transaction's records, so merges carry active records
+   and meet clean, dirty and evicted frames. After every operation each
+   clean resident frame is exactly flash plus its live records; at the end
+   every page, before and after a restart, holds the committed state. *)
+type step = Op of int * op | End of int * bool
+
+let prop_clean_frames_exact =
+  let open QCheck in
+  let step =
+    Gen.(
+      frequency
+        [
+          (6, map2 (fun side o -> Op (side, o)) (int_bound 1) gen_op);
+          ( 1,
+            map2
+              (fun side abort -> End (side, abort))
+              (int_bound 1)
+              (frequencyl [ (3, false); (1, true) ]) );
+        ])
+  in
+  let print =
+    Print.list (function
+      | Op (side, o) -> Printf.sprintf "%d: %s" side (show_op o)
+      | End (side, abort) -> Printf.sprintf "%d: %s" side (if abort then "abort" else "commit"))
+  in
+  Test.make ~name:"clean frames = flash + live records, bytes" ~count:100
+    (make ~print ~shrink:Shrink.list Gen.(list_size (int_range 40 200) step))
+    (fun steps ->
+      let chip = Chip.create (FConfig.default ~num_blocks:64 ()) in
+      let config =
+        {
+          Config.default with
+          Config.page_size = 1024;
+          log_region_bytes = 1024;
+          buffer_pages = 3;
+          selective_merge_threshold = 0.9 (* merge rather than divert, mostly *);
+        }
+      in
+      let e = Engine.create ~config chip in
+      let pids = List.init 6 (fun _ -> Engine.Unsafe.allocate_page e) in
+      Engine.Unsafe.checkpoint e;
+      let page side p = List.nth pids ((3 * side) + p) in
+      let committed = Array.init 2 (fun _ -> Array.init 3 (fun _ -> Hashtbl.create 8)) in
+      let work = Array.map (Array.map Hashtbl.copy) committed in
+      let txs = Array.make 2 None in
+      let stamp = ref 0 in
+      let data n =
+        incr stamp;
+        Bytes.init n (fun i -> Char.chr (65 + ((!stamp + i) mod 26)))
+      in
+      let tx_of side =
+        match txs.(side) with
+        | Some tx -> tx
+        | None ->
+            let tx = Engine.Unsafe.begin_txn e in
+            txs.(side) <- Some tx;
+            tx
+      in
+      let finish side abort =
+        match txs.(side) with
+        | None -> ()
+        | Some tx ->
+            txs.(side) <- None;
+            if abort then begin
+              Engine.Unsafe.abort e tx;
+              work.(side) <- Array.map Hashtbl.copy committed.(side)
+            end
+            else begin
+              Engine.Unsafe.commit e tx;
+              committed.(side) <- Array.map Hashtbl.copy work.(side)
+            end
+      in
+      List.iter
+        (fun st ->
+          (match st with
+          | Op (side, o) -> apply_op e ~tx:(tx_of side) ~page:(page side) ~data work.(side) o
+          | End (side, abort) -> finish side abort);
+          if not (clean_frames_exact e pids) then
+            Test.fail_reportf "after %s: a clean frame differs from flash + live records"
+              (print [ st ]))
+        steps;
+      finish 0 true;
+      finish 1 true;
+      let same_as e =
+        List.for_all
+          (fun side ->
+            List.for_all
+              (fun p -> contents e (page side p) = model_contents committed.(side).(p))
+              [ 0; 1; 2 ])
+          [ 0; 1 ]
+      in
+      same_as e
+      &&
+      let e', _ = Engine.restart ~config chip in
+      same_as e')
 
 let () =
   Alcotest.run "ipl_core"
@@ -1163,5 +1374,9 @@ let () =
           Alcotest.test_case "packed flush = model, restart" `Quick
             test_packed_flush_model_roundtrip;
           QCheck_alcotest.to_alcotest prop_one_txn_at_a_time;
+          Alcotest.test_case "merge copies clean frames" `Quick test_merge_copies_clean_frames;
+          Alcotest.test_case "copy after a reordering merge" `Quick
+            test_merge_copy_after_reordering_merge;
+          QCheck_alcotest.to_alcotest prop_clean_frames_exact;
         ] );
     ]

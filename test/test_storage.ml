@@ -81,6 +81,27 @@ let test_failed_grow_leaves_page () =
   Alcotest.(check (option bytes)) "a grown" (Some (record 'A' 120)) (Page.read p a);
   Alcotest.(check (option bytes)) "c intact" (Some (record 'c' 60)) (Page.read p c)
 
+(* A failed insert leaves the page's bytes as they were: it does not
+   compact first and then find the room short. *)
+let test_failed_insert_leaves_page () =
+  let p = Page.create 256 in
+  let record c n = Bytes.make n c in
+  let a = Option.get (Page.insert p (record 'a' 60)) in
+  let bb = Option.get (Page.insert p (record 'b' 60)) in
+  let c = Option.get (Page.insert p (record 'c' 60)) in
+  ignore (Option.get (Page.insert p (record 'd' 40)));
+  Alcotest.(check (result unit string)) "delete b" (Ok ()) (Page.delete p bb);
+  let before = Page.copy p in
+  (* Room for a record in [b]'s slot: 256 - 8 header - 160 payload - 16
+     directory = 72 bytes, 12 of them contiguous. *)
+  Alcotest.(check (option int)) "73 bytes do not fit" None (Page.insert p (record 'e' 73));
+  Alcotest.(check bool) "page bytes unchanged" true (Bytes.equal (Page.to_bytes before) (Page.to_bytes p));
+  Alcotest.(check (option int)) "72 bytes fit, in b's slot" (Some bb) (Page.insert p (record 'e' 72));
+  List.iter
+    (fun (slot, want) ->
+      Alcotest.(check (option bytes)) (Printf.sprintf "slot %d" slot) (Some want) (Page.read p slot))
+    [ (a, record 'a' 60); (bb, record 'e' 72); (c, record 'c' 60) ]
+
 let test_update_bytes () =
   let p = mk () in
   ignore (Page.insert p (bytes_of_string "abcdefgh"));
@@ -528,6 +549,7 @@ let () =
           Alcotest.test_case "delete & slot reuse" `Quick test_delete_and_slot_reuse;
           Alcotest.test_case "update in place & relocate" `Quick test_update_in_place_and_relocating;
           Alcotest.test_case "failed grow leaves the page" `Quick test_failed_grow_leaves_page;
+          Alcotest.test_case "failed insert leaves the page" `Quick test_failed_insert_leaves_page;
           Alcotest.test_case "byte-range update" `Quick test_update_bytes;
           Alcotest.test_case "insert_at (replay)" `Quick test_insert_at;
           Alcotest.test_case "fill until full" `Quick test_fill_until_full;
