@@ -53,7 +53,9 @@ type t = {
   mutable program_failures : int;
   mutable erase_failures : int;
   mutable last_read_corrected : bool;
-  mutable elapsed : float;
+  clock : Float.Array.t;
+      (* one cell, the simulated seconds spent: stored flat, so an
+         operation's charge allocates nothing *)
   mutable fault_hook : (int -> op -> fault_action) option;
   mutable tracer : Obs.Tracer.t option;
   mutable ops : int;
@@ -80,7 +82,7 @@ let create_with spares config =
     program_failures = 0;
     erase_failures = 0;
     last_read_corrected = false;
-    elapsed = 0.0;
+    clock = Float.Array.make 1 0.0;
     fault_hook = None;
     tracer = None;
     ops = 0;
@@ -93,6 +95,8 @@ let create_shared n config =
   let spares = { free = [] } in
   Array.init n (fun _ -> create_with spares config)
 
+let[@inline] elapsed t = Float.Array.get t.clock 0
+let[@inline] charge t dt = Float.Array.set t.clock 0 (elapsed t +. dt)
 let op_count t = t.ops
 let is_dead t = t.dead
 
@@ -184,12 +188,12 @@ let read_sectors_into t ~sector ~count dst =
   let pages = pages_touched t ~sector ~count in
   t.page_reads <- t.page_reads + pages;
   t.sectors_read <- t.sectors_read + count;
-  t.elapsed <- t.elapsed +. (float_of_int pages *. t.config.t_read_page);
+  charge t (float_of_int pages *. t.config.t_read_page);
   (* One option check when tracing is off; the event is constructed only
      inside the [Some] branch. *)
   (match t.tracer with
   | None -> ()
-  | Some tr -> Obs.Tracer.emit tr ~time:t.elapsed (Obs.Event.Read_sector { sector; count }));
+  | Some tr -> Obs.Tracer.emit tr ~time:(elapsed t) (Obs.Event.Read_sector { sector; count }));
   if not t.config.materialize then Bytes.fill dst 0 (count * ss) '\xff'
   else begin
     (* Copy run by run: a run of free sectors reads 0xff, a run of
@@ -271,11 +275,11 @@ let write_sectors t ~sector data =
     let pages = pages_touched t ~sector ~count:programmed in
     t.page_writes <- t.page_writes + pages;
     t.sectors_written <- t.sectors_written + programmed;
-    t.elapsed <- t.elapsed +. (float_of_int pages *. t.config.t_write_page);
+    charge t (float_of_int pages *. t.config.t_write_page);
     match t.tracer with
     | None -> ()
     | Some tr ->
-        Obs.Tracer.emit tr ~time:t.elapsed
+        Obs.Tracer.emit tr ~time:(elapsed t)
           (Obs.Event.Program_sector { sector; count = programmed })
   end;
   match action with
@@ -331,10 +335,10 @@ let erase_block t b =
   end;
   bump_wear t b;
   t.block_erases <- t.block_erases + 1;
-  t.elapsed <- t.elapsed +. t.config.t_erase_block;
+  charge t t.config.t_erase_block;
   match t.tracer with
   | None -> ()
-  | Some tr -> Obs.Tracer.emit tr ~time:t.elapsed (Obs.Event.Erase_block { block = b })
+  | Some tr -> Obs.Tracer.emit tr ~time:(elapsed t) (Obs.Event.Erase_block { block = b })
 
 let corrupt_sector ?(offset = 0) t s =
   check_sector t s;
@@ -364,7 +368,7 @@ let stats t : Flash_stats.t =
     block_erases = t.block_erases;
     sectors_read = t.sectors_read;
     sectors_written = t.sectors_written;
-    elapsed = t.elapsed;
+    elapsed = elapsed t;
     max_wear = Array.fold_left max 0 t.erase_counts;
     mean_wear =
       float_of_int (Array.fold_left ( + ) 0 t.erase_counts)
@@ -386,7 +390,7 @@ let reset_stats t =
   t.corrected_reads <- 0;
   t.program_failures <- 0;
   t.erase_failures <- 0;
-  t.elapsed <- 0.0
+  Float.Array.set t.clock 0 0.0
 
 let last_read_corrected t = t.last_read_corrected
 
@@ -405,8 +409,8 @@ let bad_blocks t =
   done;
   !acc
 
-let elapsed t = t.elapsed
-let advance_time t dt = t.elapsed <- t.elapsed +. dt
+let clock t = t.clock
+let advance_time t dt = charge t dt
 let erase_count t b =
   if b < 0 || b >= t.config.num_blocks then raise (Out_of_range b);
   t.erase_counts.(b)

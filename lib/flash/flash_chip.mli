@@ -177,6 +177,12 @@ val reset_stats : t -> unit
 val elapsed : t -> float
 (** Simulated seconds accumulated so far (same as [(stats t).elapsed]). *)
 
+val clock : t -> Float.Array.t
+(** The one-cell array the chip keeps {!elapsed} in, shared, not copied:
+    cell 0 moves with every operation. A reader that must not box a
+    float (the device scheduler measures each operation's service time
+    from it) reads the cell; nothing else may write it. *)
+
 val advance_time : t -> float -> unit
 (** Add externally-modelled latency (e.g. host transfer) to the clock. *)
 
