@@ -34,7 +34,8 @@
     so completions ascend along it too. Per operation:
     - an arrival joins the tail of its class queue in O(1), with no scan
       and no slot moves; a float-only pass pushes back the start times
-      of the queued lower-priority operations;
+      of the queued lower-priority operations, up to the first it does
+      not move;
     - a settle frees completed operations in timeline order and moves a
       class queue's head that is in progress to the run queue, O(1) per
       operation, and O(1) outright while the run queue's first
@@ -45,13 +46,26 @@
     - a promotion (an await or a barrier of an operation queued behind
       another queued one) relinks the operation to the run queue's tail
       and pushes back every queued operation;
+    - a multi-page [Merge_io] or [Scrub] read or program in progress
+      when a [Foreground] or [Log_flush] operation arrives yields at a
+      flash-page boundary: it finishes the page it is on (a chip reads or
+      programs one page per command, [t_read_page] / [t_write_page]),
+      the arrival starts when that page ends, and the rest of the
+      operation goes back to the head of its class queue in the same
+      slot, resuming behind every higher-class operation (the queues
+      behind the arrival are re-planned, since an operation queued
+      behind a yielding [Scrub] one may now start earlier). The page in
+      progress always finishes, so an operation on its last page, a
+      one-page operation and an erase (no erase suspend) never yield.
+      Only completion times move: execution order, data and each chip's
+      busy time are those of submission;
     - a tag encodes its chip and class, so an await searches only that
       chip's run queue and class queue, and a barrier collects durable
       writes from the run queue and the [Foreground] and [Log_flush]
       queues and sorts their tags in a preallocated array.
 
-    A submission, an await and a barrier allocate nothing in the
-    scheduler. *)
+    A submission, an await, a barrier and a yield allocate nothing in
+    the scheduler. *)
 
 module Chip = Flash_sim.Flash_chip
 
@@ -185,6 +199,11 @@ val drain : t -> unit
 val in_flight : t -> int
 (** Outstanding (submitted, not yet settled) operations. *)
 
+val completion : t -> tag -> float option
+(** The scheduled completion time of an outstanding operation, if no
+    other operation arrives or is promoted ahead of it; [None] once it
+    has settled. *)
+
 (** {1 Clock and stats} *)
 
 val elapsed : t -> float
@@ -227,6 +246,9 @@ type channel_report = {
   max_queue_depth : int;
   mean_queue_depth : float;  (** queue depth observed at each submission *)
   submitted_by_class : (string * int) list;
+  yields : int;
+      (** times a background operation gave way to a higher class at a
+          flash-page boundary *)
   chip_stats : Flash_sim.Flash_stats.t;
 }
 

@@ -3,7 +3,9 @@
    chip's fault numbering and clock, deterministic virtual-time scheduling,
    op-class priorities with deadline promotion, queue-depth backpressure,
    barrier vs drain semantics, seeded timelines pinned to golden
-   constants (tpcc's preemption pattern among them), the scheduler's
+   constants (tpcc's preemption pattern among them), the scheduler
+   against a naive reference scheduler, page-boundary yields of
+   background operations, the scheduler's
    allocation per submission, await and barrier (on full queues of eight
    chips and of one chip preempted by log flushes), erased-block
    buffers reused across chips, device and
@@ -313,20 +315,20 @@ let golden_run ~channels ~ways ~queue_depth ~seed =
 let golden_cases =
   [
     (* channels, ways, queue_depth, seed, clock trace MD5, report MD5 *)
-    (2, 1, 1, 1, "6367677551a968b796260bc01ec09bdd", "ae512a3f1bdec045edabfbb3924ec2c8");
-    (2, 1, 32, 2, "ba3a08360cbc69464fbc6cfdfec5e66f", "43bf3746ab1d4473dce4cf825a837d79");
-    (2, 2, 2, 3, "90ffd9358822b352b6d514ab750ab718", "5d14406cfbe9cd5c85f1c58fb94144b3");
-    (3, 1, 32, 4, "65df0ea2be6ca76a716ef8b34cef583c", "a926ca557040debad15ccab9cf552726");
-    (4, 1, 2, 5, "b9a04bff9e46b6e5f0f8becb9ad0a2f8", "e9e09d667f150c03ceb9373a1394a176");
-    (2, 3, 1, 6, "c55fdaf15f98c4e31f2f42e69ecd1ac4", "b4a629632028932a53eca7601e8bb04f");
-    (4, 2, 32, 7, "3289b024bde18db5e434ba6faad62ca6", "e9df62197ed7c9eaf2e8dbec0214adfa");
-    (2, 4, 2, 8, "0c7de9b13cda4587120231fdd9c3839c", "bed0bf4a15d9b57f6d63ef6fd890d287");
-    (4, 2, 64, 9, "68553f66190ce5223184539957cfa76b", "c2c18c2b1425cf61e5550ee9f4cff4d2");
-    (2, 2, 64, 10, "923d557b4fd2db5f3a68b2ad98792220", "c68b1c1c9364e304f4674ead7c114e34");
+    (2, 1, 1, 1, "6367677551a968b796260bc01ec09bdd", "83c9c4e5389bc35039b0921d913d85e4");
+    (2, 1, 32, 2, "7f5bf999881cebd24e820d2a40191d2c", "98d61554abe2eb733556f775dfe49c6f");
+    (2, 2, 2, 3, "ae9ac25032844d40c8af6a6830a282df", "9b616e9508697d7719e5fd92d40896b9");
+    (3, 1, 32, 4, "a9833853eda3e44a93716177554cd15c", "ca65d8bd9bac09e4addd444e92173f30");
+    (4, 1, 2, 5, "b64440d8beae397ba2c1c920d85aa785", "bf12974612f6915761ad5966a7f896ce");
+    (2, 3, 1, 6, "c55fdaf15f98c4e31f2f42e69ecd1ac4", "e15c057f211293f3b638ba461e20822a");
+    (4, 2, 32, 7, "4e76007159e2c415e22f9db9eb3946f0", "2e4e9986eaefbcb2f8523dbad29fc891");
+    (2, 4, 2, 8, "1c845b1a3880436aeda4aff10202a9fa", "71311cf08f99e5d188f64cfa4942429a");
+    (4, 2, 64, 9, "89d7cab54503e292a4ae1f7f4f529cc7", "e1b3495dcb7610256184e614deeda008");
+    (2, 2, 64, 10, "54e197fc0d61616adc311fb89c7dc243", "a76459d16bd7e20f86e9ce8fe7b5c75a");
     (* One chip: a burst of mixed-class ops queued on it is tpcc's
        pattern. *)
-    (1, 1, 32, 12, "f0a7df8cde8582e4865cf37f60ef9ba2", "04f5603db92a475fad234a8be38856f0");
-    (1, 1, 64, 13, "7520f924a371451c8abe9496402be8c3", "a296e2aed649e76253ec1e34a06114f9");
+    (1, 1, 32, 12, "ea4f6740c501609a368c9f34bdd4b6a6", "c8e9a6c0489efc40a92f0a7243adbec7");
+    (1, 1, 64, 13, "749f6e99967e7db88857a89c8d45d147", "da0b9e7d39821c276cdf1a6b26c5fb81");
   ]
 
 (* tpcc's pattern, seeded: each round refills a Merge_io backlog to full
@@ -414,8 +416,8 @@ let tpcc_shaped_run ~channels ~ways ~queue_depth ~seed =
 let tpcc_shaped_cases =
   [
     (* channels, ways, queue_depth, seed, clock trace MD5, report MD5 *)
-    (1, 1, 64, 14, "1ed99b430e9fbdb2bfc79d2becc3b9aa", "d47bfff2be2f06c67520287a0024660e");
-    (4, 2, 32, 15, "f93e4b0e42c5d31a6c9165f4b759c2f2", "43d3db2a397cb06eb8f8f4f14ba03ce5");
+    (1, 1, 64, 14, "acf408e4f3a632841e921c822c240a3a", "4becddec720e7f85b31449c6e2dc04ef");
+    (4, 2, 32, 15, "3516d1d92e86ef9df7b04ebf3df97d79", "66f5fd2579905ad6d8c3ba7bb6f2b5c5");
   ]
 
 let test_golden_timelines () =
@@ -430,6 +432,516 @@ let test_golden_timelines () =
   in
   check golden_run golden_cases;
   check tpcc_shaped_run tpcc_shaped_cases
+
+(* --- the scheduler against a reference ------------------------------ *)
+
+(* Service times that are powers of two, and host think times in
+   multiples of 2^-14 s: every time either scheduler computes is exact,
+   so a reference that adds in another order must agree bit for bit. *)
+let dyadic_cfg ~num_blocks =
+  {
+    (cfg ~num_blocks ()) with
+    Config.t_read_page = Float.ldexp 1.0 (-13);
+    t_write_page = Float.ldexp 1.0 (-12);
+    t_erase_block = Float.ldexp 1.0 (-9);
+  }
+
+(* A naive per-chip scheduler, written from the documented rules rather
+   than from the device's queues: an event simulation that keeps every
+   op in one list and decides at each completion what a free chip runs
+   next. Rules:
+   - a chip serves one op at a time; an op whose start is no later than
+     the host clock has started;
+   - a free chip runs an awaited op first, else the highest class, else
+     (within a class) an op that yielded, else the earliest submission;
+   - a Foreground or Log_flush arrival makes a running background read
+     or program finish the flash page it is on and go back to its
+     queue; the page in progress always finishes, so an op on its last
+     page, a one-page op and an erase never yield;
+   - a submission against [queue_depth] unfinished ops on its chip
+     waits for the next completion;
+   - a barrier awaits, in submission order, the unfinished programs and
+     erases of the Foreground and Log_flush classes; a drain waits for
+     every chip to finish. *)
+module Ref_sched = struct
+  type state = Queued | Running | Done
+
+  type op = {
+    tag : Dev.tag option;  (* an awaitable submission's *)
+    seq : int;
+    cls : int;
+    durable : bool;
+    page : float;  (* the page time of an op that may yield, else 0 *)
+    mutable rem : float;  (* service time left *)
+    mutable start : float;
+    mutable fin : float;
+    mutable state : state;
+    mutable promoted : bool;
+    mutable yielded : bool;
+  }
+
+  type chip = { mutable ops : op list; mutable free_at : float; mutable running : op option }
+
+  type t = {
+    chips : chip array;
+    queue_depth : int;
+    mutable now : float;
+    waits : float array;  (* await, barrier, sync, backpressure *)
+    mutable seq : int;
+  }
+
+  let create ~chips ~queue_depth =
+    {
+      chips = Array.init chips (fun _ -> { ops = []; free_at = 0.0; running = None });
+      queue_depth;
+      now = 0.0;
+      waits = Array.make 4 0.0;
+      seq = 0;
+    }
+
+  let w_await = 0
+  let w_barrier = 1
+  let w_sync = 2
+  let w_backpressure = 3
+
+  let wait r cause target =
+    if target > r.now then begin
+      r.waits.(cause) <- r.waits.(cause) +. (target -. r.now);
+      r.now <- target
+    end
+
+  let ahead o b =
+    if o.promoted <> b.promoted then o.promoted
+    else if o.cls <> b.cls then o.cls < b.cls
+    else if o.yielded <> b.yielded then o.yielded
+    else o.seq < b.seq
+
+  let queued c = List.filter (fun o -> o.state = Queued) c.ops
+  let next c = List.fold_left (fun m o -> match m with Some b when ahead b o -> m | _ -> Some o) None (queued c)
+
+  (* When the chip's next event happens: the running op's end, or the
+     next start; infinity if idle. *)
+  let next_event c =
+    match c.running with
+    | Some o -> o.fin
+    | None -> if queued c = [] then infinity else c.free_at
+
+  (* Run the chip's next event: finish the running op, or start the
+     next. The op it finished, if any. *)
+  let step c =
+    match c.running with
+    | Some o ->
+        o.state <- Done;
+        c.free_at <- o.fin;
+        c.running <- None;
+        Some o
+    | None -> (
+        match next c with
+        | None -> invalid_arg "Ref_sched.step: idle chip"
+        | Some o ->
+            o.state <- Running;
+            o.yielded <- false;
+            o.start <- c.free_at;
+            o.fin <- o.start +. o.rem;
+            c.running <- Some o;
+            None)
+
+  let advance c now =
+    while next_event c <= now do
+      ignore (step c : op option)
+    done
+
+  let unfinished c = List.length (List.filter (fun o -> o.state <> Done) c.ops)
+
+  let await r ci ~cause o =
+    let c = r.chips.(ci) in
+    advance c r.now;
+    if o.state <> Done then begin
+      if o.state = Queued then o.promoted <- true;
+      while o.state <> Done do
+        ignore (step c : op option)
+      done;
+      wait r cause o.fin
+    end
+
+  let submit r ci ?tag ~cls ~durable ~page dur =
+    let c = r.chips.(ci) in
+    advance c r.now;
+    if unfinished c >= r.queue_depth then begin
+      let rec first_done () = match step c with Some o -> o.fin | None -> first_done () in
+      wait r w_backpressure (first_done ());
+      advance c r.now
+    end;
+    (match c.running with
+    | Some x when cls <= 1 && x.page > 0.0 ->
+        let boundary = x.start +. ((Float.floor ((r.now -. x.start) /. x.page) +. 1.0) *. x.page) in
+        if x.fin -. boundary > 0.5 *. x.page then begin
+          x.rem <- x.fin -. boundary;
+          x.state <- Queued;
+          x.yielded <- true;
+          c.running <- None;
+          c.free_at <- boundary
+        end
+    | _ -> ());
+    if next_event c = infinity then c.free_at <- Float.max c.free_at r.now;
+    let o =
+      {
+        tag;
+        seq = r.seq;
+        cls;
+        durable;
+        page;
+        rem = dur;
+        start = nan;
+        fin = nan;
+        state = Queued;
+        promoted = false;
+        yielded = false;
+      }
+    in
+    r.seq <- r.seq + 1;
+    c.ops <- c.ops @ [ o ];
+    advance c r.now;
+    o
+
+  let barrier r =
+    let durable =
+      List.concat_map
+        (fun (ci, c) ->
+          List.filter_map
+            (fun o -> if o.durable && o.state <> Done then Some (ci, o) else None)
+            c.ops)
+        (List.mapi (fun ci c -> (ci, c)) (Array.to_list r.chips))
+    in
+    List.iter
+      (fun (ci, o) -> await r ci ~cause:w_barrier o)
+      (List.sort (fun (_, (a : op)) (_, (b : op)) -> compare a.seq b.seq) durable)
+
+  let drain r =
+    Array.iter
+      (fun c ->
+        while next_event c < infinity do
+          ignore (step c : op option)
+        done;
+        wait r w_barrier c.free_at)
+      r.chips
+
+  (* Each unfinished op's completion if nothing else arrives: the
+     running op's end, then the queued ones back to back in the order a
+     free chip would pick them. *)
+  let plan c =
+    let t = ref (match c.running with Some o -> o.fin | None -> c.free_at) in
+    let rec order acc = function
+      | [] -> List.rev acc
+      | l ->
+          let o = List.fold_left (fun m o -> if ahead o m then o else m) (List.hd l) l in
+          order (o :: acc) (List.filter (fun x -> x != o) l)
+    in
+    (match c.running with Some o -> [ (o, o.fin) ] | None -> [])
+    @ List.map
+        (fun o ->
+          t := !t +. o.rem;
+          (o, !t))
+        (order [] (queued c))
+
+  let makespan r =
+    Array.fold_left
+      (fun m c -> List.fold_left (fun m (_, f) -> Float.max m f) m (plan c))
+      r.now r.chips
+end
+
+let host_waits dev =
+  match Json.member "host_wait_s" (Dev.to_json dev) with
+  | Some w ->
+      List.map
+        (fun k -> match Json.member k w with Some (Json.Float f) -> f | _ -> nan)
+        [ "await"; "barrier"; "sync"; "backpressure" ]
+  | None -> Alcotest.fail "no host_wait_s"
+
+(* After every call: the device's makespan and host waits by cause equal
+   the reference's, and so does every awaitable op's completion, planned
+   while it is outstanding and final once it is done. *)
+let check_against dev r ~what =
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
+  Array.iter (fun c -> Ref_sched.advance c r.Ref_sched.now) r.Ref_sched.chips;
+  if Dev.elapsed dev <> Ref_sched.makespan r then
+    fail "makespan %h, reference %h" (Dev.elapsed dev) (Ref_sched.makespan r);
+  List.iteri
+    (fun i (d, e) -> if d <> e then fail "host wait %d: %h, reference %h" i d e)
+    (List.combine (host_waits dev) (Array.to_list r.Ref_sched.waits));
+  Array.iter
+    (fun c ->
+      let plan = Ref_sched.plan c in
+      List.iter
+        (fun (o : Ref_sched.op) ->
+          match o.tag with
+          | None -> ()
+          | Some tag -> (
+              let want = List.assq_opt o plan in
+              match (Dev.completion dev tag, want) with
+              | Some f, Some p when f = p -> ()
+              | Some f, None when o.state = Done && f = o.fin -> ()
+              | None, None when o.state = Done && o.fin <= r.now -> ()
+              | got, _ ->
+                  fail "op %d (class %d): completion %s, reference %s" o.seq o.cls
+                    (match got with Some f -> Printf.sprintf "%h" f | None -> "settled")
+                    (match want with
+                    | Some p -> Printf.sprintf "%h planned" p
+                    | None -> Printf.sprintf "%h done" o.fin)))
+        c.Ref_sched.ops)
+    r.Ref_sched.chips
+
+(* Seeded random mixes of classes, op kinds, page counts (aligned data
+   pages of one to four flash pages, and unaligned runs), sync, awaited
+   and fire-and-forget submissions, awaits, barriers, drains and host
+   think time, checked against the reference after every call. *)
+let oracle_run ~channels ~ways ~queue_depth ~seed =
+  let rng = Random.State.make [| seed |] in
+  let pick k = Random.State.int rng k in
+  let n = channels * ways in
+  let config = dyadic_cfg ~num_blocks:(4 * n) in
+  let dev = Dev.create ~queue_depth ~channels ~ways config in
+  let r = Ref_sched.create ~chips:n ~queue_depth in
+  let spb = Config.sectors_per_block config and spp = Config.sectors_per_page config in
+  let classes = [| Dev.Foreground; Dev.Log_flush; Dev.Merge_io; Dev.Scrub |] in
+  let used = Array.make (4 * n) 0 in
+  let kept = ref [] in
+  let what = Printf.sprintf "%dx%d qd %d seed %d" channels ways queue_depth seed in
+  for step = 1 to 500 do
+    let k = pick 4 in
+    let cls = classes.(k) in
+    let b = pick (4 * n) in
+    let ci = b mod n and base = Dev.sector_of_block dev b in
+    let count () = if pick 2 = 0 then spp * (1 + pick 4) else 1 + pick (4 * spp) in
+    let pages s count = ((s + count - 1) / spp) - (s / spp) + 1 in
+    let submit ~mode ~durable ~page dur sync async publish =
+      match mode with
+      | 0 ->
+          let o = Ref_sched.submit r ci ~cls:k ~durable ~page dur in
+          Ref_sched.await r ci ~cause:Ref_sched.w_sync o;
+          sync ()
+      | 1 ->
+          let tag = async () in
+          kept := (ci, Ref_sched.submit r ci ~tag ~cls:k ~durable ~page dur) :: !kept
+      | _ ->
+          ignore (Ref_sched.submit r ci ~cls:k ~durable ~page dur : Ref_sched.op);
+          publish ()
+    in
+    (match pick 100 with
+    | x when x < 40 ->
+        let count = count () in
+        let sector = base + pick (spb - count + 1) in
+        let page = if k >= 2 then config.Config.t_read_page else 0.0 in
+        submit ~mode:(pick 3) ~durable:false ~page
+          (float_of_int (pages sector count) *. config.Config.t_read_page)
+          (fun () -> ignore (Dev.read_sectors ~cls dev ~sector ~count : bytes))
+          (fun () -> snd (Dev.submit_read dev ~cls ~sector ~count))
+          (fun () -> Dev.publish_read_into dev ~cls ~sector ~count (sector_bytes dev count))
+    | x when x < 72 && used.(b) < spb ->
+        let count = min (count ()) (spb - used.(b)) in
+        let sector = base + used.(b) in
+        used.(b) <- used.(b) + count;
+        let data = sector_bytes dev count in
+        let page = if k >= 2 then config.Config.t_write_page else 0.0 in
+        submit ~mode:(pick 3) ~durable:(k <= 1) ~page
+          (float_of_int (pages sector count) *. config.Config.t_write_page)
+          (fun () -> Dev.write_sectors ~cls dev ~sector data)
+          (fun () -> Dev.submit_write dev ~cls ~sector data)
+          (fun () -> Dev.publish_write dev ~cls ~sector data)
+    | x when x < 78 ->
+        used.(b) <- 0;
+        submit ~mode:(pick 3) ~durable:(k <= 1) ~page:0.0 config.Config.t_erase_block
+          (fun () -> Dev.erase_block ~cls dev b)
+          (fun () -> Dev.submit_erase dev ~cls b)
+          (fun () -> Dev.publish_erase dev ~cls b)
+    | x when x < 88 -> (
+        match !kept with
+        | [] -> ()
+        | l ->
+            let ci, o = List.nth l (pick (List.length l)) in
+            Ref_sched.await r ci ~cause:Ref_sched.w_await o;
+            Option.iter (Dev.await dev) o.Ref_sched.tag)
+    | x when x < 93 ->
+        Ref_sched.barrier r;
+        Dev.barrier dev
+    | x when x < 94 ->
+        Ref_sched.drain r;
+        Dev.drain dev
+    | _ ->
+        let dt = Float.ldexp (float_of_int (pick 24)) (-14) in
+        r.Ref_sched.now <- r.Ref_sched.now +. dt;
+        Dev.advance_time dev dt);
+    check_against dev r ~what:(Printf.sprintf "%s step %d" what step)
+  done;
+  Ref_sched.drain r;
+  Dev.drain dev;
+  check_against dev r ~what:(what ^ " drained");
+  Array.fold_left (fun acc (c : Dev.channel_report) -> acc + c.Dev.yields) 0
+    (Array.of_list (Dev.channel_report dev))
+
+let test_reference_scheduler () =
+  let yields =
+    List.fold_left
+      (fun acc (channels, ways, queue_depth, seed) ->
+        acc + oracle_run ~channels ~ways ~queue_depth ~seed)
+      0
+      [
+        (1, 1, 1, 21); (1, 1, 4, 22); (1, 1, 32, 23); (1, 1, 64, 24); (2, 1, 2, 25);
+        (2, 1, 32, 26); (2, 2, 8, 27); (4, 1, 32, 28); (4, 2, 3, 29); (1, 1, 16, 30);
+      ]
+  in
+  (* The mixes exercise the yield rule, not only the queues. *)
+  Alcotest.(check bool) (Printf.sprintf "%d yields" yields) true (yields > 50)
+
+(* --- page-boundary yields ------------------------------------------- *)
+
+(* On a 1x1 device with the paper's timings, a data page is four flash
+   pages: 320 us to read, 800 us to program. *)
+let us x = x *. 1e-6
+let close what want got = Alcotest.(check (float 1e-12)) what want got
+
+let done_at dev tag =
+  match Dev.completion dev tag with Some f -> f | None -> Alcotest.fail "settled too early"
+
+let yields dev = List.fold_left (fun n (r : Dev.channel_report) -> n + r.Dev.yields) 0 (Dev.channel_report dev)
+
+(* A foreground read arriving in the second page of a 4-page merge
+   program starts at that page's end, and the program completes later by
+   exactly the read's service time; awaiting the program after the read
+   returns at its resumed end. A Log_flush arrival makes a Scrub program yield the
+   same way, and a Merge_io program queued behind the scrub, which
+   outranks it, moves up to start right after the log flush. The
+   per-channel yield count, in the report and its JSON, counts both. *)
+let test_page_yield () =
+  let dev = Dev.create ~channels:1 ~ways:1 ~queue_depth:8 (cfg ()) in
+  Dev.write_sectors dev ~sector:0 (sector_bytes dev 16);
+  let t0 = Dev.elapsed dev in
+  let block b = Dev.sector_of_block dev b in
+  let merge = Dev.submit_write dev ~cls:Dev.Merge_io ~sector:(block 1) (sector_bytes dev 16) in
+  Dev.advance_time dev (us 300.0);
+  let _, read = Dev.submit_read dev ~cls:Dev.Foreground ~sector:0 ~count:16 in
+  close "read: page boundary + 320 us" (t0 +. us 720.0) (done_at dev read);
+  close "program: later by the read's 320 us" (t0 +. us 1120.0) (done_at dev merge);
+  Dev.await dev read;
+  Alcotest.(check int) "program still in flight" 1 (Dev.in_flight dev);
+  Dev.await dev merge;
+  Alcotest.(check int) "settled" 0 (Dev.in_flight dev);
+  close "awaited at its resumed end" (t0 +. us 1120.0) (Dev.elapsed dev);
+  Alcotest.(check int) "one yield" 1 (yields dev);
+  let t1 = Dev.elapsed dev in
+  let scrub = Dev.submit_write dev ~cls:Dev.Scrub ~sector:(block 2) (sector_bytes dev 16) in
+  let queued = Dev.submit_write dev ~cls:Dev.Merge_io ~sector:(block 3) (sector_bytes dev 4) in
+  close "merge queued behind the scrub" (t1 +. us 1000.0) (done_at dev queued);
+  Dev.advance_time dev (us 300.0);
+  let flush = Dev.submit_write dev ~cls:Dev.Log_flush ~sector:(block 4) (sector_bytes dev 1) in
+  close "log flush at the page boundary" (t1 +. us 600.0) (done_at dev flush);
+  close "merge moves up behind it" (t1 +. us 800.0) (done_at dev queued);
+  close "scrub resumes last" (t1 +. us 1200.0) (done_at dev scrub);
+  Dev.drain dev;
+  Alcotest.(check int) "two yields" 2 (yields dev);
+  match Json.member "per_channel" (Dev.to_json dev) with
+  | Some (Json.List [ chan ]) ->
+      Alcotest.(check bool) "per_channel yields" true (Json.member "yields" chan = Some (Json.Int 2))
+  | _ -> Alcotest.fail "per_channel"
+
+(* Awaiting the yielded op before the arrival has started promotes it:
+   it resumes at the page boundary and ends when it would have, and the
+   read waits behind it. *)
+let test_await_yielded () =
+  let dev = Dev.create ~channels:1 ~ways:1 ~queue_depth:8 (cfg ()) in
+  let t0 = Dev.elapsed dev in
+  let merge =
+    Dev.submit_write dev ~cls:Dev.Merge_io ~sector:(Dev.sector_of_block dev 1) (sector_bytes dev 16)
+  in
+  Dev.advance_time dev (us 300.0);
+  let _, read = Dev.submit_read dev ~cls:Dev.Foreground ~sector:0 ~count:16 in
+  Dev.await dev merge;
+  close "program: its own end" (t0 +. us 800.0) (done_at dev read -. us 320.0);
+  Alcotest.(check int) "read still in flight" 1 (Dev.in_flight dev);
+  Dev.await dev read;
+  close "read behind it" (t0 +. us 1120.0) (Dev.elapsed dev)
+
+(* What never yields: an erase (no erase suspend), a one-page program,
+   a program on its last page, and any op to an arrival of a class that
+   does not outrank the background ones. *)
+let test_no_yield () =
+  let dev = Dev.create ~channels:1 ~ways:1 ~queue_depth:8 (cfg ()) in
+  let block b = Dev.sector_of_block dev b in
+  let case what ~arrive ~cls ~after background =
+    Dev.drain dev;
+    let t0 = Dev.elapsed dev in
+    let tag = background () in
+    Dev.advance_time dev (us arrive);
+    let _, read = Dev.submit_read dev ~cls ~sector:0 ~count:4 in
+    close (what ^ ": read waits") (t0 +. us after +. us 80.0) (done_at dev read);
+    Dev.await dev tag
+  in
+  case "erase" ~arrive:300.0 ~cls:Dev.Foreground ~after:1500.0 (fun () ->
+      Dev.submit_erase dev ~cls:Dev.Merge_io 5);
+  case "one-page program" ~arrive:50.0 ~cls:Dev.Log_flush ~after:200.0 (fun () ->
+      Dev.submit_write dev ~cls:Dev.Merge_io ~sector:(block 1) (sector_bytes dev 4));
+  case "last page" ~arrive:700.0 ~cls:Dev.Foreground ~after:800.0 (fun () ->
+      Dev.submit_write dev ~cls:Dev.Scrub ~sector:(block 2) (sector_bytes dev 16));
+  case "background arrival" ~arrive:300.0 ~cls:Dev.Merge_io ~after:800.0 (fun () ->
+      Dev.submit_write dev ~cls:Dev.Scrub ~sector:(block 3) (sector_bytes dev 16));
+  Alcotest.(check int) "no yield" 0 (yields dev)
+
+(* Yields move completions only: with a foreground read arriving during
+   each of 40 merge programs, every op still settles exactly once (one
+   latency sample each) and the chip's busy time is the sum of the
+   service times. *)
+let test_yield_accounting () =
+  let dev = Dev.create ~channels:1 ~ways:1 ~queue_depth:8 (cfg ~num_blocks:64 ()) in
+  for i = 1 to 40 do
+    Dev.publish_write dev ~cls:Dev.Merge_io ~sector:(Dev.sector_of_block dev i) (sector_bytes dev 16);
+    Dev.advance_time dev (us 250.0);
+    Dev.publish_read_into dev ~cls:Dev.Foreground ~sector:0 ~count:16 (sector_bytes dev 16);
+    Dev.advance_time dev (us 100.0)
+  done;
+  Dev.drain dev;
+  let count cls = Obs.Metrics.Latency.count (Dev.class_latency dev cls) in
+  Alcotest.(check int) "merge samples" 40 (count Dev.Merge_io);
+  Alcotest.(check int) "foreground samples" 40 (count Dev.Foreground);
+  Alcotest.(check bool) "reads yielded to" true (yields dev > 0);
+  match Dev.channel_report dev with
+  | [ r ] -> close "busy_s" (40.0 *. us (800.0 +. 320.0)) r.Dev.busy_s
+  | _ -> Alcotest.fail "one channel"
+
+(* The yield allocates nothing: a read arriving during a merge program
+   costs the same minor words whether it is a Foreground read, which the
+   program yields to, or a Scrub read, which queues behind it. *)
+let test_yield_allocation () =
+  let words_per cls =
+    let dev = Dev.create ~channels:1 ~ways:1 ~queue_depth:8 (cfg ~num_blocks:64 ()) in
+    let spb = Config.sectors_per_block (Dev.config dev) in
+    let data = sector_bytes dev 16 and buf = sector_bytes dev 16 in
+    let runs = 512 and next = ref 0 in
+    let round () =
+      let b = 1 + (!next / (spb / 16) mod 63) in
+      if !next mod (spb / 16) = 0 then Dev.publish_erase dev ~cls:Dev.Merge_io b;
+      Dev.publish_write dev ~cls:Dev.Merge_io
+        ~sector:(Dev.sector_of_block dev b + (16 * (!next mod (spb / 16))))
+        data;
+      incr next;
+      Dev.advance_time dev (us 250.0);
+      Dev.publish_read_into dev ~cls ~sector:0 ~count:16 buf;
+      Dev.drain dev
+    in
+    for _ = 1 to 64 do
+      round ()
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to runs do
+      round ()
+    done;
+    ((Gc.minor_words () -. w0) /. float_of_int runs, yields dev)
+  in
+  let fg, fg_yields = words_per Dev.Foreground and scrub, scrub_yields = words_per Dev.Scrub in
+  Alcotest.(check bool) "foreground reads yielded to" true (fg_yields > 0);
+  Alcotest.(check int) "scrub reads did not" 0 scrub_yields;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per round with yields, %.2f without" fg scrub)
+    true (fg <= scrub)
 
 (* --- scheduler allocation ------------------------------------------ *)
 
@@ -692,6 +1204,12 @@ let () =
           Alcotest.test_case "barrier vs drain" `Quick test_barrier_vs_drain;
           Alcotest.test_case "queue-depth backpressure" `Quick test_queue_depth_backpressure;
           Alcotest.test_case "golden timelines" `Quick test_golden_timelines;
+          Alcotest.test_case "reference scheduler" `Quick test_reference_scheduler;
+          Alcotest.test_case "page-boundary yield" `Quick test_page_yield;
+          Alcotest.test_case "await a yielded op" `Quick test_await_yielded;
+          Alcotest.test_case "what never yields" `Quick test_no_yield;
+          Alcotest.test_case "yield accounting" `Quick test_yield_accounting;
+          Alcotest.test_case "yield allocation" `Quick test_yield_allocation;
           Alcotest.test_case "submission allocation" `Quick test_submission_allocation;
           Alcotest.test_case "await/barrier allocation" `Quick test_await_barrier_allocation;
           Alcotest.test_case "one-chip preemption allocation" `Quick test_preemption_allocation;
