@@ -587,7 +587,9 @@ let micro () =
       (Staged.stage (fun () ->
            match Storage.Page.insert p payload with
            | Some slot -> (
-               match Storage.Page.delete p slot with Ok () -> () | Error e -> failwith e)
+               match Storage.Page.delete p slot with
+               | Ok () -> ()
+               | Error e -> failwith (Storage.Page.error_to_string e))
            | None -> Storage.Page.compact p))
   in
   let record_bench =

@@ -50,16 +50,6 @@ let txn_id (tx : txn) = tx
 
 let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
-(* Map the page layer's string errors onto the typed surface. Only the
-   errors its update/delete entry points can produce appear here; anything
-   else is a bug in this mapping. *)
-let of_page_error = function
-  | "page full" -> Page_full
-  | "slot not live" -> No_such_slot
-  | "range outside record" -> Range_out_of_bounds
-  | "bad record length" -> Bad_record_length
-  | s -> failwith ("Ipl_engine: unexpected page error: " ^ s)
-
 type t = {
   config : Ipl_config.t;
   dev : Dev.t;
@@ -519,7 +509,7 @@ let delete t ~tx ~page ~slot =
       | None -> Error No_such_slot
       | Some before -> (
           match Page.delete p slot with
-          | Error e -> Error (of_page_error e)
+          | Error `Slot_not_live -> Error No_such_slot
           | Ok () ->
               Ok { Log_record.txid = tx; page; op = Log_record.Delete { slot; before } }))
 
@@ -579,6 +569,7 @@ let update t ~tx ~page ~slot data =
                 Ok ()
           end
           else if Bytes.length data > max_record_payload t then Error Record_too_large
+          else if Bytes.length data = 0 then Error Bad_record_length
           else begin
             (* Size-changing replacement. When the combined before/after
                image fits one record, log Update_full; otherwise log it as
@@ -597,12 +588,22 @@ let update t ~tx ~page ~slot data =
             in
             let changed =
               if (not one_record) && Bytes.length data < Bytes.length before then
-                Result.bind (Page.delete frame.page slot) (fun () ->
-                    Page.insert_at frame.page slot data)
+                match Page.delete frame.page slot with
+                | Error `Slot_not_live -> Error `Slot_not_live
+                | Ok () -> (
+                    match Page.insert_at frame.page slot data with
+                    | Ok () -> Ok ()
+                    | Error (`Bad_record_length | `Negative_slot | `Slot_already_live | `Page_full)
+                      ->
+                        (* the record is not empty, and the slot was live a
+                           moment ago with a longer copy *)
+                        assert false)
               else Page.update frame.page slot data
             in
             match changed with
-            | Error e -> Error (of_page_error e)
+            | Error `Bad_record_length -> Error Bad_record_length
+            | Error `Slot_not_live -> Error No_such_slot
+            | Error `Page_full -> Error Page_full
             | Ok () ->
                 List.iter (fun op -> add_record t frame ~page { Log_record.txid = tx; page; op }) records;
                 Pool.mark_dirty t.pool page;
@@ -621,7 +622,8 @@ let update_range t ~tx ~page ~slot ~offset data =
           else begin
             let before = Bytes.sub record offset len in
             match Page.update_bytes p ~slot ~offset data with
-            | Error e -> Error (of_page_error e)
+            | Error `Slot_not_live -> Error No_such_slot
+            | Error `Range_outside_record -> Error Range_out_of_bounds
             | Ok () ->
                 Ok
                   {

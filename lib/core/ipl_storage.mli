@@ -14,8 +14,10 @@
     image without a flash read.
 
     The logical-to-physical page mapping changes only on merges and is
-    persisted through a {!Meta_log.t}; crash recovery replays that log and
-    rescans the in-page log sectors.
+    persisted through a {!Meta_log.t}: the mapping is the fold of that
+    log's events, and crash recovery replays them through the same
+    transition run time applies as it logs each one, then rescans the
+    in-page log sectors.
 
     Transaction-status filtering: log records of aborted transactions are
     never applied (neither on read nor at merge); records of transactions

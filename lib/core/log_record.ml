@@ -99,20 +99,22 @@ let decode b ~pos =
   ({ txid; page; op }, pos)
 
 let apply page t =
-  match t.op with
-  | Insert { slot; record } -> Storage.Page.insert_at page slot record
-  | Delete { slot; _ } -> Storage.Page.delete page slot
-  | Update_range { slot; offset; after; _ } ->
-      Storage.Page.update_bytes page ~slot ~offset after
-  | Update_full { slot; after; _ } -> Storage.Page.update page slot after
+  Result.map_error Storage.Page.error_to_string
+    (match t.op with
+    | Insert { slot; record } -> Storage.Page.insert_at page slot record
+    | Delete { slot; _ } -> Storage.Page.delete page slot
+    | Update_range { slot; offset; after; _ } ->
+        Storage.Page.update_bytes page ~slot ~offset after
+    | Update_full { slot; after; _ } -> Storage.Page.update page slot after)
 
 let unapply page t =
-  match t.op with
-  | Insert { slot; _ } -> Storage.Page.delete page slot
-  | Delete { slot; before } -> Storage.Page.insert_at page slot before
-  | Update_range { slot; offset; before; _ } ->
-      Storage.Page.update_bytes page ~slot ~offset before
-  | Update_full { slot; before; _ } -> Storage.Page.update page slot before
+  Result.map_error Storage.Page.error_to_string
+    (match t.op with
+    | Insert { slot; _ } -> Storage.Page.delete page slot
+    | Delete { slot; before } -> Storage.Page.insert_at page slot before
+    | Update_range { slot; offset; before; _ } ->
+        Storage.Page.update_bytes page ~slot ~offset before
+    | Update_full { slot; before; _ } -> Storage.Page.update page slot before)
 
 let op_name t =
   match t.op with

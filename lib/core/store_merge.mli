@@ -1,0 +1,21 @@
+(** Merges (Algorithms 1 and 3) and the overflow log area, for
+    {!Ipl_storage}. *)
+
+open Store_state
+
+val overflow_write : ?cls:Dev.op_class -> t -> eu_info -> bytes -> unit
+(** Program one log sector image of a unit into the current overflow
+    area (allocating a fresh one when it is full) and assign it to the
+    unit. *)
+
+val active_fraction : t -> eu_info -> pending:Log_record.t list -> float
+(** The share of a unit's stored and [pending] records whose
+    transactions are still active: Algorithm 3's carry fraction. *)
+
+val merge : t -> eu_info -> pending:Log_record.t list -> unit
+(** Rewrite a unit into a fresh one with its committed records (and
+    [pending]) applied, carrying active records over and dropping
+    aborted ones; atomic at the metadata-log force that publishes it. *)
+
+val merge_fullest : t -> max_merges:int -> int
+(** See {!Ipl_storage.merge_fullest}. *)

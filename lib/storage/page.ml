@@ -155,14 +155,26 @@ let insert p data =
     Some i
   end
 
+type error =
+  [ `Bad_record_length | `Negative_slot | `Slot_already_live | `Slot_not_live
+  | `Range_outside_record | `Page_full ]
+
+let error_to_string = function
+  | `Bad_record_length -> "bad record length"
+  | `Negative_slot -> "negative slot"
+  | `Slot_already_live -> "slot already live"
+  | `Slot_not_live -> "slot not live"
+  | `Range_outside_record -> "range outside record"
+  | `Page_full -> "page full"
+
 let insert_at p i data =
   let len = Bytes.length data in
-  if len = 0 || len > 0xFFFF then Error "bad record length"
-  else if i < 0 then Error "negative slot"
-  else if is_live p i then Error "slot already live"
+  if len = 0 || len > 0xFFFF then Error `Bad_record_length
+  else if i < 0 then Error `Negative_slot
+  else if is_live p i then Error `Slot_already_live
   else begin
     let extra_slots = max 0 (i + 1 - slot_count p) in
-    if not (ensure_room p ~extra_slots ~len) then Error "page full"
+    if not (ensure_room p ~extra_slots ~len) then Error `Page_full
     else begin
       if i >= slot_count p then begin
         for j = slot_count p to i do
@@ -179,8 +191,8 @@ let insert_at p i data =
 
 let update p i data =
   let len = Bytes.length data in
-  if len = 0 || len > 0xFFFF then Error "bad record length"
-  else if not (is_live p i) then Error "slot not live"
+  if len = 0 || len > 0xFFFF then Error `Bad_record_length
+  else if not (is_live p i) then Error `Slot_not_live
   else begin
     let off, old_len = slot p i in
     if len <= old_len then begin
@@ -196,7 +208,7 @@ let update p i data =
       (* Decided before the slot is touched: a compaction run for a record
          that then does not fit would move other records over the old
          copy, which a failed update must leave in place. *)
-      Error "page full"
+      Error `Page_full
     else begin
       (* Relocate: drop the old copy, append the new one. The room check
          above guarantees [ensure_room] succeeds, compacting if need be. *)
@@ -210,11 +222,11 @@ let update p i data =
   end
 
 let update_bytes p ~slot:i ~offset data =
-  if not (is_live p i) then Error "slot not live"
+  if not (is_live p i) then Error `Slot_not_live
   else begin
     let off, len = slot p i in
     let dlen = Bytes.length data in
-    if offset < 0 || offset + dlen > len then Error "range outside record"
+    if offset < 0 || offset + dlen > len then Error `Range_outside_record
     else begin
       Bytes.blit data 0 p (off + offset) dlen;
       Ok ()
@@ -222,7 +234,7 @@ let update_bytes p ~slot:i ~offset data =
   end
 
 let delete p i =
-  if not (is_live p i) then Error "slot not live"
+  if not (is_live p i) then Error `Slot_not_live
   else begin
     set_slot p i ~off:0 ~len:0;
     set_live p (live_records p - 1);

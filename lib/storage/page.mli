@@ -46,23 +46,39 @@ val insert : t -> bytes -> int option
     number, or [None] when the page cannot fit the payload; a failed
     insert leaves the page unchanged. *)
 
-val insert_at : t -> int -> bytes -> (unit, string) result
+type error =
+  [ `Bad_record_length  (** empty, or longer than 65,535 bytes *)
+  | `Negative_slot
+  | `Slot_already_live
+  | `Slot_not_live
+  | `Range_outside_record
+  | `Page_full ]
+(** Why a slot operation refused. Each operation's result names only the
+    cases it can return. *)
+
+val error_to_string : [< error ] -> string
+(** ["bad record length"], ["negative slot"], ["slot already live"],
+    ["slot not live"], ["range outside record"] or ["page full"]. *)
+
+val insert_at :
+  t -> int -> bytes -> (unit, [> `Bad_record_length | `Negative_slot | `Slot_already_live | `Page_full ]) result
 (** Place a record at a specific slot (used when replaying log records).
     The slot must not currently be live; the directory is extended with
     empty slots as needed. *)
 
-val update : t -> int -> bytes -> (unit, string) result
+val update : t -> int -> bytes -> (unit, [> `Bad_record_length | `Slot_not_live | `Page_full ]) result
 (** Replace the payload of a live slot, relocating within the page if the
     new payload is larger. Fails if the slot is not live or the page is
     full; a failed update leaves the page unchanged. *)
 
-val update_bytes : t -> slot:int -> offset:int -> bytes -> (unit, string) result
+val update_bytes :
+  t -> slot:int -> offset:int -> bytes -> (unit, [> `Slot_not_live | `Range_outside_record ]) result
 (** Overwrite part of a live record in place: [offset] is relative to the
     record payload and the written range must fall inside it. This is the
     byte-range delta form of update that keeps physiological log records
     small. *)
 
-val delete : t -> int -> (unit, string) result
+val delete : t -> int -> (unit, [> `Slot_not_live ]) result
 (** Remove a live record; its slot number may be reused by later inserts. *)
 
 val compact : t -> unit

@@ -18,10 +18,18 @@ the seed, or if any run fails or does not report `correct: true` with no
 failed operations; otherwise 0. A change may move simulated metrics on
 purpose: the keys that differ between the two sides are printed once per
 seed, as information, and do not fail the comparison.
+
+Host metrics are divided (for setup_s, multiplied) by perfbench's speed
+gauge, whose loop runs faster or slower with the alignment of its code.
+After the table the script prints, for each side, the address of the
+gauge's loop (`Pace.sum` in `nm _build/default/perfbench/main.exe`) mod
+64, and a warning when the two sides differ: their host metrics are then
+not comparable.
 """
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -50,6 +58,23 @@ def run_once(checkout, workload, seed, seconds):
     digests = DIGEST.findall(proc.stderr)
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return metrics, (digests[-1] if digests else None)
+
+
+GAUGE = re.compile(r"^([0-9a-f]+) [Tt] \S*Pace\.sum_\d+$")
+
+
+def gauge_address(checkout):
+    """Address of perfbench's gauge loop in the checkout's built executable, or None."""
+    exe = os.path.join(checkout, "_build", "default", "perfbench", "main.exe")
+    try:
+        out = subprocess.run(["nm", exe], capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    for line in out.splitlines():
+        m = GAUGE.match(line)
+        if m:
+            return int(m.group(1), 16)
+    return None
 
 
 def spread(values):
@@ -110,6 +135,17 @@ def main():
         pm, cm = statistics.median(host["parent"][k]), statistics.median(host["change"][k])
         ratio = f"{cm / pm:.3f}x" if pm else "n/a"
         print(f"{k:<18} {cells[0]:<34} {cells[1]:<34} {ratio:>7} {won[k]:>3}/{pairs}")
+    align = {}
+    for side in sides:
+        addr = gauge_address(sides[side])
+        align[side] = None if addr is None else addr % 64
+        where = "not found" if addr is None else f"{addr:#x}, {addr % 64} mod 64"
+        print(f"gauge Pace.sum, {side}: {where}")
+    if align["parent"] != align["change"]:
+        print(
+            "WARNING: the gauge's alignment differs between the sides, so their "
+            "host_tps and setup_s are not comparable"
+        )
     for seed in args.seeds:
         (p_sim, p_digest), (c_sim, c_digest) = reference[(seed, "parent")], reference[(seed, "change")]
         moved = sorted(k for k in set(p_sim) | set(c_sim) if p_sim.get(k) != c_sim.get(k))

@@ -750,6 +750,154 @@ let prop_store_durability =
 
 
 (* ------------------------------------------------------------------ *)
+(* Restart rebuilds the run-time mapping                               *)
+
+(* One step of a run against the storage manager: allocate a page, flush
+   a one-record sector for page [p] (taken modulo the page count) on
+   behalf of transaction slot [s], end the slot's transaction (it
+   commits or aborts, and the slot starts a fresh one), or take a fuzzy
+   checkpoint. *)
+type rop = R_alloc | R_flush of int * int | R_end of int * bool | R_ckpt
+
+let show_rop = function
+  | R_alloc -> "alloc"
+  | R_flush (p, s) -> Printf.sprintf "flush(%d,%d)" p s
+  | R_end (s, c) -> Printf.sprintf "end(%d,%b)" s c
+  | R_ckpt -> "ckpt"
+
+let gen_rop =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return R_alloc);
+        (40, map2 (fun p s -> R_flush (p, s)) nat (int_bound 3));
+        (8, map2 (fun s c -> R_end (s, c)) (int_bound 3) bool);
+        (1, return R_ckpt);
+      ])
+
+(* A device to run on and recover from: a 1x1 chip or a 4x2 device of
+   128 KB units (15 pages, 16 log sectors), or, for [`Compact], a 1x1
+   chip of 8 KB units (2 pages of 2 KB, 8 log sectors) under a one-unit
+   metadata region of 16 sectors. Every merge forces at least one
+   metadata sector, so a run of more than 16 merges compacts the region
+   and restart replays a snapshot. The 4x2 device stripes pages over 8
+   fill units, whose logs fill 8 times slower; its lower tau lets the
+   transactions still open then divert flushes to overflow. *)
+type rig = { dev : Device.Flash_device.t; config : Config.t; meta_blocks : int; blocks : int }
+
+let rig = function
+  | `One ->
+      {
+        dev = dev_of (Chip.create (FConfig.default ~num_blocks:32 ()));
+        config = { Config.default with Config.selective_merge_threshold = 0.6 };
+        meta_blocks = 2;
+        blocks = 32;
+      }
+  | `Four_by_two ->
+      {
+        dev = Device.Flash_device.create ~channels:4 ~ways:2 (FConfig.default ~num_blocks:64 ());
+        config = { Config.default with Config.selective_merge_threshold = 0.3 };
+        meta_blocks = 2;
+        blocks = 64;
+      }
+  | `Compact ->
+      let fc = { (FConfig.default ~num_blocks:128 ()) with FConfig.block_size = 8 * 1024 } in
+      {
+        dev = dev_of (Chip.create fc);
+        config =
+          {
+            Config.default with
+            Config.page_size = 2048;
+            log_region_bytes = 4096;
+            selective_merge_threshold = 0.6;
+          };
+        meta_blocks = 1;
+        blocks = 128;
+      }
+
+let rig_area r = Resilience.Bbm.create r.dev ~spares:[] ~persist:ignore ~force:ignore ()
+
+(* Run [ops], settle every transaction, force the metadata log and
+   recover a second manager from the device; both managers must agree
+   on the mapping and on every unit's log. Returns the run's stats. *)
+let restart_matches r ops =
+  let config = { r.config with Config.checkpoint_every = 1 } in
+  let statuses = Hashtbl.create 16 in
+  let txn_status txid = Option.value ~default:Trx_log.Active (Hashtbl.find_opt statuses txid) in
+  let meta = Meta_log.create r.dev ~first_block:0 ~num_blocks:r.meta_blocks in
+  let num_blocks = r.blocks - r.meta_blocks in
+  let store =
+    Store.create ~config (rig_area r) ~first_block:r.meta_blocks ~num_blocks ~txn_status ~meta ()
+  in
+  let blank () =
+    let p = Page.create config.Config.page_size in
+    ignore (Page.insert p (b "0"));
+    p
+  in
+  let pages = ref [ Store.allocate_page store (blank ()) ] in
+  let slots = Array.init 4 (fun i -> i + 1) and next_txid = ref 5 in
+  let step = function
+    | R_alloc -> pages := Store.allocate_page store (blank ()) :: !pages
+    | R_flush (p, s) ->
+        let page = List.nth !pages (p mod List.length !pages) in
+        let op = LR.Update_range { slot = 0; offset = 0; before = b "0"; after = b "1" } in
+        flush store [ { LR.txid = slots.(s); page; op } ]
+    | R_end (s, commit) ->
+        Hashtbl.replace statuses slots.(s) (if commit then Trx_log.Committed else Trx_log.Aborted);
+        slots.(s) <- !next_txid;
+        incr next_txid
+    | R_ckpt ->
+        Store.emit_checkpoint store ~active:(Array.to_list slots) ~trx_watermark:0
+  in
+  List.iter step ops;
+  (* Settle the open transactions: even slots commit, odd ones abort. *)
+  Array.iteri
+    (fun i txid ->
+      Hashtbl.replace statuses txid (if i mod 2 = 0 then Trx_log.Committed else Trx_log.Aborted))
+    slots;
+  Store.force_meta store;
+  let meta', events = Meta_log.recover r.dev ~first_block:0 ~num_blocks:r.meta_blocks in
+  let store' =
+    Store.recover ~config (rig_area r) ~first_block:r.meta_blocks ~num_blocks ~txn_status
+      ~meta:meta' ~meta_events:events ()
+  in
+  let same what f =
+    if f store <> f store' then QCheck.Test.fail_reportf "restart differs: %s" what
+  in
+  same "num_pages" Store.num_pages;
+  same "free_eus" Store.free_eus;
+  List.iter
+    (fun page ->
+      same (Printf.sprintf "unit of page %d" page) (fun s -> Store.eu_of_page s page);
+      same (Printf.sprintf "records of page %d" page) (fun s -> Store.live_log_records s ~page);
+      let eu = Store.eu_of_page store page in
+      same (Printf.sprintf "log of unit %d" eu) (fun s -> Store.used_log_sectors s ~eu);
+      same (Printf.sprintf "overflow of unit %d" eu) (fun s -> Store.overflow_sectors s ~eu))
+    !pages;
+  Store.stats store
+
+let prop_restart_matches geometry name =
+  QCheck.Test.make ~name ~count:100
+    QCheck.(make ~print:(Print.list show_rop) Gen.(list_size (int_range 100 400) gen_rop))
+    (fun ops ->
+      ignore (restart_matches (rig geometry) ops);
+      true)
+
+(* The property's reach: one fixed run of each rig merges, diverts to
+   overflow and garbage-collects overflow areas, and the compacting one
+   fills its metadata region. *)
+let test_restart_reach geometry () =
+  let ops =
+    QCheck.Gen.(generate1 ~rand:(Random.State.make [| 7 |]) (list_repeat 600 gen_rop))
+  in
+  let s = restart_matches (rig geometry) ops in
+  Alcotest.(check bool) "merged" true (s.Store.merges > 0);
+  Alcotest.(check bool) "diverted" true (s.Store.overflow_diversions > 0);
+  Alcotest.(check bool) "collected overflow" true (s.Store.erase_units_reclaimed > 0);
+  if geometry = `Compact then
+    Alcotest.(check bool) "metadata region compacted" true (s.Store.merges > 16)
+
+(* ------------------------------------------------------------------ *)
 (* Packed log flushes                                                  *)
 
 let insert_rec ?(txid = 0) page slot s = { LR.txid; page; op = LR.Insert { slot; record = b s } }
@@ -1364,6 +1512,12 @@ let () =
           Alcotest.test_case "flush_log takes one unit" `Quick test_flush_log_one_unit_only;
           Alcotest.test_case "multi-page sector on a full region" `Quick
             test_flush_log_full_region_multi_page;
+          Alcotest.test_case "restart reach (1x1)" `Quick (test_restart_reach `One);
+          Alcotest.test_case "restart reach (4x2)" `Quick (test_restart_reach `Four_by_two);
+          Alcotest.test_case "restart reach (compacting)" `Quick (test_restart_reach `Compact);
+          QCheck_alcotest.to_alcotest (prop_restart_matches `One "restart = run time (1x1)");
+          QCheck_alcotest.to_alcotest (prop_restart_matches `Four_by_two "restart = run time (4x2)");
+          QCheck_alcotest.to_alcotest (prop_restart_matches `Compact "restart = run time (compacting)");
         ] );
       ( "ipl_engine",
         [

@@ -197,6 +197,18 @@ let test_oversized_records_rejected_cleanly () =
   Alcotest.(check (option bytes)) "max record" (Some (Bytes.make max 'm'))
     (Engine.Unsafe.read e ~page ~slot:slot2)
 
+(* Emptying a record is refused before the page is touched, also when
+   the record is long enough that a shrink is logged as delete + insert. *)
+let test_empty_update_rejected () =
+  let _, _, e = mk () in
+  let page = Engine.Unsafe.allocate_page e in
+  let long = Bytes.make (Engine.max_record_payload e) 'b' in
+  let slot = ok (Engine.Unsafe.insert e ~tx:0 ~page long) in
+  (match Engine.Unsafe.update e ~tx:0 ~page ~slot Bytes.empty with
+  | Error Engine.Bad_record_length -> ()
+  | _ -> Alcotest.fail "empty update must be rejected");
+  Alcotest.(check (option bytes)) "record kept" (Some long) (Engine.Unsafe.read e ~page ~slot)
+
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
 
@@ -625,6 +637,7 @@ let () =
           Alcotest.test_case "multi-range update" `Quick test_multi_range_update;
           Alcotest.test_case "chunked large update" `Quick test_large_equal_length_update_chunks;
           Alcotest.test_case "resize as delete+insert" `Quick test_large_resize_update_as_delete_insert;
+          Alcotest.test_case "empty update rejected" `Quick test_empty_update_rejected;
           Alcotest.test_case "oversized records rejected" `Quick test_oversized_records_rejected_cleanly;
           Alcotest.test_case "recycled frames invisible" `Quick test_recycled_frames_invisible;
           Alcotest.test_case "read miss allocates no page" `Quick test_read_miss_allocates_no_page;

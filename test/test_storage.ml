@@ -7,6 +7,9 @@ let mk () = Page.create 8192
 
 let bytes_of_string = Bytes.of_string
 
+let page_error : Page.error Alcotest.testable =
+  Alcotest.testable (fun ppf e -> Format.pp_print_string ppf (Page.error_to_string e)) ( = )
+
 let test_empty_page () =
   let p = mk () in
   Alcotest.(check int) "size" 8192 (Page.size p);
@@ -28,26 +31,26 @@ let test_delete_and_slot_reuse () =
   let p = mk () in
   ignore (Page.insert p (bytes_of_string "a"));
   ignore (Page.insert p (bytes_of_string "b"));
-  Alcotest.(check (result unit string)) "delete ok" (Ok ()) (Page.delete p 0);
+  Alcotest.(check (result unit page_error)) "delete ok" (Ok ()) (Page.delete p 0);
   Alcotest.(check (option bytes)) "deleted" None (Page.read p 0);
   Alcotest.(check int) "live" 1 (Page.live_records p);
   (* The freed slot is reused. *)
   let s = Option.get (Page.insert p (bytes_of_string "c")) in
   Alcotest.(check int) "slot reused" 0 s;
-  Alcotest.(check (result unit string)) "double delete fails" (Error "slot not live")
+  Alcotest.(check (result unit page_error)) "double delete fails" (Error `Slot_not_live)
     (Page.delete p 5)
 
 let test_update_in_place_and_relocating () =
   let p = mk () in
   ignore (Page.insert p (bytes_of_string "abcdef"));
   (* Shrinking update stays in place. *)
-  Alcotest.(check (result unit string)) "shrink" (Ok ()) (Page.update p 0 (bytes_of_string "xy"));
+  Alcotest.(check (result unit page_error)) "shrink" (Ok ()) (Page.update p 0 (bytes_of_string "xy"));
   Alcotest.(check (option bytes)) "shrunk" (Some (bytes_of_string "xy")) (Page.read p 0);
   (* Growing update relocates. *)
-  Alcotest.(check (result unit string)) "grow" (Ok ())
+  Alcotest.(check (result unit page_error)) "grow" (Ok ())
     (Page.update p 0 (bytes_of_string "0123456789"));
   Alcotest.(check (option bytes)) "grown" (Some (bytes_of_string "0123456789")) (Page.read p 0);
-  Alcotest.(check (result unit string)) "update dead slot" (Error "slot not live")
+  Alcotest.(check (result unit page_error)) "update dead slot" (Error `Slot_not_live)
     (Page.update p 3 (bytes_of_string "z"))
 
 (* A growing update that does not fit, even after compaction, must leave
@@ -63,11 +66,11 @@ let test_failed_grow_leaves_page () =
   let bb = Option.get (Page.insert p (record 'b' 60)) in
   let c = Option.get (Page.insert p (record 'c' 60)) in
   let d = Option.get (Page.insert p (record 'd' 40)) in
-  Alcotest.(check (result unit string)) "delete b" (Ok ()) (Page.delete p bb);
+  Alcotest.(check (result unit page_error)) "delete b" (Ok ()) (Page.delete p bb);
   let before = Page.copy p in
   (* Room for [a]: 256 - 8 header - (160 - 60) other payload - 16
      directory = 132 bytes. *)
-  Alcotest.(check (result unit string)) "133 bytes do not fit" (Error "page full")
+  Alcotest.(check (result unit page_error)) "133 bytes do not fit" (Error `Page_full)
     (Page.update p a (record 'A' 133));
   Alcotest.(check bool) "page bytes unchanged" true (Bytes.equal (Page.to_bytes before) (Page.to_bytes p));
   Alcotest.(check (option bytes)) "a kept" (Some (record 'a' 60)) (Page.read p a);
@@ -77,7 +80,7 @@ let test_failed_grow_leaves_page () =
       Alcotest.(check (option bytes)) (Printf.sprintf "slot %d" slot) (Some want) (Page.read p slot))
     [ (a, record 'a' 60); (c, record 'c' 60); (d, record 'd' 40); (e, record 'e' 12) ];
   (* With [e] in: 256 - 8 - (172 - 60) - 16 = 120 bytes, exactly. *)
-  Alcotest.(check (result unit string)) "120 bytes fit" (Ok ()) (Page.update p a (record 'A' 120));
+  Alcotest.(check (result unit page_error)) "120 bytes fit" (Ok ()) (Page.update p a (record 'A' 120));
   Alcotest.(check (option bytes)) "a grown" (Some (record 'A' 120)) (Page.read p a);
   Alcotest.(check (option bytes)) "c intact" (Some (record 'c' 60)) (Page.read p c)
 
@@ -90,7 +93,7 @@ let test_failed_insert_leaves_page () =
   let bb = Option.get (Page.insert p (record 'b' 60)) in
   let c = Option.get (Page.insert p (record 'c' 60)) in
   ignore (Option.get (Page.insert p (record 'd' 40)));
-  Alcotest.(check (result unit string)) "delete b" (Ok ()) (Page.delete p bb);
+  Alcotest.(check (result unit page_error)) "delete b" (Ok ()) (Page.delete p bb);
   let before = Page.copy p in
   (* Room for a record in [b]'s slot: 256 - 8 header - 160 payload - 16
      directory = 72 bytes, 12 of them contiguous. *)
@@ -105,23 +108,23 @@ let test_failed_insert_leaves_page () =
 let test_update_bytes () =
   let p = mk () in
   ignore (Page.insert p (bytes_of_string "abcdefgh"));
-  Alcotest.(check (result unit string)) "patch" (Ok ())
+  Alcotest.(check (result unit page_error)) "patch" (Ok ())
     (Page.update_bytes p ~slot:0 ~offset:2 (bytes_of_string "XY"));
   Alcotest.(check (option bytes)) "patched" (Some (bytes_of_string "abXYefgh")) (Page.read p 0);
-  Alcotest.(check (result unit string)) "out of range" (Error "range outside record")
+  Alcotest.(check (result unit page_error)) "out of range" (Error `Range_outside_record)
     (Page.update_bytes p ~slot:0 ~offset:7 (bytes_of_string "XY"))
 
 let test_insert_at () =
   let p = mk () in
-  Alcotest.(check (result unit string)) "insert at 3" (Ok ())
+  Alcotest.(check (result unit page_error)) "insert at 3" (Ok ())
     (Page.insert_at p 3 (bytes_of_string "three"));
   Alcotest.(check int) "slot count extended" 4 (Page.slot_count p);
   Alcotest.(check (option bytes)) "read back" (Some (bytes_of_string "three")) (Page.read p 3);
   Alcotest.(check bool) "intermediate empty" false (Page.is_live p 1);
-  Alcotest.(check (result unit string)) "occupied" (Error "slot already live")
+  Alcotest.(check (result unit page_error)) "occupied" (Error `Slot_already_live)
     (Page.insert_at p 3 (bytes_of_string "x"));
   (* Replay-style: fill an intermediate slot later. *)
-  Alcotest.(check (result unit string)) "fill hole" (Ok ())
+  Alcotest.(check (result unit page_error)) "fill hole" (Ok ())
     (Page.insert_at p 1 (bytes_of_string "one"))
 
 let test_fill_until_full () =
@@ -205,7 +208,7 @@ let test_iter_in_place () =
   check "slot reuse" [ 0; 1; 2; 3; 5; 6; 7; 8 ];
   Page.compact p;
   check "compact" [ 0; 1; 2; 3; 5; 6; 7; 8 ];
-  Alcotest.(check (result unit string)) "relocating update" (Ok ()) (Page.update p 2 (Bytes.make 200 'z'));
+  Alcotest.(check (result unit page_error)) "relocating update" (Ok ()) (Page.update p 2 (Bytes.make 200 'z'));
   check "relocating update" [ 0; 1; 2; 3; 5; 6; 7; 8 ]
 
 let test_iter_in_place_allocates_nothing () =
