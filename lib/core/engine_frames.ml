@@ -1,0 +1,183 @@
+(* The frame layer: the buffer pool's fetch and flush, the one frame
+   rebuild, appending a record to a frame's log, and read-ahead. *)
+open Engine_state
+module Chip = Flash_sim.Flash_chip
+module Bbm = Resilience.Bbm
+module Pool = Bufmgr.Buffer_pool
+
+(* After a flush that failed part-way through a unit's sectors, the
+   frames whose records all reached flash are emptied and the frame the
+   failure cut keeps only the records still owed, so every frame's page
+   stays its flash image plus its in-memory log. *)
+let rec keep_unflushed flushed = function
+  | [] -> ()
+  | (_, frame) :: rest ->
+      let n = Log_sector.count frame.log in
+      if flushed >= n then begin
+        Log_sector.clear frame.log;
+        keep_unflushed (flushed - n) rest
+      end
+      else if flushed > 0 then begin
+        let owed = List.filteri (fun i _ -> i >= flushed) (Log_sector.records frame.log) in
+        Log_sector.clear frame.log;
+        List.iter
+          (fun r ->
+            match Log_sector.add frame.log r with
+            | `Added -> ()
+            | `Full -> assert false (* a subset of what the sector held *))
+          owed
+      end
+
+(* [sectors] hold the records of [frames], in order; [flushed] of those
+   records are on flash already. *)
+let rec flush_sectors store frames flushed = function
+  | [] -> List.iter (fun (_, frame) -> Log_sector.clear frame.log) frames
+  | sector :: sectors ->
+      (match Ipl_storage.flush_log store sector with
+      | () -> ()
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          keep_unflushed flushed frames;
+          Printexc.raise_with_backtrace e bt);
+      flush_sectors store frames (flushed + Log_sector.count sector) sectors
+
+let rec in_unit store eu = function
+  | [] -> true
+  | (pid, _) :: rest -> Ipl_storage.eu_of_page store pid = eu && in_unit store eu rest
+
+(* Group [frames] by erase unit, in order of first appearance, and flush
+   each group's records, in arrival order, in as few sectors as they fit.
+   A merge during the flush moves a unit's pages together, so units
+   looked up before it still group the frames that follow. *)
+let rec flush_by_unit store ~sector_size = function
+  | [] -> ()
+  | (_, frame) :: rest when Log_sector.is_empty frame.log ->
+      flush_by_unit store ~sector_size rest
+  | (pid, _) :: _ as frames ->
+      let eu = Ipl_storage.eu_of_page store pid in
+      let mine, rest =
+        if in_unit store eu frames then (frames, [])
+        else List.partition (fun (p, _) -> Ipl_storage.eu_of_page store p = eu) frames
+      in
+      let sectors =
+        match mine with
+        | [ (_, frame) ] -> [ frame.log ] (* one frame's log is one sector already *)
+        | _ ->
+            Log_sector.pack ~capacity:sector_size
+              (List.concat_map (fun (_, frame) -> Log_sector.records frame.log) mine)
+      in
+      flush_sectors store mine 0 sectors;
+      flush_by_unit store ~sector_size rest
+
+(* The one flush path: a commit's or checkpoint's whole batch of dirty
+   frames (oldest-dirtied first), an eviction's one frame, or a frame
+   whose in-memory log sector is full. Write-ahead rule for
+   transaction-status records: before any of a transaction's
+   physiological records reach flash, its begin record must be durable,
+   or a crash would leave records whose status lookup defaults to
+   "committed"; one force covers the batch. A unit's log region is
+   shared by all its pages, so the pages of one unit that a commit
+   dirtied share its sectors instead of taking one each. A frame's log
+   is cleared only once its records are on flash. *)
+let flush_frames store trx ~sector_size batch =
+  if List.exists (fun (_, frame) -> Log_sector.has_user_txn frame.log) batch then
+    Trx_log.force trx;
+  flush_by_unit store ~sector_size batch
+
+(* A miss in a full pool re-reads the new page straight into the frame
+   it just evicted, reusing both its page bytes and its log sector. An
+   evicted frame is clean, and a clean frame's log is empty: a write-back
+   or commit clears the log it flushes. The one exception is a flush that
+   failed mid-update, which can leave records in a frame never marked
+   dirty. Such a frame is dropped and the new page gets a fresh one, so
+   the stale records cannot reach another page. *)
+let fetch_frame store ~log_bytes pid evicted =
+  match evicted with
+  | Some frame when Log_sector.is_empty frame.log ->
+      Ipl_storage.read_page_into store pid frame.page;
+      frame
+  | Some _ | None ->
+      {
+        page = Ipl_storage.read_page store pid;
+        log = Log_sector.create ~capacity:log_bytes;
+      }
+
+let create_pool config store trx ~sector_size =
+  let pool =
+    Pool.create ~capacity:config.Ipl_config.buffer_pages
+      ~fetch:(fetch_frame store ~log_bytes:sector_size)
+      ~write_back:(flush_frames store trx ~sector_size)
+      ()
+  in
+  (* A merge may program a page straight from its frame when the frame
+     owes flash nothing: its page is then its stored image plus its live
+     flash records (see [rebuild_frame]). [Pool.find] leaves recency
+     alone, so a merge does not reorder the pool. *)
+  Ipl_storage.set_buffered store (fun pid ->
+      match Pool.find pool pid with
+      | Some frame when Log_sector.is_empty frame.log -> Some frame.page
+      | Some _ | None -> None);
+  pool
+
+(* The one frame rebuild: [load] puts the page's stored image with its
+   live flash records into the frame's bytes, and the frame's buffered
+   records are replayed on top, so the frame is again its flash state
+   plus its in-memory log. An abort loads images it read as one batch;
+   a failed flush re-reads its one page in place. *)
+let rebuild_frame frame ~load =
+  load frame.page;
+  Log_record.replay frame.page (Log_sector.records frame.log)
+
+(* A record whose frame's log is full flushes that log first. If the
+   flush fails, the mutation already applied to the page cannot be
+   logged, so the frame is rebuilt without it, keeping the invariant that
+   the page is its flash state plus its in-memory log. On a dead chip,
+   where the re-read itself fails, the frame may keep the stored image
+   without its log applied: every later operation fails too, and restart
+   reads only flash. *)
+let add_record t frame ~page record =
+  match Log_sector.add frame.log record with
+  | `Added -> ()
+  | `Full -> (
+      (try flush_frames t.store t.trx ~sector_size:(sector_size t) [ (page, frame) ]
+       with e ->
+         let bt = Printexc.get_raw_backtrace () in
+         (try rebuild_frame frame ~load:(Ipl_storage.read_page_into t.store page) with
+         | Chip.Power_loss _ | Chip.Read_error _ | Bbm.Uncorrectable _ -> ());
+         Printexc.raise_with_backtrace e bt);
+      match Log_sector.add frame.log record with
+      | `Added -> ()
+      | `Full -> assert false (* empty sector accepts any record Log_sector admits *))
+
+(* Batched read-ahead: fetch the missing pages of the batch through the
+   storage manager's parallel read path and install them as clean
+   frames. Pages already resident, unknown ids and duplicates are
+   skipped — resident members are bumped to most-recently-used first, so
+   the batch's own preloads cannot evict them before they are used. The
+   engine's read path is unchanged — a later [read] of a prefetched page
+   is simply a pool hit. *)
+let prefetch_start t pids =
+  let seen = Hashtbl.create 16 in
+  let wanted =
+    List.filter
+      (fun pid ->
+        (not (Hashtbl.mem seen pid))
+        && begin
+             Hashtbl.add seen pid ();
+             Ipl_storage.page_exists t.store pid
+             &&
+             if Pool.contains t.pool pid then begin
+               Pool.promote t.pool pid;
+               false
+             end
+             else true
+           end)
+      pids
+  in
+  Ipl_storage.read_pages_start t.store wanted
+
+let prefetch_finish t token =
+  List.iter
+    (fun (pid, page) ->
+      Pool.preload t.pool pid { page; log = Log_sector.create ~capacity:(sector_size t) })
+    (Ipl_storage.read_pages_finish t.store token)

@@ -1,0 +1,138 @@
+(* Transactions and the commit protocol: begin, the batched commit and
+   its flush, abort by rebuild, and the fuzzy-checkpoint cadence. *)
+open Engine_state
+module Dev = Device.Flash_device
+module Pool = Bufmgr.Buffer_pool
+
+let begin_txn t =
+  let txid = t.next_txid in
+  t.next_txid <- txid + 1;
+  Hashtbl.replace t.txns txid { dirty_pages = Hashtbl.create 8 };
+  Trx_log.log_begin t.trx txid;
+  (* Publish the begin record now so its program overlaps the
+     transaction's reads: the write-ahead settle at the first dirty flush
+     then finds it long since completed instead of paying the program
+     (and queueing) time inside the commit. *)
+  Trx_log.publish t.trx;
+  txid
+
+(* Append a fuzzy checkpoint to the metadata log buffer and restart the
+   cadence count; the caller decides when the records reach flash. *)
+let emit_fuzzy_checkpoint t =
+  t.commits_since_ckpt <- 0;
+  Ipl_storage.emit_checkpoint t.store ~active:(Trx_log.active t.trx)
+    ~trx_watermark:(Trx_log.durable_sectors t.trx)
+
+(* Fuzzy checkpoint cadence: once [checkpoint_every] transactions have
+   committed since the last checkpoint, append one to the metadata log
+   buffer. No force and no extra barrier — the records ride the next
+   durability barrier like any other metadata, and a checkpoint torn by
+   a crash is simply ignored at recovery. Called right after a commit
+   barrier, so the recorded transaction-log watermark and the per-unit
+   log coverage are consistent: everything the checkpoint claims is
+   already durable. *)
+let maybe_checkpoint t ~committed =
+  let every = t.config.Ipl_config.checkpoint_every in
+  if every > 0 then begin
+    t.commits_since_ckpt <- t.commits_since_ckpt + committed;
+    if t.commits_since_ckpt >= every then begin
+      emit_fuzzy_checkpoint t;
+      Ipl_storage.publish_meta t.store
+    end
+  end
+
+(* Make every batched commit durable: flush all dirty frames (their
+   in-memory log sectors may mix records of several committed
+   transactions, and records written with [no_txn]), then force metadata
+   and the commit records. *)
+let flush_commits t =
+  if t.pending_commits > 0 then begin
+    Pool.flush_all t.pool;
+    Ipl_storage.publish_meta t.store;
+    (* Write-ahead settle: the data and metadata programs just published
+       run on different channels than the transaction log, and the
+       asynchronous scheduler completes them in any order — a commit
+       record must not reach flash while one of its batch's log sectors
+       is still in flight. *)
+    Dev.barrier t.dev;
+    Trx_log.flush_deferred t.trx;
+    Trx_log.publish t.trx;
+    (* The commit-record settle, the batch's second and last wait. *)
+    Dev.barrier t.dev;
+    let committed = t.pending_commits in
+    t.pending_commits <- 0;
+    maybe_checkpoint t ~committed
+  end
+
+(* Section 5.2's no-force-of-data / force-log-at-commit policy, batched:
+   the transaction is committed for every live reader, but its commit
+   record stays out of the log buffer until the batch flush — data
+   records must reach flash first (see {!Trx_log.defer_commit}). The
+   commit that fills the window runs the flush; if that raises, this
+   transaction leaves the batch and is open again — active, if its
+   commit record was not yet appended — so the caller can abort it. The
+   batch's other members stay pending: their handles are dead, so none
+   can be aborted after its commit record was deferred. *)
+let commit t txid =
+  let info = txn_info t txid in
+  Trx_log.defer_commit t.trx txid;
+  Hashtbl.remove t.txns txid;
+  t.pending_commits <- t.pending_commits + 1;
+  emit_txn_event t (Obs.Event.Commit { tx = txid });
+  if t.pending_commits >= t.group_commit then
+    try flush_commits t
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Trx_log.reopen t.trx txid;
+      Hashtbl.replace t.txns txid info;
+      t.pending_commits <- t.pending_commits - 1;
+      Printexc.raise_with_backtrace e bt
+
+(* Rebuild every touched, still-buffered page: the flash read path now
+   filters out this transaction's records, and the surviving in-memory
+   records of other transactions are replayed on top. The fresh images
+   are fetched as one batch so the rebuild reads overlap across
+   channels. *)
+let abort t txid =
+  let info = txn_info t txid in
+  Trx_log.log_abort t.trx txid;
+  let resident =
+    Hashtbl.fold
+      (fun pid () acc -> if Pool.find t.pool pid <> None then pid :: acc else acc)
+      info.dirty_pages []
+    |> List.sort compare
+  in
+  List.iter
+    (fun (pid, fresh) ->
+      match Pool.find t.pool pid with
+      | Some frame ->
+          ignore (Log_sector.remove_txn frame.log txid);
+          let src = Storage.Page.to_bytes fresh in
+          Engine_frames.rebuild_frame frame ~load:(fun page ->
+              Bytes.blit src 0 (Storage.Page.to_bytes page) 0 (Bytes.length src));
+          if Log_sector.is_empty frame.log then Pool.clean t.pool pid
+      | None -> ())
+    (Ipl_storage.read_pages t.store resident);
+  Hashtbl.remove t.txns txid;
+  emit_txn_event t (Obs.Event.Abort { tx = txid })
+
+(* A full quiesce, which doubles as a forced fuzzy-checkpoint emission
+   point, so a restart after a clean checkpoint has nothing to rescan. *)
+let checkpoint t =
+  (* Settle any outstanding lazy-restart repairs first: the fresh fuzzy
+     checkpoint emitted below claims exact coverage of every unit's log,
+     which an unrepaired unit can honour but the repair-table bookkeeping
+     is simplest when a full checkpoint leaves nothing owed. *)
+  let (_ : int) = Ipl_storage.repair_step t.store ~max_eus:max_int in
+  flush_commits t;
+  Pool.flush_all t.pool;
+  Ipl_storage.force_meta t.store;
+  Trx_log.force t.trx;
+  if t.config.Ipl_config.checkpoint_every > 0 then begin
+    emit_fuzzy_checkpoint t;
+    Ipl_storage.force_meta t.store
+  end;
+  (* A checkpoint is a full quiesce: background relocation traffic
+     settles too, not just the durability classes. *)
+  Dev.drain t.dev;
+  emit_txn_event t Obs.Event.Checkpoint

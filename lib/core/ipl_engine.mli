@@ -19,7 +19,8 @@
     The whole surface returns [(_, error) result]: device exceptions —
     the bad-block manager's ({!Resilience.Bbm.Degraded} /
     [Uncorrectable]) and the chip's under the metadata and transaction
-    logs — become typed errors instead of escaping. [Flash_chip.Power_loss] still
+    logs — become typed errors instead of escaping, and so does a page
+    whose log records no longer apply ([Replay_failed]). [Flash_chip.Power_loss] still
     propagates: crash simulation must unwind the whole stack. Read-side
     entry points never refuse on a degraded device — read-only means
     reads still serve all committed data. The pre-redesign raising API
@@ -50,6 +51,15 @@ type error =
       (** an unrecoverable program/erase/wear fault escaped the device
           layers (a fault outside the bad-block manager's remit: the
           metadata and transaction logs) *)
+  | Replay_failed of Log_record.replay_failure
+      (** a page could not be computed from its stored image and its live
+          log records: the named record no longer applies to the page
+          (see {!Log_record.replay}). Every rebuild of a page — a read
+          that misses the buffer pool, a merge's rewrite, an {!abort},
+          the rebuild after a failed log flush — reports it this way.
+          Today it arises when one transaction spends the bytes or the
+          slot another live transaction freed, and the freeing
+          transaction then aborts or loses at {!restart} *)
 
 val error_to_string : error -> string
 (** The exact strings of the pre-typed-error API ("page full",
@@ -156,7 +166,22 @@ val commit : t -> txn -> (unit, error) result
 val abort : t -> txn -> (unit, error) result
 (** Rolls back in-memory changes and leaves flash records to be dropped
     by selective merges. Never refused on a degraded device: the in-memory
-    rollback always runs, even when appending the abort record fails. *)
+    rollback always runs, even when appending the abort record fails.
+
+    The rollback logs the abort record, reads the stored images of the
+    buffered pages the transaction touched as one batch (with their live
+    flash records applied, this transaction's now filtered out), then
+    rebuilds those frames in page order, replaying the other
+    transactions' buffered records on top. [Error (Replay_failed _)]
+    means a record no longer applies to one of those pages, and the
+    state is the one the failure left. The abort record is logged, so
+    the transaction is aborted for every reader and for restart, but its
+    handle stays open. If a flash record failed, no frame was rebuilt and
+    every one still shows this transaction's changes. If a buffered
+    record failed, the frames before its page are rebuilt, its page
+    holds the fresh image with the records before the failing one, and
+    the frames after it are untouched. Slotted-page space reservation
+    (ROADMAP) is to make the failure impossible. *)
 
 val flush_commits : t -> (unit, error) result
 (** Make all batched commits durable now, with two device waits: flush
@@ -297,7 +322,8 @@ val tracer : t -> Obs.Tracer.t option
 (** {1 Unsafe compatibility shim}
 
     The pre-redesign surface: integer transaction ids and raising entry
-    points (device faults escape as their exceptions). Kept {e only} for tests, which predate
+    points (device faults and [Log_record.Replay_failed] escape as
+    exceptions). Kept {e only} for tests, which predate
     the typed surface and drive fault injection through exceptions on
     purpose. Production callers use the result API above. *)
 

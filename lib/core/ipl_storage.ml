@@ -179,7 +179,7 @@ let read_page_into t pid dst =
     invalid_arg "Ipl_storage.read_page_into: wrong page size";
   let eu, idx = lookup t pid in
   let page = read_raw_page_into t eu idx (Page.to_bytes dst) in
-  apply_records page (live_records_of_page t eu pid);
+  Log_record.replay page (live_records_of_page t eu pid);
   note_page_read t pid eu
 
 let read_page t pid =
@@ -216,7 +216,7 @@ let read_pages_finish t batch =
     (fun (pid, eu, data, records, tag) ->
       Dev.await t.dev tag;
       let page = Page.of_bytes data in
-      apply_records page records;
+      Log_record.replay page records;
       note_page_read t pid eu;
       (pid, page))
     batch

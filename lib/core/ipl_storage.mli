@@ -147,16 +147,19 @@ val num_pages : t -> int
 
 val read_page : t -> int -> Storage.Page.t
 (** Current version: stored image + all live log records (aborted
-    transactions' records are skipped). Allocates the page;
-    {!read_page_into} is the primitive. *)
+    transactions' records are skipped), replayed by {!Log_record.replay}.
+    Raises [Log_record.Replay_failed] if a live record does not apply to
+    the page. Allocates the page; {!read_page_into} is the primitive. *)
 
 val read_page_into : t -> int -> Storage.Page.t -> unit
 (** {!read_page} into an existing page of the configured page size (a
     recycled buffer-pool frame, say): the stored image is read over
     [dst]'s bytes and the live log records are applied there. Counters,
     flash operations and the result are those of {!read_page}. Raises
-    [Invalid_argument] on a page of another size. If the read fails,
-    [dst] may hold the stored image without its log applied. *)
+    [Invalid_argument] on a page of another size, and
+    [Log_record.Replay_failed] as {!read_page} does. If the read or the
+    replay fails, [dst] may hold the stored image with only part of its
+    log applied. *)
 
 val read_pages : t -> int list -> (int * Storage.Page.t) list
 (** Batched {!read_page}: the raw page reads of the whole batch are
@@ -175,7 +178,9 @@ val read_pages_start : t -> int list -> read_batch
     reproduce the current logical content. *)
 
 val read_pages_finish : t -> read_batch -> (int * Storage.Page.t) list
-(** Await the batch and replay each page's log records.
+(** Await the batch and replay each page's log records; raises
+    [Log_record.Replay_failed] at the first page whose records do not
+    apply.
     [read_pages t pids = read_pages_finish t (read_pages_start t pids)];
     splitting the two lets the await overlap a durability barrier the
     caller issues in between (the barrier settles the reads too). *)

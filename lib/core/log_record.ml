@@ -99,22 +99,24 @@ let decode b ~pos =
   ({ txid; page; op }, pos)
 
 let apply page t =
-  Result.map_error Storage.Page.error_to_string
-    (match t.op with
-    | Insert { slot; record } -> Storage.Page.insert_at page slot record
-    | Delete { slot; _ } -> Storage.Page.delete page slot
-    | Update_range { slot; offset; after; _ } ->
-        Storage.Page.update_bytes page ~slot ~offset after
-    | Update_full { slot; after; _ } -> Storage.Page.update page slot after)
+  match t.op with
+  | Insert { slot; record } -> Storage.Page.insert_at page slot record
+  | Delete { slot; _ } -> Storage.Page.delete page slot
+  | Update_range { slot; offset; after; _ } -> Storage.Page.update_bytes page ~slot ~offset after
+  | Update_full { slot; after; _ } -> Storage.Page.update page slot after
 
-let unapply page t =
-  Result.map_error Storage.Page.error_to_string
-    (match t.op with
-    | Insert { slot; _ } -> Storage.Page.delete page slot
-    | Delete { slot; before } -> Storage.Page.insert_at page slot before
-    | Update_range { slot; offset; before; _ } ->
-        Storage.Page.update_bytes page ~slot ~offset before
-    | Update_full { slot; before; _ } -> Storage.Page.update page slot before)
+type replay_failure = { record : t; error : Storage.Page.error }
+
+exception Replay_failed of replay_failure
+
+(* A top-level walk: the read path replays every page it fetches, and
+   this allocates no closure. *)
+let rec replay page = function
+  | [] -> ()
+  | r :: rest -> (
+      match apply page r with
+      | Ok () -> replay page rest
+      | Error error -> raise (Replay_failed { record = r; error }))
 
 let op_name t =
   match t.op with
@@ -125,3 +127,13 @@ let op_name t =
 let pp ppf t =
   Format.fprintf ppf "{tx=%d page=%d slot=%d %s %dB}" t.txid t.page (slot_of t.op)
     (op_name t) (encoded_size t)
+
+let slot t = slot_of t.op
+
+let pp_replay_failure ppf { record; error } =
+  Format.fprintf ppf "log replay failed (%s) on %a" (Storage.Page.error_to_string error) pp record
+
+let () =
+  Printexc.register_printer (function
+    | Replay_failed f -> Some (Format.asprintf "Log_record.Replay_failed: %a" pp_replay_failure f)
+    | _ -> None)

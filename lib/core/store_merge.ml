@@ -163,7 +163,7 @@ let merge_rewrite t eu ~pending =
                 let page =
                   read_raw_page_into ~cls:Dev.Merge_io t eu idx t.merge_scratch
                 in
-                apply_records page (List.rev rev);
+                Log_record.replay page (List.rev rev);
                 page
           in
           applied := !applied + List.length rev;

@@ -391,13 +391,3 @@ let note_records eu records =
       Hashtbl.replace eu.txn_counts txid (1 + Option.value ~default:0 (Hashtbl.find_opt eu.txn_counts txid)))
     records;
   eu.total_records <- eu.total_records + List.length records
-
-let apply_records page records =
-  List.iter
-    (fun r ->
-      match Log_record.apply page r with
-      | Ok () -> ()
-      | Error msg ->
-          failwith
-            (Format.asprintf "Ipl_storage: log replay failed (%s) on %a" msg Log_record.pp r))
-    records

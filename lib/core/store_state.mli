@@ -177,7 +177,3 @@ val read_eu_log_records : ?cls:Dev.op_class -> t -> eu_info -> Log_record.t list
 
 val note_records : eu_info -> Log_record.t list -> unit
 (** Add records to a unit's per-transaction counts. *)
-
-val apply_records : Page.t -> Log_record.t list -> unit
-(** Replay records onto a page; a record that does not apply raises
-    [Failure]. *)

@@ -163,11 +163,15 @@ let banned_idents =
 (* Contract universe: canonical key is "<Module>.<Constructor>".
    Power_loss is excluded (the simulated crash must propagate to the
    crash-point campaign); Out_of_range / Write_to_unerased are programming
-   errors on a par with Invalid_argument. *)
+   errors on a par with Invalid_argument. Log_record.Replay_failed is the
+   page rebuild's one failure: an exception inside lib/core, so it can
+   cross the buffer pool's fetch callback and a merge's rollback, and a
+   typed error ([Replay_failed]) at the engine's surface. *)
 let contract_exceptions =
   [
     ("Flash_chip", [ "Read_error"; "Program_error"; "Erase_error" ]);
     ("Bbm", [ "Degraded"; "Uncorrectable" ]);
+    ("Log_record", [ "Replay_failed" ]);
   ]
 
 (* Directories whose public (mli-exported) functions must not leak any

@@ -43,7 +43,8 @@ val banned_idents : (string * string) list
 (** (some path component, final component) pairs of nondeterministic idents. *)
 
 val contract_exceptions : (string * string list) list
-(** Device-fault exception universe as (module component, constructors). *)
+(** Contract exception universe as (module component, constructors):
+    the device faults and the page rebuild's replay failure. *)
 
 val exn_escape_dirs : string list
 (** Directories whose mli-exported functions must not leak any contract

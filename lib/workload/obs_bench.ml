@@ -112,13 +112,15 @@ let ok = function
   | Error e -> failwith ("Obs_bench: engine error: " ^ Engine.error_to_string e)
 
 (* The replay backends (and engine construction) drive chips directly; a
-   device fault there aborts the benchmark as a plain failure instead of
-   leaking a device exception to the caller. *)
+   device fault there, or a page rebuild whose records do not apply,
+   aborts the benchmark as a plain failure instead of leaking a contract
+   exception to the caller. *)
 let fatal f =
   try f () with
   | ( Chip.Read_error _ | Chip.Program_error _ | Chip.Erase_error _
     | Resilience.Bbm.Degraded | Resilience.Bbm.Uncorrectable _ ) as e ->
       failwith ("Obs_bench: device fault: " ^ Printexc.to_string e)
+  | Ipl_core.Log_record.Replay_failed _ as e -> failwith ("Obs_bench: " ^ Printexc.to_string e)
 
 (* The same OLTP-ish mix as the fault campaign (55% update / 30% insert /
    15% delete in 1-4-op transactions, a slice of them aborted), plus a

@@ -48,29 +48,47 @@ let test_record_roundtrips () =
   roundtrip
     { LR.txid = 1; page = 2; op = LR.Update_full { slot = 3; before = b "x"; after = b "yz" } }
 
-let test_record_apply_unapply () =
+let page_error =
+  Alcotest.testable (fun ppf e -> Format.pp_print_string ppf (Page.error_to_string e)) ( = )
+
+let test_record_apply () =
   let p = Page.create 512 in
   let r1 = { LR.txid = 1; page = 0; op = LR.Insert { slot = 0; record = b "hello" } } in
-  Alcotest.(check (result unit string)) "apply insert" (Ok ()) (LR.apply p r1);
+  Alcotest.(check (result unit page_error)) "apply insert" (Ok ()) (LR.apply p r1);
   Alcotest.(check (option bytes)) "inserted" (Some (b "hello")) (Page.read p 0);
   let r2 =
     { LR.txid = 1; page = 0; op = LR.Update_range { slot = 0; offset = 0; before = b "he"; after = b "HE" } }
   in
-  Alcotest.(check (result unit string)) "apply update" (Ok ()) (LR.apply p r2);
+  Alcotest.(check (result unit page_error)) "apply update" (Ok ()) (LR.apply p r2);
   Alcotest.(check (option bytes)) "updated" (Some (b "HEllo")) (Page.read p 0);
-  Alcotest.(check (result unit string)) "unapply update" (Ok ()) (LR.unapply p r2);
-  Alcotest.(check (option bytes)) "reverted" (Some (b "hello")) (Page.read p 0);
-  Alcotest.(check (result unit string)) "unapply insert" (Ok ()) (LR.unapply p r1);
-  Alcotest.(check (option bytes)) "gone" None (Page.read p 0)
+  Alcotest.(check (result unit page_error)) "insert into a live slot" (Error `Slot_already_live)
+    (LR.apply p r1)
 
 let test_record_delete_cycle () =
   let p = Page.create 512 in
   ignore (Page.insert p (b "victim"));
   let r = { LR.txid = 2; page = 0; op = LR.Delete { slot = 0; before = b "victim" } } in
-  Alcotest.(check (result unit string)) "apply delete" (Ok ()) (LR.apply p r);
-  Alcotest.(check (option bytes)) "deleted" None (Page.read p 0);
-  Alcotest.(check (result unit string)) "unapply delete" (Ok ()) (LR.unapply p r);
-  Alcotest.(check (option bytes)) "restored" (Some (b "victim")) (Page.read p 0)
+  Alcotest.(check (result unit page_error)) "apply delete" (Ok ()) (LR.apply p r);
+  Alcotest.(check (option bytes)) "deleted" None (Page.read p 0)
+
+(* The one rebuild function: records apply in order up to the first that
+   does not, and the failure names that record's page, transaction and
+   slot with the page's own error. *)
+let test_replay_failure () =
+  let p = Page.create 512 in
+  let fits = { LR.txid = 4; page = 7; op = LR.Insert { slot = 0; record = Bytes.make 300 'a' } } in
+  let too_big = { LR.txid = 5; page = 7; op = LR.Insert { slot = 1; record = Bytes.make 300 'b' } } in
+  match LR.replay p [ fits; too_big ] with
+  | () -> Alcotest.fail "a record that does not fit must fail the replay"
+  | exception LR.Replay_failed f ->
+      Alcotest.(check (triple int int int)) "page, transaction, slot" (7, 5, 1)
+        (f.record.LR.page, f.record.LR.txid, LR.slot f.record);
+      Alcotest.(check page_error) "page error" `Page_full f.error;
+      Alcotest.(check (option bytes)) "records before it applied" (Some (Bytes.make 300 'a'))
+        (Page.read p 0);
+      Alcotest.(check string) "printed"
+        "log replay failed (page full) on {tx=5 page=7 slot=1 insert 313B}"
+        (Format.asprintf "%a" LR.pp_replay_failure f)
 
 let prop_record_roundtrip =
   let gen =
@@ -1457,7 +1475,8 @@ let () =
       ( "log_record",
         [
           Alcotest.test_case "codec roundtrips" `Quick test_record_roundtrips;
-          Alcotest.test_case "apply/unapply" `Quick test_record_apply_unapply;
+          Alcotest.test_case "apply" `Quick test_record_apply;
+          Alcotest.test_case "replay failure" `Quick test_replay_failure;
           Alcotest.test_case "delete cycle" `Quick test_record_delete_cycle;
           QCheck_alcotest.to_alcotest prop_record_roundtrip;
         ] );

@@ -622,6 +622,56 @@ let test_read_miss_allocates_no_page () =
       (words < float_of_int page_words)
   done
 
+(* Cause 2 of ROADMAP's space-reservation item: a loser frees bytes or a
+   slot of a full page, and a committed insert spends them. Rebuilding
+   the page without the loser's change then fails: on the live engine
+   when the loser aborts, and after a restart when a read replays the
+   page. Both must come back as [Replay_failed] from the typed surface
+   instead of escaping as an exception. Slotted-page space reservation
+   (ROADMAP step 3) will turn each expected result into the committed
+   insert's value. *)
+let test_replay_failure_is_typed () =
+  let scenario ~variant =
+    let chip, config, e = mk () in
+    let page = ok (Engine.allocate_page e) in
+    let filler = ok (Engine.begin_txn e) in
+    let rec fill () =
+      match Engine.insert e ~tx:filler ~page (Bytes.make 100 'f') with
+      | Ok _ -> fill ()
+      | Error Engine.Page_full -> ()
+      | Error err -> Alcotest.failf "fill: %s" (Engine.error_to_string err)
+    in
+    fill ();
+    ok (Engine.commit e filler);
+    let loser = ok (Engine.begin_txn e) in
+    (match variant with
+    | `Bytes -> ok (Engine.update e ~tx:loser ~page ~slot:0 (b "x"))
+    | `Slot -> ok (Engine.delete e ~tx:loser ~page ~slot:0));
+    let winner = ok (Engine.begin_txn e) in
+    let slot = ok (Engine.insert e ~tx:winner ~page (Bytes.make 80 'w')) in
+    (* Window 1: the commit flushes the page's log, the loser's record
+       included. *)
+    ok (Engine.commit e winner);
+    (chip, config, e, loser, winner, page, slot)
+  in
+  let expect what ~winner ~slot ~error = function
+    | Error (Engine.Replay_failed f) ->
+        Alcotest.(check int) (what ^ ": transaction") (Engine.txn_id winner) f.record.txid;
+        Alcotest.(check int) (what ^ ": slot") slot (Ipl_core.Log_record.slot f.record);
+        Alcotest.(check bool) (what ^ ": page error") true (f.error = error)
+    | Error err -> Alcotest.failf "%s: wrong error: %s" what (Engine.error_to_string err)
+    | Ok _ -> Alcotest.failf "%s: succeeded" what
+  in
+  List.iter
+    (fun (variant, name, error) ->
+      let _, _, e, loser, winner, _, slot = scenario ~variant in
+      Alcotest.(check int) (name ^ ": insert slot") (if variant = `Slot then 0 else 78) slot;
+      expect (name ^ " abort") ~winner ~slot ~error (Engine.abort e loser);
+      let chip, config, _, _, winner, page, slot = scenario ~variant in
+      let e', _ = Engine.restart ~config chip in
+      expect (name ^ " read after restart") ~winner ~slot ~error (Engine.read e' ~page ~slot))
+    [ (`Bytes, "freed bytes", `Page_full); (`Slot, "freed slot", `Slot_already_live) ]
+
 let () =
   Alcotest.run "ipl_engine"
     [
@@ -655,6 +705,7 @@ let () =
           Alcotest.test_case "abort after flush" `Quick test_abort_after_flush_filtered_by_status;
           Alcotest.test_case "active aborted on restart" `Quick test_active_txn_aborted_on_restart;
           Alcotest.test_case "commit + abort interleaved" `Quick test_committed_and_aborted_interleaved;
+          Alcotest.test_case "replay failure is a typed error" `Quick test_replay_failure_is_typed;
           Alcotest.test_case "default config: an uncommitted transaction is aborted by restart"
             `Quick test_default_config_restart_aborts_uncommitted;
           Alcotest.test_case "txn ids resume" `Quick test_txn_ids_resume_after_restart;

@@ -151,6 +151,13 @@ let test_exception_cross_module () =
   check_lines "bare transitive call escapes, handled call is clean" [ 7 ]
     (in_file ~rule:"sema-exception-escape" "fix_cross_catch.ml")
 
+let test_exception_replay () =
+  (* The page rebuild's failure is a contract exception too: rebuild
+     lets it out of the public surface; rebuild_result maps it to a
+     typed error. *)
+  check_lines "the replay failure escapes, the mapped variant is clean" [ 5 ]
+    (in_file ~rule:"sema-exception-escape" "fix_replay_escape.ml")
+
 (* ---- sema-determinism --------------------------------------------------- *)
 
 let test_determinism () =
@@ -242,6 +249,7 @@ let () =
         [
           Alcotest.test_case "public surface" `Quick test_exception_escape;
           Alcotest.test_case "cross-module summary" `Quick test_exception_cross_module;
+          Alcotest.test_case "replay failure" `Quick test_exception_replay;
         ] );
       ( "determinism",
         [ Alcotest.test_case "banned idents" `Quick test_determinism ] );
