@@ -532,8 +532,9 @@ let ablation_background_merge () =
     (w0 *. 1e3) t0 m0;
   Printf.printf "  %-22s worst op %6.2f ms, total flash %6.2f s, merges %4d\n"
     "compact every 100 ops" (w1 *. 1e3) t1 m1;
-  note "the ~20ms merges leave the update path entirely, at the price of more";
-  note "total (background) work - eager compaction merges underfull log regions"
+  note "the ~20ms merges leave the update path entirely at no extra flash time:";
+  note "compaction merges only units whose log region is exhausted, and its flush";
+  note "of partly filled log sectors fills regions a little sooner (a few more merges)"
 
 let ablation_selective_merge_threshold () =
   section "Ablation: selective-merge threshold tau under a long-running transaction";

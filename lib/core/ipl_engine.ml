@@ -205,13 +205,13 @@ type prefetch_token = Ipl_storage.read_batch
 let drain_repairs t ~max_eus = Ipl_storage.repair_step t.store ~max_eus
 
 let compact t ~max_merges =
-  (* Proactive background merging: take the merge cost off the next
-     unlucky writer's critical path. Post-crash repairs drain at the
-     same bounded rate — both are idle-time catch-up work. Flush first
-     so pending records are included. *)
+  (* Proactive background merging: take a merge the write path already
+     owes off the next unlucky writer's critical path. Post-crash repairs
+     drain at the same bounded rate — both are idle-time catch-up work.
+     Flush first so pending records are included. *)
   let (_ : int) = Ipl_storage.repair_step t.store ~max_eus:max_merges in
   Pool.flush_all t.pool;
-  Ipl_storage.merge_fullest t.store ~max_merges
+  Ipl_storage.merge_due_units t.store ~max_merges
 
 (* ------------------------------------------------------------------ *)
 (* Public surface                                                      *)

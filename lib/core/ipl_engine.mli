@@ -270,11 +270,15 @@ val checkpoint : t -> (unit, error) result
     nothing to rescan. *)
 
 val compact : t -> max_merges:int -> (int, error) result
-(** Background merging: merge up to [max_merges] of the erase units whose
-    log regions are fullest, returning how many were merged. Doing this
-    at idle moments moves merge latency off the update path. Also drains
-    up to [max_merges] pending lazy repairs — the same idle-time
-    catch-up budget. *)
+(** Background merging: flush every dirty frame's log records, then
+    merge up to [max_merges] of the erase units the write path would
+    merge at its next flush — in-region log exhausted, carry fraction at
+    most tau ({!Ipl_storage.merge_due_units}) — most log sectors first,
+    returning how many were merged (0 when none is due). Doing this at
+    idle moments moves a merge that is already owed off the update
+    path; a unit with a free log sector is left alone, so compaction
+    never erases a block early. Also drains up to [max_merges] pending
+    lazy repairs — the same idle-time catch-up budget. *)
 
 val repair_pending : t -> int
 (** Erase units still awaiting on-demand repair after a restart (0 when

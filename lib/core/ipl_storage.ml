@@ -275,10 +275,9 @@ let flush_log t sector =
         Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
           (Obs.Event.Log_flush { page; eu = eu.phys; records = List.length records })
   end
-  else if
-    Store_merge.active_fraction t eu ~pending:records
-    > t.config.Ipl_config.selective_merge_threshold
-  then begin
+  else if Store_merge.merge_due t eu ~pending:records then
+    Store_merge.merge t eu ~pending:records
+  else begin
     Store_merge.overflow_write t eu (sector_bytes t sector);
     note_records eu records;
     Cache.Log_cache.append t.cache eu.phys records;
@@ -290,9 +289,8 @@ let flush_log t sector =
           (Obs.Event.Overflow_diversion
              { page; eu = eu.phys; records = List.length records })
   end
-  else Store_merge.merge t eu ~pending:records
 
-let merge_fullest = Store_merge.merge_fullest
+let merge_due_units = Store_merge.merge_due_units
 let emit_checkpoint = Store_ckpt.emit_checkpoint
 let repair_pending = Store_ckpt.repair_pending
 let repair_step = Store_ckpt.repair_step

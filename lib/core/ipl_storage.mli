@@ -189,9 +189,12 @@ val flush_log : t -> Log_sector.t -> unit
 (** Persist one log sector's records, for any pages of one erase unit:
     the unit hosting the first record's page. Writes a log sector in that
     unit, or — if none is free — merges the unit (consuming the records)
-    or diverts the sector to an overflow area. The sector must be
-    non-empty and have the device's sector size; a record for a page of
-    another unit raises [Invalid_argument] before anything is written.
+    when at most a tau share of its records, these included, belong to
+    active transactions, and diverts the sector to an overflow area
+    otherwise: the one merge rule, which {!merge_due_units} applies too.
+    The sector must be non-empty and have the device's sector size; a
+    record for a page of another unit raises [Invalid_argument] before
+    anything is written.
     The [Log_flush] or [Overflow_diversion] event names the first
     record's page. *)
 
@@ -229,10 +232,13 @@ val repair_step : t -> max_eus:int -> int
     first-touch repair happens implicitly on reads, merges and log
     flushes. *)
 
-val merge_fullest : t -> max_merges:int -> int
-(** Merge up to [max_merges] data erase units, fullest log region first,
-    skipping units with empty log regions. Returns the number merged. Used
-    for proactive (background) merging. *)
+val merge_due_units : t -> max_merges:int -> int
+(** Background merging: merge up to [max_merges] of the data erase units
+    that {!flush_log} would merge at their next flush (in-region log
+    exhausted, carry fraction at most tau), most log sectors (in-region
+    plus overflow) first. A unit with a free log sector, or one
+    whose records belong mostly to live transactions, is left alone.
+    Returns the number merged, 0 when no unit is due. *)
 
 val eu_of_page : t -> int -> int
 (** Physical erase unit currently hosting a page. *)

@@ -266,14 +266,23 @@ let merge t eu ~pending =
   merge_rewrite t eu ~pending;
   Store_ckpt.reassert t
 
-let merge_fullest t ~max_merges =
+(* The one merge rule (Algorithms 1 and 3): a unit is merged when its
+   in-region log has no free sector left and its active records would not
+   dominate the merge. Above tau the write path diverts to overflow
+   instead, so background merging leaves such a unit alone too. *)
+let merge_due t eu ~pending =
+  eu.used_log >= t.log_sectors
+  && active_fraction t eu ~pending <= t.config.Ipl_config.selective_merge_threshold
+
+let merge_due_units t ~max_merges =
   if max_merges <= 0 then 0
   else begin
     let candidates =
       Hashtbl.fold
         (fun _ eu acc ->
-          let load = eu.used_log + List.length eu.overflow_rev in
-          if load > 0 then (load, eu) :: acc else acc)
+          if merge_due t eu ~pending:[] then
+            (eu.used_log + List.length eu.overflow_rev, eu) :: acc
+          else acc)
         t.data_eus []
     in
     let sorted = List.sort (fun (a, _) (b, _) -> compare b a) candidates in

@@ -17,5 +17,11 @@ val merge : t -> eu_info -> pending:Log_record.t list -> unit
     [pending]) applied, carrying active records over and dropping
     aborted ones; atomic at the metadata-log force that publishes it. *)
 
-val merge_fullest : t -> max_merges:int -> int
-(** See {!Ipl_storage.merge_fullest}. *)
+val merge_due : t -> eu_info -> pending:Log_record.t list -> bool
+(** The one merge rule: the unit's in-region log has no free sector and
+    {!active_fraction} (with [pending]) is at most tau. The write path
+    merges a due unit and diverts to overflow otherwise; background
+    merging takes only due units. *)
+
+val merge_due_units : t -> max_merges:int -> int
+(** See {!Ipl_storage.merge_due_units}. *)

@@ -359,7 +359,7 @@ let abort t tx =
 (* Fold version GC into maintenance merging: trim the chains first (a
    merge is the natural idle moment, and the watermark only moves at
    commit/abort boundaries anyway), then let the storage layer merge the
-   fullest erase units. *)
+   erase units whose log regions are exhausted. *)
 let compact t ~max_merges =
   ignore (gc t : int);
   match Engine.compact t.engine ~max_merges with

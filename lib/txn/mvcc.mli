@@ -96,7 +96,9 @@ val gc : t -> int
 
 val compact : t -> max_merges:int -> (int, error) result
 (** Version-chain GC folded into maintenance merging: {!gc}, then the
-    engine's background merge of the fullest erase units. *)
+    engine's background merge ({!Ipl_core.Ipl_engine.compact}) of the
+    erase units whose log regions are exhausted; returns how many were
+    merged. *)
 
 val checkpoint : t -> (unit, error) result
 (** {!flush}, then a full engine checkpoint. *)

@@ -456,32 +456,129 @@ let test_group_commit_durability_boundary () =
   Alcotest.(check (option bytes)) "flushed commit survives" (Some (b "batched-2"))
     (Engine.Unsafe.read e'' ~page ~slot:s2)
 
+(* Update [slot] of [page] under [tx] with fresh 6-byte values, numbered
+   on from [!n], until [stop ()] holds. *)
+let update_until e ~tx ~page ~slot n stop =
+  while not (stop ()) do
+    incr n;
+    ok (Engine.Unsafe.update e ~tx ~page ~slot (b (Printf.sprintf "v%05d" !n)))
+  done
+
+let merges e = (Engine.stats e).Engine.storage.Store.merges
+
 let test_compact_moves_merges_off_path () =
   let _, _, e = mk ~buffer_pages:4 () in
+  let store = Engine.storage e in
   let page = Engine.Unsafe.allocate_page e in
   let slot = ok (Engine.Unsafe.insert e ~tx:0 ~page (b "v00000")) in
-  (* Fill most of the unit's log region. *)
-  for i = 1 to 300 do
-    ok (Engine.Unsafe.update e ~tx:0 ~page ~slot (b (Printf.sprintf "v%05d" i)))
-  done;
+  let eu = Store.eu_of_page store page in
+  let used () = Store.used_log_sectors store ~eu in
+  (* Fill the unit's log region to its last sector: 15 sector writes, and
+     the checkpoint's flush writes the 16th. *)
+  let n = ref 0 in
+  update_until e ~tx:0 ~page ~slot n (fun () -> used () = 15);
   Engine.Unsafe.checkpoint e;
+  Alcotest.(check int) "log region exhausted" 16 (used ());
   let merged = Engine.Unsafe.compact e ~max_merges:4 in
   Alcotest.(check bool) "compacted something" true (merged >= 1);
-  let merges_before = (Engine.stats e).Engine.storage.Store.merges in
+  let merges_before = merges e in
   (* The next burst of updates now has a fresh log region: no merge on the
      write path until it fills again. *)
-  for i = 301 to 400 do
-    ok (Engine.Unsafe.update e ~tx:0 ~page ~slot (b (Printf.sprintf "v%05d" i)))
-  done;
+  let last = !n + 100 in
+  update_until e ~tx:0 ~page ~slot n (fun () -> !n = last);
   Engine.Unsafe.checkpoint e;
-  Alcotest.(check int) "no merge on the write path" merges_before
-    (Engine.stats e).Engine.storage.Store.merges;
-  Alcotest.(check (option bytes)) "data intact" (Some (b "v00400")) (Engine.Unsafe.read e ~page ~slot);
+  Alcotest.(check int) "no merge on the write path" merges_before (merges e);
+  Alcotest.(check (option bytes)) "data intact"
+    (Some (b (Printf.sprintf "v%05d" !n)))
+    (Engine.Unsafe.read e ~page ~slot);
   (* Compacting an already-clean store is a no-op. *)
   Alcotest.(check int) "idempotent when clean"
     0
     (let _ = Engine.Unsafe.compact e ~max_merges:4 in
      Engine.Unsafe.compact e ~max_merges:4)
+
+(* A unit whose next flush still fits in its log region owes no merge:
+   background merging must not erase its block early. *)
+let test_compact_skips_free_log () =
+  let _, _, e = mk ~buffer_pages:4 () in
+  let store = Engine.storage e in
+  let page = Engine.Unsafe.allocate_page e in
+  let slot = ok (Engine.Unsafe.insert e ~tx:0 ~page (b "v00000")) in
+  let eu = Store.eu_of_page store page in
+  let n = ref 0 in
+  update_until e ~tx:0 ~page ~slot n (fun () -> Store.used_log_sectors store ~eu = 14);
+  Engine.Unsafe.checkpoint e;
+  let used = Store.used_log_sectors store ~eu and before = merges e in
+  Alcotest.(check int) "one sector free" 15 used;
+  Alcotest.(check int) "nothing due" 0 (Engine.Unsafe.compact e ~max_merges:4);
+  Alcotest.(check int) "no merge" before (merges e);
+  Alcotest.(check int) "same unit" eu (Store.eu_of_page store page);
+  Alcotest.(check int) "log untouched" used (Store.used_log_sectors store ~eu)
+
+(* An exhausted unit whose records belong mostly to a live transaction is
+   not due: the write path diverts its next sector to overflow rather
+   than carry them all forward, and background merging leaves it too. *)
+let test_compact_skips_live_unit () =
+  let _, _, e = mk ~buffer_pages:4 () in
+  let store = Engine.storage e in
+  let page = Engine.Unsafe.allocate_page e in
+  let slot = ok (Engine.Unsafe.insert e ~tx:0 ~page (b "v00000")) in
+  Engine.Unsafe.checkpoint e;
+  let eu = Store.eu_of_page store page in
+  let tx = Engine.Unsafe.begin_txn e in
+  let n = ref 0 in
+  update_until e ~tx ~page ~slot n (fun () -> Store.used_log_sectors store ~eu = 15);
+  let before = merges e in
+  Alcotest.(check int) "nothing due" 0 (Engine.Unsafe.compact e ~max_merges:4);
+  Alcotest.(check int) "log region exhausted" 16 (Store.used_log_sectors store ~eu);
+  Alcotest.(check int) "no merge" before (merges e);
+  let diversions () = (Engine.stats e).Engine.storage.Store.overflow_diversions in
+  let diverted = diversions () in
+  update_until e ~tx ~page ~slot n (fun () -> diversions () > diverted);
+  Alcotest.(check int) "the write path diverts, too" before (merges e);
+  Alcotest.(check int) "same unit" eu (Store.eu_of_page store page);
+  Engine.Unsafe.commit e tx;
+  Alcotest.(check (option bytes)) "data intact"
+    (Some (b (Printf.sprintf "v%05d" !n)))
+    (Engine.Unsafe.read e ~page ~slot)
+
+(* Of two due units, the one spilled to overflow holds more log sectors
+   and is merged first. *)
+let test_compact_overflow_first () =
+  let _, _, e = mk ~buffer_pages:4 () in
+  let store = Engine.storage e in
+  let pages = List.init 16 (fun _ -> Engine.Unsafe.allocate_page e) in
+  let pa = List.hd pages and pb = List.nth pages 15 in
+  let eua = Store.eu_of_page store pa and eub = Store.eu_of_page store pb in
+  Alcotest.(check bool) "two units" true (eua <> eub);
+  let sa = ok (Engine.Unsafe.insert e ~tx:0 ~page:pa (b "v00000")) in
+  let sb = ok (Engine.Unsafe.insert e ~tx:0 ~page:pb (b "v00000")) in
+  Engine.Unsafe.checkpoint e;
+  (* Unit B: exhausted by committed work. *)
+  let nb = ref 0 in
+  update_until e ~tx:0 ~page:pb ~slot:sb nb (fun () -> Store.used_log_sectors store ~eu:eub = 15);
+  Engine.Unsafe.checkpoint e;
+  Alcotest.(check int) "B exhausted" 16 (Store.used_log_sectors store ~eu:eub);
+  (* Unit A: exhausted by a live transaction, spilled to overflow, then
+     committed. *)
+  let tx = Engine.Unsafe.begin_txn e in
+  let na = ref 0 in
+  update_until e ~tx ~page:pa ~slot:sa na (fun () -> Store.overflow_sectors store ~eu:eua > 0);
+  Engine.Unsafe.commit e tx;
+  Engine.Unsafe.checkpoint e;
+  let before = merges e in
+  Alcotest.(check int) "one merge" 1 (Engine.Unsafe.compact e ~max_merges:1);
+  Alcotest.(check int) "one merge counted" (before + 1) (merges e);
+  Alcotest.(check bool) "A merged" true (Store.eu_of_page store pa <> eua);
+  Alcotest.(check int) "B still exhausted" 16 (Store.used_log_sectors store ~eu:eub);
+  Alcotest.(check int) "then B" 1 (Engine.Unsafe.compact e ~max_merges:1);
+  Alcotest.(check bool) "B merged" true (Store.eu_of_page store pb <> eub);
+  Alcotest.(check (option bytes)) "A intact"
+    (Some (b (Printf.sprintf "v%05d" !na)))
+    (Engine.Unsafe.read e ~page:pa ~slot:sa);
+  Alcotest.(check (option bytes)) "B intact"
+    (Some (b (Printf.sprintf "v%05d" !nb)))
+    (Engine.Unsafe.read e ~page:pb ~slot:sb)
 
 (* Property: crash at an arbitrary point in a transactional workload.
    Whatever was committed before the crash point is visible afterwards;
@@ -715,6 +812,9 @@ let () =
           Alcotest.test_case "group commit window is at least 1" `Quick
             test_group_commit_window_positive;
           Alcotest.test_case "background compact" `Quick test_compact_moves_merges_off_path;
+          Alcotest.test_case "compact leaves a free log alone" `Quick test_compact_skips_free_log;
+          Alcotest.test_case "compact leaves a live unit alone" `Quick test_compact_skips_live_unit;
+          Alcotest.test_case "compact merges overflow first" `Quick test_compact_overflow_first;
           QCheck_alcotest.to_alcotest prop_transactional_crash_consistency;
           QCheck_alcotest.to_alcotest prop_crash_anywhere;
         ] );
