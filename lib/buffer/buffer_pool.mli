@@ -1,9 +1,33 @@
-(** Fixed-capacity LRU buffer pool.
+(** Fixed-capacity buffer pool that evicts by recency or by frequency,
+    whichever its own accesses favour.
 
     The pool caches values of any type keyed by page number; the IPL
     engine stores page images plus their in-memory log sectors in it, and
-    the trace generators store placeholder frames. Replacement is strict
-    LRU over unpinned frames (constant-time via an intrusive list).
+    the trace generators store placeholder frames.
+
+    Eviction is a duel (set dueling, Qureshi et al., ISCA 2007, over
+    ARC-style ghost directories, Megiddo & Modha, FAST 2003). The pool
+    keeps two key-only shadow directories of its own capacity, fed by
+    every {!with_page} and every inserting {!preload}:
+    - an LRU shadow, which evicts its least recently used key;
+    - an LFU shadow, which evicts its lowest-count key, the least recent
+      of those. Counts are kept per page id for pages that are no longer
+      resident too, and all halve every 50 × capacity accesses.
+
+    Over the last 10 × capacity accesses, while the LFU shadow has missed
+    less than the LRU shadow, the victim is the lowest-count unpinned
+    frame that is clean and has been used since it came in (a
+    {!preload}ed frame is not a candidate before its first
+    {!with_page}), the least recent of those. When no frame qualifies,
+    and whenever the LRU shadow misses no more, the victim is the least
+    recently used unpinned frame: strict LRU. The shadows start at the
+    first miss in a full pool, when they are built from the resident
+    frames; before that only the counts are kept, so a pool that never
+    fills pays almost nothing for the duel. Their upkeep is constant
+    time per access, on intrusive lists over arrays indexed by page id,
+    but for the halving, which is linear in the page ids once per
+    50 × capacity accesses; a frequency eviction passes over pinned and
+    dirty frames. A resident hit allocates nothing.
 
     [fetch] is called on a miss; [write_back] is called with a batch of
     dirty frames to clean: an eviction passes its one frame, and
@@ -18,12 +42,16 @@ type 'a t
 type stats = { hits : int; misses : int; evictions : int; dirty_write_backs : int }
 
 val create :
+  ?adaptive:bool ->
   capacity:int ->
   fetch:(int -> 'a option -> 'a) ->
   write_back:((int * 'a) list -> unit) ->
   unit ->
   'a t
-(** [capacity] must be positive. [fetch key evicted] loads [key] on a
+(** [capacity] must be positive. [~adaptive:false] makes a strict LRU
+    pool that keeps no shadows: the paper-trace model
+    ([Tpcc_layout_store]) uses it so its traces follow the paper's
+    buffer manager. [fetch key evicted] loads [key] on a
     miss. [evicted] is [Some v] exactly when the miss found the pool full:
     [v] is the value just evicted (already written back, so clean), and
     [fetch] may recycle it — overwrite it in place and return it — instead
@@ -36,7 +64,7 @@ val create :
 
 val with_page : 'a t -> int -> ?dirty:bool -> ('a -> 'b) -> 'b
 (** [with_page t key f] pins the frame for [key] (fetching it on a miss,
-    evicting the LRU unpinned frame if full), applies [f], and unpins.
+    evicting an unpinned frame if full), applies [f], and unpins.
     [~dirty:true] marks the frame dirty. Nested calls are allowed; raises
     [Failure] if every frame is pinned, and [Invalid_argument] if [key]
     is negative: frames are indexed by page id. The value is the frame's only
@@ -69,13 +97,20 @@ val contains : 'a t -> int -> bool
 val promote : 'a t -> int -> unit
 (** Bump a resident page to most-recently-used without fetching (no-op
     when absent) — protects a batch's resident members from being
-    evicted by its own preloads. *)
+    evicted by its own preloads while the pool evicts by recency. It is
+    not an access: counts and shadows do not see it. *)
 
 val find : 'a t -> int -> 'a option
 (** Peek without affecting recency or pinning. *)
 
 val is_dirty : 'a t -> int -> bool
 val capacity : 'a t -> int
+
+val evicts_by_frequency : 'a t -> bool
+(** Whether the next eviction follows the frequency rule: the LFU shadow
+    has missed less than the LRU shadow over the duel's window. Always
+    [false] for a [~adaptive:false] pool. *)
+
 val cached : 'a t -> int
 
 val dirty_count : 'a t -> int

@@ -117,12 +117,18 @@ let records t key =
       touch t e;
       Some (List.rev e.all_rev)
 
-let records_of_page t key ~page =
+(* One walk of a newest-first list gives the records [keep] accepts in
+   application order. *)
+let rec kept_in_order keep acc = function
+  | [] -> acc
+  | r :: rest -> kept_in_order keep (if keep r then r :: acc else acc) rest
+
+let records_of_page t key ~page ~keep =
   match Hashtbl.find_opt t.table key with
   | None -> None
   | Some e ->
       touch t e;
-      Some (List.rev (Option.value ~default:[] (Hashtbl.find_opt e.by_page page)))
+      Some (kept_in_order keep [] (Option.value ~default:[] (Hashtbl.find_opt e.by_page page)))
 
 let clear t =
   Hashtbl.reset t.table;

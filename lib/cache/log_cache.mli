@@ -54,12 +54,12 @@ val records : 'r t -> int -> 'r list option
 (** All records of a cached unit in application order (oldest first).
     [None] on a miss. Refreshes the entry's recency. *)
 
-val records_of_page : 'r t -> int -> page:int -> 'r list option
-(** The cached unit's records for one page, in application order — the
-    per-page index makes this proportional to that page's records, not
-    the unit's. [None] if the {e unit} is not cached (an empty list means
-    the unit is cached and has no records for the page). Refreshes the
-    entry's recency. *)
+val records_of_page : 'r t -> int -> page:int -> keep:('r -> bool) -> 'r list option
+(** The cached unit's records for one page that satisfy [keep], in
+    application order, built in one pass — the per-page index makes this
+    proportional to that page's records, not the unit's. [None] if the
+    {e unit} is not cached (an empty list means the unit is cached and
+    has no records for the page). Refreshes the entry's recency. *)
 
 val install : 'r t -> int -> 'r list -> unit
 (** [install t key records] caches the full decoded record list of a

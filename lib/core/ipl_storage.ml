@@ -153,12 +153,12 @@ let live_records_of_page t eu pid =
        records; only a miss pays for the whole unit. *)
     let mine =
       if not (Cache.Log_cache.enabled t.cache) then None
-      else Cache.Log_cache.records_of_page t.cache eu.phys ~page:pid
+      else Cache.Log_cache.records_of_page t.cache eu.phys ~page:pid ~keep:not_aborted
     in
     match mine with
     | Some records ->
         cache_note t eu ~hit:true;
-        List.filter not_aborted records
+        records
     | None ->
         List.filter
           (fun r -> r.Log_record.page = pid && not_aborted r)

@@ -58,7 +58,7 @@ let create ?(page_size = Ipl_core.Ipl_config.default.Ipl_core.Ipl_config.page_si
     lazy
       (let pool =
          Pool.create ~capacity
-           ~fetch:(fun _ _ -> ())
+           ~adaptive:false ~fetch:(fun _ _ -> ())
            ~write_back:
              (List.iter (fun (page, ()) -> Trace.add_page_write (Lazy.force t).builder ~page))
            ()
@@ -312,7 +312,7 @@ let set_buffer_bytes t bytes =
   let capacity = max 1 (bytes / t.page_size) in
   t.pool <-
     Pool.create ~capacity
-      ~fetch:(fun _ _ -> ())
+      ~adaptive:false ~fetch:(fun _ _ -> ())
       ~write_back:(List.iter (fun (page, ()) -> Trace.add_page_write t.builder ~page))
       ()
 

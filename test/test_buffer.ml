@@ -1,4 +1,5 @@
-(* Tests for the LRU buffer pool. *)
+(* Tests for the buffer pool: its frames, dirty tracking and write-back,
+   and the duel between its LRU and LFU shadows that picks the victim. *)
 
 module Pool = Bufmgr.Buffer_pool
 
@@ -24,7 +25,9 @@ let test_fetch_on_miss_then_hit () =
   Alcotest.(check int) "hits" 1 s.Pool.hits;
   Alcotest.(check int) "misses" 1 s.Pool.misses
 
-let test_lru_eviction_order () =
+(* With no frequency skew the shadows miss alike, and the victim is the
+   least recently used frame. *)
+let test_lru_order_while_shadows_tie () =
   let pool, fetched, _ = mk ~capacity:2 () in
   ignore (Pool.with_page pool 1 (fun _ -> ()));
   ignore (Pool.with_page pool 2 (fun _ -> ()));
@@ -349,6 +352,159 @@ let test_flush_all_one_batch () =
   Alcotest.(check int) "no write-back counted" 4 (Pool.stats pool).Pool.dirty_write_backs;
   Alcotest.(check int) "no event" 4 (List.length !events)
 
+(* The duel. [skewed pool ~rounds] touches a hot page and then a burst
+   of [capacity + 1] pages never seen before, [rounds] times. The burst
+   pushes the hot page out of an LRU directory every round; the LFU
+   shadow keeps it once its count passes theirs, so the pool turns to
+   frequency after a few rounds. Cold page ids start at 1000 and are
+   handed out in order. *)
+let hot = 0
+
+let skewed pool ~rounds =
+  let next = ref 1000 in
+  let fresh () =
+    incr next;
+    !next
+  in
+  for _ = 1 to rounds do
+    Pool.with_page pool hot ignore;
+    for _ = 0 to Pool.capacity pool do
+      Pool.with_page pool (fresh ()) ignore
+    done
+  done;
+  fresh
+
+let counting_pool ?adaptive ~capacity () =
+  let fetched = Hashtbl.create 16 and written = ref [] in
+  let pool =
+    Pool.create ?adaptive ~capacity
+      ~fetch:(fun k _ ->
+        Hashtbl.replace fetched k (1 + Option.value ~default:0 (Hashtbl.find_opt fetched k));
+        ref k)
+      ~write_back:(List.iter (fun (k, _) -> written := k :: !written))
+      ()
+  in
+  let fetches k = Option.value ~default:0 (Hashtbl.find_opt fetched k) in
+  (pool, fetches, written)
+
+(* A hot page survives the bursts of once-touched pages once the LFU
+   shadow leads; a strict LRU pool refetches it every round. *)
+let test_hot_page_survives_burst () =
+  let run adaptive =
+    let pool, fetches, _ = counting_pool ~adaptive ~capacity:4 () in
+    ignore (skewed pool ~rounds:4 : unit -> int);
+    let warm = fetches hot in
+    ignore (skewed pool ~rounds:6 : unit -> int);
+    (pool, fetches hot - warm)
+  in
+  let pool, refetched = run true in
+  Alcotest.(check bool) "frequency leads" true (Pool.evicts_by_frequency pool);
+  Alcotest.(check int) "hot page never refetched" 0 refetched;
+  Alcotest.(check bool) "hot page resident after a burst" true (Pool.contains pool hot);
+  let lru, lru_refetched = run false in
+  Alcotest.(check bool) "strict LRU never leads by frequency" false (Pool.evicts_by_frequency lru);
+  Alcotest.(check int) "strict LRU refetches every round" 6 lru_refetched
+
+(* A recency stream with next-transaction prefetch, as the engine's
+   batched read-ahead drives it: transaction [n] touches pages [n] to
+   [n + 3], and before it runs, its pages are promoted if resident and
+   preloaded if not. Pages age out after four transactions, so the LFU
+   shadow, holding on to the old pages' counts, misses more, and the
+   eviction order equals a strict LRU pool's. *)
+let test_recency_stream_evicts_as_lru () =
+  let evictions adaptive =
+    let evicted = ref [] in
+    let pool = Pool.create ~adaptive ~capacity:6 ~fetch:(fun k _ -> k) ~write_back:ignore () in
+    Pool.set_trace pool
+      (Some (function Obs.Event.Evict { page } -> evicted := page :: !evicted | _ -> ()));
+    for n = 0 to 300 do
+      for p = n to n + 3 do
+        if Pool.contains pool p then Pool.promote pool p else Pool.preload pool p p
+      done;
+      for p = n to n + 3 do
+        Pool.with_page pool p ~dirty:(p mod 3 = 0) ignore
+      done;
+      Alcotest.(check bool) "recency leads" false (Pool.evicts_by_frequency pool)
+    done;
+    List.rev !evicted
+  in
+  let adaptive = evictions true in
+  Alcotest.(check bool) "the stream evicts" true (List.length adaptive > 250);
+  Alcotest.(check (list int)) "LRU eviction order" (evictions false) adaptive
+
+(* While frequency leads, a preloaded frame is not a victim before its
+   first use, though it is the least recent frame with the lowest count;
+   a strict LRU pool evicts it. *)
+let test_preload_kept_until_used () =
+  let run adaptive =
+    let pool, fetches, _ = counting_pool ~adaptive ~capacity:4 () in
+    let fresh = skewed pool ~rounds:10 in
+    let early = fresh () in
+    Pool.preload pool early (ref early);
+    for _ = 1 to Pool.capacity pool do
+      Pool.with_page pool (fresh ()) ignore
+    done;
+    let leads = Pool.evicts_by_frequency pool in
+    Pool.with_page pool early ignore;
+    (leads, fetches early)
+  in
+  Alcotest.(check (pair bool int)) "adaptive: kept, a hit on first use" (true, 0) (run true);
+  Alcotest.(check (pair bool int)) "strict LRU: evicted and refetched" (false, 1) (run false)
+
+(* While frequency leads, the clean frame goes before an older dirty one
+   of the same count, so the eviction writes nothing back; a strict LRU
+   pool writes the dirty frame back. *)
+let test_clean_before_dirty_under_lfu () =
+  let run adaptive =
+    let pool, _, written = counting_pool ~adaptive ~capacity:4 () in
+    let fresh = skewed pool ~rounds:10 in
+    let dirty = fresh () and clean = fresh () in
+    Pool.with_page pool dirty ~dirty:true ignore;
+    Pool.with_page pool clean ignore;
+    let leads = Pool.evicts_by_frequency pool in
+    for _ = 1 to 3 do
+      Pool.with_page pool (fresh ()) ignore
+    done;
+    (leads, Pool.contains pool dirty, Pool.contains pool clean, !written)
+  in
+  let result = Alcotest.(pair bool (triple bool bool (list int))) in
+  let leads, dirty_kept, clean_kept, written = run true in
+  Alcotest.check result "adaptive: the clean frame goes" (true, (true, false, []))
+    (leads, (dirty_kept, clean_kept, written));
+  let leads, dirty_kept, _, written = run false in
+  Alcotest.(check (pair bool bool)) "strict LRU: the dirty frame goes" (false, false)
+    (leads, dirty_kept);
+  Alcotest.(check int) "strict LRU writes it back" 1 (List.length written)
+
+(* A miss allocates the new frame (eleven words), its [Some] (two) and the
+   [Some] that offers [fetch] the evicted value (two), whichever rule
+   picks the victim: no more, with [fetch] recycling that value. Keys
+   stay inside the initial index, so no array grows. *)
+let test_miss_allocation_bounded () =
+  let pool =
+    Pool.create ~capacity:4
+      ~fetch:(fun k -> function Some v -> v | None -> ref k)
+      ~write_back:ignore ()
+  in
+  (* Page 0, then a burst of five of pages 1..10 in turn: as in
+     [skewed], only the LFU shadow keeps page 0. *)
+  let pass () =
+    for burst = 0 to 1 do
+      Pool.with_page pool 0 ignore;
+      for p = 1 to 5 do
+        Pool.with_page pool ((5 * burst) + p) ignore
+      done
+    done
+  in
+  for _ = 1 to 20 do pass () done;
+  Alcotest.(check bool) "frequency leads" true (Pool.evicts_by_frequency pool);
+  let before = (Pool.stats pool).Pool.misses in
+  let words = minor_words (fun () -> for _ = 1 to 20 do pass () done) in
+  let misses = (Pool.stats pool).Pool.misses - before in
+  Alcotest.(check bool) "the passes miss" true (misses > 50);
+  let per_miss = words /. float_of_int misses in
+  if per_miss > 15. then Alcotest.failf "%.2f words per miss" per_miss
+
 (* Property: hit+miss accounting and capacity invariant under random access. *)
 let prop_capacity_invariant =
   QCheck.Test.make ~name:"never exceeds capacity; stats consistent" ~count:100
@@ -371,7 +527,8 @@ let () =
       ( "buffer pool",
         [
           Alcotest.test_case "fetch then hit" `Quick test_fetch_on_miss_then_hit;
-          Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction_order;
+          Alcotest.test_case "LRU order while the shadows tie" `Quick
+            test_lru_order_while_shadows_tie;
           Alcotest.test_case "dirty write back" `Quick test_dirty_write_back_on_eviction;
           Alcotest.test_case "clean no write back" `Quick test_clean_eviction_no_write_back;
           Alcotest.test_case "flush_all" `Quick test_flush_all;
@@ -390,6 +547,13 @@ let () =
           Alcotest.test_case "index growth preserves hits" `Quick test_index_growth_preserves_hits;
           Alcotest.test_case "flush_all order" `Quick test_flush_all_order;
           Alcotest.test_case "flush_all is one batch" `Quick test_flush_all_one_batch;
+          Alcotest.test_case "hot page survives a burst" `Quick test_hot_page_survives_burst;
+          Alcotest.test_case "recency stream evicts as LRU" `Quick
+            test_recency_stream_evicts_as_lru;
+          Alcotest.test_case "preload kept until used" `Quick test_preload_kept_until_used;
+          Alcotest.test_case "clean before dirty under LFU" `Quick
+            test_clean_before_dirty_under_lfu;
+          Alcotest.test_case "miss allocation bounded" `Quick test_miss_allocation_bounded;
           QCheck_alcotest.to_alcotest prop_capacity_invariant;
         ] );
     ]

@@ -20,6 +20,7 @@ let mk ?(budget = 1000) ?on_evict () =
     ~page_of:fst ?on_evict ()
 
 let rec_list = Alcotest.(list (pair int string))
+let all _ = true
 
 let test_indexing () =
   let c = mk () in
@@ -30,11 +31,15 @@ let test_indexing () =
   Alcotest.(check (option rec_list))
     "per-page order"
     (Some [ (1, "a"); (1, "ccc"); (1, "ee") ])
-    (LC.records_of_page c 7 ~page:1);
+    (LC.records_of_page c 7 ~page:1 ~keep:all);
+  Alcotest.(check (option rec_list))
+    "kept, in order"
+    (Some [ (1, "a"); (1, "ee") ])
+    (LC.records_of_page c 7 ~page:1 ~keep:(fun (_, s) -> String.length s <> 3));
   (* Cached unit, no records for the page: Some [], not None. *)
   Alcotest.(check (option rec_list)) "cached, empty page" (Some [])
-    (LC.records_of_page c 7 ~page:9);
-  Alcotest.(check (option rec_list)) "uncached unit" None (LC.records_of_page c 8 ~page:1);
+    (LC.records_of_page c 7 ~page:9 ~keep:all);
+  Alcotest.(check (option rec_list)) "uncached unit" None (LC.records_of_page c 8 ~page:1 ~keep:all);
   let s = LC.stats c in
   Alcotest.(check int) "entries" 1 s.LC.entries;
   Alcotest.(check int) "bytes" 9 s.LC.bytes
@@ -52,7 +57,7 @@ let test_append () =
     (Some [ (1, "a"); (2, "b"); (1, "c") ])
     (LC.records c 5);
   Alcotest.(check (option rec_list)) "page index extended" (Some [ (1, "a"); (1, "c") ])
-    (LC.records_of_page c 5 ~page:1)
+    (LC.records_of_page c 5 ~page:1 ~keep:all)
 
 let test_lru_eviction () =
   let evicted = ref [] in
