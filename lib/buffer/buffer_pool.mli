@@ -24,10 +24,15 @@
     first miss in a full pool, when they are built from the resident
     frames; before that only the counts are kept, so a pool that never
     fills pays almost nothing for the duel. Their upkeep is constant
-    time per access, on intrusive lists over arrays indexed by page id,
-    but for the halving, which is linear in the page ids once per
-    50 × capacity accesses; a frequency eviction passes over pinned and
-    dirty frames. A resident hit allocates nothing.
+    time per access but for the halving, which is linear in the page ids
+    once per 50 × capacity accesses; a frequency eviction passes over
+    pinned and dirty frames.
+
+    Every list the pool keeps (the resident frames' recency order, the
+    dirty frames, the two shadows and the frequency order) is an
+    {!Ipl_util.Id_list} of page ids, linked through int arrays indexed
+    by page id. A resident hit allocates nothing, and a miss allocates
+    only the frame and its index entry.
 
     [fetch] is called on a miss; [write_back] is called with a batch of
     dirty frames to clean: an eviction passes its one frame, and
@@ -98,7 +103,9 @@ val promote : 'a t -> int -> unit
 (** Bump a resident page to most-recently-used without fetching (no-op
     when absent) — protects a batch's resident members from being
     evicted by its own preloads while the pool evicts by recency. It is
-    not an access: counts and shadows do not see it. *)
+    not an access: the counts and the LFU shadow do not see it. The LRU
+    shadow takes the same bump when the page is a member, as a strict
+    LRU pool would. *)
 
 val find : 'a t -> int -> 'a option
 (** Peek without affecting recency or pinning. *)
@@ -114,13 +121,12 @@ val evicts_by_frequency : 'a t -> bool
 val cached : 'a t -> int
 
 val dirty_count : 'a t -> int
-(** Number of dirty frames — an O(1) counter maintained at every
-    dirty-flag transition, not a scan. *)
+(** Number of dirty frames: the size of the dirty list, not a scan. *)
 
 val flush_all : 'a t -> unit
 (** Write back every dirty frame (keeping them cached and now clean) with
     one [write_back] call, the frames in the order they became dirty,
-    oldest first. It walks an intrusive list of the dirty frames, so its
+    oldest first. It walks the list of the dirty frames, so its
     cost does not grow with the clean resident ones. With no dirty frame
     it calls nothing. *)
 

@@ -23,7 +23,9 @@
     crash recovery is unaffected by construction.
 
     Entries are evicted least-recently-used once the byte budget is
-    exceeded. A budget of [0] disables the cache: every lookup misses,
+    exceeded. The recency order is an {!Ipl_util.Id_list} of unit ids,
+    the list mechanism the buffer pool uses for its frames, so
+    refreshing an entry's recency allocates nothing. A budget of [0] disables the cache: every lookup misses,
     [install]/[append] are no-ops, and the engine behaves bit-for-bit as
     without the cache. *)
 
@@ -65,7 +67,8 @@ val install : 'r t -> int -> 'r list -> unit
 (** [install t key records] caches the full decoded record list of a
     unit (application order), replacing any previous entry, then evicts
     LRU entries until the budget holds — possibly the new entry itself
-    if it alone exceeds the budget. No-op when disabled. *)
+    if it alone exceeds the budget. No-op when disabled. Unit ids are
+    erase-unit numbers: a negative [key] raises [Invalid_argument]. *)
 
 val append : 'r t -> int -> 'r list -> unit
 (** Write-through: extend a cached unit's entry with records just

@@ -96,6 +96,26 @@ let test_invalidate_and_clear () =
   Alcotest.(check int) "cleared" 0 (LC.stats c).LC.entries;
   Alcotest.(check int) "invalidate/clear are not evictions" 0 !evicted
 
+(* Unit ids past the initial link array grow it. Eviction follows
+   recency across the growth and after a [clear], and a negative unit id
+   is refused. *)
+let test_lru_over_unit_ids () =
+  let evicted = ref [] in
+  let c = mk ~budget:9 ~on_evict:(fun ~key ~bytes:_ -> evicted := key :: !evicted) () in
+  List.iter (fun k -> LC.install c k [ (0, "aaa") ]) [ 5; 1000; 70 ];
+  ignore (LC.records c 5);
+  ignore (LC.records c 1000);
+  LC.install c 3 [ (0, "bbb") ];
+  Alcotest.(check (list int)) "least recent evicted" [ 70 ] !evicted;
+  LC.clear c;
+  List.iter (fun k -> LC.install c k [ (0, "ccc") ]) [ 70; 5; 1000 ];
+  ignore (LC.records_of_page c 70 ~page:0 ~keep:all);
+  LC.install c 4 [ (0, "d") ];
+  Alcotest.(check (list int)) "after clear" [ 70; 5 ] (List.rev !evicted);
+  Alcotest.(check int) "entries" 3 (LC.stats c).LC.entries;
+  Alcotest.check_raises "negative id" (Invalid_argument "Log_cache.install: negative unit id")
+    (fun () -> LC.install c (-1) [])
+
 let test_disabled () =
   let c = mk ~budget:0 () in
   Alcotest.(check bool) "disabled" false (LC.enabled c);
@@ -213,6 +233,7 @@ let () =
         [
           Alcotest.test_case "per-page indexing" `Quick test_indexing;
           Alcotest.test_case "append" `Quick test_append;
+          Alcotest.test_case "LRU over unit ids" `Quick test_lru_over_unit_ids;
           Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
           Alcotest.test_case "invalidate and clear" `Quick test_invalidate_and_clear;
           Alcotest.test_case "disabled at budget 0" `Quick test_disabled;

@@ -296,6 +296,108 @@ let prop_crc32_matches_reference =
       let len = Bytes.length b - pos in
       Checksum.crc32 ~init b ~pos ~len = reference_crc32 ~init b ~pos ~len)
 
+(* Id_list against a model: per list, an array of buckets, each a plain
+   list most recent first, and a stamp per id and list from a clock that
+   ticks at every add or move. Two lists share one link array at stride 5 (offsets
+   1 and 3); slot 0 of each id stands for the caller's own field and
+   must never change. After every operation each list's buckets, walked
+   both ways, its size, membership and lowest bucket match the model. *)
+module Id_list = Ipl_util.Id_list
+
+type id_op = Put of int * int * int | Remove of int * int | Halve of int
+
+let print_id_op = function
+  | Put (l, p, b) -> Printf.sprintf "put %d %d %d" l p b
+  | Remove (l, p) -> Printf.sprintf "remove %d %d" l p
+  | Halve l -> Printf.sprintf "halve %d" l
+
+let prop_id_list_model =
+  let ids = 12 and max_bucket = 20 and stride = 5 and field = 777 in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map3 (fun l p b -> Put (l, p, b)) (int_bound 1) (int_bound (ids - 1))
+               (frequency [ (3, int_bound 3); (1, int_bound max_bucket) ]));
+          (3, map2 (fun l p -> Remove (l, p)) (int_bound 1) (int_bound (ids - 1)));
+          (1, map (fun l -> Halve l) (int_bound 1));
+        ])
+  in
+  QCheck.Test.make ~name:"id lists = list-of-lists model" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_id_op) QCheck.Gen.(list_size (int_range 1 150) gen_op))
+    (fun ops ->
+      let node = Array.make (stride * ids) field in
+      let lists =
+        Array.init 2 (fun l ->
+            for p = 0 to ids - 1 do
+              node.((stride * p) + 1 + (2 * l)) <- Id_list.absent
+            done;
+            Id_list.create ~stride ~off:(1 + (2 * l)) ~buckets:1)
+      in
+      let model = Array.init 2 (fun _ -> Array.make (max_bucket + 1) []) in
+      let stamps = Array.make_matrix 2 ids 0 and clock = ref 0 in
+      let bucket_of l p =
+        let found = ref None in
+        Array.iteri (fun b ps -> if List.mem p ps then found := Some b) model.(l);
+        !found
+      in
+      let rec walk step p = if p = Id_list.nil then [] else p :: walk step (step p) in
+      let check l =
+        let lst = lists.(l) and m = model.(l) in
+        Array.iteri
+          (fun b ps ->
+            let forward, backward =
+              if b < Id_list.buckets lst then
+                ( walk (Id_list.next node lst) (Id_list.head lst b),
+                  walk (Id_list.prev node lst) (Id_list.tail lst b) )
+              else ([], [])
+            in
+            if forward <> ps || backward <> List.rev ps then
+              QCheck.Test.fail_reportf "list %d bucket %d: [%s], model [%s]" l b
+                (String.concat " " (List.map string_of_int forward))
+                (String.concat " " (List.map string_of_int ps)))
+          m;
+        let members = Array.fold_left (fun n ps -> n + List.length ps) 0 m in
+        let lowest =
+          match List.find_opt (fun b -> m.(b) <> []) (List.init (max_bucket + 1) Fun.id) with
+          | Some b -> b
+          | None -> Id_list.buckets lst
+        in
+        Id_list.size lst = members
+        && Id_list.lowest lst = lowest
+        && List.for_all (fun p -> Id_list.mem node lst p = (bucket_of l p <> None)) (List.init ids Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Put (l, p, b) ->
+              incr clock;
+              stamps.(l).(p) <- !clock;
+              (match bucket_of l p with
+              | Some from ->
+                  Id_list.move node lists.(l) p ~from b;
+                  model.(l).(from) <- List.filter (( <> ) p) model.(l).(from)
+              | None -> Id_list.add node lists.(l) p b);
+              model.(l).(b) <- p :: model.(l).(b)
+          | Remove (l, p) -> (
+              match bucket_of l p with
+              | Some b ->
+                  Id_list.remove node lists.(l) p b;
+                  model.(l).(b) <- List.filter (( <> ) p) model.(l).(b)
+              | None -> ())
+          | Halve l ->
+              Id_list.halve node lists.(l) ~stamp:(fun p -> stamps.(l).(p));
+              let m = model.(l) in
+              let newest_first a b = Int.compare stamps.(l).(b) stamps.(l).(a) in
+              for k = 0 to max_bucket do
+                let merged = if 2 * k <= max_bucket then m.(2 * k) else [] in
+                let merged = if (2 * k) + 1 <= max_bucket then merged @ m.((2 * k) + 1) else merged in
+                m.(k) <- List.sort newest_first merged
+              done);
+          check 0 && check 1
+          && List.for_all (fun p -> node.(stride * p) = field) (List.init ids Fun.id))
+        ops)
+
 let () =
   Alcotest.run "ipl_util"
     [
@@ -350,4 +452,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_arena_model;
         ] );
       ("size", [ Alcotest.test_case "constants and pp" `Quick test_size ]);
+      ("id list", [ QCheck_alcotest.to_alcotest prop_id_list_model ]);
     ]
