@@ -7,8 +7,9 @@
       the read path applies committed log records on the fly);
    2. abort               -> in-memory rollback, flash records later
       dropped by selective merges;
-   3. crash mid-transaction -> the restart writes an abort record and the
-      zombie change is never seen again (no UNDO pass either). *)
+   3. crash mid-transaction -> the restart's one scan of the system log
+      finds the begin record with no outcome, appends an abort record,
+      and the zombie change is never seen again (no UNDO pass either). *)
 
 module Chip = Flash_sim.Flash_chip
 module FConfig = Flash_sim.Flash_config

@@ -48,8 +48,7 @@ type t = {
       (** 0 (default): no fuzzy checkpoints. n > 0: every n committed
           transactions the engine appends a checkpoint — per-erase-unit
           log coverage records plus a footer with the active-transaction
-          table and the durable transaction-log watermark — to the
-          metadata log, without quiescing. A checkpoint bounds the
+          table — to the system log, without quiescing. A checkpoint bounds the
           restart scan: recovery replays meta events as always but only
           reads flash log sectors written {e after} the checkpoint, and
           each covered prefix is replayed on the unit's first touch (or

@@ -15,7 +15,7 @@ let ckpt_max_active = 120
 (* The checkpoint as an event list: per-unit coverage of every data unit
    with a non-empty log (sorted by unit for a deterministic flash
    layout), then the footer that promotes it. *)
-let ckpt_events t ~active ~trx_watermark =
+let ckpt_events t ~active =
   let eus =
     Hashtbl.fold (fun _ eu acc -> if eu_log_empty eu then acc else eu :: acc) t.data_eus []
     |> List.sort (fun a b -> compare a.phys b.phys)
@@ -36,12 +36,12 @@ let ckpt_events t ~active ~trx_watermark =
       (chunks counts)
   in
   List.concat_map per_eu eus
-  @ [ Meta_log.Ckpt { active = List.sort compare active; trx_watermark } ]
+  @ [ Meta_log.Ckpt { active = List.sort compare active } ]
 
-let emit_checkpoint t ~active ~trx_watermark =
+let emit_checkpoint t ~active =
   if List.length active <= ckpt_max_active then begin
-    List.iter (Meta_log.log t.meta) (ckpt_events t ~active ~trx_watermark);
-    t.last_ckpt_footer <- Some (active, trx_watermark)
+    List.iter (Meta_log.log t.meta) (ckpt_events t ~active);
+    t.last_ckpt_footer <- Some active
   end
 
 (* The newest checkpoint re-emitted from the current (equivalent or
@@ -49,11 +49,10 @@ let emit_checkpoint t ~active ~trx_watermark =
    fuzzy checkpoints are off or none was taken yet. *)
 let standing t =
   match t.last_ckpt_footer with
-  | Some (active, trx_watermark) when t.config.Ipl_config.checkpoint_every > 0 ->
-      ckpt_events t ~active ~trx_watermark
+  | Some active when t.config.Ipl_config.checkpoint_every > 0 -> ckpt_events t ~active
   | _ -> []
 
-(* A compacted metadata log keeps its checkpoint — except in the middle
+(* A compacted system log keeps its checkpoint — except in the middle
    of a merge (see [in_merge]). *)
 let snapshot t = if t.in_merge then [] else standing t
 
@@ -70,15 +69,15 @@ let reassert t = List.iter (Meta_log.log t.meta) (standing t)
 
 type coverage = (int, int * int * (int * int) list) Hashtbl.t
 
-(* The effective checkpoint of a metadata log, per unit (used_log,
+(* The effective checkpoint of the system log, per unit (used_log,
    overflow, counts), and its footer. [Ckpt_eu] records gather per unit
    until a [Ckpt] footer promotes the batch (a torn checkpoint —
-   coverage without its footer — is discarded). A footer whose
-   transaction-log watermark exceeds what that log actually recovered is
-   unusable: the statuses its counts refer to were not durable. Any
-   later merge or overflow release of a unit voids its coverage — the
-   prefix it vouches for is gone. *)
-let coverage ~trx_durable events =
+   coverage without its footer — is discarded). A decoded footer is
+   always usable: every status record its counts refer to was appended
+   to the same log, and settled, before it.
+   Any later merge or overflow release of a unit voids its coverage —
+   the prefix it vouches for is gone. *)
+let coverage events =
   let effective = Hashtbl.create 32 and pending = Hashtbl.create 32 and footer = ref None in
   List.iter
     (function
@@ -89,11 +88,9 @@ let coverage ~trx_durable events =
           match Hashtbl.find_opt pending eu with
           | Some (u, o, acc) -> Hashtbl.replace pending eu (u, o, acc @ counts)
           | None -> Hashtbl.replace pending eu (used_log, overflow, counts))
-      | Meta_log.Ckpt { active; trx_watermark } ->
-          if trx_watermark <= trx_durable then begin
-            Hashtbl.iter (fun eu c -> Hashtbl.replace effective eu c) pending;
-            footer := Some (active, trx_watermark)
-          end;
+      | Meta_log.Ckpt { active } ->
+          Hashtbl.iter (fun eu c -> Hashtbl.replace effective eu c) pending;
+          footer := Some active;
           Hashtbl.reset pending
       | _ -> ())
     events;

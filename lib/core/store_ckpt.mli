@@ -4,7 +4,7 @@
 
 open Store_state
 
-val emit_checkpoint : t -> active:int list -> trx_watermark:int -> unit
+val emit_checkpoint : t -> active:int list -> unit
 (** See {!Ipl_storage.emit_checkpoint}. *)
 
 val snapshot : t -> Meta_log.event list
@@ -18,11 +18,10 @@ val reassert : t -> unit
 
 type coverage
 
-val coverage : trx_durable:int -> Meta_log.event list -> coverage * (int list * int) option
-(** The usable checkpoint of a metadata log: per-unit coverage, voided
-    by later merges and overflow releases, and the footer (active
-    transactions, transaction-log watermark). A footer whose watermark
-    exceeds [trx_durable] is not usable. *)
+val coverage : Meta_log.event list -> coverage * int list option
+(** The checkpoint of the system log's events: per-unit coverage,
+    voided by later merges and overflow releases, and the last footer's
+    active transactions. Every decoded footer is promoted. *)
 
 val rescan : t -> coverage -> eu_info -> unit
 (** Restart: rebuild a unit's log usage and record counts, reading only

@@ -109,7 +109,7 @@ let pack_sectors t records =
     (fun s -> (Log_sector.serialize s, Log_sector.records s))
     (Log_sector.pack ~capacity:(sector_size t) records)
 
-(* A merge is atomic at the durability point — the metadata-log force that
+(* A merge is atomic at the durability point — the system-log force that
    publishes the Merge event. An exception before that point (an injected
    power loss, a worn-out block, a corrupt log sector) must leave the
    in-memory mapping, overflow assignment and free list exactly as they
@@ -125,6 +125,9 @@ let merge_rewrite t eu ~pending =
       ~channel:((Dev.channel_of_block t.dev eu.phys + 1) mod Array.length t.fills)
       t
   in
+  (* A rollback would also drop status records appended after the mark
+     to the one system log's buffer. None is: nothing between here and
+     the durability point begins, commits or aborts a transaction. *)
   let meta_mark = Meta_log.mark t.meta in
   let saved_overflow = eu.overflow_rev in
   let released = ref false in
@@ -245,7 +248,7 @@ let merge_rewrite t eu ~pending =
       (* The region compacted mid-merge; rewrite it from the restored
          in-memory state (best-effort: on a dead chip restart recovery
          rebuilds from the durable crash state anyway). *)
-      (try Meta_log.recompact t.meta with
+      (try Meta_log.compact t.meta with
       | Chip.Power_loss _ -> ()
       | exn ->
           Logs.warn (fun m ->

@@ -15,7 +15,7 @@ val active_fraction : t -> eu_info -> pending:Log_record.t list -> float
 val merge : t -> eu_info -> pending:Log_record.t list -> unit
 (** Rewrite a unit into a fresh one with its committed records (and
     [pending]) applied, carrying active records over and dropping
-    aborted ones; atomic at the metadata-log force that publishes it. *)
+    aborted ones; atomic at the system-log force that publishes it. *)
 
 val merge_due : t -> eu_info -> pending:Log_record.t list -> bool
 (** The one merge rule: the unit's in-region log has no free sector and

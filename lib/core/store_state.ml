@@ -63,10 +63,10 @@ type t = {
       (* erase units a restart still owes a replay, keyed by [eu.phys];
          empty except between a restart over a checkpoint and the moment
          every unit has been touched or drained *)
-  mutable last_ckpt_footer : (int list * int) option;
-      (* (active, trx_watermark) of the newest emitted checkpoint, so a
-         metadata-log compaction can re-emit checkpoint coverage instead
-         of silently discarding it *)
+  mutable last_ckpt_footer : int list option;
+      (* the active transactions of the newest emitted checkpoint, so a
+         system-log compaction can re-emit checkpoint coverage instead of
+         silently discarding it *)
   mutable in_merge : bool;
       (* a merge is rewriting a unit right now: between the overflow
          release and the durability point its counts and overflow list
@@ -218,7 +218,7 @@ let count_live t sector d =
   | Some info -> info.live <- info.live + d
   | None -> ()
 
-(* The mapping state is the fold of the metadata log's mapping events,
+(* The mapping state is the fold of the system log's mapping events,
    and this is its one transition: run time applies each event where it
    logs it, restart replays the durable events through it, and the
    compaction snapshot below is its inverse. A compaction can fire inside
@@ -256,9 +256,11 @@ let apply t = function
   (* Resilience events address the bad-block manager, which the owner
      replays into it before constructing the storage manager; all
      storage-level addresses are virtual and unaffected. Checkpoint
-     records describe log contents, not the mapping. *)
+     records describe log contents and status records transactions, not
+     the mapping. *)
   | Meta_log.Remap _ | Meta_log.Retire _ | Meta_log.Degraded | Meta_log.Ckpt_eu _
-  | Meta_log.Ckpt _ ->
+  | Meta_log.Ckpt _ | Meta_log.Trx_begin _ | Meta_log.Trx_commit _ | Meta_log.Trx_abort _
+  | Meta_log.Trx_high _ ->
       ()
 
 let snapshot t =

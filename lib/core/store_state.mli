@@ -63,10 +63,10 @@ type t = {
       (* erase units a restart still owes a replay, keyed by [eu.phys];
          empty except between a restart over a checkpoint and the moment
          every unit has been touched or drained *)
-  mutable last_ckpt_footer : (int list * int) option;
-      (* (active, trx_watermark) of the newest emitted checkpoint, so a
-         metadata-log compaction can re-emit checkpoint coverage instead
-         of silently discarding it *)
+  mutable last_ckpt_footer : int list option;
+      (* the active transactions of the newest emitted checkpoint, so a
+         system-log compaction can re-emit checkpoint coverage instead of
+         silently discarding it *)
   mutable in_merge : bool;
       (* a merge is rewriting a unit right now: between the overflow
          release and the durability point its counts and overflow list

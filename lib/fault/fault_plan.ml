@@ -61,9 +61,8 @@ let wear_out ~seed ~first_block ~min_cycles ~max_cycles () : t =
   (* Stateful by design: each block past [first_block] gets a seeded
      endurance budget; once its erase count (counted here, not by the
      chip) exceeds the budget every further erase fails — a permanently
-     worn-out block. Blocks below [first_block] (the metadata and
-     transaction log regions, which sit outside the bad-block manager)
-     never wear. *)
+     worn-out block. Blocks below [first_block] (the system-log region,
+     which sits outside the bad-block manager) never wear. *)
   let erases = Hashtbl.create 64 in
   let budget b = min_cycles + (Hashtbl.hash (seed, b) mod (max_cycles - min_cycles + 1)) in
   fun _idx op ->

@@ -81,13 +81,14 @@ let test_lazy_matches_eager () =
   let s = (Engine.stats lzy).Engine.storage in
   Alcotest.(check bool) "some units repaired lazily" true (s.Store.eus_repaired_lazily > 0)
 
-(* Group-commit windows defer transaction-log forcing, so a fuzzy
-   checkpoint can be emitted while commit records it covers are still
-   volatile. Its footer then carries a trx_watermark ahead of the
-   durable watermark and a crash must make recovery discard it (promote
-   only checkpoints whose watermark is durable) — silently falling back
-   to reading every unit's whole log, never replaying unforced records
-   as committed. *)
+(* Group-commit windows defer commit records, and the crash lands with
+   the last window's commits still volatile. A fuzzy checkpoint shares
+   the one system log with the status records, in append order: each
+   footer follows the commit records of the batches it covers, settled
+   before it was appended, so a footer that survives the crash never
+   vouches for records whose commit is lost. A lost footer only sends
+   restart back to reading whole logs; unforced records are never
+   replayed as committed. *)
 let test_ckpt_spanning_deferred_commits () =
   let config = { base_config with Config.checkpoint_every = 2 } in
   (* 43 txns: the last group-commit window is only partially filled, so
