@@ -28,6 +28,7 @@ type t = {
   config : Ipl_config.t;
   dev : Device.Flash_device.t;
   store : Ipl_storage.t;
+  meta : Meta_log.t;  (** the one system log *)
   bbm : Resilience.Bbm.t;
   trx : Trx_log.t;
   pool : frame Bufmgr.Buffer_pool.t;
