@@ -28,33 +28,91 @@ let rec keep_unflushed flushed = function
           owed
       end
 
-(* [sectors] hold the records of [frames], in order; [flushed] of those
-   records are on flash already. *)
-let rec flush_sectors store frames flushed = function
-  | [] -> List.iter (fun (_, frame) -> Log_sector.clear frame.log) frames
-  | sector :: sectors ->
-      (match Ipl_storage.flush_log store sector with
-      | () -> ()
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          keep_unflushed flushed frames;
-          Printexc.raise_with_backtrace e bt);
-      flush_sectors store frames (flushed + Log_sector.count sector) sectors
+let records_of frames = List.concat_map (fun (_, frame) -> Log_sector.records frame.log) frames
 
 let rec in_unit store eu = function
   | [] -> true
   | (pid, _) :: rest -> Ipl_storage.eu_of_page store pid = eu && in_unit store eu rest
 
+(* The partner of a unit about to merge: the first unit of [later], in
+   order of first appearance, whose own frames there bring it due too.
+   Returns those frames, their records and the other frames of
+   [later]. Only a unit with a full log is grouped and weighed. *)
+let partner store later =
+  let rec find seen = function
+    | [] -> None
+    | (pid, frame) :: rest ->
+        let eu = Ipl_storage.eu_of_page store pid in
+        if Log_sector.is_empty frame.log || List.mem eu seen then find seen rest
+        else if not (Ipl_storage.log_full store ~page:pid) then find (eu :: seen) rest
+        else
+          let theirs, others =
+            List.partition (fun (p, _) -> Ipl_storage.eu_of_page store p = eu) later
+          in
+          let records = records_of theirs in
+          if Ipl_storage.merge_due store records then Some (theirs, records, others)
+          else find (eu :: seen) rest
+  in
+  find [] later
+
+let clear frames = List.iter (fun (_, frame) -> Log_sector.clear frame.log) frames
+
+(* A flush of [frames] failed with [e] after [flushed] of their records
+   reached flash. *)
+let owed frames flushed e =
+  let bt = Printexc.get_raw_backtrace () in
+  keep_unflushed flushed frames;
+  Printexc.raise_with_backtrace e bt
+
+(* [sectors] hold the records of [frames], pages of the unit hosting
+   [page], in order; [flushed] of those records are on flash already. A
+   sector that would merge that unit, U, while a later group of the
+   batch, in [later], would merge its unit V too merges U and V as one
+   pair instead, consuming the rest of U's sectors and V's whole group:
+   after the pair, a page of U may sit in V's new unit. Returns the
+   frames of [later] still to flush. *)
+let rec flush_sectors store ~page ~later frames flushed = function
+  | [] ->
+      clear frames;
+      later
+  | sector :: sectors -> (
+      let pair =
+        if
+          later <> []
+          && Ipl_storage.log_full store ~page
+          && Ipl_storage.merge_due store (Log_sector.records sector)
+        then partner store later
+        else None
+      in
+      match pair with
+      | Some (theirs, their_records, later) ->
+          (match
+             Ipl_storage.merge_pair store
+               (List.concat_map Log_sector.records (sector :: sectors))
+               their_records
+           with
+          | () -> ()
+          | exception e -> owed frames flushed e);
+          clear frames;
+          clear theirs;
+          later
+      | None ->
+          (match Ipl_storage.flush_log store sector with
+          | () -> ()
+          | exception e -> owed frames flushed e);
+          flush_sectors store ~page ~later frames (flushed + Log_sector.count sector) sectors)
+
 (* Group [frames] by erase unit, in order of first appearance, and flush
    each group's records, in arrival order, in as few sectors as they fit.
-   A merge during the flush moves a unit's pages together, so units
-   looked up before it still group the frames that follow. *)
+   A single merge during the flush moves a unit's pages together, and a
+   pair merge consumes both units' groups, so units looked up before a
+   merge still group the frames that follow. *)
 let rec flush_by_unit store ~sector_size = function
   | [] -> ()
   | (_, frame) :: rest when Log_sector.is_empty frame.log ->
       flush_by_unit store ~sector_size rest
-  | (pid, _) :: _ as frames ->
-      let eu = Ipl_storage.eu_of_page store pid in
+  | (page, _) :: _ as frames ->
+      let eu = Ipl_storage.eu_of_page store page in
       let mine, rest =
         if in_unit store eu frames then (frames, [])
         else List.partition (fun (p, _) -> Ipl_storage.eu_of_page store p = eu) frames
@@ -62,12 +120,9 @@ let rec flush_by_unit store ~sector_size = function
       let sectors =
         match mine with
         | [ (_, frame) ] -> [ frame.log ] (* one frame's log is one sector already *)
-        | _ ->
-            Log_sector.pack ~capacity:sector_size
-              (List.concat_map (fun (_, frame) -> Log_sector.records frame.log) mine)
+        | _ -> Log_sector.pack ~capacity:sector_size (records_of mine)
       in
-      flush_sectors store mine 0 sectors;
-      flush_by_unit store ~sector_size rest
+      flush_by_unit store ~sector_size (flush_sectors store ~page ~later:rest mine 0 sectors)
 
 (* The one flush path: a commit's or checkpoint's whole batch of dirty
    frames (oldest-dirtied first), an eviction's one frame, or a frame

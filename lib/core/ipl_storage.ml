@@ -14,6 +14,7 @@ type stats = {
   overflow_sector_writes : int;
   log_sector_reads : int;
   merges : int;
+  pair_merges : int;
   overflow_diversions : int;
   records_applied_at_merge : int;
   records_dropped_aborted : int;
@@ -239,19 +240,24 @@ let sector_bytes t sector =
     invalid_arg "Ipl_storage.flush_log: not a sector of this device";
   bytes
 
-let flush_log t sector =
-  let records = Log_sector.records sector in
-  let page =
-    match records with
-    | [] -> invalid_arg "Ipl_storage.flush_log: no records"
-    | r :: _ -> r.Log_record.page
-  in
+(* The page of [records]' first record. *)
+let first_page fn = function
+  | [] -> invalid_arg (fn ^ ": no records")
+  | r :: _ -> r.Log_record.page
+
+(* The unit of [records]' pages, all of which it must host. *)
+let unit_of t fn records =
+  let page = first_page fn records in
   let eu, _ = lookup t page in
   (match stranger t eu ~page records with
   | None -> ()
-  | Some p ->
-      invalid_arg
-        (Printf.sprintf "Ipl_storage.flush_log: page %d is not in unit %d" p eu.phys));
+  | Some p -> invalid_arg (Printf.sprintf "%s: page %d is not in unit %d" fn p eu.phys));
+  eu
+
+let flush_log t sector =
+  let records = Log_sector.records sector in
+  let eu = unit_of t "Ipl_storage.flush_log" records in
+  let page = first_page "Ipl_storage.flush_log" records in
   (* An unrepaired unit must be settled before the write-through append
      below: the cache entry a later repair installs has to include this
      flush's records too. *)
@@ -272,7 +278,7 @@ let flush_log t sector =
           (Obs.Event.Log_flush { page; eu = eu.phys; records = List.length records })
   end
   else if Store_merge.merge_due t eu ~pending:records then
-    Store_merge.merge t eu ~pending:records
+    Store_merge.merge t [ (eu, records) ]
   else begin
     Store_merge.overflow_write t eu (sector_bytes t sector);
     note_records eu records;
@@ -286,6 +292,20 @@ let flush_log t sector =
              { page; eu = eu.phys; records = List.length records })
   end
 
+let log_full t ~page = (fst (lookup t page)).used_log >= t.log_sectors
+
+let merge_due t records =
+  match records with
+  | [] -> false
+  | r :: _ -> Store_merge.merge_due t (fst (lookup t r.Log_record.page)) ~pending:records
+
+let merge_pair t mine theirs =
+  let u = unit_of t "Ipl_storage.merge_pair" mine in
+  let v = unit_of t "Ipl_storage.merge_pair" theirs in
+  if u == v || u.used_log < t.log_sectors || v.used_log < t.log_sectors then
+    invalid_arg "Ipl_storage.merge_pair: two distinct units with full logs";
+  Store_merge.merge t [ (u, mine); (v, theirs) ]
+
 let merge_due_units = Store_merge.merge_due_units
 let emit_checkpoint = Store_ckpt.emit_checkpoint
 let repair_pending = Store_ckpt.repair_pending
@@ -294,6 +314,7 @@ let repair_step = Store_ckpt.repair_step
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
+let merging t = t.merging
 let eu_of_page t pid = (fst (lookup t pid)).phys
 
 let used_log_sectors t ~eu =
@@ -316,6 +337,7 @@ let stats t =
     overflow_sector_writes = t.c_overflow_sector_writes;
     log_sector_reads = t.c_log_sector_reads;
     merges = t.c_merges;
+    pair_merges = t.c_pair_merges;
     overflow_diversions = t.c_overflow_diversions;
     records_applied_at_merge = t.c_records_applied;
     records_dropped_aborted = t.c_records_dropped;
@@ -339,6 +361,7 @@ module Stats = struct
       overflow_sector_writes = f a.overflow_sector_writes b.overflow_sector_writes;
       log_sector_reads = f a.log_sector_reads b.log_sector_reads;
       merges = f a.merges b.merges;
+      pair_merges = f a.pair_merges b.pair_merges;
       overflow_diversions = f a.overflow_diversions b.overflow_diversions;
       records_applied_at_merge = f a.records_applied_at_merge b.records_applied_at_merge;
       records_dropped_aborted = f a.records_dropped_aborted b.records_dropped_aborted;
@@ -361,6 +384,7 @@ module Stats = struct
       ("overflow_sector_writes", t.overflow_sector_writes);
       ("log_sector_reads", t.log_sector_reads);
       ("merges", t.merges);
+      ("pair_merges", t.pair_merges);
       ("overflow_diversions", t.overflow_diversions);
       ("records_applied_at_merge", t.records_applied_at_merge);
       ("records_dropped_aborted", t.records_dropped_aborted);

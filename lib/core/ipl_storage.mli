@@ -11,10 +11,14 @@
     page's stored image with its committed records applied. A page that
     no carried record names and that the engine holds in memory with
     nothing owed to flash ({!set_buffered}) is programmed from that
-    image without a flash read.
+    image without a flash read. When one flush batch would merge two
+    units back to back, they merge as one pair ({!merge_pair}) whose
+    hotter pages go into one new unit and the rest into the other, so
+    later commits touching hot pages share that unit's log sectors.
 
     The logical-to-physical page mapping changes only on merges and is
-    persisted through a {!Meta_log.t}: the mapping is the fold of that
+    persisted through a {!Meta_log.t} (a merge, of one unit or a pair,
+    is one event): the mapping is the fold of that
     log's events, and crash recovery replays them through the same
     transition run time applies as it logs each one, then rescans the
     in-page log sectors.
@@ -70,7 +74,8 @@ type stats = {
   log_sector_writes : int;  (** in-page log sectors programmed *)
   overflow_sector_writes : int;
   log_sector_reads : int;
-  merges : int;
+  merges : int;  (** units rewritten; a pair merge counts two *)
+  pair_merges : int;  (** merges that rewrote two units as one pair *)
   overflow_diversions : int;  (** flushes diverted because carry > tau *)
   records_applied_at_merge : int;
   records_dropped_aborted : int;
@@ -222,6 +227,32 @@ val repair_step : t -> max_eus:int -> int
     first-touch repair happens implicitly on reads, merges and log
     flushes. *)
 
+val log_full : t -> page:int -> bool
+(** Whether the unit hosting [page] has no free in-region log sector,
+    so that its next flush merges it or diverts to overflow. *)
+
+val merge_due : t -> Log_record.t list -> bool
+(** Whether flushing [records] would merge their unit, the unit hosting
+    the first record's page: its in-region log has no free sector and
+    at most a tau share of its records, these included, belong to
+    active transactions (the one merge rule). [false] for no records. *)
+
+val merge_pair : t -> Log_record.t list -> Log_record.t list -> unit
+(** [merge_pair t mine theirs] merges the unit of [mine] and the unit
+    of [theirs] as one pair, each with its records as pending ones: the
+    write path's answer when one flush batch would merge both units back
+    to back. The caller decides with {!merge_due}: for the first unit
+    on the sector that would merge it, whose unit's later sectors then
+    ride along in [mine], and for the second on its whole group. The two units' pages are re-split by heat, the number of
+    their records in the unit's log plus pending: the first unit's new
+    block takes as many of the hottest pages as the unit held, ties
+    staying in their unit and then going by slot, and the second's new
+    block the rest, in the slots the traded pages left. One [Merge]
+    event publishes both moves, forced before either old unit is
+    erased. Raises [Invalid_argument] unless the records name two
+    distinct units with full logs, each hosting all of its records'
+    pages. *)
+
 val merge_due_units : t -> max_merges:int -> int
 (** Background merging: merge up to [max_merges] of the data erase units
     that {!flush_log} would merge at their next flush (in-region log
@@ -229,6 +260,11 @@ val merge_due_units : t -> max_merges:int -> int
     plus overflow) first. A unit with a free log sector, or one
     whose records belong mostly to live transactions, is left alone.
     Returns the number merged, 0 when no unit is due. *)
+
+val merging : t -> int
+(** How many units the merge under way rewrites: 0 outside a merge, 1
+    or 2 (a pair) inside one, its flash operations included — for crash
+    campaigns that aim at a pair merge's operations. *)
 
 val eu_of_page : t -> int -> int
 (** Physical erase unit currently hosting a page. *)

@@ -1,6 +1,6 @@
 type event =
   | Page_alloc of { page : int; eu : int; idx : int }
-  | Merge of { old_eu : int; new_eu : int }
+  | Merge of { units : (int * int) list; trades : (int * int) list }
   | Overflow_alloc of { eu : int }
   | Overflow_assign of { data_eu : int; sector : int }
   | Overflow_release of { data_eu : int }
@@ -48,6 +48,23 @@ let two tag x y =
   u32 b 5 y;
   b
 
+(* A pair merge's traded slots, one bitmap per unit: the k-th set bit of
+   the first unit's map trades with the k-th of the second's, so the
+   record stays a few bytes whatever the pages per unit. *)
+let rec increasing = function a :: (b :: _ as rest) -> a < b && increasing rest | _ -> true
+
+let set_bits b pos slots =
+  List.iter
+    (fun i ->
+      let byte = pos + (i / 8) in
+      Bytes.set_uint8 b byte (Bytes.get_uint8 b byte lor (1 lsl (i mod 8))))
+    slots
+
+let get_bits b pos len =
+  List.filter
+    (fun i -> Bytes.get_uint8 b (pos + (i / 8)) land (1 lsl (i mod 8)) <> 0)
+    (List.init (8 * len) Fun.id)
+
 let encode = function
   | Page_alloc { page; eu; idx } ->
       let b = header 0 ~fields:3 in
@@ -55,7 +72,23 @@ let encode = function
       u32 b 5 eu;
       u32 b 9 idx;
       b
-  | Merge { old_eu; new_eu } -> two 1 old_eu new_eu
+  | Merge { units = [ (old_eu, new_eu) ]; trades = [] } -> two 1 old_eu new_eu
+  | Merge { units = [ (u_old, u_new); (v_old, v_new) ]; trades } ->
+      let first = List.map fst trades and second = List.map snd trades in
+      if not (increasing first && increasing second) then
+        invalid_arg "Meta_log.encode: a merge's trades must increase in both slots";
+      let len = (List.fold_left max (-1) (first @ second) + 8) / 8 in
+      let b = Bytes.make (19 + (2 * len)) '\000' in
+      Bytes.set_uint8 b 0 1;
+      u32 b 1 u_old;
+      u32 b 5 u_new;
+      u32 b 9 v_old;
+      u32 b 13 v_new;
+      Bytes.set_uint16_le b 17 len;
+      set_bits b 19 first;
+      set_bits b (19 + len) second;
+      b
+  | Merge _ -> invalid_arg "Meta_log.encode: a merge covers one or two units"
   | Overflow_alloc { eu } -> one 2 eu
   | Overflow_assign { data_eu; sector } -> two 3 data_eu sector
   | Overflow_release { data_eu } -> one 4 data_eu
@@ -90,7 +123,14 @@ let encode = function
 let decode b =
   match Bytes.get_uint8 b 0 with
   | 0 -> Page_alloc { page = g32 b 1; eu = g32 b 5; idx = g32 b 9 }
-  | 1 -> Merge { old_eu = g32 b 1; new_eu = g32 b 5 }
+  | 1 when Bytes.length b = 9 -> Merge { units = [ (g32 b 1, g32 b 5) ]; trades = [] }
+  | 1 ->
+      let len = Bytes.get_uint16_le b 17 in
+      Merge
+        {
+          units = [ (g32 b 1, g32 b 5); (g32 b 9, g32 b 13) ];
+          trades = List.combine (get_bits b 19 len) (get_bits b (19 + len) len);
+        }
   | 2 -> Overflow_alloc { eu = g32 b 1 }
   | 3 -> Overflow_assign { data_eu = g32 b 1; sector = g32 b 5 }
   | 4 -> Overflow_release { data_eu = g32 b 1 }
@@ -150,13 +190,14 @@ let create dev ~first_block ~num_blocks =
    its snapshot is incomplete (the crash hit the compaction writing it):
    then it is the other. A half without a head counts as epoch 0; only
    half 0 of a log that never compacted has records and no head. The
-   first sector of each written half is read to learn its epoch, then
-   the live half in full. *)
+   first sector of each written half is read once to learn its epoch,
+   then the rest of the live half. *)
 let recover dev ~first_block ~num_blocks =
   let halves = split Seq_log.recover dev ~first_block ~num_blocks in
-  let epoch i = match head (Seq_log.first_records halves.(i)) with Some (e, _, _) -> e | None -> 0 in
+  let firsts = Array.map Seq_log.first_records halves in
+  let epoch i = match head firsts.(i) with Some (e, _, _) -> e | None -> 0 in
   let load i =
-    let records = Seq_log.records halves.(i) in
+    let records = Seq_log.records ~first:firsts.(i) halves.(i) in
     match head records with
     | None -> (i, 0, records, true)
     | Some (e, n, events) -> (i, e, events, List.compare_length_with events n >= 0)

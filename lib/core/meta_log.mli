@@ -16,8 +16,14 @@
 type event =
   | Page_alloc of { page : int; eu : int; idx : int }
       (** logical page placed at data slot [idx] of erase unit [eu] *)
-  | Merge of { old_eu : int; new_eu : int }
-      (** all pages of [old_eu] moved, same slots, to [new_eu] *)
+  | Merge of { units : (int * int) list; trades : (int * int) list }
+      (** one atomic merge of one or two data units: each [(old_eu,
+          new_eu)] of [units] moved all its pages, same slots, to
+          [new_eu], except that for each [(i, j)] of [trades] (a pair
+          only) the pages at slot [i] of the first unit and slot [j] of
+          the second traded units. Trades increase in both slots: the
+          record holds them as one bitmap of slots per unit, 19 bytes
+          plus two bits per data slot *)
   | Overflow_alloc of { eu : int }  (** [eu] becomes an overflow log area *)
   | Overflow_assign of { data_eu : int; sector : int }
       (** flat sector address [sector] (inside an overflow area) now holds
@@ -63,8 +69,8 @@ val create : Device.Flash_device.t -> first_block:int -> num_blocks:int -> t
 
 val recover : Device.Flash_device.t -> first_block:int -> num_blocks:int -> t * event list
 (** Durable events of the live half in append order: its snapshot, then
-    what was logged after it. Reads the first sector of each half and
-    the live half's written sectors. *)
+    what was logged after it. Reads the first sector of each written half
+    once, and the live half's other written sectors. *)
 
 val log : t -> event -> unit
 (** Appended buffered; see {!force}. When the region fills up it is

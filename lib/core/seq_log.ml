@@ -166,7 +166,12 @@ let sector_records t i =
     | Some rs -> rs
     | None -> []
 
-let records t = List.concat (List.init t.next_sector (sector_records t))
+let records ?first t =
+  match first with
+  | None -> List.concat (List.init t.next_sector (sector_records t))
+  | Some first ->
+      let rest = List.init (max 0 (t.next_sector - 1)) (fun i -> sector_records t (i + 1)) in
+      first @ List.concat rest
 let first_records t = if t.next_sector = 0 then [] else sector_records t 0
 
 (* ------------------------------------------------------------------ *)

@@ -47,9 +47,11 @@ val reset : t -> unit
 (** Erase the whole region, unless no sector of it is written, and start
     over. *)
 
-val records : t -> bytes list
+val records : ?first:bytes list -> t -> bytes list
 (** All durable records in append order, read back from flash (does not
-    include buffered, unforced ones). Each sector carries a CRC-32 of its
+    include buffered, unforced ones). [first], when given, stands for the
+    first sector's records as {!first_records} returned them, and that
+    sector is not read again. Each sector carries a CRC-32 of its
     payload; a torn or bit-flipped sector fails the check and its records
     are silently discarded rather than decoded as garbage — the
     implicit-UNDO contract for a commit record whose sector rotted is that

@@ -53,16 +53,16 @@ let standing t =
   | _ -> []
 
 (* A compacted system log keeps its checkpoint — except in the middle
-   of a merge (see [in_merge]). *)
-let snapshot t = if t.in_merge then [] else standing t
+   of a merge (see [merging]). *)
+let snapshot t = if t.merging > 0 then [] else standing t
 
-(* A completed merge rewrote the unit, and at recovery the Merge event
-   voids the unit's checkpoint coverage — the log prefix it vouched for
-   is gone. Until the next periodic checkpoint that unit would fall back
+(* A completed merge rewrote its units, and at recovery the Merge event
+   voids their checkpoint coverage — the log prefixes it vouched for
+   are gone. Until the next periodic checkpoint they would fall back
    to a full log scan, so re-emit the coverage immediately from the
    fresh post-merge state, under the standing footer (the same
    footer-reuse the compaction snapshot performs; the footer itself is
-   not advanced). The merged unit's coverage is trivially small — its
+   not advanced). A merged unit's coverage is trivially small — its
    log was just compacted — and every other unit's claim is re-asserted
    unchanged. *)
 let reassert t = List.iter (Meta_log.log t.meta) (standing t)
@@ -81,7 +81,13 @@ let coverage events =
   let effective = Hashtbl.create 32 and pending = Hashtbl.create 32 and footer = ref None in
   List.iter
     (function
-      | Meta_log.Merge { old_eu = phys; _ } | Meta_log.Overflow_release { data_eu = phys } ->
+      | Meta_log.Merge { units; _ } ->
+          List.iter
+            (fun (phys, _) ->
+              Hashtbl.remove effective phys;
+              Hashtbl.remove pending phys)
+            units
+      | Meta_log.Overflow_release { data_eu = phys } ->
           Hashtbl.remove effective phys;
           Hashtbl.remove pending phys
       | Meta_log.Ckpt_eu { eu; used_log; overflow; counts } -> (

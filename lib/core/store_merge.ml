@@ -109,141 +109,285 @@ let pack_sectors t records =
     (fun s -> (Log_sector.serialize s, Log_sector.records s))
     (Log_sector.pack ~capacity:(sector_size t) records)
 
-(* A merge is atomic at the durability point — the system-log force that
-   publishes the Merge event. An exception before that point (an injected
-   power loss, a worn-out block, a corrupt log sector) must leave the
-   in-memory mapping, overflow assignment and free list exactly as they
-   were, so a caller that survives the exception keeps a consistent
-   engine; after the point, the in-memory switch-over is completed before
-   any further fallible flash work. *)
-let merge_rewrite t eu ~pending =
-  Store_ckpt.repair_eu_if_pending t eu;
+(* One unit of a merge: the unit and its block before the merge, the
+   fresh block it moves to, its records by status, its pages by slot
+   after the merge, and what the rewrite carried into the new block's
+   log: the records, the sector images (with their records) that fit
+   the region, and those that spill to overflow. *)
+type side = {
+  eu : eu_info;
+  old_phys : int;
+  new_phys : int;
+  all : Log_record.t list;
+  committed : Log_record.t list;
+  carried : Log_record.t list;
+  dropped : int;
+  mutable after : int array;
+  mutable applied : int;
+  mutable into : Log_record.t list;
+  mutable in_region : (bytes * Log_record.t list) list;
+  mutable spill : (bytes * Log_record.t list) list;
+}
+
+(* Where a pair merge puts the two units' pages. They are ranked by
+   heat, the number of their records in the unit's log plus pending;
+   ties keep a page in its current unit, then go by slot. The first
+   unit's new block takes as many of the hottest pages as the unit
+   held, the second's the rest, so each keeps its page count and its
+   free slots. A page leaving the first unit trades slots with one
+   arriving from the second, both taken in slot order: the trades, as
+   (first unit's slot, second's), increase in both. *)
+let trades u v =
+  let heat = Hashtbl.create 64 in
+  let note r =
+    let pid = r.Log_record.page in
+    Hashtbl.replace heat pid (1 + Option.value ~default:0 (Hashtbl.find_opt heat pid))
+  in
+  List.iter note u.all;
+  List.iter note v.all;
+  let mapped { eu; _ } ~first =
+    List.filter_map
+      (fun idx ->
+        let pid = eu.pages.(idx) in
+        if pid < 0 then None
+        else Some (Option.value ~default:0 (Hashtbl.find_opt heat pid), first, idx))
+      (List.init (Array.length eu.pages) Fun.id)
+  in
+  let in_u = mapped u ~first:true in
+  (* A stable sort of the first unit's pages, then the second's, each
+     in slot order, breaks ties as the rule says. *)
+  let ranked =
+    List.stable_sort (fun (a, _, _) (b, _, _) -> compare b a) (in_u @ mapped v ~first:false)
+  in
+  let n = List.length in_u in
+  let slots ~hot ~first =
+    List.filteri (fun i _ -> (i < n) = hot) ranked
+    |> List.filter_map (fun (_, f, idx) -> if f = first then Some idx else None)
+    |> List.sort compare
+  in
+  List.combine (slots ~hot:false ~first:true) (slots ~hot:true ~first:false)
+
+(* The carried records of the side that merges [eu]: a plain walk, so
+   the per-page check allocates nothing. *)
+let rec carried_from eu = function
+  | [] -> []
+  | side :: rest -> if side.eu == eu then side.carried else carried_from eu rest
+
+(* The one merge, over one unit or a pair. Each unit is rewritten into a
+   fresh block with its committed records (and its pending ones)
+   applied, carrying active records over and dropping aborted ones; a
+   pair's pages are re-split by [trades] on the way. The mapping change
+   is one [Merge] event.
+
+   A merge is atomic at the durability point — the system-log force
+   that publishes that event. An exception before that point (an
+   injected power loss, a worn-out block, a corrupt log sector) must
+   leave the in-memory mapping, overflow assignment and free list
+   exactly as they were, so a caller that survives the exception keeps
+   a consistent engine; after the point, the in-memory switch-over is
+   completed before any further fallible flash work. *)
+let merge_rewrite t units =
+  List.iter (fun (eu, _) -> Store_ckpt.repair_eu_if_pending t eu) units;
   (* Merge onto the {e next} channel: the copy's reads (old unit) and
      programs (new unit) then sit on different chips and overlap. *)
-  let new_phys =
-    alloc_eu
-      ~channel:((Dev.channel_of_block t.dev eu.phys + 1) mod Array.length t.fills)
-      t
+  let news =
+    List.fold_left
+      (fun acc (eu, _) ->
+        let channel = (Dev.channel_of_block t.dev eu.phys + 1) mod Array.length t.fills in
+        match alloc_eu ~channel t with
+        | b -> b :: acc
+        | exception e ->
+            List.iter (Free_pool.add t.free) acc;
+            raise e)
+      [] units
+    |> List.rev
   in
   (* A rollback would also drop status records appended after the mark
      to the one system log's buffer. None is: nothing between here and
      the durability point begins, commits or aborts a transaction. *)
   let meta_mark = Meta_log.mark t.meta in
-  let saved_overflow = eu.overflow_rev in
-  let released = ref false in
+  let released = ref [] in
   let durable = ref false in
-  t.in_merge <- true;
-  Fun.protect ~finally:(fun () -> t.in_merge <- false) @@ fun () ->
+  t.merging <- List.length units;
+  Fun.protect ~finally:(fun () -> t.merging <- 0) @@ fun () ->
   try
-    let all = read_eu_log_records ~cls:Dev.Merge_io t eu @ pending in
-    let committed, carried, dropped = classify t all in
+    let sides =
+      List.map2
+        (fun (eu, pending) new_phys ->
+          let all = read_eu_log_records ~cls:Dev.Merge_io t eu @ pending in
+          let committed, carried, dropped = classify t all in
+          {
+            eu;
+            old_phys = eu.phys;
+            new_phys;
+            all;
+            committed;
+            carried;
+            dropped;
+            after = eu.pages;
+            applied = 0;
+            into = carried;
+            in_region = [];
+            spill = [];
+          })
+        units news
+    in
+    (* A pair re-splits its pages, and each carried record follows its
+       page. *)
+    let trades =
+      match sides with
+      | [ u; v ] ->
+          let trades = trades u v in
+          u.after <- Array.copy u.eu.pages;
+          v.after <- Array.copy v.eu.pages;
+          List.iter
+            (fun (i, j) ->
+              u.after.(i) <- v.eu.pages.(j);
+              v.after.(j) <- u.eu.pages.(i))
+            trades;
+          let in_u = Hashtbl.create 16 in
+          Array.iter (fun pid -> if pid >= 0 then Hashtbl.replace in_u pid ()) u.after;
+          let both = u.carried @ v.carried in
+          u.into <- List.filter (fun r -> Hashtbl.mem in_u r.Log_record.page) both;
+          v.into <- List.filter (fun r -> not (Hashtbl.mem in_u r.Log_record.page)) both;
+          trades
+      | _ -> []
+    in
     (* Bucket the committed records by page in one pass, each bucket in
        application order. *)
     let by_page = Hashtbl.create 16 in
     List.iter
-      (fun r ->
-        let pid = r.Log_record.page in
-        Hashtbl.replace by_page pid
-          (r :: Option.value ~default:[] (Hashtbl.find_opt by_page pid)))
-      committed;
-    (* Rewrite every hosted page with its committed records applied. A
-       page that no carried record names and whose buffered image owes
-       flash nothing is already that image — its stored image plus its
-       live records, which are all committed here — so it is programmed
-       from memory without a read. Every other copy is read through the
-       one scratch page: a program executes at submission, so the buffer
-       is free again once the submit returns. *)
-    let applied = ref 0 in
-    Array.iteri
-      (fun idx pid ->
-        if pid >= 0 then begin
-          let rev = match Hashtbl.find_opt by_page pid with Some rev -> rev | None -> [] in
-          let buffered = if names_page pid carried then None else t.buffered pid in
-          let page =
-            match buffered with
-            | Some page -> page
-            | None ->
-                let page =
-                  read_raw_page_into ~cls:Dev.Merge_io t eu idx t.merge_scratch
-                in
-                Log_record.replay page (List.rev rev);
-                page
-          in
-          applied := !applied + List.length rev;
-          submit_data_page t ~cls:Dev.Merge_io new_phys idx page
-        end)
-      eu.pages;
-    (* Carry the still-active records into the new unit's log region,
-       compacted; spill to overflow if they exceed it (possible only with a
-       high tau). *)
-    let sectors = pack_sectors t carried in
-    let in_region, spill =
-      let rec split i acc = function
-        | [] -> (List.rev acc, [])
-        | s :: rest when i < t.log_sectors -> split (i + 1) (s :: acc) rest
-        | rest -> (List.rev acc, rest)
-      in
-      split 0 [] sectors
-    in
-    List.iteri
-      (fun i (s, _) ->
-        Bbm.submit_write_sectors t.bbm ~cls:Dev.Merge_io
-          ~sector:(log_sector_addr t new_phys i) s)
-      in_region;
-    release_overflow t eu;
-    released := true;
+      (fun side ->
+        List.iter
+          (fun r ->
+            let pid = r.Log_record.page in
+            Hashtbl.replace by_page pid
+              (r :: Option.value ~default:[] (Hashtbl.find_opt by_page pid)))
+          side.committed)
+      sides;
+    List.iter
+      (fun side ->
+        (* Rewrite every page the new block hosts with its committed
+           records applied, from the slot it held before the merge. A
+           page that no carried record names and whose buffered image
+           owes flash nothing is already that image — its stored image
+           plus its live records, which are all committed here — so it
+           is programmed from memory without a read. Every other copy is
+           read through the one scratch page: a program executes at
+           submission, so the buffer is free again once the submit
+           returns. *)
+        Array.iteri
+          (fun idx pid ->
+            if pid >= 0 then begin
+              let src, src_idx = Hashtbl.find t.mapping pid in
+              let rev = match Hashtbl.find_opt by_page pid with Some rev -> rev | None -> [] in
+              let buffered =
+                if names_page pid (carried_from src sides) then None else t.buffered pid
+              in
+              let page =
+                match buffered with
+                | Some page -> page
+                | None ->
+                    let page = read_raw_page_into ~cls:Dev.Merge_io t src src_idx t.merge_scratch in
+                    Log_record.replay page (List.rev rev);
+                    page
+              in
+              side.applied <- side.applied + List.length rev;
+              submit_data_page t ~cls:Dev.Merge_io side.new_phys idx page
+            end)
+          side.after;
+        (* Carry the still-active records into the new block's log
+           region, compacted; spill to overflow if they exceed it
+           (possible only with a high tau). *)
+        let rec split i acc = function
+          | [] -> (List.rev acc, [])
+          | s :: rest when i < t.log_sectors -> split (i + 1) (s :: acc) rest
+          | rest -> (List.rev acc, rest)
+        in
+        let in_region, spill = split 0 [] (pack_sectors t side.into) in
+        List.iteri
+          (fun i (s, _) ->
+            Bbm.submit_write_sectors t.bbm ~cls:Dev.Merge_io
+              ~sector:(log_sector_addr t side.new_phys i) s)
+          in_region;
+        side.in_region <- in_region;
+        side.spill <- spill)
+      sides;
+    List.iter
+      (fun side ->
+        let saved = side.eu.overflow_rev in
+        release_overflow t side.eu;
+        released := (side.eu, saved) :: !released)
+      sides;
     (* Publish the move: the durability point. *)
-    let old_phys = eu.phys in
-    let ev = Meta_log.Merge { old_eu = old_phys; new_eu = new_phys } in
+    let ev =
+      Meta_log.Merge
+        { units = List.map (fun side -> (side.old_phys, side.new_phys)) sides; trades }
+    in
     Meta_log.log t.meta ev;
     Meta_log.force t.meta;
     durable := true;
     (* Complete the in-memory switch-over (pure RAM, cannot fail), then
-       reclaim the old unit. *)
+       reclaim the old blocks. *)
     apply t ev;
-    eu.used_log <- List.length in_region;
-    eu.next_slot <- 0;
-    (* a torn data slot in the old unit is usable again in the fresh one *)
-    Hashtbl.reset eu.txn_counts;
-    eu.total_records <- 0;
-    note_records eu carried;
-    (* The old unit's cached records were consumed above; the carried
-       in-region records were just rewritten, so seed the new unit's
-       entry with them (spilled records are appended as their overflow
-       writes succeed below, keeping the entry equal to flash even if a
-       spill write fails mid-way). *)
-    Cache.Log_cache.invalidate t.cache old_phys;
-    (match List.concat_map snd in_region with
-    | [] -> ()
-    | records -> Cache.Log_cache.install t.cache new_phys records);
-    t.c_records_dropped <- t.c_records_dropped + dropped;
-    t.c_records_carried <- t.c_records_carried + List.length carried;
-    t.c_records_applied <- t.c_records_applied + !applied;
-    t.c_merges <- t.c_merges + 1;
-    (match t.tracer with
-    | None -> ()
-    | Some tr ->
-        Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
-          (Obs.Event.Merge
-             {
-               eu = old_phys;
-               new_eu = new_phys;
-               applied = !applied;
-               carried = List.length carried;
-               dropped;
-             }));
+    let partner side =
+      match sides with
+      | [ u; v ] -> if side == u then v.old_phys else u.old_phys
+      | _ -> -1
+    in
+    List.iter
+      (fun side ->
+        let eu = side.eu in
+        eu.used_log <- List.length side.in_region;
+        eu.next_slot <- 0;
+        (* a torn data slot in the old unit is usable again in the fresh one *)
+        Hashtbl.reset eu.txn_counts;
+        eu.total_records <- 0;
+        note_records eu side.into;
+        (* The old block's cached records were consumed above; the
+           carried in-region records were just rewritten, so seed the
+           new block's entry with them (spilled records are appended as
+           their overflow writes succeed below, keeping the entry equal
+           to flash even if a spill write fails mid-way). *)
+        Cache.Log_cache.invalidate t.cache side.old_phys;
+        (match List.concat_map snd side.in_region with
+        | [] -> ()
+        | records -> Cache.Log_cache.install t.cache eu.phys records);
+        t.c_records_dropped <- t.c_records_dropped + side.dropped;
+        t.c_records_carried <- t.c_records_carried + List.length side.into;
+        t.c_records_applied <- t.c_records_applied + side.applied;
+        t.c_merges <- t.c_merges + 1;
+        match t.tracer with
+        | None -> ()
+        | Some tr ->
+            Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
+              (Obs.Event.Merge
+                 {
+                   eu = side.old_phys;
+                   new_eu = side.new_phys;
+                   partner = partner side;
+                   moved = List.length trades;
+                   applied = side.applied;
+                   carried = List.length side.into;
+                   dropped = side.dropped;
+                 }))
+      sides;
+    if List.length sides = 2 then t.c_pair_merges <- t.c_pair_merges + 1;
     (* A failed reclaim merely leaks the old block until the next restart's
        garbage collection erases it. *)
-    reclaim_eu t old_phys;
+    List.iter (fun side -> reclaim_eu t side.old_phys) sides;
     (* Spilled carried sectors go to a fresh overflow area, oldest first. *)
     List.iter
-      (fun (s, records) ->
-        overflow_write ~cls:Dev.Merge_io t eu s;
-        Cache.Log_cache.append t.cache eu.phys records)
-      spill;
+      (fun side ->
+        List.iter
+          (fun (s, records) ->
+            overflow_write ~cls:Dev.Merge_io t side.eu s;
+            Cache.Log_cache.append t.cache side.eu.phys records)
+          side.spill)
+      sides;
     gc_overflow t
   with e when not !durable ->
-    if !released then reattach_overflow t eu saved_overflow;
+    List.iter (fun (eu, saved) -> reattach_overflow t eu saved) !released;
     if not (Meta_log.rollback t.meta meta_mark) then
       (* The region compacted mid-merge; rewrite it from the restored
          in-memory state (best-effort: on a dead chip restart recovery
@@ -253,20 +397,24 @@ let merge_rewrite t eu ~pending =
       | exn ->
           Logs.warn (fun m ->
               m "merge rollback: meta-log recompaction failed: %s" (Printexc.to_string exn)));
-    (try
-       Bbm.erase_block t.bbm new_phys;
-       Free_pool.add t.free new_phys
-     with
-    | Chip.Power_loss _ | Bbm.Degraded -> ()
-    | exn ->
-        Logs.warn (fun m ->
-            m "merge rollback: could not reclaim unit %d: %s" new_phys (Printexc.to_string exn)));
+    List.iter
+      (fun new_phys ->
+        try
+          Bbm.erase_block t.bbm new_phys;
+          Free_pool.add t.free new_phys
+        with
+        | Chip.Power_loss _ | Bbm.Degraded -> ()
+        | exn ->
+            Logs.warn (fun m ->
+                m "merge rollback: could not reclaim unit %d: %s" new_phys
+                  (Printexc.to_string exn)))
+      news;
     raise e
 
 (* A merge, then the checkpoint coverage it voided re-asserted (see
    [Store_ckpt.reassert]). *)
-let merge t eu ~pending =
-  merge_rewrite t eu ~pending;
+let merge t units =
+  merge_rewrite t units;
   Store_ckpt.reassert t
 
 (* The one merge rule (Algorithms 1 and 3): a unit is merged when its
@@ -291,7 +439,7 @@ let merge_due_units t ~max_merges =
     let sorted = List.sort (fun (a, _) (b, _) -> compare b a) candidates in
     let rec go n = function
       | (_, eu) :: rest when n < max_merges ->
-          merge t eu ~pending:[];
+          merge t [ (eu, []) ];
           go (n + 1) rest
       | _ -> n
     in

@@ -12,10 +12,14 @@ val active_fraction : t -> eu_info -> pending:Log_record.t list -> float
 (** The share of a unit's stored and [pending] records whose
     transactions are still active: Algorithm 3's carry fraction. *)
 
-val merge : t -> eu_info -> pending:Log_record.t list -> unit
-(** Rewrite a unit into a fresh one with its committed records (and
-    [pending]) applied, carrying active records over and dropping
-    aborted ones; atomic at the system-log force that publishes it. *)
+val merge : t -> (eu_info * Log_record.t list) list -> unit
+(** The one merge, over one unit or a pair, each given with its pending
+    records: rewrite each unit into a fresh one with its committed
+    records (and pending ones) applied, carrying active records over and
+    dropping aborted ones. A pair's pages are re-split by heat (records
+    in the unit's log plus pending): the first unit's new block takes as
+    many of the hottest as it held, ties staying put. Atomic at the
+    system-log force that publishes the one [Merge] event. *)
 
 val merge_due : t -> eu_info -> pending:Log_record.t list -> bool
 (** The one merge rule: the unit's in-region log has no free sector and

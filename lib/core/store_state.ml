@@ -67,12 +67,13 @@ type t = {
       (* the active transactions of the newest emitted checkpoint, so a
          system-log compaction can re-emit checkpoint coverage instead of
          silently discarding it *)
-  mutable in_merge : bool;
-      (* a merge is rewriting a unit right now: between the overflow
-         release and the durability point its counts and overflow list
-         disagree, so a compaction snapshot must not re-emit checkpoint
-         coverage (dropping the checkpoint is safe — restart just reads
-         every unit's whole log) *)
+  mutable merging : int;
+      (* how many units the merge under way rewrites (0: none, 2: a
+         pair): between the overflow release and the durability point
+         their counts and overflow lists disagree, so a compaction
+         snapshot must not re-emit checkpoint coverage (dropping the
+         checkpoint is safe — restart just reads every unit's whole
+         log) *)
   mutable current_overflow : int option;
   fills : eu_info option array;
       (* unit receiving new page allocations, one per device channel so
@@ -98,6 +99,7 @@ type t = {
   mutable c_overflow_sector_writes : int;
   mutable c_log_sector_reads : int;
   mutable c_merges : int;
+  mutable c_pair_merges : int;
   mutable c_overflow_diversions : int;
   mutable c_records_applied : int;
   mutable c_records_dropped : int;
@@ -160,7 +162,7 @@ let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~
     cache;
     repairs = Hashtbl.create 32;
     last_ckpt_footer = None;
-    in_merge = false;
+    merging = 0;
     current_overflow = None;
     fills = Array.make (Dev.num_chips dev) None;
     next_page = 0;
@@ -178,6 +180,7 @@ let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~
     c_overflow_sector_writes = 0;
     c_log_sector_reads = 0;
     c_merges = 0;
+    c_pair_merges = 0;
     c_overflow_diversions = 0;
     c_records_applied = 0;
     c_records_dropped = 0;
@@ -232,13 +235,30 @@ let apply t = function
       eu.pages.(idx) <- page;
       Hashtbl.replace t.mapping page (eu, idx);
       if page >= t.next_page then t.next_page <- page + 1
-  | Meta_log.Merge { old_eu; new_eu } -> (
-      match Hashtbl.find_opt t.data_eus old_eu with
-      | Some eu ->
+  | Meta_log.Merge { units; trades } -> (
+      let unit (old_eu, _) =
+        match Hashtbl.find_opt t.data_eus old_eu with
+        | Some eu -> eu
+        | None -> failwith "Ipl_storage: merge of unknown erase unit"
+      in
+      let eus = List.map unit units in
+      List.iter2
+        (fun eu (old_eu, new_eu) ->
           Hashtbl.remove t.data_eus old_eu;
           eu.phys <- new_eu;
-          Hashtbl.replace t.data_eus new_eu eu
-      | None -> failwith "Ipl_storage: merge of unknown erase unit")
+          Hashtbl.replace t.data_eus new_eu eu)
+        eus units;
+      match eus with
+      | [ u; v ] ->
+          List.iter
+            (fun (i, j) ->
+              let p = u.pages.(i) and q = v.pages.(j) in
+              u.pages.(i) <- q;
+              v.pages.(j) <- p;
+              Hashtbl.replace t.mapping q (u, i);
+              Hashtbl.replace t.mapping p (v, j))
+            trades
+      | _ -> ())
   | Meta_log.Overflow_alloc { eu } -> Hashtbl.replace t.overflow_eus eu { next_idx = 0; live = 0 }
   | Meta_log.Overflow_assign { data_eu; sector } -> (
       match Hashtbl.find_opt t.data_eus data_eu with

@@ -67,12 +67,13 @@ type t = {
       (* the active transactions of the newest emitted checkpoint, so a
          system-log compaction can re-emit checkpoint coverage instead of
          silently discarding it *)
-  mutable in_merge : bool;
-      (* a merge is rewriting a unit right now: between the overflow
-         release and the durability point its counts and overflow list
-         disagree, so a compaction snapshot must not re-emit checkpoint
-         coverage (dropping the checkpoint is safe — restart just reads
-         every unit's whole log) *)
+  mutable merging : int;
+      (* how many units the merge under way rewrites (0: none, 2: a
+         pair): between the overflow release and the durability point
+         their counts and overflow lists disagree, so a compaction
+         snapshot must not re-emit checkpoint coverage (dropping the
+         checkpoint is safe — restart just reads every unit's whole
+         log) *)
   mutable current_overflow : int option;
   fills : eu_info option array;
       (* unit receiving new page allocations, one per device channel so
@@ -98,6 +99,7 @@ type t = {
   mutable c_overflow_sector_writes : int;
   mutable c_log_sector_reads : int;
   mutable c_merges : int;
+  mutable c_pair_merges : int;
   mutable c_overflow_diversions : int;
   mutable c_records_applied : int;
   mutable c_records_dropped : int;
@@ -133,7 +135,8 @@ val apply : t -> Meta_log.event -> unit
 (** The one transition of the mapping state. Run time applies each
     [Page_alloc], [Merge] and [Overflow_*] event where it logs it, and
     restart replays the durable events through it, so the state is the
-    fold of its events. Other events leave it unchanged. A [Merge] or
+    fold of its events; a pair [Merge] moves both units and trades
+    their pages in one step. Other events leave it unchanged. A [Merge] or
     [Overflow_assign] naming an unknown data unit raises [Failure]. *)
 
 val snapshot : t -> Meta_log.event list

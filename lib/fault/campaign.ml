@@ -15,6 +15,8 @@ type report = {
   mean_wear : float;
   log_compactions : int;
   compaction_points : int;
+  pair_merges : int;
+  pair_points : int;
 }
 
 (* Small pool so evictions (and their log-sector flushes) happen mid-run. *)
@@ -52,9 +54,10 @@ let compaction_ops log_ops =
   |> List.concat_map (List.map fst)
   |> List.sort compare
 
-(* Run [f] with a hook that records the log region's operations. *)
-let recording_log_ops chip f =
-  let ops = ref [] in
+(* Run [f] with a hook that records the log region's operations and,
+   oldest first, the operations of [store]'s pair merges. *)
+let recording_ops chip store f =
+  let ops = ref [] and pair_ops = ref [] in
   let note idx erase = ops := (idx, erase) :: !ops in
   Chip.set_fault_hook chip
     (Some
@@ -63,10 +66,11 @@ let recording_log_ops chip f =
          | Chip.Op_erase { block } -> if block < data_first_block then note idx true
          | Chip.Op_program { sector; _ } | Chip.Op_read { sector; _ } ->
              if sector < data_first_sector () then note idx false);
+         if Ipl_core.Ipl_storage.merging store = 2 then pair_ops := idx :: !pair_ops;
          Chip.Proceed));
   let result = f () in
   Chip.set_fault_hook chip None;
-  (result, List.rev !ops)
+  (result, List.rev !ops, List.rev !pair_ops)
 
 (* [n] indices spread evenly across [lo, hi). *)
 let spread ~lo ~hi n =
@@ -137,7 +141,8 @@ let drain_first_twin ~config ~crashed engine ~pages ~slots =
    serial sweep. *)
 type verdict = { point : int; ok : bool; doubt : bool; vs : string list }
 
-let merge_verdicts ~total_ops ~setup_ops ~gstats ~log_compactions ~compaction_points verdicts =
+let merge_verdicts ~total_ops ~setup_ops ~gstats ~log_compactions ~compaction_points ~pair_merges
+    ~pair_points verdicts =
   let recovered = ref 0 in
   let in_doubt = ref 0 in
   let violations = ref [] in
@@ -158,6 +163,8 @@ let merge_verdicts ~total_ops ~setup_ops ~gstats ~log_compactions ~compaction_po
     mean_wear = gstats.FStats.mean_wear;
     log_compactions;
     compaction_points;
+    pair_merges;
+    pair_points;
   }
 
 type campaign =
@@ -213,19 +220,24 @@ let run ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1) ?(lazy_mode = 
   (* Golden run: same spec, no faults — count the flash operations. *)
   let chip, engine, oracle, pages = fresh () in
   let setup_ops = Chip.op_count chip in
-  let ok, log_ops = recording_log_ops chip (fun () -> history engine oracle ~pages) in
+  let store = Engine.storage engine in
+  let ok, log_ops, in_pairs =
+    recording_ops chip store (fun () -> history engine oracle ~pages)
+  in
   if not ok then failwith "Campaign: the golden run met a typed engine error";
   let total_ops = Chip.op_count chip in
   let gstats = Chip.stats chip in
   let log_compactions = Ipl_core.Meta_log.compactions (Engine.system_log engine) in
+  let pair_merges = (Ipl_core.Ipl_storage.stats store).Ipl_core.Ipl_storage.pair_merges in
   let in_compaction = compaction_ops log_ops in
   (* A sampled sweep also crashes at every operation of every system-log
-     compaction, where a crash must leave one complete log behind. *)
+     compaction, where a crash must leave one complete log behind, and
+     of every pair merge, whose two units move in one atomic event. *)
   let points, plan =
     match campaign with
     | Serial _ | Concurrent _ ->
         let hi = if max_ops > 0 then min total_ops (setup_ops + max_ops) else total_ops in
-        let inside = List.filter (fun p -> p >= setup_ops && p < hi) in_compaction in
+        let inside = List.filter (fun p -> p >= setup_ops && p < hi) (in_compaction @ in_pairs) in
         ( List.sort_uniq compare (thin ~stride (spread ~lo:setup_ops ~hi sample) @ inside),
           Fault_plan.crash_at ~tear )
     | Remap_crash _ ->
@@ -262,8 +274,10 @@ let run ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1) ?(lazy_mode = 
     Par.Domain_pool.with_pool ~jobs (fun pool ->
         Par.Domain_pool.parallel_map pool check_point (Array.of_list points))
   in
-  let compaction_points = List.length (List.filter (fun p -> List.mem p in_compaction) points) in
-  merge_verdicts ~total_ops ~setup_ops ~gstats ~log_compactions ~compaction_points verdicts
+  let count_in ops = List.length (List.filter (fun p -> List.mem p ops) points) in
+  merge_verdicts ~total_ops ~setup_ops ~gstats ~log_compactions
+    ~compaction_points:(count_in in_compaction) ~pair_merges ~pair_points:(count_in in_pairs)
+    verdicts
 
 (* ------------------------------------------------------------------ *)
 (* Resilience campaign: device failures instead of crashes              *)
@@ -390,9 +404,11 @@ let pp_report ppf r =
      crash points tested: %d (recovered: %d, in-doubt commits: %d)@,\
      violations: %d@,\
      golden-run wear: max=%d mean=%.2f@,\
-     golden-run system-log compactions: %d (crash points inside them: %d)@]"
+     golden-run system-log compactions: %d (crash points inside them: %d)@,\
+     golden-run pair merges: %d (crash points inside them: %d)@]"
     r.total_ops r.setup_ops (r.total_ops - r.setup_ops) r.crash_points r.recovered r.in_doubt
-    (List.length r.violations) r.max_wear r.mean_wear r.log_compactions r.compaction_points;
+    (List.length r.violations) r.max_wear r.mean_wear r.log_compactions r.compaction_points
+    r.pair_merges r.pair_points;
   List.iter
     (fun (point, vs) ->
       Fmt.pf ppf "@,@[<v 2>crash at op %d:%a@]" point

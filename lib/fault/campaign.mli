@@ -25,6 +25,10 @@ type report = {
   compaction_points : int;
       (** crash points tested inside those compactions: a sampled sweep
           adds every one of their flash operations to its sample *)
+  pair_merges : int;  (** pair merges in the golden run *)
+  pair_points : int;
+      (** crash points tested inside those pair merges, whose flash
+          operations a sampled sweep adds to its sample too *)
 }
 
 type campaign =
@@ -73,8 +77,8 @@ val run :
     bounds how far past setup crash points may fall; [sample] (0 = all)
     tests only that many points, spread evenly; [stride] (default 1) then
     keeps every [stride]-th of them. Every flash operation of a
-    system-log compaction in the golden run (within [max_ops]) is a
-    crash point too, sampled or not.
+    system-log compaction or a pair merge in the golden run (within
+    [max_ops]) is a crash point too, sampled or not.
 
     [lazy_mode] (default [false]) runs the engine with a fuzzy
     checkpoint every 16 commits, so each restart leans on checkpoint

@@ -6,7 +6,15 @@ type t =
   | Page_read of { page : int; eu : int }
   | Log_flush of { page : int; eu : int; records : int }
   | Overflow_diversion of { page : int; eu : int; records : int }
-  | Merge of { eu : int; new_eu : int; applied : int; carried : int; dropped : int }
+  | Merge of {
+      eu : int;
+      new_eu : int;
+      partner : int;
+      moved : int;
+      applied : int;
+      carried : int;
+      dropped : int;
+    }
   | Cache_hit of { eu : int }
   | Cache_miss of { eu : int }
   | Cache_evict of { eu : int; bytes : int }
@@ -83,10 +91,12 @@ let fields = function
   | Page_alloc { page; eu } | Page_read { page; eu } -> [ ("page", page); ("eu", eu) ]
   | Log_flush { page; eu; records } | Overflow_diversion { page; eu; records } ->
       [ ("page", page); ("eu", eu); ("records", records) ]
-  | Merge { eu; new_eu; applied; carried; dropped } ->
+  | Merge { eu; new_eu; partner; moved; applied; carried; dropped } ->
       [
         ("eu", eu);
         ("new_eu", new_eu);
+        ("partner", partner);
+        ("moved", moved);
         ("applied", applied);
         ("carried", carried);
         ("dropped", dropped);

@@ -22,9 +22,19 @@ type t =
       (** in-page log sector programmed for [page] *)
   | Overflow_diversion of { page : int; eu : int; records : int }
       (** log sector diverted to the overflow area (carry > tau) *)
-  | Merge of { eu : int; new_eu : int; applied : int; carried : int; dropped : int }
+  | Merge of {
+      eu : int;
+      new_eu : int;
+      partner : int;
+      moved : int;
+      applied : int;
+      carried : int;
+      dropped : int;
+    }
       (** erase unit rewritten; counts are records applied / carried over /
-          dropped as aborted *)
+          dropped as aborted. [partner] is the other unit of a pair merge
+          (-1 for a merge of one unit), [moved] how many of [eu]'s pages
+          went to the partner's new unit (as many came back from it) *)
   | Cache_hit of { eu : int }
       (** log-record cache served the unit's records; no flash read *)
   | Cache_miss of { eu : int }

@@ -372,7 +372,7 @@ let test_trx_log_high_water_survives_compaction () =
   commit sys 1;
   let before = Meta_log.compactions meta in
   while Meta_log.compactions meta = before do
-    Meta_log.log meta (Meta_log.Merge { old_eu = 2; new_eu = 3 });
+    Meta_log.log meta (Meta_log.Merge { units = [ (2, 3) ]; trades = [] });
     Meta_log.force meta
   done;
   let log', aborted = recover_trx_log chip ~num_blocks:2 in
@@ -387,7 +387,9 @@ let test_meta_log_roundtrip () =
   let events =
     [
       Meta_log.Page_alloc { page = 1; eu = 2; idx = 3 };
-      Meta_log.Merge { old_eu = 2; new_eu = 7 };
+      Meta_log.Merge { units = [ (2, 7) ]; trades = [] };
+      Meta_log.Merge { units = [ (2, 7); (4, 9) ]; trades = [] };
+      Meta_log.Merge { units = [ (2, 7); (4, 9) ]; trades = [ (0, 3); (5, 14); (200, 15) ] };
       Meta_log.Overflow_alloc { eu = 9 };
       Meta_log.Overflow_assign { data_eu = 7; sector = 12345 };
       Meta_log.Overflow_release { data_eu = 7 };
@@ -404,12 +406,42 @@ let test_meta_log_roundtrip () =
   let _, recovered = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
   Alcotest.(check bool) "recovered in order" true (recovered = events)
 
+(* Restart reads each written sector of the live half once: the first
+   sector's records, read to learn the half's epoch, are kept. *)
+let test_meta_log_recover_reads_once () =
+  let module FStats = Flash_sim.Flash_stats in
+  let chip = small_chip () in
+  let stat f = f (Chip.stats chip) in
+  let log = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
+  Meta_log.set_snapshot log (fun () -> [ Meta_log.Page_alloc { page = 0; eu = 1; idx = 0 } ]);
+  let fill () =
+    let written = stat (fun s -> s.FStats.sectors_written) in
+    for page = 0 to 99 do
+      Meta_log.log log (Meta_log.Page_alloc { page; eu = 1; idx = 0 })
+    done;
+    Meta_log.force log;
+    stat (fun s -> s.FStats.sectors_written) - written
+  in
+  let recover_reads () =
+    let read = stat (fun s -> s.FStats.sectors_read) in
+    ignore (Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 : Meta_log.t * _);
+    stat (fun s -> s.FStats.sectors_read) - read
+  in
+  let first = fill () in
+  Alcotest.(check bool) "several sectors" true (first > 1);
+  Alcotest.(check int) "one read per sector of half 0" first (recover_reads ());
+  let written = stat (fun s -> s.FStats.sectors_written) in
+  Meta_log.compact log;
+  let snapshot = stat (fun s -> s.FStats.sectors_written) - written in
+  let more = fill () in
+  Alcotest.(check int) "one read per sector of half 1" (snapshot + more) (recover_reads ())
+
 let test_meta_log_compaction_via_snapshot () =
   let chip = small_chip () in
   let log = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
   Meta_log.set_snapshot log (fun () -> [ Meta_log.Page_alloc { page = 0; eu = 1; idx = 0 } ]);
   for i = 0 to 20_000 do
-    Meta_log.log log (Meta_log.Merge { old_eu = i; new_eu = i + 1 })
+    Meta_log.log log (Meta_log.Merge { units = [ (i, i + 1) ]; trades = [] })
   done;
   Meta_log.force log;
   let _, recovered = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
@@ -810,15 +842,18 @@ let prop_store_durability =
 (* One step of a run against the storage manager: allocate a page, flush
    a one-record sector for page [p] (taken modulo the page count) on
    behalf of transaction slot [s], end the slot's transaction (it
-   commits or aborts, and the slot starts a fresh one), or take a fuzzy
-   checkpoint. *)
-type rop = R_alloc | R_flush of int * int | R_end of int * bool | R_ckpt
+   commits or aborts, and the slot starts a fresh one), take a fuzzy
+   checkpoint, or flush one record for each of two pages as a write-back
+   batch does: as one pair merge when both units are due, one flush
+   each otherwise. *)
+type rop = R_alloc | R_flush of int * int | R_end of int * bool | R_ckpt | R_pair of int * int * int
 
 let show_rop = function
   | R_alloc -> "alloc"
   | R_flush (p, s) -> Printf.sprintf "flush(%d,%d)" p s
   | R_end (s, c) -> Printf.sprintf "end(%d,%b)" s c
   | R_ckpt -> "ckpt"
+  | R_pair (p, q, s) -> Printf.sprintf "pair(%d,%d,%d)" p q s
 
 let gen_rop =
   QCheck.Gen.(
@@ -828,6 +863,7 @@ let gen_rop =
         (40, map2 (fun p s -> R_flush (p, s)) nat (int_bound 3));
         (8, map2 (fun s c -> R_end (s, c)) (int_bound 3) bool);
         (1, return R_ckpt);
+        (10, map3 (fun p q s -> R_pair (p, q, s)) nat nat (int_bound 3));
       ])
 
 (* A device to run on and recover from: a 1x1 chip or a 4x2 device of
@@ -892,12 +928,23 @@ let restart_matches r ops =
   in
   let pages = ref [ Store.allocate_page store (blank ()) ] in
   let slots = Array.init 4 (fun i -> i + 1) and next_txid = ref 5 in
+  let record p s =
+    let page = List.nth !pages (p mod List.length !pages) in
+    { LR.txid = slots.(s); page; op = LR.Update_range { slot = 0; offset = 0; before = b "0"; after = b "1" } }
+  in
   let step = function
     | R_alloc -> pages := Store.allocate_page store (blank ()) :: !pages
-    | R_flush (p, s) ->
-        let page = List.nth !pages (p mod List.length !pages) in
-        let op = LR.Update_range { slot = 0; offset = 0; before = b "0"; after = b "1" } in
-        flush store [ { LR.txid = slots.(s); page; op } ]
+    | R_flush (p, s) -> flush store [ record p s ]
+    | R_pair (p, q, s) ->
+        let rp = record p s and rq = record q s in
+        if
+          Store.eu_of_page store rp.LR.page <> Store.eu_of_page store rq.LR.page
+          && Store.merge_due store [ rp ] && Store.merge_due store [ rq ]
+        then Store.merge_pair store [ rp ] [ rq ]
+        else begin
+          flush store [ rp ];
+          flush store [ rq ]
+        end
     | R_end (s, commit) ->
         Hashtbl.replace statuses slots.(s) (if commit then Trx_log.Committed else Trx_log.Aborted);
         slots.(s) <- !next_txid;
@@ -950,6 +997,8 @@ let test_restart_reach geometry () =
   Alcotest.(check bool) "merged" true (s.Store.merges > 0);
   Alcotest.(check bool) "diverted" true (s.Store.overflow_diversions > 0);
   Alcotest.(check bool) "collected overflow" true (s.Store.erase_units_reclaimed > 0);
+  if geometry = `Four_by_two then
+    Alcotest.(check bool) "pair merged" true (s.Store.pair_merges > 0);
   if geometry = `Compact then
     Alcotest.(check bool) "metadata region compacted" true (s.Store.merges > 16)
 
@@ -1545,6 +1594,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_meta_log_roundtrip;
           Alcotest.test_case "snapshot compaction" `Quick test_meta_log_compaction_via_snapshot;
+          Alcotest.test_case "recover reads each sector once" `Quick
+            test_meta_log_recover_reads_once;
         ] );
       ( "ipl_config",
         [ Alcotest.test_case "validate rejects recovery_enabled = false" `Quick

@@ -409,6 +409,80 @@ let test_compaction_crash_keeps_system_log () =
     Alcotest.(check bool) (at ^ ": Y known") true y_known
   done
 
+(* A crash at any flash operation of a pair merge. On the 8 KB erase
+   units above, pages X and X' share unit A, Y and Y' unit B. Committed
+   updates of X and Y fill both units' logs; transaction Z's update of
+   X' reaches A's log with one of those commits, then Z aborts. The
+   last commit updates X and Y: its one flush batch brings A and B due
+   together, so they merge as one pair before its commit record is
+   written. After a crash at any operation of that commit, restart must
+   map all four pages, X and Y must read their last committed values,
+   and X' must not read Z's. *)
+let test_pair_merge_crash () =
+  let config = { (base_config ()) with Config.page_size = 2048; log_region_bytes = 4096 } in
+  let run crash =
+    let chip =
+      Chip.create { (FConfig.default ~num_blocks:64 ()) with FConfig.block_size = 8 * 1024 }
+    in
+    let e = Engine.create ~config chip in
+    let store = Engine.storage e in
+    let pages = Array.init 4 (fun _ -> Engine.Unsafe.allocate_page e) in
+    let slots = Array.map (fun page -> ok (Engine.Unsafe.insert e ~tx:0 ~page (b "v00"))) pages in
+    Engine.Unsafe.checkpoint e;
+    let x = pages.(0) and x' = pages.(1) and y = pages.(2) in
+    let unit page = Store.eu_of_page store page in
+    Alcotest.(check bool) "X, X' in A; Y, Y' in B" true
+      (unit x = unit x' && unit y = unit pages.(3) && unit x <> unit y);
+    let full page = Store.used_log_sectors store ~eu:(unit page) >= 8 in
+    let value = Array.make 4 "v00" in
+    let update tx i v =
+      ok (Engine.Unsafe.update e ~tx ~page:pages.(i) ~slot:slots.(i) (b v));
+      value.(i) <- v
+    in
+    let z = Engine.Unsafe.begin_txn e in
+    ok (Engine.Unsafe.update e ~tx:z ~page:x' ~slot:slots.(1) (b "BAD"));
+    let i = ref 0 in
+    while not (full x && full y) do
+      incr i;
+      let tx = Engine.Unsafe.begin_txn e in
+      if not (full x) then update tx 0 (Printf.sprintf "x%02d" !i);
+      if not (full y) then update tx 2 (Printf.sprintf "y%02d" !i);
+      Engine.Unsafe.commit e tx;
+      if !i = 1 then Engine.Unsafe.abort e z
+    done;
+    let committed = Array.copy value in
+    let pairs () = (Store.stats store).Store.pair_merges in
+    let before = pairs () in
+    let first = Chip.op_count chip in
+    Chip.set_fault_hook chip
+      (Some
+         (fun idx _ ->
+           match crash with Some n when idx >= n -> Chip.Fail_stop | _ -> Chip.Proceed));
+    (try
+       let tx = Engine.Unsafe.begin_txn e in
+       update tx 0 "x-new";
+       update tx 2 "y-new";
+       Engine.Unsafe.commit e tx
+     with Chip.Power_loss _ -> ());
+    let last = Chip.op_count chip and paired = pairs () - before in
+    Chip.set_fault_hook chip None;
+    let e', _ = Engine.restart ~config chip in
+    let reads = Array.mapi (fun k page -> Engine.Unsafe.read e' ~page ~slot:slots.(k)) pages in
+    (first, last, paired, committed, reads)
+  in
+  let first, last, paired, _, _ = run None in
+  Alcotest.(check int) "the last commit merges A and B as one pair" 1 paired;
+  for n = first to last - 1 do
+    let _, _, _, committed, reads = run (Some n) in
+    Array.iteri
+      (fun k got ->
+        Alcotest.(check (option bytes))
+          (Printf.sprintf "crash at op %d (ops %d-%d): page %d" n first last k)
+          (Some (b committed.(k)))
+          got)
+      reads
+  done
+
 let test_selective_merge_under_long_txn () =
   (* A long-running transaction hammers one page while its unit runs out of
      log sectors: the engine must divert to overflow, keep the data
@@ -903,6 +977,7 @@ let () =
             test_txn_ids_survive_log_compaction;
           Alcotest.test_case "crash inside a system-log compaction" `Quick
             test_compaction_crash_keeps_system_log;
+          Alcotest.test_case "crash inside a pair merge" `Quick test_pair_merge_crash;
           Alcotest.test_case "selective merge under long txn" `Quick test_selective_merge_under_long_txn;
           Alcotest.test_case "group commit batches" `Quick test_group_commit_batches;
           Alcotest.test_case "group commit durability boundary" `Quick test_group_commit_durability_boundary;

@@ -124,7 +124,7 @@ let test_meta_log_torn_tail () =
   let meta = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
   Meta_log.log meta (Meta_log.Page_alloc { page = 1; eu = 2; idx = 3 });
   Meta_log.force meta;
-  Meta_log.log meta (Meta_log.Merge { old_eu = 2; new_eu = 4 });
+  Meta_log.log meta (Meta_log.Merge { units = [ (2, 4) ]; trades = [] });
   Meta_log.force meta;
   corrupt chip 1 ~offset:2;
   let _, events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
@@ -176,7 +176,7 @@ let test_meta_log_rollback () =
   Meta_log.force meta;
   Trx_log.log_begin trx 5;
   let mark = Meta_log.mark meta in
-  Meta_log.log meta (Meta_log.Merge { old_eu = 2; new_eu = 9 });
+  Meta_log.log meta (Meta_log.Merge { units = [ (2, 9) ]; trades = [] });
   Alcotest.(check bool) "buffered events discarded" true (Meta_log.rollback meta mark);
   Meta_log.force meta;
   let _, events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in

@@ -90,12 +90,16 @@ let test_tracer_ring () =
   Alcotest.(check int) "clear resets emitted" 0 (Obs.Tracer.emitted tr)
 
 let test_event_json () =
-  let ev = Obs.Event.Merge { eu = 3; new_eu = 7; applied = 10; carried = 2; dropped = 1 } in
+  let ev =
+    Obs.Event.Merge
+      { eu = 3; new_eu = 7; partner = 5; moved = 4; applied = 10; carried = 2; dropped = 1 }
+  in
   let j = Obs.Event.to_json ev in
   Alcotest.(check (option string))
     "kind field" (Some "merge")
     (Option.bind (Json.member "kind" j) (function Json.String s -> Some s | _ -> None));
   Alcotest.(check (option int)) "payload" (Some 7) (Option.bind (Json.member "new_eu" j) Json.to_int);
+  Alcotest.(check (option int)) "partner" (Some 5) (Option.bind (Json.member "partner" j) Json.to_int);
   (* Every declared kind tag is distinct and covered by [kinds]. *)
   Alcotest.(check int) "kinds distinct" (List.length Obs.Event.kinds)
     (List.length (List.sort_uniq compare Obs.Event.kinds));
