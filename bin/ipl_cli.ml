@@ -230,8 +230,7 @@ let crash_sweep campaign ops sample stride lazy_mode seed transactions pages no_
       Format.printf "%a@." pp_report report
   | Serial _ ->
       if lazy_mode then
-        Printf.printf
-          "checkpointed mode: every crash point checked first touch == drain first\n";
+        Printf.printf "drain-first twin: every crash point checked first touch == drain first\n";
       Format.printf "%a@." pp_report report;
       if broken then
         Printf.printf "broken-commit mode: checker %s\n"
@@ -332,11 +331,11 @@ let lazy_t =
     value & flag
     & info [ "lazy" ]
         ~doc:
-          "Checkpointed mode: run the campaign with a fuzzy checkpoint every 16 commits, \
-           so every restart repairs checkpoint-covered pages at first touch, and require \
-           each crashed chip's logical digest to match a twin restarted from the same \
-           crashed state that drains every repair before its first read, both before and \
-           after the first engine's own drain.")
+          "Drain-first twin: every restart repairs each erase unit's log at its first \
+           touch; also require each crashed chip's logical digest to match a twin \
+           restarted from the same crashed state that drains every repair before its \
+           first read, both before and after the first engine's own drain. The engine \
+           runs as without the flag.")
 
 let fc_transactions_t =
   Arg.(
@@ -561,8 +560,8 @@ let bench_restart_t =
     & info [ "restart" ]
         ~doc:
           "Also run the restart-availability benchmark: simulated time to the first \
-           committed transaction after a crash over a fuzzy checkpoint, with the \
-           restart's repairs drained first (eager) versus left to first touch (lazy), \
+           committed transaction after a crash, with the restart's repairs drained \
+           first (eager) versus left to first touch (lazy), \
            over three database sizes. With $(b,--json) the \
            results are appended to the document under $(i,restart).")
 

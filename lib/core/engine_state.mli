@@ -36,7 +36,6 @@ type t = {
   mutable next_txid : int;
   mutable pending_commits : int;
   mutable group_commit : int;  (** commit window, at least 1 *)
-  mutable commits_since_ckpt : int;  (** fuzzy-checkpoint cadence counter *)
   mutable tracer : Obs.Tracer.t option;
 }
 

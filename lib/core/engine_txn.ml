@@ -1,5 +1,5 @@
 (* Transactions and the commit protocol: begin, the batched commit and
-   its flush, abort by rebuild, and the fuzzy-checkpoint cadence. *)
+   its flush, abort by rebuild, and the quiescing checkpoint. *)
 open Engine_state
 module Dev = Device.Flash_device
 module Pool = Bufmgr.Buffer_pool
@@ -10,30 +10,6 @@ let begin_txn t =
   Hashtbl.replace t.txns txid { dirty_pages = Hashtbl.create 8 };
   Trx_log.log_begin t.trx txid;
   txid
-
-(* Append a fuzzy checkpoint to the system log buffer and restart the
-   cadence count; the caller decides when the records reach flash. *)
-let emit_fuzzy_checkpoint t =
-  t.commits_since_ckpt <- 0;
-  Ipl_storage.emit_checkpoint t.store ~active:(Trx_log.active t.trx)
-
-(* Fuzzy checkpoint cadence: once [checkpoint_every] transactions have
-   committed since the last checkpoint, append one to the system log
-   buffer. No force and no extra barrier — the records ride the next
-   durability barrier like any other event, and a checkpoint torn by a
-   crash is simply ignored at recovery. Called right after a commit
-   barrier, so the per-unit log coverage is consistent: everything the
-   checkpoint claims is already durable, and every status record its
-   counts depend on precedes its footer in the log. *)
-let maybe_checkpoint t ~committed =
-  let every = t.config.Ipl_config.checkpoint_every in
-  if every > 0 then begin
-    t.commits_since_ckpt <- t.commits_since_ckpt + committed;
-    if t.commits_since_ckpt >= every then begin
-      emit_fuzzy_checkpoint t;
-      Meta_log.publish t.meta
-    end
-  end
 
 (* Make every batched commit durable: flush all dirty frames (their
    in-memory log sectors may mix records of several committed
@@ -53,9 +29,7 @@ let flush_commits t =
     Meta_log.publish t.meta;
     (* The commit-record settle, the batch's second and last wait. *)
     Dev.barrier t.dev;
-    let committed = t.pending_commits in
-    t.pending_commits <- 0;
-    maybe_checkpoint t ~committed
+    t.pending_commits <- 0
   end
 
 (* Section 5.2's no-force-of-data / force-log-at-commit policy, batched:
@@ -110,22 +84,12 @@ let abort t txid =
   Hashtbl.remove t.txns txid;
   emit_txn_event t (Obs.Event.Abort { tx = txid })
 
-(* A full quiesce, which doubles as a forced fuzzy-checkpoint emission
-   point, so a restart after a clean checkpoint has nothing to rescan. *)
+(* A full quiesce: every commit of the window durable, every dirty frame
+   flushed, the system log forced, and background relocation traffic
+   settled too, not just the durability classes. *)
 let checkpoint t =
-  (* Settle any outstanding lazy-restart repairs first: the fresh fuzzy
-     checkpoint emitted below claims exact coverage of every unit's log,
-     which an unrepaired unit can honour but the repair-table bookkeeping
-     is simplest when a full checkpoint leaves nothing owed. *)
-  let (_ : int) = Ipl_storage.repair_step t.store ~max_eus:max_int in
   flush_commits t;
   Pool.flush_all t.pool;
   Meta_log.force t.meta;
-  if t.config.Ipl_config.checkpoint_every > 0 then begin
-    emit_fuzzy_checkpoint t;
-    Meta_log.force t.meta
-  end;
-  (* A checkpoint is a full quiesce: background relocation traffic
-     settles too, not just the durability classes. *)
   Dev.drain t.dev;
   emit_txn_event t Obs.Event.Checkpoint

@@ -6,8 +6,7 @@ open Engine_state
 val begin_txn : t -> int
 
 val flush_commits : t -> unit
-(** Make every batched commit durable (see {!Ipl_engine.flush_commits}),
-    then emit a fuzzy checkpoint if the cadence is due. *)
+(** Make every batched commit durable (see {!Ipl_engine.flush_commits}). *)
 
 val commit : t -> int -> unit
 (** See {!Ipl_engine.commit}. *)

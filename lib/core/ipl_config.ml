@@ -14,7 +14,6 @@ type t = {
          engine, and how many operations each chip's queue holds before a
          submission stalls the host clock. 1 x 1 is the paper's serial
          chip. *)
-  checkpoint_every : int;
 }
 
 let default =
@@ -30,7 +29,6 @@ let default =
     channels = 1;
     ways = 1;
     queue_depth = 64;
-    checkpoint_every = 0;
   }
 
 let data_pages_per_eu t ~block_size = (block_size - t.log_region_bytes) / t.page_size
@@ -54,5 +52,4 @@ let validate t ~sector_size ~block_size =
   check (t.log_cache_bytes >= 0) "log_cache_bytes must be non-negative";
   check (t.channels >= 1) "channels must be at least 1";
   check (t.ways >= 1) "ways must be at least 1";
-  check (t.queue_depth >= 1) "queue_depth must be at least 1";
-  check (t.checkpoint_every >= 0) "checkpoint_every must be non-negative"
+  check (t.queue_depth >= 1) "queue_depth must be at least 1"

@@ -4,7 +4,11 @@
     split into a data-page region and a log region. With the defaults
     (128 KB erase units, 8 KB pages, 8 KB log region of sixteen 512-byte
     log sectors) an erase unit holds 15 data pages, exactly the paper's
-    running example. *)
+    running example.
+
+    Restart has no setting: it reads the system log and the flash's free
+    state, and each erase unit's in-page log at its first touch (see
+    {!Ipl_storage.recover}). *)
 
 type t = {
   page_size : int;  (** database page size, bytes (8 KB in the paper) *)
@@ -44,16 +48,6 @@ type t = {
       (** per-chip bound on outstanding asynchronous operations; a
           submission against a full queue stalls the simulated host
           clock to the earliest completion *)
-  checkpoint_every : int;
-      (** 0 (default): no fuzzy checkpoints. n > 0: every n committed
-          transactions the engine appends a checkpoint — per-erase-unit
-          log coverage records plus a footer with the active-transaction
-          table — to the system log, without quiescing. A checkpoint bounds the
-          restart scan: recovery replays meta events as always but only
-          reads flash log sectors written {e after} the checkpoint, and
-          each covered prefix is replayed on the unit's first touch (or
-          by {!Ipl_engine.drain_repairs}). Without a usable checkpoint,
-          restart reads every erase unit's whole log *)
 }
 
 val default : t

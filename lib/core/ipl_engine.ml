@@ -60,7 +60,7 @@ let system_log t = t.meta
 (* Construction                                                        *)
 
 (* The one system log's compaction snapshot: the storage manager's
-   mapping and standing checkpoint, then the transaction statuses. *)
+   mapping, then the transaction statuses. *)
 let build config dev meta store bbm trx =
   Meta_log.set_snapshot meta (fun () -> Ipl_storage.snapshot store @ Trx_log.snapshot trx);
   {
@@ -77,7 +77,6 @@ let build config dev meta store bbm trx =
     next_txid = 1;
     pending_commits = 0;
     group_commit = 1;
-    commits_since_ckpt = 0;
     tracer = None;
   }
 
@@ -129,8 +128,8 @@ let create_device ?(config = Ipl_config.default) dev =
 
 let create ?config chip = create_device ?config (Dev.of_chip chip)
 
-(* One scan of the system log yields the mapping, the checkpoint and the
-   transaction statuses. The transactions the crash interrupted are
+(* One scan of the system log yields the mapping and the transaction
+   statuses; no in-page log is read until a unit is first touched. The transactions the crash interrupted are
    aborted once the compaction snapshot is registered, since their abort
    records may fill the region. *)
 let restart_device ?(config = Ipl_config.default) dev =

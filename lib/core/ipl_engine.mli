@@ -87,21 +87,18 @@ val create : ?config:Ipl_config.t -> Flash_sim.Flash_chip.t -> t
 
 val restart_device : ?config:Ipl_config.t -> Device.Flash_device.t -> t * int list
 (** Re-open after a crash (same parameters as {!create_device}). One
-    scan of the system log yields the mapping, the checkpoint and the
-    transaction statuses. Implicit REDO/UNDO per Section 5.4:
-    transactions with no outcome record are aborted (their ids are
-    returned, in ascending order); everything else is reconstructed on
-    demand by the normal read path. New transaction ids start above
-    every id the log has seen, compacted-away ones included.
+    scan of the system log yields the mapping and the transaction
+    statuses. Implicit REDO/UNDO per Section 5.4: transactions with no
+    outcome record are aborted (their ids are returned, in ascending
+    order); everything else is reconstructed on demand by the normal
+    read path. New transaction ids start above every id the log has
+    seen, compacted-away ones included.
 
-    With a fuzzy checkpoint on the system log, the restart scan
-    reads only each covered erase unit's post-checkpoint log delta and
-    returns as soon as the mapping and record counts are rebuilt; the
-    covered log prefixes are re-read on first touch or via
-    {!drain_repairs} (see {!Ipl_storage.recover}). Without one it reads
-    every unit's whole log. Logical content is the same either way, and
-    the same whether the repairs run at first touch or are drained
-    first — only the flash-read schedule differs. *)
+    The restart reads no in-page log sector: each erase unit's log is
+    read at the unit's first touch or by {!drain_repairs} (see
+    {!Ipl_storage.recover}). Logical content is the same whether the
+    repairs run at first touch or are drained first; only the
+    flash-read schedule differs. *)
 
 val restart : ?config:Ipl_config.t -> Flash_sim.Flash_chip.t -> t * int list
 (** {!restart_device} over a single chip. *)
@@ -113,8 +110,7 @@ val device : t -> Device.Flash_device.t
 val storage : t -> Ipl_storage.t
 
 val system_log : t -> Meta_log.t
-(** The one system log: mapping events, checkpoints and transaction
-    statuses ({!Meta_log.compactions} counts its compactions). *)
+(** The one system log: mapping events and transaction statuses ({!Meta_log.compactions} counts its compactions). *)
 
 val elapsed : t -> float
 (** Simulated time on the engine's device clock (seconds) — the makespan
@@ -251,10 +247,8 @@ val with_page : t -> int -> (Storage.Page.t -> 'a) -> ('a, error) result
 val checkpoint : t -> (unit, error) result
 (** Settle the pending commit batch with {!flush_commits}, flush all
     in-memory log sectors and force the system log;
-    a full device quiesce. Drains all pending restart
-    repairs first, and — when [config.checkpoint_every > 0] — forces a
-    fresh fuzzy checkpoint, so a restart after a clean checkpoint has
-    nothing to rescan. *)
+    a full device quiesce. Pending restart repairs are left to first
+    touch and {!drain_repairs}. *)
 
 val compact : t -> max_merges:int -> (int, error) result
 (** Background merging: flush every dirty frame's log records, then
@@ -265,16 +259,16 @@ val compact : t -> max_merges:int -> (int, error) result
     idle moments moves a merge that is already owed off the update
     path; a unit with a free log sector is left alone, so compaction
     never erases a block early. Also drains up to [max_merges] pending
-    lazy repairs — the same idle-time catch-up budget. *)
+    restart repairs — the same idle-time catch-up budget. *)
 
 val repair_pending : t -> int
-(** Erase units still awaiting on-demand repair after a restart (0 when
-    no usable checkpoint covered any unit, and once repair has
-    drained). *)
+(** Erase units whose log a restart has not read yet: every unit with a
+    non-empty log right after a restart, falling to 0 as units are
+    touched or drained. *)
 
 val drain_repairs : t -> max_eus:int -> (int, error) result
 (** Background repair drainer: repair up to [max_eus] pending units now
-    (re-read their covered log prefixes, re-warm the record cache),
+    (read their logs into the record cache, rebuild their counts),
     returning the number repaired. Never refused on a degraded device —
     repair is read-only. First-touch repair happens implicitly; this
     merely moves it off the foreground read path. *)

@@ -1,8 +1,8 @@
 (* The storage manager's surface: construction and crash recovery, page
    allocation, the read path and log flushing. Its parts, each private to
    this library: the shared record, mapping state and erase-unit I/O
-   ([Store_state]), the free pool ([Free_pool]), checkpoints and lazy
-   restart ([Store_ckpt]), and merges with the overflow area
+   ([Store_state]), the free pool ([Free_pool]), first-touch repair after
+   a restart ([Store_ckpt]), and merges with the overflow area
    ([Store_merge]). *)
 open Store_state
 module Chip = Flash_sim.Flash_chip
@@ -36,7 +36,7 @@ let set_buffered t f = t.buffered <- f
 (* ------------------------------------------------------------------ *)
 (* Construction and crash recovery                                     *)
 
-let snapshot t = Store_state.snapshot t @ Store_ckpt.snapshot t
+let snapshot = Store_state.snapshot
 
 let create ?config bbm ~first_block ~num_blocks ~txn_status ~meta () =
   let t = mk ?config bbm ~first_block ~num_blocks ~txn_status ~meta in
@@ -61,9 +61,13 @@ let recover ?config bbm ~first_block ~num_blocks ~txn_status ~meta ~meta_events 
   (* The mapping is the fold of its events, through the transition run
      time used. *)
   List.iter (apply t) meta_events;
-  let coverage, footer = Store_ckpt.coverage meta_events in
-  t.last_ckpt_footer <- footer;
-  Hashtbl.iter (fun _ eu -> Store_ckpt.rescan t coverage eu) t.data_eus;
+  (* A unit's log ends at its first free sector, a free-state scan that
+     reads nothing; its records are read at first touch. *)
+  Hashtbl.iter
+    (fun phys eu ->
+      eu.used_log <- used_sectors t ~base:(log_sector_addr t phys 0) t.log_sectors;
+      if not (eu_log_empty eu) then Hashtbl.replace t.repairs phys ())
+    t.data_eus;
   Hashtbl.iter
     (fun phys info ->
       info.next_idx <-
@@ -258,9 +262,8 @@ let flush_log t sector =
   let records = Log_sector.records sector in
   let eu = unit_of t "Ipl_storage.flush_log" records in
   let page = first_page "Ipl_storage.flush_log" records in
-  (* An unrepaired unit must be settled before the write-through append
-     below: the cache entry a later repair installs has to include this
-     flush's records too. *)
+  (* An unrepaired unit must be settled before the append below: a later
+     repair would count this flush's records a second time. *)
   Store_ckpt.repair_eu_if_pending t eu;
   if eu.used_log < t.log_sectors then begin
     let addr = log_sector_addr t eu.phys eu.used_log in
@@ -307,7 +310,7 @@ let merge_pair t mine theirs =
   Store_merge.merge t [ (u, mine); (v, theirs) ]
 
 let merge_due_units = Store_merge.merge_due_units
-let emit_checkpoint = Store_ckpt.emit_checkpoint
+let pair_trades = Store_merge.pair_trades
 let repair_pending = Store_ckpt.repair_pending
 let repair_step = Store_ckpt.repair_step
 

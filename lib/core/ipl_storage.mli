@@ -20,8 +20,7 @@
     persisted through a {!Meta_log.t} (a merge, of one unit or a pair,
     is one event): the mapping is the fold of that
     log's events, and crash recovery replays them through the same
-    transition run time applies as it logs each one, then rescans the
-    in-page log sectors.
+    transition run time applies as it logs each one.
 
     Transaction-status filtering: log records of aborted transactions are
     never applied (neither on read nor at merge); records of transactions
@@ -36,35 +35,25 @@
     without re-scanning the flash log region. The cache is write-through
     (appends mirror successful log programs) and invalidated when a merge
     rewrites a unit; it holds no state flash does not, so crash recovery
-    is unaffected. A restart re-warms it: a unit it reads in full has
-    its decoded records installed right away, counted as
-    [log_cache_misses]; a checkpoint-covered unit is re-warmed at first
-    touch instead, counted as [log_cache_warm_entries].
+    is unaffected. A restart leaves it empty; each unit's first touch
+    fills it (see below), counted as [log_cache_misses] and
+    [log_cache_warm_entries].
     [log_cache_bytes = 0] disables it, reproducing the uncached engine
     bit-for-bit.
 
-    {2 Fuzzy checkpoints and lazy restart}
+    {2 Restart and first-touch repair}
 
-    When [Ipl_config.checkpoint_every > 0] the engine periodically emits
-    a {e fuzzy checkpoint} into the system log ({!emit_checkpoint}):
-    one [Ckpt_eu] record per data erase unit with a non-empty log region
-    — claiming that the first [used_log] in-region sectors and the
-    oldest [overflow] overflow sectors of that unit decode to exactly
-    [counts] records per transaction — sealed by a [Ckpt] footer naming
-    the transactions active at the checkpoint. Nothing is quiesced and no data moves:
-    the claim is a prefix of an append-only log, so it stays true as the
-    log grows and is invalidated only when a merge or an overflow
-    release recycles the unit (recovery voids coverage on those events).
-
-    {!recover} seeds each covered unit's record counts from the last
-    usable checkpoint, reads only the post-checkpoint {e delta} of its
-    log, and files the unit in a repair table; a unit no checkpoint
-    covers is read in full. The covered prefix is then re-read and replayed on-demand —
-    at the unit's first read, merge or log flush ({!Obs.Event.Page_repaired})
-    — or drained in the background via {!repair_step}. Until a unit is
-    repaired its full record list has not been materialised, but its
-    counts and mapping are exact, so every storage invariant (merge
-    decisions, tau, durability) holds from the first transaction. *)
+    {!recover} reads no in-page log sector. It rebuilds the mapping from
+    the system log, takes each unit's log length from the flash's free
+    state (the first erased sector of the log region ends it), and files
+    every unit with a non-empty log, in its region or in overflow, in a
+    repair set. A unit's log is read the first time an access needs it:
+    a page read or log flush on the unit, or the merge rule weighing it
+    ({!merge_due}, {!merge_due_units}); or by {!repair_step}. The read
+    goes through the log-record cache's miss path, rebuilds the unit's
+    per-transaction record counts and emits {!Obs.Event.Page_repaired}
+    for each page it names. Until then the unit's counts are zero and
+    nothing reads them. *)
 
 type t
 
@@ -86,11 +75,11 @@ type stats = {
   log_cache_misses : int;  (** log-region reads that scanned flash *)
   log_cache_evictions : int;  (** cache entries dropped for the byte budget *)
   log_cache_warm_entries : int;
-      (** cache entries installed by lazy post-crash repair (first-touch
-          or background), as opposed to ordinary demand misses *)
+      (** cache entries installed by post-crash repair (first-touch or
+          background), each also counted as a miss *)
   eus_repaired_lazily : int;
-      (** erase units whose covered log prefix was replayed on demand
-          after a lazy restart *)
+      (** erase units whose log was read after a restart, at first
+          touch or by the drainer *)
 }
 
 val create :
@@ -125,16 +114,12 @@ val recover :
   unit ->
   t
 (** Rebuild state after a crash from the replayed metadata events plus a
-    scan of the flash region. Unreferenced half-written erase units (from
-    a crash mid-merge) are erased. The manager must already have had the
+    scan of the flash region's free state, which reads no sector.
+    Unreferenced half-written erase units (from a crash mid-merge) are
+    erased. The manager must already have had the
     [Remap]/[Retire]/[Degraded] events replayed into it
-    ({!Resilience.Bbm.recover}; they are ignored here).
-
-    The last checkpoint footer among [meta_events] is in force. The scan
-    reads only each covered unit's post-checkpoint log delta and defers
-    the covered prefix to on-demand repair (see the header); units no
-    usable checkpoint covers are read in full, and without one the
-    repair table stays empty. *)
+    ({!Resilience.Bbm.recover}; they are ignored here). Every unit with
+    a non-empty log is left for first-touch repair (see the header). *)
 
 val config : t -> Ipl_config.t
 
@@ -198,34 +183,21 @@ val flush_log : t -> Log_sector.t -> unit
     The [Log_flush] or [Overflow_diversion] event names the first
     record's page. *)
 
-val emit_checkpoint : t -> active:int list -> unit
-(** Append a fuzzy checkpoint (per-unit [Ckpt_eu] coverage records plus
-    the [Ckpt] footer) to the system log buffer — no force, no barrier:
-    the caller's next durability barrier carries it, and a checkpoint
-    torn by a crash is simply ignored at recovery. [active] is the
-    transaction ids active right now ({!Trx_log.active}). Skipped
-    entirely (no-op) if [active] is implausibly large for one footer
-    record (> 120 ids). The emitted coverage is also part of later
-    {!snapshot}s, so a checkpoint survives compaction. *)
-
 val snapshot : t -> Meta_log.event list
-(** The manager's part of a system-log compaction snapshot: the mapping
-    (with the bad-block manager's remap state) and the standing
-    checkpoint. *)
+(** The manager's part of a system-log compaction snapshot: the mapping,
+    with the bad-block manager's remap state. *)
 
 val repair_pending : t -> int
-(** Erase units still awaiting on-demand repair after a restart (0 when
-    no usable checkpoint covered any unit, and once repair has
-    drained). *)
+(** Erase units whose log a restart has not read yet (0 before any
+    restart, and once every unit has been touched or drained). *)
 
 val repair_step : t -> max_eus:int -> int
-(** Repair up to [max_eus] pending units (lowest-numbered first): re-read
-    each unit's covered log prefix, re-install its full decoded record
-    list into the cache, and emit {!Obs.Event.Page_repaired} per touched
-    page. Returns the number of units repaired; a [max_int] drain leaves
-    no background debt. Used by the engine's background drainer;
-    first-touch repair happens implicitly on reads, merges and log
-    flushes. *)
+(** Repair up to [max_eus] pending units, lowest-numbered first: read
+    each unit's log through the log-record cache, rebuild its record
+    counts, and emit {!Obs.Event.Page_repaired} per page it names.
+    Returns the number of units repaired; a [max_int] drain leaves no
+    debt. Used by the engine's background drainer; first-touch repair
+    happens implicitly on reads, log flushes and merge decisions. *)
 
 val log_full : t -> page:int -> bool
 (** Whether the unit hosting [page] has no free in-region log sector,
@@ -252,6 +224,16 @@ val merge_pair : t -> Log_record.t list -> Log_record.t list -> unit
     erased. Raises [Invalid_argument] unless the records name two
     distinct units with full logs, each hosting all of its records'
     pages. *)
+
+val pair_trades : int array -> (int * int) list
+(** The pair merge's re-split, from [heat]: one entry per data slot, the
+    first unit's slots then the second's, holding the number of records
+    for the slot's page in its unit's log plus pending, or -1 for a free
+    slot. The pages are ranked by heat, ties going to the first unit's
+    pages and then by slot; the first unit's new block takes as many of
+    the hottest as the unit held. Returns the trades [(i, j)] of the
+    [Merge] event: the first unit's leaving slots and the second's
+    arriving ones, each in slot order. *)
 
 val merge_due_units : t -> max_merges:int -> int
 (** Background merging: merge up to [max_merges] of the data erase units

@@ -8,8 +8,6 @@ type event =
   | Remap of { virt : int; phys : int }
   | Retire of { block : int }
   | Degraded
-  | Ckpt_eu of { eu : int; used_log : int; overflow : int; counts : (int * int) list }
-  | Ckpt of { active : int list }
   | Trx_begin of { txid : int }
   | Trx_commit of { txid : int }
   | Trx_abort of { txid : int }
@@ -30,8 +28,9 @@ type t = {
 let u32 b pos n = Bytes.set_int32_le b pos (Int32.of_int n)
 let g32 b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFFFFFF
 
-(* Record format: tag:u8, then the event's u32 fields in order; a
-   checkpoint's lists follow their u32 length. *)
+(* Record format: tag:u8, then the event's u32 fields in order; a pair
+   merge's traded slots follow as bitmaps (below). Tags 9 and 10 are
+   unused. *)
 let header tag ~fields =
   let b = Bytes.create (1 + (4 * fields)) in
   Bytes.set_uint8 b 0 tag;
@@ -96,25 +95,6 @@ let encode = function
   | Remap { virt; phys } -> two 6 virt phys
   | Retire { block } -> one 7 block
   | Degraded -> header 8 ~fields:0
-  | Ckpt_eu { eu; used_log; overflow; counts } ->
-      let n = List.length counts in
-      let b = header 9 ~fields:(4 + (2 * n)) in
-      u32 b 1 eu;
-      u32 b 5 used_log;
-      u32 b 9 overflow;
-      u32 b 13 n;
-      List.iteri
-        (fun i (txid, c) ->
-          u32 b (17 + (8 * i)) txid;
-          u32 b (21 + (8 * i)) c)
-        counts;
-      b
-  | Ckpt { active } ->
-      let n = List.length active in
-      let b = header 10 ~fields:(1 + n) in
-      u32 b 1 n;
-      List.iteri (fun i txid -> u32 b (5 + (4 * i)) txid) active;
-      b
   | Trx_begin { txid } -> one 11 txid
   | Trx_commit { txid } -> one 12 txid
   | Trx_abort { txid } -> one 13 txid
@@ -138,13 +118,6 @@ let decode b =
   | 6 -> Remap { virt = g32 b 1; phys = g32 b 5 }
   | 7 -> Retire { block = g32 b 1 }
   | 8 -> Degraded
-  | 9 ->
-      let n = g32 b 13 in
-      let counts =
-        List.init n (fun i -> (g32 b (17 + (8 * i)), g32 b (21 + (8 * i))))
-      in
-      Ckpt_eu { eu = g32 b 1; used_log = g32 b 5; overflow = g32 b 9; counts }
-  | 10 -> Ckpt { active = List.init (g32 b 1) (fun i -> g32 b (5 + (4 * i))) }
   | 11 -> Trx_begin { txid = g32 b 1 }
   | 12 -> Trx_commit { txid = g32 b 1 }
   | 13 -> Trx_abort { txid = g32 b 1 }

@@ -1,11 +1,11 @@
 (** The system log: one append-only stream of tagged events in a small
     reserved flash region, compacted into a snapshot when full. It holds
     the logical-to-physical mapping, which the paper (Section 3.3) leaves
-    to the FTL as metadata that changes only on merges, the fuzzy
-    checkpoints, and the status records of the system-wide transaction
-    log (Section 5.1; {!Trx_log} keeps their in-memory rules). One scan
-    after a crash, with a scan of the in-page log sectors, rebuilds the
-    storage manager's and the transaction table's state.
+    to the FTL as metadata that changes only on merges, and the status
+    records of the system-wide transaction log (Section 5.1; {!Trx_log}
+    keeps their in-memory rules). One scan of it after a crash, with the
+    flash's free state, rebuilds the storage manager's and the
+    transaction table's state; no in-page log sector is read.
 
     The region is two halves that take turns: the log grows in the live
     half, and a compaction writes and forces its snapshot in the other
@@ -36,18 +36,6 @@ type event =
           physical block [phys] *)
   | Retire of { block : int }  (** physical block permanently retired *)
   | Degraded  (** spare pool exhausted: device is read-only from here on *)
-  | Ckpt_eu of { eu : int; used_log : int; overflow : int; counts : (int * int) list }
-      (** fuzzy-checkpoint coverage of one erase unit: at checkpoint time
-          [eu] had [used_log] in-region log sectors and [overflow]
-          overflow sectors on flash, holding [counts] records per
-          transaction ([(txid, n)] pairs; chunked — several [Ckpt_eu]
-          records for one [eu] accumulate). Recovery can trust these and
-          re-read only sectors written {e after} the checkpoint *)
-  | Ckpt of { active : int list }
-      (** fuzzy-checkpoint footer: the active-transaction table when the
-          checkpoint was taken. Its arrival promotes the [Ckpt_eu]
-          records since the previous footer into the effective
-          checkpoint; a torn checkpoint (footer lost) is simply ignored *)
   | Trx_begin of { txid : int }  (** transaction [txid] began *)
   | Trx_commit of { txid : int }  (** transaction [txid] committed *)
   | Trx_abort of { txid : int }  (** transaction [txid] aborted *)

@@ -129,43 +129,37 @@ type side = {
   mutable spill : (bytes * Log_record.t list) list;
 }
 
-(* Where a pair merge puts the two units' pages. They are ranked by
-   heat, the number of their records in the unit's log plus pending;
-   ties keep a page in its current unit, then go by slot. The first
-   unit's new block takes as many of the hottest pages as the unit
-   held, the second's the rest, so each keeps its page count and its
-   free slots. A page leaving the first unit trades slots with one
-   arriving from the second, both taken in slot order: the trades, as
-   (first unit's slot, second's), increase in both. *)
-let trades u v =
-  let heat = Hashtbl.create 64 in
-  let note r =
-    let pid = r.Log_record.page in
-    Hashtbl.replace heat pid (1 + Option.value ~default:0 (Hashtbl.find_opt heat pid))
+(* Where a pair merge puts the two units' pages. [heat] holds one entry
+   per slot, the first unit's slots then the second's: the number of
+   records for the slot's page in its unit's log plus pending, or -1 for
+   a free slot. The pages are ranked in one array by heat, ties going to
+   the first unit's pages, then by slot; the first unit's new block takes
+   as many of the hottest as the unit held, the second's the rest, so
+   each keeps its page count and its free slots. A page leaving the
+   first unit trades slots with one arriving from the second, both taken
+   in slot order: the trades, as (first unit's slot, second's), increase
+   in both. *)
+let pair_trades heat =
+  let d = Array.length heat / 2 in
+  let order = Array.init (2 * d) Fun.id in
+  Array.sort
+    (fun a b -> if heat.(a) <> heat.(b) then compare heat.(b) heat.(a) else compare a b)
+    order;
+  let held = ref 0 in
+  for k = 0 to d - 1 do
+    if heat.(k) >= 0 then incr held
+  done;
+  let hot = Array.make (2 * d) false in
+  for r = 0 to !held - 1 do
+    hot.(order.(r)) <- true
+  done;
+  let rec leaving i = if i < d && (heat.(i) < 0 || hot.(i)) then leaving (i + 1) else i in
+  let rec arriving j = if j < d && not hot.(d + j) then arriving (j + 1) else j in
+  let rec go i j =
+    let i = leaving i and j = arriving j in
+    if i < d && j < d then (i, j) :: go (i + 1) (j + 1) else []
   in
-  List.iter note u.all;
-  List.iter note v.all;
-  let mapped { eu; _ } ~first =
-    List.filter_map
-      (fun idx ->
-        let pid = eu.pages.(idx) in
-        if pid < 0 then None
-        else Some (Option.value ~default:0 (Hashtbl.find_opt heat pid), first, idx))
-      (List.init (Array.length eu.pages) Fun.id)
-  in
-  let in_u = mapped u ~first:true in
-  (* A stable sort of the first unit's pages, then the second's, each
-     in slot order, breaks ties as the rule says. *)
-  let ranked =
-    List.stable_sort (fun (a, _, _) (b, _, _) -> compare b a) (in_u @ mapped v ~first:false)
-  in
-  let n = List.length in_u in
-  let slots ~hot ~first =
-    List.filteri (fun i _ -> (i < n) = hot) ranked
-    |> List.filter_map (fun (_, f, idx) -> if f = first then Some idx else None)
-    |> List.sort compare
-  in
-  List.combine (slots ~hot:false ~first:true) (slots ~hot:true ~first:false)
+  go 0 0
 
 (* The carried records of the side that merges [eu]: a plain walk, so
    the per-page check allocates nothing. *)
@@ -176,7 +170,7 @@ let rec carried_from eu = function
 (* The one merge, over one unit or a pair. Each unit is rewritten into a
    fresh block with its committed records (and its pending ones)
    applied, carrying active records over and dropping aborted ones; a
-   pair's pages are re-split by [trades] on the way. The mapping change
+   pair's pages are re-split by [pair_trades] on the way. The mapping change
    is one [Merge] event.
 
    A merge is atomic at the durability point — the system-log force
@@ -186,7 +180,7 @@ let rec carried_from eu = function
    exactly as they were, so a caller that survives the exception keeps
    a consistent engine; after the point, the in-memory switch-over is
    completed before any further fallible flash work. *)
-let merge_rewrite t units =
+let merge t units =
   List.iter (fun (eu, _) -> Store_ckpt.repair_eu_if_pending t eu) units;
   (* Merge onto the {e next} channel: the copy's reads (old unit) and
      programs (new unit) then sit on different chips and overlap. *)
@@ -237,7 +231,23 @@ let merge_rewrite t units =
     let trades =
       match sides with
       | [ u; v ] ->
-          let trades = trades u v in
+          let d = t.data_pages in
+          let slot pid =
+            match Hashtbl.find t.mapping pid with
+            | eu, idx when eu == u.eu -> idx
+            | eu, idx when eu == v.eu -> d + idx
+            | _ | (exception Not_found) -> -1
+          in
+          let heat = Array.make (2 * d) (-1) in
+          Array.iteri (fun idx pid -> if pid >= 0 then heat.(idx) <- 0) u.eu.pages;
+          Array.iteri (fun idx pid -> if pid >= 0 then heat.(d + idx) <- 0) v.eu.pages;
+          let note r =
+            let k = slot r.Log_record.page in
+            if k >= 0 then heat.(k) <- heat.(k) + 1
+          in
+          List.iter note u.all;
+          List.iter note v.all;
+          let trades = pair_trades heat in
           u.after <- Array.copy u.eu.pages;
           v.after <- Array.copy v.eu.pages;
           List.iter
@@ -245,11 +255,17 @@ let merge_rewrite t units =
               u.after.(i) <- v.eu.pages.(j);
               v.after.(j) <- u.eu.pages.(i))
             trades;
-          let in_u = Hashtbl.create 16 in
-          Array.iter (fun pid -> if pid >= 0 then Hashtbl.replace in_u pid ()) u.after;
-          let both = u.carried @ v.carried in
-          u.into <- List.filter (fun r -> Hashtbl.mem in_u r.Log_record.page) both;
-          v.into <- List.filter (fun r -> not (Hashtbl.mem in_u r.Log_record.page)) both;
+          (* A page stays in the first unit unless traded away, and comes
+             from the second only if traded. *)
+          let into_u r =
+            let pid = r.Log_record.page in
+            let k = slot pid in
+            if k < 0 then false else if k < d then u.after.(k) = pid else v.after.(k - d) <> pid
+          in
+          let mine, theirs = List.partition into_u u.carried in
+          let came, stay = List.partition into_u v.carried in
+          u.into <- mine @ came;
+          v.into <- theirs @ stay;
           trades
       | _ -> []
     in
@@ -411,19 +427,18 @@ let merge_rewrite t units =
       news;
     raise e
 
-(* A merge, then the checkpoint coverage it voided re-asserted (see
-   [Store_ckpt.reassert]). *)
-let merge t units =
-  merge_rewrite t units;
-  Store_ckpt.reassert t
-
 (* The one merge rule (Algorithms 1 and 3): a unit is merged when its
    in-region log has no free sector left and its active records would not
    dominate the merge. Above tau the write path diverts to overflow
-   instead, so background merging leaves such a unit alone too. *)
+   instead, so background merging leaves such a unit alone too. The
+   fraction reads the unit's record counts, which a restart leaves at
+   zero until the unit is repaired. *)
 let merge_due t eu ~pending =
   eu.used_log >= t.log_sectors
-  && active_fraction t eu ~pending <= t.config.Ipl_config.selective_merge_threshold
+  && begin
+       Store_ckpt.repair_eu_if_pending t eu;
+       active_fraction t eu ~pending <= t.config.Ipl_config.selective_merge_threshold
+     end
 
 let merge_due_units t ~max_merges =
   if max_merges <= 0 then 0

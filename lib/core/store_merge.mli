@@ -21,11 +21,15 @@ val merge : t -> (eu_info * Log_record.t list) list -> unit
     many of the hottest as it held, ties staying put. Atomic at the
     system-log force that publishes the one [Merge] event. *)
 
+val pair_trades : int array -> (int * int) list
+(** See {!Ipl_storage.pair_trades}. *)
+
 val merge_due : t -> eu_info -> pending:Log_record.t list -> bool
 (** The one merge rule: the unit's in-region log has no free sector and
     {!active_fraction} (with [pending]) is at most tau. The write path
     merges a due unit and diverts to overflow otherwise; background
-    merging takes only due units. *)
+    merging takes only due units. A unit whose log a restart has not
+    read yet is repaired before its fraction is taken. *)
 
 val merge_due_units : t -> max_merges:int -> int
 (** See {!Ipl_storage.merge_due_units}. *)

@@ -25,21 +25,6 @@ type eu_info = {
 
 type overflow_info = { mutable next_idx : int; mutable live : int }
 
-(* What a lazy (REDO-only) restart still owes one erase unit. The
-   checkpoint-bounded recovery scan splits the unit's log into the
-   prefix the last fuzzy checkpoint vouches for (still on flash, counted
-   but unread) and the post-checkpoint delta (already decoded). Repairing
-   the unit on first touch reads the prefix, splices the delta behind it
-   and warms the log-record cache; a background drainer repairs whatever
-   reads never touch. *)
-type repair = {
-  pre_in : int;  (* in-region log sectors durable at the checkpoint *)
-  pre_over : int;  (* overflow sectors durable at the checkpoint *)
-  delta_in : Log_record.t list;  (* decoded post-checkpoint in-region records *)
-  delta_over : Log_record.t list;  (* decoded post-checkpoint overflow records *)
-  delta_pages : int list;  (* distinct pages the delta touches, for repair events *)
-}
-
 type t = {
   dev : Dev.t;  (* the manager's device: addressing, clock, geometry *)
   bbm : Bbm.t;
@@ -59,21 +44,13 @@ type t = {
       (* decoded log records per erase unit, keyed by [eu.phys] (a
          virtual address of the bad-block manager, so relocations do not
          disturb entries) *)
-  repairs : (int, repair) Hashtbl.t;
-      (* erase units a restart still owes a replay, keyed by [eu.phys];
-         empty except between a restart over a checkpoint and the moment
-         every unit has been touched or drained *)
-  mutable last_ckpt_footer : int list option;
-      (* the active transactions of the newest emitted checkpoint, so a
-         system-log compaction can re-emit checkpoint coverage instead of
-         silently discarding it *)
+  repairs : (int, unit) Hashtbl.t;
+      (* the units, by [eu.phys], whose log a restart has not read yet:
+         their record counts are still zero, so the first access that
+         reads or changes them reads the log first (see [Store_ckpt]) *)
   mutable merging : int;
       (* how many units the merge under way rewrites (0: none, 2: a
-         pair): between the overflow release and the durability point
-         their counts and overflow lists disagree, so a compaction
-         snapshot must not re-emit checkpoint coverage (dropping the
-         checkpoint is safe — restart just reads every unit's whole
-         log) *)
+         pair) *)
   mutable current_overflow : int option;
   fills : eu_info option array;
       (* unit receiving new page allocations, one per device channel so
@@ -82,7 +59,7 @@ type t = {
   mutable next_page : int;
   merge_scratch : bytes;
       (* the one page image every merge copy read from flash passes
-         through (see [Store_merge.merge_rewrite]) *)
+         through (see [Store_merge.merge]) *)
   mutable buffered : int -> Page.t option;
       (* the engine's view of a page held in memory with nothing owed to
          flash (see [Ipl_storage.set_buffered]) *)
@@ -161,7 +138,6 @@ let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~
     free = Free_pool.create ~wear ~channel_of:(Dev.channel_of_block dev);
     cache;
     repairs = Hashtbl.create 32;
-    last_ckpt_footer = None;
     merging = 0;
     current_overflow = None;
     fills = Array.make (Dev.num_chips dev) None;
@@ -275,12 +251,10 @@ let apply t = function
   | Meta_log.Overflow_free { eu } -> Hashtbl.remove t.overflow_eus eu
   (* Resilience events address the bad-block manager, which the owner
      replays into it before constructing the storage manager; all
-     storage-level addresses are virtual and unaffected. Checkpoint
-     records describe log contents and status records transactions, not
-     the mapping. *)
-  | Meta_log.Remap _ | Meta_log.Retire _ | Meta_log.Degraded | Meta_log.Ckpt_eu _
-  | Meta_log.Ckpt _ | Meta_log.Trx_begin _ | Meta_log.Trx_commit _ | Meta_log.Trx_abort _
-  | Meta_log.Trx_high _ ->
+     storage-level addresses are virtual and unaffected. Status records
+     describe transactions, not the mapping. *)
+  | Meta_log.Remap _ | Meta_log.Retire _ | Meta_log.Degraded | Meta_log.Trx_begin _
+  | Meta_log.Trx_commit _ | Meta_log.Trx_abort _ | Meta_log.Trx_high _ ->
       ()
 
 let snapshot t =
@@ -349,26 +323,27 @@ let used_sectors t ~base n =
   let rec go i = if i < n && Bbm.sector_state t.bbm (base + i) <> Chip.Free then go (i + 1) else i in
   go 0
 
-(* The records of a unit's in-region log sectors [first, first + count),
-   in slot order, fetched with one read. *)
-let read_log_region ?cls t eu ~first ~count =
-  if count <= 0 then []
+(* The records of a unit's in-region log sectors, in slot order,
+   fetched with one read. *)
+let read_log_region ?cls t eu =
+  let count = eu.used_log in
+  if count = 0 then []
   else begin
     let ss = sector_size t in
-    let blob = Bbm.read_sectors ?cls t.bbm ~sector:(log_sector_addr t eu.phys first) ~count in
+    let blob = Bbm.read_sectors ?cls t.bbm ~sector:(log_sector_addr t eu.phys 0) ~count in
     t.c_log_sector_reads <- t.c_log_sector_reads + count;
     List.concat (List.init count (fun i -> Log_sector.deserialize (Bytes.sub blob (i * ss) ss)))
   end
 
-(* The records of the given overflow sectors, one read each, in list
-   order. *)
-let read_overflow_sectors ?cls t addrs =
+(* The records of a unit's overflow sectors, oldest first, one read
+   each. *)
+let read_overflow_sectors ?cls t eu =
   List.concat_map
     (fun addr ->
       let sector = Bbm.read_sectors ?cls t.bbm ~sector:addr ~count:1 in
       t.c_log_sector_reads <- t.c_log_sector_reads + 1;
       Log_sector.deserialize sector)
-    addrs
+    (List.rev eu.overflow_rev)
 
 let eu_log_empty eu = eu.used_log = 0 && eu.overflow_rev = []
 
@@ -385,8 +360,8 @@ let cache_note t eu ~hit =
 (* All log records stored for an erase unit, in application order:
    in-page log sectors by slot, then overflow sectors oldest-first. *)
 let read_eu_log_records_uncached ?cls t eu =
-  let in_region = read_log_region ?cls t eu ~first:0 ~count:eu.used_log in
-  in_region @ read_overflow_sectors ?cls t (List.rev eu.overflow_rev)
+  let in_region = read_log_region ?cls t eu in
+  in_region @ read_overflow_sectors ?cls t eu
 
 (* Cache consumption point: a hit returns the decoded records without
    touching flash (no simulated reads, no [log_sector_reads]); a miss

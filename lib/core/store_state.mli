@@ -25,21 +25,6 @@ type eu_info = {
 
 type overflow_info = { mutable next_idx : int; mutable live : int }
 
-(* What a lazy (REDO-only) restart still owes one erase unit. The
-   checkpoint-bounded recovery scan splits the unit's log into the
-   prefix the last fuzzy checkpoint vouches for (still on flash, counted
-   but unread) and the post-checkpoint delta (already decoded). Repairing
-   the unit on first touch reads the prefix, splices the delta behind it
-   and warms the log-record cache; a background drainer repairs whatever
-   reads never touch. *)
-type repair = {
-  pre_in : int;  (* in-region log sectors durable at the checkpoint *)
-  pre_over : int;  (* overflow sectors durable at the checkpoint *)
-  delta_in : Log_record.t list;  (* decoded post-checkpoint in-region records *)
-  delta_over : Log_record.t list;  (* decoded post-checkpoint overflow records *)
-  delta_pages : int list;  (* distinct pages the delta touches, for repair events *)
-}
-
 type t = {
   dev : Dev.t;  (* the manager's device: addressing, clock, geometry *)
   bbm : Bbm.t;
@@ -59,21 +44,13 @@ type t = {
       (* decoded log records per erase unit, keyed by [eu.phys] (a
          virtual address of the bad-block manager, so relocations do not
          disturb entries) *)
-  repairs : (int, repair) Hashtbl.t;
-      (* erase units a restart still owes a replay, keyed by [eu.phys];
-         empty except between a restart over a checkpoint and the moment
-         every unit has been touched or drained *)
-  mutable last_ckpt_footer : int list option;
-      (* the active transactions of the newest emitted checkpoint, so a
-         system-log compaction can re-emit checkpoint coverage instead of
-         silently discarding it *)
+  repairs : (int, unit) Hashtbl.t;
+      (* the units, by [eu.phys], whose log a restart has not read yet:
+         their record counts are still zero, so the first access that
+         reads or changes them reads the log first (see [Store_ckpt]) *)
   mutable merging : int;
       (* how many units the merge under way rewrites (0: none, 2: a
-         pair): between the overflow release and the durability point
-         their counts and overflow lists disagree, so a compaction
-         snapshot must not re-emit checkpoint coverage (dropping the
-         checkpoint is safe — restart just reads every unit's whole
-         log) *)
+         pair) *)
   mutable current_overflow : int option;
   fills : eu_info option array;
       (* unit receiving new page allocations, one per device channel so
@@ -82,7 +59,7 @@ type t = {
   mutable next_page : int;
   merge_scratch : bytes;
       (* the one page image every merge copy read from flash passes
-         through (see [Store_merge.merge_rewrite]) *)
+         through (see [Store_merge.merge]) *)
   mutable buffered : int -> Page.t option;
       (* the engine's view of a page held in memory with nothing owed to
          flash (see [Ipl_storage.set_buffered]) *)
@@ -142,7 +119,7 @@ val apply : t -> Meta_log.event -> unit
 val snapshot : t -> Meta_log.event list
 (** The mapping state, with the bad-block manager's remap state first,
     as the shortest event list whose fold through {!apply} rebuilds it:
-    the compaction snapshot, without checkpoint coverage. *)
+    the storage manager's part of the compaction snapshot. *)
 
 (** {1 Erase-unit I/O} *)
 
@@ -165,9 +142,6 @@ val read_raw_page_into : ?cls:Dev.op_class -> t -> eu_info -> int -> bytes -> Pa
 (** The stored image of a slot, read into a page-long buffer. *)
 
 val submit_data_page : t -> cls:Dev.op_class -> int -> int -> Page.t -> unit
-
-val read_log_region : ?cls:Dev.op_class -> t -> eu_info -> first:int -> count:int -> Log_record.t list
-val read_overflow_sectors : ?cls:Dev.op_class -> t -> int list -> Log_record.t list
 
 val eu_log_empty : eu_info -> bool
 

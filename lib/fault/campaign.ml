@@ -206,9 +206,6 @@ let run ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1) ?(lazy_mode = 
             : Ipl_txn.Session.outcome);
         true
   in
-  (* Checkpointed mode: a fuzzy checkpoint every 16 commits, so the
-     restart under test actually has coverage to lean on. *)
-  let config = if lazy_mode then { config with Config.checkpoint_every = 16 } else config in
   let fresh () =
     let chip = Chip.create (chip_config ()) in
     let engine = Engine.create ~config chip in

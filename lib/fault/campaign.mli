@@ -80,17 +80,17 @@ val run :
     system-log compaction or a pair merge in the golden run (within
     [max_ops]) is a crash point too, sampled or not.
 
-    [lazy_mode] (default [false]) runs the engine with a fuzzy
-    checkpoint every 16 commits, so each restart leans on checkpoint
-    coverage and repairs the covered units at first touch; the crashed
-    chip is restarted and oracle-checked as usual. Every crash point
-    then also gets a {e drain-first} twin: a bit-identical crashed chip,
-    rebuilt by the deterministic workload, restarted and fully drained
-    with {!Ipl_core.Ipl_engine.drain_repairs} before any read. Its
-    logical digest (every page/slot value) must equal the first-touch
-    engine's, both right after that engine's restart and again after
-    its own drain has settled every pending unit. Any mismatch is
-    reported as a violation at that crash point.
+    [lazy_mode] (default [false]) gives every crash point a
+    {e drain-first} twin. The restart under test reads only the system
+    log and repairs each unit at its first touch, here the oracle's
+    reads; the twin is a bit-identical crashed chip, rebuilt by the
+    deterministic workload, restarted and fully drained with
+    {!Ipl_core.Ipl_engine.drain_repairs} before any read. Its logical
+    digest (every page/slot value) must equal the first-touch engine's,
+    both right after that engine's restart and again after its own
+    drain has settled every pending unit. Any mismatch is reported as a
+    violation at that crash point. The engine's configuration is the
+    same with and without it.
 
     [jobs] (default 1) fans the crash points across a
     {!Par.Domain_pool} — each point rebuilds its own chip, engine and

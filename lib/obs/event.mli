@@ -47,8 +47,8 @@ type t =
   | Abort of { tx : int }
   | Checkpoint
   | Page_repaired of { page : int; eu : int }
-      (** lazy restart replayed the page's log records on first touch
-          after a crash (or via the background repair drainer) *)
+      (** after a restart, the page's unit had its log read at first
+          touch (or by the background repair drainer) *)
   | Read_retry of { sector : int; attempt : int }
       (** bad-block manager retrying a failed physical read *)
   | Remap of { virt : int; from_phys : int; to_phys : int }

@@ -1,9 +1,9 @@
 (* Availability benchmark: how long after a crash until the engine
-   commits its first transaction? A restart over a fuzzy checkpoint reads
-   only the post-checkpoint deltas and repays the covered prefixes at
-   first touch (the lazy column); the eager column settles every repair
-   with [drain_repairs] before the first transaction, so it reads every
-   erase unit's whole log first. Both are measured on the simulated
+   commits its first transaction? A restart reads only the system log and
+   leaves each erase unit's in-page log to its first touch (the lazy
+   column); the eager column settles every repair with [drain_repairs]
+   before the first transaction, so it reads every erase unit's whole log
+   first. Both are measured on the simulated
    device clock over bit-identical crashed flash states (the populate run
    is deterministic), and the recovered logical content is
    digest-compared to prove that deferring the repairs changed the read
@@ -23,7 +23,6 @@ type spec = {
   transactions : int;
   seed : int;
   num_blocks : int;
-  checkpoint_every : int;
 }
 
 (* Three database sizes. The update stream round-robins over the pages,
@@ -31,9 +30,9 @@ type spec = {
    run stops — the state a drain-first restart pays to read back. *)
 let specs =
   [
-    { name = "small"; pages = 30; transactions = 240; seed = 11; num_blocks = 24; checkpoint_every = 32 };
-    { name = "medium"; pages = 90; transactions = 900; seed = 11; num_blocks = 40; checkpoint_every = 32 };
-    { name = "large"; pages = 180; transactions = 2400; seed = 11; num_blocks = 64; checkpoint_every = 32 };
+    { name = "small"; pages = 30; transactions = 240; seed = 11; num_blocks = 24 };
+    { name = "medium"; pages = 90; transactions = 900; seed = 11; num_blocks = 40 };
+    { name = "large"; pages = 180; transactions = 2400; seed = 11; num_blocks = 64 };
   ]
 
 type point = {
@@ -51,12 +50,7 @@ type point = {
 
 let payload = 64
 
-let config spec =
-  {
-    Config.default with
-    Config.buffer_pages = 32;
-    checkpoint_every = spec.checkpoint_every;
-  }
+let config = { Config.default with Config.buffer_pages = 32 }
 
 let ok = function
   | Ok v -> v
@@ -77,7 +71,7 @@ let fatal f =
    The run simply stops after the last commit — no checkpoint call, no
    quiesce — leaving the flash state a crash would leave. *)
 let populate spec chip =
-  let engine = Engine.create ~config:(config spec) chip in
+  let engine = Engine.create ~config chip in
   let rng = Rng.of_int spec.seed in
   let fresh () = Bytes.of_string (Rng.alpha_string rng ~min:payload ~max:payload) in
   let pages = Array.init spec.pages (fun _ -> ok (Engine.allocate_page engine)) in
@@ -123,7 +117,7 @@ let restart_measured spec ~drain_first =
   let chip = Chip.create (FConfig.default ~num_blocks:spec.num_blocks ()) in
   let pages = populate spec chip in
   let t0 = Chip.elapsed chip in
-  let engine, _aborted = Engine.restart ~config:(config spec) chip in
+  let engine, _aborted = Engine.restart ~config chip in
   let pending = Engine.repair_pending engine in
   if drain_first then ignore (ok (Engine.drain_repairs engine ~max_eus:max_int) : int);
   let restart_reads = log_reads engine in

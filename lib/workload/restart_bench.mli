@@ -1,18 +1,18 @@
 (** Availability benchmark: time-to-first-transaction after a crash,
     with the restart's repairs deferred to first touch or settled first.
 
-    For each database size, a deterministic update stream with fuzzy
-    checkpoints is stopped mid-flight (no checkpoint call, no quiesce) —
-    twice, producing two bit-identical crashed flash states. Both are
-    reopened the same way: the restart reads only each erase unit's
-    post-checkpoint log delta. The {e eager} engine then settles every
-    repair with {!Ipl_core.Ipl_engine.drain_repairs} (restart and drain
-    together read every unit's whole log) before one ordinary
-    transaction; the {e lazy}
-    engine runs that transaction straight away. The span from restart to
-    the transaction's commit barrier, on the simulated device clock, is
-    the availability metric. The lazy engine is then fully drained and
-    its logical content digest-compared against the eager one. *)
+    For each database size, a deterministic update stream is stopped
+    mid-flight (no checkpoint call, no quiesce) — twice, producing two
+    bit-identical crashed flash states. Both are reopened the same way:
+    the restart reads the system log and no in-page log sector. The
+    {e eager} engine then settles every repair with
+    {!Ipl_core.Ipl_engine.drain_repairs}, reading every unit's whole
+    log, before one ordinary transaction; the {e lazy} engine runs that
+    transaction straight away, reading the logs it touches. The span
+    from restart to the transaction's commit barrier, on the simulated
+    device clock, is the availability metric. The lazy engine is then
+    fully drained and its logical content digest-compared against the
+    eager one. *)
 
 type spec = {
   name : string;
@@ -20,7 +20,6 @@ type spec = {
   transactions : int;
   seed : int;
   num_blocks : int;
-  checkpoint_every : int;
 }
 
 type point = {
@@ -31,10 +30,11 @@ type point = {
       (** simulated seconds, restart → full repair drain → first commit *)
   lazy_s : float;  (** simulated seconds, restart → first commit *)
   eager_restart_log_reads : int;
-      (** log sectors read by the restart scan plus the full drain *)
+      (** log sectors read by the restart plus the full drain *)
   lazy_restart_log_reads : int;
-      (** log sectors read inside the lazy restart scan (deltas only) *)
-  repair_pending : int;  (** units deferred to on-demand repair *)
+      (** log sectors read by the restart itself: 0, since it reads only
+          the system log *)
+  repair_pending : int;  (** units left to first-touch repair *)
   warm_entries : int;  (** cache entries installed by repair, after drain *)
   digest_match : bool;
       (** recovered logical content identical eager vs lazy (must hold) *)

@@ -722,14 +722,21 @@ let test_store_recover_after_merges () =
 
 (* A crash in the middle of a merge leaves a half-written erase unit that
    no metadata references. Recovery must erase it and return it to the
-   free pool before it returns — also when a fuzzy checkpoint footer on
-   the metadata log lets the restart lean on checkpoint coverage
-   ([ckpt]). *)
-let gc_unreferenced_unit ~ckpt () =
-  let config = if ckpt then { Config.default with Config.checkpoint_every = 1 } else Config.default in
-  let chip, meta, store = mk_store ~config () in
-  ignore (Store.allocate_page store (page_with [ "live" ]));
-  if ckpt then Store.emit_checkpoint store ~active:[];
+   free pool before it returns — also when the live unit has log
+   records ([logged]), so that restart leaves it to first-touch repair,
+   and the page must then read its logged value. *)
+let gc_unreferenced_unit ~logged () =
+  let chip, meta, store = mk_store () in
+  let pid = Store.allocate_page store (page_with [ "live" ]) in
+  if logged then
+    flush store
+      [
+        {
+          LR.txid = 0;
+          page = pid;
+          op = LR.Update_range { slot = 0; offset = 0; before = b "l"; after = b "L" };
+        };
+      ];
   Meta_log.force meta;
   (* Fake the torn merge: scribble into a free unit behind the manager's
      back. *)
@@ -738,20 +745,22 @@ let gc_unreferenced_unit ~ckpt () =
   Alcotest.(check bool) "scribbled" true
     (Chip.free_sectors_in_block chip victim < 256);
   let meta', events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
-  if ckpt then
-    Alcotest.(check bool) "checkpoint footer on the meta log" true
-      (List.exists (function Meta_log.Ckpt _ -> true | _ -> false) events);
   let store' =
-    Store.recover ~config (data_area chip) ~first_block:2 ~num_blocks:30
+    Store.recover (data_area chip) ~first_block:2 ~num_blocks:30
       ~txn_status:(fun _ -> Trx_log.Committed)
       ~meta:meta' ~meta_events:events ()
   in
   Alcotest.(check int) "unit erased by GC" 256 (Chip.free_sectors_in_block chip victim);
   (* And it is allocatable again: fill pages until it gets used. *)
-  Alcotest.(check bool) "free pool intact" true (Store.free_eus store' >= 28)
+  Alcotest.(check bool) "free pool intact" true (Store.free_eus store' >= 28);
+  Alcotest.(check int) "units left to repair" (if logged then 1 else 0) (Store.repair_pending store');
+  Alcotest.(check (option bytes)) "page content"
+    (Some (b (if logged then "Live" else "live")))
+    (Page.read (Store.read_page store' pid) 0);
+  Alcotest.(check int) "repaired at first touch" 0 (Store.repair_pending store')
 
-let test_store_recovery_gc_unreferenced_unit = gc_unreferenced_unit ~ckpt:false
-let test_store_recovery_gc_under_checkpoint = gc_unreferenced_unit ~ckpt:true
+let test_store_recovery_gc_unreferenced_unit = gc_unreferenced_unit ~logged:false
+let test_store_recovery_gc_with_repair = gc_unreferenced_unit ~logged:true
 
 let test_store_detects_corrupt_log_sector () =
   (* Corrupt a written in-page log sector on the chip: the read path must
@@ -836,23 +845,78 @@ let prop_store_durability =
         pids model)
 
 
+(* The pair merge's re-split, against the list rule it replaced as the
+   reference: heat by page in a table, each unit's mapped slots as
+   (heat, first unit?, slot) in slot order, one stable sort of the first
+   unit's then the second's by falling heat, the first unit's count of
+   them hot, and the leaving and arriving slots paired in slot order. *)
+let reference_trades u_pages v_pages record_pages =
+  let heat = Hashtbl.create 64 in
+  List.iter
+    (fun pid -> Hashtbl.replace heat pid (1 + Option.value ~default:0 (Hashtbl.find_opt heat pid)))
+    record_pages;
+  let mapped pages ~first =
+    List.filter_map
+      (fun idx ->
+        let pid = pages.(idx) in
+        if pid < 0 then None
+        else Some (Option.value ~default:0 (Hashtbl.find_opt heat pid), first, idx))
+      (List.init (Array.length pages) Fun.id)
+  in
+  let in_u = mapped u_pages ~first:true in
+  let ranked =
+    List.stable_sort (fun (a, _, _) (b, _, _) -> compare b a) (in_u @ mapped v_pages ~first:false)
+  in
+  let n = List.length in_u in
+  let slots ~hot ~first =
+    List.filteri (fun i _ -> (i < n) = hot) ranked
+    |> List.filter_map (fun (_, f, idx) -> if f = first then Some idx else None)
+    |> List.sort compare
+  in
+  List.combine (slots ~hot:false ~first:true) (slots ~hot:true ~first:false)
+
+let prop_pair_trades =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 16 >>= fun d ->
+      array_repeat (2 * d) (frequency [ (1, return false); (4, return true) ]) >>= fun mapped ->
+      let live = List.filter (fun k -> mapped.(k)) (List.init (2 * d) Fun.id) in
+      (match live with
+      | [] -> return []
+      | _ -> list_size (int_bound 60) (oneofl live))
+      >|= fun records -> (d, mapped, records))
+  in
+  let print (d, mapped, records) =
+    Printf.sprintf "d=%d mapped=[%s] records=[%s]" d
+      (String.concat ";" (Array.to_list (Array.map string_of_bool mapped)))
+      (String.concat ";" (List.map string_of_int records))
+  in
+  QCheck.Test.make ~name:"pair trades = the list rule" ~count:1000 (QCheck.make ~print gen)
+    (fun (d, mapped, records) ->
+      (* Slot k's page is page k: the first unit's slots, then the
+         second's. *)
+      let pages base = Array.init d (fun i -> if mapped.(base + i) then base + i else -1) in
+      let heat = Array.map (fun m -> if m then 0 else -1) mapped in
+      List.iter (fun k -> heat.(k) <- heat.(k) + 1) records;
+      Store.pair_trades heat = reference_trades (pages 0) (pages d) records)
+
 (* ------------------------------------------------------------------ *)
 (* Restart rebuilds the run-time mapping                               *)
 
 (* One step of a run against the storage manager: allocate a page, flush
    a one-record sector for page [p] (taken modulo the page count) on
    behalf of transaction slot [s], end the slot's transaction (it
-   commits or aborts, and the slot starts a fresh one), take a fuzzy
-   checkpoint, or flush one record for each of two pages as a write-back
-   batch does: as one pair merge when both units are due, one flush
-   each otherwise. *)
-type rop = R_alloc | R_flush of int * int | R_end of int * bool | R_ckpt | R_pair of int * int * int
+   commits or aborts, and the slot starts a fresh one), force the system
+   log as a commit barrier does, or flush one record for each of two
+   pages as a write-back batch does: as one pair merge when both units
+   are due, one flush each otherwise. *)
+type rop = R_alloc | R_flush of int * int | R_end of int * bool | R_force | R_pair of int * int * int
 
 let show_rop = function
   | R_alloc -> "alloc"
   | R_flush (p, s) -> Printf.sprintf "flush(%d,%d)" p s
   | R_end (s, c) -> Printf.sprintf "end(%d,%b)" s c
-  | R_ckpt -> "ckpt"
+  | R_force -> "force"
   | R_pair (p, q, s) -> Printf.sprintf "pair(%d,%d,%d)" p q s
 
 let gen_rop =
@@ -862,7 +926,7 @@ let gen_rop =
         (1, return R_alloc);
         (40, map2 (fun p s -> R_flush (p, s)) nat (int_bound 3));
         (8, map2 (fun s c -> R_end (s, c)) (int_bound 3) bool);
-        (1, return R_ckpt);
+        (1, return R_force);
         (10, map3 (fun p q s -> R_pair (p, q, s)) nat nat (int_bound 3));
       ])
 
@@ -912,7 +976,7 @@ let rig_area r = Resilience.Bbm.create r.dev ~spares:[] ~persist:ignore ~force:i
    recover a second manager from the device; both managers must agree
    on the mapping and on every unit's log. Returns the run's stats. *)
 let restart_matches r ops =
-  let config = { r.config with Config.checkpoint_every = 1 } in
+  let config = r.config in
   let statuses = Hashtbl.create 16 in
   let txn_status txid = Option.value ~default:Trx_log.Active (Hashtbl.find_opt statuses txid) in
   let meta = Meta_log.create r.dev ~first_block:0 ~num_blocks:r.log_blocks in
@@ -949,8 +1013,7 @@ let restart_matches r ops =
         Hashtbl.replace statuses slots.(s) (if commit then Trx_log.Committed else Trx_log.Aborted);
         slots.(s) <- !next_txid;
         incr next_txid
-    | R_ckpt ->
-        Store.emit_checkpoint store ~active:(Array.to_list slots)
+    | R_force -> Meta_log.force meta
   in
   List.iter step ops;
   (* Settle the open transactions: even slots commit, odd ones abort. *)
@@ -964,6 +1027,8 @@ let restart_matches r ops =
     Store.recover ~config (rig_area r) ~first_block:r.log_blocks ~num_blocks ~txn_status
       ~meta:meta' ~meta_events:events ()
   in
+  if (Store.stats store').Store.log_sector_reads <> 0 then
+    QCheck.Test.fail_report "restart read an in-page log sector";
   let same what f =
     if f store <> f store' then QCheck.Test.fail_reportf "restart differs: %s" what
   in
@@ -1614,11 +1679,12 @@ let () =
           Alcotest.test_case "recovery (clean)" `Quick test_store_recover_after_clean_shutdown;
           Alcotest.test_case "recovery (after merges)" `Quick test_store_recover_after_merges;
           Alcotest.test_case "recovery GCs torn merges" `Quick test_store_recovery_gc_unreferenced_unit;
-          Alcotest.test_case "recovery GCs torn merges under a checkpoint" `Quick
-            test_store_recovery_gc_under_checkpoint;
+          Alcotest.test_case "recovery GCs torn merges with a unit to repair" `Quick
+            test_store_recovery_gc_with_repair;
           Alcotest.test_case "detects corrupt log sector" `Quick test_store_detects_corrupt_log_sector;
           Alcotest.test_case "out of space" `Quick test_store_out_of_space;
           QCheck_alcotest.to_alcotest prop_store_durability;
+          QCheck_alcotest.to_alcotest prop_pair_trades;
           Alcotest.test_case "flush_log takes one unit" `Quick test_flush_log_one_unit_only;
           Alcotest.test_case "multi-page sector on a full region" `Quick
             test_flush_log_full_region_multi_page;

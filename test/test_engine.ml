@@ -122,6 +122,64 @@ let test_unflushed_work_lost_without_checkpoint () =
     (Engine.Unsafe.read e' ~page ~slot:0);
   Alcotest.(check (option bytes)) "second lost" None (Engine.Unsafe.read e' ~page ~slot:1)
 
+(* Restart reads the system log and no in-page log sector: every unit
+   with a non-empty log is left to repair. The merge rule then weighs
+   B, whose log is full and which nothing has touched yet, for a record
+   of a live transaction: it must repair B first, or B's record counts
+   read zero, its active fraction 1.0, and B is never due. The first
+   commit after the restart updates X and Y, whose units A and B have
+   full logs, so its one flush batch brings both due: they merge as one
+   pair. *)
+let test_restart_reads_only_system_log () =
+  let config = { (base_config ()) with Config.page_size = 2048; log_region_bytes = 4096 } in
+  let chip =
+    Chip.create { (FConfig.default ~num_blocks:64 ()) with FConfig.block_size = 8 * 1024 }
+  in
+  let e = Engine.create ~config chip in
+  let pages = Array.init 6 (fun _ -> Engine.Unsafe.allocate_page e) in
+  let slots = Array.map (fun page -> ok (Engine.Unsafe.insert e ~tx:0 ~page (b "v00"))) pages in
+  Engine.Unsafe.checkpoint e;
+  let store = Engine.storage e in
+  let unit page = Store.eu_of_page store page in
+  let x = pages.(0) and y = pages.(2) in
+  Alcotest.(check bool) "X and Y in two units" true (unit x <> unit y);
+  let full page = Store.used_log_sectors store ~eu:(unit page) >= 8 in
+  let i = ref 0 in
+  while not (full x && full y) do
+    incr i;
+    let tx = Engine.Unsafe.begin_txn e in
+    if not (full x) then ok (Engine.Unsafe.update e ~tx ~page:x ~slot:slots.(0) (b (Printf.sprintf "x%02d" !i)));
+    if not (full y) then ok (Engine.Unsafe.update e ~tx ~page:y ~slot:slots.(2) (b (Printf.sprintf "y%02d" !i)));
+    Engine.Unsafe.commit e tx
+  done;
+  let logged =
+    List.sort_uniq compare (Array.to_list (Array.map unit pages))
+    |> List.filter (fun eu -> Store.used_log_sectors store ~eu + Store.overflow_sectors store ~eu > 0)
+  in
+  Alcotest.(check bool) "records in several units" true (List.length logged >= 3);
+  let e', _ = Engine.restart ~config chip in
+  let store' = Engine.storage e' in
+  let stats () = Store.stats store' in
+  Alcotest.(check int) "restart reads no in-page log sector" 0 (stats ()).Store.log_sector_reads;
+  Alcotest.(check int) "every logged unit left to repair" (List.length logged)
+    (Engine.repair_pending e');
+  let tx = Engine.Unsafe.begin_txn e' in
+  let record =
+    {
+      Ipl_core.Log_record.txid = tx;
+      page = y;
+      op = Update_range { slot = slots.(2); offset = 0; before = b "y"; after = b "Y" };
+    }
+  in
+  Alcotest.(check bool) "B is due for a live record" true (Store.merge_due store' [ record ]);
+  Alcotest.(check int) "weighing B repaired it" (List.length logged - 1) (Engine.repair_pending e');
+  ok (Engine.Unsafe.update e' ~tx ~page:x ~slot:slots.(0) (b "x-new"));
+  ok (Engine.Unsafe.update e' ~tx ~page:y ~slot:slots.(2) (b "y-new"));
+  Engine.Unsafe.commit e' tx;
+  Alcotest.(check int) "the first commit merges A and B as one pair" 1 (stats ()).Store.pair_merges;
+  Alcotest.(check (option bytes)) "X" (Some (b "x-new")) (Engine.Unsafe.read e' ~page:x ~slot:slots.(0));
+  Alcotest.(check (option bytes)) "Y" (Some (b "y-new")) (Engine.Unsafe.read e' ~page:y ~slot:slots.(2))
+
 let test_noop_update_logs_nothing () =
   let _, _, e = mk () in
   let page = Engine.Unsafe.allocate_page e in
@@ -961,6 +1019,8 @@ let () =
           Alcotest.test_case "checkpoint + restart" `Quick test_checkpoint_then_restart;
           Alcotest.test_case "unflushed lost" `Quick test_unflushed_work_lost_without_checkpoint;
           Alcotest.test_case "restart after merges" `Quick test_restart_mid_merge_consistency;
+          Alcotest.test_case "restart reads only the system log" `Quick
+            test_restart_reads_only_system_log;
         ] );
       ( "transactions",
         [

@@ -184,20 +184,19 @@ let test_meta_log_rollback () =
     (events
     = [ Meta_log.Page_alloc { page = 1; eu = 2; idx = 0 }; Meta_log.Trx_begin { txid = 5 } ])
 
-(* The last system-log sector holds a commit record, a mapping event and
-   a checkpoint, and tears. Restart loses all three and keeps the sector
-   before it: the transaction is active again and is aborted, the page
-   the torn event allocated is unknown, and the torn footer is not
-   promoted, so no unit is left for lazy repair. *)
+(* The last system-log sector holds a commit record and a mapping event,
+   and tears. Restart loses both and keeps the sector before it: the
+   transaction is active again and is aborted, and the page the torn
+   event allocated is unknown. The in-page log sector the transaction
+   wrote is intact either way, so restart leaves its unit to repair; the
+   repair filters the aborted record out. *)
 let test_system_log_torn_mixed_tail () =
   let chip = mk_chip () in
-  let config = { Config.default with Config.checkpoint_every = 1 } in
   let area () = Resilience.Bbm.create (dev_of chip) ~spares:[] ~persist:ignore ~force:ignore () in
   let meta = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
   let trx = Trx_log.create meta in
   let store =
-    Store.create ~config (area ()) ~first_block:2 ~num_blocks:30
-      ~txn_status:(Trx_log.status trx) ~meta ()
+    Store.create (area ()) ~first_block:2 ~num_blocks:30 ~txn_status:(Trx_log.status trx) ~meta ()
   in
   let pid = Store.allocate_page store (Storage.Page.create 8192) in
   Trx_log.log_begin trx 1;
@@ -214,27 +213,30 @@ let test_system_log_torn_mixed_tail () =
   Trx_log.defer_commit trx 1;
   Trx_log.flush_deferred trx;
   ignore (Store.allocate_page store (Storage.Page.create 8192));
-  Store.emit_checkpoint store ~active:[];
   Meta_log.force meta;
   let restart () =
     let meta', events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
     let trx' = Trx_log.recover meta' events in
     let store' =
-      Store.recover ~config (area ()) ~first_block:2 ~num_blocks:30
-        ~txn_status:(Trx_log.status trx') ~meta:meta' ~meta_events:events ()
+      Store.recover (area ()) ~first_block:2 ~num_blocks:30 ~txn_status:(Trx_log.status trx')
+        ~meta:meta' ~meta_events:events ()
     in
     (events, trx', store')
   in
+  let slot0 store' = Storage.Page.read (Store.read_page store' pid) 0 in
   let events, _, store' = restart () in
   Alcotest.(check int) "intact tail: both pages" 2 (Store.num_pages store');
-  Alcotest.(check int) "intact tail: footer promoted" 1 (Store.repair_pending store');
-  Alcotest.(check int) "intact tail: every event" 6 (List.length events);
+  Alcotest.(check int) "intact tail: every event" 4 (List.length events);
+  Alcotest.(check int) "intact tail: one unit to repair" 1 (Store.repair_pending store');
+  Alcotest.(check (option bytes)) "intact tail: committed insert" (Some (Bytes.of_string "x"))
+    (slot0 store');
   corrupt chip 1 ~offset:9;
   let events, trx', store' = restart () in
   Alcotest.(check bool) "torn sector's events discarded, earlier kept" true (events = intact);
   Alcotest.(check int) "torn allocation lost" 1 (Store.num_pages store');
-  Alcotest.(check int) "torn footer not promoted" 0 (Store.repair_pending store');
-  Alcotest.(check (list int)) "torn commit: aborted" [ 1 ] (Trx_log.abort_active trx')
+  Alcotest.(check int) "torn tail: one unit to repair" 1 (Store.repair_pending store');
+  Alcotest.(check (list int)) "torn commit: aborted" [ 1 ] (Trx_log.abort_active trx');
+  Alcotest.(check (option bytes)) "torn commit: insert filtered out" None (slot0 store')
 
 (* ---------------- exception safety of the merge path ---------------- *)
 
