@@ -205,14 +205,14 @@ let jobs_t =
            domains. Clamped to the machine's recommended domain count. The results \
            are byte-identical for every value; only wall-clock time changes.")
 
-let crash_sweep campaign ops sample stride lazy_mode seed transactions pages no_tear jobs =
+let crash_sweep campaign ops sample stride seed transactions pages no_tear jobs =
   let open Fault.Campaign in
   let transactions =
     Option.value transactions ~default:(match campaign with Serial _ -> 200 | _ -> 60)
   in
   let spec = { Fault.Workload.default with Fault.Workload.seed; transactions; pages } in
   let report =
-    run ~tear:(not no_tear) ~max_ops:ops ~sample ~stride ~lazy_mode ~jobs campaign spec
+    run ~tear:(not no_tear) ~max_ops:ops ~sample ~stride ~jobs campaign spec
   in
   let failed = report.violations <> [] in
   let broken = match campaign with Serial { broken } -> broken | _ -> false in
@@ -225,12 +225,9 @@ let crash_sweep campaign ops sample stride lazy_mode seed transactions pages no_
           List.iter (fun v -> Printf.printf "- %s\n" v) vs)
         report.violations
   | Concurrent { sessions } ->
-      Printf.printf "concurrent campaign: %d sessions%s\n" sessions
-        (if lazy_mode then " (first touch == drain first checked)" else "");
+      Printf.printf "concurrent campaign: %d sessions\n" sessions;
       Format.printf "%a@." pp_report report
   | Serial _ ->
-      if lazy_mode then
-        Printf.printf "drain-first twin: every crash point checked first touch == drain first\n";
       Format.printf "%a@." pp_report report;
       if broken then
         Printf.printf "broken-commit mode: checker %s\n"
@@ -252,7 +249,7 @@ let spares_scope = "the device profiles (flaky, program, erase, wearout, remap-c
 (* Each campaign reads only some of the options; one it would ignore is
    refused (exit 2) instead, so a run never passes on a setting it did
    not use. *)
-let faultcheck ops sample stride lazy_mode seed transactions pages no_tear broken profile
+let faultcheck ops sample stride seed transactions pages no_tear broken profile
     spares sessions jobs =
   let device =
     match profile with
@@ -280,7 +277,6 @@ let faultcheck ops sample stride lazy_mode seed transactions pages no_tear broke
         (sample <> None, "--sample", crash_points, crash_point_scope);
         (stride <> None, "--stride", crash_points, crash_point_scope);
         (no_tear, "--no-tear", crash_points, crash_point_scope);
-        (lazy_mode, "--lazy", sweep, sweep_scope);
         (pages <> None, "--pages", sweep, sweep_scope);
         (jobs <> 0, "--jobs", sweep, sweep_scope);
         (sessions <> None, "--sessions", concurrent, "--profile concurrent");
@@ -296,7 +292,7 @@ let faultcheck ops sample stride lazy_mode seed transactions pages no_tear broke
   let spares = Option.value spares ~default:4 in
   let sweep campaign =
     crash_sweep campaign (Option.value ops ~default:0) (Option.value sample ~default:0)
-      (Option.value stride ~default:1) lazy_mode seed transactions
+      (Option.value stride ~default:1) seed transactions
       (Option.value pages ~default:6) no_tear (resolve_jobs jobs)
   in
   match device with
@@ -325,17 +321,6 @@ let stride_t =
     & opt (some' ~none:1 int) None
     & info [ "stride" ]
         ~doc:"Keep only every $(docv)-th crash point after sampling (cheap CI thinning).")
-
-let lazy_t =
-  Arg.(
-    value & flag
-    & info [ "lazy" ]
-        ~doc:
-          "Drain-first twin: every restart repairs each erase unit's log at its first \
-           touch; also require each crashed chip's logical digest to match a twin \
-           restarted from the same crashed state that drains every repair before its \
-           first read, both before and after the first engine's own drain. The engine \
-           runs as without the flag.")
 
 let fc_transactions_t =
   Arg.(
@@ -398,7 +383,7 @@ let faultcheck_cmd =
           model oracle, or ($(b,--profile)) inject device failures against the bad-block \
           manager and verify zero data loss up to read-only degradation.")
     Term.(
-      const faultcheck $ ops_t $ sample_t $ stride_t $ lazy_t $ seed_t $ fc_transactions_t
+      const faultcheck $ ops_t $ sample_t $ stride_t $ seed_t $ fc_transactions_t
       $ fc_pages_t $ no_tear_t $ broken_t $ profile_t $ spares_t $ fc_sessions_t $ jobs_t)
 
 (* ---------------- observe ---------------- *)
@@ -559,11 +544,11 @@ let bench_restart_t =
     value & flag
     & info [ "restart" ]
         ~doc:
-          "Also run the restart-availability benchmark: simulated time to the first \
-           committed transaction after a crash, with the restart's repairs drained \
-           first (eager) versus left to first touch (lazy), \
-           over three database sizes. With $(b,--json) the \
-           results are appended to the document under $(i,restart).")
+          "Also run the restart-availability benchmark over three database sizes: \
+           simulated time to the first committed transaction after a crash, the \
+           in-page log sectors read before it, and whether the recovered content \
+           equals what was committed. With $(b,--json) the results are appended to \
+           the document under $(i,restart).")
 
 let bench_spares_t =
   Arg.(

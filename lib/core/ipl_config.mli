@@ -7,8 +7,8 @@
     running example.
 
     Restart has no setting: it reads the system log and the flash's free
-    state, and each erase unit's in-page log at its first touch (see
-    {!Ipl_storage.recover}). *)
+    state, and each erase unit's in-page log when an access needs it
+    (see {!Ipl_storage.recover}). *)
 
 type t = {
   page_size : int;  (** database page size, bytes (8 KB in the paper) *)

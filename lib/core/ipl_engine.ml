@@ -129,9 +129,10 @@ let create_device ?(config = Ipl_config.default) dev =
 let create ?config chip = create_device ?config (Dev.of_chip chip)
 
 (* One scan of the system log yields the mapping and the transaction
-   statuses; no in-page log is read until a unit is first touched. The transactions the crash interrupted are
-   aborted once the compaction snapshot is registered, since their abort
-   records may fill the region. *)
+   statuses; no in-page log is read until an access needs it. The
+   transactions the crash interrupted are aborted once the compaction
+   snapshot is registered, since their abort records may fill the
+   region. *)
 let restart_device ?(config = Ipl_config.default) dev =
   let meta, events = Meta_log.recover dev ~first_block:0 ~num_blocks:log_blocks in
   let trx = Trx_log.recover meta events in
@@ -205,14 +206,10 @@ let with_page t page f = Pool.with_page t.pool page (fun frame -> f frame.page)
 
 type prefetch_token = Ipl_storage.read_batch
 
-let drain_repairs t ~max_eus = Ipl_storage.repair_step t.store ~max_eus
-
 let compact t ~max_merges =
   (* Proactive background merging: take a merge the write path already
-     owes off the next unlucky writer's critical path. Post-crash repairs
-     drain at the same bounded rate — both are idle-time catch-up work.
-     Flush first so pending records are included. *)
-  let (_ : int) = Ipl_storage.repair_step t.store ~max_eus:max_merges in
+     owes off the next unlucky writer's critical path. Flush first so
+     pending records are included. *)
   Pool.flush_all t.pool;
   Ipl_storage.merge_due_units t.store ~max_merges
 
@@ -240,7 +237,6 @@ module Unsafe = struct
   let with_page = with_page
   let checkpoint = Engine_txn.checkpoint
   let compact = compact
-  let drain_repairs = drain_repairs
 
   let buffered_log t page =
     Option.map (fun frame -> Log_sector.records frame.log) (Pool.find t.pool page)
@@ -270,11 +266,7 @@ let prefetch_finish t token = trap (fun () -> Ok (Engine_frames.prefetch_finish 
 let with_page t page f = trap (fun () -> Ok (Unsafe.with_page t page f))
 let checkpoint t = guard t (fun () -> Ok (Unsafe.checkpoint t))
 let compact t ~max_merges = guard t (fun () -> Ok (Unsafe.compact t ~max_merges))
-let repair_pending t = Ipl_storage.repair_pending t.store
-
-(* [trap], not [guard]: repair only reads flash and installs cache
-   entries, so it must keep draining on a degraded (read-only) device. *)
-let drain_repairs t ~max_eus = trap (fun () -> Ok (Unsafe.drain_repairs t ~max_eus))
+let repair_pending (_ : t) = 0
 
 let degraded t = Bbm.degraded t.bbm
 let spares_left t = Bbm.spares_left t.bbm

@@ -94,11 +94,9 @@ val restart_device : ?config:Ipl_config.t -> Device.Flash_device.t -> t * int li
     read path. New transaction ids start above every id the log has
     seen, compacted-away ones included.
 
-    The restart reads no in-page log sector: each erase unit's log is
-    read at the unit's first touch or by {!drain_repairs} (see
-    {!Ipl_storage.recover}). Logical content is the same whether the
-    repairs run at first touch or are drained first; only the
-    flash-read schedule differs. *)
+    The restart reads no in-page log sector and leaves nothing owed:
+    each erase unit's log is read when an access needs its records, as
+    at run time (see {!Ipl_storage.recover}). *)
 
 val restart : ?config:Ipl_config.t -> Flash_sim.Flash_chip.t -> t * int list
 (** {!restart_device} over a single chip. *)
@@ -247,8 +245,7 @@ val with_page : t -> int -> (Storage.Page.t -> 'a) -> ('a, error) result
 val checkpoint : t -> (unit, error) result
 (** Settle the pending commit batch with {!flush_commits}, flush all
     in-memory log sectors and force the system log;
-    a full device quiesce. Pending restart repairs are left to first
-    touch and {!drain_repairs}. *)
+    a full device quiesce. *)
 
 val compact : t -> max_merges:int -> (int, error) result
 (** Background merging: flush every dirty frame's log records, then
@@ -258,20 +255,12 @@ val compact : t -> max_merges:int -> (int, error) result
     returning how many were merged (0 when none is due). Doing this at
     idle moments moves a merge that is already owed off the update
     path; a unit with a free log sector is left alone, so compaction
-    never erases a block early. Also drains up to [max_merges] pending
-    restart repairs — the same idle-time catch-up budget. *)
+    never erases a block early. *)
 
 val repair_pending : t -> int
-(** Erase units whose log a restart has not read yet: every unit with a
-    non-empty log right after a restart, falling to 0 as units are
-    touched or drained. *)
-
-val drain_repairs : t -> max_eus:int -> (int, error) result
-(** Background repair drainer: repair up to [max_eus] pending units now
-    (read their logs into the record cache, rebuild their counts),
-    returning the number repaired. Never refused on a degraded device —
-    repair is read-only. First-touch repair happens implicitly; this
-    merely moves it off the foreground read path. *)
+(** Always 0: a restart leaves no per-unit work behind. Kept only
+    because perfbench ([perfbench/round.ml]) still reports it as
+    [recovery.repair_pending]. *)
 
 val stats : t -> combined_stats
 
@@ -334,7 +323,6 @@ module Unsafe : sig
   val with_page : t -> int -> (Storage.Page.t -> 'a) -> 'a
   val checkpoint : t -> unit
   val compact : t -> max_merges:int -> int
-  val drain_repairs : t -> max_eus:int -> int
 
   val buffered_log : t -> int -> Log_record.t list option
   (** The in-memory log records of a resident page, in arrival order

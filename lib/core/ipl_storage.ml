@@ -1,9 +1,8 @@
 (* The storage manager's surface: construction and crash recovery, page
    allocation, the read path and log flushing. Its parts, each private to
    this library: the shared record, mapping state and erase-unit I/O
-   ([Store_state]), the free pool ([Free_pool]), first-touch repair after
-   a restart ([Store_ckpt]), and merges with the overflow area
-   ([Store_merge]). *)
+   ([Store_state]), the free pool ([Free_pool]), the overflow log area
+   ([Store_overflow]) and merges ([Store_merge]). *)
 open Store_state
 module Chip = Flash_sim.Flash_chip
 
@@ -23,8 +22,6 @@ type stats = {
   log_cache_hits : int;
   log_cache_misses : int;
   log_cache_evictions : int;
-  log_cache_warm_entries : int;
-  eus_repaired_lazily : int;
 }
 
 type nonrec t = t
@@ -62,11 +59,9 @@ let recover ?config bbm ~first_block ~num_blocks ~txn_status ~meta ~meta_events 
      time used. *)
   List.iter (apply t) meta_events;
   (* A unit's log ends at its first free sector, a free-state scan that
-     reads nothing; its records are read at first touch. *)
+     reads nothing; its records are read when an access needs them. *)
   Hashtbl.iter
-    (fun phys eu ->
-      eu.used_log <- used_sectors t ~base:(log_sector_addr t phys 0) t.log_sectors;
-      if not (eu_log_empty eu) then Hashtbl.replace t.repairs phys ())
+    (fun phys eu -> eu.used_log <- used_sectors t ~base:(log_sector_addr t phys 0) t.log_sectors)
     t.data_eus;
   Hashtbl.iter
     (fun phys info ->
@@ -146,7 +141,6 @@ let lookup t pid =
 (* Read path                                                           *)
 
 let live_records_of_page t eu pid =
-  Store_ckpt.repair_eu_if_pending t eu;
   if eu_log_empty eu then []
   else begin
     let not_aborted r = t.txn_status r.Log_record.txid <> Trx_log.Aborted in
@@ -262,14 +256,10 @@ let flush_log t sector =
   let records = Log_sector.records sector in
   let eu = unit_of t "Ipl_storage.flush_log" records in
   let page = first_page "Ipl_storage.flush_log" records in
-  (* An unrepaired unit must be settled before the append below: a later
-     repair would count this flush's records a second time. *)
-  Store_ckpt.repair_eu_if_pending t eu;
   if eu.used_log < t.log_sectors then begin
     let addr = log_sector_addr t eu.phys eu.used_log in
     Bbm.submit_write_sectors t.bbm ~cls:Dev.Log_flush ~sector:addr (sector_bytes t sector);
     eu.used_log <- eu.used_log + 1;
-    note_records eu records;
     (* Write-through only after the program succeeded: the cache must
        never hold records flash does not. *)
     Cache.Log_cache.append t.cache eu.phys records;
@@ -283,8 +273,7 @@ let flush_log t sector =
   else if Store_merge.merge_due t eu ~pending:records then
     Store_merge.merge t [ (eu, records) ]
   else begin
-    Store_merge.overflow_write t eu (sector_bytes t sector);
-    note_records eu records;
+    Store_overflow.write t eu (sector_bytes t sector);
     Cache.Log_cache.append t.cache eu.phys records;
     t.c_overflow_diversions <- t.c_overflow_diversions + 1;
     match t.tracer with
@@ -311,8 +300,6 @@ let merge_pair t mine theirs =
 
 let merge_due_units = Store_merge.merge_due_units
 let pair_trades = Store_merge.pair_trades
-let repair_pending = Store_ckpt.repair_pending
-let repair_step = Store_ckpt.repair_step
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
@@ -349,8 +336,6 @@ let stats t =
     log_cache_hits = t.c_cache_hits;
     log_cache_misses = t.c_cache_misses;
     log_cache_evictions = t.c_cache_evictions;
-    log_cache_warm_entries = t.c_cache_warm_entries;
-    eus_repaired_lazily = t.c_lazy_repairs;
   }
 
 module Stats = struct
@@ -373,8 +358,6 @@ module Stats = struct
       log_cache_hits = f a.log_cache_hits b.log_cache_hits;
       log_cache_misses = f a.log_cache_misses b.log_cache_misses;
       log_cache_evictions = f a.log_cache_evictions b.log_cache_evictions;
-      log_cache_warm_entries = f a.log_cache_warm_entries b.log_cache_warm_entries;
-      eus_repaired_lazily = f a.eus_repaired_lazily b.eus_repaired_lazily;
     }
 
   let diff = map2 ( - )
@@ -396,8 +379,6 @@ module Stats = struct
       ("log_cache_hits", t.log_cache_hits);
       ("log_cache_misses", t.log_cache_misses);
       ("log_cache_evictions", t.log_cache_evictions);
-      ("log_cache_warm_entries", t.log_cache_warm_entries);
-      ("eus_repaired_lazily", t.eus_repaired_lazily);
     ]
 
   let to_json t =

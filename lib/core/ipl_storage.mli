@@ -35,25 +35,22 @@
     without re-scanning the flash log region. The cache is write-through
     (appends mirror successful log programs) and invalidated when a merge
     rewrites a unit; it holds no state flash does not, so crash recovery
-    is unaffected. A restart leaves it empty; each unit's first touch
-    fills it (see below), counted as [log_cache_misses] and
-    [log_cache_warm_entries].
+    is unaffected. A restart leaves it empty; a unit's first read after
+    it (a page read, or the merge rule or a merge reading the unit's
+    records) is a miss that fills the unit's entry.
     [log_cache_bytes = 0] disables it, reproducing the uncached engine
     bit-for-bit.
 
-    {2 Restart and first-touch repair}
+    {2 Restart}
 
-    {!recover} reads no in-page log sector. It rebuilds the mapping from
-    the system log, takes each unit's log length from the flash's free
-    state (the first erased sector of the log region ends it), and files
-    every unit with a non-empty log, in its region or in overflow, in a
-    repair set. A unit's log is read the first time an access needs it:
-    a page read or log flush on the unit, or the merge rule weighing it
-    ({!merge_due}, {!merge_due_units}); or by {!repair_step}. The read
-    goes through the log-record cache's miss path, rebuilds the unit's
-    per-transaction record counts and emits {!Obs.Event.Page_repaired}
-    for each page it names. Until then the unit's counts are zero and
-    nothing reads them. *)
+    {!recover} reads no in-page log sector and leaves nothing owed. It
+    rebuilds the mapping from the system log and takes each unit's log
+    length from the flash's free state (the first erased sector of the
+    log region ends it). A unit's records are read when an access needs
+    them, through the same path as at run time: a page read applies its
+    page's records, and the merge rule ({!merge_due}) counts the unit's
+    records by transaction status. No per-unit state is derived from
+    the records, so nothing is stale after a restart. *)
 
 type t
 
@@ -74,12 +71,6 @@ type stats = {
       (** log-region reads served from the DRAM record cache (no flash) *)
   log_cache_misses : int;  (** log-region reads that scanned flash *)
   log_cache_evictions : int;  (** cache entries dropped for the byte budget *)
-  log_cache_warm_entries : int;
-      (** cache entries installed by post-crash repair (first-touch or
-          background), each also counted as a miss *)
-  eus_repaired_lazily : int;
-      (** erase units whose log was read after a restart, at first
-          touch or by the drainer *)
 }
 
 val create :
@@ -118,8 +109,7 @@ val recover :
     Unreferenced half-written erase units (from a crash mid-merge) are
     erased. The manager must already have had the
     [Remap]/[Retire]/[Degraded] events replayed into it
-    ({!Resilience.Bbm.recover}; they are ignored here). Every unit with
-    a non-empty log is left for first-touch repair (see the header). *)
+    ({!Resilience.Bbm.recover}; they are ignored here). *)
 
 val config : t -> Ipl_config.t
 
@@ -186,18 +176,6 @@ val flush_log : t -> Log_sector.t -> unit
 val snapshot : t -> Meta_log.event list
 (** The manager's part of a system-log compaction snapshot: the mapping,
     with the bad-block manager's remap state. *)
-
-val repair_pending : t -> int
-(** Erase units whose log a restart has not read yet (0 before any
-    restart, and once every unit has been touched or drained). *)
-
-val repair_step : t -> max_eus:int -> int
-(** Repair up to [max_eus] pending units, lowest-numbered first: read
-    each unit's log through the log-record cache, rebuild its record
-    counts, and emit {!Obs.Event.Page_repaired} per page it names.
-    Returns the number of units repaired; a [max_int] drain leaves no
-    debt. Used by the engine's background drainer; first-touch repair
-    happens implicitly on reads, log flushes and merge decisions. *)
 
 val log_full : t -> page:int -> bool
 (** Whether the unit hosting [page] has no free in-region log sector,

@@ -1,86 +1,25 @@
-(* Merges (Algorithms 1 and 3) and the overflow log area they divert
-   to. *)
+(* Merges (Algorithms 1 and 3). *)
 open Store_state
 module Chip = Flash_sim.Flash_chip
 
-(* ------------------------------------------------------------------ *)
-(* Overflow area                                                       *)
-
-(* A merged unit's overflow sectors are dead: invalidate them all, then
-   publish and apply the release. *)
-let release_overflow t eu =
-  if eu.overflow_rev <> [] then begin
-    List.iter (fun addr -> Bbm.invalidate_sectors t.bbm ~sector:addr ~count:1) eu.overflow_rev;
-    let ev = Meta_log.Overflow_release { data_eu = eu.phys } in
-    Meta_log.log t.meta ev;
-    apply t ev
-  end
-
-let gc_overflow t =
-  let dead =
-    Hashtbl.fold
-      (fun phys info acc -> if info.live = 0 && info.next_idx > 0 then phys :: acc else acc)
-      t.overflow_eus []
-  in
-  List.iter
-    (fun phys ->
-      let ev = Meta_log.Overflow_free { eu = phys } in
-      apply t ev;
-      if t.current_overflow = Some phys then t.current_overflow <- None;
-      reclaim_eu t phys;
-      Meta_log.log t.meta ev;
-      t.c_reclaimed <- t.c_reclaimed + 1)
-    dead
-
-let overflow_write ?(cls = Dev.Log_flush) t eu sector_bytes =
-  let phys =
-    match t.current_overflow with
-    | Some phys when (Hashtbl.find t.overflow_eus phys).next_idx < t.sectors_per_block ->
-        phys
-    | _ ->
-        let phys = alloc_eu t in
-        let ev = Meta_log.Overflow_alloc { eu = phys } in
-        apply t ev;
-        t.current_overflow <- Some phys;
-        Meta_log.log t.meta ev;
-        phys
-  in
-  let info = Hashtbl.find t.overflow_eus phys in
-  let addr = Dev.sector_of_block t.dev phys + info.next_idx in
-  Bbm.submit_write_sectors t.bbm ~cls ~sector:addr sector_bytes;
-  info.next_idx <- info.next_idx + 1;
-  let ev = Meta_log.Overflow_assign { data_eu = eu.phys; sector = addr } in
-  Meta_log.log t.meta ev;
-  apply t ev;
-  t.c_overflow_sector_writes <- t.c_overflow_sector_writes + 1
-
-(* Undo an in-merge [release_overflow]: re-attach the sectors and their
-   live counts. The sectors were already invalidated on the chip, but
-   reads of [Invalid] sectors return the stale programmed data (documented
-   Flash_chip behaviour), so the records stay reachable. *)
-let reattach_overflow t eu saved =
-  eu.overflow_rev <- saved;
-  List.iter (fun addr -> count_live t addr 1) saved
-
-(* ------------------------------------------------------------------ *)
-(* Merge                                                               *)
+(* How many of [records] belong to active transactions, added to [acc]:
+   a plain walk, so the merge rule allocates nothing for it. *)
+let rec count_active t acc = function
+  | [] -> acc
+  | r :: rest ->
+      count_active t
+        (if t.txn_status r.Log_record.txid = Trx_log.Active then acc + 1 else acc)
+        rest
 
 (* The share of a unit's stored and pending records whose transactions
-   are still active: the carry fraction Algorithm 3 compares with tau. *)
+   are still active: the carry fraction Algorithm 3 compares with tau.
+   The stored records are read through the log-record cache, as the
+   merge that usually follows reads them. *)
 let active_fraction t eu ~pending =
-  let active_of records =
-    List.fold_left
-      (fun acc r -> if t.txn_status r.Log_record.txid = Trx_log.Active then acc + 1 else acc)
-      0 records
-  in
-  let active_stored =
-    Hashtbl.fold
-      (fun txid n acc -> if t.txn_status txid = Trx_log.Active then acc + n else acc)
-      eu.txn_counts 0
-  in
-  let total = eu.total_records + List.length pending in
+  let stored = read_eu_log_records t eu in
+  let total = List.length stored + List.length pending in
   if total = 0 then 0.0
-  else float_of_int (active_stored + active_of pending) /. float_of_int total
+  else float_of_int (count_active t (count_active t 0 stored) pending) /. float_of_int total
 
 (* Split a unit's records by the status of their transactions. Preserves
    order within each class. *)
@@ -181,7 +120,6 @@ let rec carried_from eu = function
    a consistent engine; after the point, the in-memory switch-over is
    completed before any further fallible flash work. *)
 let merge t units =
-  List.iter (fun (eu, _) -> Store_ckpt.repair_eu_if_pending t eu) units;
   (* Merge onto the {e next} channel: the copy's reads (old unit) and
      programs (new unit) then sit on different chips and overlap. *)
   let news =
@@ -332,7 +270,7 @@ let merge t units =
     List.iter
       (fun side ->
         let saved = side.eu.overflow_rev in
-        release_overflow t side.eu;
+        Store_overflow.release t side.eu;
         released := (side.eu, saved) :: !released)
       sides;
     (* Publish the move: the durability point. *)
@@ -357,9 +295,6 @@ let merge t units =
         eu.used_log <- List.length side.in_region;
         eu.next_slot <- 0;
         (* a torn data slot in the old unit is usable again in the fresh one *)
-        Hashtbl.reset eu.txn_counts;
-        eu.total_records <- 0;
-        note_records eu side.into;
         (* The old block's cached records were consumed above; the
            carried in-region records were just rewritten, so seed the
            new block's entry with them (spilled records are appended as
@@ -397,13 +332,13 @@ let merge t units =
       (fun side ->
         List.iter
           (fun (s, records) ->
-            overflow_write ~cls:Dev.Merge_io t side.eu s;
+            Store_overflow.write ~cls:Dev.Merge_io t side.eu s;
             Cache.Log_cache.append t.cache side.eu.phys records)
           side.spill)
       sides;
-    gc_overflow t
+    Store_overflow.gc t
   with e when not !durable ->
-    List.iter (fun (eu, saved) -> reattach_overflow t eu saved) !released;
+    List.iter (fun (eu, saved) -> Store_overflow.reattach t eu saved) !released;
     if not (Meta_log.rollback t.meta meta_mark) then
       (* The region compacted mid-merge; rewrite it from the restored
          in-memory state (best-effort: on a dead chip restart recovery
@@ -430,15 +365,10 @@ let merge t units =
 (* The one merge rule (Algorithms 1 and 3): a unit is merged when its
    in-region log has no free sector left and its active records would not
    dominate the merge. Above tau the write path diverts to overflow
-   instead, so background merging leaves such a unit alone too. The
-   fraction reads the unit's record counts, which a restart leaves at
-   zero until the unit is repaired. *)
+   instead, so background merging leaves such a unit alone too. *)
 let merge_due t eu ~pending =
   eu.used_log >= t.log_sectors
-  && begin
-       Store_ckpt.repair_eu_if_pending t eu;
-       active_fraction t eu ~pending <= t.config.Ipl_config.selective_merge_threshold
-     end
+  && active_fraction t eu ~pending <= t.config.Ipl_config.selective_merge_threshold
 
 let merge_due_units t ~max_merges =
   if max_merges <= 0 then 0

@@ -1,16 +1,12 @@
-(** Merges (Algorithms 1 and 3) and the overflow log area, for
-    {!Ipl_storage}. *)
+(** Merges (Algorithms 1 and 3), for {!Ipl_storage}. *)
 
 open Store_state
 
-val overflow_write : ?cls:Dev.op_class -> t -> eu_info -> bytes -> unit
-(** Program one log sector image of a unit into the current overflow
-    area (allocating a fresh one when it is full) and assign it to the
-    unit. *)
-
 val active_fraction : t -> eu_info -> pending:Log_record.t list -> float
 (** The share of a unit's stored and [pending] records whose
-    transactions are still active: Algorithm 3's carry fraction. *)
+    transactions are still active: Algorithm 3's carry fraction. The
+    stored records are read through the log-record cache
+    ({!Store_state.read_eu_log_records}). *)
 
 val merge : t -> (eu_info * Log_record.t list) list -> unit
 (** The one merge, over one unit or a pair, each given with its pending
@@ -28,8 +24,7 @@ val merge_due : t -> eu_info -> pending:Log_record.t list -> bool
 (** The one merge rule: the unit's in-region log has no free sector and
     {!active_fraction} (with [pending]) is at most tau. The write path
     merges a due unit and diverts to overflow otherwise; background
-    merging takes only due units. A unit whose log a restart has not
-    read yet is repaired before its fraction is taken. *)
+    merging takes only due units. *)
 
 val merge_due_units : t -> max_merges:int -> int
 (** See {!Ipl_storage.merge_due_units}. *)

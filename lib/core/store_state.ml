@@ -15,8 +15,6 @@ type eu_info = {
   pages : int array;  (* data slot -> logical page id, -1 = free slot *)
   mutable used_log : int;
   mutable overflow_rev : int list;  (* flat sector addresses, newest first *)
-  txn_counts : (int, int) Hashtbl.t;  (* txid -> live records in this unit's logs *)
-  mutable total_records : int;
   mutable next_slot : int;
       (* free-slot scan cursor: slots below it are occupied or unusable
          until the next merge re-erases the unit (slots are never freed
@@ -44,10 +42,6 @@ type t = {
       (* decoded log records per erase unit, keyed by [eu.phys] (a
          virtual address of the bad-block manager, so relocations do not
          disturb entries) *)
-  repairs : (int, unit) Hashtbl.t;
-      (* the units, by [eu.phys], whose log a restart has not read yet:
-         their record counts are still zero, so the first access that
-         reads or changes them reads the log first (see [Store_ckpt]) *)
   mutable merging : int;
       (* how many units the merge under way rewrites (0: none, 2: a
          pair) *)
@@ -85,8 +79,6 @@ type t = {
   mutable c_cache_hits : int;
   mutable c_cache_misses : int;
   mutable c_cache_evictions : int;
-  mutable c_cache_warm_entries : int;
-  mutable c_lazy_repairs : int;
   mutable tracer : Obs.Tracer.t option;
 }
 
@@ -137,7 +129,6 @@ let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~
     overflow_eus = Hashtbl.create 16;
     free = Free_pool.create ~wear ~channel_of:(Dev.channel_of_block dev);
     cache;
-    repairs = Hashtbl.create 32;
     merging = 0;
     current_overflow = None;
     fills = Array.make (Dev.num_chips dev) None;
@@ -165,8 +156,6 @@ let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~
     c_cache_hits = 0;
     c_cache_misses = 0;
     c_cache_evictions = 0;
-    c_cache_warm_entries = 0;
-    c_lazy_repairs = 0;
     tracer = None;
   }
   in
@@ -184,8 +173,6 @@ let data_eu t phys =
           pages = Array.make t.data_pages (-1);
           used_log = 0;
           overflow_rev = [];
-          txn_counts = Hashtbl.create 8;
-          total_records = 0;
           next_slot = 0;
         }
       in
@@ -380,11 +367,3 @@ let read_eu_log_records ?cls t eu =
         Cache.Log_cache.install t.cache eu.phys records;
         cache_note t eu ~hit:false;
         records
-
-let note_records eu records =
-  List.iter
-    (fun r ->
-      let txid = r.Log_record.txid in
-      Hashtbl.replace eu.txn_counts txid (1 + Option.value ~default:0 (Hashtbl.find_opt eu.txn_counts txid)))
-    records;
-  eu.total_records <- eu.total_records + List.length records

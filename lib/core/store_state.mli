@@ -15,8 +15,6 @@ type eu_info = {
   pages : int array;  (* data slot -> logical page id, -1 = free slot *)
   mutable used_log : int;
   mutable overflow_rev : int list;  (* flat sector addresses, newest first *)
-  txn_counts : (int, int) Hashtbl.t;  (* txid -> live records in this unit's logs *)
-  mutable total_records : int;
   mutable next_slot : int;
       (* free-slot scan cursor: slots below it are occupied or unusable
          until the next merge re-erases the unit (slots are never freed
@@ -44,10 +42,6 @@ type t = {
       (* decoded log records per erase unit, keyed by [eu.phys] (a
          virtual address of the bad-block manager, so relocations do not
          disturb entries) *)
-  repairs : (int, unit) Hashtbl.t;
-      (* the units, by [eu.phys], whose log a restart has not read yet:
-         their record counts are still zero, so the first access that
-         reads or changes them reads the log first (see [Store_ckpt]) *)
   mutable merging : int;
       (* how many units the merge under way rewrites (0: none, 2: a
          pair) *)
@@ -85,8 +79,6 @@ type t = {
   mutable c_cache_hits : int;
   mutable c_cache_misses : int;
   mutable c_cache_evictions : int;
-  mutable c_cache_warm_entries : int;
-  mutable c_lazy_repairs : int;
   mutable tracer : Obs.Tracer.t option;
 }
 
@@ -151,6 +143,3 @@ val cache_note : t -> eu_info -> hit:bool -> unit
 val read_eu_log_records : ?cls:Dev.op_class -> t -> eu_info -> Log_record.t list
 (** All log records stored for a unit, in application order, from the
     cache or, on a miss, from flash (installing them). *)
-
-val note_records : eu_info -> Log_record.t list -> unit
-(** Add records to a unit's per-transaction counts. *)

@@ -83,56 +83,6 @@ let spread ~lo ~hi n =
 let thin ~stride points =
   if stride <= 1 then points else List.filteri (fun i _ -> i mod stride = 0) points
 
-(* Logical digest of an engine's committed state: every page/slot value
-   in a fixed order, hashed. Two engines with identical logical content
-   produce equal digests regardless of physical flash layout — the
-   first-touch-vs-drain-first equivalence check. Reading every slot also
-   drives the engine's first-touch repairs. *)
-let digest engine ~pages ~slots =
-  let buf = Buffer.create 4096 in
-  Array.iter
-    (fun page ->
-      for slot = 0 to slots - 1 do
-        match Engine.read engine ~page ~slot with
-        | Ok (Some v) ->
-            Buffer.add_string buf (Printf.sprintf "|%d.%d.%d:" page slot (Bytes.length v));
-            Buffer.add_bytes buf v
-        | Ok None -> Buffer.add_string buf (Printf.sprintf "|%d.%d.x" page slot)
-        | Error e -> failwith ("Campaign: digest read: " ^ Engine.error_to_string e)
-      done)
-    pages;
-  Digest.string (Buffer.contents buf)
-
-(* Restart a drain-first twin from an identically crashed chip: it
-   settles every repair with [drain_repairs] before its first read. Its
-   logical digest must match the first-touch engine's — once right after
-   that engine's restart (its first-touch repairs fire during the digest
-   reads) and again after its own drain has settled every remaining
-   unit. *)
-let drain_first_twin ~config ~crashed engine ~pages ~slots =
-  let drained engine what =
-    match Engine.drain_repairs engine ~max_eus:max_int with
-    | Error e -> [ what ^ " drain_repairs: " ^ Engine.error_to_string e ]
-    | Ok _ when Engine.repair_pending engine <> 0 ->
-        [ what ^ " repairs still pending after full drain" ]
-    | Ok _ -> []
-  in
-  let chip_d, _, _ = crashed () in
-  match Engine.restart ~config chip_d with
-  | exception e -> [ "drain-first twin restart raised: " ^ Printexc.to_string e ]
-  | twin, _aborted ->
-      let vs = drained twin "twin" in
-      let dd = digest twin ~pages ~slots in
-      let vs =
-        if digest engine ~pages ~slots <> dd then
-          vs @ [ "first-touch/drain-first digest mismatch after restart" ]
-        else vs
-      in
-      let vs = vs @ drained engine "first-touch" in
-      if digest engine ~pages ~slots <> dd then
-        vs @ [ "first-touch/drain-first digest mismatch after repair drain" ]
-      else vs
-
 (* The per-point verdict: did the restart complete, did the crash land
    mid-commit, and what (if anything) did the checker flag. Verdicts are
    a pure function of (campaign, spec, point) — each one rebuilds its
@@ -182,8 +132,7 @@ let remap_deltas = [ 1; 2; 3; 5; 8; 13; 21; 40 ]
    picks the points; each point then rebuilds the chip, engine and
    oracle, installs its fault plan, runs the history to the power loss,
    restarts and checks the oracle. *)
-let run ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1) ?(lazy_mode = false)
-    ?(jobs = 1) campaign spec =
+let run ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1) ?(jobs = 1) campaign spec =
   let config =
     match campaign with
     | Serial _ | Concurrent _ -> engine_config
@@ -245,26 +194,16 @@ let run ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1) ?(lazy_mode = 
   in
   let slots = Workload.max_slots spec in
   let check_point point =
-    (* The crashed state is a deterministic function of (spec, point):
-       [crashed] can rebuild a bit-identical chip for the drain-first twin. *)
-    let crashed () =
-      let chip, engine, oracle, pages = fresh () in
-      Fault_plan.install chip (plan point);
-      (try ignore (history engine oracle ~pages : bool) with Chip.Power_loss _ -> ());
-      Fault_plan.clear chip;
-      (chip, oracle, pages)
-    in
-    let chip, oracle, pages = crashed () in
+    let chip, engine, oracle, pages = fresh () in
+    Fault_plan.install chip (plan point);
+    (try ignore (history engine oracle ~pages : bool) with Chip.Power_loss _ -> ());
+    Fault_plan.clear chip;
     let doubt = Oracle.crash oracle = Oracle.In_doubt in
     match Engine.restart ~config chip with
     | exception e ->
         { point; ok = false; doubt; vs = [ "restart raised: " ^ Printexc.to_string e ] }
     | engine', _aborted ->
         let vs = Oracle.check oracle ~read:(read engine') ~pages:(Array.to_list pages) ~slots in
-        let vs =
-          if not lazy_mode then vs
-          else vs @ drain_first_twin ~config ~crashed engine' ~pages ~slots
-        in
         { point; ok = true; doubt; vs }
   in
   let verdicts =

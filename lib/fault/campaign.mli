@@ -55,7 +55,7 @@ type campaign =
           land inside the copy, between the copy and the remap force, and
           after it. The crash points, and the report's [violations] keys,
           are those deltas; [tear], [max_ops], [sample] and [stride] do
-          not apply, [lazy_mode] and [jobs] do. The remap
+          not apply, [jobs] does. The remap
           persist-before-switch ordering makes every delta recoverable. *)
 
 val run :
@@ -63,7 +63,6 @@ val run :
   ?max_ops:int ->
   ?sample:int ->
   ?stride:int ->
-  ?lazy_mode:bool ->
   ?jobs:int ->
   campaign ->
   Workload.spec ->
@@ -79,18 +78,6 @@ val run :
     keeps every [stride]-th of them. Every flash operation of a
     system-log compaction or a pair merge in the golden run (within
     [max_ops]) is a crash point too, sampled or not.
-
-    [lazy_mode] (default [false]) gives every crash point a
-    {e drain-first} twin. The restart under test reads only the system
-    log and repairs each unit at its first touch, here the oracle's
-    reads; the twin is a bit-identical crashed chip, rebuilt by the
-    deterministic workload, restarted and fully drained with
-    {!Ipl_core.Ipl_engine.drain_repairs} before any read. Its logical
-    digest (every page/slot value) must equal the first-touch engine's,
-    both right after that engine's restart and again after its own
-    drain has settled every pending unit. Any mismatch is reported as a
-    violation at that crash point. The engine's configuration is the
-    same with and without it.
 
     [jobs] (default 1) fans the crash points across a
     {!Par.Domain_pool} — each point rebuilds its own chip, engine and

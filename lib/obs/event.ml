@@ -23,7 +23,6 @@ type t =
   | Commit of { tx : int }
   | Abort of { tx : int }
   | Checkpoint
-  | Page_repaired of { page : int; eu : int }
   | Read_retry of { sector : int; attempt : int }
   | Remap of { virt : int; from_phys : int; to_phys : int }
   | Retire of { block : int }
@@ -47,7 +46,6 @@ let kind = function
   | Commit _ -> "commit"
   | Abort _ -> "abort"
   | Checkpoint -> "checkpoint"
-  | Page_repaired _ -> "page_repaired"
   | Read_retry _ -> "read_retry"
   | Remap _ -> "remap"
   | Retire _ -> "retire"
@@ -74,7 +72,6 @@ let kinds =
     "commit";
     "abort";
     "checkpoint";
-    "page_repaired";
     "read_retry";
     "remap";
     "retire";
@@ -106,7 +103,6 @@ let fields = function
   | Evict { page } | Write_back { page } -> [ ("page", page) ]
   | Commit { tx } | Abort { tx } -> [ ("tx", tx) ]
   | Checkpoint -> []
-  | Page_repaired { page; eu } -> [ ("page", page); ("eu", eu) ]
   | Read_retry { sector; attempt } -> [ ("sector", sector); ("attempt", attempt) ]
   | Remap { virt; from_phys; to_phys } ->
       [ ("virt", virt); ("from_phys", from_phys); ("to_phys", to_phys) ]

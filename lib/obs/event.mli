@@ -46,9 +46,6 @@ type t =
   | Commit of { tx : int }
   | Abort of { tx : int }
   | Checkpoint
-  | Page_repaired of { page : int; eu : int }
-      (** after a restart, the page's unit had its log read at first
-          touch (or by the background repair drainer) *)
   | Read_retry of { sector : int; attempt : int }
       (** bad-block manager retrying a failed physical read *)
   | Remap of { virt : int; from_phys : int; to_phys : int }

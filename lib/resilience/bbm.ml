@@ -13,8 +13,6 @@ exception Uncorrectable of int
 type t = {
   dev : Dev.t;
   spb : int;  (* sectors per erase unit *)
-  read_retries : int;
-  scrub_on_correctable : bool;
   map : (int, int) Hashtbl.t;  (* virtual block -> physical, non-identity only *)
   pool : (int, unit) Hashtbl.t;  (* spare physical blocks, lazily erased *)
   retired : (int, unit) Hashtbl.t;
@@ -30,16 +28,15 @@ type t = {
   mutable c_degradations : int;
 }
 
-let create dev ~spares ?(read_retries = 3) ?(scrub_on_correctable = true) ~persist
-    ~force () =
-  if read_retries < 0 then invalid_arg "Bbm.create: read_retries must be non-negative";
+(* Retries of a failed read beyond its first attempt. *)
+let read_retries = 3
+
+let create dev ~spares ~persist ~force () =
   let pool = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace pool b ()) spares;
   {
     dev;
     spb = FConfig.sectors_per_block (Dev.config dev);
-    read_retries;
-    scrub_on_correctable;
     map = Hashtbl.create 16;
     pool;
     retired = Hashtbl.create 16;
@@ -140,7 +137,7 @@ let rec alloc_spare ?near ~cls t =
    retry, or give up once [read_retries] retries beyond the first attempt
    are spent. *)
 let note_read_error t ~virt_sector attempt =
-  if attempt > t.read_retries then begin
+  if attempt > read_retries then begin
     t.c_uncorrectable <- t.c_uncorrectable + 1;
     raise (Uncorrectable virt_sector)
   end;
@@ -242,7 +239,7 @@ let scrub t v =
 let check_writable t = if t.degraded then raise Degraded
 
 let scrub_if_corrected t sector =
-  if Dev.last_read_corrected t.dev && t.scrub_on_correctable then scrub t (sector / t.spb)
+  if Dev.last_read_corrected t.dev then scrub t (sector / t.spb)
 
 (* A [Merge_io] read is a background relocation read: it is published,
    never waited for, so a merge does not block the host clock on it. *)
@@ -344,9 +341,8 @@ let snapshot_events t =
   let evs = Hashtbl.fold (fun b () acc -> P_retire { block = b } :: acc) t.retired evs in
   if t.degraded then evs @ [ P_degraded ] else evs
 
-let recover dev ~spares ?read_retries ?scrub_on_correctable ~persist ~force ~events ()
-    =
-  let t = create dev ~spares ?read_retries ?scrub_on_correctable ~persist ~force () in
+let recover dev ~spares ~persist ~force ~events () =
+  let t = create dev ~spares ~persist ~force () in
   List.iter
     (function
       | P_remap { virt; phys } ->

@@ -46,23 +46,20 @@ type t
 val create :
   Device.Flash_device.t ->
   spares:int list ->
-  ?read_retries:int ->
-  ?scrub_on_correctable:bool ->
   persist:(persist_event -> unit) ->
   force:(unit -> unit) ->
   unit ->
   t
 (** [spares] are the physical blocks of the initial pool (need not be
-    erased: spares are erased lazily on allocation). [read_retries]
-    (default 3) bounds retries {e beyond} the first attempt.
+    erased: spares are erased lazily on allocation). A failed read is
+    retried up to 3 times beyond its first attempt, and a read the
+    device had to ECC-correct scrubs its unit.
     [persist] must buffer an event durably-on-[force]; [force] makes all
     buffered events durable. *)
 
 val recover :
   Device.Flash_device.t ->
   spares:int list ->
-  ?read_retries:int ->
-  ?scrub_on_correctable:bool ->
   persist:(persist_event -> unit) ->
   force:(unit -> unit) ->
   events:persist_event list ->
@@ -81,8 +78,8 @@ val recover :
 val read_sectors :
   ?cls:Device.Flash_device.op_class -> t -> sector:int -> count:int -> bytes
 (** Bounded-retry read; raises {!Uncorrectable} when retries are
-    exhausted. A correctable (ECC) read triggers a scrub when enabled
-    (the scrub's own I/O runs at [Scrub] priority). [cls] defaults to
+    exhausted. A correctable (ECC) read triggers a scrub (the scrub's
+    own I/O runs at [Scrub] priority). [cls] defaults to
     [Foreground]. A [Merge_io] read is a background relocation read: it
     is published ({!Device.Flash_device.publish_read_into}), so the data
     is there on return but the host clock never waits for it. *)

@@ -1,13 +1,11 @@
 (* Availability benchmark: how long after a crash until the engine
-   commits its first transaction? A restart reads only the system log and
-   leaves each erase unit's in-page log to its first touch (the lazy
-   column); the eager column settles every repair with [drain_repairs]
-   before the first transaction, so it reads every erase unit's whole log
-   first. Both are measured on the simulated
-   device clock over bit-identical crashed flash states (the populate run
-   is deterministic), and the recovered logical content is
-   digest-compared to prove that deferring the repairs changed the read
-   schedule, not the data. *)
+   commits its first transaction? A restart reads only the system log
+   and owes nothing afterwards: each erase unit's in-page log is read
+   when an access needs it. Each size point crashes one deterministic
+   update stream, restarts once and runs one transaction, on the
+   simulated device clock. It reports the span, the in-page log sectors
+   read before that transaction (the restart reads none), and whether
+   the recovered content equals what the stream committed. *)
 
 module Chip = Flash_sim.Flash_chip
 module FConfig = Flash_sim.Flash_config
@@ -27,7 +25,7 @@ type spec = {
 
 (* Three database sizes. The update stream round-robins over the pages,
    so every erase unit carries a partially filled log region when the
-   run stops — the state a drain-first restart pays to read back. *)
+   run stops. *)
 let specs =
   [
     { name = "small"; pages = 30; transactions = 240; seed = 11; num_blocks = 24 };
@@ -39,12 +37,8 @@ type point = {
   name : string;
   pages : int;
   transactions : int;
-  eager_s : float;
-  lazy_s : float;
-  eager_restart_log_reads : int;
-  lazy_restart_log_reads : int;
-  repair_pending : int;
-  warm_entries : int;
+  first_txn_s : float;
+  log_reads_before_first_txn : int;
   digest_match : bool;
 }
 
@@ -69,22 +63,28 @@ let fatal f =
 (* Deterministic pre-crash history: seed one record per page, then a
    stream of small update transactions round-robining over the pages.
    The run simply stops after the last commit — no checkpoint call, no
-   quiesce — leaving the flash state a crash would leave. *)
+   quiesce — leaving the flash state a crash would leave. Every commit
+   is durable on return, so the returned values, one per page, are the
+   committed content. *)
 let populate spec chip =
   let engine = Engine.create ~config chip in
   let rng = Rng.of_int spec.seed in
   let fresh () = Bytes.of_string (Rng.alpha_string rng ~min:payload ~max:payload) in
   let pages = Array.init spec.pages (fun _ -> ok (Engine.allocate_page engine)) in
+  let values = Array.map (fun _ -> fresh ()) pages in
   let tx = ok (Engine.begin_txn engine) in
-  Array.iter (fun p -> ignore (ok (Engine.insert engine ~tx ~page:p (fresh ())) : int)) pages;
+  Array.iteri (fun i p -> ignore (ok (Engine.insert engine ~tx ~page:p values.(i)) : int)) pages;
   ok (Engine.commit engine tx);
   for i = 0 to spec.transactions - 1 do
     let tx = ok (Engine.begin_txn engine) in
-    let p = pages.(i mod spec.pages) in
-    ok (Engine.update engine ~tx ~page:p ~slot:0 (fresh ()));
+    let k = i mod spec.pages in
+    values.(k) <- fresh ();
+    ok (Engine.update engine ~tx ~page:pages.(k) ~slot:0 values.(k));
     ok (Engine.commit engine tx)
   done;
-  pages
+  (pages, values)
+
+let first_value = Bytes.make payload 'z'
 
 (* The availability probe: one ordinary transaction — read a record,
    update it, commit. Time-to-first-transaction is the simulated-clock
@@ -94,59 +94,26 @@ let first_txn engine page =
   (match ok (Engine.read engine ~page ~slot:0) with
   | Some _ -> ()
   | None -> failwith "Restart_bench: seeded record missing");
-  ok (Engine.update engine ~tx ~page ~slot:0 (Bytes.make payload 'z'));
+  ok (Engine.update engine ~tx ~page ~slot:0 first_value);
   ok (Engine.commit engine tx)
 
-(* Logical digest over every page's slot-0 record — CRC-32 folded in page
-   order. Equal digests across the eager and lazy engines mean identical
-   recovered content. *)
-let digest engine pages =
-  Array.fold_left
-    (fun acc page ->
-      match ok (Engine.read engine ~page ~slot:0) with
-      | Some b -> Ipl_util.Checksum.crc32 ~init:acc b ~pos:0 ~len:(Bytes.length b)
-      | None -> Ipl_util.Checksum.crc32 ~init:acc (Bytes.of_string "\xff") ~pos:0 ~len:1)
-    0 pages
-
-let log_reads engine =
-  (Engine.stats engine).Engine.storage.Ipl_core.Ipl_storage.log_sector_reads
-
-(* [drain_first] settles every repair the restart filed before the first
-   transaction; its log reads then count the drain's as well. *)
-let restart_measured spec ~drain_first =
+let run_point spec =
   let chip = Chip.create (FConfig.default ~num_blocks:spec.num_blocks ()) in
-  let pages = populate spec chip in
+  let pages, values = populate spec chip in
   let t0 = Chip.elapsed chip in
   let engine, _aborted = Engine.restart ~config chip in
-  let pending = Engine.repair_pending engine in
-  if drain_first then ignore (ok (Engine.drain_repairs engine ~max_eus:max_int) : int);
-  let restart_reads = log_reads engine in
+  let log_reads = (Engine.stats engine).Engine.storage.Ipl_core.Ipl_storage.log_sector_reads in
   first_txn engine pages.(0);
-  let ttft = Dev.elapsed (Engine.device engine) -. t0 in
-  (engine, pages, ttft, restart_reads, pending)
-
-let run_point spec =
-  let eng_e, pages_e, eager_s, eager_reads, _ = restart_measured spec ~drain_first:true in
-  let eng_l, pages_l, lazy_s, lazy_reads, pending =
-    restart_measured spec ~drain_first:false
-  in
-  let n = ok (Engine.drain_repairs eng_l ~max_eus:max_int) in
-  ignore (n : int);
-  let digest_match = digest eng_e pages_e = digest eng_l pages_l in
-  let warm =
-    (Engine.stats eng_l).Engine.storage.Ipl_core.Ipl_storage.log_cache_warm_entries
-  in
+  let first_txn_s = Dev.elapsed (Engine.device engine) -. t0 in
+  values.(0) <- first_value;
+  let recovered = Array.map (fun page -> ok (Engine.read engine ~page ~slot:0)) pages in
   {
     name = spec.name;
     pages = spec.pages;
     transactions = spec.transactions;
-    eager_s;
-    lazy_s;
-    eager_restart_log_reads = eager_reads;
-    lazy_restart_log_reads = lazy_reads;
-    repair_pending = pending;
-    warm_entries = warm;
-    digest_match;
+    first_txn_s;
+    log_reads_before_first_txn = log_reads;
+    digest_match = recovered = Array.map Option.some values;
   }
 
 (* Each size point builds its own chips and engines from scratch, so the
@@ -165,34 +132,19 @@ let point_json p =
       ("name", Json.String p.name);
       ("pages", Json.Int p.pages);
       ("transactions", Json.Int p.transactions);
-      ("eager_s", Json.Float p.eager_s);
-      ("lazy_s", Json.Float p.lazy_s);
-      ("eager_restart_log_reads", Json.Int p.eager_restart_log_reads);
-      ("lazy_restart_log_reads", Json.Int p.lazy_restart_log_reads);
-      ("repair_pending_after_restart", Json.Int p.repair_pending);
-      ("warm_entries_after_drain", Json.Int p.warm_entries);
+      ("first_txn_s", Json.Float p.first_txn_s);
+      ("log_reads_before_first_txn", Json.Int p.log_reads_before_first_txn);
       ("digest_match", Json.Bool p.digest_match);
     ]
 
-let to_json points =
-  let last = List.nth points (List.length points - 1) in
-  Json.Obj
-    [
-      ("specs", Json.List (List.map point_json points));
-      ( "time_to_first_txn",
-        Json.Obj
-          [ ("eager_s", Json.Float last.eager_s); ("lazy_s", Json.Float last.lazy_s) ] );
-    ]
+let to_json points = Json.Obj [ ("specs", Json.List (List.map point_json points)) ]
 
 let pp ppf points =
   Format.fprintf ppf "@[<v>restart availability (simulated time to first transaction):@,";
   List.iter
     (fun p ->
-      Format.fprintf ppf
-        "%-6s %4d pages %5d txns: eager %.6fs (%d log reads) | lazy %.6fs (%d log \
-         reads, %d units deferred, %d re-warmed) %s@,"
-        p.name p.pages p.transactions p.eager_s p.eager_restart_log_reads p.lazy_s
-        p.lazy_restart_log_reads p.repair_pending p.warm_entries
-        (if p.digest_match then "[digests equal]" else "[DIGEST MISMATCH]"))
+      Format.fprintf ppf "%-6s %4d pages %5d txns: %.6fs, %d log reads before it %s@," p.name
+        p.pages p.transactions p.first_txn_s p.log_reads_before_first_txn
+        (if p.digest_match then "[content equals committed]" else "[CONTENT MISMATCH]"))
     points;
   Format.fprintf ppf "@]"

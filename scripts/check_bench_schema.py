@@ -3,17 +3,16 @@
 
 Structural check, stdlib only: the top-level sections CI depends on must
 be present with the right types, every backend must carry flash stats,
-the IPL backend's storage stats must include the full counter set
-(including the recovery counters log_cache_warm_entries and
-eus_repaired_lazily), the concurrency section must be mode-tagged
+the IPL backend's storage stats must include the full counter set, the
+concurrency section must be mode-tagged
 ("serial" carries only the fields that are meaningful without sessions;
 "sessions" carries the batch accounting plus commit_latency percentiles
 and a per_session breakdown), wall_clock must record the jobs the run
 used, and — when the document was produced with --restart — the restart
-section must carry per-spec points and the time_to_first_txn headline
-with both eager_s (restart, full repair drain, then the first
-transaction) and lazy_s (repairs left to first touch). Both columns
-restart the same crashed state along the one restart path.
+section must carry per-spec points, each with first_txn_s (restart, then
+the first transaction), log_reads_before_first_txn (which must be 0: a
+restart reads no in-page log sector) and digest_match (which must hold:
+the recovered content equals what the run committed).
 
 Usage: check_bench_schema.py BENCH_ipl.json
 Exits non-zero on the first violation.
@@ -56,20 +55,14 @@ STORAGE_COUNTERS = [
     "log_cache_hits",
     "log_cache_misses",
     "log_cache_evictions",
-    "log_cache_warm_entries",
-    "eus_repaired_lazily",
 ]
 
 RESTART_POINT_KEYS = {
     "name": str,
     "pages": int,
     "transactions": int,
-    "eager_s": NUMBER,
-    "lazy_s": NUMBER,
-    "eager_restart_log_reads": int,
-    "lazy_restart_log_reads": int,
-    "repair_pending_after_restart": int,
-    "warm_entries_after_drain": int,
+    "first_txn_s": NUMBER,
+    "log_reads_before_first_txn": int,
     "digest_match": bool,
 }
 
@@ -126,11 +119,10 @@ def check_restart(restart):
         where = f"restart.specs[{i}]"
         for key, ty in RESTART_POINT_KEYS.items():
             need(p, key, ty, where)
+        if p["log_reads_before_first_txn"] != 0:
+            fail(f"{where}: the restart read in-page log sectors")
         if not p["digest_match"]:
-            fail(f"{where}: digest_match is false — lazy recovery diverged")
-    ttft = need(restart, "time_to_first_txn", dict, "restart")
-    need(ttft, "eager_s", NUMBER, "restart.time_to_first_txn")
-    need(ttft, "lazy_s", NUMBER, "restart.time_to_first_txn")
+            fail(f"{where}: digest_match is false — recovery diverged")
 
 
 def main():

@@ -723,8 +723,7 @@ let test_store_recover_after_merges () =
 (* A crash in the middle of a merge leaves a half-written erase unit that
    no metadata references. Recovery must erase it and return it to the
    free pool before it returns — also when the live unit has log
-   records ([logged]), so that restart leaves it to first-touch repair,
-   and the page must then read its logged value. *)
+   records ([logged]), and the page must then read its logged value. *)
 let gc_unreferenced_unit ~logged () =
   let chip, meta, store = mk_store () in
   let pid = Store.allocate_page store (page_with [ "live" ]) in
@@ -753,14 +752,14 @@ let gc_unreferenced_unit ~logged () =
   Alcotest.(check int) "unit erased by GC" 256 (Chip.free_sectors_in_block chip victim);
   (* And it is allocatable again: fill pages until it gets used. *)
   Alcotest.(check bool) "free pool intact" true (Store.free_eus store' >= 28);
-  Alcotest.(check int) "units left to repair" (if logged then 1 else 0) (Store.repair_pending store');
+  Alcotest.(check int) "log sectors kept" (if logged then 1 else 0)
+    (Store.used_log_sectors store' ~eu:(Store.eu_of_page store' pid));
   Alcotest.(check (option bytes)) "page content"
     (Some (b (if logged then "Live" else "live")))
-    (Page.read (Store.read_page store' pid) 0);
-  Alcotest.(check int) "repaired at first touch" 0 (Store.repair_pending store')
+    (Page.read (Store.read_page store' pid) 0)
 
 let test_store_recovery_gc_unreferenced_unit = gc_unreferenced_unit ~logged:false
-let test_store_recovery_gc_with_repair = gc_unreferenced_unit ~logged:true
+let test_store_recovery_gc_with_log = gc_unreferenced_unit ~logged:true
 
 let test_store_detects_corrupt_log_sector () =
   (* Corrupt a written in-page log sector on the chip: the read path must
@@ -1679,8 +1678,8 @@ let () =
           Alcotest.test_case "recovery (clean)" `Quick test_store_recover_after_clean_shutdown;
           Alcotest.test_case "recovery (after merges)" `Quick test_store_recover_after_merges;
           Alcotest.test_case "recovery GCs torn merges" `Quick test_store_recovery_gc_unreferenced_unit;
-          Alcotest.test_case "recovery GCs torn merges with a unit to repair" `Quick
-            test_store_recovery_gc_with_repair;
+          Alcotest.test_case "recovery GCs torn merges with a unit's log" `Quick
+            test_store_recovery_gc_with_log;
           Alcotest.test_case "detects corrupt log sector" `Quick test_store_detects_corrupt_log_sector;
           Alcotest.test_case "out of space" `Quick test_store_out_of_space;
           QCheck_alcotest.to_alcotest prop_store_durability;

@@ -188,8 +188,8 @@ let test_meta_log_rollback () =
    and tears. Restart loses both and keeps the sector before it: the
    transaction is active again and is aborted, and the page the torn
    event allocated is unknown. The in-page log sector the transaction
-   wrote is intact either way, so restart leaves its unit to repair; the
-   repair filters the aborted record out. *)
+   wrote is intact either way; the read path filters the aborted record
+   out. *)
 let test_system_log_torn_mixed_tail () =
   let chip = mk_chip () in
   let area () = Resilience.Bbm.create (dev_of chip) ~spares:[] ~persist:ignore ~force:ignore () in
@@ -224,17 +224,18 @@ let test_system_log_torn_mixed_tail () =
     (events, trx', store')
   in
   let slot0 store' = Storage.Page.read (Store.read_page store' pid) 0 in
+  let logged store' = Store.used_log_sectors store' ~eu:(Store.eu_of_page store' pid) in
   let events, _, store' = restart () in
   Alcotest.(check int) "intact tail: both pages" 2 (Store.num_pages store');
   Alcotest.(check int) "intact tail: every event" 4 (List.length events);
-  Alcotest.(check int) "intact tail: one unit to repair" 1 (Store.repair_pending store');
+  Alcotest.(check int) "intact tail: one log sector" 1 (logged store');
   Alcotest.(check (option bytes)) "intact tail: committed insert" (Some (Bytes.of_string "x"))
     (slot0 store');
   corrupt chip 1 ~offset:9;
   let events, trx', store' = restart () in
   Alcotest.(check bool) "torn sector's events discarded, earlier kept" true (events = intact);
   Alcotest.(check int) "torn allocation lost" 1 (Store.num_pages store');
-  Alcotest.(check int) "torn tail: one unit to repair" 1 (Store.repair_pending store');
+  Alcotest.(check int) "torn tail: one log sector" 1 (logged store');
   Alcotest.(check (list int)) "torn commit: aborted" [ 1 ] (Trx_log.abort_active trx');
   Alcotest.(check (option bytes)) "torn commit: insert filtered out" None (slot0 store')
 

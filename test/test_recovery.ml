@@ -1,11 +1,8 @@
-(* Tests of restart and first-touch repair. A restart reads only the
-   system log and leaves every erase unit's in-page log to its first
-   touch (a read, a log flush, a merge decision) or to the background
-   drainer. The recurring shape is a deterministic populate run executed
-   twice on two chips: one restart repairs at first touch, its
-   drain-first twin drains every repair before its first read. Both must
-   read exactly the values the populate run committed; the physical
-   layouts may differ. *)
+(* Tests of restart. A restart reads only the system log and owes
+   nothing afterwards: each erase unit's in-page log is read when an
+   access needs it, through the same path as at run time. The recurring
+   shape is a deterministic populate run stopped abruptly; the restarted
+   engine must read exactly the values the run committed. *)
 
 module Chip = Flash_sim.Flash_chip
 module FConfig = Flash_sim.Flash_config
@@ -67,44 +64,31 @@ let committed ?(pages = 8) ?(txns = 40) ?(window = 1) () =
 
 let log_reads e = (Engine.stats e).Engine.storage.Store.log_sector_reads
 
-let check_twins ?pages:(np = 8) ?txns ?window config =
-  let chip_l = mk_chip () and chip_d = mk_chip () in
-  let pages = populate ~pages:np ?txns ?window config chip_l in
-  let (_ : int array) = populate ~pages:np ?txns ?window config chip_d in
-  let expected = committed ~pages:np ?txns ?window () in
-  let lzy, _ = Engine.restart ~config chip_l in
-  let twin, _ = Engine.restart ~config chip_d in
-  Alcotest.(check int) "restart reads no in-page log" 0 (log_reads lzy);
-  Alcotest.(check bool) "restart leaves units to repair" true (Engine.repair_pending lzy > 0);
-  let (_ : int) = Engine.Unsafe.drain_repairs twin ~max_eus:max_int in
-  Alcotest.(check int) "twin drained" 0 (Engine.repair_pending twin);
-  Alcotest.(check (list (option bytes))) "drain-first twin == committed" expected
-    (contents twin pages);
-  (* Compare once right after restart (first-touch repair on the read
-     path) and once after the background drainer has settled the rest. *)
-  Alcotest.(check (list (option bytes))) "first touch == committed" expected (contents lzy pages);
-  let (_ : int) = Engine.Unsafe.drain_repairs lzy ~max_eus:max_int in
-  Alcotest.(check int) "repair set drained" 0 (Engine.repair_pending lzy);
-  Alcotest.(check (list (option bytes))) "first touch == committed after drain" expected
-    (contents lzy pages);
-  lzy
+(* Restart from [populate]'s crashed chip: the restart reads no in-page
+   log sector, and every page reads what the run committed. *)
+let check_restart ?pages:(np = 8) ?txns ?window config =
+  let chip = mk_chip () in
+  let pages = populate ~pages:np ?txns ?window config chip in
+  let e, _ = Engine.restart ~config chip in
+  Alcotest.(check int) "restart reads no in-page log" 0 (log_reads e);
+  Alcotest.(check (list (option bytes))) "restart == committed"
+    (committed ~pages:np ?txns ?window ())
+    (contents e pages);
+  (e, pages)
 
-let test_lazy_matches_eager () =
-  let lzy = check_twins base_config in
-  let s = (Engine.stats lzy).Engine.storage in
-  Alcotest.(check bool) "some units repaired lazily" true (s.Store.eus_repaired_lazily > 0)
+let test_restart_committed () = ignore (check_restart base_config : Engine.t * int array)
 
 (* Group-commit windows defer commit records, and the crash lands with
    the last window's commits still volatile: 43 transactions and the
    seeding one under a window of 6 leave two commits unforced. Their
-   records may sit in the in-page logs, but restart aborts them, and
-   first-touch repair must filter them out like the drain. *)
-let test_partly_filled_window () = ignore (check_twins ~txns:43 ~window:6 base_config : Engine.t)
+   records may sit in the in-page logs, but restart aborts them, and the
+   read path must filter them out. *)
+let test_partly_filled_window () =
+  ignore (check_restart ~txns:43 ~window:6 base_config : Engine.t * int array)
 
 (* A restart on a degraded device (spare pool exhausted) must still
-   come up read-only: restart and repair are pure reads, so the repair
-   set drains fine while mutations keep answering
-   [Device_degraded]. *)
+   come up read-only: restart and reads only read flash, so every page
+   reads while mutations keep answering [Device_degraded]. *)
 let test_restart_while_degraded () =
   let config = { base_config with Config.spare_blocks = 1 } in
   let chip = mk_chip () in
@@ -137,81 +121,83 @@ let test_restart_while_degraded () =
   hammer 0;
   Plan.clear chip;
   Alcotest.(check bool) "device degraded" true (Engine.degraded e');
-  (* Crash and reopen lazily on the degraded device. *)
+  (* Crash and reopen on the degraded device. *)
   let e'', _ = Engine.restart ~config chip in
   Alcotest.(check bool) "still degraded after restart" true (Engine.degraded e'');
   Array.iteri
     (fun i p ->
       Alcotest.(check bool) (Printf.sprintf "page %d readable" i) true (slot0 e'' p <> None))
     pages;
-  let (_ : int) = Engine.Unsafe.drain_repairs e'' ~max_eus:max_int in
-  Alcotest.(check int) "repairs drain on a degraded device" 0 (Engine.repair_pending e'');
   let tx = Engine.Unsafe.begin_txn e'' in
   match Engine.Unsafe.update e'' ~tx ~page:pages.(0) ~slot:0 (b "y") with
   | Error Engine.Device_degraded -> ()
   | Ok () -> Alcotest.fail "mutation accepted on a degraded device"
   | Error e -> Alcotest.failf "wrong error: %s" (Engine.error_to_string e)
 
-(* Crash again while the first restart still owes repairs: the repair
-   set is volatile, so the second restart rebuilds it from flash alone
-   and must reach the same committed content. *)
-let test_double_crash_during_repair () =
+(* Crash again after the first restart has read some units' logs and
+   not others: the second restart starts from flash alone and must
+   reach the same committed content. *)
+let test_double_crash_after_partial_reads () =
   let config = base_config in
   let chip = mk_chip () in
   let pages = populate ~pages:8 ~txns:40 config chip in
-  let expected = committed ~pages:8 ~txns:40 () in
   let e1, _ = Engine.restart ~config chip in
-  let pending1 = Engine.repair_pending e1 in
-  (* Repair strictly less than everything, then crash mid-debt. *)
-  let (_ : int) = Engine.Unsafe.drain_repairs e1 ~max_eus:1 in
-  if pending1 > 1 then
-    Alcotest.(check bool) "still owes repairs" true (Engine.repair_pending e1 > 0);
+  Alcotest.(check bool) "one page read" true (slot0 e1 pages.(0) <> None);
   let e2, _ = Engine.restart ~config chip in
-  let (_ : int) = Engine.Unsafe.drain_repairs e2 ~max_eus:max_int in
-  Alcotest.(check int) "second restart drains clean" 0 (Engine.repair_pending e2);
-  Alcotest.(check (list (option bytes))) "content exact after double crash" expected
+  Alcotest.(check (list (option bytes))) "content exact after double crash"
+    (committed ~pages:8 ~txns:40 ())
     (contents e2 pages)
 
-(* The repair path's cache warming is observable: each repair installs
-   one counted cache entry, and with the cache disabled repair still
-   settles the debt without warming anything. *)
+(* A restart leaves the log-record cache cold, and reads warm it: the
+   first pass over every page misses once per unit with a log, and a
+   second pass reads no log sector. *)
 let test_warm_entries_counted () =
-  let config = base_config in
-  let chip = mk_chip () in
-  let pages = populate config chip in
-  let e, _ = Engine.restart ~config chip in
-  let pending = Engine.repair_pending e in
-  Alcotest.(check bool) "restart left repairs pending" true (pending > 0);
-  let (_ : int) = Engine.Unsafe.drain_repairs e ~max_eus:max_int in
+  let e, pages = check_restart base_config in
+  let store = Engine.storage e in
+  let logged =
+    List.sort_uniq compare (Array.to_list (Array.map (fun page -> Store.eu_of_page store page) pages))
+    |> List.filter (fun eu -> Store.used_log_sectors store ~eu + Store.overflow_sectors store ~eu > 0)
+  in
   let s = (Engine.stats e).Engine.storage in
-  Alcotest.(check int) "every repair warmed one cache entry" s.Store.eus_repaired_lazily
-    s.Store.log_cache_warm_entries;
-  Alcotest.(check bool) "warm entries counted" true (s.Store.log_cache_warm_entries > 0);
-  Array.iter (fun p -> Alcotest.(check bool) "readable" true (slot0 e p <> None)) pages
+  Alcotest.(check bool) "units with a log" true (logged <> []);
+  Alcotest.(check int) "one miss per unit with a log" (List.length logged) s.Store.log_cache_misses;
+  (* Past the buffer pool, straight to the storage manager. *)
+  Array.iter (fun page -> ignore (Store.read_page store page : Storage.Page.t)) pages;
+  let s' = (Engine.stats e).Engine.storage in
+  Alcotest.(check int) "no miss on the second pass" s.Store.log_cache_misses
+    s'.Store.log_cache_misses;
+  Alcotest.(check int) "no log read on the second pass" s.Store.log_sector_reads
+    s'.Store.log_sector_reads
 
-let test_cache_disabled_repair () =
+(* With the cache disabled, the first read after a restart reads its
+   unit's log once: as many sectors as the unit has used, not twice
+   that. *)
+let test_cache_disabled_first_read () =
   let config = { base_config with Config.log_cache_bytes = 0 } in
   let chip = mk_chip () in
   let pages = populate config chip in
-  let lzy, _ = Engine.restart ~config chip in
-  let (_ : int) = Engine.Unsafe.drain_repairs lzy ~max_eus:max_int in
-  let s = (Engine.stats lzy).Engine.storage in
-  Alcotest.(check bool) "units still counted as repaired" true (s.Store.eus_repaired_lazily > 0);
-  Alcotest.(check int) "nothing warmed without a cache" 0 s.Store.log_cache_warm_entries;
-  Alcotest.(check (list (option bytes))) "cache-off repair == committed" (committed ())
-    (contents lzy pages)
+  let e, _ = Engine.restart ~config chip in
+  let store = Engine.storage e in
+  let eu = Store.eu_of_page store pages.(0) in
+  let used = Store.used_log_sectors store ~eu + Store.overflow_sectors store ~eu in
+  Alcotest.(check bool) "the unit has a log" true (used > 0);
+  Alcotest.(check int) "restart reads no in-page log" 0 (log_reads e);
+  Alcotest.(check bool) "first read" true (slot0 e pages.(0) <> None);
+  Alcotest.(check int) "one read of the unit's log" used (log_reads e);
+  Alcotest.(check (list (option bytes))) "cache-off restart == committed" (committed ())
+    (contents e pages)
 
 let () =
   Alcotest.run "recovery"
     [
       ( "lazy-restart",
         [
-          Alcotest.test_case "lazy matches eager" `Quick test_lazy_matches_eager;
+          Alcotest.test_case "restart == committed" `Quick test_restart_committed;
           Alcotest.test_case "partly filled commit window" `Quick test_partly_filled_window;
           Alcotest.test_case "restart while degraded" `Quick test_restart_while_degraded;
-          Alcotest.test_case "double crash during repair" `Quick
-            test_double_crash_during_repair;
+          Alcotest.test_case "double crash after partial reads" `Quick
+            test_double_crash_after_partial_reads;
           Alcotest.test_case "warm entries counted" `Quick test_warm_entries_counted;
-          Alcotest.test_case "cache-disabled repair" `Quick test_cache_disabled_repair;
+          Alcotest.test_case "cache-disabled first read" `Quick test_cache_disabled_first_read;
         ] );
     ]

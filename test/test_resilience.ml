@@ -25,14 +25,14 @@ let bytes_t = Alcotest.testable (fun ppf b -> Fmt.pf ppf "%S" (Bytes.to_string b
 
 (* A bad-block manager over a list-backed "metadata log": [forced] holds
    the durably persisted events, in log order. *)
-let mk_bbm ?(spares = [ 28; 29; 30; 31 ]) ?read_retries ?scrub_on_correctable chip =
+let mk_bbm ?(spares = [ 28; 29; 30; 31 ]) chip =
   let forced = ref [] and buf = ref [] in
   let persist e = buf := e :: !buf in
   let force () =
     forced := !forced @ List.rev !buf;
     buf := []
   in
-  let bbm = Bbm.create (dev_of chip) ~spares ?read_retries ?scrub_on_correctable ~persist ~force () in
+  let bbm = Bbm.create (dev_of chip) ~spares ~persist ~force () in
   (bbm, forced)
 
 let hook chip f = Chip.set_fault_hook chip (Some (fun _ op -> f op))
@@ -163,7 +163,7 @@ let test_remap_on_erase_failure () =
 
 let test_read_retry () =
   let chip = mk_chip () in
-  let bbm, _ = mk_bbm ~read_retries:3 ~scrub_on_correctable:false chip in
+  let bbm, _ = mk_bbm chip in
   Bbm.write_sectors bbm ~sector:(sec 1 0) (payload 'r');
   let left = ref 2 in
   hook chip (function
@@ -189,7 +189,7 @@ let test_read_retry () =
 let test_async_read_retry () =
   let module Dev = Device.Flash_device in
   let chip = mk_chip () in
-  let bbm, _ = mk_bbm ~read_retries:3 chip in
+  let bbm, _ = mk_bbm chip in
   let dev = Bbm.device bbm in
   Bbm.write_sectors bbm ~sector:(sec 1 0) (payload 'a');
   Bbm.write_sectors bbm ~sector:(sec 2 0) (payload 'b');
