@@ -109,6 +109,13 @@ let records t key =
       touch t e;
       Some (List.rev e.all_rev)
 
+let fold t key f init =
+  match Hashtbl.find_opt t.table key with
+  | None -> None
+  | Some e ->
+      touch t e;
+      Some (List.fold_left f init e.all_rev)
+
 (* One walk of a newest-first list gives the records [keep] accepts in
    application order. *)
 let rec kept_in_order keep acc = function

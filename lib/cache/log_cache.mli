@@ -56,6 +56,11 @@ val records : 'r t -> int -> 'r list option
 (** All records of a cached unit in application order (oldest first).
     [None] on a miss. Refreshes the entry's recency. *)
 
+val fold : 'r t -> int -> ('a -> 'r -> 'a) -> 'a -> 'a option
+(** [fold t key f init] folds [f] over a cached unit's records in place,
+    newest first, allocating nothing per record: for a caller that only
+    counts them. [None] on a miss. Refreshes the entry's recency. *)
+
 val records_of_page : 'r t -> int -> page:int -> keep:('r -> bool) -> 'r list option
 (** The cached unit's records for one page that satisfy [keep], in
     application order, built in one pass — the per-page index makes this

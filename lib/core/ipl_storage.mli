@@ -41,6 +41,28 @@
     [log_cache_bytes = 0] disables it, reproducing the uncached engine
     bit-for-bit.
 
+    {2 Packed page images}
+
+    A data page is stored as its packed image ({!Storage.Page.pack}):
+    its header and payload, then its slot directory at once. An
+    allocation or a merge programs only the
+    [ceil (image_length / sector_size)] sectors the image fills, and
+    the rest of the slot stays erased; it is never programmed within
+    the unit's residency, so each flash page of the slot is programmed
+    at most once. A read reads only the sectors of the page's
+    image-length hint ({!image_hint}) with one device operation into a
+    page-long buffer and unpacks it there, the directory moving back to
+    the page's end and the gap between the two ends reading as zeros.
+    The hint lives only in memory: it starts at the full slot (so the
+    first read of a page after a restart reads the whole slot, erased
+    tail included), allocation sets it, a merge sets it once its
+    [Merge] event is durable (so a rolled-back merge leaves it at the
+    old image), and every read sets it to the length the image's header
+    gives. It is never below the stored image's length; a read that
+    finds otherwise raises {!Short_image_hint}. Programs pack through
+    one scratch buffer and {!read_page_into} unpacks in the caller's
+    page, so neither allocates per page.
+
     {2 Restart}
 
     {!recover} reads no in-page log sector and leaves nothing owed. It
@@ -53,6 +75,12 @@
     the records, so nothing is stale after a restart. *)
 
 type t
+
+exception Short_image_hint of { page : int; hint : int; image : int }
+(** A page read found a stored image of [image] sectors, longer than
+    the [hint] sectors its image-length hint let it read (see
+    {!image_hint}). The hint is kept so that this cannot happen; the
+    read raises rather than return a page cut short. *)
 
 type stats = {
   pages_allocated : int;
@@ -271,3 +299,12 @@ val set_tracer : t -> Obs.Tracer.t option -> unit
 val live_log_records : t -> page:int -> Log_record.t list
 (** All live (non-aborted) flash log records of a page, in application
     order — for tests and the recovery demo. *)
+
+val image_hint : t -> page:int -> int
+(** The page's image-length hint: how many sectors of its slot its next
+    read reads. *)
+
+val stored_image_sectors : t -> page:int -> int
+(** The sectors the page's stored image fills, from its header: one
+    sector read, not counted as a page read — for tests. Every page's
+    {!image_hint} is at least this. *)

@@ -13,13 +13,19 @@ let rec count_active t acc = function
 
 (* The share of a unit's stored and pending records whose transactions
    are still active: the carry fraction Algorithm 3 compares with tau.
-   The stored records are read through the log-record cache, as the
-   merge that usually follows reads them. *)
+   The stored records are counted through the log-record cache, as the
+   merge that usually follows reads them; a hit counts over the entry in
+   place. *)
 let active_fraction t eu ~pending =
-  let stored = read_eu_log_records t eu in
-  let total = List.length stored + List.length pending in
-  if total = 0 then 0.0
-  else float_of_int (count_active t (count_active t 0 stored) pending) /. float_of_int total
+  let total = ref (List.length pending) in
+  let active =
+    fold_eu_log_records t eu
+      (fun n r ->
+        incr total;
+        if t.txn_status r.Log_record.txid = Trx_log.Active then n + 1 else n)
+      (count_active t 0 pending)
+  in
+  if !total = 0 then 0.0 else float_of_int active /. float_of_int !total
 
 (* Split a unit's records by the status of their transactions. Preserves
    order within each class. *)
@@ -50,9 +56,10 @@ let pack_sectors t records =
 
 (* One unit of a merge: the unit and its block before the merge, the
    fresh block it moves to, its records by status, its pages by slot
-   after the merge, and what the rewrite carried into the new block's
-   log: the records, the sector images (with their records) that fit
-   the region, and those that spill to overflow. *)
+   after the merge with the sectors of each one's new image, and what
+   the rewrite carried into the new block's log: the records, the
+   sector images (with their records) that fit the region, and those
+   that spill to overflow. *)
 type side = {
   eu : eu_info;
   old_phys : int;
@@ -62,6 +69,7 @@ type side = {
   carried : Log_record.t list;
   dropped : int;
   mutable after : int array;
+  images : int array;
   mutable applied : int;
   mutable into : Log_record.t list;
   mutable in_region : (bytes * Log_record.t list) list;
@@ -157,6 +165,7 @@ let merge t units =
             carried;
             dropped;
             after = eu.pages;
+            images = Array.make t.data_pages 0;
             applied = 0;
             into = carried;
             in_region = [];
@@ -242,12 +251,15 @@ let merge t units =
                 match buffered with
                 | Some page -> page
                 | None ->
-                    let page = read_raw_page_into ~cls:Dev.Merge_io t src src_idx t.merge_scratch in
+                    let page =
+                      read_raw_page_into ~cls:Dev.Merge_io t src src_idx ~page:pid
+                        t.merge_scratch
+                    in
                     Log_record.replay page (List.rev rev);
                     page
               in
               side.applied <- side.applied + List.length rev;
-              submit_data_page t ~cls:Dev.Merge_io side.new_phys idx page
+              side.images.(idx) <- submit_data_page t ~cls:Dev.Merge_io side.new_phys idx page
             end)
           side.after;
         (* Carry the still-active records into the new block's log
@@ -282,8 +294,15 @@ let merge t units =
     Meta_log.force t.meta;
     durable := true;
     (* Complete the in-memory switch-over (pure RAM, cannot fail), then
-       reclaim the old blocks. *)
+       reclaim the old blocks. The new images are the stored ones only
+       from here, so only now may their hints follow them. *)
     apply t ev;
+    List.iter
+      (fun side ->
+        Array.iteri
+          (fun idx pid -> if pid >= 0 then set_image_hint t pid side.images.(idx))
+          side.after)
+      sides;
     let partner side =
       match sides with
       | [ u; v ] -> if side == u then v.old_phys else u.old_phys

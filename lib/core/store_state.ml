@@ -54,6 +54,13 @@ type t = {
   merge_scratch : bytes;
       (* the one page image every merge copy read from flash passes
          through (see [Store_merge.merge]) *)
+  pack_scratch : bytes;
+      (* the one buffer every data-page program packs its image into *)
+  mutable hints : int array;
+      (* page id -> image-length hint, in sectors: at least the stored
+         image's, so a read of that many sectors gets all of it. Memory
+         only; a page past the end, or never set since the restart, has
+         the full slot *)
   mutable buffered : int -> Page.t option;
       (* the engine's view of a page held in memory with nothing owed to
          flash (see [Ipl_storage.set_buffered]) *)
@@ -134,6 +141,8 @@ let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~
     fills = Array.make (Dev.num_chips dev) None;
     next_page = 0;
     merge_scratch = Bytes.create config.Ipl_config.page_size;
+    pack_scratch = Bytes.create config.Ipl_config.page_size;
+    hints = [||];
     buffered = (fun _ -> None);
     sectors_per_page;
     data_pages;
@@ -289,20 +298,58 @@ let reclaim_eu t b =
 let data_sector t eu_phys idx = Dev.sector_of_block t.dev eu_phys + (idx * t.sectors_per_page)
 let log_sector_addr t eu_phys i = Dev.sector_of_block t.dev eu_phys + t.log_start + i
 
-(* The stored image of slot [idx], read into [buf] (one page long). *)
-let read_raw_page_into ?cls t eu idx buf =
+let sector_size t = (Dev.config t.dev).FConfig.sector_size
+
+(* ------------------------------------------------------------------ *)
+(* Packed page images                                                  *)
+
+exception Short_image_hint of { page : int; hint : int; image : int }
+
+let image_sectors t len = (len + sector_size t - 1) / sector_size t
+
+let image_hint t pid =
+  if pid < Array.length t.hints then t.hints.(pid) else t.sectors_per_page
+
+(* The hint array doubles until it covers the page id; new cells hold
+   the full slot. *)
+let set_image_hint t pid sectors =
+  let len = Array.length t.hints in
+  if pid >= len then begin
+    let hints = Array.make (max (2 * len) (pid + 1)) t.sectors_per_page in
+    Array.blit t.hints 0 hints 0 len;
+    t.hints <- hints
+  end;
+  t.hints.(pid) <- sectors
+
+(* A read of [count] sectors of page [pid]'s image landed at the front
+   of [buf]: check that it got the whole image, which the header in its
+   first sector sizes, remember that size, and unpack it in place. *)
+let take_image t pid ~count buf =
+  let image = image_sectors t (Page.image_length (Page.of_bytes buf)) in
+  if image > count then raise (Short_image_hint { page = pid; hint = count; image });
+  set_image_hint t pid image;
+  Page.unpack buf
+
+(* The stored image of page [pid] in slot [idx], read into [buf] (one
+   page long): the hint's sectors, one device operation. *)
+let read_raw_page_into ?cls t eu idx ~page:pid buf =
   t.c_page_reads <- t.c_page_reads + 1;
-  let sector = data_sector t eu.phys idx in
-  Bbm.read_sectors_into ?cls t.bbm ~sector ~count:t.sectors_per_page buf;
-  Page.of_bytes buf
+  let sector = data_sector t eu.phys idx and count = image_hint t pid in
+  Bbm.read_sectors_into ?cls t.bbm ~sector ~count buf;
+  take_image t pid ~count buf
 
 (* Data-page programs are asynchronous: a bulk load streams pages to the
    fill units of every channel and the channels program in parallel; the
-   next durability barrier (or any await) settles the completion times. *)
+   next durability barrier (or any await) settles the completion times.
+   Only the sectors the packed image fills are programmed, from the one
+   pack scratch (a program executes at submission, so the scratch is
+   free again on return); the rest of the slot stays erased. Returns the
+   image's sectors. *)
 let submit_data_page t ~cls eu_phys idx (page : Page.t) =
-  Bbm.submit_write_sectors t.bbm ~cls ~sector:(data_sector t eu_phys idx) (Page.to_bytes page)
-
-let sector_size t = (Dev.config t.dev).FConfig.sector_size
+  let count = image_sectors t (Page.pack page t.pack_scratch) in
+  Bbm.submit_write_sectors_from t.bbm ~cls ~sector:(data_sector t eu_phys idx) ~count
+    t.pack_scratch;
+  count
 
 (* How many of the [n] sectors from [base] on are programmed: logs fill
    front to back, so the first free one ends them. *)
@@ -367,3 +414,14 @@ let read_eu_log_records ?cls t eu =
         Cache.Log_cache.install t.cache eu.phys records;
         cache_note t eu ~hit:false;
         records
+
+(* A hit folds over the cache entry in place, so a caller that only
+   counts allocates nothing proportional to the log. *)
+let fold_eu_log_records t eu f init =
+  match
+    if eu_log_empty eu then None else Cache.Log_cache.fold t.cache eu.phys f init
+  with
+  | Some acc ->
+      cache_note t eu ~hit:true;
+      acc
+  | None -> List.fold_left f init (read_eu_log_records t eu)

@@ -54,6 +54,13 @@ type t = {
   merge_scratch : bytes;
       (* the one page image every merge copy read from flash passes
          through (see [Store_merge.merge]) *)
+  pack_scratch : bytes;
+      (* the one buffer every data-page program packs its image into *)
+  mutable hints : int array;
+      (* page id -> image-length hint, in sectors: at least the stored
+         image's, so a read of that many sectors gets all of it. Memory
+         only; a page past the end, or never set since the restart, has
+         the full slot *)
   mutable buffered : int -> Page.t option;
       (* the engine's view of a page held in memory with nothing owed to
          flash (see [Ipl_storage.set_buffered]) *)
@@ -130,10 +137,48 @@ val used_sectors : t -> base:int -> int -> int
 (** Programmed sectors among the [n] from [base] on, up to the first
     free one. *)
 
-val read_raw_page_into : ?cls:Dev.op_class -> t -> eu_info -> int -> bytes -> Page.t
-(** The stored image of a slot, read into a page-long buffer. *)
+(** {1 Packed page images}
 
-val submit_data_page : t -> cls:Dev.op_class -> int -> int -> Page.t -> unit
+    A data slot holds its page's packed image ({!Storage.Page.pack}) in
+    its first [ceil (image_length / sector_size)] sectors; the rest of
+    the slot stays erased. A read reads only as many sectors as the
+    page's image-length hint, kept in memory and never persisted: it
+    starts at the full slot (so the first read after a restart reads
+    the whole slot, erased tail included), and allocation, every read
+    and a merge past its durability point set it. It is never below the
+    stored image's length. *)
+
+exception Short_image_hint of { page : int; hint : int; image : int }
+(** A read found a stored image longer than the [hint] sectors it read:
+    the hint invariant is broken. *)
+
+val image_sectors : t -> int -> int
+(** The sectors an image of that many bytes fills. *)
+
+val image_hint : t -> int -> int
+(** A page's image-length hint, in sectors. *)
+
+val set_image_hint : t -> int -> int -> unit
+(** [set_image_hint t page sectors]; pages past the array's end that it
+    does not name get the full slot. *)
+
+val read_raw_page_into : ?cls:Dev.op_class -> t -> eu_info -> int -> page:int -> bytes -> Page.t
+(** The stored image of [page] in a slot, read into a page-long buffer
+    with one read of the hint's sectors and unpacked there; the hint
+    becomes the image's length. Raises {!Short_image_hint} if the
+    image is longer than the hint. *)
+
+val take_image : t -> int -> count:int -> bytes -> Page.t
+(** [take_image t page ~count buf]: [count] sectors of [page]'s image
+    were read into the front of [buf]; check them against the image's
+    header (raising {!Short_image_hint}), set the hint to the image's
+    length and unpack in place. *)
+
+val submit_data_page : t -> cls:Dev.op_class -> int -> int -> Page.t -> int
+(** Program a page's packed image into a slot: only the sectors it
+    fills, from the one pack scratch, allocating nothing. Returns those
+    sectors; the caller sets the hint once the image is the page's
+    stored one. *)
 
 val eu_log_empty : eu_info -> bool
 
@@ -143,3 +188,7 @@ val cache_note : t -> eu_info -> hit:bool -> unit
 val read_eu_log_records : ?cls:Dev.op_class -> t -> eu_info -> Log_record.t list
 (** All log records stored for a unit, in application order, from the
     cache or, on a miss, from flash (installing them). *)
+
+val fold_eu_log_records : t -> eu_info -> ('a -> Log_record.t -> 'a) -> 'a -> 'a
+(** [f] folded over a unit's stored records in no set order: over the
+    cache entry in place on a hit, else over {!read_eu_log_records}. *)

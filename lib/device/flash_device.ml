@@ -494,7 +494,7 @@ let[@inline] yield_page_time t ~cls kind =
 let execute chip kind ~addr ~count data =
   match kind with
   | Read -> Chip.read_sectors_into chip ~sector:addr ~count data
-  | Program -> Chip.write_sectors chip ~sector:addr data
+  | Program -> Chip.write_sectors_from chip ~sector:addr ~count data
   | Erase -> Chip.erase_block chip addr
 
 (* Run one physical operation eagerly on its chip, measuring its service
@@ -562,10 +562,12 @@ let sector_count t data =
   let len = Bytes.length data and ss = t.config.FConfig.sector_size in
   if len < 2 * ss then 1 else len / ss
 
-let write_sectors ?(cls = Foreground) t ~sector data =
-  let count = sector_count t data in
+let write_sectors_from ?(cls = Foreground) t ~sector ~count data =
   let chip_idx = route t ~sector ~count in
   run_sync t ~cls Program ~chip_idx ~addr:t.local ~count data
+
+let write_sectors ?cls t ~sector data =
+  write_sectors_from ?cls t ~sector ~count:(sector_count t data) data
 
 let erase_block ?(cls = Foreground) t b =
   let chip_idx = channel_of_block t b in
@@ -615,10 +617,12 @@ let submit_read t ~cls ~sector ~count =
   let out = sector_buffer t count in
   (out, submit_read_into t ~cls ~sector ~count out)
 
-let submit_write t ~cls ~sector data =
-  let count = sector_count t data in
+let submit_write_from t ~cls ~sector ~count data =
   let chip_idx = route t ~sector ~count in
   dispatch t ~sync:false ~cls Program ~chip_idx ~addr:t.local ~count data
+
+let submit_write t ~cls ~sector data =
+  submit_write_from t ~cls ~sector ~count:(sector_count t data) data
 
 let submit_erase t ~cls b =
   let chip_idx = channel_of_block t b in
@@ -628,6 +632,10 @@ let submit_erase t ~cls b =
    (or not at all — scrub relocation), not by individual await. The tag
    never escapes, so the settling protocol is explicit at the call site. *)
 let publish_write t ~cls ~sector data = ignore (submit_write t ~cls ~sector data : tag)
+
+let publish_write_from t ~cls ~sector ~count data =
+  ignore (submit_write_from t ~cls ~sector ~count data : tag)
+
 let publish_erase t ~cls b = ignore (submit_erase t ~cls b : tag)
 
 let publish_read_into t ~cls ~sector ~count dst =

@@ -135,11 +135,16 @@ val channel_of_block : t -> int -> int
 val read_sectors : ?cls:op_class -> t -> sector:int -> count:int -> bytes
 
 val read_sectors_into : ?cls:op_class -> t -> sector:int -> count:int -> bytes -> unit
-(** {!read_sectors} into a caller-owned buffer of exactly
+(** {!read_sectors} into the front of a caller-owned buffer of at least
     [count * sector_size] bytes (see {!Chip.read_sectors_into});
     [read_sectors] allocates one and calls this. *)
 
 val write_sectors : ?cls:op_class -> t -> sector:int -> bytes -> unit
+
+val write_sectors_from : ?cls:op_class -> t -> sector:int -> count:int -> bytes -> unit
+(** Program the first [count] sectors of [data] (see
+    {!Chip.write_sectors_from}); {!write_sectors} programs all of it. *)
+
 val erase_block : ?cls:op_class -> t -> int -> unit
 val invalidate_sectors : t -> sector:int -> count:int -> unit
 val sector_state : t -> int -> Chip.sector_state
@@ -159,7 +164,13 @@ val last_read_corrected : t -> bool
 
 val submit_read : t -> cls:op_class -> sector:int -> count:int -> bytes * tag
 
+val submit_read_into : t -> cls:op_class -> sector:int -> count:int -> bytes -> tag
+(** {!submit_read} into the front of a caller-owned buffer of at least
+    [count * sector_size] bytes; [submit_read] allocates one and calls
+    this. *)
+
 val submit_write : t -> cls:op_class -> sector:int -> bytes -> tag
+
 val submit_erase : t -> cls:op_class -> int -> tag
 
 val publish_write : t -> cls:op_class -> sector:int -> bytes -> unit
@@ -167,6 +178,9 @@ val publish_write : t -> cls:op_class -> sector:int -> bytes -> unit
     class queue and settled by a later {!barrier}/{!drain} (or, for
     background relocation, implicitly by the cleaning engine), never by an
     individual await. Use this instead of dropping a {!submit_write} tag. *)
+
+val publish_write_from : t -> cls:op_class -> sector:int -> count:int -> bytes -> unit
+(** {!publish_write} of the first [count] sectors of [data] only. *)
 
 val publish_erase : t -> cls:op_class -> int -> unit
 (** Fire-and-forget {!submit_erase}; see {!publish_write}. *)

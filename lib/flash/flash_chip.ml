@@ -169,8 +169,8 @@ let programmable_block t b =
 let read_sectors_into t ~sector ~count dst =
   if count <= 0 then invalid_arg "Flash_chip.read_sectors: count must be positive";
   let ss = t.config.sector_size in
-  if Bytes.length dst <> count * ss then
-    invalid_arg "Flash_chip.read_sectors_into: destination must hold exactly count sectors";
+  if Bytes.length dst < count * ss then
+    invalid_arg "Flash_chip.read_sectors_into: destination must hold at least count sectors";
   check_sector t sector;
   check_sector t (sector + count - 1);
   t.last_read_corrected <- false;
@@ -224,12 +224,11 @@ let read_sectors t ~sector ~count =
 
 let bump_wear t b = t.erase_counts.(b) <- t.erase_counts.(b) + 1
 
-let write_sectors t ~sector data =
+let write_sectors_from t ~sector ~count data =
   let ss = t.config.sector_size in
-  let len = Bytes.length data in
-  if len <= 0 || len mod ss <> 0 then
-    invalid_arg "Flash_chip.write_sectors: length must be a positive multiple of sector size";
-  let count = len / ss in
+  if count <= 0 || count * ss > Bytes.length data then
+    invalid_arg "Flash_chip.write_sectors_from: count must be positive and within the data";
+  let len = count * ss in
   check_sector t sector;
   check_sector t (sector + count - 1);
   let b0 = sector / Flash_config.sectors_per_block t.config in
@@ -294,6 +293,12 @@ let write_sectors t ~sector data =
       let stored = t.blocks.(b) in
       Bytes.set stored boff (Char.chr (Char.code (Bytes.get stored boff) lxor 0x10))
   | _ -> ()
+
+let write_sectors t ~sector data =
+  let len = Bytes.length data and ss = t.config.sector_size in
+  if len <= 0 || len mod ss <> 0 then
+    invalid_arg "Flash_chip.write_sectors: length must be a positive multiple of sector size";
+  write_sectors_from t ~sector ~count:(len / ss) data
 
 let invalidate_sectors t ~sector ~count =
   if count <= 0 then invalid_arg "Flash_chip.invalidate_sectors: count must be positive";

@@ -143,14 +143,23 @@ val read_sectors_into : t -> sector:int -> count:int -> bytes -> unit
 (** [read_sectors_into t ~sector ~count dst] is {!read_sectors} into a
     caller-owned buffer: same checks, fault consultation, counters, clock
     and trace event, with [Free] (or, on a timing-only chip, every) sector
-    filled with 0xFF. [dst] must be exactly [count * sector_size] bytes.
+    filled with 0xFF. [dst] must hold at least [count * sector_size]
+    bytes; the read fills its front and leaves the rest as it was (a
+    packed page image lands at the front of a page-long buffer).
     A failed read (fault, fail-stop, range error) leaves [dst] untouched. *)
 
 val write_sectors : t -> sector:int -> bytes -> unit
 (** Program [Bytes.length data / sector_size] sectors starting at [sector].
     The length must be a positive multiple of the sector size. All target
     sectors must be [Free]. Charges one page-program per distinct physical
-    page touched. *)
+    page touched. {!write_sectors_from} is the primitive. *)
+
+val write_sectors_from : t -> sector:int -> count:int -> bytes -> unit
+(** [write_sectors_from t ~sector ~count data] programs the first [count]
+    sectors of [data], which must hold at least that many, and ignores
+    the rest: a packed page image programs only the sectors its bytes
+    fill. Otherwise as {!write_sectors}; a [Flip_bit] fault lands inside
+    the programmed sectors. *)
 
 val invalidate_sectors : t -> sector:int -> count:int -> unit
 (** Mark written sectors as [Invalid] (logical operation used by FTLs and

@@ -157,12 +157,12 @@ let rec read_retry t ~publish ?cls ~phys_sector ~count ~virt_sector dst attempt 
       note_read_error t ~virt_sector attempt;
       read_retry t ~publish ?cls ~phys_sector ~count ~virt_sector dst (attempt + 1)
 
-let rec submit_read_retry t ~cls ~phys_sector ~count ~virt_sector attempt =
-  match Dev.submit_read t.dev ~cls ~sector:phys_sector ~count with
-  | r -> r
+let rec submit_read_retry t ~cls ~phys_sector ~count ~virt_sector dst attempt =
+  match Dev.submit_read_into t.dev ~cls ~sector:phys_sector ~count dst with
+  | tag -> tag
   | exception Chip.Read_error _ ->
       note_read_error t ~virt_sector attempt;
-      submit_read_retry t ~cls ~phys_sector ~count ~virt_sector (attempt + 1)
+      submit_read_retry t ~cls ~phys_sector ~count ~virt_sector dst (attempt + 1)
 
 (* Copy every programmed sector of [from_phys] onto the erased [to_phys],
    preserving Free holes and Invalid marks exactly: Invalid sectors still
@@ -207,7 +207,8 @@ let rec relocate t ~cls ~virt ~old_phys ~pending ~retire_old =
         copy_block t ~cls ~from_phys:old_phys ~to_phys:np;
         match pending with
         | None -> ()
-        | Some (off, data) -> Dev.write_sectors ~cls t.dev ~sector:((np * t.spb) + off) data
+        | Some (off, count, data) ->
+            Dev.write_sectors_from ~cls t.dev ~sector:((np * t.spb) + off) ~count data
       with
       | () ->
           t.persist (P_remap { virt; phys = np });
@@ -256,20 +257,20 @@ let read_sectors ?cls t ~sector ~count =
 
 (* Asynchronous read: the retries and the scrub run at submission, where
    the eager device gives the chip's answer. *)
-let submit_read_sectors t ~cls ~sector ~count =
+let submit_read_sectors_into t ~cls ~sector ~count dst =
   let ps = translate t ~sector ~count in
-  let r = submit_read_retry t ~cls ~phys_sector:ps ~count ~virt_sector:sector 1 in
+  let tag = submit_read_retry t ~cls ~phys_sector:ps ~count ~virt_sector:sector dst 1 in
   scrub_if_corrected t sector;
-  r
+  tag
 
 (* A failed program always relocates at merge priority: completing the
    interrupted program is on the caller's critical path whatever class
    the original write carried. *)
-let handle_program_error t ~sector ~ps data =
+let handle_program_error t ~sector ~ps ~count data =
   let virt = sector / t.spb in
   match
     relocate t ~cls:Dev.Merge_io ~virt ~old_phys:(ps / t.spb)
-      ~pending:(Some (ps mod t.spb, data))
+      ~pending:(Some (ps mod t.spb, count, data))
       ~retire_old:true
   with
   | Some _ -> ()
@@ -280,19 +281,21 @@ let write_sectors ?(cls = Dev.Foreground) t ~sector data =
   let ss = (Dev.config t.dev).FConfig.sector_size in
   let count = max 1 (Bytes.length data / ss) in
   let ps = translate t ~sector ~count in
-  try Dev.write_sectors ~cls t.dev ~sector:ps data
-  with Chip.Program_error _ -> handle_program_error t ~sector ~ps data
+  try Dev.write_sectors_from ~cls t.dev ~sector:ps ~count data
+  with Chip.Program_error _ -> handle_program_error t ~sector ~ps ~count data
 
 (* Asynchronous variant: the program executes now (so a Program_error is
    handled here exactly as in the sync path) but its completion time is
    settled by the caller's next barrier/await. *)
-let submit_write_sectors t ~cls ~sector data =
+let submit_write_sectors_from t ~cls ~sector ~count data =
   check_writable t;
-  let ss = (Dev.config t.dev).FConfig.sector_size in
-  let count = max 1 (Bytes.length data / ss) in
   let ps = translate t ~sector ~count in
-  try Dev.publish_write t.dev ~cls ~sector:ps data
-  with Chip.Program_error _ -> handle_program_error t ~sector ~ps data
+  try Dev.publish_write_from t.dev ~cls ~sector:ps ~count data
+  with Chip.Program_error _ -> handle_program_error t ~sector ~ps ~count data
+
+let submit_write_sectors t ~cls ~sector data =
+  let ss = (Dev.config t.dev).FConfig.sector_size in
+  submit_write_sectors_from t ~cls ~sector ~count:(max 1 (Bytes.length data / ss)) data
 
 (* The block would not erase (worn out or transient failure turned
    permanent): its content is garbage to the caller, so no copy is

@@ -86,16 +86,19 @@ val read_sectors :
 
 val read_sectors_into :
   ?cls:Device.Flash_device.op_class -> t -> sector:int -> count:int -> bytes -> unit
-(** {!read_sectors} into a caller-owned buffer of exactly
+(** {!read_sectors} into the front of a caller-owned buffer of at least
     [count * sector_size] bytes, with the same retries and scrub;
-    [read_sectors] allocates one and calls this. *)
+    [read_sectors] allocates one and calls this. A packed page image is
+    read this way: its sectors land at the front of a page-long buffer. *)
 
-val submit_read_sectors :
-  t -> cls:Device.Flash_device.op_class -> sector:int -> count:int ->
-  bytes * Device.Flash_device.tag
-(** Asynchronous {!read_sectors} ({!Device.Flash_device.submit_read}):
-    the device executes eagerly, so the retries and the scrub run here,
-    at submission; the tag settles at the owner's await. *)
+val submit_read_sectors_into :
+  t -> cls:Device.Flash_device.op_class -> sector:int -> count:int -> bytes ->
+  Device.Flash_device.tag
+(** Asynchronous {!read_sectors_into}
+    ({!Device.Flash_device.submit_read_into}): the device executes
+    eagerly, so the retries and the scrub run here, at submission, and
+    the data is in the buffer's front on return; the tag settles at the
+    owner's await. *)
 
 val write_sectors :
   ?cls:Device.Flash_device.op_class -> t -> sector:int -> bytes -> unit
@@ -110,6 +113,13 @@ val submit_write_sectors :
 (** Asynchronous {!write_sectors}: the program (and any relocation a
     program failure forces) executes now, but its completion time settles
     only at the owner's next {!Device.Flash_device.barrier}. *)
+
+val submit_write_sectors_from :
+  t -> cls:Device.Flash_device.op_class -> sector:int -> count:int -> bytes -> unit
+(** {!submit_write_sectors} of the first [count] sectors of [data] only:
+    a packed page image programs just the sectors its bytes fill. A
+    relocation that a failed program forces completes the same [count]
+    sectors on the new block, where the rest of the slot stays erased. *)
 
 val submit_erase_block : t -> cls:Device.Flash_device.op_class -> int -> unit
 (** Asynchronous {!erase_block}. *)

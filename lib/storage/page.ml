@@ -58,7 +58,9 @@ let read p i = if is_live p i then
   else None
 
 (* Payload bytes recoverable by compaction: everything in the payload area
-   not covered by a live record. *)
+   not covered by a live record. The tail the payload vacates is zeroed,
+   so the gap between payload and directory stays all zeros, as an
+   unpacked image's is. *)
 let compact p =
   let n = slot_count p in
   let live = ref [] in
@@ -76,7 +78,28 @@ let compact p =
       cursor := !cursor + len)
     live;
   Bytes.blit scratch header_size p header_size (!cursor - header_size);
+  Bytes.fill p !cursor (free_start p - !cursor) '\000';
   set_free_start p !cursor
+
+(* A packed image is the page's two ends joined: header and payload
+   [0, free_start), then the slot directory at once. *)
+let image_length p = free_start p + (slot_entry_size * slot_count p)
+
+let pack p dst =
+  if Bytes.length dst < size p then invalid_arg "Page.pack: destination shorter than the page";
+  let fs = free_start p and dir = slot_entry_size * slot_count p in
+  Bytes.blit p 0 dst 0 fs;
+  Bytes.blit p (size p - dir) dst fs dir;
+  Bytes.fill dst (fs + dir) (size p - fs - dir) '\000';
+  fs + dir
+
+let unpack b =
+  let p = of_bytes b in
+  let fs = free_start p and dir = slot_entry_size * slot_count p in
+  if fs < header_size || fs + dir > size p then invalid_arg "Page.unpack: bad image header";
+  Bytes.blit p fs p (size p - dir) dir;
+  Bytes.fill p fs (size p - dir - fs) '\000';
+  p
 
 (* The slot loops below step a directory position down from slot 0's
    entry instead of calling [slot_pos] per slot: at ocamlopt's default

@@ -82,7 +82,36 @@ val delete : t -> int -> (unit, [> `Slot_not_live ]) result
 (** Remove a live record; its slot number may be reused by later inserts. *)
 
 val compact : t -> unit
-(** Squeeze out holes; slot numbers and payloads are unchanged. *)
+(** Squeeze out holes; slot numbers and payloads are unchanged. The
+    payload tail it vacates is zeroed, so a page whose gap between
+    payload and directory was all zeros keeps it so. *)
+
+(** {2 Packed images}
+
+    A page keeps its bytes at its two ends: header and payload from the
+    front, the slot directory from the back. Its packed image joins the
+    two: bytes [\[0, free_start)] followed at once by the directory, so
+    storing a page moves only {!image_length} bytes. Dead payload bytes
+    stay in the image: packing does not compact. *)
+
+val image_length : t -> int
+(** [free_start + 4 * slot_count]: the bytes of the page's packed
+    image. *)
+
+val pack : t -> bytes -> int
+(** [pack p dst] writes [p]'s packed image to the front of [dst] and
+    zeroes the rest of [dst]'s first [size p] bytes; returns
+    {!image_length}. [dst] must hold at least [size p] bytes and must
+    not be [p]'s own bytes. Allocates nothing. *)
+
+val unpack : bytes -> t
+(** [unpack b] adopts [b] as a page whose packed image fills its front,
+    in place: the directory moves back to the page's end and the gap
+    between payload and directory becomes zeros. Only the image's bytes
+    are read, so whatever follows them (erased flash reads 0xff) is
+    overwritten. [unpack (pack p)] has [p]'s bytes outside the gap and
+    zeros inside it. Raises [Invalid_argument] on a bad magic or a
+    header whose image does not fit the buffer. Allocates nothing. *)
 
 val iter : (int -> bytes -> unit) -> t -> unit
 (** Apply to every live (slot, payload). *)

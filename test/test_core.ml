@@ -807,6 +807,172 @@ let test_store_out_of_space () =
     Alcotest.fail "expected out of space on merge"
   with Failure _ | Invalid_argument _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Packed page images                                                  *)
+
+(* The sectors a page's packed image fills, with 512-byte sectors. *)
+let image_sectors p = (Page.image_length p + 511) / 512
+
+(* Record the data-slot programs and reads, as sector counts in
+   operation order: those on a data block (past the two system-log
+   blocks) before its log region (15 pages of 16 sectors). *)
+let watch_data_slots chip =
+  let spb = FConfig.sectors_per_block (Chip.config chip) in
+  let programs = ref [] and reads = ref [] in
+  let data_slot sector = sector >= 2 * spb && sector mod spb < 15 * 16 in
+  Chip.set_fault_hook chip
+    (Some
+       (fun _ op ->
+         (match op with
+         | Chip.Op_program { sector; count } when data_slot sector -> programs := count :: !programs
+         | Chip.Op_read { sector; count } when data_slot sector -> reads := count :: !reads
+         | _ -> ());
+         Chip.Proceed));
+  let take r =
+    let l = List.rev !r in
+    r := [];
+    l
+  in
+  ((fun () -> take programs), fun () -> take reads)
+
+let sectors_read chip = (Chip.stats chip).Flash_sim.Flash_stats.sectors_read
+
+(* An allocation and a merge program, and a read reads, exactly the
+   sectors each page's image fills, one operation per page. *)
+let test_packed_sector_counts () =
+  let chip, _, store = mk_store () in
+  let big = page_with (List.init 20 (fun i -> String.make 150 (Char.chr (65 + i)))) in
+  let small = page_with [ "tiny" ] in
+  let l_big = image_sectors big and l_small = image_sectors small in
+  Alcotest.(check (pair int int)) "image sizes" (7, 1) (l_big, l_small);
+  let programs, reads = watch_data_slots chip in
+  let p0 = Store.allocate_page store big and p1 = Store.allocate_page store small in
+  Alcotest.(check (list int)) "allocations program the images" [ l_big; l_small ] (programs ());
+  let read_counts pid =
+    let before = sectors_read chip in
+    ignore (Store.read_page store pid);
+    (sectors_read chip - before, reads ())
+  in
+  Alcotest.(check (pair int (list int))) "a read reads the image" (l_big, [ l_big ]) (read_counts p0);
+  Alcotest.(check (pair int (list int))) "a small page's read" (l_small, [ l_small ])
+    (read_counts p1);
+  for i = 1 to 17 do
+    flush store
+      [
+        {
+          LR.txid = 0;
+          page = p1;
+          op =
+            LR.Update_range
+              { slot = 0; offset = 0; before = b (Printf.sprintf "%c" (Char.chr (96 + i)));
+                after = b (Printf.sprintf "%c" (Char.chr (97 + i))) };
+        };
+      ]
+  done;
+  Alcotest.(check int) "one merge" 1 (Store.stats store).Store.merges;
+  Alcotest.(check (list int)) "the merge reads each image" [ l_big; l_small ] (reads ());
+  Alcotest.(check (list int)) "the merge programs each image" [ l_big; l_small ] (programs ());
+  Alcotest.(check (pair int (list int))) "a read after the merge" (l_big, [ l_big ])
+    (read_counts p0);
+  Alcotest.(check (pair int (list int))) "the merged page's read" (l_small, [ l_small ])
+    (read_counts p1);
+  Chip.set_fault_hook chip None
+
+(* The hint lives in memory only: after a restart a page's first read
+   reads its whole slot, erased tail included, and its second only the
+   image. *)
+let test_packed_first_read_after_restart () =
+  let chip, meta, store = mk_store () in
+  let pid = Store.allocate_page store (page_with [ "hello"; "world" ]) in
+  Alcotest.(check int) "allocation sets the hint" 1 (Store.image_hint store ~page:pid);
+  Meta_log.force meta;
+  let meta', events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
+  let store' =
+    Store.recover (data_area chip) ~first_block:2 ~num_blocks:30
+      ~txn_status:(fun _ -> Trx_log.Committed)
+      ~meta:meta' ~meta_events:events ()
+  in
+  Alcotest.(check int) "restart: the full slot" 16 (Store.image_hint store' ~page:pid);
+  let read () =
+    let before = sectors_read chip in
+    let p = Store.read_page store' pid in
+    Alcotest.(check (option bytes)) "content" (Some (b "world")) (Page.read p 1);
+    sectors_read chip - before
+  in
+  Alcotest.(check int) "first read: the whole slot" 16 (read ());
+  Alcotest.(check int) "second read: the image" 1 (read ())
+
+exception Injected
+
+(* A merge that shrinks a page's image and then fails before its
+   [Merge] event is durable leaves every hint at least its stored
+   image, so the old image still reads whole. The page is 26 records of
+   300 bytes (16 sectors); the log deletes 16 of them, and the record
+   the merging flush inserts needs a compaction, which leaves 7
+   sectors. The system-log force that would publish the merge fails. *)
+let test_rolled_back_merge_keeps_hints () =
+  let chip, _, store = mk_store () in
+  let rows = List.init 26 (fun i -> String.make 300 (Char.chr (65 + i))) in
+  let page = page_with rows in
+  let pid = Store.allocate_page store page and other = Store.allocate_page store (page_with [ "x" ]) in
+  Alcotest.(check int) "old image" 16 (image_sectors page);
+  for slot = 0 to 15 do
+    flush store
+      [ { LR.txid = 0; page = pid; op = LR.Delete { slot; before = b (List.nth rows slot) } } ]
+  done;
+  let spb = FConfig.sectors_per_block (Chip.config chip) in
+  Chip.set_fault_hook chip
+    (Some
+       (fun _ op ->
+         match op with
+         | Chip.Op_program { sector; _ } when sector < 2 * spb -> raise Injected
+         | _ -> Chip.Proceed));
+  let insert = { LR.txid = 0; page = pid; op = LR.Insert { slot = 0; record = Bytes.make 400 'n' } } in
+  (match flush store [ insert ] with
+  | () -> Alcotest.fail "expected the merge to fail"
+  | exception Injected -> ());
+  Chip.set_fault_hook chip None;
+  Alcotest.(check int) "rolled back" 0 (Store.stats store).Store.merges;
+  List.iter
+    (fun page ->
+      let hint = Store.image_hint store ~page and stored = Store.stored_image_sectors store ~page in
+      if hint < stored then Alcotest.failf "page %d: hint %d < stored image %d" page hint stored)
+    [ pid; other ];
+  let p = Store.read_page store pid in
+  Alcotest.(check int) "ten records left" 10 (Page.live_records p);
+  (* The retried merge publishes the smaller image, and the hint follows. *)
+  flush store [ insert ];
+  Alcotest.(check int) "merged" 1 (Store.stats store).Store.merges;
+  Alcotest.(check int) "new image" 7 (Store.stored_image_sectors store ~page:pid);
+  Alcotest.(check int) "hint follows" 7 (Store.image_hint store ~page:pid);
+  Alcotest.(check (option bytes)) "inserted" (Some (Bytes.make 400 'n'))
+    (Page.read (Store.read_page store pid) 0)
+
+(* The merge rule counts a cached unit's records in place: evaluating it
+   on a cache hit allocates nothing in proportion to the unit's log. *)
+let test_merge_rule_hit_allocates_no_log () =
+  let _, _, store = mk_store () in
+  let pid = Store.allocate_page store (page_with [ "0000" ]) in
+  let record i =
+    let v = Printf.sprintf "%04d" i in
+    { LR.txid = 0; page = pid; op = LR.Update_range { slot = 0; offset = 0; before = b v; after = b v } }
+  in
+  let per_sector = 12 in
+  for s = 0 to 15 do
+    flush store (List.init per_sector (fun i -> record ((s * per_sector) + i)))
+  done;
+  let pending = [ record 0 ] in
+  Alcotest.(check bool) "due (a miss fills the cache)" true (Store.merge_due store pending);
+  let hits = (Store.stats store).Store.log_cache_hits in
+  let before = Gc.minor_words () in
+  let due = Store.merge_due store pending in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "due" true due;
+  Alcotest.(check int) "a cache hit" (hits + 1) (Store.stats store).Store.log_cache_hits;
+  let records = 16 * per_sector in
+  if words >= float_of_int records then
+    Alcotest.failf "a hit allocated %.0f words for a log of %d records" words records
+
 (* Property: interleaved updates to several pages, with random merge
    pressure, never lose a committed update. *)
 let prop_store_durability =
@@ -1682,6 +1848,14 @@ let () =
             test_store_recovery_gc_with_log;
           Alcotest.test_case "detects corrupt log sector" `Quick test_store_detects_corrupt_log_sector;
           Alcotest.test_case "out of space" `Quick test_store_out_of_space;
+          Alcotest.test_case "packed images: sectors programmed and read" `Quick
+            test_packed_sector_counts;
+          Alcotest.test_case "packed images: first read after restart" `Quick
+            test_packed_first_read_after_restart;
+          Alcotest.test_case "packed images: rolled-back merge keeps hints" `Quick
+            test_rolled_back_merge_keeps_hints;
+          Alcotest.test_case "merge rule: a cache hit allocates no log" `Quick
+            test_merge_rule_hit_allocates_no_log;
           QCheck_alcotest.to_alcotest prop_store_durability;
           QCheck_alcotest.to_alcotest prop_pair_trades;
           Alcotest.test_case "flush_log takes one unit" `Quick test_flush_log_one_unit_only;

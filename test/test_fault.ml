@@ -268,9 +268,22 @@ let update_until_boom e ~page ~slot =
    with Injected | Chip.Power_loss _ -> ());
   (!committed, !active)
 
-let merge_bomb = function
-  | Chip.Op_program { count; _ } when count > 1 -> true
-  | _ -> false (* data-page rewrites are the only multi-sector programs *)
+(* A program into a data block's data area, the slots before its log
+   region: data blocks follow the engine's 8 system-log blocks. Outside
+   a merge only page allocation programs there, and these cases allocate
+   nothing while the bomb is armed. (A packed one-record page is a
+   one-sector program, so the sector count cannot tell a merge's page
+   rewrites from log writes.) *)
+let merge_bomb =
+  let fc = FConfig.default ~num_blocks:32 () in
+  let spb = FConfig.sectors_per_block fc in
+  let data_sectors =
+    Config.data_pages_per_eu base_config ~block_size:fc.FConfig.block_size
+    * (base_config.Config.page_size / fc.FConfig.sector_size)
+  in
+  function
+  | Chip.Op_program { sector; _ } -> sector >= 8 * spb && sector mod spb < data_sectors
+  | _ -> false
 
 let test_merge_transient_exception_rolls_back () =
   let chip = mk_chip () in

@@ -200,7 +200,8 @@ let test_async_read_retry () =
         Chip.Read_fault
     | _ -> Chip.Proceed);
   faults := 2;
-  let data, tag = Bbm.submit_read_sectors bbm ~cls:Dev.Foreground ~sector:(sec 1 0) ~count:1 in
+  let data = Bytes.create 512 in
+  let tag = Bbm.submit_read_sectors_into bbm ~cls:Dev.Foreground ~sector:(sec 1 0) ~count:1 data in
   Dev.await dev tag;
   Alcotest.check bytes_t "submitted read retried" (payload 'a') data;
   faults := 1;
@@ -209,7 +210,7 @@ let test_async_read_retry () =
   Alcotest.check bytes_t "merge-class read retried" (payload 'b') dst;
   Alcotest.(check int) "three retries counted" 3 (Bbm.stats bbm).Bbm.read_retries;
   hook chip (function Chip.Op_read _ -> Chip.Read_correctable | _ -> Chip.Proceed);
-  let _, tag = Bbm.submit_read_sectors bbm ~cls:Dev.Foreground ~sector:(sec 1 0) ~count:1 in
+  let tag = Bbm.submit_read_sectors_into bbm ~cls:Dev.Foreground ~sector:(sec 1 0) ~count:1 data in
   Dev.await dev tag;
   unhook chip;
   Alcotest.(check int) "corrected submitted read scrubbed" 1 (Bbm.stats bbm).Bbm.scrubs;

@@ -505,6 +505,116 @@ let prop_page_vs_model =
         model;
       Page.live_records p = Hashtbl.length model)
 
+(* Property: a packed image unpacks to the page it came from. Random
+   op sequences (a [`Fill] inserts until the directory meets
+   [free_start] exactly) leave a page whose gap between payload and
+   directory is all zeros, compaction included; packing it, letting
+   the bytes past the image read as erased flash (0xff) and unpacking
+   gives the same bytes outside the gap, zeros inside it and the same
+   content. *)
+let prop_pack_roundtrip =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun n -> `Insert n) (int_range 1 300));
+          (2, map2 (fun i n -> `Update (i, n)) (int_bound 30) (int_range 1 300));
+          (2, map (fun i -> `Delete i) (int_bound 30));
+          (1, return `Compact);
+          (1, return `Fill);
+        ])
+  in
+  let size = 2048 in
+  let gap p = size - Page.image_length p in
+  let gap_start p = Page.image_length p - (4 * Page.slot_count p) in
+  let gap_is_zero p =
+    let b = Page.to_bytes p in
+    let rec go i = i >= gap_start p + gap p || (Bytes.get b i = '\000' && go (i + 1)) in
+    go (gap_start p)
+  in
+  (* Insert records that fit contiguously until no gap is left: a
+     record needs a directory entry unless a dead slot is reused, and
+     never leaves a gap smaller than the next entry would need. *)
+  let rec fill p =
+    let g = gap p in
+    let reuse = Page.live_records p < Page.slot_count p in
+    let want = if reuse then g else g - 4 in
+    if want >= 1 then begin
+      let len = if want <= 40 then want else min 40 (want - 5) in
+      if Page.insert p (Bytes.make len 'f') <> None then fill p
+    end
+  in
+  QCheck.Test.make ~name:"pack then unpack = page, gap zeroed" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) gen_op))
+    (fun ops ->
+      let p = Page.create size in
+      let stamp = ref 0 in
+      let data n =
+        incr stamp;
+        Bytes.init n (fun i -> Char.chr (33 + ((!stamp + i) mod 90)))
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | `Insert n -> ignore (Page.insert p (data n))
+          | `Update (i, n) -> ignore (Page.update p i (data n))
+          | `Delete i -> ignore (Page.delete p i)
+          | `Compact -> Page.compact p
+          | `Fill ->
+              fill p;
+              (* Only a gap too small for a new entry, with no dead slot to
+                 reuse, can stay open. *)
+              if gap p > (if Page.live_records p < Page.slot_count p then 0 else 4) then
+                QCheck.Test.fail_reportf "fill left a gap of %d" (gap p));
+          if not (gap_is_zero p) then QCheck.Test.fail_report "the gap is not zero")
+        ops;
+      let dst = Bytes.make size 'Z' in
+      let len = Page.pack p dst in
+      if len <> Page.image_length p then QCheck.Test.fail_report "pack's length";
+      Bytes.fill dst len (size - len) '\xff';
+      let q = Page.unpack dst in
+      let a = Page.to_bytes p and b = Page.to_bytes q in
+      let outside i = i < gap_start p || i >= gap_start p + gap p in
+      for i = 0 to size - 1 do
+        let want = if outside i then Bytes.get a i else '\000' in
+        if Bytes.get b i <> want then QCheck.Test.fail_reportf "byte %d differs" i
+      done;
+      Page.equal_content p q)
+
+(* Packing into a caller's buffer and unpacking in place allocate
+   nothing: a stored page moves through the store's own buffers. *)
+let test_pack_unpack_allocate_nothing () =
+  let p = mk () in
+  for i = 1 to 30 do
+    ignore (Page.insert p (Bytes.make 100 (Char.chr (64 + i))))
+  done;
+  let dst = Bytes.create (Page.size p) in
+  let minor_words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let empty = minor_words (fun () -> ()) in
+  let words =
+    minor_words (fun () ->
+        ignore (Page.pack p dst : int);
+        ignore (Page.unpack dst : Page.t))
+  in
+  Alcotest.(check (float 0.)) "no minor words" empty words;
+  Alcotest.(check bool) "same content" true (Page.equal_content p (Page.of_bytes dst))
+
+(* [compact] zeroes the payload tail it vacates. *)
+let test_compact_zeroes_tail () =
+  let p = mk () in
+  let slots = List.init 4 (fun i -> Option.get (Page.insert p (Bytes.make 100 (Char.chr (65 + i))))) in
+  let fs = Page.image_length p - (4 * Page.slot_count p) in
+  List.iter (fun i -> ignore (Page.delete p i)) [ List.nth slots 0; List.nth slots 2 ];
+  Page.compact p;
+  let fs' = Page.image_length p - (4 * Page.slot_count p) in
+  Alcotest.(check int) "two records reclaimed" (fs - 200) fs';
+  Alcotest.(check string) "vacated tail zeroed" (String.make 200 '\000')
+    (Bytes.sub_string (Page.to_bytes p) fs' 200)
+
 let test_record_roundtrip () =
   let row = Record.[ I 42; S "hello"; F 3.25; I (-7); S "" ] in
   let b = Record.encode row in
@@ -572,6 +682,10 @@ let () =
             test_find_int64_and_insert_allocate_nothing;
           Alcotest.test_case "record_offset & has_room" `Quick test_record_offset_and_has_room;
           QCheck_alcotest.to_alcotest prop_page_vs_model;
+          Alcotest.test_case "compact zeroes the vacated tail" `Quick test_compact_zeroes_tail;
+          Alcotest.test_case "pack and unpack allocate nothing" `Quick
+            test_pack_unpack_allocate_nothing;
+          QCheck_alcotest.to_alcotest prop_pack_roundtrip;
         ] );
       ( "record",
         [
