@@ -26,8 +26,6 @@ type stats = {
 
 type nonrec t = t
 
-exception Short_image_hint = Store_state.Short_image_hint
-
 let config t = t.config
 let set_tracer t tracer = t.tracer <- tracer
 let set_buffered t f = t.buffered <- f
@@ -120,9 +118,8 @@ let allocate_page t page =
   let pid = t.next_page in
   t.next_page <- pid + 1;
   let sectors = submit_data_page t ~cls:Dev.Foreground eu.phys idx page in
-  let ev = Meta_log.Page_alloc { page = pid; eu = eu.phys; idx } in
+  let ev = Meta_log.Page_alloc { page = pid; eu = eu.phys; idx; sectors } in
   apply t ev;
-  set_image_hint t pid sectors;
   Meta_log.log t.meta ev;
   t.c_pages_allocated <- t.c_pages_allocated + 1;
   (match t.tracer with
@@ -176,7 +173,7 @@ let read_page_into t pid dst =
   if Page.size dst <> t.config.Ipl_config.page_size then
     invalid_arg "Ipl_storage.read_page_into: wrong page size";
   let eu, idx = lookup t pid in
-  let page = read_raw_page_into t eu idx ~page:pid (Page.to_bytes dst) in
+  let page = read_raw_page_into t eu idx (Page.to_bytes dst) in
   Log_record.replay page (live_records_of_page t eu pid);
   note_page_read t pid eu
 
@@ -187,9 +184,9 @@ let read_page t pid =
 
 (* Batched read: the raw page reads of the whole batch are submitted
    asynchronously before any is awaited, so reads of pages on different
-   channels overlap on the simulated clock. Each reads its image's hint
-   into a fresh page, whose bytes are there at submission (execution is
-   eager), so it is unpacked at once. The per-page log replay (cache
+   channels overlap on the simulated clock. Each reads its image's
+   mapped sectors into a fresh page, whose bytes are there at submission
+   (execution is eager), so it is unpacked at once. The per-page log replay (cache
    hits, or synchronous log-region reads) happens as each page is
    settled. Counters, applied records and returned pages are identical
    to a [read_page] loop. *)
@@ -200,12 +197,10 @@ let read_pages_start t pids =
     (fun pid ->
       let eu, idx = lookup t pid in
       t.c_page_reads <- t.c_page_reads + 1;
-      let data = Bytes.create t.config.Ipl_config.page_size and count = image_hint t pid in
-      let tag =
-        Bbm.submit_read_sectors_into t.bbm ~cls:Dev.Foreground
-          ~sector:(data_sector t eu.phys idx) ~count data
-      in
-      let page = take_image t pid ~count data in
+      let data = Bytes.create t.config.Ipl_config.page_size in
+      let sector = data_sector t eu.phys idx and count = eu.sectors.(idx) in
+      let tag = Bbm.submit_read_sectors_into t.bbm ~cls:Dev.Foreground ~sector ~count data in
+      let page = take_image t ~sector ~count data in
       (* The live records are captured here too: image and log must
          snapshot the same instant, or a merge between start and finish
          (which folds the records into a new image) would leave the old
@@ -226,7 +221,7 @@ let read_pages t pids = read_pages_finish t (read_pages_start t pids)
 
 let live_log_records t ~page = let eu, _ = lookup t page in live_records_of_page t eu page
 
-let image_hint t ~page = ignore (lookup t page : eu_info * int); image_hint t page
+let mapped_image_sectors t ~page = let eu, idx = lookup t page in eu.sectors.(idx)
 
 (* The header is in the image's first sector, so one sector sizes it. *)
 let stored_image_sectors t ~page =

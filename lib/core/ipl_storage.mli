@@ -16,11 +16,12 @@
     hotter pages go into one new unit and the rest into the other, so
     later commits touching hot pages share that unit's log sectors.
 
-    The logical-to-physical page mapping changes only on merges and is
-    persisted through a {!Meta_log.t} (a merge, of one unit or a pair,
-    is one event): the mapping is the fold of that
-    log's events, and crash recovery replays them through the same
-    transition run time applies as it logs each one.
+    The logical-to-physical page mapping, with each page's image length,
+    changes only on allocations and merges and is persisted through a
+    {!Meta_log.t} (a merge, of one unit or a pair, is one event): the
+    mapping is the fold of that log's events, and crash recovery replays
+    them through the same transition run time applies as it logs each
+    one.
 
     Transaction-status filtering: log records of aborted transactions are
     never applied (neither on read nor at merge); records of transactions
@@ -49,17 +50,14 @@
     [ceil (image_length / sector_size)] sectors the image fills, and
     the rest of the slot stays erased; it is never programmed within
     the unit's residency, so each flash page of the slot is programmed
-    at most once. A read reads only the sectors of the page's
-    image-length hint ({!image_hint}) with one device operation into a
-    page-long buffer and unpacks it there, the directory moving back to
-    the page's end and the gap between the two ends reading as zeros.
-    The hint lives only in memory: it starts at the full slot (so the
-    first read of a page after a restart reads the whole slot, erased
-    tail included), allocation sets it, a merge sets it once its
-    [Merge] event is durable (so a rolled-back merge leaves it at the
-    old image), and every read sets it to the length the image's header
-    gives. It is never below the stored image's length; a read that
-    finds otherwise raises {!Short_image_hint}. Programs pack through
+    at most once. How many sectors a page's image fills is mapping
+    state ({!mapped_image_sectors}): the [Page_alloc] and [Merge]
+    events carry it, so restart rebuilds it with the mapping. A read
+    reads exactly those sectors with one device operation into a
+    page-long buffer and unpacks it there, the directory moving back
+    to the page's end and the gap between the two ends reading as
+    zeros; a header that sizes the image otherwise is a corrupt page,
+    raised as [Resilience.Bbm.Uncorrectable]. Programs pack through
     one scratch buffer and {!read_page_into} unpacks in the caller's
     page, so neither allocates per page.
 
@@ -75,12 +73,6 @@
     the records, so nothing is stale after a restart. *)
 
 type t
-
-exception Short_image_hint of { page : int; hint : int; image : int }
-(** A page read found a stored image of [image] sectors, longer than
-    the [hint] sectors its image-length hint let it read (see
-    {!image_hint}). The hint is kept so that this cannot happen; the
-    read raises rather than return a page cut short. *)
 
 type stats = {
   pages_allocated : int;
@@ -300,11 +292,11 @@ val live_log_records : t -> page:int -> Log_record.t list
 (** All live (non-aborted) flash log records of a page, in application
     order — for tests and the recovery demo. *)
 
-val image_hint : t -> page:int -> int
-(** The page's image-length hint: how many sectors of its slot its next
+val mapped_image_sectors : t -> page:int -> int
+(** The sectors the mapping says the page's image fills: what its next
     read reads. *)
 
 val stored_image_sectors : t -> page:int -> int
 (** The sectors the page's stored image fills, from its header: one
-    sector read, not counted as a page read — for tests. Every page's
-    {!image_hint} is at least this. *)
+    sector read, not counted as a page read — for tests. It equals
+    {!mapped_image_sectors}. *)

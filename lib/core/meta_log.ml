@@ -1,6 +1,6 @@
 type event =
-  | Page_alloc of { page : int; eu : int; idx : int }
-  | Merge of { units : (int * int) list; trades : (int * int) list }
+  | Page_alloc of { page : int; eu : int; idx : int; sectors : int }
+  | Merge of { units : (int * int) list; trades : (int * int) list; sectors : int array list }
   | Overflow_alloc of { eu : int }
   | Overflow_assign of { data_eu : int; sector : int }
   | Overflow_release of { data_eu : int }
@@ -28,9 +28,8 @@ type t = {
 let u32 b pos n = Bytes.set_int32_le b pos (Int32.of_int n)
 let g32 b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFFFFFF
 
-(* Record format: tag:u8, then the event's u32 fields in order; a pair
-   merge's traded slots follow as bitmaps (below). Tags 9 and 10 are
-   unused. *)
+(* Record format: tag:u8, then the event's u32 fields in order; a page's
+   image sectors take one byte. Tags 9 and 10 are unused. *)
 let header tag ~fields =
   let b = Bytes.create (1 + (4 * fields)) in
   Bytes.set_uint8 b 0 tag;
@@ -48,8 +47,7 @@ let two tag x y =
   b
 
 (* A pair merge's traded slots, one bitmap per unit: the k-th set bit of
-   the first unit's map trades with the k-th of the second's, so the
-   record stays a few bytes whatever the pages per unit. *)
+   the first unit's map trades with the k-th of the second's. *)
 let rec increasing = function a :: (b :: _ as rest) -> a < b && increasing rest | _ -> true
 
 let set_bits b pos slots =
@@ -64,30 +62,55 @@ let get_bits b pos len =
     (fun i -> Bytes.get_uint8 b (pos + (i / 8)) land (1 lsl (i mod 8)) <> 0)
     (List.init (8 * len) Fun.id)
 
+(* A merge: tag, the unit count n:u8, n (old, new) pairs, the slots per
+   unit d:u16, each unit's d image sectors by slot after the merge, then
+   for a pair its two ceil(d/8)-byte trade bitmaps. *)
+let encode_merge units trades sectors =
+  let n = List.length units and d = match sectors with s :: _ -> Array.length s | [] -> 0 in
+  let first = List.map fst trades and second = List.map snd trades in
+  if n < 1 || n > 2 || (n = 1 && trades <> []) then
+    invalid_arg "Meta_log.encode: a merge covers one or two units";
+  if List.compare_lengths sectors units <> 0 || List.exists (fun s -> Array.length s <> d) sectors
+  then invalid_arg "Meta_log.encode: a merge needs one sector array per unit, all alike";
+  if not (increasing first && increasing second && List.for_all (fun i -> i < d) (first @ second))
+  then invalid_arg "Meta_log.encode: a merge's trades must increase in both slots";
+  let at = 4 + (8 * n) and len = if n = 2 then (d + 7) / 8 else 0 in
+  let b = Bytes.make (at + (n * d) + (2 * len)) '\000' in
+  Bytes.set_uint8 b 0 1;
+  Bytes.set_uint8 b 1 n;
+  List.iteri
+    (fun k (old_eu, new_eu) ->
+      u32 b (2 + (8 * k)) old_eu;
+      u32 b (6 + (8 * k)) new_eu)
+    units;
+  Bytes.set_uint16_le b (at - 2) d;
+  List.iteri (fun k s -> Array.iteri (fun i x -> Bytes.set_uint8 b (at + (k * d) + i) x) s) sectors;
+  set_bits b (at + (n * d)) first;
+  set_bits b (at + (n * d) + len) second;
+  b
+
+let decode_merge b =
+  let n = Bytes.get_uint8 b 1 in
+  let at = 4 + (8 * n) in
+  let d = Bytes.get_uint16_le b (at - 2) in
+  let len = if n = 2 then (d + 7) / 8 else 0 in
+  Merge
+    {
+      units = List.init n (fun k -> (g32 b (2 + (8 * k)), g32 b (6 + (8 * k))));
+      trades = List.combine (get_bits b (at + (n * d)) len) (get_bits b (at + (n * d) + len) len);
+      sectors = List.init n (fun k -> Array.init d (fun i -> Bytes.get_uint8 b (at + (k * d) + i)));
+    }
+
 let encode = function
-  | Page_alloc { page; eu; idx } ->
-      let b = header 0 ~fields:3 in
+  | Page_alloc { page; eu; idx; sectors } ->
+      let b = Bytes.create 14 in
+      Bytes.set_uint8 b 0 0;
       u32 b 1 page;
       u32 b 5 eu;
       u32 b 9 idx;
+      Bytes.set_uint8 b 13 sectors;
       b
-  | Merge { units = [ (old_eu, new_eu) ]; trades = [] } -> two 1 old_eu new_eu
-  | Merge { units = [ (u_old, u_new); (v_old, v_new) ]; trades } ->
-      let first = List.map fst trades and second = List.map snd trades in
-      if not (increasing first && increasing second) then
-        invalid_arg "Meta_log.encode: a merge's trades must increase in both slots";
-      let len = (List.fold_left max (-1) (first @ second) + 8) / 8 in
-      let b = Bytes.make (19 + (2 * len)) '\000' in
-      Bytes.set_uint8 b 0 1;
-      u32 b 1 u_old;
-      u32 b 5 u_new;
-      u32 b 9 v_old;
-      u32 b 13 v_new;
-      Bytes.set_uint16_le b 17 len;
-      set_bits b 19 first;
-      set_bits b (19 + len) second;
-      b
-  | Merge _ -> invalid_arg "Meta_log.encode: a merge covers one or two units"
+  | Merge { units; trades; sectors } -> encode_merge units trades sectors
   | Overflow_alloc { eu } -> one 2 eu
   | Overflow_assign { data_eu; sector } -> two 3 data_eu sector
   | Overflow_release { data_eu } -> one 4 data_eu
@@ -102,15 +125,8 @@ let encode = function
 
 let decode b =
   match Bytes.get_uint8 b 0 with
-  | 0 -> Page_alloc { page = g32 b 1; eu = g32 b 5; idx = g32 b 9 }
-  | 1 when Bytes.length b = 9 -> Merge { units = [ (g32 b 1, g32 b 5) ]; trades = [] }
-  | 1 ->
-      let len = Bytes.get_uint16_le b 17 in
-      Merge
-        {
-          units = [ (g32 b 1, g32 b 5); (g32 b 9, g32 b 13) ];
-          trades = List.combine (get_bits b 19 len) (get_bits b (19 + len) len);
-        }
+  | 0 -> Page_alloc { page = g32 b 1; eu = g32 b 5; idx = g32 b 9; sectors = Bytes.get_uint8 b 13 }
+  | 1 -> decode_merge b
   | 2 -> Overflow_alloc { eu = g32 b 1 }
   | 3 -> Overflow_assign { data_eu = g32 b 1; sector = g32 b 5 }
   | 4 -> Overflow_release { data_eu = g32 b 1 }

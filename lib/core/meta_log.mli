@@ -1,9 +1,10 @@
 (** The system log: one append-only stream of tagged events in a small
     reserved flash region, compacted into a snapshot when full. It holds
-    the logical-to-physical mapping, which the paper (Section 3.3) leaves
-    to the FTL as metadata that changes only on merges, and the status
-    records of the system-wide transaction log (Section 5.1; {!Trx_log}
-    keeps their in-memory rules). One scan of it after a crash, with the
+    the logical-to-physical mapping and each page's image length, which
+    the paper (Section 3.3) leaves to the FTL as metadata that changes
+    only on allocations and merges, and the status records of the
+    system-wide transaction log (Section 5.1; {!Trx_log} keeps their
+    in-memory rules). One scan of it after a crash, with the
     flash's free state, rebuilds the storage manager's and the
     transaction table's state; no in-page log sector is read.
 
@@ -14,16 +15,20 @@
     compaction had not begun. *)
 
 type event =
-  | Page_alloc of { page : int; eu : int; idx : int }
-      (** logical page placed at data slot [idx] of erase unit [eu] *)
-  | Merge of { units : (int * int) list; trades : (int * int) list }
+  | Page_alloc of { page : int; eu : int; idx : int; sectors : int }
+      (** logical page placed at data slot [idx] of erase unit [eu], its
+          packed image filling the slot's first [sectors] sectors *)
+  | Merge of { units : (int * int) list; trades : (int * int) list; sectors : int array list }
       (** one atomic merge of one or two data units: each [(old_eu,
           new_eu)] of [units] moved all its pages, same slots, to
           [new_eu], except that for each [(i, j)] of [trades] (a pair
           only) the pages at slot [i] of the first unit and slot [j] of
-          the second traded units. Trades increase in both slots: the
-          record holds them as one bitmap of slots per unit, 19 bytes
-          plus two bits per data slot *)
+          the second traded units. [sectors] holds, per unit, the image
+          sectors of each slot after the trades (0 for a free slot).
+          Trades increase in both slots: the record holds them as one
+          bitmap of slots per unit; with a byte per slot's sectors, a
+          merge of [n] units of [d] slots takes [4 + 8n + nd] bytes,
+          plus [2 ceil(d/8)] for a pair *)
   | Overflow_alloc of { eu : int }  (** [eu] becomes an overflow log area *)
   | Overflow_assign of { data_eu : int; sector : int }
       (** flat sector address [sector] (inside an overflow area) now holds

@@ -251,10 +251,7 @@ let merge t units =
                 match buffered with
                 | Some page -> page
                 | None ->
-                    let page =
-                      read_raw_page_into ~cls:Dev.Merge_io t src src_idx ~page:pid
-                        t.merge_scratch
-                    in
+                    let page = read_raw_page_into ~cls:Dev.Merge_io t src src_idx t.merge_scratch in
                     Log_record.replay page (List.rev rev);
                     page
               in
@@ -288,21 +285,18 @@ let merge t units =
     (* Publish the move: the durability point. *)
     let ev =
       Meta_log.Merge
-        { units = List.map (fun side -> (side.old_phys, side.new_phys)) sides; trades }
+        {
+          units = List.map (fun side -> (side.old_phys, side.new_phys)) sides;
+          trades;
+          sectors = List.map (fun side -> side.images) sides;
+        }
     in
     Meta_log.log t.meta ev;
     Meta_log.force t.meta;
     durable := true;
     (* Complete the in-memory switch-over (pure RAM, cannot fail), then
-       reclaim the old blocks. The new images are the stored ones only
-       from here, so only now may their hints follow them. *)
+       reclaim the old blocks. *)
     apply t ev;
-    List.iter
-      (fun side ->
-        Array.iteri
-          (fun idx pid -> if pid >= 0 then set_image_hint t pid side.images.(idx))
-          side.after)
-      sides;
     let partner side =
       match sides with
       | [ u; v ] -> if side == u then v.old_phys else u.old_phys

@@ -1,9 +1,9 @@
 (* The storage manager's shared record; its mapping state (data units
-   with their page slots, overflow areas with their live-sector counts)
-   and the one transition that changes it; and erase-unit I/O: where a
-   unit's pages and log sectors sit, their reads and programs, the
-   log-record cache's consumption point, and taking units from and
-   returning them to the free pool. *)
+   with their page slots and image lengths, overflow areas with their
+   live-sector counts) and the one transition that changes it; and
+   erase-unit I/O: where a unit's pages and log sectors sit, their reads
+   and programs, the log-record cache's consumption point, and taking
+   units from and returning them to the free pool. *)
 module Chip = Flash_sim.Flash_chip
 module Dev = Device.Flash_device
 module Bbm = Resilience.Bbm
@@ -13,6 +13,7 @@ module Page = Storage.Page
 type eu_info = {
   mutable phys : int;
   pages : int array;  (* data slot -> logical page id, -1 = free slot *)
+  sectors : int array;  (* data slot -> sectors its page's image fills, 0 = free slot *)
   mutable used_log : int;
   mutable overflow_rev : int list;  (* flat sector addresses, newest first *)
   mutable next_slot : int;
@@ -56,11 +57,6 @@ type t = {
          through (see [Store_merge.merge]) *)
   pack_scratch : bytes;
       (* the one buffer every data-page program packs its image into *)
-  mutable hints : int array;
-      (* page id -> image-length hint, in sectors: at least the stored
-         image's, so a read of that many sectors gets all of it. Memory
-         only; a page past the end, or never set since the restart, has
-         the full slot *)
   mutable buffered : int -> Page.t option;
       (* the engine's view of a page held in memory with nothing owed to
          flash (see [Ipl_storage.set_buffered]) *)
@@ -142,7 +138,6 @@ let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~
     next_page = 0;
     merge_scratch = Bytes.create config.Ipl_config.page_size;
     pack_scratch = Bytes.create config.Ipl_config.page_size;
-    hints = [||];
     buffered = (fun _ -> None);
     sectors_per_page;
     data_pages;
@@ -180,6 +175,7 @@ let data_eu t phys =
         {
           phys;
           pages = Array.make t.data_pages (-1);
+          sectors = Array.make t.data_pages 0;
           used_log = 0;
           overflow_rev = [];
           next_slot = 0;
@@ -202,12 +198,13 @@ let count_live t sector d =
    logged before it is applied. Device effects, log usage and record
    counts are not mapping state and stay with the callers. *)
 let apply t = function
-  | Meta_log.Page_alloc { page; eu; idx } ->
+  | Meta_log.Page_alloc { page; eu; idx; sectors } ->
       let eu = data_eu t eu in
       eu.pages.(idx) <- page;
+      eu.sectors.(idx) <- sectors;
       Hashtbl.replace t.mapping page (eu, idx);
       if page >= t.next_page then t.next_page <- page + 1
-  | Meta_log.Merge { units; trades } -> (
+  | Meta_log.Merge { units; trades; sectors } -> (
       let unit (old_eu, _) =
         match Hashtbl.find_opt t.data_eus old_eu with
         | Some eu -> eu
@@ -220,6 +217,7 @@ let apply t = function
           eu.phys <- new_eu;
           Hashtbl.replace t.data_eus new_eu eu)
         eus units;
+      List.iter2 (fun eu s -> Array.blit s 0 eu.sectors 0 t.data_pages) eus sectors;
       match eus with
       | [ u; v ] ->
           List.iter
@@ -264,7 +262,9 @@ let snapshot t =
     (fun phys eu ->
       Array.iteri
         (fun idx page ->
-          if page >= 0 then units := Meta_log.Page_alloc { page; eu = phys; idx } :: !units)
+          if page >= 0 then
+            units :=
+              Meta_log.Page_alloc { page; eu = phys; idx; sectors = eu.sectors.(idx) } :: !units)
         eu.pages;
       List.iter
         (fun sector -> units := Meta_log.Overflow_assign { data_eu = phys; sector } :: !units)
@@ -303,40 +303,24 @@ let sector_size t = (Dev.config t.dev).FConfig.sector_size
 (* ------------------------------------------------------------------ *)
 (* Packed page images                                                  *)
 
-exception Short_image_hint of { page : int; hint : int; image : int }
-
 let image_sectors t len = (len + sector_size t - 1) / sector_size t
 
-let image_hint t pid =
-  if pid < Array.length t.hints then t.hints.(pid) else t.sectors_per_page
+(* A read of the [count] mapped sectors of the image at [sector] landed
+   at the front of [buf]: unpack it in place. A header that is no page's
+   or sizes the image otherwise is a corrupt page: an uncorrectable
+   read. *)
+let take_image t ~sector ~count buf =
+  match Page.image_length (Page.of_bytes buf) with
+  | len when image_sectors t len = count -> Page.unpack buf
+  | _ | (exception Invalid_argument _) -> raise (Bbm.Uncorrectable sector)
 
-(* The hint array doubles until it covers the page id; new cells hold
-   the full slot. *)
-let set_image_hint t pid sectors =
-  let len = Array.length t.hints in
-  if pid >= len then begin
-    let hints = Array.make (max (2 * len) (pid + 1)) t.sectors_per_page in
-    Array.blit t.hints 0 hints 0 len;
-    t.hints <- hints
-  end;
-  t.hints.(pid) <- sectors
-
-(* A read of [count] sectors of page [pid]'s image landed at the front
-   of [buf]: check that it got the whole image, which the header in its
-   first sector sizes, remember that size, and unpack it in place. *)
-let take_image t pid ~count buf =
-  let image = image_sectors t (Page.image_length (Page.of_bytes buf)) in
-  if image > count then raise (Short_image_hint { page = pid; hint = count; image });
-  set_image_hint t pid image;
-  Page.unpack buf
-
-(* The stored image of page [pid] in slot [idx], read into [buf] (one
-   page long): the hint's sectors, one device operation. *)
-let read_raw_page_into ?cls t eu idx ~page:pid buf =
+(* The stored image in slot [idx], read into [buf] (one page long): its
+   mapped sectors, one device operation. *)
+let read_raw_page_into ?cls t eu idx buf =
   t.c_page_reads <- t.c_page_reads + 1;
-  let sector = data_sector t eu.phys idx and count = image_hint t pid in
+  let sector = data_sector t eu.phys idx and count = eu.sectors.(idx) in
   Bbm.read_sectors_into ?cls t.bbm ~sector ~count buf;
-  take_image t pid ~count buf
+  take_image t ~sector ~count buf
 
 (* Data-page programs are asynchronous: a bulk load streams pages to the
    fill units of every channel and the channels program in parallel; the

@@ -1,9 +1,9 @@
 (** The storage manager's shared record, its mapping state (data units
-    with their page slots, overflow areas with their live-sector counts)
-    and erase-unit I/O: where a unit's pages and log sectors sit, their
-    reads and programs through the bad-block manager, the log-record
-    cache's consumption point, and the free pool's allocation and
-    reclamation. Private to {!Ipl_storage}, whose other parts read and
+    with their page slots and each slot's image length, overflow areas
+    with their live-sector counts) and erase-unit I/O: where a unit's
+    pages and log sectors sit, their reads and programs through the
+    bad-block manager, the log-record cache's consumption point, and the
+    free pool's allocation and reclamation. Private to {!Ipl_storage}, whose other parts read and
     write the record directly. *)
 
 module Dev = Device.Flash_device
@@ -13,6 +13,7 @@ module Page = Storage.Page
 type eu_info = {
   mutable phys : int;
   pages : int array;  (* data slot -> logical page id, -1 = free slot *)
+  sectors : int array;  (* data slot -> sectors its page's image fills, 0 = free slot *)
   mutable used_log : int;
   mutable overflow_rev : int list;  (* flat sector addresses, newest first *)
   mutable next_slot : int;
@@ -56,11 +57,6 @@ type t = {
          through (see [Store_merge.merge]) *)
   pack_scratch : bytes;
       (* the one buffer every data-page program packs its image into *)
-  mutable hints : int array;
-      (* page id -> image-length hint, in sectors: at least the stored
-         image's, so a read of that many sectors gets all of it. Memory
-         only; a page past the end, or never set since the restart, has
-         the full slot *)
   mutable buffered : int -> Page.t option;
       (* the engine's view of a page held in memory with nothing owed to
          flash (see [Ipl_storage.set_buffered]) *)
@@ -112,7 +108,8 @@ val apply : t -> Meta_log.event -> unit
     [Page_alloc], [Merge] and [Overflow_*] event where it logs it, and
     restart replays the durable events through it, so the state is the
     fold of its events; a pair [Merge] moves both units and trades
-    their pages in one step. Other events leave it unchanged. A [Merge] or
+    their pages in one step, and each event sets its slots' image
+    sectors. Other events leave it unchanged. A [Merge] or
     [Overflow_assign] naming an unknown data unit raises [Failure]. *)
 
 val snapshot : t -> Meta_log.event list
@@ -141,44 +138,27 @@ val used_sectors : t -> base:int -> int -> int
 
     A data slot holds its page's packed image ({!Storage.Page.pack}) in
     its first [ceil (image_length / sector_size)] sectors; the rest of
-    the slot stays erased. A read reads only as many sectors as the
-    page's image-length hint, kept in memory and never persisted: it
-    starts at the full slot (so the first read after a restart reads
-    the whole slot, erased tail included), and allocation, every read
-    and a merge past its durability point set it. It is never below the
-    stored image's length. *)
-
-exception Short_image_hint of { page : int; hint : int; image : int }
-(** A read found a stored image longer than the [hint] sectors it read:
-    the hint invariant is broken. *)
+    the slot stays erased. How many is mapping state: [eu.sectors],
+    which {!apply} folds from the [Page_alloc] and [Merge] events, so a
+    read reads exactly the image, the first after a restart included. *)
 
 val image_sectors : t -> int -> int
 (** The sectors an image of that many bytes fills. *)
 
-val image_hint : t -> int -> int
-(** A page's image-length hint, in sectors. *)
+val read_raw_page_into : ?cls:Dev.op_class -> t -> eu_info -> int -> bytes -> Page.t
+(** The stored image in a slot, read into a page-long buffer with one
+    read of its mapped sectors and unpacked there ({!take_image}). *)
 
-val set_image_hint : t -> int -> int -> unit
-(** [set_image_hint t page sectors]; pages past the array's end that it
-    does not name get the full slot. *)
-
-val read_raw_page_into : ?cls:Dev.op_class -> t -> eu_info -> int -> page:int -> bytes -> Page.t
-(** The stored image of [page] in a slot, read into a page-long buffer
-    with one read of the hint's sectors and unpacked there; the hint
-    becomes the image's length. Raises {!Short_image_hint} if the
-    image is longer than the hint. *)
-
-val take_image : t -> int -> count:int -> bytes -> Page.t
-(** [take_image t page ~count buf]: [count] sectors of [page]'s image
-    were read into the front of [buf]; check them against the image's
-    header (raising {!Short_image_hint}), set the hint to the image's
-    length and unpack in place. *)
+val take_image : t -> sector:int -> count:int -> bytes -> Page.t
+(** [take_image t ~sector ~count buf]: the [count] mapped sectors of the
+    image at [sector] were read into the front of [buf]; unpack them in
+    place. A header that is not a page's, or whose image fills other
+    than [count] sectors, raises [Bbm.Uncorrectable sector]. *)
 
 val submit_data_page : t -> cls:Dev.op_class -> int -> int -> Page.t -> int
 (** Program a page's packed image into a slot: only the sectors it
     fills, from the one pack scratch, allocating nothing. Returns those
-    sectors; the caller sets the hint once the image is the page's
-    stored one. *)
+    sectors, which the caller's mapping event records. *)
 
 val eu_log_empty : eu_info -> bool
 

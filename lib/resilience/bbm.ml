@@ -167,9 +167,11 @@ let rec submit_read_retry t ~cls ~phys_sector ~count ~virt_sector dst attempt =
 (* Copy every programmed sector of [from_phys] onto the erased [to_phys],
    preserving Free holes and Invalid marks exactly: Invalid sectors still
    hold stale-but-readable data that recovery depends on, and Free data
-   slots must stay programmable. *)
+   slots must stay programmable. Each run of programmed sectors passes
+   through the front of one block-long buffer. *)
 let copy_block t ~cls ~from_phys ~to_phys =
   let src = from_phys * t.spb and dst = to_phys * t.spb in
+  let data = Bytes.create (t.spb * (Dev.config t.dev).FConfig.sector_size) in
   let o = ref 0 in
   while !o < t.spb do
     if Dev.sector_state t.dev (src + !o) = Chip.Free then incr o
@@ -179,10 +181,9 @@ let copy_block t ~cls ~from_phys ~to_phys =
         incr o
       done;
       let count = !o - start in
-      let data = Bytes.create (count * (Dev.config t.dev).FConfig.sector_size) in
       read_retry t ~publish:false ~cls ~phys_sector:(src + start) ~count
         ~virt_sector:(src + start) data 1;
-      Dev.write_sectors ~cls t.dev ~sector:(dst + start) data;
+      Dev.write_sectors_from ~cls t.dev ~sector:(dst + start) ~count data;
       for i = start to !o - 1 do
         if Dev.sector_state t.dev (src + i) = Chip.Invalid then
           Dev.invalidate_sectors t.dev ~sector:(dst + i) ~count:1

@@ -372,7 +372,7 @@ let test_trx_log_high_water_survives_compaction () =
   commit sys 1;
   let before = Meta_log.compactions meta in
   while Meta_log.compactions meta = before do
-    Meta_log.log meta (Meta_log.Merge { units = [ (2, 3) ]; trades = [] });
+    Meta_log.log meta (Meta_log.Merge { units = [ (2, 3) ]; trades = []; sectors = [ [| 1 |] ] });
     Meta_log.force meta
   done;
   let log', aborted = recover_trx_log chip ~num_blocks:2 in
@@ -386,10 +386,18 @@ let test_trx_log_high_water_survives_compaction () =
 let test_meta_log_roundtrip () =
   let events =
     [
-      Meta_log.Page_alloc { page = 1; eu = 2; idx = 3 };
-      Meta_log.Merge { units = [ (2, 7) ]; trades = [] };
-      Meta_log.Merge { units = [ (2, 7); (4, 9) ]; trades = [] };
-      Meta_log.Merge { units = [ (2, 7); (4, 9) ]; trades = [ (0, 3); (5, 14); (200, 15) ] };
+      Meta_log.Page_alloc { page = 1; eu = 2; idx = 3; sectors = 7 };
+      Meta_log.Page_alloc { page = 2; eu = 2; idx = 4; sectors = 16 };
+      Meta_log.Merge { units = [ (2, 7) ]; trades = []; sectors = [ [| 1; 16; 0; 4 |] ] };
+      Meta_log.Merge
+        { units = [ (2, 7); (4, 9) ]; trades = []; sectors = [ [| 3; 0 |]; [| 0; 16 |] ] };
+      Meta_log.Merge
+        {
+          units = [ (2, 7); (4, 9) ];
+          trades = [ (0, 3); (5, 14); (200, 15) ];
+          sectors =
+            [ Array.init 201 (fun i -> i mod 17); Array.init 201 (fun i -> 16 - (i mod 17)) ];
+        };
       Meta_log.Overflow_alloc { eu = 9 };
       Meta_log.Overflow_assign { data_eu = 7; sector = 12345 };
       Meta_log.Overflow_release { data_eu = 7 };
@@ -413,11 +421,12 @@ let test_meta_log_recover_reads_once () =
   let chip = small_chip () in
   let stat f = f (Chip.stats chip) in
   let log = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
-  Meta_log.set_snapshot log (fun () -> [ Meta_log.Page_alloc { page = 0; eu = 1; idx = 0 } ]);
+  Meta_log.set_snapshot log (fun () ->
+      [ Meta_log.Page_alloc { page = 0; eu = 1; idx = 0; sectors = 1 } ]);
   let fill () =
     let written = stat (fun s -> s.FStats.sectors_written) in
     for page = 0 to 99 do
-      Meta_log.log log (Meta_log.Page_alloc { page; eu = 1; idx = 0 })
+      Meta_log.log log (Meta_log.Page_alloc { page; eu = 1; idx = 0; sectors = 1 })
     done;
     Meta_log.force log;
     stat (fun s -> s.FStats.sectors_written) - written
@@ -439,15 +448,16 @@ let test_meta_log_recover_reads_once () =
 let test_meta_log_compaction_via_snapshot () =
   let chip = small_chip () in
   let log = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
-  Meta_log.set_snapshot log (fun () -> [ Meta_log.Page_alloc { page = 0; eu = 1; idx = 0 } ]);
+  Meta_log.set_snapshot log (fun () ->
+      [ Meta_log.Page_alloc { page = 0; eu = 1; idx = 0; sectors = 1 } ]);
   for i = 0 to 20_000 do
-    Meta_log.log log (Meta_log.Merge { units = [ (i, i + 1) ]; trades = [] })
+    Meta_log.log log (Meta_log.Merge { units = [ (i, i + 1) ]; trades = []; sectors = [ [| 1 |] ] })
   done;
   Meta_log.force log;
   let _, recovered = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
   (* Whatever survives must start with the snapshot. *)
   (match recovered with
-  | Meta_log.Page_alloc { page = 0; eu = 1; idx = 0 } :: _ -> ()
+  | Meta_log.Page_alloc { page = 0; eu = 1; idx = 0; sectors = 1 } :: _ -> ()
   | _ -> Alcotest.fail "snapshot not at head");
   Alcotest.(check bool) "bounded" true (List.length recovered < 25_000)
 
@@ -459,6 +469,14 @@ let test_config_rejects_recovery_off () =
   validate Config.default;
   match validate { Config.default with Config.recovery_enabled = false } with
   | () -> Alcotest.fail "recovery_enabled = false must be rejected"
+  | exception Invalid_argument _ -> ()
+
+(* The system log records an image's sectors in one byte. *)
+let test_config_rejects_pages_over_255_sectors () =
+  let validate sector_size = Config.validate Config.default ~sector_size ~block_size:(128 * 1024) in
+  validate 64;
+  match validate 32 with
+  | () -> Alcotest.fail "a page of 256 sectors must be rejected"
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -878,13 +896,12 @@ let test_packed_sector_counts () =
     (read_counts p1);
   Chip.set_fault_hook chip None
 
-(* The hint lives in memory only: after a restart a page's first read
-   reads its whole slot, erased tail included, and its second only the
-   image. *)
+(* A page's image length is mapping state: the system log records it,
+   so after a restart the first read reads only the image. *)
 let test_packed_first_read_after_restart () =
   let chip, meta, store = mk_store () in
   let pid = Store.allocate_page store (page_with [ "hello"; "world" ]) in
-  Alcotest.(check int) "allocation sets the hint" 1 (Store.image_hint store ~page:pid);
+  Alcotest.(check int) "allocation maps the image" 1 (Store.mapped_image_sectors store ~page:pid);
   Meta_log.force meta;
   let meta', events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
   let store' =
@@ -892,24 +909,25 @@ let test_packed_first_read_after_restart () =
       ~txn_status:(fun _ -> Trx_log.Committed)
       ~meta:meta' ~meta_events:events ()
   in
-  Alcotest.(check int) "restart: the full slot" 16 (Store.image_hint store' ~page:pid);
+  Alcotest.(check int) "restart: the image" 1 (Store.mapped_image_sectors store' ~page:pid);
   let read () =
     let before = sectors_read chip in
     let p = Store.read_page store' pid in
     Alcotest.(check (option bytes)) "content" (Some (b "world")) (Page.read p 1);
     sectors_read chip - before
   in
-  Alcotest.(check int) "first read: the whole slot" 16 (read ());
+  Alcotest.(check int) "first read: the image" 1 (read ());
   Alcotest.(check int) "second read: the image" 1 (read ())
 
 exception Injected
 
 (* A merge that shrinks a page's image and then fails before its
-   [Merge] event is durable leaves every hint at least its stored
-   image, so the old image still reads whole. The page is 26 records of
-   300 bytes (16 sectors); the log deletes 16 of them, and the record
-   the merging flush inserts needs a compaction, which leaves 7
-   sectors. The system-log force that would publish the merge fails. *)
+   [Merge] event is durable leaves every page's mapped length at its
+   stored image, so the old image still reads whole. The page is 26
+   records of 300 bytes (16 sectors); the log deletes 16 of them, and
+   the record the merging flush inserts needs a compaction, which
+   leaves 7 sectors. The system-log force that would publish the merge
+   fails. *)
 let test_rolled_back_merge_keeps_hints () =
   let chip, _, store = mk_store () in
   let rows = List.init 26 (fun i -> String.make 300 (Char.chr (65 + i))) in
@@ -933,18 +951,24 @@ let test_rolled_back_merge_keeps_hints () =
   | exception Injected -> ());
   Chip.set_fault_hook chip None;
   Alcotest.(check int) "rolled back" 0 (Store.stats store).Store.merges;
-  List.iter
-    (fun page ->
-      let hint = Store.image_hint store ~page and stored = Store.stored_image_sectors store ~page in
-      if hint < stored then Alcotest.failf "page %d: hint %d < stored image %d" page hint stored)
-    [ pid; other ];
+  let mapped_is_stored what =
+    List.iter
+      (fun page ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: page %d" what page)
+          (Store.stored_image_sectors store ~page)
+          (Store.mapped_image_sectors store ~page))
+      [ pid; other ]
+  in
+  mapped_is_stored "rolled back";
+  Alcotest.(check int) "old image mapped" 16 (Store.mapped_image_sectors store ~page:pid);
   let p = Store.read_page store pid in
   Alcotest.(check int) "ten records left" 10 (Page.live_records p);
-  (* The retried merge publishes the smaller image, and the hint follows. *)
+  (* The retried merge publishes the smaller image with the mapping. *)
   flush store [ insert ];
   Alcotest.(check int) "merged" 1 (Store.stats store).Store.merges;
   Alcotest.(check int) "new image" 7 (Store.stored_image_sectors store ~page:pid);
-  Alcotest.(check int) "hint follows" 7 (Store.image_hint store ~page:pid);
+  mapped_is_stored "merged";
   Alcotest.(check (option bytes)) "inserted" (Some (Bytes.make 400 'n'))
     (Page.read (Store.read_page store pid) 0)
 
@@ -1150,9 +1174,13 @@ let restart_matches r ops =
     Store.create ~config (rig_area r) ~first_block:r.log_blocks ~num_blocks ~txn_status ~meta ()
   in
   Meta_log.set_snapshot meta (fun () -> Store.snapshot store);
+  (* Images of every length from one sector to most of the slot, so the
+     mapped lengths differ from page to page and trade with the pages. *)
+  let made = ref 0 in
   let blank () =
     let p = Page.create config.Config.page_size in
-    ignore (Page.insert p (b "0"));
+    incr made;
+    ignore (Page.insert p (Bytes.make (1 + (!made * 701 mod (config.Config.page_size - 64))) '0'));
     p
   in
   let pages = ref [ Store.allocate_page store (blank ()) ] in
@@ -1203,6 +1231,9 @@ let restart_matches r ops =
     (fun page ->
       same (Printf.sprintf "unit of page %d" page) (fun s -> Store.eu_of_page s page);
       same (Printf.sprintf "records of page %d" page) (fun s -> Store.live_log_records s ~page);
+      same (Printf.sprintf "image of page %d" page) (fun s -> Store.mapped_image_sectors s ~page);
+      if Store.mapped_image_sectors store' ~page <> Store.stored_image_sectors store' ~page then
+        QCheck.Test.fail_reportf "page %d: mapped image differs from stored" page;
       let eu = Store.eu_of_page store page in
       same (Printf.sprintf "log of unit %d" eu) (fun s -> Store.used_log_sectors s ~eu);
       same (Printf.sprintf "overflow of unit %d" eu) (fun s -> Store.overflow_sectors s ~eu))
@@ -1828,8 +1859,12 @@ let () =
             test_meta_log_recover_reads_once;
         ] );
       ( "ipl_config",
-        [ Alcotest.test_case "validate rejects recovery_enabled = false" `Quick
-            test_config_rejects_recovery_off ] );
+        [
+          Alcotest.test_case "validate rejects recovery_enabled = false" `Quick
+            test_config_rejects_recovery_off;
+          Alcotest.test_case "validate rejects pages over 255 sectors" `Quick
+            test_config_rejects_pages_over_255_sectors;
+        ] );
       ( "ipl_storage",
         [
           Alcotest.test_case "allocate & read" `Quick test_store_allocate_and_read;

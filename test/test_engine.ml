@@ -109,6 +109,29 @@ let test_checkpoint_then_restart () =
   Alcotest.(check (option bytes)) "survives restart" (Some (b "DURABLE"))
     (Engine.Unsafe.read e' ~page ~slot)
 
+(* A stored image whose header sizes it otherwise than the mapping
+   does, or is no page's header, is a corrupt page: its read is a typed
+   error, not an escape. The flipped bytes are the high byte of the
+   header's [free_start] (offset 3) and of its magic (offset 7), in the
+   first sector of slots 0 and 1. *)
+let test_corrupt_image_header_is_read_failed () =
+  let chip, config, e = mk () in
+  let pages = List.init 2 (fun _ -> Engine.Unsafe.allocate_page e) in
+  List.iter (fun page -> ignore (ok (Engine.Unsafe.insert e ~tx:0 ~page (b "payload")))) pages;
+  Engine.Unsafe.checkpoint e;
+  let e', _ = Engine.restart ~config chip in
+  List.iteri
+    (fun idx (page, offset) ->
+      let eu = Store.eu_of_page (Engine.storage e') page in
+      (match Chip.corrupt_sector ~offset chip (Chip.sector_of_block chip eu + (16 * idx)) with
+      | Ok () -> ()
+      | Error err -> Alcotest.fail (Chip.corrupt_error_to_string err));
+      match Engine.read e' ~page ~slot:0 with
+      | Error Engine.Read_failed -> ()
+      | Error err -> Alcotest.failf "offset %d: wrong error: %s" offset (Engine.error_to_string err)
+      | Ok _ -> Alcotest.failf "offset %d: a corrupt image read back" offset)
+    (List.combine pages [ 3; 7 ])
+
 let test_unflushed_work_lost_without_checkpoint () =
   let chip, config, e = mk () in
   let page = Engine.Unsafe.allocate_page e in
@@ -1014,6 +1037,8 @@ let () =
         [
           Alcotest.test_case "checkpoint + restart" `Quick test_checkpoint_then_restart;
           Alcotest.test_case "unflushed lost" `Quick test_unflushed_work_lost_without_checkpoint;
+          Alcotest.test_case "corrupt image header is Read_failed" `Quick
+            test_corrupt_image_header_is_read_failed;
           Alcotest.test_case "restart after merges" `Quick test_restart_mid_merge_consistency;
           Alcotest.test_case "restart reads only the system log" `Quick
             test_restart_reads_only_system_log;

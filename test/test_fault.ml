@@ -122,20 +122,22 @@ let test_trx_log_lost_commit_record () =
 let test_meta_log_torn_tail () =
   let chip = mk_chip () in
   let meta = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
-  Meta_log.log meta (Meta_log.Page_alloc { page = 1; eu = 2; idx = 3 });
+  Meta_log.log meta (Meta_log.Page_alloc { page = 1; eu = 2; idx = 3; sectors = 5 });
   Meta_log.force meta;
-  Meta_log.log meta (Meta_log.Merge { units = [ (2, 4) ]; trades = [] });
+  Meta_log.log meta (Meta_log.Merge { units = [ (2, 4) ]; trades = []; sectors = [ [| 1; 0 |] ] });
   Meta_log.force meta;
   corrupt chip 1 ~offset:2;
   let _, events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
   Alcotest.(check bool) "only the intact sector's events survive" true
-    (events = [ Meta_log.Page_alloc { page = 1; eu = 2; idx = 3 } ])
+    (events = [ Meta_log.Page_alloc { page = 1; eu = 2; idx = 3; sectors = 5 } ])
 
 (* Two compactions, one into each half, crashed at every flash
    operation from the first one on: restart finds every event forced
    before the crash, from the old half or from the new snapshot. *)
 let test_meta_log_compaction_crash () =
-  let alloc lo hi = List.init (hi - lo) (fun i -> Meta_log.Page_alloc { page = lo + i; eu = 2; idx = 0 }) in
+  let alloc lo hi =
+    List.init (hi - lo) (fun i -> Meta_log.Page_alloc { page = lo + i; eu = 2; idx = 0; sectors = 1 })
+  in
   let run crash =
     let chip = mk_chip () in
     let meta = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
@@ -172,17 +174,19 @@ let test_meta_log_rollback () =
   let chip = mk_chip () in
   let meta = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
   let trx = Trx_log.create meta in
-  Meta_log.log meta (Meta_log.Page_alloc { page = 1; eu = 2; idx = 0 });
+  Meta_log.log meta (Meta_log.Page_alloc { page = 1; eu = 2; idx = 0; sectors = 1 });
   Meta_log.force meta;
   Trx_log.log_begin trx 5;
   let mark = Meta_log.mark meta in
-  Meta_log.log meta (Meta_log.Merge { units = [ (2, 9) ]; trades = [] });
+  Meta_log.log meta (Meta_log.Merge { units = [ (2, 9) ]; trades = []; sectors = [ [| 1 |] ] });
   Alcotest.(check bool) "buffered events discarded" true (Meta_log.rollback meta mark);
   Meta_log.force meta;
   let _, events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
   Alcotest.(check bool) "rolled-back merge never published" true
     (events
-    = [ Meta_log.Page_alloc { page = 1; eu = 2; idx = 0 }; Meta_log.Trx_begin { txid = 5 } ])
+    = [
+        Meta_log.Page_alloc { page = 1; eu = 2; idx = 0; sectors = 1 }; Meta_log.Trx_begin { txid = 5 };
+      ])
 
 (* The last system-log sector holds a commit record and a mapping event,
    and tears. Restart loses both and keeps the sector before it: the
@@ -202,7 +206,9 @@ let test_system_log_torn_mixed_tail () =
   Trx_log.log_begin trx 1;
   Meta_log.force meta;
   let intact =
-    [ Meta_log.Page_alloc { page = pid; eu = 2; idx = 0 }; Meta_log.Trx_begin { txid = 1 } ]
+    [
+      Meta_log.Page_alloc { page = pid; eu = 2; idx = 0; sectors = 1 }; Meta_log.Trx_begin { txid = 1 };
+    ]
   in
   let record =
     { Ipl_core.Log_record.txid = 1; page = pid; op = Insert { slot = 0; record = Bytes.of_string "x" } }
