@@ -38,8 +38,9 @@ let validate t ~sector_size ~block_size =
   let check cond msg = if not cond then invalid_arg ("Ipl_config: " ^ msg) in
   check (t.page_size > 0 && t.page_size mod sector_size = 0)
     "page size must be a positive multiple of the flash sector size";
-  check (t.page_size / sector_size <= 255)
-    "a page spans at most 255 sectors: the system log records its image's in a byte";
+  check (block_size / sector_size <= 256)
+    "an erase unit spans at most 256 sectors: the system log records an image's size and first \
+     sector and the log's first sector in a byte each";
   check (t.log_region_bytes mod sector_size = 0)
     "log region must be a multiple of the flash sector size";
   check t.recovery_enabled "recovery_enabled must be true: every engine keeps a transaction log";

@@ -13,8 +13,10 @@
 type t = {
   page_size : int;  (** database page size, bytes (8 KB in the paper) *)
   log_region_bytes : int;
-      (** bytes of every erase unit reserved for log sectors; the paper
-          sweeps this from 8 KB to 64 KB (Figures 5 and 6) *)
+      (** bytes of a fresh erase unit's log region, and the least log
+          any unit keeps: a merged unit's log also takes the space its
+          packed images leave, up to three times this (DESIGN.md §22);
+          the paper sweeps this from 8 KB to 64 KB (Figures 5 and 6) *)
   recovery_enabled : bool;
       (** always [true]: {!validate} rejects [false]. Every engine runs the
           Section 5 design (system-wide transaction log, commit-time log
@@ -57,8 +59,10 @@ val default : t
 
 val validate : t -> sector_size:int -> block_size:int -> unit
 (** Check the configuration against a chip geometry: the log region and
-    page size must tile the erase unit, and at least one data page and
-    one log sector must fit. Raises [Invalid_argument] on a violation,
+    page size must tile the erase unit, at least one data page and
+    one log sector must fit, and an erase unit spans at most 256
+    sectors, so a page at most 255 (the system log stores image sizes
+    and offsets in a byte). Raises [Invalid_argument] on a violation,
     and on [recovery_enabled = false]. *)
 
 val data_pages_per_eu : t -> block_size:int -> int

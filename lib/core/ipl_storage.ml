@@ -27,6 +27,7 @@ type stats = {
 type nonrec t = t
 
 let config t = t.config
+let max_log_regions = max_log_regions
 let set_tracer t tracer = t.tracer <- tracer
 let set_buffered t f = t.buffered <- f
 
@@ -42,14 +43,23 @@ let create ?config bbm ~first_block ~num_blocks ~txn_status ~meta () =
   done;
   t
 
-(* The first slot of a unit from its scan cursor on that is unmapped
-   and still erased, moving the cursor there (to the end if none is). *)
+(* The first unmapped slot of a unit from its scan cursor on, moving
+   the cursor there (to the end if none is usable). The slot's image
+   goes at the unit's frontier, which a whole slot's reservation keeps
+   below the log. A program a crash tore at the frontier (restart finds
+   it) costs its slot, and the frontier moves past its sectors. *)
 let find_free_slot t eu =
-  let usable idx =
-    eu.pages.(idx) = -1
-    && Bbm.sector_state t.bbm (data_sector t eu.phys idx) = Chip.Free
+  let block = Dev.sector_of_block t.dev eu.phys in
+  let rec go idx =
+    if idx >= t.data_pages || eu.frontier + t.sectors_per_page > eu.log_base then t.data_pages
+    else if eu.pages.(idx) <> -1 then go (idx + 1)
+    else if Bbm.sector_state t.bbm (block + eu.frontier) <> Chip.Free then begin
+      eu.frontier <-
+        eu.frontier + used_sectors t ~base:(block + eu.frontier) (eu.log_base - eu.frontier);
+      go (idx + 1)
+    end
+    else idx
   in
-  let rec go idx = if idx < t.data_pages && not (usable idx) then go (idx + 1) else idx in
   eu.next_slot <- go eu.next_slot;
   if eu.next_slot < t.data_pages then Some eu.next_slot else None
 
@@ -61,7 +71,9 @@ let recover ?config bbm ~first_block ~num_blocks ~txn_status ~meta ~meta_events 
   (* A unit's log ends at its first free sector, a free-state scan that
      reads nothing; its records are read when an access needs them. *)
   Hashtbl.iter
-    (fun phys eu -> eu.used_log <- used_sectors t ~base:(log_sector_addr t phys 0) t.log_sectors)
+    (fun phys eu ->
+      eu.used_log <-
+        used_sectors t ~base:(log_sector_addr t phys ~base:eu.log_base 0) (log_capacity t eu))
     t.data_eus;
   Hashtbl.iter
     (fun phys info ->
@@ -117,8 +129,11 @@ let allocate_page t page =
   in
   let pid = t.next_page in
   t.next_page <- pid + 1;
-  let sectors = submit_data_page t ~cls:Dev.Foreground eu.phys idx page in
-  let ev = Meta_log.Page_alloc { page = pid; eu = eu.phys; idx; sectors } in
+  let start = eu.frontier in
+  let sectors = submit_data_page t ~cls:Dev.Foreground eu.phys ~start page in
+  let ev =
+    Meta_log.Page_alloc { page = pid; eu = eu.phys; idx; sectors; start; base = eu.log_base }
+  in
   apply t ev;
   Meta_log.log t.meta ev;
   t.c_pages_allocated <- t.c_pages_allocated + 1;
@@ -198,7 +213,7 @@ let read_pages_start t pids =
       let eu, idx = lookup t pid in
       t.c_page_reads <- t.c_page_reads + 1;
       let data = Bytes.create t.config.Ipl_config.page_size in
-      let sector = data_sector t eu.phys idx and count = eu.sectors.(idx) in
+      let sector = data_sector t eu idx and count = eu.sectors.(idx) in
       let tag = Bbm.submit_read_sectors_into t.bbm ~cls:Dev.Foreground ~sector ~count data in
       let page = take_image t ~sector ~count data in
       (* The live records are captured here too: image and log must
@@ -222,11 +237,12 @@ let read_pages t pids = read_pages_finish t (read_pages_start t pids)
 let live_log_records t ~page = let eu, _ = lookup t page in live_records_of_page t eu page
 
 let mapped_image_sectors t ~page = let eu, idx = lookup t page in eu.sectors.(idx)
+let mapped_image_start t ~page = let eu, idx = lookup t page in eu.starts.(idx)
 
 (* The header is in the image's first sector, so one sector sizes it. *)
 let stored_image_sectors t ~page =
   let eu, idx = lookup t page in
-  let header = Bbm.read_sectors t.bbm ~sector:(data_sector t eu.phys idx) ~count:1 in
+  let header = Bbm.read_sectors t.bbm ~sector:(data_sector t eu idx) ~count:1 in
   image_sectors t (Page.image_length (Page.of_bytes header))
 
 (* ------------------------------------------------------------------ *)
@@ -265,8 +281,8 @@ let flush_log t sector =
   let records = Log_sector.records sector in
   let eu = unit_of t "Ipl_storage.flush_log" records in
   let page = first_page "Ipl_storage.flush_log" records in
-  if eu.used_log < t.log_sectors then begin
-    let addr = log_sector_addr t eu.phys eu.used_log in
+  if eu.used_log < log_capacity t eu then begin
+    let addr = log_sector_addr t eu.phys ~base:eu.log_base eu.used_log in
     Bbm.submit_write_sectors t.bbm ~cls:Dev.Log_flush ~sector:addr (sector_bytes t sector);
     eu.used_log <- eu.used_log + 1;
     (* Write-through only after the program succeeded: the cache must
@@ -279,33 +295,35 @@ let flush_log t sector =
         Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
           (Obs.Event.Log_flush { page; eu = eu.phys; records = List.length records })
   end
-  else if Store_merge.merge_due t eu ~pending:records then
-    Store_merge.merge t [ (eu, records) ]
-  else begin
-    Store_overflow.write t eu (sector_bytes t sector);
-    Cache.Log_cache.append t.cache eu.phys records;
-    t.c_overflow_diversions <- t.c_overflow_diversions + 1;
-    match t.tracer with
-    | None -> ()
-    | Some tr ->
-        Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
-          (Obs.Event.Overflow_diversion
-             { page; eu = eu.phys; records = List.length records })
-  end
+  else
+    match Store_merge.merge_due t eu ~pending:records with
+    | Some stored -> Store_merge.merge t [ (eu, Lazy.force stored @ records) ]
+    | None -> (
+        Store_overflow.write t eu (sector_bytes t sector);
+        Cache.Log_cache.append t.cache eu.phys records;
+        t.c_overflow_diversions <- t.c_overflow_diversions + 1;
+        match t.tracer with
+        | None -> ()
+        | Some tr ->
+            Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
+              (Obs.Event.Overflow_diversion
+                 { page; eu = eu.phys; records = List.length records }))
 
-let log_full t ~page = (fst (lookup t page)).used_log >= t.log_sectors
+let full t eu = eu.used_log >= log_capacity t eu
+let log_full t ~page = full t (fst (lookup t page))
 
 let merge_due t records =
   match records with
   | [] -> false
-  | r :: _ -> Store_merge.merge_due t (fst (lookup t r.Log_record.page)) ~pending:records
+  | r :: _ -> Store_merge.merge_due t (fst (lookup t r.Log_record.page)) ~pending:records <> None
 
 let merge_pair t mine theirs =
   let u = unit_of t "Ipl_storage.merge_pair" mine in
   let v = unit_of t "Ipl_storage.merge_pair" theirs in
-  if u == v || u.used_log < t.log_sectors || v.used_log < t.log_sectors then
+  if u == v || (not (full t u)) || not (full t v) then
     invalid_arg "Ipl_storage.merge_pair: two distinct units with full logs";
-  Store_merge.merge t [ (u, mine); (v, theirs) ]
+  let all eu pending = read_eu_log_records ~cls:Dev.Merge_io t eu @ pending in
+  Store_merge.merge t [ (u, all u mine); (v, all v theirs) ]
 
 let merge_due_units = Store_merge.merge_due_units
 let pair_trades = Store_merge.pair_trades
@@ -316,15 +334,16 @@ let pair_trades = Store_merge.pair_trades
 let merging t = t.merging
 let eu_of_page t pid = (fst (lookup t pid)).phys
 
-let used_log_sectors t ~eu =
+let data_unit t fn eu =
   match Hashtbl.find_opt t.data_eus eu with
-  | Some info -> info.used_log
-  | None -> invalid_arg "Ipl_storage.used_log_sectors: not a data erase unit"
+  | Some info -> info
+  | None -> invalid_arg (fn ^ ": not a data erase unit")
+
+let used_log_sectors t ~eu = (data_unit t "Ipl_storage.used_log_sectors" eu).used_log
+let log_base t ~eu = (data_unit t "Ipl_storage.log_base" eu).log_base
 
 let overflow_sectors t ~eu =
-  match Hashtbl.find_opt t.data_eus eu with
-  | Some info -> List.length info.overflow_rev
-  | None -> invalid_arg "Ipl_storage.overflow_sectors: not a data erase unit"
+  List.length (data_unit t "Ipl_storage.overflow_sectors" eu).overflow_rev
 
 let free_eus t = Free_pool.size t.free
 

@@ -16,12 +16,12 @@
     hotter pages go into one new unit and the rest into the other, so
     later commits touching hot pages share that unit's log sectors.
 
-    The logical-to-physical page mapping, with each page's image length,
-    changes only on allocations and merges and is persisted through a
-    {!Meta_log.t} (a merge, of one unit or a pair, is one event): the
-    mapping is the fold of that log's events, and crash recovery replays
-    them through the same transition run time applies as it logs each
-    one.
+    The logical-to-physical page mapping, with each page's image length
+    and first sector and each unit's log base, changes only on
+    allocations and merges and is persisted through a {!Meta_log.t} (a
+    merge, of one unit or a pair, is one event): the mapping is the fold
+    of that log's events, and crash recovery replays them through the
+    same transition run time applies as it logs each one.
 
     Transaction-status filtering: log records of aborted transactions are
     never applied (neither on read nor at merge); records of transactions
@@ -47,12 +47,11 @@
     A data page is stored as its packed image ({!Storage.Page.pack}):
     its header and payload, then its slot directory at once. An
     allocation or a merge programs only the
-    [ceil (image_length / sector_size)] sectors the image fills, and
-    the rest of the slot stays erased; it is never programmed within
-    the unit's residency, so each flash page of the slot is programmed
-    at most once. How many sectors a page's image fills is mapping
-    state ({!mapped_image_sectors}): the [Page_alloc] and [Merge]
-    events carry it, so restart rebuilds it with the mapping. A read
+    [ceil (image_length / sector_size)] sectors the image fills.
+    Where a page's image starts and how many sectors it fills are
+    mapping state ({!mapped_image_start}, {!mapped_image_sectors}): the
+    [Page_alloc] and [Merge] events carry them, so restart rebuilds them
+    with the mapping. A read
     reads exactly those sectors with one device operation into a
     page-long buffer and unpacks it there, the directory moving back
     to the page's end and the gap between the two ends reading as
@@ -60,6 +59,21 @@
     raised as [Resilience.Bbm.Uncorrectable]. Programs pack through
     one scratch buffer and {!read_page_into} unpacks in the caller's
     page, so neither allocates per page.
+
+    {2 Packed units}
+
+    One layout rule places every erase unit's images and log, fixed when
+    the unit is written: by its first allocation (a fresh unit) or by a
+    merge. Images lie end to end from the unit's first sector, a merge's
+    in slot order; an allocation into a free slot programs at the
+    unit's frontier, the end of its last image. The log region starts
+    at the first flash-page boundary after the images and a whole
+    slot's reservation per free slot, but never lower than three
+    [log_region_bytes] from the block's end ({!log_base}). A fresh unit
+    keeps the classic layout (fifteen 8 KB slots, 16 log sectors with
+    the defaults); a merged unit's log takes what its packed images
+    leave, 16 to 48 sectors. Every log-capacity test uses the unit's
+    own capacity, so a longer log merges less often.
 
     {2 Restart}
 
@@ -132,6 +146,9 @@ val recover :
     ({!Resilience.Bbm.recover}; they are ignored here). *)
 
 val config : t -> Ipl_config.t
+
+val max_log_regions : int
+(** The longest log a unit keeps, in [log_region_bytes]: 3. *)
 
 val allocate_page : t -> Storage.Page.t -> int
 (** Place a new logical page, writing its initial image; returns its id.
@@ -250,6 +267,11 @@ val eu_of_page : t -> int -> int
 (** Physical erase unit currently hosting a page. *)
 
 val used_log_sectors : t -> eu:int -> int
+
+val log_base : t -> eu:int -> int
+(** The sector, within data erase unit [eu]'s block, where its log
+    region starts; the region runs to the block's end. *)
+
 val overflow_sectors : t -> eu:int -> int
 (** Overflow log sectors currently assigned to data erase unit [eu]. *)
 
@@ -295,6 +317,10 @@ val live_log_records : t -> page:int -> Log_record.t list
 val mapped_image_sectors : t -> page:int -> int
 (** The sectors the mapping says the page's image fills: what its next
     read reads. *)
+
+val mapped_image_start : t -> page:int -> int
+(** The sector, within its unit's block, where the mapping says the
+    page's image starts. *)
 
 val stored_image_sectors : t -> page:int -> int
 (** The sectors the page's stored image fills, from its header: one

@@ -1,5 +1,5 @@
 type event =
-  | Page_alloc of { page : int; eu : int; idx : int; sectors : int }
+  | Page_alloc of { page : int; eu : int; idx : int; sectors : int; start : int; base : int }
   | Merge of { units : (int * int) list; trades : (int * int) list; sectors : int array list }
   | Overflow_alloc of { eu : int }
   | Overflow_assign of { data_eu : int; sector : int }
@@ -29,7 +29,8 @@ let u32 b pos n = Bytes.set_int32_le b pos (Int32.of_int n)
 let g32 b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFFFFFF
 
 (* Record format: tag:u8, then the event's u32 fields in order; a page's
-   image sectors take one byte. Tags 9 and 10 are unused. *)
+   image sectors, its first sector and its unit's log base take one byte
+   each. Tags 9 and 10 are unused. *)
 let header tag ~fields =
   let b = Bytes.create (1 + (4 * fields)) in
   Bytes.set_uint8 b 0 tag;
@@ -102,13 +103,15 @@ let decode_merge b =
     }
 
 let encode = function
-  | Page_alloc { page; eu; idx; sectors } ->
-      let b = Bytes.create 14 in
+  | Page_alloc { page; eu; idx; sectors; start; base } ->
+      let b = Bytes.create 16 in
       Bytes.set_uint8 b 0 0;
       u32 b 1 page;
       u32 b 5 eu;
       u32 b 9 idx;
       Bytes.set_uint8 b 13 sectors;
+      Bytes.set_uint8 b 14 start;
+      Bytes.set_uint8 b 15 base;
       b
   | Merge { units; trades; sectors } -> encode_merge units trades sectors
   | Overflow_alloc { eu } -> one 2 eu
@@ -125,7 +128,16 @@ let encode = function
 
 let decode b =
   match Bytes.get_uint8 b 0 with
-  | 0 -> Page_alloc { page = g32 b 1; eu = g32 b 5; idx = g32 b 9; sectors = Bytes.get_uint8 b 13 }
+  | 0 ->
+      Page_alloc
+        {
+          page = g32 b 1;
+          eu = g32 b 5;
+          idx = g32 b 9;
+          sectors = Bytes.get_uint8 b 13;
+          start = Bytes.get_uint8 b 14;
+          base = Bytes.get_uint8 b 15;
+        }
   | 1 -> decode_merge b
   | 2 -> Overflow_alloc { eu = g32 b 1 }
   | 3 -> Overflow_assign { data_eu = g32 b 1; sector = g32 b 5 }
@@ -208,12 +220,13 @@ let compact t =
       let log = t.halves.(1 - t.live) in
       (* Erased already, unless a crash cut the last compaction short. *)
       Seq_log.reset log;
-      List.iter
-        (fun r ->
-          match Seq_log.append log r with
-          | `Ok -> ()
-          | `Full -> failwith "Meta_log: region too small for snapshot")
-        (two head_tag epoch (List.length events) :: List.map encode events);
+      let append r =
+        match Seq_log.append log r with
+        | `Ok -> ()
+        | `Full -> failwith "Meta_log: region too small for snapshot"
+      in
+      append (two head_tag epoch (List.length events));
+      List.iter (fun e -> append (encode e)) events;
       Seq_log.force log;
       t.live <- 1 - t.live;
       t.epoch <- epoch;

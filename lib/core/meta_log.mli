@@ -15,16 +15,20 @@
     compaction had not begun. *)
 
 type event =
-  | Page_alloc of { page : int; eu : int; idx : int; sectors : int }
+  | Page_alloc of { page : int; eu : int; idx : int; sectors : int; start : int; base : int }
       (** logical page placed at data slot [idx] of erase unit [eu], its
-          packed image filling the slot's first [sectors] sectors *)
+          packed image filling [sectors] sectors from sector [start] of
+          the unit's block, whose log region starts at sector [base]; the
+          three take a byte each *)
   | Merge of { units : (int * int) list; trades : (int * int) list; sectors : int array list }
       (** one atomic merge of one or two data units: each [(old_eu,
           new_eu)] of [units] moved all its pages, same slots, to
           [new_eu], except that for each [(i, j)] of [trades] (a pair
           only) the pages at slot [i] of the first unit and slot [j] of
           the second traded units. [sectors] holds, per unit, the image
-          sectors of each slot after the trades (0 for a free slot).
+          sectors of each slot after the trades (0 for a free slot),
+          from which the layout rule places the images and the log
+          (DESIGN.md §22).
           Trades increase in both slots: the record holds them as one
           bitmap of slots per unit; with a byte per slot's sectors, a
           merge of [n] units of [d] slots takes [4 + 8n + nd] bytes,

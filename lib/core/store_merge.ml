@@ -13,13 +13,11 @@ let rec count_active t acc = function
 
 (* The share of a unit's stored and pending records whose transactions
    are still active: the carry fraction Algorithm 3 compares with tau.
-   The stored records are counted through the log-record cache, as the
-   merge that usually follows reads them; a hit counts over the entry in
-   place. *)
-let active_fraction t eu ~pending =
+   [fold] folds over the stored records. *)
+let carry_fraction t ~pending fold =
   let total = ref (List.length pending) in
   let active =
-    fold_eu_log_records t eu
+    fold
       (fun n r ->
         incr total;
         if t.txn_status r.Log_record.txid = Trx_log.Active then n + 1 else n)
@@ -153,8 +151,7 @@ let merge t units =
   try
     let sides =
       List.map2
-        (fun (eu, pending) new_phys ->
-          let all = read_eu_log_records ~cls:Dev.Merge_io t eu @ pending in
+        (fun (eu, all) new_phys ->
           let committed, carried, dropped = classify t all in
           {
             eu;
@@ -231,7 +228,8 @@ let merge t units =
     List.iter
       (fun side ->
         (* Rewrite every page the new block hosts with its committed
-           records applied, from the slot it held before the merge. A
+           records applied, from the slot it held before the merge, its
+           image right after the last one (the layout rule). A
            page that no carried record names and whose buffered image
            owes flash nothing is already that image — its stored image
            plus its live records, which are all committed here — so it
@@ -239,6 +237,7 @@ let merge t units =
            read through the one scratch page: a program executes at
            submission, so the buffer is free again once the submit
            returns. *)
+        let start = ref 0 in
         Array.iteri
           (fun idx pid ->
             if pid >= 0 then begin
@@ -256,22 +255,25 @@ let merge t units =
                     page
               in
               side.applied <- side.applied + List.length rev;
-              side.images.(idx) <- submit_data_page t ~cls:Dev.Merge_io side.new_phys idx page
+              let n = submit_data_page t ~cls:Dev.Merge_io side.new_phys ~start:!start page in
+              side.images.(idx) <- n;
+              start := !start + n
             end)
           side.after;
+        let base = log_base t side.images in
         (* Carry the still-active records into the new block's log
            region, compacted; spill to overflow if they exceed it
            (possible only with a high tau). *)
         let rec split i acc = function
           | [] -> (List.rev acc, [])
-          | s :: rest when i < t.log_sectors -> split (i + 1) (s :: acc) rest
+          | s :: rest when base + i < t.sectors_per_block -> split (i + 1) (s :: acc) rest
           | rest -> (List.rev acc, rest)
         in
         let in_region, spill = split 0 [] (pack_sectors t side.into) in
         List.iteri
           (fun i (s, _) ->
             Bbm.submit_write_sectors t.bbm ~cls:Dev.Merge_io
-              ~sector:(log_sector_addr t side.new_phys i) s)
+              ~sector:(log_sector_addr t side.new_phys ~base i) s)
           in_region;
         side.in_region <- in_region;
         side.spill <- spill)
@@ -378,10 +380,24 @@ let merge t units =
 (* The one merge rule (Algorithms 1 and 3): a unit is merged when its
    in-region log has no free sector left and its active records would not
    dominate the merge. Above tau the write path diverts to overflow
-   instead, so background merging leaves such a unit alone too. *)
+   instead, so background merging leaves such a unit alone too. A due
+   unit's stored records are returned for its merge to consume, so the
+   log is read once: a cached unit is counted over its entry in place,
+   and its records are taken from the entry when the merge forces them;
+   any other is read (a miss fills the cache) and counted over what was
+   read. *)
 let merge_due t eu ~pending =
-  eu.used_log >= t.log_sectors
-  && active_fraction t eu ~pending <= t.config.Ipl_config.selective_merge_threshold
+  let within fraction = fraction <= t.config.Ipl_config.selective_merge_threshold in
+  if eu.used_log < log_capacity t eu then None
+  else if Cache.Log_cache.mem t.cache eu.phys then
+    if within (carry_fraction t ~pending (fold_eu_log_records t eu)) then
+      Some (lazy (read_eu_log_records ~cls:Dev.Merge_io t eu))
+    else None
+  else
+    let stored = read_eu_log_records t eu in
+    if within (carry_fraction t ~pending (fun f init -> List.fold_left f init stored)) then
+      Some (Lazy.from_val stored)
+    else None
 
 let merge_due_units t ~max_merges =
   if max_merges <= 0 then 0
@@ -389,15 +405,15 @@ let merge_due_units t ~max_merges =
     let candidates =
       Hashtbl.fold
         (fun _ eu acc ->
-          if merge_due t eu ~pending:[] then
-            (eu.used_log + List.length eu.overflow_rev, eu) :: acc
-          else acc)
+          match merge_due t eu ~pending:[] with
+          | Some stored -> (eu.used_log + List.length eu.overflow_rev, eu, stored) :: acc
+          | None -> acc)
         t.data_eus []
     in
-    let sorted = List.sort (fun (a, _) (b, _) -> compare b a) candidates in
+    let sorted = List.sort (fun (a, _, _) (b, _, _) -> compare b a) candidates in
     let rec go n = function
-      | (_, eu) :: rest when n < max_merges ->
-          merge t [ (eu, []) ];
+      | (_, eu, stored) :: rest when n < max_merges ->
+          merge t [ (eu, Lazy.force stored) ];
           go (n + 1) rest
       | _ -> n
     in

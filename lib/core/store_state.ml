@@ -1,6 +1,7 @@
 (* The storage manager's shared record; its mapping state (data units
-   with their page slots and image lengths, overflow areas with their
-   live-sector counts) and the one transition that changes it; and
+   with their page slots, image lengths and places and log bases,
+   overflow areas with their live-sector counts) and the one transition
+   that changes it; and
    erase-unit I/O: where a unit's pages and log sectors sit, their reads
    and programs, the log-record cache's consumption point, and taking
    units from and returning them to the free pool. *)
@@ -14,6 +15,11 @@ type eu_info = {
   mutable phys : int;
   pages : int array;  (* data slot -> logical page id, -1 = free slot *)
   sectors : int array;  (* data slot -> sectors its page's image fills, 0 = free slot *)
+  starts : int array;  (* data slot -> its image's first sector within the block *)
+  mutable log_base : int;  (* the log region's first sector within the block *)
+  mutable frontier : int;
+      (* where the next allocation programs: the end of the last image,
+         or past a torn program found at restart *)
   mutable used_log : int;
   mutable overflow_rev : int list;  (* flat sector addresses, newest first *)
   mutable next_slot : int;
@@ -62,9 +68,9 @@ type t = {
          flash (see [Ipl_storage.set_buffered]) *)
   (* geometry *)
   sectors_per_page : int;
+  sectors_per_flash_page : int;
   data_pages : int;
-  log_sectors : int;
-  log_start : int;  (* sector offset of the log region within a block *)
+  log_floor : int;  (* the lowest sector a unit's log region starts at *)
   sectors_per_block : int;
   (* counters *)
   mutable c_pages_allocated : int;
@@ -84,6 +90,11 @@ type t = {
   mutable c_cache_evictions : int;
   mutable tracer : Obs.Tracer.t option;
 }
+
+(* The longest log a unit keeps, in log regions: a longer one merges
+   less often, but its records outgrow the log-record cache (DESIGN.md
+   §22). *)
+let max_log_regions = 3
 
 (* DRAM accounting for one cached record: its encoded size plus a flat
    allowance for the list/index cells that carry it. *)
@@ -140,10 +151,12 @@ let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~
     pack_scratch = Bytes.create config.Ipl_config.page_size;
     buffered = (fun _ -> None);
     sectors_per_page;
+    sectors_per_flash_page = FConfig.sectors_per_page fc;
     data_pages;
-    log_sectors =
-      Ipl_config.log_sectors_per_eu config ~sector_size:fc.FConfig.sector_size;
-    log_start = data_pages * sectors_per_page;
+    log_floor =
+      FConfig.sectors_per_block fc
+      - max_log_regions
+        * Ipl_config.log_sectors_per_eu config ~sector_size:fc.FConfig.sector_size;
     sectors_per_block = FConfig.sectors_per_block fc;
     c_pages_allocated = 0;
     c_page_reads = 0;
@@ -166,16 +179,36 @@ let mk ?(config = Ipl_config.default) bbm ~first_block ~num_blocks ~txn_status ~
   self := Some t;
   t
 
+(* The layout rule, fixed when a unit is written (a fresh unit by its
+   first allocation, a merged one by its merge): images lie end to end
+   from sector 0 in slot order, and the log region starts at the first
+   flash-page boundary after them and a whole slot's reservation per
+   free slot (0 sectors), never past a fresh unit's log start and never
+   below [log_floor]. A fresh unit, all slots free, keeps the classic
+   layout; a merged one gives its log what its images leave, up to
+   [max_log_regions] log regions. *)
+let log_base t sectors =
+  let fill = ref 0 in
+  Array.iter (fun s -> fill := !fill + if s = 0 then t.sectors_per_page else s) sectors;
+  let fp = t.sectors_per_flash_page in
+  max t.log_floor (min (t.data_pages * t.sectors_per_page) ((!fill + fp - 1) / fp * fp))
+
+let log_capacity t eu = t.sectors_per_block - eu.log_base
+
 (* The data unit at block [phys], registered empty if it is new. *)
 let data_eu t phys =
   match Hashtbl.find_opt t.data_eus phys with
   | Some eu -> eu
   | None ->
+      let sectors = Array.make t.data_pages 0 in
       let eu =
         {
           phys;
           pages = Array.make t.data_pages (-1);
-          sectors = Array.make t.data_pages 0;
+          sectors;
+          starts = Array.make t.data_pages 0;
+          log_base = log_base t sectors;
+          frontier = 0;
           used_log = 0;
           overflow_rev = [];
           next_slot = 0;
@@ -198,10 +231,13 @@ let count_live t sector d =
    logged before it is applied. Device effects, log usage and record
    counts are not mapping state and stay with the callers. *)
 let apply t = function
-  | Meta_log.Page_alloc { page; eu; idx; sectors } ->
+  | Meta_log.Page_alloc { page; eu; idx; sectors; start; base } ->
       let eu = data_eu t eu in
       eu.pages.(idx) <- page;
       eu.sectors.(idx) <- sectors;
+      eu.starts.(idx) <- start;
+      eu.log_base <- base;
+      eu.frontier <- max eu.frontier (start + sectors);
       Hashtbl.replace t.mapping page (eu, idx);
       if page >= t.next_page then t.next_page <- page + 1
   | Meta_log.Merge { units; trades; sectors } -> (
@@ -217,7 +253,17 @@ let apply t = function
           eu.phys <- new_eu;
           Hashtbl.replace t.data_eus new_eu eu)
         eus units;
-      List.iter2 (fun eu s -> Array.blit s 0 eu.sectors 0 t.data_pages) eus sectors;
+      List.iter2
+        (fun eu s ->
+          Array.blit s 0 eu.sectors 0 t.data_pages;
+          eu.frontier <- 0;
+          Array.iteri
+            (fun idx n ->
+              eu.starts.(idx) <- eu.frontier;
+              eu.frontier <- eu.frontier + n)
+            s;
+          eu.log_base <- log_base t s)
+        eus sectors;
       match eus with
       | [ u; v ] ->
           List.iter
@@ -264,7 +310,16 @@ let snapshot t =
         (fun idx page ->
           if page >= 0 then
             units :=
-              Meta_log.Page_alloc { page; eu = phys; idx; sectors = eu.sectors.(idx) } :: !units)
+              Meta_log.Page_alloc
+                {
+                  page;
+                  eu = phys;
+                  idx;
+                  sectors = eu.sectors.(idx);
+                  start = eu.starts.(idx);
+                  base = eu.log_base;
+                }
+              :: !units)
         eu.pages;
       List.iter
         (fun sector -> units := Meta_log.Overflow_assign { data_eu = phys; sector } :: !units)
@@ -295,8 +350,8 @@ let reclaim_eu t b =
   | () -> Free_pool.add t.free b
   | exception Bbm.Degraded -> ()
 
-let data_sector t eu_phys idx = Dev.sector_of_block t.dev eu_phys + (idx * t.sectors_per_page)
-let log_sector_addr t eu_phys i = Dev.sector_of_block t.dev eu_phys + t.log_start + i
+let data_sector t eu idx = Dev.sector_of_block t.dev eu.phys + eu.starts.(idx)
+let log_sector_addr t eu_phys ~base i = Dev.sector_of_block t.dev eu_phys + base + i
 
 let sector_size t = (Dev.config t.dev).FConfig.sector_size
 
@@ -318,7 +373,7 @@ let take_image t ~sector ~count buf =
    mapped sectors, one device operation. *)
 let read_raw_page_into ?cls t eu idx buf =
   t.c_page_reads <- t.c_page_reads + 1;
-  let sector = data_sector t eu.phys idx and count = eu.sectors.(idx) in
+  let sector = data_sector t eu idx and count = eu.sectors.(idx) in
   Bbm.read_sectors_into ?cls t.bbm ~sector ~count buf;
   take_image t ~sector ~count buf
 
@@ -327,12 +382,12 @@ let read_raw_page_into ?cls t eu idx buf =
    next durability barrier (or any await) settles the completion times.
    Only the sectors the packed image fills are programmed, from the one
    pack scratch (a program executes at submission, so the scratch is
-   free again on return); the rest of the slot stays erased. Returns the
-   image's sectors. *)
-let submit_data_page t ~cls eu_phys idx (page : Page.t) =
+   free again on return), from sector [start] of the unit's block.
+   Returns the image's sectors. *)
+let submit_data_page t ~cls eu_phys ~start (page : Page.t) =
   let count = image_sectors t (Page.pack page t.pack_scratch) in
-  Bbm.submit_write_sectors_from t.bbm ~cls ~sector:(data_sector t eu_phys idx) ~count
-    t.pack_scratch;
+  Bbm.submit_write_sectors_from t.bbm ~cls ~sector:(Dev.sector_of_block t.dev eu_phys + start)
+    ~count t.pack_scratch;
   count
 
 (* How many of the [n] sectors from [base] on are programmed: logs fill
@@ -348,7 +403,9 @@ let read_log_region ?cls t eu =
   if count = 0 then []
   else begin
     let ss = sector_size t in
-    let blob = Bbm.read_sectors ?cls t.bbm ~sector:(log_sector_addr t eu.phys 0) ~count in
+    let blob =
+      Bbm.read_sectors ?cls t.bbm ~sector:(log_sector_addr t eu.phys ~base:eu.log_base 0) ~count
+    in
     t.c_log_sector_reads <- t.c_log_sector_reads + count;
     List.concat (List.init count (fun i -> Log_sector.deserialize (Bytes.sub blob (i * ss) ss)))
   end

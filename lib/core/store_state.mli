@@ -1,6 +1,7 @@
 (** The storage manager's shared record, its mapping state (data units
-    with their page slots and each slot's image length, overflow areas
-    with their live-sector counts) and erase-unit I/O: where a unit's
+    with their page slots, each slot's image length and first sector and
+    each unit's log base, overflow areas with their live-sector counts)
+    and erase-unit I/O: where a unit's
     pages and log sectors sit, their reads and programs through the
     bad-block manager, the log-record cache's consumption point, and the
     free pool's allocation and reclamation. Private to {!Ipl_storage}, whose other parts read and
@@ -14,6 +15,11 @@ type eu_info = {
   mutable phys : int;
   pages : int array;  (* data slot -> logical page id, -1 = free slot *)
   sectors : int array;  (* data slot -> sectors its page's image fills, 0 = free slot *)
+  starts : int array;  (* data slot -> its image's first sector within the block *)
+  mutable log_base : int;  (* the log region's first sector within the block *)
+  mutable frontier : int;
+      (* where the next allocation programs: the end of the last image,
+         or past a torn program found at restart *)
   mutable used_log : int;
   mutable overflow_rev : int list;  (* flat sector addresses, newest first *)
   mutable next_slot : int;
@@ -62,9 +68,9 @@ type t = {
          flash (see [Ipl_storage.set_buffered]) *)
   (* geometry *)
   sectors_per_page : int;
+  sectors_per_flash_page : int;
   data_pages : int;
-  log_sectors : int;
-  log_start : int;  (* sector offset of the log region within a block *)
+  log_floor : int;  (* the lowest sector a unit's log region starts at *)
   sectors_per_block : int;
   (* counters *)
   mutable c_pages_allocated : int;
@@ -109,7 +115,9 @@ val apply : t -> Meta_log.event -> unit
     restart replays the durable events through it, so the state is the
     fold of its events; a pair [Merge] moves both units and trades
     their pages in one step, and each event sets its slots' image
-    sectors. Other events leave it unchanged. A [Merge] or
+    sectors and first sectors and the unit's log base: a [Page_alloc]
+    carries them, a [Merge] derives them from its image sectors by the
+    layout rule ({!log_base}). Other events leave it unchanged. A [Merge] or
     [Overflow_assign] naming an unknown data unit raises [Failure]. *)
 
 val snapshot : t -> Meta_log.event list
@@ -126,8 +134,28 @@ val reclaim_eu : t -> int -> unit
 (** Erase a unit at merge priority and return it to the free pool; a
     unit whose erase degrades the device is dropped. *)
 
-val data_sector : t -> int -> int -> int
-val log_sector_addr : t -> int -> int -> int
+val max_log_regions : int
+(** The longest log a unit keeps, in [log_region_bytes]: 3. *)
+
+val log_base : t -> int array -> int
+(** The layout rule: where the log region of a unit whose slots hold
+    images of these sectors (0 for a free slot) starts. Images lie end to end from sector 0 in slot
+    order; the log starts at the first flash-page boundary after them
+    and a whole slot per free slot, but never past a fresh unit's log
+    start and never lower than [max_log_regions] log regions from the
+    block's end. A fresh unit, all slots free, keeps the classic
+    layout. *)
+
+val log_capacity : t -> eu_info -> int
+(** The unit's log sectors: from its base to the block's end. *)
+
+val data_sector : t -> eu_info -> int -> int
+(** The first sector of a slot's image. *)
+
+val log_sector_addr : t -> int -> base:int -> int -> int
+(** [log_sector_addr t phys ~base i]: the [i]-th log sector of the block
+    whose log starts at [base]. *)
+
 val sector_size : t -> int
 
 val used_sectors : t -> base:int -> int -> int
@@ -136,11 +164,12 @@ val used_sectors : t -> base:int -> int -> int
 
 (** {1 Packed page images}
 
-    A data slot holds its page's packed image ({!Storage.Page.pack}) in
-    its first [ceil (image_length / sector_size)] sectors; the rest of
-    the slot stays erased. How many is mapping state: [eu.sectors],
-    which {!apply} folds from the [Page_alloc] and [Merge] events, so a
-    read reads exactly the image, the first after a restart included. *)
+    A page is stored as its packed image ({!Storage.Page.pack}) in
+    [ceil (image_length / sector_size)] sectors, from its slot's first
+    sector ({!log_base} places them). Where and how many are mapping
+    state, [eu.starts] and [eu.sectors], which {!apply} folds from the
+    [Page_alloc] and [Merge] events, so a read reads exactly the image,
+    the first after a restart included. *)
 
 val image_sectors : t -> int -> int
 (** The sectors an image of that many bytes fills. *)
@@ -155,8 +184,9 @@ val take_image : t -> sector:int -> count:int -> bytes -> Page.t
     place. A header that is not a page's, or whose image fills other
     than [count] sectors, raises [Bbm.Uncorrectable sector]. *)
 
-val submit_data_page : t -> cls:Dev.op_class -> int -> int -> Page.t -> int
-(** Program a page's packed image into a slot: only the sectors it
+val submit_data_page : t -> cls:Dev.op_class -> int -> start:int -> Page.t -> int
+(** [submit_data_page t ~cls phys ~start page]: program a page's packed
+    image from sector [start] of block [phys]: only the sectors it
     fills, from the one pack scratch, allocating nothing. Returns those
     sectors, which the caller's mapping event records. *)
 

@@ -271,7 +271,7 @@ let run_resilience ?(spares = 4) ?(transactions = 0) ?(seed = 7) profile =
       Workload.seed;
       transactions =
         (if transactions > 0 then transactions
-         else match profile with Wear_out -> 2000 | _ -> 120);
+         else match profile with Wear_out -> 4000 | _ -> 120);
     }
   in
   let config = resilience_config ~spares in

@@ -386,8 +386,12 @@ let test_trx_log_high_water_survives_compaction () =
 let test_meta_log_roundtrip () =
   let events =
     [
-      Meta_log.Page_alloc { page = 1; eu = 2; idx = 3; sectors = 7 };
-      Meta_log.Page_alloc { page = 2; eu = 2; idx = 4; sectors = 16 };
+      Meta_log.Page_alloc { page = 1; eu = 2; idx = 3; sectors = 7; start = 0; base = 240 };
+      Meta_log.Page_alloc { page = 2; eu = 2; idx = 4; sectors = 16; start = 7; base = 240 };
+      (* an allocation into a merged unit's reservation, and the bytes'
+         extremes *)
+      Meta_log.Page_alloc { page = 3; eu = 7; idx = 2; sectors = 16; start = 171; base = 208 };
+      Meta_log.Page_alloc { page = 4; eu = 7; idx = 14; sectors = 1; start = 255; base = 255 };
       Meta_log.Merge { units = [ (2, 7) ]; trades = []; sectors = [ [| 1; 16; 0; 4 |] ] };
       Meta_log.Merge
         { units = [ (2, 7); (4, 9) ]; trades = []; sectors = [ [| 3; 0 |]; [| 0; 16 |] ] };
@@ -422,11 +426,12 @@ let test_meta_log_recover_reads_once () =
   let stat f = f (Chip.stats chip) in
   let log = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
   Meta_log.set_snapshot log (fun () ->
-      [ Meta_log.Page_alloc { page = 0; eu = 1; idx = 0; sectors = 1 } ]);
+      [ Meta_log.Page_alloc { page = 0; eu = 1; idx = 0; sectors = 1; start = 0; base = 240 } ]);
   let fill () =
     let written = stat (fun s -> s.FStats.sectors_written) in
     for page = 0 to 99 do
-      Meta_log.log log (Meta_log.Page_alloc { page; eu = 1; idx = 0; sectors = 1 })
+      Meta_log.log log
+        (Meta_log.Page_alloc { page; eu = 1; idx = 0; sectors = 1; start = 0; base = 240 })
     done;
     Meta_log.force log;
     stat (fun s -> s.FStats.sectors_written) - written
@@ -449,7 +454,7 @@ let test_meta_log_compaction_via_snapshot () =
   let chip = small_chip () in
   let log = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
   Meta_log.set_snapshot log (fun () ->
-      [ Meta_log.Page_alloc { page = 0; eu = 1; idx = 0; sectors = 1 } ]);
+      [ Meta_log.Page_alloc { page = 0; eu = 1; idx = 0; sectors = 1; start = 0; base = 240 } ]);
   for i = 0 to 20_000 do
     Meta_log.log log (Meta_log.Merge { units = [ (i, i + 1) ]; trades = []; sectors = [ [| 1 |] ] })
   done;
@@ -457,7 +462,7 @@ let test_meta_log_compaction_via_snapshot () =
   let _, recovered = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
   (* Whatever survives must start with the snapshot. *)
   (match recovered with
-  | Meta_log.Page_alloc { page = 0; eu = 1; idx = 0; sectors = 1 } :: _ -> ()
+  | Meta_log.Page_alloc { page = 0; eu = 1; idx = 0; sectors = 1; start = 0; base = 240 } :: _ -> ()
   | _ -> Alcotest.fail "snapshot not at head");
   Alcotest.(check bool) "bounded" true (List.length recovered < 25_000)
 
@@ -471,13 +476,21 @@ let test_config_rejects_recovery_off () =
   | () -> Alcotest.fail "recovery_enabled = false must be rejected"
   | exception Invalid_argument _ -> ()
 
-(* The system log records an image's sectors in one byte. *)
+(* The system log records an image's sectors in one byte. A page fills
+   less than its erase unit, so the bound on units (256 sectors) bounds
+   pages to 255. *)
 let test_config_rejects_pages_over_255_sectors () =
-  let validate sector_size = Config.validate Config.default ~sector_size ~block_size:(128 * 1024) in
-  validate 64;
-  match validate 32 with
-  | () -> Alcotest.fail "a page of 256 sectors must be rejected"
-  | exception Invalid_argument _ -> ()
+  let validate sector_size kb =
+    Config.validate Config.default ~sector_size ~block_size:(kb * 1024)
+  in
+  let rejected what f =
+    match f () with
+    | () -> Alcotest.fail (what ^ " must be rejected")
+    | exception Invalid_argument _ -> ()
+  in
+  validate 64 16;
+  rejected "an erase unit of 512 sectors" (fun () -> validate 64 32);
+  rejected "a page of 256 sectors" (fun () -> validate 32 128)
 
 (* ------------------------------------------------------------------ *)
 (* Storage manager                                                     *)
@@ -709,7 +722,8 @@ let test_store_recover_after_clean_shutdown () =
 let test_store_recover_after_merges () =
   let chip, meta, store = mk_store () in
   let pid = Store.allocate_page store (page_with [ "00" ]) in
-  for i = 1 to 40 do
+  (* 16 log sectors fill the fresh unit; its one-page successor keeps 28 *)
+  for i = 1 to 60 do
     flush store
       [
         {
@@ -736,7 +750,7 @@ let test_store_recover_after_merges () =
       ~meta:meta' ~meta_events:events ()
   in
   let p = Store.read_page store' pid in
-  Alcotest.(check (option bytes)) "content after recovery" (Some (b "40")) (Page.read p 0)
+  Alcotest.(check (option bytes)) "content after recovery" (Some (b "60")) (Page.read p 0)
 
 (* A crash in the middle of a merge leaves a half-written erase unit that
    no metadata references. Recovery must erase it and return it to the
@@ -918,6 +932,92 @@ let test_packed_first_read_after_restart () =
   in
   Alcotest.(check int) "first read: the image" 1 (read ());
   Alcotest.(check int) "second read: the image" 1 (read ())
+
+(* One layout rule for every unit: a fresh unit keeps the classic
+   layout; a merged one lays its images end to end from sector 0 and
+   starts its log at the first flash page after them and a whole slot
+   per free slot, at most three log regions from the block's end; a
+   page allocated into its free slot lands in that reservation, and the
+   layout survives a restart and a system-log compaction. *)
+let test_packed_unit_layout () =
+  let active = ref [ 1 ] in
+  let txn_status txid = if List.mem txid !active then Trx_log.Active else Trx_log.Committed in
+  let chip, meta, store = mk_store ~txn_status () in
+  let spb = FConfig.sectors_per_block (Chip.config chip) in
+  let most = Store.max_log_regions * 16 in
+  let pids = List.init 14 (fun i -> Store.allocate_page store (page_with [ string_of_int i ])) in
+  let p0 = List.hd pids in
+  let eu = Store.eu_of_page store p0 in
+  Alcotest.(check int) "fresh unit: the classic log base" 240 (Store.log_base store ~eu);
+  let contiguous what store pids =
+    ignore
+      (List.fold_left
+         (fun at page ->
+           Alcotest.(check int) (Printf.sprintf "%s: page %d" what page) at
+             (Store.mapped_image_start store ~page);
+           at + Store.mapped_image_sectors store ~page)
+         0 pids)
+  in
+  contiguous "fresh unit" store pids;
+  let record ?(txid = 0) i =
+    let after = b (string_of_int (i mod 10)) in
+    { LR.txid; page = p0; op = LR.Update_range { slot = 0; offset = 0; before = b "0"; after } }
+  in
+  flush store [ record ~txid:1 0 ];
+  for i = 1 to 16 do
+    flush store [ record i ]
+  done;
+  Alcotest.(check int) "merged" 1 (Store.stats store).Store.merges;
+  let eu = Store.eu_of_page store p0 in
+  let base = Store.log_base store ~eu in
+  (* 14 one-sector images and one free slot's 16: 30 sectors, a flash
+     page boundary at 32, below the floor of three log regions. *)
+  Alcotest.(check int) "merged unit: base at the floor" (spb - most) base;
+  contiguous "merged unit" store pids;
+  let state i = Chip.sector_state chip (Chip.sector_of_block chip eu + i) in
+  Alcotest.(check int) "carried record at the base" 1 (Store.used_log_sectors store ~eu);
+  flush store [ record 17 ];
+  Alcotest.(check int) "flushed after it" 2 (Store.used_log_sectors store ~eu);
+  Alcotest.(check (list bool)) "log sectors from the base" [ false; true; true; false ]
+    (List.map (fun i -> state i <> Chip.Free) [ base - 1; base; base + 1; base + 2 ]);
+  let big = page_with [ String.make 3000 'n' ] in
+  let pn = Store.allocate_page store big in
+  Alcotest.(check int) "into the merged unit" eu (Store.eu_of_page store pn);
+  let start = Store.mapped_image_start store ~page:pn in
+  let sectors = Store.mapped_image_sectors store ~page:pn in
+  Alcotest.(check int) "at the frontier" 14 start;
+  Alcotest.(check bool) "inside the reservation" true (start + sectors <= base);
+  let layout store =
+    List.map
+      (fun page -> (Store.mapped_image_start store ~page, Store.mapped_image_sectors store ~page))
+      (pn :: pids)
+  in
+  let before = layout store in
+  let check_restart what =
+    Meta_log.force meta;
+    let meta', events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
+    let store' =
+      Store.recover (data_area chip) ~first_block:2 ~num_blocks:30 ~txn_status ~meta:meta'
+        ~meta_events:events ()
+    in
+    Alcotest.(check (list (pair int int))) (what ^ ": layout") before (layout store');
+    Alcotest.(check int) (what ^ ": base") base (Store.log_base store' ~eu);
+    Alcotest.(check int) (what ^ ": log") 2 (Store.used_log_sectors store' ~eu);
+    Alcotest.(check (option bytes)) (what ^ ": the new page") (Some (Bytes.make 3000 'n'))
+      (Page.read (Store.read_page store' pn) 0);
+    Alcotest.(check (option bytes)) (what ^ ": the merged page") (Some (b "7"))
+      (Page.read (Store.read_page store' p0) 0)
+  in
+  active := [];
+  check_restart "restart";
+  Meta_log.compact meta;
+  Alcotest.(check int) "compacted" 1 (Meta_log.compactions meta);
+  check_restart "compaction";
+  (* Slot 14's reservation is spent: the next page opens a fresh unit. *)
+  let pf = Store.allocate_page store (fresh_page ()) in
+  Alcotest.(check bool) "next page: a fresh unit" true (Store.eu_of_page store pf <> eu);
+  Alcotest.(check int) "fresh unit's base" 240
+    (Store.log_base store ~eu:(Store.eu_of_page store pf))
 
 exception Injected
 
@@ -1227,14 +1327,24 @@ let restart_matches r ops =
   in
   same "num_pages" Store.num_pages;
   same "free_eus" Store.free_eus;
+  let fc = Device.Flash_device.config r.dev in
+  let log_end = FConfig.sectors_per_block fc in
+  let longest_log =
+    Store.max_log_regions * Config.log_sectors_per_eu config ~sector_size:fc.FConfig.sector_size
+  in
   List.iter
     (fun page ->
       same (Printf.sprintf "unit of page %d" page) (fun s -> Store.eu_of_page s page);
       same (Printf.sprintf "records of page %d" page) (fun s -> Store.live_log_records s ~page);
       same (Printf.sprintf "image of page %d" page) (fun s -> Store.mapped_image_sectors s ~page);
+      same (Printf.sprintf "image start of page %d" page) (fun s ->
+          Store.mapped_image_start s ~page);
       if Store.mapped_image_sectors store' ~page <> Store.stored_image_sectors store' ~page then
         QCheck.Test.fail_reportf "page %d: mapped image differs from stored" page;
       let eu = Store.eu_of_page store page in
+      same (Printf.sprintf "log base of unit %d" eu) (fun s -> Store.log_base s ~eu);
+      let log = log_end - Store.log_base store ~eu in
+      if log > longest_log then QCheck.Test.fail_reportf "unit %d: a log of %d sectors" eu log;
       same (Printf.sprintf "log of unit %d" eu) (fun s -> Store.used_log_sectors s ~eu);
       same (Printf.sprintf "overflow of unit %d" eu) (fun s -> Store.overflow_sectors s ~eu))
     !pages;
@@ -1698,7 +1808,15 @@ let test_merge_copy_after_reordering_merge () =
   Alcotest.(check bool) "re-laid on flash" false
     (Engine.Unsafe.with_page e p (fun f -> Bytes.equal (Page.to_bytes f) (Page.to_bytes (on_flash ()))));
   Engine.Unsafe.commit e t1;
-  fill 16;
+  (* The merged unit's log runs from its base, after the two packed
+     images, to the block's end; it holds the carried record already. *)
+  let store = Engine.storage e in
+  let eu = Store.eu_of_page store p in
+  let free =
+    FConfig.sectors_per_block (Chip.config chip) - Store.log_base store ~eu
+    - Store.used_log_sectors store ~eu
+  in
+  fill (free + 1);
   Alcotest.(check int) "copying merge" 2 (merges ());
   Alcotest.(check bool) "frame programmed" true
     (Engine.Unsafe.with_page e p (fun f -> Bytes.equal (Page.to_bytes f) (Page.to_bytes (on_flash ()))));
@@ -1889,6 +2007,7 @@ let () =
             test_packed_first_read_after_restart;
           Alcotest.test_case "packed images: rolled-back merge keeps hints" `Quick
             test_rolled_back_merge_keeps_hints;
+          Alcotest.test_case "packed units: layout" `Quick test_packed_unit_layout;
           Alcotest.test_case "merge rule: a cache hit allocates no log" `Quick
             test_merge_rule_hit_allocates_no_log;
           QCheck_alcotest.to_alcotest prop_store_durability;

@@ -113,17 +113,19 @@ let test_checkpoint_then_restart () =
    does, or is no page's header, is a corrupt page: its read is a typed
    error, not an escape. The flipped bytes are the high byte of the
    header's [free_start] (offset 3) and of its magic (offset 7), in the
-   first sector of slots 0 and 1. *)
+   first sector of each of the two pages' images. *)
 let test_corrupt_image_header_is_read_failed () =
   let chip, config, e = mk () in
   let pages = List.init 2 (fun _ -> Engine.Unsafe.allocate_page e) in
   List.iter (fun page -> ignore (ok (Engine.Unsafe.insert e ~tx:0 ~page (b "payload")))) pages;
   Engine.Unsafe.checkpoint e;
   let e', _ = Engine.restart ~config chip in
-  List.iteri
-    (fun idx (page, offset) ->
-      let eu = Store.eu_of_page (Engine.storage e') page in
-      (match Chip.corrupt_sector ~offset chip (Chip.sector_of_block chip eu + (16 * idx)) with
+  List.iter
+    (fun (page, offset) ->
+      let store = Engine.storage e' in
+      let eu = Store.eu_of_page store page in
+      let sector = Chip.sector_of_block chip eu + Store.mapped_image_start store ~page in
+      (match Chip.corrupt_sector ~offset chip sector with
       | Ok () -> ()
       | Error err -> Alcotest.fail (Chip.corrupt_error_to_string err));
       match Engine.read e' ~page ~slot:0 with

@@ -119,24 +119,28 @@ let test_trx_log_lost_commit_record () =
   Alcotest.(check (list int)) "closed by abort" [ 1 ] aborted;
   Alcotest.(check bool) "status reverts to aborted" true (Trx_log.status trx' 1 = Trx_log.Aborted)
 
+(* A fresh unit's allocation event: image at sector 0, log at 240. *)
+let page_alloc ?(idx = 0) ?(sectors = 1) page eu =
+  Meta_log.Page_alloc { page; eu; idx; sectors; start = 0; base = 240 }
+
 let test_meta_log_torn_tail () =
   let chip = mk_chip () in
   let meta = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
-  Meta_log.log meta (Meta_log.Page_alloc { page = 1; eu = 2; idx = 3; sectors = 5 });
+  Meta_log.log meta (page_alloc ~idx:3 ~sectors:5 1 2);
   Meta_log.force meta;
   Meta_log.log meta (Meta_log.Merge { units = [ (2, 4) ]; trades = []; sectors = [ [| 1; 0 |] ] });
   Meta_log.force meta;
   corrupt chip 1 ~offset:2;
   let _, events = Meta_log.recover (dev_of chip) ~first_block:0 ~num_blocks:2 in
   Alcotest.(check bool) "only the intact sector's events survive" true
-    (events = [ Meta_log.Page_alloc { page = 1; eu = 2; idx = 3; sectors = 5 } ])
+    (events = [ page_alloc ~idx:3 ~sectors:5 1 2 ])
 
 (* Two compactions, one into each half, crashed at every flash
    operation from the first one on: restart finds every event forced
    before the crash, from the old half or from the new snapshot. *)
 let test_meta_log_compaction_crash () =
   let alloc lo hi =
-    List.init (hi - lo) (fun i -> Meta_log.Page_alloc { page = lo + i; eu = 2; idx = 0; sectors = 1 })
+    List.init (hi - lo) (fun i -> page_alloc (lo + i) 2)
   in
   let run crash =
     let chip = mk_chip () in
@@ -174,7 +178,7 @@ let test_meta_log_rollback () =
   let chip = mk_chip () in
   let meta = Meta_log.create (dev_of chip) ~first_block:0 ~num_blocks:2 in
   let trx = Trx_log.create meta in
-  Meta_log.log meta (Meta_log.Page_alloc { page = 1; eu = 2; idx = 0; sectors = 1 });
+  Meta_log.log meta (page_alloc 1 2);
   Meta_log.force meta;
   Trx_log.log_begin trx 5;
   let mark = Meta_log.mark meta in
@@ -185,7 +189,7 @@ let test_meta_log_rollback () =
   Alcotest.(check bool) "rolled-back merge never published" true
     (events
     = [
-        Meta_log.Page_alloc { page = 1; eu = 2; idx = 0; sectors = 1 }; Meta_log.Trx_begin { txid = 5 };
+        page_alloc 1 2; Meta_log.Trx_begin { txid = 5 };
       ])
 
 (* The last system-log sector holds a commit record and a mapping event,
@@ -207,7 +211,7 @@ let test_system_log_torn_mixed_tail () =
   Meta_log.force meta;
   let intact =
     [
-      Meta_log.Page_alloc { page = pid; eu = 2; idx = 0; sectors = 1 }; Meta_log.Trx_begin { txid = 1 };
+      page_alloc pid 2; Meta_log.Trx_begin { txid = 1 };
     ]
   in
   let record =
