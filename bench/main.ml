@@ -441,7 +441,8 @@ let ablation_read_amplification () =
       let eu = Store.eu_of_page store page in
       let have = Store.used_log_sectors store ~eu in
       for _ = have + 1 to target do
-        List.iter (Store.flush_log store)
+        List.iter
+          (fun sector -> Store.flush store [ (page, sector) ])
           (Ipl_core.Log_sector.pack ~capacity:(Chip.config chip).FConfig.sector_size
              [
                {

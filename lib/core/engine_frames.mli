@@ -4,13 +4,12 @@
 
 open Engine_state
 
-val flush_frames :
-  Meta_log.t -> Ipl_storage.t -> sector_size:int -> (int * frame) list -> unit
+val flush_frames : Meta_log.t -> Ipl_storage.t -> (int * frame) list -> unit
 (** The one flush path (commit batch, eviction, full log): settle the
     system log's published sectors, which hold every begin record, if a
-    user transaction's records are in the batch,
-    then flush each erase unit's frames in as few log sectors as they
-    fit. A frame's log is cleared only once its records are on flash. *)
+    user transaction's records are in the batch, then hand the frames'
+    logs to {!Ipl_storage.flush}, which writes them and clears each
+    frame's log once its records are on flash. *)
 
 val create_pool :
   Ipl_config.t -> Meta_log.t -> Ipl_storage.t -> sector_size:int -> frame Bufmgr.Buffer_pool.t

@@ -1,8 +1,8 @@
 (* The storage manager's surface: construction and crash recovery, page
-   allocation, the read path and log flushing. Its parts, each private to
-   this library: the shared record, mapping state and erase-unit I/O
-   ([Store_state]), the free pool ([Free_pool]), the overflow log area
-   ([Store_overflow]) and merges ([Store_merge]). *)
+   allocation, the read path and the one write path. Its parts, each
+   private to this library: the shared record, mapping state and
+   erase-unit I/O ([Store_state]), the free pool ([Free_pool]), the
+   overflow log area ([Store_overflow]) and merges ([Store_merge]). *)
 open Store_state
 module Chip = Flash_sim.Flash_chip
 
@@ -246,7 +246,7 @@ let stored_image_sectors t ~page =
   image_sectors t (Page.image_length (Page.of_bytes header))
 
 (* ------------------------------------------------------------------ *)
-(* Log flushing                                                        *)
+(* The write path                                                      *)
 
 (* The first record of [records] whose page is not in unit [eu], if
    any. A top-level walk: the flush path allocates no closure for it. *)
@@ -254,76 +254,177 @@ let rec stranger t eu ~page = function
   | [] -> None
   | r :: rest ->
       let p = r.Log_record.page in
-      if p <> page && (fst (lookup t p)).phys <> eu.phys then Some p
-      else stranger t eu ~page rest
+      if p <> page && fst (lookup t p) != eu then Some p else stranger t eu ~page rest
 
 let sector_bytes t sector =
   let bytes = Log_sector.serialize sector in
   if Bytes.length bytes <> sector_size t then
-    invalid_arg "Ipl_storage.flush_log: not a sector of this device";
+    invalid_arg "Ipl_storage.flush: not a sector of this device";
   bytes
 
-(* The page of [records]' first record. *)
-let first_page fn = function
-  | [] -> invalid_arg (fn ^ ": no records")
-  | r :: _ -> r.Log_record.page
+(* One erase unit's share of a flush batch: the unit, its entries in
+   batch order, and their records in that order, none yet on flash. *)
+type group = { eu : eu_info; entries : (int * Log_sector.t) list; records : Log_record.t list }
 
-(* The unit of [records]' pages, all of which it must host. *)
-let unit_of t fn records =
-  let page = first_page fn records in
-  let eu, _ = lookup t page in
-  (match stranger t eu ~page records with
+let rec in_unit t eu = function
+  | [] -> true
+  | (pid, _) :: rest -> fst (lookup t pid) == eu && in_unit t eu rest
+
+(* Group [batch] by erase unit, in order of first appearance of a
+   non-empty log, refusing a record whose page its unit does not host.
+   Every group is checked before any is written. *)
+let rec groups t = function
+  | [] -> []
+  | (_, log) :: rest when Log_sector.is_empty log -> groups t rest
+  | (page, log) :: _ as batch ->
+      let eu = fst (lookup t page) in
+      let entries, rest =
+        if in_unit t eu batch then (batch, [])
+        else List.partition (fun (p, _) -> fst (lookup t p) == eu) batch
+      in
+      let records =
+        match entries with
+        | [ _ ] -> Log_sector.records log
+        | _ -> List.concat_map (fun (_, log) -> Log_sector.records log) entries
+      in
+      (match stranger t eu ~page records with
+      | None -> ()
+      | Some p ->
+          invalid_arg (Printf.sprintf "Ipl_storage.flush: page %d is not in unit %d" p eu.phys));
+      { eu; entries; records } :: groups t rest
+
+let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: rest -> drop (n - 1) rest
+
+let first_page records = (List.hd records).Log_record.page
+
+(* Program one sector into its unit's log region, which has a free
+   sector. *)
+let append t eu sector records =
+  let addr = log_sector_addr t eu.phys ~base:eu.log_base eu.used_log in
+  Bbm.submit_write_sectors t.bbm ~cls:Dev.Log_flush ~sector:addr (sector_bytes t sector);
+  eu.used_log <- eu.used_log + 1;
+  (* Write-through only after the program succeeded: the cache must
+     never hold records flash does not. *)
+  Cache.Log_cache.append t.cache eu.phys records;
+  t.c_log_sector_writes <- t.c_log_sector_writes + 1;
+  match t.tracer with
   | None -> ()
-  | Some p -> invalid_arg (Printf.sprintf "%s: page %d is not in unit %d" fn p eu.phys));
-  eu
+  | Some tr ->
+      Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
+        (Obs.Event.Log_flush
+           { page = first_page records; eu = eu.phys; records = List.length records })
 
-let flush_log t sector =
-  let records = Log_sector.records sector in
-  let eu = unit_of t "Ipl_storage.flush_log" records in
-  let page = first_page "Ipl_storage.flush_log" records in
+(* Divert one sector to the overflow area (Algorithm 3). *)
+let divert t eu sector records =
+  Store_overflow.write t eu (sector_bytes t sector);
+  Cache.Log_cache.append t.cache eu.phys records;
+  t.c_overflow_diversions <- t.c_overflow_diversions + 1;
+  match t.tracer with
+  | None -> ()
+  | Some tr ->
+      Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
+        (Obs.Event.Overflow_diversion
+           { page = first_page records; eu = eu.phys; records = List.length records })
+
+(* The first of [later] whose unit the merge rule finds due for the
+   group's records, with the unit's stored records. *)
+let rec partner t = function
+  | [] -> None
+  | g :: rest -> (
+      match Store_merge.merge_due t g.eu ~pending:g.records with
+      | Some stored -> Some (g, stored)
+      | None -> partner t rest)
+
+let clear g = List.iter (fun (_, log) -> Log_sector.clear log) g.entries
+
+(* Write one sector of group [g], holding [records], after [flushed]
+   of the group's records. A sector that meets a full log merges its
+   unit, U, when the merge rule finds U due, and goes to overflow
+   otherwise. If the rule also finds the unit of a later group, V, due,
+   U and V merge as one pair instead, consuming the rest of U's records
+   and V's whole group: after the pair, a page of U may sit in V's new
+   unit. Returns the groups still to write after a pair, [None]
+   otherwise. *)
+let write_sector t g ~later ~flushed sector records =
+  let eu = g.eu in
   if eu.used_log < log_capacity t eu then begin
-    let addr = log_sector_addr t eu.phys ~base:eu.log_base eu.used_log in
-    Bbm.submit_write_sectors t.bbm ~cls:Dev.Log_flush ~sector:addr (sector_bytes t sector);
-    eu.used_log <- eu.used_log + 1;
-    (* Write-through only after the program succeeded: the cache must
-       never hold records flash does not. *)
-    Cache.Log_cache.append t.cache eu.phys records;
-    t.c_log_sector_writes <- t.c_log_sector_writes + 1;
-    match t.tracer with
-    | None -> ()
-    | Some tr ->
-        Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
-          (Obs.Event.Log_flush { page; eu = eu.phys; records = List.length records })
+    append t eu sector records;
+    None
   end
   else
     match Store_merge.merge_due t eu ~pending:records with
-    | Some stored -> Store_merge.merge t [ (eu, Lazy.force stored @ records) ]
-    | None -> (
-        Store_overflow.write t eu (sector_bytes t sector);
-        Cache.Log_cache.append t.cache eu.phys records;
-        t.c_overflow_diversions <- t.c_overflow_diversions + 1;
-        match t.tracer with
-        | None -> ()
-        | Some tr ->
-            Obs.Tracer.emit tr ~time:(Dev.elapsed t.dev)
-              (Obs.Event.Overflow_diversion
-                 { page; eu = eu.phys; records = List.length records }))
+    | None ->
+        divert t eu sector records;
+        None
+    | Some stored -> (
+        match partner t later with
+        | Some (h, theirs) ->
+            Store_merge.merge t
+              [
+                (eu, Lazy.force stored @ drop flushed g.records);
+                (h.eu, Lazy.force theirs @ h.records);
+              ];
+            clear h;
+            Some (List.filter (fun l -> l != h) later)
+        | None ->
+            Store_merge.merge t [ (eu, Lazy.force stored @ records) ];
+            None)
 
-let full t eu = eu.used_log >= log_capacity t eu
-let log_full t ~page = full t (fst (lookup t page))
+(* Write [sectors], each with its records, counting in [flushed] the
+   records that reach flash. Returns the groups still to write. *)
+let rec write_sectors t g ~later flushed = function
+  | [] -> later
+  | (sector, records) :: sectors -> (
+      match write_sector t g ~later ~flushed:!flushed sector records with
+      | Some later -> later
+      | None ->
+          flushed := !flushed + Log_sector.count sector;
+          write_sectors t g ~later flushed sectors)
 
-let merge_due t records =
-  match records with
-  | [] -> false
-  | r :: _ -> Store_merge.merge_due t (fst (lookup t r.Log_record.page)) ~pending:records <> None
+(* After a failure with [flushed] of a group's records on flash, the
+   logs whose records all reached flash are emptied and the log the
+   failure cut keeps only the records still owed, so every page stays
+   its flash image plus its in-memory log. *)
+let rec keep_owed flushed = function
+  | [] -> ()
+  | (_, log) :: rest ->
+      let n = Log_sector.count log in
+      if flushed >= n then begin
+        Log_sector.clear log;
+        keep_owed (flushed - n) rest
+      end
+      else if flushed > 0 then begin
+        let owed = drop flushed (Log_sector.records log) in
+        Log_sector.clear log;
+        List.iter
+          (fun r ->
+            match Log_sector.add log r with
+            | `Added -> ()
+            | `Full -> assert false (* a subset of what the sector held *))
+          owed
+      end
 
-let merge_pair t mine theirs =
-  let u = unit_of t "Ipl_storage.merge_pair" mine in
-  let v = unit_of t "Ipl_storage.merge_pair" theirs in
-  if u == v || (not (full t u)) || not (full t v) then
-    invalid_arg "Ipl_storage.merge_pair: two distinct units with full logs";
-  let all eu pending = read_eu_log_records ~cls:Dev.Merge_io t eu @ pending in
-  Store_merge.merge t [ (u, all u mine); (v, all v theirs) ]
+let write_group t g later =
+  let sectors =
+    match g.entries with
+    | [ (_, log) ] -> [ (log, g.records) ] (* one log is one sector already *)
+    | _ ->
+        List.map
+          (fun s -> (s, Log_sector.records s))
+          (Log_sector.pack ~capacity:(sector_size t) g.records)
+  in
+  let flushed = ref 0 in
+  match write_sectors t g ~later flushed sectors with
+  | later ->
+      clear g;
+      later
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      keep_owed !flushed g.entries;
+      Printexc.raise_with_backtrace e bt
+
+let rec write_groups t = function [] -> () | g :: later -> write_groups t (write_group t g later)
+let flush t batch = write_groups t (groups t batch)
 
 let merge_due_units = Store_merge.merge_due_units
 let pair_trades = Store_merge.pair_trades

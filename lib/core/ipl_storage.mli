@@ -11,10 +11,10 @@
     page's stored image with its committed records applied. A page that
     no carried record names and that the engine holds in memory with
     nothing owed to flash ({!set_buffered}) is programmed from that
-    image without a flash read. When one flush batch would merge two
-    units back to back, they merge as one pair ({!merge_pair}) whose
-    hotter pages go into one new unit and the rest into the other, so
-    later commits touching hot pages share that unit's log sectors.
+    image without a flash read. When one flush batch ({!flush}) would
+    merge two units back to back, they merge as one pair whose hotter
+    pages go into one new unit and the rest into the other, so later
+    commits touching hot pages share that unit's log sectors.
 
     The logical-to-physical page mapping, with each page's image length
     and first sector and each unit's log base, changes only on
@@ -82,9 +82,9 @@
     length from the flash's free state (the first erased sector of the
     log region ends it). A unit's records are read when an access needs
     them, through the same path as at run time: a page read applies its
-    page's records, and the merge rule ({!merge_due}) counts the unit's
-    records by transaction status. No per-unit state is derived from
-    the records, so nothing is stale after a restart. *)
+    page's records, and the merge rule that {!flush} applies counts the
+    unit's records by transaction status. No per-unit state is derived
+    from the records, so nothing is stale after a restart. *)
 
 type t
 
@@ -197,48 +197,34 @@ val read_pages_finish : t -> read_batch -> (int * Storage.Page.t) list
     splitting the two lets the await overlap a durability barrier the
     caller issues in between (the barrier settles the reads too). *)
 
-val flush_log : t -> Log_sector.t -> unit
-(** Persist one log sector's records, for any pages of one erase unit:
-    the unit hosting the first record's page. Writes a log sector in that
-    unit, or — if none is free — merges the unit (consuming the records)
-    when at most a tau share of its records, these included, belong to
-    active transactions, and diverts the sector to an overflow area
-    otherwise: the one merge rule, which {!merge_due_units} applies too.
-    The sector must be non-empty and have the device's sector size; a
-    record for a page of another unit raises [Invalid_argument] before
-    anything is written.
-    The [Log_flush] or [Overflow_diversion] event names the first
-    record's page. *)
+val flush : t -> (int * Log_sector.t) list -> unit
+(** The one write path: persist a batch of (page, in-memory log) pairs,
+    oldest-dirtied first (a commit's dirty frames, say), clearing each
+    log once its records are on flash. The batch is grouped by the erase
+    unit hosting each page, in order of first appearance, and each
+    group's records, in batch order, are packed into as few log sectors
+    as they fit; a group of one log writes that log as its sector. Each
+    sector goes to a free log sector of its unit. At a full log the one
+    merge rule decides: the unit is merged, consuming the sector and
+    merging its records with the unit's, when at most a tau share of
+    its records, these included, belong to active transactions, and the
+    sector is diverted to an overflow area otherwise. When the rule also
+    finds the unit of a later group due for that group's records, the
+    two units merge as one pair instead ({!pair_trades}), consuming the
+    rest of the first group and the whole second one. The records the
+    rule reads for a due unit feed its merge, which reads them no
+    second time. Logs must have the device's sector size. A record for
+    a page its entry's unit does not host raises [Invalid_argument]
+    before anything is written. If a write fails, the logs whose
+    records all reached flash are cleared, the log the failure cut
+    keeps only the records still owed, every later log (a failed pair's
+    partner group's included) keeps all of its own, and the exception
+    is re-raised. The [Log_flush] or [Overflow_diversion] event names
+    the sector's first record's page. *)
 
 val snapshot : t -> Meta_log.event list
 (** The manager's part of a system-log compaction snapshot: the mapping,
     with the bad-block manager's remap state. *)
-
-val log_full : t -> page:int -> bool
-(** Whether the unit hosting [page] has no free in-region log sector,
-    so that its next flush merges it or diverts to overflow. *)
-
-val merge_due : t -> Log_record.t list -> bool
-(** Whether flushing [records] would merge their unit, the unit hosting
-    the first record's page: its in-region log has no free sector and
-    at most a tau share of its records, these included, belong to
-    active transactions (the one merge rule). [false] for no records. *)
-
-val merge_pair : t -> Log_record.t list -> Log_record.t list -> unit
-(** [merge_pair t mine theirs] merges the unit of [mine] and the unit
-    of [theirs] as one pair, each with its records as pending ones: the
-    write path's answer when one flush batch would merge both units back
-    to back. The caller decides with {!merge_due}: for the first unit
-    on the sector that would merge it, whose unit's later sectors then
-    ride along in [mine], and for the second on its whole group. The two units' pages are re-split by heat, the number of
-    their records in the unit's log plus pending: the first unit's new
-    block takes as many of the hottest pages as the unit held, ties
-    staying in their unit and then going by slot, and the second's new
-    block the rest, in the slots the traded pages left. One [Merge]
-    event publishes both moves, forced before either old unit is
-    erased. Raises [Invalid_argument] unless the records name two
-    distinct units with full logs, each hosting all of its records'
-    pages. *)
 
 val pair_trades : int array -> (int * int) list
 (** The pair merge's re-split, from [heat]: one entry per data slot, the
@@ -252,7 +238,7 @@ val pair_trades : int array -> (int * int) list
 
 val merge_due_units : t -> max_merges:int -> int
 (** Background merging: merge up to [max_merges] of the data erase units
-    that {!flush_log} would merge at their next flush (in-region log
+    that {!flush} would merge at their next flush (in-region log
     exhausted, carry fraction at most tau), most log sectors (in-region
     plus overflow) first. A unit with a free log sector, or one
     whose records belong mostly to live transactions, is left alone.

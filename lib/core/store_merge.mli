@@ -26,8 +26,11 @@ val merge_due : t -> eu_info -> pending:Log_record.t list -> Log_record.t list L
     When it holds, the unit's stored records, in application order, for
     its {!merge}: the rule reads the log once, through the log-record
     cache, and a cache hit counts in place and takes the records only
-    when they are forced. The write path merges a due unit and diverts to overflow
-    otherwise; background merging takes only due units. *)
+    when they are forced. The write path ({!Ipl_storage.flush}) asks it
+    for a sector that meets a full log and for each later unit of the
+    batch it weighs as a pair partner, merges a due unit (with the first
+    due partner, if any) and diverts to overflow otherwise; background
+    merging takes only due units. *)
 
 val merge_due_units : t -> max_merges:int -> int
 (** See {!Ipl_storage.merge_due_units}. *)

@@ -514,7 +514,12 @@ let sector records =
   | [ s ] -> s
   | _ -> Alcotest.fail "records do not fit one sector"
 
-let flush store records = Store.flush_log store (sector records)
+(* Flush [records], for pages of one unit, as one sector: a batch of
+   one entry, for the first record's page. *)
+let flush store records =
+  match records with
+  | [] -> Alcotest.fail "no records"
+  | r :: _ -> Store.flush store [ (r.LR.page, sector records) ]
 
 let page_with strs =
   let p = fresh_page () in
@@ -1072,30 +1077,40 @@ let test_rolled_back_merge_keeps_hints () =
   Alcotest.(check (option bytes)) "inserted" (Some (Bytes.make 400 'n'))
     (Page.read (Store.read_page store pid) 0)
 
-(* The merge rule counts a cached unit's records in place: evaluating it
-   on a cache hit allocates nothing in proportion to the unit's log. *)
+(* The merge rule counts a cached unit's records in place: a flush that
+   meets a full log of a live transaction's records, which the rule
+   diverts to overflow, allocates nothing in proportion to the unit's log
+   on a cache hit. *)
 let test_merge_rule_hit_allocates_no_log () =
-  let _, _, store = mk_store () in
-  let pid = Store.allocate_page store (page_with [ "0000" ]) in
-  let record i =
-    let v = Printf.sprintf "%04d" i in
-    { LR.txid = 0; page = pid; op = LR.Update_range { slot = 0; offset = 0; before = b v; after = b v } }
+  let _, _, store = mk_store ~txn_status:(fun _ -> Trx_log.Active) () in
+  let pid = Store.allocate_page store (page_with [ "0" ]) in
+  let record =
+    { LR.txid = 1; page = pid; op = LR.Update_range { slot = 0; offset = 0; before = b "0"; after = b "0" } }
   in
-  let per_sector = 12 in
-  for s = 0 to 15 do
-    flush store (List.init per_sector (fun i -> record ((s * per_sector) + i)))
+  (* Sixteen sectors as full as the record allows. *)
+  let full_sector () =
+    let s = LS.create ~capacity:512 in
+    let rec fill n = match LS.add s record with `Added -> fill (n + 1) | `Full -> n in
+    (s, fill 0)
+  in
+  let records = ref 0 in
+  for _ = 1 to 16 do
+    let s, n = full_sector () in
+    Store.flush store [ (pid, s) ];
+    records := !records + n
   done;
-  let pending = [ record 0 ] in
-  Alcotest.(check bool) "due (a miss fills the cache)" true (Store.merge_due store pending);
+  let diverted () = (Store.stats store).Store.overflow_diversions in
+  flush store [ record ];
+  Alcotest.(check int) "diverted (a miss fills the cache)" 1 (diverted ());
+  let batch = [ (pid, sector [ record ]) ] in
   let hits = (Store.stats store).Store.log_cache_hits in
   let before = Gc.minor_words () in
-  let due = Store.merge_due store pending in
+  Store.flush store batch;
   let words = Gc.minor_words () -. before in
-  Alcotest.(check bool) "due" true due;
+  Alcotest.(check int) "diverted" 2 (diverted ());
   Alcotest.(check int) "a cache hit" (hits + 1) (Store.stats store).Store.log_cache_hits;
-  let records = 16 * per_sector in
-  if words >= float_of_int records then
-    Alcotest.failf "a hit allocated %.0f words for a log of %d records" words records
+  if words >= float_of_int !records then
+    Alcotest.failf "a hit allocated %.0f words for a log of %d records" words !records
 
 (* Property: interleaved updates to several pages, with random merge
    pressure, never lose a committed update. *)
@@ -1197,8 +1212,9 @@ let prop_pair_trades =
    behalf of transaction slot [s], end the slot's transaction (it
    commits or aborts, and the slot starts a fresh one), force the system
    log as a commit barrier does, or flush one record for each of two
-   pages as a write-back batch does: as one pair merge when both units
-   are due, one flush each otherwise. *)
+   pages: for pages of two units as one write-back batch, which merges
+   the units as one pair when the storage manager's rule finds both due,
+   and as two flushes for pages of one unit. *)
 type rop = R_alloc | R_flush of int * int | R_end of int * bool | R_force | R_pair of int * int * int
 
 let show_rop = function
@@ -1294,10 +1310,8 @@ let restart_matches r ops =
     | R_flush (p, s) -> flush store [ record p s ]
     | R_pair (p, q, s) ->
         let rp = record p s and rq = record q s in
-        if
-          Store.eu_of_page store rp.LR.page <> Store.eu_of_page store rq.LR.page
-          && Store.merge_due store [ rp ] && Store.merge_due store [ rq ]
-        then Store.merge_pair store [ rp ] [ rq ]
+        if Store.eu_of_page store rp.LR.page <> Store.eu_of_page store rq.LR.page then
+          Store.flush store [ (rp.LR.page, sector [ rp ]); (rq.LR.page, sector [ rq ]) ]
         else begin
           flush store [ rp ];
           flush store [ rq ]
@@ -1379,17 +1393,23 @@ let test_restart_reach geometry () =
 let insert_rec ?(txid = 0) page slot s = { LR.txid; page; op = LR.Insert { slot; record = b s } }
 
 (* Records of two pages of one unit go to one sector; a record of
-   another unit's page is refused before anything is written. *)
-let test_flush_log_one_unit_only () =
+   another unit's page is refused before anything is written, in a
+   later group of the batch too. *)
+let test_flush_one_unit_per_group () =
   let _, _, store = mk_store () in
   let pids = List.init 16 (fun _ -> Store.allocate_page store (fresh_page ())) in
   let p0 = List.nth pids 0 and p1 = List.nth pids 1 and p15 = List.nth pids 15 in
   let eu = Store.eu_of_page store p0 in
   flush store [ insert_rec p0 0 "zero"; insert_rec p1 0 "one" ];
   Alcotest.(check int) "one sector for two pages" 1 (Store.used_log_sectors store ~eu);
-  (match flush store [ insert_rec p0 1 "again"; insert_rec p15 0 "elsewhere" ] with
-  | () -> Alcotest.fail "a record of another unit must be refused"
-  | exception Invalid_argument _ -> ());
+  let refused what batch =
+    match Store.flush store batch with
+    | () -> Alcotest.failf "%s: a record of another unit must be refused" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "one group" [ (p0, sector [ insert_rec p0 1 "again"; insert_rec p15 0 "elsewhere" ]) ];
+  refused "second group"
+    [ (p0, sector [ insert_rec p0 1 "again" ]); (p15, sector [ insert_rec p1 1 "stray" ]) ];
   Alcotest.(check int) "nothing written" 1 (Store.used_log_sectors store ~eu);
   Alcotest.(check int) "other unit untouched" 0
     (Store.used_log_sectors store ~eu:(Store.eu_of_page store p15));
@@ -1400,7 +1420,7 @@ let test_flush_log_one_unit_only () =
 (* A multi-page sector arriving at a full log region is merged with the
    unit's records when few are active, and diverted to overflow when the
    active share is above tau; either way both pages read it back. *)
-let test_flush_log_full_region_multi_page () =
+let test_flush_full_region_multi_page () =
   let statuses = Hashtbl.create 4 in
   let txn_status txid = Option.value ~default:Trx_log.Committed (Hashtbl.find_opt statuses txid) in
   let config = { Config.default with Config.selective_merge_threshold = 0.5 } in
@@ -1440,6 +1460,44 @@ let test_flush_log_full_region_multi_page () =
       Alcotest.(check (option bytes)) "pending" (Some (b (if pid = p0 then "m0" else "m1")))
         (Page.read p 9))
     [ (p0, "r00"); (p1, "r01") ]
+
+(* With the log-record cache off, a batch flush reads each unit's log
+   once: the merge rule's read feeds the merge. Units U and V hold full
+   logs; a batch with one record for a page of each merges them as one
+   pair, reading the sixteen sectors of each log once. On a fresh pair,
+   where V's log has a free sector, the partner search weighs V without
+   reading it and U merges alone, its log read once. *)
+let test_batch_reads_each_log_once () =
+  let config = { Config.default with Config.log_cache_bytes = 0 } in
+  let run ~v_full =
+    let _, _, store = mk_store ~config () in
+    let pids = List.init 16 (fun _ -> Store.allocate_page store (fresh_page ())) in
+    let u = List.nth pids 0 and v = List.nth pids 15 in
+    Alcotest.(check bool) "two units" true (Store.eu_of_page store u <> Store.eu_of_page store v);
+    let fill page sectors =
+      for i = 0 to sectors - 1 do
+        flush store [ insert_rec page i (Printf.sprintf "r%02d" i) ]
+      done
+    in
+    fill u 16;
+    fill v (if v_full then 16 else 1);
+    let before = Store.stats store in
+    Store.flush store
+      [ (u, sector [ insert_rec u 16 "last u" ]); (v, sector [ insert_rec v 16 "last v" ]) ];
+    let d = Store.Stats.diff (Store.stats store) before in
+    List.iter
+      (fun (page, last) ->
+        Alcotest.(check (option bytes)) "flushed" (Some (b last))
+          (Page.read (Store.read_page store page) 16))
+      [ (u, "last u"); (v, "last v") ];
+    d
+  in
+  let d = run ~v_full:true in
+  Alcotest.(check int) "pair" 1 d.Store.pair_merges;
+  Alcotest.(check int) "each log read once" 32 d.Store.log_sector_reads;
+  let d = run ~v_full:false in
+  Alcotest.(check (pair int int)) "U alone" (1, 0) (d.Store.merges, d.Store.pair_merges);
+  Alcotest.(check int) "U's log read once" 16 d.Store.log_sector_reads
 
 let ok_e = function
   | Ok x -> x
@@ -1569,6 +1627,78 @@ let test_failed_packed_flush_keeps_owed () =
   Alcotest.(check bool) "after abort" true (frames_consistent e [ p0; p1 ]);
   Alcotest.(check (list (pair int string))) "page 0 rolled back" [] (contents e p0);
   Alcotest.(check (list (pair int string))) "page 1 rolled back" [] (contents e p1)
+
+(* A program failure inside a pair merge leaves both groups owed. On
+   8 KB erase units (two 2 KB pages, eight log sectors), X and X' share
+   unit A, Y and Y' unit B. Committed updates of X and Y fill both logs;
+   the last transaction updates X and Y, so its commit's one flush batch
+   merges A and B as one pair, whose first program fails with no spare
+   left. The device degrades, both frames keep their records, every page
+   of both units is still its flash image plus its in-memory log, and
+   after a restart every page reads its last committed value. *)
+let test_failed_pair_merge_keeps_owed () =
+  let config = { Config.default with Config.page_size = 2048; log_region_bytes = 4096; buffer_pages = 8 } in
+  let chip =
+    Chip.create { (FConfig.default ~num_blocks:64 ()) with FConfig.block_size = 8 * 1024 }
+  in
+  let e = Engine.create ~config chip in
+  let store = Engine.storage e in
+  let pages = Array.init 4 (fun _ -> Engine.Unsafe.allocate_page e) in
+  let slots = Array.map (fun page -> ok_e (Engine.Unsafe.insert e ~tx:0 ~page (b "v00"))) pages in
+  Engine.Unsafe.checkpoint e;
+  let x = pages.(0) and y = pages.(2) in
+  let unit page = Store.eu_of_page store page in
+  Alcotest.(check bool) "X, X' in A; Y, Y' in B" true
+    (unit x = unit pages.(1) && unit y = unit pages.(3) && unit x <> unit y);
+  let full page = Store.used_log_sectors store ~eu:(unit page) >= 8 in
+  let value = Array.make 4 "v00" in
+  let update tx i v = ok_e (Engine.Unsafe.update e ~tx ~page:pages.(i) ~slot:slots.(i) (b v)) in
+  let i = ref 0 in
+  while not (full x && full y) do
+    incr i;
+    let tx = Engine.Unsafe.begin_txn e in
+    List.iter
+      (fun k ->
+        if not (full pages.(k)) then begin
+          let v = Printf.sprintf "%c%02d" (if k = 0 then 'x' else 'y') !i in
+          update tx k v;
+          value.(k) <- v
+        end)
+      [ 0; 2 ];
+    Engine.Unsafe.commit e tx
+  done;
+  let tx = Engine.Unsafe.begin_txn e in
+  update tx 0 "x-new";
+  update tx 2 "y-new";
+  let data_area = 8 * Chip.sector_of_block chip 1 and in_pair = ref false in
+  Chip.set_fault_hook chip
+    (Some
+       (fun _ -> function
+         | Chip.Op_program { sector; _ } when sector >= data_area ->
+             in_pair := Store.merging store = 2;
+             Chip.Program_fail
+         | _ -> Chip.Proceed));
+  (match Engine.commit e (Engine.Unsafe.txn tx) with
+  | Error Engine.Device_degraded -> ()
+  | Ok () -> Alcotest.fail "the commit must fail"
+  | Error err -> Alcotest.failf "unexpected error: %s" (Engine.error_to_string err));
+  Chip.set_fault_hook chip None;
+  Alcotest.(check bool) "the failed program was the pair merge's" true !in_pair;
+  let s = (Engine.stats e).Engine.storage in
+  Alcotest.(check (pair int int)) "no merge" (0, 0) (s.Store.merges, s.Store.pair_merges);
+  Alcotest.(check (pair bool bool)) "A and B still full" (true, true) (full x, full y);
+  Alcotest.(check (list (option int))) "both frames keep their record"
+    [ Some 1; Some 0; Some 1; Some 0 ]
+    (Array.to_list (Array.map (fun p -> Option.map List.length (Engine.Unsafe.buffered_log e p)) pages));
+  Alcotest.(check bool) "pages = flash + log" true (frames_consistent e (Array.to_list pages));
+  let e', _ = Engine.restart ~config chip in
+  Array.iteri
+    (fun k page ->
+      Alcotest.(check (option bytes))
+        (Printf.sprintf "page %d after restart" k)
+        (Some (b value.(k)))
+        (Engine.Unsafe.read e' ~page ~slot:slots.(k)))
+    pages
 
 (* Multi-page transactions over two units, with merges: every page reads
    back equal to the model, before and after a restart. *)
@@ -2012,9 +2142,12 @@ let () =
             test_merge_rule_hit_allocates_no_log;
           QCheck_alcotest.to_alcotest prop_store_durability;
           QCheck_alcotest.to_alcotest prop_pair_trades;
-          Alcotest.test_case "flush_log takes one unit" `Quick test_flush_log_one_unit_only;
+          Alcotest.test_case "flush checks each group's unit" `Quick
+            test_flush_one_unit_per_group;
           Alcotest.test_case "multi-page sector on a full region" `Quick
-            test_flush_log_full_region_multi_page;
+            test_flush_full_region_multi_page;
+          Alcotest.test_case "cache off: a batch reads each log once" `Quick
+            test_batch_reads_each_log_once;
           Alcotest.test_case "restart reach (1x1)" `Quick (test_restart_reach `One);
           Alcotest.test_case "restart reach (4x2)" `Quick (test_restart_reach `Four_by_two);
           Alcotest.test_case "restart reach (compacting)" `Quick (test_restart_reach `Compact);
@@ -2028,6 +2161,8 @@ let () =
           Alcotest.test_case "eviction flushes its frame" `Quick test_eviction_flushes_own_frame;
           Alcotest.test_case "failed packed flush keeps owed" `Quick
             test_failed_packed_flush_keeps_owed;
+          Alcotest.test_case "failed pair merge keeps both owed" `Quick
+            test_failed_pair_merge_keeps_owed;
           Alcotest.test_case "packed flush = model, restart" `Quick
             test_packed_flush_model_roundtrip;
           QCheck_alcotest.to_alcotest prop_one_txn_at_a_time;

@@ -218,7 +218,7 @@ let test_system_log_torn_mixed_tail () =
     { Ipl_core.Log_record.txid = 1; page = pid; op = Insert { slot = 0; record = Bytes.of_string "x" } }
   in
   (match Ipl_core.Log_sector.pack ~capacity:512 [ record ] with
-  | [ sector ] -> Store.flush_log store sector
+  | [ sector ] -> Store.flush store [ (pid, sector) ]
   | _ -> Alcotest.fail "one record, one sector");
   Trx_log.defer_commit trx 1;
   Trx_log.flush_deferred trx;
